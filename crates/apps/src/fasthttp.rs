@@ -17,7 +17,7 @@ use enclosure_hw::Clock;
 use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{Backend, BatchOp, Fault, SysError};
+use litterbox::{Backend, BatchOp, Fault, GatewayMode, SysError};
 
 use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
 use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
@@ -25,44 +25,14 @@ use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
 /// Server listen port.
 pub const FASTHTTP_PORT: u16 = 8081;
 
-/// Workload parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FastHttpConfig {
-    /// Parse compute per request. FastHTTP's zero-allocation parser is
-    /// much faster than net/http's ("FastHTTP service time to accept
-    /// connections and parse requests is significantly smaller").
-    pub parse_ns: u64,
-    /// Trusted handler compute per request.
-    pub handler_ns: u64,
-    /// Route deferrable syscalls through the batched gateway; the
-    /// scheduler flushes them once per quantum, so the enclosed server
-    /// pays a few charged crossings per request instead of ~11. Off by
-    /// default: Table 2 measures the unbatched trace.
-    pub batched_io: bool,
-    /// Completion-driven submission: workers `batch_submit` their reply
-    /// tails and **park** on the returned token instead of flushing
-    /// every quantum; the adaptive flush policy (plus the switch
-    /// barriers) decides when the accumulated batch crosses. Implies
-    /// batching. Only meaningful with `workers > 1`.
-    pub async_io: bool,
-    /// Concurrent enclosed server goroutines sharing one listener.
-    /// `1` (the default) keeps the original single-server trace;
-    /// larger values exercise the reactor under concurrency.
-    pub workers: usize,
-}
-
-impl Default for FastHttpConfig {
-    fn default() -> Self {
-        // Calibrated near the paper's 22,867 req/s baseline (43.7 µs).
-        FastHttpConfig {
-            parse_ns: 9_000,
-            handler_ns: 28_000,
-            batched_io: false,
-            async_io: false,
-            workers: 1,
-        }
-    }
-}
+/// Parse compute per request. FastHTTP's zero-allocation parser is
+/// much faster than net/http's ("FastHTTP service time to accept
+/// connections and parse requests is significantly smaller").
+/// Calibrated with [`HANDLER_NS`] near the paper's 22,867 req/s
+/// baseline (43.7 µs).
+const PARSE_NS: u64 = 9_000;
+/// Trusted handler compute per request.
+const HANDLER_NS: u64 = 28_000;
 
 /// The assembled FastHTTP application.
 #[derive(Debug)]
@@ -146,21 +116,24 @@ impl FastHttpApp {
     }
 
     /// Serves `n` requests through the enclosed-server / trusted-handler
-    /// goroutine pair and reports throughput. Client traffic runs on a
-    /// scratch clock (outside the measured machine).
+    /// goroutine pair and reports throughput. `workers` concurrent
+    /// enclosed servers share one listener; `1` keeps the original
+    /// single-server trace. Deferrable syscalls queue in the batched
+    /// gateway unless the machine's [`GatewayMode`] is `Direct`. Client
+    /// traffic runs on a scratch clock (outside the measured machine).
     ///
     /// # Errors
     ///
     /// Any goroutine fault (including scheduler deadlock).
-    pub fn serve_requests(&mut self, n: u64, cfg: FastHttpConfig) -> Result<ServeStats, Fault> {
+    pub fn serve_requests(&mut self, n: u64, workers: usize) -> Result<ServeStats, Fault> {
         // First call keeps the paper's port; later calls (fleet batch
         // serving) each take a fresh one, since old listeners stay
         // bound. The wrap keeps the port a u16 without colliding for
         // any realistic number of calls.
         let port = FASTHTTP_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
         self.serve_calls += 1;
-        if cfg.workers > 1 {
-            return self.serve_requests_concurrent(n, cfg, port);
+        if workers > 1 {
+            return self.serve_requests_concurrent(n, workers, port);
         }
         let req_ch = self.rt.make_chan(64);
         let resp_ch = self.rt.make_chan(64);
@@ -171,11 +144,7 @@ impl FastHttpApp {
         // injection it degrades instead of dying: transient errnos are
         // retried in place, and a request whose handling faults is
         // answered with a 503 while the loop keeps serving.
-        if cfg.batched_io {
-            self.rt.lb_mut().enable_batching();
-        }
-        let parse_ns = cfg.parse_ns;
-        let batched = cfg.batched_io;
+        let queued = self.rt.lb().gateway().is_queued();
         let mut state = ServerState::Setup;
         let mut accepted = 0u64;
         let mut replied = 0u64;
@@ -207,10 +176,10 @@ impl FastHttpApp {
                 let ServerState::Running { listen } = state else {
                     unreachable!()
                 };
-                // Drain replies the quantum flush completed: per-entry
+                // Drain replies the last flush completed: per-entry
                 // errors are contained (each completion carries its own
                 // errno), so draining keeps the ring bounded.
-                if batched {
+                if queued {
                     let _ = ctx.lb_mut().batch_take_completions();
                 }
                 // Accept + parse one request, forward to the trusted side.
@@ -219,22 +188,22 @@ impl FastHttpApp {
                         Ok(conn) => {
                             accept_ns.insert(conn, ctx.lb().now_ns());
                             let head = (|| -> Result<Vec<u8>, SysError> {
-                                if batched {
+                                if queued {
                                     // Deadline reads and the netpoll arm
-                                    // are deferrable: they ride the
-                                    // quantum's single charged flush.
+                                    // are deferrable: they ride the next
+                                    // flush's single charged crossing.
                                     let sub = u64::from(conn);
                                     ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::ClockGettime)
+                                        .batch_submit(sub, BatchOp::ClockGettime)
                                         .map_err(SysError::Fault)?;
                                     let head = retry_transient(&srv_tally, || {
                                         ctx.lb_mut().sys_recv(conn, 4096)
                                     })?;
                                     ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::ClockGettime)
+                                        .batch_submit(sub, BatchOp::ClockGettime)
                                         .map_err(SysError::Fault)?;
                                     ctx.lb_mut()
-                                        .batch_enqueue(sub, BatchOp::Futex)
+                                        .batch_submit(sub, BatchOp::Futex)
                                         .map_err(SysError::Fault)?;
                                     return Ok(head);
                                 }
@@ -248,7 +217,7 @@ impl FastHttpApp {
                             })();
                             match head {
                                 Ok(head) => {
-                                    ctx.compute(parse_ns);
+                                    ctx.compute(PARSE_NS);
                                     let ok = head.starts_with(b"GET ");
                                     if ctx.chan_send(
                                         req_ch,
@@ -298,16 +267,16 @@ impl FastHttpApp {
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let body = parts[1].as_bytes()?;
                         let sent = (|| -> Result<(), SysError> {
-                            if batched {
+                            if queued {
                                 // The whole reply tail is deferrable:
-                                // queue it and let the quantum boundary
-                                // pay one crossing for everything.
+                                // queue it and let the next flush pay
+                                // one crossing for everything.
                                 let sub = u64::from(conn);
                                 let (headers, rest) = body.split_at(body.len().min(128));
                                 let lb = ctx.lb_mut();
-                                lb.batch_enqueue(sub, BatchOp::Futex)
+                                lb.batch_submit(sub, BatchOp::Futex)
                                     .map_err(SysError::Fault)?; // worker wake
-                                lb.batch_enqueue(
+                                lb.batch_submit(
                                     sub,
                                     BatchOp::Send {
                                         fd: conn,
@@ -315,7 +284,7 @@ impl FastHttpApp {
                                     },
                                 )
                                 .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(
+                                lb.batch_submit(
                                     sub,
                                     BatchOp::Send {
                                         fd: conn,
@@ -323,11 +292,11 @@ impl FastHttpApp {
                                     },
                                 )
                                 .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, BatchOp::Close { fd: conn })
+                                lb.batch_submit(sub, BatchOp::Close { fd: conn })
                                     .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, BatchOp::Futex)
+                                lb.batch_submit(sub, BatchOp::Futex)
                                     .map_err(SysError::Fault)?; // teardown wake
-                                lb.batch_enqueue(sub, BatchOp::ClockGettime)
+                                lb.batch_submit(sub, BatchOp::ClockGettime)
                                     .map_err(SysError::Fault)?;
                                 return Ok(());
                             }
@@ -373,14 +342,13 @@ impl FastHttpApp {
 
         // Trusted handler goroutine: in a real deployment it would read
         // the private database the enclosure cannot see.
-        let handler_ns = cfg.handler_ns;
         self.rt.spawn("trusted-handler", move |ctx| {
             match ctx.chan_recv(req_ch)? {
                 Recv::Value(v) => {
                     let parts = v.as_tuple()?;
                     let conn = parts[0].clone();
                     let ok = parts[1].as_bool()?;
-                    ctx.compute(handler_ns);
+                    ctx.compute(HANDLER_NS);
                     let body: Vec<u8> = if ok {
                         let mut response =
                             format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
@@ -444,52 +412,44 @@ impl FastHttpApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if cfg.batched_io {
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        let _ = self.rt.lb_mut().batch_take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
     }
 
-    /// Serves `n` requests with `cfg.workers` concurrent enclosed
-    /// server goroutines sharing one listener (plus the trusted handler
-    /// and the load generator). With `async_io` the workers submit
-    /// their reply tails through the completion-driven gateway and
-    /// **park** on the final token, so the adaptive flush policy and
+    /// Serves `n` requests with `workers` concurrent enclosed server
+    /// goroutines sharing one listener (plus the trusted handler and
+    /// the load generator). In [`GatewayMode::Async`] the workers
+    /// submit their reply tails and **park** on the final token, so
     /// the switch barriers amortize one charged crossing over every
-    /// worker's batch; with `batched_io` alone the tails still flush
+    /// worker's batch; in [`GatewayMode::Batched`] the tails flush
     /// every quantum (one crossing per worker per round). The request
     /// results are identical either way — only the flush schedule and
     /// the charged-crossing ledger differ.
     fn serve_requests_concurrent(
         &mut self,
         n: u64,
-        cfg: FastHttpConfig,
+        workers: usize,
         port: u16,
     ) -> Result<ServeStats, Fault> {
         let cap = usize::try_from(n).unwrap_or(usize::MAX).max(64);
         let req_ch = self.rt.make_chan(cap);
         let resp_ch = self.rt.make_chan(cap);
-        if cfg.async_io {
-            self.rt.lb_mut().enable_async_gateway();
-        } else if cfg.batched_io {
-            self.rt.lb_mut().enable_batching();
-        }
-        let use_batch = cfg.async_io || cfg.batched_io;
+        let mode = self.rt.lb().gateway();
+        let queued = mode.is_queued();
+        let parks = mode == GatewayMode::Async;
         let listener: Shared<Option<u32>> = Shared::default();
         let accepted: Shared<u64> = Shared::default();
         let replied: Shared<u64> = Shared::default();
         let closed: Shared<bool> = Shared::default();
 
-        for w in 0..cfg.workers {
+        for w in 0..workers {
             let listener = listener.clone();
             let accepted = accepted.clone();
             let replied = replied.clone();
             let closed = closed.clone();
             let latency = self.latency.clone();
-            let parse_ns = cfg.parse_ns;
-            let async_io = cfg.async_io;
             // The reply tail this worker last shipped: reaped (and its
             // latency recorded) next quantum, after the flush that
             // serviced it — in async mode the park ends exactly there.
@@ -534,50 +494,28 @@ impl FastHttpApp {
                         let body = parts[2].as_bytes()?;
                         let sub = u64::from(conn);
                         let (headers, rest) = body.split_at(body.len().min(128));
-                        if use_batch {
+                        if queued {
                             let lb = ctx.lb_mut();
-                            if async_io {
-                                lb.batch_submit(sub, BatchOp::Futex)?;
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: headers.to_vec(),
-                                    },
-                                )?;
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: rest.to_vec(),
-                                    },
-                                )?;
-                                lb.batch_submit(sub, BatchOp::Close { fd: conn })?;
-                                lb.batch_submit(sub, BatchOp::Futex)?;
-                                let last = lb.batch_submit(sub, BatchOp::ClockGettime)?;
-                                shipped = Some((conn, t0));
-                                return Ok(Step::Park(last));
-                            }
-                            lb.batch_enqueue(sub, BatchOp::Futex)?;
-                            lb.batch_enqueue(
+                            lb.batch_submit(sub, BatchOp::Futex)?;
+                            lb.batch_submit(
                                 sub,
                                 BatchOp::Send {
                                     fd: conn,
                                     data: headers.to_vec(),
                                 },
                             )?;
-                            lb.batch_enqueue(
+                            lb.batch_submit(
                                 sub,
                                 BatchOp::Send {
                                     fd: conn,
                                     data: rest.to_vec(),
                                 },
                             )?;
-                            lb.batch_enqueue(sub, BatchOp::Close { fd: conn })?;
-                            lb.batch_enqueue(sub, BatchOp::Futex)?;
-                            lb.batch_enqueue(sub, BatchOp::ClockGettime)?;
+                            lb.batch_submit(sub, BatchOp::Close { fd: conn })?;
+                            lb.batch_submit(sub, BatchOp::Futex)?;
+                            let last = lb.batch_submit(sub, BatchOp::ClockGettime)?;
                             shipped = Some((conn, t0));
-                            return Ok(Step::Yield);
+                            return Ok(if parks { Step::Park(last) } else { Step::Yield });
                         }
                         ctx.lb_mut().sys_futex().map_err(io_fault)?;
                         ctx.lb_mut().sys_send(conn, headers).map_err(io_fault)?;
@@ -599,20 +537,20 @@ impl FastHttpApp {
                             Ok(conn) => {
                                 let t0 = ctx.lb().now_ns();
                                 let sub = u64::from(conn);
-                                if use_batch {
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::ClockGettime)?;
+                                if queued {
+                                    ctx.lb_mut().batch_submit(sub, BatchOp::ClockGettime)?;
                                 } else {
                                     ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
                                 }
                                 let head = ctx.lb_mut().sys_recv(conn, 4096).map_err(io_fault)?;
-                                if use_batch {
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::ClockGettime)?;
-                                    ctx.lb_mut().batch_enqueue(sub, BatchOp::Futex)?;
+                                if queued {
+                                    ctx.lb_mut().batch_submit(sub, BatchOp::ClockGettime)?;
+                                    ctx.lb_mut().batch_submit(sub, BatchOp::Futex)?;
                                 } else {
                                     ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
                                     ctx.lb_mut().sys_futex().map_err(io_fault)?;
                                 }
-                                ctx.compute(parse_ns);
+                                ctx.compute(PARSE_NS);
                                 let ok = head.starts_with(b"GET ");
                                 if ctx.chan_send(
                                     req_ch,
@@ -635,7 +573,6 @@ impl FastHttpApp {
 
         // Trusted handler: same page build as the single-server path;
         // the accept timestamp is threaded through untouched.
-        let handler_ns = cfg.handler_ns;
         self.rt.spawn("trusted-handler", move |ctx| {
             match ctx.chan_recv(req_ch)? {
                 Recv::Value(v) => {
@@ -643,7 +580,7 @@ impl FastHttpApp {
                     let conn = parts[0].clone();
                     let t0 = parts[1].clone();
                     let ok = parts[2].as_bool()?;
-                    ctx.compute(handler_ns);
+                    ctx.compute(HANDLER_NS);
                     let body: Vec<u8> = if ok {
                         let mut response =
                             format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
@@ -708,9 +645,7 @@ impl FastHttpApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if use_batch {
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        let _ = self.rt.lb_mut().batch_take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         Ok(ServeStats::new(n, ns))
     }
@@ -720,11 +655,20 @@ impl FastHttpApp {
 mod tests {
     use super::*;
 
+    /// A fresh app on `backend` in gateway `mode`, clock zeroed.
+    fn app_on(backend: Backend, mode: GatewayMode) -> FastHttpApp {
+        let mut app = FastHttpApp::new(backend).unwrap();
+        let lb = app.runtime_mut().lb_mut();
+        lb.set_gateway(mode);
+        lb.clock_mut().reset();
+        app
+    }
+
     #[test]
     fn serves_all_requests_on_all_backends() {
         for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
             let mut app = FastHttpApp::new(backend).unwrap();
-            let stats = app.serve_requests(8, FastHttpConfig::default()).unwrap();
+            let stats = app.serve_requests(8, 1).unwrap();
             assert_eq!(stats.served, 8, "{backend}");
             assert!(stats.reqs_per_sec > 0.0);
         }
@@ -737,13 +681,8 @@ mod tests {
         // syscall overhead is unchanged.
         let mut rates = Vec::new();
         for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
-            let mut app = FastHttpApp::new(backend).unwrap();
-            app.runtime_mut().lb_mut().clock_mut().reset();
-            rates.push(
-                app.serve_requests(20, FastHttpConfig::default())
-                    .unwrap()
-                    .reqs_per_sec,
-            );
+            let mut app = app_on(backend, GatewayMode::Direct);
+            rates.push(app.serve_requests(20, 1).unwrap().reqs_per_sec);
         }
         let (base, mpk, vtx) = (rates[0], rates[1], rates[2]);
         assert!(
@@ -756,18 +695,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_io_amortizes_crossings_at_equal_request_counts() {
-        let batched_cfg = FastHttpConfig {
-            batched_io: true,
-            ..FastHttpConfig::default()
-        };
+    fn batched_gateway_amortizes_crossings_at_equal_request_counts() {
         for backend in [Backend::Mpk, Backend::Vtx] {
-            let mut plain = FastHttpApp::new(backend).unwrap();
-            plain.runtime_mut().lb_mut().clock_mut().reset();
-            plain.serve_requests(10, FastHttpConfig::default()).unwrap();
-            let mut batched = FastHttpApp::new(backend).unwrap();
-            batched.runtime_mut().lb_mut().clock_mut().reset();
-            let stats = batched.serve_requests(10, batched_cfg).unwrap();
+            let mut plain = app_on(backend, GatewayMode::Direct);
+            plain.serve_requests(10, 1).unwrap();
+            let mut batched = app_on(backend, GatewayMode::Batched);
+            let stats = batched.serve_requests(10, 1).unwrap();
             assert_eq!(stats.served, 10, "{backend}");
             let p = plain.runtime().lb().stats();
             let b = batched.runtime().lb().stats();
@@ -792,25 +725,32 @@ mod tests {
     #[test]
     fn concurrent_workers_serve_all_requests_in_every_io_mode() {
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            for (batched, async_io) in [(false, false), (true, false), (true, true)] {
-                let cfg = FastHttpConfig {
-                    batched_io: batched,
-                    async_io,
-                    workers: 8,
-                    ..FastHttpConfig::default()
-                };
-                let mut app = FastHttpApp::new(backend).unwrap();
-                app.runtime_mut().lb_mut().clock_mut().reset();
-                let stats = app.serve_requests(24, cfg).unwrap();
-                assert_eq!(
-                    stats.served, 24,
-                    "{backend} batched={batched} async={async_io}"
-                );
-                assert_eq!(
-                    app.latency().count(),
-                    24,
-                    "{backend} batched={batched} async={async_io}: every request timed"
-                );
+            for workers in [1, 8] {
+                let mut sim_ns = Vec::new();
+                for mode in [
+                    GatewayMode::Direct,
+                    GatewayMode::Batched,
+                    GatewayMode::Async,
+                ] {
+                    let mut app = app_on(backend, mode);
+                    let stats = app.serve_requests(24, workers).unwrap();
+                    let arm = format!("{backend} x{workers} {mode:?}");
+                    assert_eq!(stats.served, 24, "{arm}");
+                    assert_eq!(app.latency().count(), 24, "{arm}: every request timed");
+                    sim_ns.push(stats.ns);
+                    let c = app.runtime().lb().telemetry().counters();
+                    if workers == 1 && mode == GatewayMode::Async {
+                        // A lone server never parks: every flush is the
+                        // switch barrier into the trusted handler.
+                        assert!(c.batch_flushes > 0, "{arm}: the reply tails queued");
+                        assert_eq!(c.flush_barrier_triggers, c.batch_flushes, "{arm}");
+                    }
+                }
+                if workers == 1 {
+                    // The barrier that ends each server quantum is where
+                    // the per-quantum flush would have landed anyway.
+                    assert_eq!(sim_ns[2], sim_ns[1], "{backend}: Async x1 == Batched x1");
+                }
             }
         }
     }
@@ -823,23 +763,10 @@ mod tests {
         // end, because one charged crossing now covers every worker's
         // quantum instead of one each.
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let sync_cfg = FastHttpConfig {
-                batched_io: true,
-                workers: 8,
-                ..FastHttpConfig::default()
-            };
-            let async_cfg = FastHttpConfig {
-                batched_io: true,
-                async_io: true,
-                workers: 8,
-                ..FastHttpConfig::default()
-            };
-            let mut sync_app = FastHttpApp::new(backend).unwrap();
-            sync_app.runtime_mut().lb_mut().clock_mut().reset();
-            let sync_stats = sync_app.serve_requests(48, sync_cfg).unwrap();
-            let mut async_app = FastHttpApp::new(backend).unwrap();
-            async_app.runtime_mut().lb_mut().clock_mut().reset();
-            let async_stats = async_app.serve_requests(48, async_cfg).unwrap();
+            let mut sync_app = app_on(backend, GatewayMode::Batched);
+            let sync_stats = sync_app.serve_requests(48, 8).unwrap();
+            let mut async_app = app_on(backend, GatewayMode::Async);
+            let async_stats = async_app.serve_requests(48, 8).unwrap();
             assert_eq!(sync_stats.served, 48, "{backend}");
             assert_eq!(async_stats.served, 48, "{backend}");
             assert!(
@@ -876,7 +803,7 @@ mod tests {
                 .lb_mut()
                 .clock_mut()
                 .arm_injection(InjectionPlan::new(0xFA57, 350_000).with_sites(&sites));
-            let stats = app.serve_requests(30, FastHttpConfig::default()).unwrap();
+            let stats = app.serve_requests(30, 1).unwrap();
             assert_eq!(stats.served + stats.degraded, 30, "{backend}: {stats:?}");
             assert!(stats.retried > 0, "{backend}: errnos were retried");
             let c = app.runtime().lb().telemetry().counters();

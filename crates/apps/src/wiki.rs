@@ -55,8 +55,6 @@ pub struct WikiApp {
     /// The simulated Postgres page store, for assertions.
     pub db: Shared<HashMap<String, String>>,
     latency: Shared<Histogram>,
-    batched_io: bool,
-    async_io: bool,
     /// Completed `serve_requests` calls. Each call listens on its own
     /// port (`WIKI_PORT + calls`), because the previous call's listener
     /// stays bound in the simulated kernel — this is what lets a fleet
@@ -117,26 +115,8 @@ impl WikiApp {
             rt,
             db,
             latency: Shared::default(),
-            batched_io: false,
-            async_io: false,
             serve_calls: 0,
         })
-    }
-
-    /// Routes the server's deferrable reply tail (send + close) through
-    /// the batched gateway; the scheduler flushes once per quantum. Off
-    /// by default — §6.3 measures the unbatched trace.
-    pub fn set_batched_io(&mut self, on: bool) {
-        self.batched_io = on;
-    }
-
-    /// Runs the batched gateway in completion-driven mode: an adaptive
-    /// flush policy replaces the per-quantum flush, so reply tails
-    /// accumulate until a size/deadline trigger or an environment
-    /// switch barrier pays the single charged crossing. Implies
-    /// batching.
-    pub fn set_async_io(&mut self, on: bool) {
-        self.async_io = on;
     }
 
     /// The runtime.
@@ -159,7 +139,9 @@ impl WikiApp {
     }
 
     /// Serves `n` requests alternating `GET /view/Home` and
-    /// `POST /save/Note<i>`, and reports throughput.
+    /// `POST /save/Note<i>`, and reports throughput. Unless the
+    /// machine's gateway is `Direct`, the server's deferrable reply
+    /// tail (send + close) queues in the batched gateway.
     ///
     /// # Errors
     ///
@@ -171,18 +153,13 @@ impl WikiApp {
         let reply_ch = self.rt.make_chan(64); // ○7
         let tally: Shared<ChaosTally> = Shared::default();
         let pq_enclosure = self.rt.enclosure("pq_enc").map_or(0, |e| e.id.0);
-        let batched = self.batched_io || self.async_io;
+        let queued = self.rt.lb().gateway().is_queued();
         // First call keeps the paper's port; later calls (fleet batch
         // serving) each take a fresh one, since old listeners stay
         // bound. The wrap keeps the port a u16 without colliding for
         // any realistic number of calls.
         let port = WIKI_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
         self.serve_calls += 1;
-        if self.async_io {
-            self.rt.lb_mut().enable_async_gateway();
-        } else if batched {
-            self.rt.lb_mut().enable_batching();
-        }
 
         // ○B: enclosed HTTP server. Under fault injection it degrades
         // instead of dying: transient errnos retry in place, a request
@@ -281,13 +258,13 @@ impl WikiApp {
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let response = parts[1].as_bytes()?;
                         let sent = (|| -> Result<(), SysError> {
-                            if batched {
+                            if queued {
                                 // The reply tail is deferrable: queue it
-                                // and let the quantum boundary pay one
+                                // and let the next flush pay one
                                 // crossing for every reply in the round.
                                 let sub = u64::from(conn);
                                 let lb = ctx.lb_mut();
-                                lb.batch_enqueue(
+                                lb.batch_submit(
                                     sub,
                                     litterbox::BatchOp::Send {
                                         fd: conn,
@@ -295,7 +272,7 @@ impl WikiApp {
                                     },
                                 )
                                 .map_err(SysError::Fault)?;
-                                lb.batch_enqueue(sub, litterbox::BatchOp::Close { fd: conn })
+                                lb.batch_submit(sub, litterbox::BatchOp::Close { fd: conn })
                                     .map_err(SysError::Fault)?;
                                 return Ok(());
                             }
@@ -534,11 +511,9 @@ impl WikiApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        if batched {
-            // Per-entry errors are contained in their completions; the
-            // drain keeps the ring bounded across serve calls.
-            let _ = self.rt.lb_mut().batch_take_completions();
-        }
+        // Per-entry errors are contained in their completions; the
+        // drain keeps the ring bounded across serve calls.
+        let _ = self.rt.lb_mut().batch_take_completions();
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
@@ -548,6 +523,7 @@ impl WikiApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litterbox::GatewayMode;
 
     #[test]
     fn wiki_serves_views_and_saves_on_all_backends() {
@@ -580,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_io_serves_the_same_pages_with_fewer_crossings() {
+    fn batched_gateway_serves_the_same_pages_with_fewer_crossings() {
         for backend in [Backend::Mpk, Backend::Vtx] {
             let mut plain = WikiApp::new(backend).unwrap();
             plain.runtime_mut().lb_mut().clock_mut().reset();
@@ -588,8 +564,9 @@ mod tests {
             let ps = plain.runtime_mut().lb_mut().clock_mut().stats();
 
             let mut fast = WikiApp::new(backend).unwrap();
-            fast.set_batched_io(true);
-            fast.runtime_mut().lb_mut().clock_mut().reset();
+            let lb = fast.runtime_mut().lb_mut();
+            lb.set_gateway(GatewayMode::Batched);
+            lb.clock_mut().reset();
             let b = fast.serve_requests(10).unwrap();
             let bs = fast.runtime_mut().lb_mut().clock_mut().stats();
 
@@ -616,16 +593,18 @@ mod tests {
     }
 
     #[test]
-    fn async_io_serves_the_same_pages_as_batched() {
+    fn async_gateway_serves_the_same_pages_as_batched() {
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
             let mut sync = WikiApp::new(backend).unwrap();
-            sync.set_batched_io(true);
-            sync.runtime_mut().lb_mut().clock_mut().reset();
+            let lb = sync.runtime_mut().lb_mut();
+            lb.set_gateway(GatewayMode::Batched);
+            lb.clock_mut().reset();
             let s = sync.serve_requests(10).unwrap();
 
             let mut fut = WikiApp::new(backend).unwrap();
-            fut.set_async_io(true);
-            fut.runtime_mut().lb_mut().clock_mut().reset();
+            let lb = fut.runtime_mut().lb_mut();
+            lb.set_gateway(GatewayMode::Async);
+            lb.clock_mut().reset();
             let a = fut.serve_requests(10).unwrap();
 
             assert_eq!(a.served, s.served, "{backend}: same work either way");

@@ -15,18 +15,18 @@
 //!
 //! Six more arms run the server with 8 concurrent worker goroutines —
 //! `batched_c8` (quantum flush) against `async_c8` (the completion-
-//! driven reactor: workers park on submission tokens and the adaptive
-//! flush policy decides when the accumulated batch crosses). This is
+//! driven reactor: workers park on submission tokens and the
+//! accumulated batch crosses at the next switch barrier). This is
 //! the *throughput* claim, not just a charged-tax claim: with 8 workers
 //! feeding one batch, the reactor retires the same requests in fewer
 //! simulated ns end-to-end. Everything is simulated time from the
 //! calibrated cost model, so two runs are byte-identical.
 
-use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
+use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_hw::CostModel;
 use enclosure_support::Json;
 use enclosure_telemetry::Histogram;
-use litterbox::{Backend, Fault};
+use litterbox::{Backend, Fault, GatewayMode};
 
 /// One (backend, mode) arm's ledger after serving the workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +53,7 @@ pub struct BatchingArm {
     pub batched_syscalls: u64,
     /// Flush attribution: (reason, count) per flush trigger, in fixed
     /// reason order. The counts sum to `batch_flushes`.
-    pub flush_reasons: [(&'static str, u64); 6],
+    pub flush_reasons: [(&'static str, u64); 4],
     /// Ring depth sampled at every enqueue (the `batch_pending_depth`
     /// per-op histogram) — how backed up the ring ran while filling.
     pub pending_depth: Histogram,
@@ -178,12 +178,14 @@ fn run_arm(
     backend: Backend,
     mode: &'static str,
     requests: u64,
-    cfg: FastHttpConfig,
+    gateway: GatewayMode,
+    workers: usize,
 ) -> Result<BatchingArm, Fault> {
     let mut app = FastHttpApp::new(backend)?;
+    app.runtime_mut().lb_mut().set_gateway(gateway);
     app.runtime_mut().lb_mut().clock_mut().reset();
     let t0 = app.runtime().lb().now_ns();
-    let stats = app.serve_requests(requests, cfg)?;
+    let stats = app.serve_requests(requests, workers)?;
     let sim_ns = app.runtime().lb().now_ns() - t0;
     let hw = app.runtime().lb().stats();
     let c = *app.runtime().lb().telemetry().counters();
@@ -198,7 +200,7 @@ fn run_arm(
     Ok(BatchingArm {
         backend,
         mode,
-        batched: cfg.batched_io || cfg.async_io,
+        batched: gateway.is_queued(),
         requests: stats.served,
         vm_exits: hw.vm_exits,
         seccomp_checks: hw.seccomp_checks,
@@ -206,8 +208,6 @@ fn run_arm(
         batch_flushes: c.batch_flushes,
         batched_syscalls: c.batched_syscalls,
         flush_reasons: [
-            ("size", c.flush_size_triggers),
-            ("deadline", c.flush_deadline_triggers),
             ("quantum", c.flush_quantum_triggers),
             ("barrier", c.flush_barrier_triggers),
             ("explicit", c.flush_explicit_triggers),
@@ -229,29 +229,20 @@ fn run_arm(
 /// Workload faults.
 pub fn run(requests: u64) -> Result<BatchingReport, Fault> {
     let mut arms = Vec::new();
-    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-        for batched in [false, true] {
-            let cfg = FastHttpConfig {
-                batched_io: batched,
-                ..FastHttpConfig::default()
-            };
-            let mode = if batched { "batched" } else { "unbatched" };
-            arms.push(run_arm(backend, mode, requests, cfg)?);
+    let sequential = [
+        ("unbatched", GatewayMode::Direct),
+        ("batched", GatewayMode::Batched),
+    ];
+    let concurrent = [
+        ("batched_c8", GatewayMode::Batched),
+        ("async_c8", GatewayMode::Async),
+    ];
+    for (workers, modes) in [(1, sequential), (8, concurrent)] {
+        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+            for (label, gateway) in modes {
+                arms.push(run_arm(backend, label, requests, gateway, workers)?);
+            }
         }
-    }
-    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-        let sync_c8 = FastHttpConfig {
-            batched_io: true,
-            workers: 8,
-            ..FastHttpConfig::default()
-        };
-        arms.push(run_arm(backend, "batched_c8", requests, sync_c8)?);
-        let async_c8 = FastHttpConfig {
-            async_io: true,
-            workers: 8,
-            ..FastHttpConfig::default()
-        };
-        arms.push(run_arm(backend, "async_c8", requests, async_c8)?);
     }
     Ok(BatchingReport { requests, arms })
 }

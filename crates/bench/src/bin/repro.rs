@@ -14,7 +14,7 @@
 //! repro ablations            design-choice studies
 //! repro batching [--quick] [--json] [--profile]  batched-gateway crossing-tax study
 //! repro chaos [--quick] [--json] [--seed=S] [--profile] [--backend=proc]  fault-injection soak
-//! repro fleet [--app=wiki|fasthttp] [--shards=N] [--mixed-backends] [--chaos] [--seed=S] [--quick] [--json] [--parallel[=T]] [--bench-out=PATH]  fleet serving
+//! repro fleet [--app=wiki|fasthttp] [--shards=N] [--mixed-backends] [--chaos] [--seed=S] [--quick] [--json] [--parallel[=T]]  fleet serving
 //! repro monitor [--shards=N] [--chaos] [--seed=S] [--quick] [--json]  windowed SLO dashboard
 //! repro flightrec [--seed=S] [--json]  black-box flight-recorder dump
 //! repro counters [--list]    counter registry with descriptions
@@ -42,9 +42,6 @@
 //! `--parallel[=T]` executes each round's planned shard batches on T
 //! worker threads (default: detected cores) and reports wall-clock
 //! time; the report itself stays byte-identical to the sequential run.
-//! `--bench-out=PATH` (with `--parallel`) times the same run both ways
-//! and writes a `BENCH_*.json` speedup snapshot (for `batching`, the
-//! ns/req-per-backend snapshot).
 //!
 //! `--backend=proc` opts `table2` into the three-way LB_MPK/LB_VTX/
 //! LB_PROC comparison (the extra column is omitted by default so the
@@ -161,9 +158,6 @@ fn main() -> ExitCode {
             }
         },
     };
-    let bench_out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--bench-out=").map(String::from));
     let command = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -183,19 +177,9 @@ fn main() -> ExitCode {
         "security" => security(trace, profile),
         "filter-dump" => filter_dump(),
         "ablations" => ablations(),
-        "batching" => batching(quick, json, profile, bench_out.as_deref()),
+        "batching" => batching(quick, json, profile),
         "chaos" => chaos(quick, json, seed, profile, proc_arm),
-        "fleet" => fleet(
-            quick,
-            json,
-            seed,
-            shards,
-            mixed,
-            fleet_chaos,
-            app,
-            parallel,
-            bench_out.as_deref(),
-        ),
+        "fleet" => fleet(quick, json, seed, shards, mixed, fleet_chaos, app, parallel),
         "monitor" => monitor(quick, json, seed, shards, fleet_chaos),
         "flightrec" => flightrec(json, seed),
         "counters" => {
@@ -212,21 +196,9 @@ fn main() -> ExitCode {
             .and_then(|()| attribution(quick, json, trace))
             .and_then(|()| security(trace, profile))
             .and_then(|()| ablations())
-            .and_then(|()| batching(quick, json, profile, None))
+            .and_then(|()| batching(quick, json, profile))
             .and_then(|()| chaos(quick, json, seed, profile, proc_arm))
-            .and_then(|()| {
-                fleet(
-                    quick,
-                    json,
-                    seed,
-                    shards,
-                    mixed,
-                    fleet_chaos,
-                    app,
-                    parallel,
-                    None,
-                )
-            })
+            .and_then(|()| fleet(quick, json, seed, shards, mixed, fleet_chaos, app, parallel))
             .and_then(|()| monitor(quick, json, seed, shards, fleet_chaos))
             .map(|()| print!("\n{}", report::render_counters_list())),
         other => {
@@ -276,7 +248,6 @@ flags: --quick --json --profile --trace[=N] --seed=S --format=chrome|folded
        --shards=N --mixed-backends --chaos (fleet shard count / backend mix / fault arm)
        --app=wiki|fasthttp (fleet shard workload)
        --parallel[=T] (fleet worker threads, default detected cores; adds wall-clock timing)
-       --bench-out=PATH (write a BENCH_*.json perf snapshot: batching or fleet)
 ";
 
 /// Default seed for `repro chaos` when `--seed=S` is not given.
@@ -584,17 +555,9 @@ fn security(trace: Option<usize>, profile: bool) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn batching(
-    quick: bool,
-    json: bool,
-    profile: bool,
-    bench_out: Option<&str>,
-) -> Result<(), AnyError> {
+fn batching(quick: bool, json: bool, profile: bool) -> Result<(), AnyError> {
     let requests = if quick { 20 } else { 200 };
     let study = batching_exp::run(requests)?;
-    if let Some(path) = bench_out {
-        report::write_bench_snapshot(path, &report::batching_bench_snapshot(&study))?;
-    }
     if json {
         println!("{}", study.to_json().to_pretty());
         return Ok(());
@@ -664,7 +627,6 @@ fn fleet(
     chaos: bool,
     app: FleetApp,
     parallel: Option<usize>,
-    bench_out: Option<&str>,
 ) -> Result<(), AnyError> {
     let mut config = if quick {
         FleetExpConfig::quick(seed)
@@ -679,29 +641,6 @@ fn fleet(
     config.app = app;
     config.parallelism = parallel.unwrap_or(1);
     let (report, violations, elapsed) = fleet_exp::run_timed(config)?;
-    if let Some(path) = bench_out {
-        // The snapshot compares the same run sequentially vs on worker
-        // threads; both arms must report byte-identical bytes (the
-        // differential harness's claim, re-checked here for free).
-        let threads = parallel.ok_or("fleet --bench-out needs --parallel[=T]")?;
-        let (sequential_report, _, sequential_elapsed) = fleet_exp::run_timed(FleetExpConfig {
-            parallelism: 1,
-            ..config
-        })?;
-        if sequential_report.to_json().to_pretty() != report.to_json().to_pretty() {
-            return Err("parallel fleet report diverged from the sequential run".into());
-        }
-        report::write_bench_snapshot(
-            path,
-            &report::fleet_bench_snapshot(
-                &report,
-                threads,
-                detected_cores(),
-                sequential_elapsed,
-                elapsed,
-            ),
-        )?;
-    }
     if json {
         let mut value = report.to_json();
         value.push(

@@ -2,8 +2,8 @@
 //! backend, raw numbers plus slowdowns, alongside the paper's values.
 
 use enclosure_apps::bild::{BildApp, BildConfig};
-use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
-use enclosure_apps::httpd::{HttpApp, HttpConfig};
+use enclosure_apps::fasthttp::FastHttpApp;
+use enclosure_apps::httpd::HttpApp;
 use enclosure_telemetry::{Histogram, TrackCost};
 use litterbox::{Backend, Fault};
 
@@ -174,7 +174,7 @@ fn measure_raw(
             }
         }
         MacroBench::Http => {
-            let mut app = HttpApp::new(backend, HttpConfig::default())?;
+            let mut app = HttpApp::new(backend)?;
             crate::trace::arm(app.runtime_mut().lb_mut(), trace);
             app.runtime_mut().lb_mut().clock_mut().reset();
             match app.serve_requests(scale.requests) {
@@ -193,7 +193,7 @@ fn measure_raw(
             let mut app = FastHttpApp::new(backend)?;
             crate::trace::arm(app.runtime_mut().lb_mut(), trace);
             app.runtime_mut().lb_mut().clock_mut().reset();
-            match app.serve_requests(scale.requests, FastHttpConfig::default()) {
+            match app.serve_requests(scale.requests, 1) {
                 Ok(stats) => {
                     let latency = app.latency();
                     let profile = profile_from(app.runtime_mut().lb_mut(), backend, latency);

@@ -9,12 +9,13 @@
 //! With `--chaos` the run becomes the *kill-one-shard rehearsal*: a
 //! deterministic brownout (elevated injection + a throttled clock)
 //! lands on the scheduled-kill victim a few rounds before the kill, so
-//! the run must show the advisory signal strictly leading the
-//! balancer's outlier ejection — monitoring that only confirms an
-//! ejection after the fact is not monitoring.
+//! the advisory signal must fire, and when the balancer ejects an
+//! outlier the signal must come strictly first — monitoring that only
+//! confirms an ejection after the fact is not monitoring. (Some seeds
+//! never eject: the cumulative latency baseline absorbs the brownout.)
 //!
 //! The chaos arm is surgical: the brownout and the scheduled kill are
-//! the only faults, so the degraded-before-ejected ordering is a
+//! the only faults, so the signal-before-ejection ordering is a
 //! property of the design, not of a lucky draw. Everything derives
 //! from the seed; two runs are byte-identical.
 //!
@@ -30,7 +31,7 @@ use enclosure_fleet::{
 };
 use enclosure_hw::InjectionPlan;
 use enclosure_telemetry::{FlightRecording, SloPolicy, DEFAULT_WINDOW_NS};
-use litterbox::{Backend, Fault};
+use litterbox::{Backend, Fault, GatewayMode};
 
 use crate::chaos_exp;
 
@@ -114,8 +115,8 @@ impl MonitorExpConfig {
 
 /// Runs the monitored fleet, returning the report plus any
 /// robustness-invariant violations. In the chaos arm, a run in which
-/// the advisory signal did not strictly lead the first ejection is a
-/// violation too.
+/// no advisory fired, or in which an ejection came no later than the
+/// first advisory, is a violation too.
 ///
 /// # Errors
 ///
@@ -128,12 +129,15 @@ pub fn run(config: MonitorExpConfig) -> Result<(FleetReport, Vec<String>), Fault
         .monitor
         .as_ref()
         .expect("monitor run always arms the monitor");
-    if config.chaos && !monitor.degradation_led_ejection() {
-        violations.push(format!(
-            "advisory signal must lead ejection: first degraded window round {:?}, first ejection round {:?}",
-            monitor.first_degraded_round(),
-            monitor.first_eject_round()
-        ));
+    if config.chaos {
+        let degraded = monitor.first_degraded_round();
+        let ejected = monitor.first_eject_round();
+        if !degraded.is_some_and(|d| ejected.is_none_or(|e| d < e)) {
+            violations.push(format!(
+                "advisory signal must fire, and strictly before any ejection: \
+                 first degraded window round {degraded:?}, first ejection round {ejected:?}"
+            ));
+        }
     }
     Ok((report, violations))
 }
@@ -164,7 +168,7 @@ const FLIGHTREC_DEPTH: usize = 8;
 pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
     let backend = Backend::Mpk;
     let mut app = WikiApp::new(backend)?;
-    app.set_async_io(true);
+    app.runtime_mut().lb_mut().set_gateway(GatewayMode::Async);
     {
         let clock = app.runtime_mut().lb_mut().clock_mut();
         let rec = clock.recorder_mut();
@@ -190,19 +194,26 @@ pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn monitored_chaos_run_is_deterministic_and_led_by_the_signal() {
-        let cfg = MonitorExpConfig {
-            chaos: true,
-            ..MonitorExpConfig::quick(7)
-        };
-        let (a, violations) = run(cfg).unwrap();
-        let (b, _) = run(cfg).unwrap();
-        assert!(violations.is_empty(), "{violations:?}");
-        assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
-        let monitor = a.monitor.as_ref().unwrap();
-        assert!(monitor.degradation_led_ejection());
-        assert!(a.crashes > 0, "the scheduled kill still fires");
+    enclosure_support::props! {
+        /// The kill-one-shard rehearsal holds on every seed: the run
+        /// is deterministic, the advisory signal fires, any ejection
+        /// comes strictly after it, and the scheduled kill still lands.
+        fn monitored_chaos_run_is_deterministic_and_led_by_the_signal(rng, cases = 32) {
+            let cfg = MonitorExpConfig {
+                chaos: true,
+                ..MonitorExpConfig::quick(rng.range_u64(1, 65))
+            };
+            let (a, violations) = run(cfg).unwrap();
+            let (b, _) = run(cfg).unwrap();
+            assert!(violations.is_empty(), "seed {}: {violations:?}", cfg.seed);
+            assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+            let monitor = a.monitor.as_ref().unwrap();
+            let degraded = monitor.first_degraded_round().expect("the advisory fired");
+            if let Some(ejected) = monitor.first_eject_round() {
+                assert!(degraded < ejected, "seed {}: {degraded} vs {ejected}", cfg.seed);
+            }
+            assert!(a.crashes > 0, "seed {}: the scheduled kill still fires", cfg.seed);
+        }
     }
 
     #[test]

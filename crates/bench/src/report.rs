@@ -4,11 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use enclosure_fleet::FleetReport;
-use enclosure_support::Json;
 use enclosure_telemetry::{
     BurnState, Counters, FlightRecording, Histogram, SpanCost, SpanScope, MAIN_TRACK,
 };
-use litterbox::Backend;
 
 use crate::batching_exp::BatchingReport;
 use crate::chaos_exp::ChaosReport;
@@ -612,8 +610,6 @@ const MONITOR_DASHBOARD_WINDOWS: usize = 24;
 /// Compact per-window flush attribution: the non-zero trigger reasons.
 fn flush_reason_cells(c: &Counters) -> String {
     let reasons = [
-        ("size", c.flush_size_triggers),
-        ("deadline", c.flush_deadline_triggers),
         ("quantum", c.flush_quantum_triggers),
         ("barrier", c.flush_barrier_triggers),
         ("explicit", c.flush_explicit_triggers),
@@ -842,78 +838,6 @@ pub fn render_security(all: &[SecurityResults]) -> String {
     out
 }
 
-/// Writes a `BENCH_*.json` perf snapshot: pretty JSON plus a trailing
-/// newline, the one format every snapshot shares. All `BENCH_*`
-/// emitters go through here (`--bench-out=PATH`), so the files stay
-/// uniform and `python3 -c "json.load(...)"` gates keep working.
-///
-/// # Errors
-///
-/// Propagates the filesystem write error.
-pub fn write_bench_snapshot(path: &str, snapshot: &Json) -> std::io::Result<()> {
-    std::fs::write(path, format!("{}\n", snapshot.to_pretty()))
-}
-
-/// The `BENCH_9.json` snapshot: simulated ns/req per backend for the
-/// unbatched, batched×8, and async×8 gateway arms (previously an
-/// inline python transform in `scripts/verify.sh`).
-#[must_use]
-pub fn batching_bench_snapshot(report: &BatchingReport) -> Json {
-    let per_req = |mode: &str, backend: Backend| {
-        Json::from(report.arm_mode(backend, mode).sim_ns / report.requests.max(1))
-    };
-    Json::obj([
-        ("bench", Json::from("batching --quick")),
-        ("requests_per_arm", Json::from(report.requests)),
-        (
-            "backends",
-            Json::obj([Backend::Mpk, Backend::Vtx, Backend::Proc].map(|backend| {
-                (
-                    backend.to_string(),
-                    Json::obj([
-                        ("async_c8_ns_per_req", per_req("async_c8", backend)),
-                        ("batched_c8_ns_per_req", per_req("batched_c8", backend)),
-                        ("unbatched_ns_per_req", per_req("unbatched", backend)),
-                    ]),
-                )
-            })),
-        ),
-    ])
-}
-
-/// The `BENCH_10.json` snapshot: the same fleet run (byte-identical
-/// report, so one simulated ns/req figure) executed sequentially and
-/// on `threads` worker threads, with the wall-clock seconds of each
-/// arm and the resulting speedup. `cores` is what the host reported —
-/// the figure a reader needs to judge the speedup.
-#[must_use]
-pub fn fleet_bench_snapshot(
-    report: &FleetReport,
-    threads: usize,
-    cores: usize,
-    sequential: std::time::Duration,
-    parallel: std::time::Duration,
-) -> Json {
-    let speedup = sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
-    Json::obj([
-        ("bench", Json::from("fleet --parallel")),
-        ("requests", Json::from(report.admitted)),
-        ("shards", Json::from(report.rows.len())),
-        ("threads", Json::from(threads)),
-        ("detected_cores", Json::from(cores)),
-        (
-            "simulated_ns_per_req",
-            Json::from(report.fleet_ns / report.admitted.max(1)),
-        ),
-        (
-            "sequential_wall_seconds",
-            Json::from(sequential.as_secs_f64()),
-        ),
-        ("parallel_wall_seconds", Json::from(parallel.as_secs_f64())),
-        ("wall_clock_speedup", Json::from(speedup)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,31 +884,6 @@ mod tests {
         assert!(text.contains("LB_PROC"), "{text}");
         assert!(text.contains("21.04ms"));
         assert!(text.contains("1.59x"));
-    }
-
-    #[test]
-    fn fleet_bench_snapshot_records_both_arms_and_the_speedup() {
-        use enclosure_fleet::{FleetConfig, WikiFleet};
-        use std::time::Duration;
-        let report = WikiFleet::new(FleetConfig::new(2, 200, 1))
-            .unwrap()
-            .run()
-            .unwrap();
-        let snap = fleet_bench_snapshot(
-            &report,
-            4,
-            8,
-            Duration::from_secs(3),
-            Duration::from_secs(1),
-        );
-        let text = snap.to_pretty();
-        assert!(text.contains("\"bench\": \"fleet --parallel\""), "{text}");
-        assert!(text.contains("\"threads\": 4"), "{text}");
-        assert!(text.contains("\"detected_cores\": 8"), "{text}");
-        assert!(text.contains("\"sequential_wall_seconds\": 3.0"), "{text}");
-        assert!(text.contains("\"parallel_wall_seconds\": 1.0"), "{text}");
-        assert!(text.contains("\"wall_clock_speedup\": 3.0"), "{text}");
-        assert!(text.contains("\"simulated_ns_per_req\""), "{text}");
     }
 
     #[test]

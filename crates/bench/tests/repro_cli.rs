@@ -66,10 +66,6 @@ fn menu_keeps_fleet_cluster_alphabetized_and_advertises_parallel() {
         stderr.contains("--parallel[=T]"),
         "the menu advertises the parallel executor: {stderr}"
     );
-    assert!(
-        stderr.contains("--bench-out=PATH"),
-        "the menu advertises the snapshot writer: {stderr}"
-    );
     let line_of = |cmd: &str| {
         stderr
             .lines()

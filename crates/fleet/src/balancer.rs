@@ -1448,12 +1448,14 @@ mod tests {
             monitor.degraded.len(),
             report.victim,
         );
-        assert!(
-            monitor.degradation_led_ejection(),
-            "advisory signal must lead the ejection: {:?} vs {:?}",
-            monitor.first_degraded_round(),
-            monitor.first_eject_round(),
-        );
+        // The advisory fires, and any ejection comes strictly after it.
+        let degraded = monitor.first_degraded_round().expect("the advisory fired");
+        if let Some(ejected) = monitor.first_eject_round() {
+            assert!(
+                degraded < ejected,
+                "advisory signal must lead the ejection: {degraded} vs {ejected}"
+            );
+        }
         // Every advisory observation names the browned-out victim.
         let victim = report.victim.unwrap();
         assert!(monitor.degraded.iter().all(|d| d.shard == victim));

@@ -3,13 +3,13 @@
 //! the balancer can crash and respawn it without losing the telemetry
 //! its dead generations already earned.
 
-use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
+use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_apps::httpd::ServeStats;
 use enclosure_apps::wiki::WikiApp;
 use enclosure_hw::InjectionPlan;
 use enclosure_support::XorShift;
 use enclosure_telemetry::{Histogram, MetricsWindow, Recorder, WindowRing};
-use litterbox::{Backend, Fault, LitterBox};
+use litterbox::{Backend, Fault, GatewayMode, LitterBox};
 
 use crate::monitor::MonitorConfig;
 
@@ -19,10 +19,10 @@ use crate::monitor::MonitorConfig;
 /// gateway) stays inside the app. `Send` because the parallel fleet
 /// engine executes each shard's planned window on a worker thread.
 pub trait Workload: Send {
-    /// Builds a fresh instance on `backend` with the completion-driven
-    /// gateway enabled (the fleet always serves over the reactor: an
-    /// adaptive flush policy decides when accumulated batches cross,
-    /// instead of a flush every scheduler quantum).
+    /// Builds a fresh instance on `backend` with its machine in
+    /// [`GatewayMode::Async`]: the fleet always serves over the
+    /// reactor, where accumulated batches cross at switch barriers and
+    /// idle drains instead of once per scheduler quantum.
     ///
     /// # Errors
     /// Propagates any [`Fault`] raised while declaring the app.
@@ -50,7 +50,7 @@ pub trait Workload: Send {
 impl Workload for WikiApp {
     fn build(backend: Backend) -> Result<Self, Fault> {
         let mut app = WikiApp::new(backend)?;
-        app.set_async_io(true);
+        app.runtime_mut().lb_mut().set_gateway(GatewayMode::Async);
         Ok(app)
     }
 
@@ -73,19 +73,16 @@ impl Workload for WikiApp {
 
 impl Workload for FastHttpApp {
     fn build(backend: Backend) -> Result<Self, Fault> {
-        FastHttpApp::new(backend)
+        let mut app = FastHttpApp::new(backend)?;
+        app.runtime_mut().lb_mut().set_gateway(GatewayMode::Async);
+        Ok(app)
     }
 
     fn serve(&mut self, n: u64) -> Result<ServeStats, Fault> {
         // Completion-driven reply tails under worker concurrency: the
-        // workers park on their submission tokens and the adaptive
-        // flush (or a switch barrier) pays one crossing per batch.
-        let cfg = FastHttpConfig {
-            async_io: true,
-            workers: 4,
-            ..FastHttpConfig::default()
-        };
-        self.serve_requests(n, cfg)
+        // workers park on their submission tokens and a switch barrier
+        // (or the idle drain) pays one crossing per batch.
+        self.serve_requests(n, 4)
     }
 
     fn latency(&self) -> Histogram {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use enclosure_hw::CostModel;
 use enclosure_kernel::Kernel;
 use enclosure_vmem::Addr;
-use litterbox::{Backend, EnvContext, Fault, LitterBox, TRUSTED_ENV};
+use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
 
 use crate::alloc::{AllocStats, SpanAllocator};
 use crate::compile::compile;
@@ -428,25 +428,18 @@ impl GoRuntime {
     }
 
     /// Flushes the batched syscall gateway at the quantum boundary —
-    /// the designated flush point of the batching fast path. A
-    /// transient whole-flush fault (an injected lost crossing) is
-    /// retried once with injection suspended, mirroring
-    /// [`GoRuntime::execute_contained`]: the scheduler must drain the
-    /// batch for the rest of the program to make progress, and the
-    /// retry services every queued entry exactly once.
+    /// the designated flush point of [`GatewayMode::Batched`]. In
+    /// [`GatewayMode::Async`] the batch instead accumulates across
+    /// quanta: the switch barriers, the idle drain, and explicit
+    /// flushes bound its lifetime. A transient whole-flush fault (an
+    /// injected lost crossing) is retried once with injection
+    /// suspended, mirroring [`GoRuntime::execute_contained`]: the
+    /// scheduler must drain the batch for the rest of the program to
+    /// make progress, and the retry services every queued entry
+    /// exactly once.
     fn flush_quantum_batch(&mut self) -> Result<(), Fault> {
-        if self.lb.batch_pending() == 0 {
+        if self.lb.gateway() == GatewayMode::Async || self.lb.batch_pending() == 0 {
             return Ok(());
-        }
-        if self.lb.flush_policy().is_some() {
-            // Reactor mode: the batch accumulates across quanta and
-            // flushes only when the policy's deadline trigger is due
-            // (the size trigger fires inside `batch_submit`, and the
-            // switch barriers still bound every batch's lifetime).
-            if !self.lb.batch_flush_due() {
-                return Ok(());
-            }
-            return self.contained_flush(litterbox::LitterBox::batch_flush_deadline);
         }
         self.contained_flush(litterbox::LitterBox::batch_flush_quantum)
     }
@@ -497,10 +490,9 @@ impl GoRuntime {
     }
 
     /// The reactor's forced drain: when the runnable set is empty (or
-    /// spinning) and goroutines are parked, flush the gateway
-    /// regardless of policy and wake the completed set. Runs inside
-    /// its own `go.sched`-scoped span so park/wake telemetry stays
-    /// well-nested. A drain that wakes no one is a reactor stall —
+    /// spinning) and goroutines are parked, flush the gateway and wake
+    /// the completed set. Runs inside its own `go.sched`-scoped span so
+    /// park/wake telemetry stays well-nested. A drain that wakes no one is a reactor stall —
     /// the parked tokens can never complete — and faults rather than
     /// spinning forever.
     fn drain_for_parked(&mut self, cs: enclosure_vmem::Addr) -> Result<(), Fault> {
@@ -1128,7 +1120,7 @@ mod tests {
             "proc",
         ));
         let mut rt = p.build(Backend::Vtx).unwrap();
-        rt.lb_mut().enable_batching();
+        rt.lb_mut().set_gateway(GatewayMode::Batched);
         let mut rounds = 0u64;
         rt.spawn_enclosed("batcher", "rcl", move |ctx| {
             if rounds == 3 {
@@ -1138,7 +1130,7 @@ mod tests {
             // Three descriptors per quantum; the scheduler flushes them
             // in one charged crossing at the quantum boundary.
             for _ in 0..3 {
-                ctx.lb_mut().batch_enqueue(1, litterbox::BatchOp::Getuid)?;
+                ctx.lb_mut().batch_submit(1, litterbox::BatchOp::Getuid)?;
             }
             Ok(Step::Yield)
         })

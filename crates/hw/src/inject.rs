@@ -57,10 +57,6 @@ pub enum InjectionSite {
     /// A health probe flaps: the probe reports failure although the
     /// shard is healthy. Enough consecutive flaps eject a live shard.
     ProbeFlap,
-    /// A deadline-triggered flush of the completion-driven gateway is
-    /// lost before its charged crossing: the batch stays queued and the
-    /// reactor retries, so no submission is dropped.
-    FlushDeadline,
     /// A single completion is corrupted on its way back from a flush:
     /// the entry is posted with a transient errno instead of its
     /// result, so the submitter still wakes (with the errno) and its
@@ -70,7 +66,7 @@ pub enum InjectionSite {
 
 impl InjectionSite {
     /// Every site, in a stable order.
-    pub const ALL: [InjectionSite; 16] = [
+    pub const ALL: [InjectionSite; 15] = [
         InjectionSite::GatewayErrno,
         InjectionSite::Wrpkru,
         InjectionSite::PkeyMprotect,
@@ -85,7 +81,6 @@ impl InjectionSite {
         InjectionSite::ShardCrash,
         InjectionSite::LbPartition,
         InjectionSite::ProbeFlap,
-        InjectionSite::FlushDeadline,
         InjectionSite::CompletionLost,
     ];
 
@@ -107,7 +102,6 @@ impl InjectionSite {
             InjectionSite::ShardCrash => "shard_crash",
             InjectionSite::LbPartition => "lb_partition",
             InjectionSite::ProbeFlap => "probe_flap",
-            InjectionSite::FlushDeadline => "flush_deadline",
             InjectionSite::CompletionLost => "completion_lost",
         }
     }
@@ -128,8 +122,7 @@ impl InjectionSite {
             InjectionSite::ShardCrash => 1 << 11,
             InjectionSite::LbPartition => 1 << 12,
             InjectionSite::ProbeFlap => 1 << 13,
-            InjectionSite::FlushDeadline => 1 << 14,
-            InjectionSite::CompletionLost => 1 << 15,
+            InjectionSite::CompletionLost => 1 << 14,
         }
     }
 }

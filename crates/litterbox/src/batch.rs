@@ -4,10 +4,10 @@
 //!
 //! The synchronous gateway ([`crate::gateway`]) charges one crossing
 //! per proxied syscall: a VM EXIT under [`Backend::Vtx`], a seccomp
-//! program evaluation under [`Backend::Mpk`]. With batching enabled,
-//! goroutines enqueue [`BatchOp`] descriptors instead and the
-//! scheduler flushes the ring once per quantum, paying **one** charged
-//! crossing per (environment, batch) pair:
+//! program evaluation under [`Backend::Mpk`]. In a queued gateway mode,
+//! goroutines submit [`BatchOp`] descriptors instead and each flush of
+//! the ring pays **one** charged crossing per (environment, batch)
+//! pair:
 //!
 //! * `Vtx` — one VM EXIT covers every entry in the flush; entries are
 //!   serviced host-side at kernel cost.
@@ -18,12 +18,28 @@
 //! * `Baseline` — no crossing to amortize; entries are serviced
 //!   directly.
 //!
+//! # Gateway modes
+//!
+//! One [`GatewayMode`] per machine, set with [`LitterBox::set_gateway`]
+//! and read back by the apps and the scheduler with
+//! [`LitterBox::gateway`]:
+//!
+//! * `Direct` — every proxied syscall pays its own crossing (the
+//!   paper's measured trace). Nothing queues.
+//! * `Batched` — deferrable syscalls queue in the ring and the
+//!   scheduler flushes it at every quantum boundary.
+//! * `Async` — the completion-driven reactor: queued syscalls
+//!   accumulate across quanta while their goroutines park on
+//!   [`CompletionToken`]s. The ring flushes only at the switch
+//!   barriers, on the scheduler's idle drain, and on an explicit
+//!   [`LitterBox::batch_flush`].
+//!
 //! # Flush barriers
 //!
 //! A batch belongs to exactly one environment: `prolog`, `epilog`,
 //! `execute`, and the contained-recovery path all flush before
 //! switching, so a batch never mixes environments and never outlives
-//! an epilog. [`LitterBox::batch_enqueue`] additionally auto-flushes
+//! an epilog. [`LitterBox::batch_submit`] additionally auto-flushes
 //! if it observes an environment change the barriers did not cover.
 //!
 //! # Containment
@@ -43,9 +59,32 @@ use enclosure_telemetry::{Event, SpanScope};
 use crate::fault::Fault;
 use crate::machine::{Backend, LitterBox};
 
-/// A handle to one pending submission in the completion-driven
-/// gateway. A goroutine that holds a token can poll it, or hand it to
-/// the scheduler and **park** until a flush posts the completion.
+/// How a machine's gateway services proxied syscalls (see the module
+/// docs for where each mode flushes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum GatewayMode {
+    /// Every proxied syscall crosses on its own.
+    #[default]
+    Direct,
+    /// Queued syscalls flush at every scheduler quantum boundary.
+    Batched,
+    /// Queued syscalls flush at switch barriers, the scheduler's idle
+    /// drain, and explicit flushes; submitters park on their tokens.
+    Async,
+}
+
+impl GatewayMode {
+    /// Whether deferrable syscalls queue in the ring (every mode but
+    /// `Direct`).
+    #[must_use]
+    pub fn is_queued(self) -> bool {
+        self != GatewayMode::Direct
+    }
+}
+
+/// A handle to one pending submission in the batched gateway. A
+/// goroutine that holds a token can poll it, or hand it to the
+/// scheduler and **park** until a flush posts the completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompletionToken {
     seq: u64,
@@ -59,168 +98,67 @@ impl CompletionToken {
     }
 }
 
-/// The size/deadline hybrid governing when the completion-driven
-/// gateway flushes on its own. Either trigger suffices: the pending
-/// depth reaching `max_batch` flushes immediately (inside
-/// [`LitterBox::batch_submit`]), and a batch older than `deadline_ns`
-/// is flushed by the scheduler's [`LitterBox::batch_flush_deadline`].
-/// The switch barriers still flush unconditionally, so the policy can
-/// only make flushes *more* frequent than the environment switches —
-/// never let a batch mix environments or outlive an epilog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Flush as soon as this many entries are queued.
-    pub max_batch: usize,
-    /// Flush once the oldest queued entry is this old (simulated ns).
-    pub deadline_ns: u64,
-}
-
-/// The ring plus the environment its queued entries belong to.
+/// The gateway mode, the ring, and the environment its queued entries
+/// belong to.
 #[derive(Debug)]
 pub(crate) struct BatchState {
-    pub(crate) ring: SyscallRing,
-    pub(crate) env: EnvId,
-    /// Simulated time the oldest still-queued entry was enqueued —
-    /// the deadline trigger's reference point. `None` when empty.
-    pub(crate) oldest_enqueue_ns: Option<u64>,
+    mode: GatewayMode,
+    ring: SyscallRing,
+    env: EnvId,
+}
+
+impl BatchState {
+    pub(crate) fn new() -> BatchState {
+        BatchState {
+            mode: GatewayMode::Direct,
+            ring: SyscallRing::new(),
+            env: TRUSTED_ENV,
+        }
+    }
 }
 
 impl LitterBox {
-    /// Turns the batched gateway on. Until [`LitterBox::disable_batching`],
-    /// [`LitterBox::batch_enqueue`] accepts descriptors and
-    /// [`LitterBox::batch_flush`] services them in one charged crossing.
-    pub fn enable_batching(&mut self) {
-        if self.batch.is_none() {
-            self.batch = Some(BatchState {
-                ring: SyscallRing::new(),
-                env: self.current_env(),
-                oldest_enqueue_ns: None,
-            });
-        }
+    /// Sets the machine's gateway mode. Set it once, before serving:
+    /// the apps and the scheduler read it back with
+    /// [`LitterBox::gateway`]. Entries already queued stay queued and
+    /// complete at the next barrier or explicit flush.
+    pub fn set_gateway(&mut self, mode: GatewayMode) {
+        self.batch.mode = mode;
     }
 
-    /// Turns the gateway into the completion-driven reactor: batching
-    /// plus an adaptive [`FlushPolicy`] sized from the per-op
-    /// histograms recorded so far (see
-    /// [`LitterBox::adaptive_flush_policy`]). Goroutines then use
-    /// [`LitterBox::batch_submit`] and park on the returned token
-    /// instead of flushing synchronously every quantum.
-    pub fn enable_async_gateway(&mut self) {
-        self.enable_batching();
-        let policy = self.adaptive_flush_policy();
-        self.flush_policy = Some(policy);
-    }
-
-    /// Installs (or clears) the reactor's flush policy. `None` restores
-    /// the legacy behavior: the scheduler flushes every quantum.
-    pub fn set_flush_policy(&mut self, policy: Option<FlushPolicy>) {
-        self.flush_policy = policy;
-    }
-
-    /// The flush policy in force, if any.
+    /// The machine's gateway mode ([`GatewayMode::Direct`] unless
+    /// [`LitterBox::set_gateway`] chose another).
     #[must_use]
-    pub fn flush_policy(&self) -> Option<FlushPolicy> {
-        self.flush_policy
-    }
-
-    /// Sizes a [`FlushPolicy`] from the per-op histograms recorded so
-    /// far (PR 4's cost telemetry): batches may grow to four times the
-    /// p90 of batch sizes already observed — headroom for several
-    /// concurrent submitters to share one crossing — clamped to
-    /// `[32, 256]`, and the deadline is eight environment switches'
-    /// worth of p50 prolog+epilog cost, so a parked goroutine never
-    /// waits an order of magnitude longer than the crossings the batch
-    /// amortizes. Deterministic: a pure function of the recorded
-    /// histograms (cold-start defaults apply when none exist yet).
-    #[must_use]
-    pub fn adaptive_flush_policy(&self) -> FlushPolicy {
-        let hists = self.telemetry().op_hists();
-        let p90_batch = hists.get("batch_size").map_or(0, |h| h.percentile(900));
-        #[allow(clippy::cast_possible_truncation)]
-        let max_batch = if p90_batch == 0 {
-            64
-        } else {
-            (4 * p90_batch).clamp(32, 256) as usize
-        };
-        let switch_ns = hists.get("switch_prolog").map_or(0, |h| h.percentile(500))
-            + hists.get("switch_epilog").map_or(0, |h| h.percentile(500));
-        let deadline_ns = if switch_ns == 0 {
-            150_000
-        } else {
-            (switch_ns * 8).clamp(25_000, 400_000)
-        };
-        FlushPolicy {
-            max_batch,
-            deadline_ns,
-        }
-    }
-
-    /// Turns the batched gateway off, flushing anything still queued
-    /// first so no submission is silently dropped.
-    pub fn disable_batching(&mut self) -> Result<(), Fault> {
-        if self.batch.is_some() {
-            self.batch_flush()?;
-            self.batch = None;
-        }
-        Ok(())
-    }
-
-    /// Whether the batched gateway is accepting submissions.
-    #[must_use]
-    pub fn batching_enabled(&self) -> bool {
-        self.batch.is_some()
+    pub fn gateway(&self) -> GatewayMode {
+        self.batch.mode
     }
 
     /// Entries queued and not yet flushed.
     #[must_use]
     pub fn batch_pending(&self) -> usize {
-        self.batch.as_ref().map_or(0, |b| b.ring.pending())
+        self.batch.ring.pending()
     }
 
-    /// Enqueues one syscall descriptor for the current environment,
-    /// returning its sequence number. If the ring still holds another
-    /// environment's entries (a path the flush barriers did not cover),
-    /// they are flushed first so a batch never mixes environments.
-    pub fn batch_enqueue(&mut self, submitter: u64, op: BatchOp) -> Result<u64, Fault> {
-        if self.batch.is_none() {
+    /// Queues one syscall descriptor for the current environment and
+    /// returns the token its completion will post under. If the ring
+    /// still holds another environment's entries (a path the flush
+    /// barriers did not cover), they are flushed first so a batch never
+    /// mixes environments. In [`GatewayMode::Direct`] nothing queues:
+    /// the submission is refused with a [`Fault::Init`].
+    pub fn batch_submit(&mut self, submitter: u64, op: BatchOp) -> Result<CompletionToken, Fault> {
+        if !self.gateway().is_queued() {
             return Err(self.trace_fault(Fault::Init(
-                "batched gateway is not enabled; call enable_batching first".into(),
+                "the gateway is in Direct mode; set_gateway(Batched or Async) first".into(),
             )));
         }
         let env = self.current_env();
-        let stale = self
-            .batch
-            .as_ref()
-            .is_some_and(|b| b.env != env && b.ring.pending() > 0);
-        if stale {
+        if self.batch.env != env && self.batch.ring.pending() > 0 {
             self.flush_batch_barrier();
         }
-        let now = self.now_ns();
-        let batch = self.batch.as_mut().expect("checked above");
-        batch.env = env;
-        if batch.ring.pending() == 0 {
-            batch.oldest_enqueue_ns = Some(now);
-        }
-        let seq = batch.ring.enqueue(submitter, op);
-        let depth = batch.ring.pending() as u64;
+        self.batch.env = env;
+        let seq = self.batch.ring.enqueue(submitter, op);
+        let depth = self.batch.ring.pending() as u64;
         self.telemetry_mut().record_op("batch_pending_depth", depth);
-        Ok(seq)
-    }
-
-    /// The reactor's submission path: enqueues like
-    /// [`LitterBox::batch_enqueue`] but returns a [`CompletionToken`]
-    /// the goroutine can park on, and fires the size trigger of the
-    /// [`FlushPolicy`] when the pending depth reaches `max_batch`. A
-    /// transient fault on that eager flush is absorbed — the batch
-    /// stays queued and a later deadline/barrier flush retries it, so
-    /// the submission itself never fails once enqueued.
-    pub fn batch_submit(&mut self, submitter: u64, op: BatchOp) -> Result<CompletionToken, Fault> {
-        let seq = self.batch_enqueue(submitter, op)?;
-        if let Some(policy) = self.flush_policy {
-            if self.batch_pending() >= policy.max_batch {
-                let _ = self.flush_with_reason("size");
-            }
-        }
         Ok(CompletionToken { seq })
     }
 
@@ -228,51 +166,29 @@ impl LitterBox {
     /// is waiting to be reaped.
     #[must_use]
     pub fn batch_is_complete(&self, token: CompletionToken) -> bool {
-        self.batch
-            .as_ref()
-            .is_some_and(|b| b.ring.is_completed(token.seq))
+        self.batch.ring.is_completed(token.seq)
     }
 
     /// Reaps one token's completion. At-most-once: the first call
     /// after the flush returns `Some`, every later call `None`.
     pub fn batch_poll(&mut self, token: CompletionToken) -> Option<Completion> {
-        self.batch.as_mut()?.ring.take_completion(token.seq)
+        self.batch.ring.take_completion(token.seq)
     }
 
     /// Drains completed entries (FIFO per submitter).
     pub fn batch_take_completions(&mut self) -> Vec<Completion> {
-        self.batch
-            .as_mut()
-            .map_or_else(Vec::new, |b| b.ring.take_completions())
+        self.batch.ring.take_completions()
     }
 
     /// Drains one submitter's completed entries (FIFO), leaving every
     /// other submitter's completions in the ring.
     pub fn batch_take_completions_for(&mut self, submitter: u64) -> Vec<Completion> {
-        self.batch
-            .as_mut()
-            .map_or_else(Vec::new, |b| b.ring.take_completions_for(submitter))
-    }
-
-    /// Whether the [`FlushPolicy`] deadline trigger is due: a policy is
-    /// installed, entries are queued, and the oldest has waited at
-    /// least `deadline_ns` of simulated time.
-    #[must_use]
-    pub fn batch_flush_due(&self) -> bool {
-        let Some(policy) = self.flush_policy else {
-            return false;
-        };
-        self.batch.as_ref().is_some_and(|b| {
-            b.ring.pending() > 0
-                && b.oldest_enqueue_ns
-                    .is_some_and(|t| self.clock().now_ns() >= t + policy.deadline_ns)
-        })
+        self.batch.ring.take_completions_for(submitter)
     }
 
     /// Flushes the queued batch in **one charged crossing**: one VM
     /// EXIT under `Vtx`, one seccomp evaluation under `Mpk`. Returns
-    /// the number of entries serviced (0 when nothing is queued or
-    /// batching is off).
+    /// the number of entries serviced (0 when nothing is queued).
     ///
     /// On a [`InjectionSite::BatchFlush`] fault the batch stays queued
     /// and a [`Fault::Transient`] is returned — retry after recovery
@@ -281,51 +197,26 @@ impl LitterBox {
         self.flush_with_reason("explicit")
     }
 
-    /// The scheduler's legacy per-quantum flush (no [`FlushPolicy`]
-    /// installed): identical to [`LitterBox::batch_flush`] but tagged
-    /// `quantum` in the flush-trigger telemetry.
+    /// The scheduler's per-quantum flush in [`GatewayMode::Batched`]:
+    /// identical to [`LitterBox::batch_flush`] but tagged `quantum` in
+    /// the flush-trigger telemetry.
     pub fn batch_flush_quantum(&mut self) -> Result<usize, Fault> {
         self.flush_with_reason("quantum")
     }
 
     /// The reactor's idle-drain flush: when every runnable goroutine is
-    /// parked, the scheduler forces a flush regardless of policy so no
-    /// goroutine waits forever. Tagged `drain` in telemetry.
+    /// parked, the scheduler forces a flush so no goroutine waits
+    /// forever. Tagged `drain` in telemetry.
     pub fn batch_flush_drain(&mut self) -> Result<usize, Fault> {
         self.flush_with_reason("drain")
     }
 
-    /// The [`FlushPolicy`] deadline trigger. Before the charged
-    /// crossing it additionally queries the
-    /// [`InjectionSite::FlushDeadline`] chaos site: a deadline flush
-    /// can be lost as a whole, in which case the batch stays queued
-    /// (nothing serviced, nothing dropped) and the reactor retries.
-    pub fn batch_flush_deadline(&mut self) -> Result<usize, Fault> {
-        let live = self
-            .batch
-            .as_ref()
-            .is_some_and(|b| b.env != TRUSTED_ENV && b.ring.pending() > 0);
-        if live
-            && self.backend() != Backend::Baseline
-            && self.clock_mut().should_inject(InjectionSite::FlushDeadline)
-        {
-            return Err(self.trace_fault(Fault::Transient {
-                site: "flush_deadline",
-            }));
-        }
-        self.flush_with_reason("deadline")
-    }
-
     fn flush_with_reason(&mut self, reason: &'static str) -> Result<usize, Fault> {
-        let Some(mut state) = self.batch.take() else {
-            return Ok(0);
-        };
-        let n = state.ring.pending();
+        let n = self.batch.ring.pending();
         if n == 0 {
-            self.batch = Some(state);
             return Ok(0);
         }
-        let env = state.env;
+        let env = self.batch.env;
         let enclosed = env != TRUSTED_ENV;
         let backend = self.backend();
 
@@ -335,7 +226,6 @@ impl LitterBox {
             && backend != Backend::Baseline
             && self.clock_mut().should_inject(InjectionSite::BatchFlush)
         {
-            self.batch = Some(state);
             return Err(self.trace_fault(Fault::Transient {
                 site: "batch_flush",
             }));
@@ -374,10 +264,7 @@ impl LitterBox {
             Backend::Baseline => {}
         }
 
-        for sub in {
-            let batch = &mut state.ring;
-            batch.drain_submissions()
-        } {
+        for sub in self.batch.ring.drain_submissions() {
             let record = sub.op.record();
             let allowed = if backend == Backend::Baseline {
                 true
@@ -423,7 +310,7 @@ impl LitterBox {
             self.clock_mut().record(Event::BatchedSyscall {
                 sysno: record.sysno as u32,
             });
-            state.ring.complete(Completion {
+            self.batch.ring.complete(Completion {
                 seq: sub.seq,
                 submitter: sub.submitter,
                 sysno: record.sysno,
@@ -443,8 +330,6 @@ impl LitterBox {
         // sampler tick: metrics windows close at batch boundaries even
         // when no further event lands in them.
         clock.recorder_mut().tick_series(now);
-        state.oldest_enqueue_ns = None;
-        self.batch = Some(state);
         Ok(n)
     }
 
@@ -461,7 +346,7 @@ impl LitterBox {
         let clock = self.clock_mut();
         let now = clock.now_ns();
         clock.recorder_mut().tick_series(now);
-        if self.batch.as_ref().is_none_or(|b| b.ring.pending() == 0) {
+        if self.batch.ring.pending() == 0 {
             return;
         }
         self.clock_mut().suspend_injection();
@@ -515,11 +400,11 @@ mod tests {
     #[test]
     fn batched_vtx_flush_charges_one_vm_exit_for_the_whole_batch() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().vm_exits;
         for _ in 0..8 {
-            lb.batch_enqueue(1, BatchOp::Getuid).unwrap();
+            lb.batch_submit(1, BatchOp::Getuid).unwrap();
         }
         assert_eq!(lb.batch_pending(), 8);
         assert_eq!(lb.batch_flush().unwrap(), 8);
@@ -537,11 +422,11 @@ mod tests {
     #[test]
     fn batched_mpk_flush_charges_one_seccomp_evaluation() {
         let (mut lb, cs) = lab(Backend::Mpk);
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().seccomp_checks;
         for _ in 0..6 {
-            lb.batch_enqueue(1, BatchOp::Getpid).unwrap();
+            lb.batch_submit(1, BatchOp::Getpid).unwrap();
         }
         lb.batch_flush().unwrap();
         assert_eq!(
@@ -559,10 +444,10 @@ mod tests {
             Backend::Mpk,
             SysPolicy::categories(CategorySet::only(SysCategory::Proc)),
         );
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        lb.batch_enqueue(7, BatchOp::Getpid).unwrap();
-        lb.batch_enqueue(
+        lb.batch_submit(7, BatchOp::Getpid).unwrap();
+        lb.batch_submit(
             7,
             BatchOp::Open {
                 path: "/etc/shadow".into(),
@@ -570,7 +455,7 @@ mod tests {
             },
         )
         .unwrap();
-        lb.batch_enqueue(7, BatchOp::Getpid).unwrap();
+        lb.batch_submit(7, BatchOp::Getpid).unwrap();
         lb.batch_flush().unwrap();
         let done = lb.batch_take_completions();
         assert_eq!(done.len(), 3);
@@ -583,10 +468,10 @@ mod tests {
     #[test]
     fn batch_flush_fault_keeps_the_batch_queued_for_retry() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        lb.batch_enqueue(1, BatchOp::Getuid).unwrap();
-        lb.batch_enqueue(1, BatchOp::Getpid).unwrap();
+        lb.batch_submit(1, BatchOp::Getuid).unwrap();
+        lb.batch_submit(1, BatchOp::Getpid).unwrap();
         lb.clock_mut()
             .arm_injection(InjectionPlan::once(InjectionSite::BatchFlush));
         let err = lb.batch_flush().unwrap_err();
@@ -605,9 +490,9 @@ mod tests {
     #[test]
     fn epilog_barrier_flushes_before_leaving_the_environment() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        lb.batch_enqueue(1, BatchOp::Getuid).unwrap();
+        lb.batch_submit(1, BatchOp::Getuid).unwrap();
         lb.epilog(t).unwrap();
         assert_eq!(lb.batch_pending(), 0, "a batch never outlives an epilog");
         let done = lb.batch_take_completions();
@@ -618,8 +503,8 @@ mod tests {
     #[test]
     fn trusted_batches_emit_no_filter_events_but_still_pay_the_crossing() {
         let (mut lb, _cs) = lab(Backend::Vtx);
-        lb.enable_batching();
-        lb.batch_enqueue(0, BatchOp::Getuid).unwrap();
+        lb.set_gateway(GatewayMode::Batched);
+        lb.batch_submit(0, BatchOp::Getuid).unwrap();
         let before = lb.stats().vm_exits;
         lb.batch_flush().unwrap();
         // The trusted environment still pays the charged crossing (the
@@ -641,9 +526,9 @@ mod tests {
             kernel.write(clock, fd, b"hello batched").unwrap();
             kernel.close(clock, fd).unwrap();
         }
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        lb.batch_enqueue(
+        lb.batch_submit(
             3,
             BatchOp::Open {
                 path: "/data/in.txt".into(),
@@ -656,7 +541,7 @@ mod tests {
         let Ok(BatchReply::Fd(fd)) = opened[0].result else {
             panic!("open should return an fd: {:?}", opened[0].result);
         };
-        lb.batch_enqueue(3, BatchOp::Read { fd, len: 5 }).unwrap();
+        lb.batch_submit(3, BatchOp::Read { fd, len: 5 }).unwrap();
         lb.batch_flush().unwrap();
         let read = lb.batch_take_completions();
         assert_eq!(read[0].result, Ok(BatchReply::Bytes(b"hello".to_vec())));
@@ -666,11 +551,11 @@ mod tests {
     #[test]
     fn batched_proc_flush_charges_one_ipc_roundtrip() {
         let (mut lb, cs) = lab(Backend::Proc);
-        lb.enable_batching();
+        lb.set_gateway(GatewayMode::Batched);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().ipc_roundtrips;
         for _ in 0..8 {
-            lb.batch_enqueue(1, BatchOp::Getuid).unwrap();
+            lb.batch_submit(1, BatchOp::Getuid).unwrap();
         }
         assert_eq!(lb.batch_flush().unwrap(), 8);
         assert_eq!(
@@ -687,8 +572,8 @@ mod tests {
     #[test]
     fn trusted_proc_batches_pay_no_crossing() {
         let (mut lb, _cs) = lab(Backend::Proc);
-        lb.enable_batching();
-        lb.batch_enqueue(0, BatchOp::Getuid).unwrap();
+        lb.set_gateway(GatewayMode::Batched);
+        lb.batch_submit(0, BatchOp::Getuid).unwrap();
         let before = lb.stats().ipc_roundtrips;
         lb.batch_flush().unwrap();
         // The supervisor is the kernel-facing process: its own batch
@@ -710,7 +595,7 @@ mod tests {
             ]);
             let (mut lb, cs) = lab(backend);
             lb.telemetry_mut().enable_trace(4_096);
-            lb.enable_batching();
+            lb.set_gateway(GatewayMode::Batched);
             // Flush from the trusted environment and from inside the
             // enclosure alike.
             let token = if rng.range_usize(0, 2) == 1 {
@@ -730,16 +615,19 @@ mod tests {
             }
         }
 
-        /// Submitting to a disabled gateway is a clean, typed error —
-        /// not a panic, not a silently dropped entry.
-        fn enqueue_after_disable_is_a_clean_error(rng, cases = 8) {
+        /// Submitting through a Direct gateway is a clean, typed error
+        /// — not a panic, not a silently dropped entry — whether the
+        /// machine never left Direct or was switched back to it.
+        fn submit_in_direct_mode_is_a_clean_error(rng, cases = 8) {
             let backend = *rng.choose(&[Backend::Mpk, Backend::Vtx, Backend::Proc]);
             let (mut lb, _cs) = lab(backend);
-            lb.enable_batching();
-            lb.disable_batching().unwrap();
-            let err = lb.batch_enqueue(1, BatchOp::Getuid).unwrap_err();
+            if rng.range_usize(0, 2) == 1 {
+                lb.set_gateway(GatewayMode::Async);
+                lb.set_gateway(GatewayMode::Direct);
+            }
+            let err = lb.batch_submit(1, BatchOp::Getuid).unwrap_err();
             assert!(
-                matches!(&err, Fault::Init(msg) if msg.contains("enable_batching")),
+                matches!(&err, Fault::Init(msg) if msg.contains("Direct mode")),
                 "{err:?}"
             );
             assert_eq!(lb.batch_pending(), 0);

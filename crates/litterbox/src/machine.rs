@@ -262,12 +262,9 @@ pub struct LitterBox {
     /// Opt-in: coalesce the victim sweeps of one switch into a single
     /// charged `pkey_mprotect` unit count over the combined pages.
     coalesce_sweeps: bool,
-    /// The batched syscall gateway's pending (environment, batch), when
-    /// batching is enabled (see `crate::batch`).
-    pub(crate) batch: Option<crate::batch::BatchState>,
-    /// The completion-driven reactor's size/deadline flush policy.
-    /// `None` keeps the legacy behavior (flush every quantum).
-    pub(crate) flush_policy: Option<crate::batch::FlushPolicy>,
+    /// The syscall gateway's mode and its pending (environment, batch)
+    /// (see `crate::batch`).
+    pub(crate) batch: crate::batch::BatchState,
 }
 
 impl LitterBox {
@@ -304,8 +301,7 @@ impl LitterBox {
             hot_pinned: Vec::new(),
             hot_discount: BTreeMap::new(),
             coalesce_sweeps: false,
-            batch: None,
-            flush_policy: None,
+            batch: crate::batch::BatchState::new(),
         }
     }
 

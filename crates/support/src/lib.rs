@@ -13,20 +13,16 @@
 //!   workspace previously used.
 //! * [`pool`] — a scoped fork/join thread pool (replaces `rayon` for
 //!   the parallel fleet engine).
-//! * [`bench`] — a wall-clock timing loop for the `harness = false`
-//!   bench targets (replaces `criterion`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;
 pub mod sync;
 
-pub use bench::bench;
 pub use json::Json;
 pub use rng::XorShift;
 pub use sync::Shared;

@@ -156,10 +156,9 @@ pub enum Event {
         /// Raw syscall number.
         sysno: u32,
     },
-    /// What caused a batch flush: `"quantum"` (legacy per-quantum
-    /// flush), `"size"` (adaptive policy hit its batch-size threshold),
-    /// `"deadline"` (oldest submission aged past the policy deadline),
-    /// `"barrier"` (prolog/epilog/execute/recover switch barrier),
+    /// What caused a batch flush: `"quantum"` (per-quantum flush of the
+    /// batched gateway), `"barrier"` (prolog/epilog/execute/recover
+    /// switch barrier),
     /// `"drain"` (scheduler ran out of runnable goroutines with parked
     /// submitters), or `"explicit"` (application-requested flush).
     FlushTrigger {

@@ -101,9 +101,13 @@ pub struct Counters {
     pub go_parks: u64,
     /// Parked goroutines woken by a posted completion.
     pub go_wakes: u64,
-    /// Batch flushes triggered by the adaptive size threshold.
+    /// Retired size-trigger flushes: the gateway no longer flushes on
+    /// batch size, so this stays 0. Kept so flush-share ledgers keep
+    /// their shape.
     pub flush_size_triggers: u64,
-    /// Batch flushes triggered by the adaptive deadline.
+    /// Retired deadline-trigger flushes: the gateway no longer flushes
+    /// on batch age, so this stays 0. Kept so flush-share ledgers keep
+    /// their shape.
     pub flush_deadline_triggers: u64,
     /// Batch flushes triggered at a scheduler quantum boundary.
     pub flush_quantum_triggers: u64,
@@ -291,11 +295,11 @@ impl Counters {
             ("go_wakes", "parked goroutines woken by a posted completion"),
             (
                 "flush_size_triggers",
-                "batch flushes from the adaptive size threshold",
+                "retired size-trigger flushes (always 0)",
             ),
             (
                 "flush_deadline_triggers",
-                "batch flushes from the adaptive deadline",
+                "retired deadline-trigger flushes (always 0)",
             ),
             (
                 "flush_quantum_triggers",
@@ -505,8 +509,6 @@ impl Counters {
             Event::BatchFlush { .. } => self.batch_flushes += 1,
             Event::BatchedSyscall { .. } => self.batched_syscalls += 1,
             Event::FlushTrigger { reason } => match *reason {
-                "size" => self.flush_size_triggers += 1,
-                "deadline" => self.flush_deadline_triggers += 1,
                 "quantum" => self.flush_quantum_triggers += 1,
                 "barrier" => self.flush_barrier_triggers += 1,
                 "drain" => self.flush_drain_triggers += 1,

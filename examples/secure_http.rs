@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example secure_http`
 
-use enclosure_repro::apps::fasthttp::{FastHttpApp, FastHttpConfig};
-use enclosure_repro::apps::httpd::{HttpApp, HttpConfig};
+use enclosure_repro::apps::fasthttp::FastHttpApp;
+use enclosure_repro::apps::httpd::HttpApp;
 use litterbox::Backend;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("net/http: trusted server loop, ENCLOSED handler (no syscalls, no nethttp)");
     let mut base = 0.0;
     for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
-        let mut app = HttpApp::new(backend, HttpConfig::default())?;
+        let mut app = HttpApp::new(backend)?;
         app.runtime_mut().lb_mut().clock_mut().reset();
         let stats = app.serve_requests(requests)?;
         if backend == Backend::Baseline {
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
         let mut app = FastHttpApp::new(backend)?;
         app.runtime_mut().lb_mut().clock_mut().reset();
-        let stats = app.serve_requests(requests, FastHttpConfig::default())?;
+        let stats = app.serve_requests(requests, 1)?;
         if backend == Backend::Baseline {
             base = stats.reqs_per_sec;
         }

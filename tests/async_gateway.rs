@@ -1,10 +1,10 @@
-//! Differential harness for the completion-driven gateway (ISSUE 8).
+//! Differential harness for the completion-driven gateway.
 //!
 //! The equivalence theorem, checked per seed and per backend: the async
-//! reactor ([`LitterBox::batch_submit`] + [`litterbox::CompletionToken`]
-//! + adaptive flush) is **observationally equivalent** to the
-//! synchronous ring (`batch_enqueue` + `batch_flush` +
-//! `batch_take_completions`) —
+//! reactor ([`GatewayMode::Async`], [`LitterBox::batch_submit`] tokens
+//! reaped one by one with `batch_poll`) is **observationally
+//! equivalent** to the synchronous ring ([`GatewayMode::Batched`], the
+//! same submissions drained with `batch_take_completions`) —
 //!
 //! * identical per-submitter result/errno streams,
 //! * identical charged-crossing ledgers when the flush schedules match,
@@ -14,29 +14,29 @@
 //! * well-nested park/wake (every park has exactly one later wake, and
 //!   the span tree stays balanced).
 //!
-//! Plus the containment properties of the two new chaos sites: a
+//! Plus the containment properties of the reactor's chaos sites: a
 //! faulting entry wakes its submitter with its errno without poisoning
-//! batch-mates, a lost deadline flush leaves the batch intact for a
-//! retry, and no completion is ever lost or double-posted.
+//! batch-mates, and no completion is ever lost or double-posted.
 
 use std::collections::BTreeMap;
 
-use enclosure_apps::fasthttp::{FastHttpApp, FastHttpConfig};
+use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_kernel::{Errno, Sysno};
 use enclosure_telemetry::Event;
 use enclosure_vmem::{Access, Addr};
 use litterbox::{
-    Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, FlushPolicy,
+    Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, GatewayMode,
     InjectionPlan, InjectionSite, LitterBox, ProgramDesc,
 };
 
 const BACKENDS: [Backend; 3] = [Backend::Mpk, Backend::Vtx, Backend::Proc];
 
-/// One machine with one all-allowing enclosure, mirroring the gateway's
-/// own unit-test fixture.
-fn lab(backend: Backend) -> (LitterBox, Addr) {
+/// One machine in gateway `mode` with one all-allowing enclosure,
+/// mirroring the gateway's own unit-test fixture.
+fn lab(backend: Backend, mode: GatewayMode) -> (LitterBox, Addr) {
     let mut lb = LitterBox::new(backend);
+    lb.set_gateway(mode);
     let mut prog = ProgramDesc::new();
     prog.add_package(&mut lb, "libnet", 2, 1, 2).unwrap();
     let cs = prog.verified_callsite();
@@ -76,15 +76,31 @@ fn streams_of(completions: Vec<litterbox::Completion>) -> Streams {
     streams
 }
 
+/// Reaps every token by poll, checking each posts exactly once.
+fn poll_streams(lb: &mut LitterBox, tokens: &[(u64, CompletionToken)]) -> Streams {
+    let backend = lb.backend();
+    let mut streams: Streams = BTreeMap::new();
+    for &(sub, tok) in tokens {
+        assert!(lb.batch_is_complete(tok), "{backend}: token incomplete");
+        let c = lb.batch_poll(tok).expect("first poll posts");
+        assert_eq!(c.seq, tok.seq());
+        streams.entry(sub).or_default().push((c.sysno, c.result));
+        assert!(
+            lb.batch_poll(tok).is_none(),
+            "{backend}: a completion must post at most once"
+        );
+    }
+    streams
+}
+
 enclosure_support::props! {
     /// **The equivalence theorem, schedule held fixed.** The same ops,
     /// submitters, and explicit flush points driven through the
-    /// synchronous ring and through `batch_submit` tokens (policy
-    /// installed but its triggers out of reach) produce identical
+    /// synchronous ring and through reactor tokens produce identical
     /// per-submitter result streams, identical charged-crossing
     /// ledgers, and an identical simulated clock. Every token posts
     /// exactly once: first poll `Some`, second poll `None`.
-    fn async_reactor_equals_synchronous_ring_on_a_shared_schedule(rng, cases = 24) {
+    fn async_reactor_equals_synchronous_ring_on_a_shared_schedule(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 40);
         let submitters = rng.range_u64(1, 5);
@@ -100,11 +116,10 @@ enclosure_support::props! {
         let flush_after: Vec<bool> = (0..n_ops).map(|_| rng.range_usize(0, 4) == 0).collect();
 
         // Synchronous arm.
-        let (mut sync, cs) = lab(backend);
-        sync.enable_batching();
+        let (mut sync, cs) = lab(backend, GatewayMode::Batched);
         let t = sync.prolog(EnclosureId(1), cs).unwrap();
         for i in 0..n_ops {
-            sync.batch_enqueue(subs[i], ops[i].clone()).unwrap();
+            sync.batch_submit(subs[i], ops[i].clone()).unwrap();
             if flush_after[i] {
                 sync.batch_flush().unwrap();
             }
@@ -112,14 +127,8 @@ enclosure_support::props! {
         sync.epilog(t).unwrap(); // barrier flushes the tail
         let sync_streams = streams_of(sync.batch_take_completions());
 
-        // Async arm: same schedule, driven through tokens. The policy
-        // is real but unreachable, so only the shared schedule flushes.
-        let (mut reactor, cs) = lab(backend);
-        reactor.enable_batching();
-        reactor.set_flush_policy(Some(FlushPolicy {
-            max_batch: usize::MAX / 2,
-            deadline_ns: u64::MAX / 2,
-        }));
+        // Async arm: same schedule, reaped token by token.
+        let (mut reactor, cs) = lab(backend, GatewayMode::Async);
         let t = reactor.prolog(EnclosureId(1), cs).unwrap();
         let mut tokens: Vec<(u64, CompletionToken)> = Vec::new();
         for i in 0..n_ops {
@@ -130,93 +139,73 @@ enclosure_support::props! {
             }
         }
         reactor.epilog(t).unwrap();
-
-        // No completion lost, none double-posted.
-        let mut reactor_streams: Streams = BTreeMap::new();
-        for &(sub, tok) in &tokens {
-            assert!(reactor.batch_is_complete(tok), "{backend}: token incomplete");
-            let c = reactor.batch_poll(tok).expect("first poll posts");
-            assert_eq!(c.seq, tok.seq());
-            reactor_streams.entry(sub).or_default().push((c.sysno, c.result));
-            assert!(
-                reactor.batch_poll(tok).is_none(),
-                "{backend}: a completion must post at most once"
-            );
-        }
+        let reactor_streams = poll_streams(&mut reactor, &tokens);
 
         assert_eq!(reactor_streams, sync_streams, "{backend}: result streams");
         assert_eq!(reactor.stats(), sync.stats(), "{backend}: charged ledgers");
         assert_eq!(reactor.now_ns(), sync.now_ns(), "{backend}: simulated clocks");
     }
 
-    /// **Results are invariant under the flush schedule.** With the
-    /// adaptive triggers live (tiny `max_batch`, deadline flushes fired
-    /// whenever due) the reactor charges crossings at different
-    /// instants than the synchronous ring — but every entry still
-    /// completes with exactly the result the synchronous ring gave it.
-    fn results_are_invariant_under_the_flush_schedule(rng, cases = 24) {
+    /// **Results are invariant under the flush schedule.** The reactor
+    /// flushes at random explicit points (at least one before the
+    /// end), the synchronous ring only at the epilog barrier: crossings
+    /// land at different instants, but every entry still completes
+    /// with exactly the result the synchronous ring gave it.
+    fn results_are_invariant_under_the_flush_schedule(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 48);
         let submitters = rng.range_u64(1, 5);
         let ops: Vec<BatchOp> = (0..n_ops).map(|_| pure_op(rng)).collect();
         let subs: Vec<u64> = (0..n_ops).map(|_| rng.range_u64(1, submitters + 1)).collect();
+        let forced = rng.range_usize(0, n_ops - 1);
+        let flush_after: Vec<bool> = (0..n_ops)
+            .map(|i| i == forced || rng.range_usize(0, 3) == 0)
+            .collect();
 
         // Synchronous arm: one flush at the end (epilog barrier).
-        let (mut sync, cs) = lab(backend);
-        sync.enable_batching();
+        let (mut sync, cs) = lab(backend, GatewayMode::Batched);
         let t = sync.prolog(EnclosureId(1), cs).unwrap();
         for i in 0..n_ops {
-            sync.batch_enqueue(subs[i], ops[i].clone()).unwrap();
+            sync.batch_submit(subs[i], ops[i].clone()).unwrap();
         }
         sync.epilog(t).unwrap();
         let sync_streams = streams_of(sync.batch_take_completions());
 
-        // Reactor arm: size trigger fires every few submissions, and
-        // the deadline trigger is exercised whenever it comes due.
-        let (mut reactor, cs) = lab(backend);
-        reactor.enable_batching();
-        reactor.set_flush_policy(Some(FlushPolicy {
-            max_batch: rng.range_usize(2, 7),
-            deadline_ns: rng.range_u64(500, 5_000),
-        }));
+        // Reactor arm: explicit flushes at the drawn points.
+        let (mut reactor, cs) = lab(backend, GatewayMode::Async);
         let t = reactor.prolog(EnclosureId(1), cs).unwrap();
         let mut tokens: Vec<(u64, CompletionToken)> = Vec::new();
         for i in 0..n_ops {
             let tok = reactor.batch_submit(subs[i], ops[i].clone()).unwrap();
             tokens.push((subs[i], tok));
-            if reactor.batch_flush_due() {
-                reactor.batch_flush_deadline().unwrap();
+            if flush_after[i] {
+                reactor.batch_flush().unwrap();
             }
         }
         reactor.epilog(t).unwrap();
+        let reactor_streams = poll_streams(&mut reactor, &tokens);
 
-        let mut reactor_streams: Streams = BTreeMap::new();
-        for &(sub, tok) in &tokens {
-            let c = reactor.batch_poll(tok).expect("every token posts once");
-            reactor_streams.entry(sub).or_default().push((c.sysno, c.result));
-        }
         assert_eq!(
             reactor_streams, sync_streams,
             "{backend}: flush boundaries moved, results must not"
         );
-        // The triggers actually fired: this case exercised the policy,
-        // not just the epilog barrier.
-        let c = reactor.telemetry().counters();
+        // The schedules really differed: the reactor flushed before
+        // the epilog, the synchronous ring only at it.
         assert!(
-            c.flush_size_triggers + c.flush_deadline_triggers > 0,
-            "{backend}: policy triggers live"
+            reactor.telemetry().counters().flush_explicit_triggers > 0,
+            "{backend}: reactor flushed mid-batch"
         );
+        assert_eq!(sync.telemetry().counters().batch_flushes, 1, "{backend}");
     }
 
     /// **A faulting entry wakes its submitter with its errno without
     /// poisoning batch-mates.** One surgical `GatewayErrno` injection
     /// into a multi-submitter batch: exactly one completion carries the
     /// transient errno, every other completes `Ok`, and none is lost.
-    fn faulting_entry_is_contained_to_its_submitter(rng, cases = 12) {
+    fn faulting_entry_is_contained_to_its_submitter(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(4, 12);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
+        let (mut lb, cs) = lab(backend, GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let mut tokens = Vec::new();
         for i in 0..n_ops {
@@ -244,11 +233,10 @@ enclosure_support::props! {
     /// **`completion_lost` degrades to an errno, never to silence.**
     /// The corrupted completion still posts (with a transient errno),
     /// so its submitter wakes; batch-mates are untouched.
-    fn lost_completion_still_wakes_its_submitter(rng, cases = 12) {
+    fn lost_completion_still_wakes_its_submitter(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(3, 10);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
+        let (mut lb, cs) = lab(backend, GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let mut tokens = Vec::new();
         for i in 0..n_ops {
@@ -267,108 +255,21 @@ enclosure_support::props! {
         assert_eq!(results.len(), n_ops, "{backend}: mass conserved");
         lb.epilog(t).unwrap();
     }
-
-    /// **A lost deadline flush leaves the batch intact.** The
-    /// `flush_deadline` site aborts the flush before any entry is
-    /// serviced; a retry services every entry exactly once.
-    fn lost_deadline_flush_is_retried_without_loss(rng, cases = 12) {
-        let backend = *rng.choose(&BACKENDS);
-        let n_ops = rng.range_usize(2, 9);
-        let (mut lb, cs) = lab(backend);
-        lb.enable_batching();
-        lb.set_flush_policy(Some(FlushPolicy {
-            max_batch: usize::MAX / 2,
-            deadline_ns: 1_000,
-        }));
-        let t = lb.prolog(EnclosureId(1), cs).unwrap();
-        let mut tokens = Vec::new();
-        for i in 0..n_ops {
-            tokens.push(lb.batch_submit(i as u64, BatchOp::Futex).unwrap());
-        }
-        lb.clock_mut().advance(2_000);
-        assert!(lb.batch_flush_due(), "{backend}: deadline elapsed");
-        lb.clock_mut()
-            .arm_injection(InjectionPlan::once(InjectionSite::FlushDeadline));
-        let err = lb.batch_flush_deadline().unwrap_err();
-        assert!(err.is_transient(), "{backend}: {err:?}");
-        assert_eq!(lb.batch_pending(), n_ops, "{backend}: nothing serviced, nothing lost");
-        assert_eq!(
-            lb.batch_flush_deadline().unwrap(),
-            n_ops,
-            "{backend}: retry services every entry once"
-        );
-        lb.clock_mut().disarm_injection();
-        for tok in tokens {
-            assert!(lb.batch_poll(tok).is_some(), "{backend}: all posted");
-            assert!(lb.batch_poll(tok).is_none(), "{backend}: exactly once");
-        }
-        lb.epilog(t).unwrap();
-    }
-
-    /// **The adaptive policy is a pure function of the recorded
-    /// histograms.** Two machines with identical histories size
-    /// identical policies, and the sizing always lands inside the
-    /// documented clamps.
-    fn adaptive_policy_is_deterministic_and_clamped(rng, cases = 8) {
-        let backend = *rng.choose(&BACKENDS);
-        let rounds = rng.range_usize(0, 4);
-        let seed_history = |(mut lb, cs): (LitterBox, Addr)| -> LitterBox {
-            lb.enable_batching();
-            for _ in 0..rounds {
-                let t = lb.prolog(EnclosureId(1), cs).unwrap();
-                for _ in 0..6 {
-                    lb.batch_enqueue(1, BatchOp::Getpid).unwrap();
-                }
-                lb.batch_flush().unwrap();
-                lb.epilog(t).unwrap();
-            }
-            lb
-        };
-        let a = seed_history(lab(backend));
-        let b = seed_history(lab(backend));
-        let pa = a.adaptive_flush_policy();
-        assert_eq!(pa, b.adaptive_flush_policy(), "{backend}: pure function");
-        assert!(
-            pa.max_batch == 64 || (32..=256).contains(&pa.max_batch),
-            "{backend}: max_batch clamp: {}",
-            pa.max_batch
-        );
-        assert!(
-            pa.deadline_ns == 150_000 || (25_000..=400_000).contains(&pa.deadline_ns),
-            "{backend}: deadline clamp: {}",
-            pa.deadline_ns
-        );
-    }
 }
 
-/// Runs the concurrent FastHTTP pair and returns the app for
-/// inspection, with event tracing on so park/wake pairing is auditable.
-fn fasthttp_run(backend: Backend, cfg: FastHttpConfig, n: u64) -> FastHttpApp {
+/// Runs the 8-worker FastHTTP server in gateway `mode` and returns the
+/// app for inspection, with event tracing on so park/wake pairing is
+/// auditable.
+fn fasthttp_run(backend: Backend, mode: GatewayMode, n: u64) -> FastHttpApp {
     let mut app = FastHttpApp::new(backend).unwrap();
-    app.runtime_mut()
-        .lb_mut()
-        .telemetry_mut()
-        .enable_trace(1 << 17);
-    app.runtime_mut().lb_mut().clock_mut().reset();
-    let stats = app.serve_requests(n, cfg).unwrap();
+    let lb = app.runtime_mut().lb_mut();
+    lb.set_gateway(mode);
+    lb.telemetry_mut().enable_trace(1 << 17);
+    lb.clock_mut().reset();
+    let stats = app.serve_requests(n, 8).unwrap();
     assert_eq!(stats.served, n, "{backend}: all requests served");
     app
 }
-
-const SYNC_8: FastHttpConfig = FastHttpConfig {
-    parse_ns: 9_000,
-    handler_ns: 28_000,
-    batched_io: true,
-    async_io: false,
-    workers: 8,
-};
-const ASYNC_8: FastHttpConfig = FastHttpConfig {
-    parse_ns: 9_000,
-    handler_ns: 28_000,
-    batched_io: false,
-    async_io: true,
-    workers: 8,
-};
 
 /// The application-level differential: per backend, the async reactor
 /// serves exactly the same requests as the synchronous batched ring
@@ -378,8 +279,8 @@ const ASYNC_8: FastHttpConfig = FastHttpConfig {
 fn async_fasthttp_is_equivalent_to_sync_batched_and_cheaper() {
     const N: u64 = 40;
     for backend in BACKENDS {
-        let sync = fasthttp_run(backend, SYNC_8, N);
-        let reactor = fasthttp_run(backend, ASYNC_8, N);
+        let sync = fasthttp_run(backend, GatewayMode::Batched, N);
+        let reactor = fasthttp_run(backend, GatewayMode::Async, N);
 
         // Mass conservation: every request's latency is recorded in
         // both arms — parking never drops or double-counts a request.
@@ -428,7 +329,7 @@ fn async_fasthttp_is_equivalent_to_sync_batched_and_cheaper() {
 #[test]
 fn park_wake_pairing_is_well_nested() {
     for backend in BACKENDS {
-        let app = fasthttp_run(backend, ASYNC_8, 32);
+        let app = fasthttp_run(backend, GatewayMode::Async, 32);
         let rec = app.runtime().lb().telemetry();
         let mut parked: BTreeMap<u64, u64> = BTreeMap::new(); // token → goroutine
         let (mut parks, mut wakes) = (0u64, 0u64);
@@ -476,8 +377,8 @@ fn park_wake_pairing_is_well_nested() {
 #[test]
 fn async_flush_order_is_deterministic_per_seed() {
     for backend in BACKENDS {
-        let a = fasthttp_run(backend, ASYNC_8, 24);
-        let b = fasthttp_run(backend, ASYNC_8, 24);
+        let a = fasthttp_run(backend, GatewayMode::Async, 24);
+        let b = fasthttp_run(backend, GatewayMode::Async, 24);
         assert_eq!(
             a.runtime().lb().telemetry().counters(),
             b.runtime().lb().telemetry().counters(),

@@ -10,8 +10,8 @@ use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_support::XorShift;
 use enclosure_vmem::{Access, Addr, PAGE_SIZE};
 use litterbox::{
-    Backend, EnclosureDesc, EnclosureId, InjectionPlan, InjectionSite, LitterBox, ProgramDesc,
-    TRUSTED_ENV,
+    Backend, EnclosureDesc, EnclosureId, GatewayMode, InjectionPlan, InjectionSite, LitterBox,
+    ProgramDesc, TRUSTED_ENV,
 };
 
 const VICTIM: EnclosureId = EnclosureId(1);
@@ -54,10 +54,9 @@ fn backends_for(site: InjectionSite) -> &'static [Backend] {
     match site {
         // Baseline prologs are vanilla calls (no environment switch),
         // so the gateway only sees enclosed callers on the hw backends.
-        InjectionSite::GatewayErrno
-        | InjectionSite::BatchFlush
-        | InjectionSite::FlushDeadline
-        | InjectionSite::CompletionLost => &[Backend::Mpk, Backend::Vtx, Backend::Proc],
+        InjectionSite::GatewayErrno | InjectionSite::BatchFlush | InjectionSite::CompletionLost => {
+            &[Backend::Mpk, Backend::Vtx, Backend::Proc]
+        }
         InjectionSite::Wrpkru | InjectionSite::PkeyMprotect => &[Backend::Mpk],
         InjectionSite::Cr3Write | InjectionSite::VmExit => &[Backend::Vtx],
         InjectionSite::ProcFork | InjectionSite::PipeEpipe | InjectionSite::ChildCrash => {
@@ -106,43 +105,23 @@ fn victim_op(lab: &mut Lab, site: InjectionSite) -> bool {
         InjectionSite::BatchFlush => {
             // A faulted flush keeps the whole batch queued; the epilog's
             // flush barrier then retires it with injection suspended, so
-            // both arms end with an empty ring and batching disabled.
-            lab.lb.enable_batching();
+            // both arms end with an empty ring and a Direct gateway.
+            lab.lb.set_gateway(GatewayMode::Batched);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
-            lab.lb.batch_enqueue(7, litterbox::BatchOp::Getuid).unwrap();
-            lab.lb.batch_enqueue(7, litterbox::BatchOp::Getpid).unwrap();
+            lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
+            lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();
             let faulted = lab.lb.batch_flush().is_err();
             lab.lb.epilog(token).unwrap();
             let done = lab.lb.batch_take_completions();
             assert_eq!(done.len(), 2, "both entries complete despite the fault");
-            lab.lb.disable_batching().unwrap();
-            faulted
-        }
-        InjectionSite::FlushDeadline => {
-            // A lost deadline flush leaves the whole batch queued —
-            // nothing serviced, nothing dropped — and the epilog's
-            // flush barrier then retires it, so both arms end with an
-            // empty ring and every submission completed.
-            lab.lb.enable_async_gateway();
-            let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
-            let a = lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
-            let b = lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();
-            let faulted = lab.lb.batch_flush_deadline().is_err();
-            lab.lb.epilog(token).unwrap();
-            assert!(
-                lab.lb.batch_is_complete(a) && lab.lb.batch_is_complete(b),
-                "both submissions complete despite the lost deadline flush"
-            );
-            let done = lab.lb.batch_take_completions_for(7);
-            assert_eq!(done.len(), 2, "both completions reaped");
-            lab.lb.disable_batching().unwrap();
+            lab.lb.set_gateway(GatewayMode::Direct);
             faulted
         }
         InjectionSite::CompletionLost => {
             // A corrupted completion posts a transient errno instead of
             // its result: the submitter still wakes (with the errno)
             // and its batch-mate is untouched — never silently lost.
-            lab.lb.enable_async_gateway();
+            lab.lb.set_gateway(GatewayMode::Async);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
             let a = lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
             let b = lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();
@@ -155,7 +134,7 @@ fn victim_op(lab: &mut Lab, site: InjectionSite) -> bool {
                 "a lost completion never poisons its batch-mate"
             );
             lab.lb.epilog(token).unwrap();
-            lab.lb.disable_batching().unwrap();
+            lab.lb.set_gateway(GatewayMode::Direct);
             faulted
         }
         InjectionSite::PkeyMprotect | InjectionSite::TransferAlloc => {
@@ -270,7 +249,6 @@ fn backends_for_backend(backend: Backend) -> &'static [InjectionSite] {
         Backend::Mpk => &[
             InjectionSite::GatewayErrno,
             InjectionSite::BatchFlush,
-            InjectionSite::FlushDeadline,
             InjectionSite::CompletionLost,
             InjectionSite::Wrpkru,
             InjectionSite::PkeyMprotect,
@@ -280,7 +258,6 @@ fn backends_for_backend(backend: Backend) -> &'static [InjectionSite] {
         Backend::Vtx => &[
             InjectionSite::GatewayErrno,
             InjectionSite::BatchFlush,
-            InjectionSite::FlushDeadline,
             InjectionSite::CompletionLost,
             InjectionSite::Cr3Write,
             InjectionSite::VmExit,
@@ -290,7 +267,6 @@ fn backends_for_backend(backend: Backend) -> &'static [InjectionSite] {
         Backend::Proc => &[
             InjectionSite::GatewayErrno,
             InjectionSite::BatchFlush,
-            InjectionSite::FlushDeadline,
             InjectionSite::CompletionLost,
             InjectionSite::ProcFork,
             InjectionSite::PipeEpipe,

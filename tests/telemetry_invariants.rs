@@ -15,7 +15,7 @@ use enclosure_pyfront::MetadataMode;
 use enclosure_repro::core::{App, Enclosure, Policy};
 use enclosure_support::XorShift;
 use enclosure_telemetry::{Event, Recorder, SpanScope, MAIN_TRACK};
-use litterbox::Backend;
+use litterbox::{Backend, GatewayMode};
 
 fn nested_workload(backend: Backend) -> App {
     let mut app = App::builder("telemetry")
@@ -330,7 +330,7 @@ fn wiki_span_tree_is_well_nested_across_goroutine_tracks() {
     }
 }
 
-/// With batched I/O on, the scheduler flushes the syscall ring at each
+/// In the Batched gateway mode, the scheduler flushes the syscall ring at each
 /// quantum boundary *inside* the goroutine's `go.sched` span, so every
 /// `batch.flush` span nests there — and the attribution table still
 /// equals the span tree's self-times, flush spans included.
@@ -338,9 +338,9 @@ fn wiki_span_tree_is_well_nested_across_goroutine_tracks() {
 fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
     for backend in [Backend::Mpk, Backend::Vtx] {
         let mut app = WikiApp::new(backend).unwrap();
-        app.set_batched_io(true);
         {
             let lb = app.runtime_mut().lb_mut();
+            lb.set_gateway(GatewayMode::Batched);
             lb.clock_mut().reset();
             lb.telemetry_mut().enable_span_log();
         }
@@ -428,7 +428,7 @@ fn fleet_chaos_and_drain_leave_span_stacks_balanced() {
 fn windowed_series_conserves_mass_on_every_backend() {
     for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
         let mut app = WikiApp::new(backend).unwrap();
-        app.set_async_io(true);
+        app.runtime_mut().lb_mut().set_gateway(GatewayMode::Async);
         app.runtime_mut()
             .lb_mut()
             .clock_mut()
