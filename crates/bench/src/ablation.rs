@@ -256,7 +256,7 @@ fn drive_skewed(app: &mut App, enclosures: usize, rounds: usize) -> Result<u64, 
 
 /// Ablation 2b (pinned-hot arm) — the same skewed trace driven twice:
 /// once under pure LRU eviction, once with the top-`HOT_SET` packages by
-/// telemetry span self-time pinned and the eviction sweeps coalesced.
+/// telemetry span self-time pinned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PinnedEvictionStudy {
     /// Enclosures hosted.
@@ -288,7 +288,6 @@ pub fn pinned_eviction_study(
         if pin {
             let refs: Vec<&str> = hot.iter().map(String::as_str).collect();
             app.lb.pin_hot_packages(&refs)?;
-            app.lb.set_coalesced_sweeps(true);
         }
         app.reset_clock();
         let calls = drive_skewed(&mut app, enclosures, rounds)?;
@@ -537,68 +536,6 @@ mod tests {
         assert!(
             error.contains("libmpk"),
             "points at the escape hatch: {error}"
-        );
-    }
-
-    #[test]
-    fn aged_signal_releases_stale_pins_on_a_phase_shift() {
-        let call = |app: &mut App, id: u32, work_ns: u64| {
-            let id = EnclosureId(id);
-            let cs = app.info.callsite(id).expect("registered above");
-            let token = app.lb.prolog(id, cs).unwrap();
-            app.lb.clock_mut().advance(work_ns);
-            app.lb.epilog(token).unwrap();
-        };
-        // Phase A: pkg00 dominates, so the telemetry signal pins it.
-        let mut app = build_disjoint_program(4, MpkKeyMode::Virtual).unwrap();
-        for _ in 0..16 {
-            call(&mut app, 1, 1_000);
-        }
-        call(&mut app, 2, 50);
-        assert_eq!(
-            app.lb.refresh_hot_pins(1).unwrap(),
-            vec!["pkg00".to_string()]
-        );
-        let phase_a_pin = app.lb.hot_pins().to_vec();
-        assert_eq!(phase_a_pin.len(), 1);
-        // Phase boundary: age the signal, then the workload shifts to
-        // pkg01 for good.
-        for _ in 0..4 {
-            app.lb.age_hot_signal();
-        }
-        for _ in 0..8 {
-            call(&mut app, 2, 1_000);
-        }
-        assert_eq!(
-            app.lb.hot_packages_by_self_time(1),
-            vec!["pkg01".to_string()],
-            "the aged signal tracks the current phase"
-        );
-        assert_eq!(
-            app.lb.refresh_hot_pins(1).unwrap(),
-            vec!["pkg01".to_string()]
-        );
-        assert_eq!(app.lb.hot_pins().len(), 1);
-        assert_ne!(
-            app.lb.hot_pins(),
-            &phase_a_pin[..],
-            "the stale phase-A pin was released"
-        );
-
-        // Control: the identical trace without decay keeps ranking the
-        // all-time winner — the regression this decay exists to fix.
-        let mut stale = build_disjoint_program(4, MpkKeyMode::Virtual).unwrap();
-        for _ in 0..16 {
-            call(&mut stale, 1, 1_000);
-        }
-        call(&mut stale, 2, 50);
-        for _ in 0..8 {
-            call(&mut stale, 2, 1_000);
-        }
-        assert_eq!(
-            stale.lb.hot_packages_by_self_time(1),
-            vec!["pkg00".to_string()],
-            "without decay the stale pick persists"
         );
     }
 

@@ -8,12 +8,14 @@
 //! configured [`SloPolicy`] on its machine recorder. After each
 //! balancer round the fleet drains the windows each shard closed since
 //! the last round and evaluates them against the policy; a breaching
-//! window logs an [`Event::ShardDegraded`] into the balancer's own
-//! monitor recorder. The signal is advisory by construction — it is
-//! recorded, never routed on — so arming the monitor changes no
-//! routing decision and no shard byte: outlier ejection still comes
-//! only from probe flaps and latency strikes, and the acceptance bar
-//! is that the advisory signal *leads* the ejection it predicts.
+//! window logs an
+//! [`Event::ShardDegraded`](enclosure_telemetry::Event::ShardDegraded)
+//! into the balancer's own monitor recorder. The signal is advisory by
+//! construction — it is recorded, never routed on — so arming the
+//! monitor changes no routing decision and no shard byte: outlier
+//! ejection still comes only from probe flaps and latency strikes, and
+//! the acceptance bar is that the advisory signal *leads* the ejection
+//! it predicts.
 //!
 //! The optional deterministic *brownout* re-arms the targeted-crash
 //! victim's machine injection at an elevated rate a few rounds before

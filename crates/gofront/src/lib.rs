@@ -7,7 +7,7 @@
 //! * **Parsing** — [`GoSource`] carries a package's imports, globals,
 //!   constants, and `with [Policies]` enclosure declarations; policies are
 //!   string literals validated when the program is compiled.
-//! * **Compiling** — [`compile`] turns sources into [`CodeObject`]s: one
+//! * **Compiling** — [`compile()`] turns sources into [`CodeObject`]s: one
 //!   `.text`/`.data`/`.rodata` trio per package plus a `.rstrct` record of
 //!   its enclosures and direct dependencies.
 //! * **Linking** — [`Linker`] assigns addresses (segregating *marked*

@@ -305,42 +305,6 @@ impl Clock {
         });
     }
 
-    /// Charges one coalesced eviction sweep over several victims at
-    /// once: the batched-sweep path charges `ceil(total_pages / 4)`
-    /// Table 1 `pkey_mprotect` units for the whole victim set, instead
-    /// of rounding each victim's sweep up separately. Each victim still
-    /// gets its own `KeyEvict` event and `key_evictions` bump; event
-    /// nanoseconds are apportioned by page count (remainder to the last
-    /// victim) so `key_eviction_ns` equals the charged time exactly.
-    pub fn charge_key_evict_batch(&mut self, victims: &[(u32, u8, u64)]) {
-        if victims.is_empty() {
-            return;
-        }
-        let total_pages: u64 = victims.iter().map(|(_, _, pages)| pages).sum();
-        let units = total_pages.div_ceil(4).max(1);
-        let total_ns = self.model.pkey_mprotect * units;
-        self.tick(total_ns);
-        self.recorder.record_op("key_evict_sweep", total_ns);
-        let mut remaining_ns = total_ns;
-        for (i, &(vkey, hkey, pages)) in victims.iter().enumerate() {
-            let ns = if i + 1 == victims.len() {
-                remaining_ns
-            } else if total_pages == 0 {
-                0
-            } else {
-                total_ns * pages / total_pages
-            };
-            remaining_ns -= ns;
-            self.stats.key_evictions += 1;
-            self.record(Event::KeyEvict {
-                vkey,
-                hkey,
-                pages,
-                ns,
-            });
-        }
-    }
-
     /// Charges an LB_VTX transfer (presence-bit toggle) of a 4-page
     /// section.
     pub fn charge_vtx_transfer(&mut self) {
@@ -485,24 +449,6 @@ mod tests {
         assert_eq!(ops["pkey_mprotect"].sum(), 2 * c.model().pkey_mprotect);
         assert_eq!(ops["key_evict"].sum(), c.model().pkey_mprotect);
         assert_eq!(ops["key_bind"].sum(), c.model().pkey_mprotect);
-    }
-
-    #[test]
-    fn batched_eviction_sweep_coalesces_units_and_conserves_ns() {
-        let mut c = Clock::new(CostModel::paper());
-        // Three 2-page victims: swept separately they round up to 3
-        // units; one coalesced sweep covers the 6 pages in 2.
-        c.charge_key_evict_batch(&[(1, 1, 2), (2, 2, 2), (3, 3, 2)]);
-        let unit = c.model().pkey_mprotect;
-        assert_eq!(c.now_ns(), 2 * unit);
-        assert_eq!(c.stats().key_evictions, 3);
-        assert_eq!(c.recorder().counters().key_evictions, 3);
-        assert_eq!(c.recorder().counters().key_eviction_pages, 6);
-        assert_eq!(
-            c.recorder().counters().key_eviction_ns,
-            2 * unit,
-            "apportioned event ns must sum to the charged time"
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use enclosure_vmem::{Access, Addr, PageTable, VirtRange, VmemError};
+use enclosure_vmem::{Access, Addr, PageTable, VmemError};
 
 use crate::{Clock, InjectionSite};
 
@@ -104,12 +104,6 @@ impl ProcSandbox {
     #[must_use]
     pub fn current(&self) -> EnvId {
         self.current
-    }
-
-    /// True if `env` has an installed address-space image.
-    #[must_use]
-    pub fn has_env(&self, env: EnvId) -> bool {
-        self.children.contains_key(&env)
     }
 
     /// True once `env`'s child has been forked and is alive.
@@ -273,56 +267,12 @@ impl ProcSandbox {
     pub fn table(&self, env: EnvId) -> Option<&PageTable> {
         self.children.get(&env).map(|c| &c.table)
     }
-
-    /// Applies an LB_PROC transfer: the page contents are shipped over
-    /// the pipe (one message per 4-page unit, charged via
-    /// [`Clock::charge_proc_transfer_pages`]) and the images are updated
-    /// — presence off in `from`, on (mapping on demand) in `to`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProcError::UnknownEnv`] for unknown environments; nothing is
-    /// charged on that path.
-    pub fn transfer(
-        &mut self,
-        range: VirtRange,
-        rights: Access,
-        from: &[EnvId],
-        to: &[EnvId],
-        clock: &mut Clock,
-    ) -> Result<(), ProcError> {
-        for env in from.iter().chain(to) {
-            if !self.children.contains_key(env) {
-                return Err(ProcError::UnknownEnv(*env));
-            }
-        }
-        clock.charge_proc_transfer_pages(range.page_len());
-        for env in from {
-            let table = &mut self.children.get_mut(env).expect("checked above").table;
-            if table.set_present(range, false).is_err() {
-                table.unmap_range(range);
-            }
-        }
-        for env in to {
-            let table = &mut self.children.get_mut(env).expect("checked above").table;
-            if table.set_present(range, true).is_err() {
-                table.map_range(range, rights, 0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of installed environments (including the supervisor).
-    #[must_use]
-    pub fn env_count(&self) -> usize {
-        self.children.len()
-    }
 }
 
 /// Errors specific to the process-sandbox layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcError {
-    /// A switch or transfer referenced an environment with no installed
+    /// A switch referenced an environment with no installed
     /// address-space image.
     UnknownEnv(EnvId),
     /// `fork` of the environment's child failed transiently (EAGAIN);
@@ -349,7 +299,7 @@ impl std::error::Error for ProcError {}
 mod tests {
     use super::*;
     use crate::{CostModel, InjectionPlan};
-    use enclosure_vmem::PAGE_SIZE;
+    use enclosure_vmem::{VirtRange, PAGE_SIZE};
 
     fn table(name: &str, base: u64, pages: u64, rights: Access) -> PageTable {
         let mut t = PageTable::new(name);
@@ -460,41 +410,5 @@ mod tests {
             sb.check(Addr(0x10_000), 8, Access::W),
             Err(VmemError::ProtectionFault { .. })
         ));
-    }
-
-    #[test]
-    fn transfer_ships_pages_between_images() {
-        let span = VirtRange::new(Addr(0x40_000), 4 * PAGE_SIZE);
-        let mut trusted = PageTable::new("supervisor");
-        trusted.map_range(span, Access::RW, 0);
-        let mut sb = ProcSandbox::new(trusted);
-        sb.install(EnvId(1), PageTable::new("rcl"));
-        let mut clock = Clock::new(CostModel::paper());
-
-        sb.transfer(span, Access::RW, &[TRUSTED_ENV], &[EnvId(1)], &mut clock)
-            .unwrap();
-        assert_eq!(clock.now_ns(), clock.model().pipe_msg, "4 pages = 1 unit");
-        assert_eq!(clock.stats().transfers, 1);
-        assert!(sb
-            .table(TRUSTED_ENV)
-            .unwrap()
-            .check(Addr(0x40_000), 1, Access::R)
-            .is_err());
-        assert!(sb
-            .table(EnvId(1))
-            .unwrap()
-            .check(Addr(0x40_000), 1, Access::R)
-            .is_ok());
-    }
-
-    #[test]
-    fn transfer_to_unknown_env_is_rejected_before_charging() {
-        let mut sb = sandbox();
-        let mut clock = Clock::new(CostModel::paper());
-        let span = VirtRange::new(Addr(0x10_000), PAGE_SIZE);
-        assert!(sb
-            .transfer(span, Access::RW, &[TRUSTED_ENV], &[EnvId(7)], &mut clock)
-            .is_err());
-        assert_eq!(clock.now_ns(), 0);
     }
 }

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use enclosure_vmem::{Access, Addr, PageTable, VirtRange, VmemError};
+use enclosure_vmem::{Access, Addr, PageTable, VmemError};
 
 use crate::Clock;
 
@@ -58,12 +58,6 @@ impl Vm {
     #[must_use]
     pub fn current(&self) -> EnvId {
         self.cr3
-    }
-
-    /// True if `env` has an installed page table.
-    #[must_use]
-    pub fn has_env(&self, env: EnvId) -> bool {
-        self.tables.contains_key(&env)
     }
 
     /// Performs a CR3 switch to `env` via a guest syscall, charging its
@@ -123,58 +117,13 @@ impl Vm {
     pub fn table(&self, env: EnvId) -> Option<&PageTable> {
         self.tables.get(&env)
     }
-
-    /// Applies an LB_VTX transfer: toggle presence of `range` off in
-    /// `from`'s table and on in `to`'s table, charging one transfer cost.
-    ///
-    /// Pages absent from a table are mapped on demand in the destination
-    /// with the given rights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VtxError::UnknownEnv`] for unknown environments.
-    pub fn transfer(
-        &mut self,
-        range: VirtRange,
-        rights: Access,
-        from: &[EnvId],
-        to: &[EnvId],
-        clock: &mut Clock,
-    ) -> Result<(), VtxError> {
-        for env in from.iter().chain(to) {
-            if !self.tables.contains_key(env) {
-                return Err(VtxError::UnknownEnv(*env));
-            }
-        }
-        clock.charge_vtx_transfer_pages(range.page_len());
-        for env in from {
-            let table = self.tables.get_mut(env).expect("checked above");
-            // Absent pages are already invisible; toggling present ones off.
-            if table.set_present(range, false).is_err() {
-                table.unmap_range(range);
-            }
-        }
-        for env in to {
-            let table = self.tables.get_mut(env).expect("checked above");
-            if table.set_present(range, true).is_err() {
-                table.map_range(range, rights, 0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of installed environments (including the trusted one).
-    #[must_use]
-    pub fn env_count(&self) -> usize {
-        self.tables.len()
-    }
 }
 
 /// Errors specific to the VT-x layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum VtxError {
-    /// CR3 or a transfer referenced an environment with no installed table.
+    /// CR3 referenced an environment with no installed table.
     UnknownEnv(EnvId),
     /// A CR3 rewrite failed transiently (fault injection); the previous
     /// root is still active and the switch may be retried.
@@ -198,7 +147,7 @@ impl std::error::Error for VtxError {}
 mod tests {
     use super::*;
     use crate::CostModel;
-    use enclosure_vmem::PAGE_SIZE;
+    use enclosure_vmem::{VirtRange, PAGE_SIZE};
 
     fn table(name: &str, base: u64, pages: u64, rights: Access) -> PageTable {
         let mut t = PageTable::new(name);
@@ -256,43 +205,5 @@ mod tests {
             vm.check(Addr(0x10_000), 8, Access::W),
             Err(VmemError::ProtectionFault { .. })
         ));
-    }
-
-    #[test]
-    fn transfer_moves_pages_between_envs() {
-        let span = VirtRange::new(Addr(0x40_000), 4 * PAGE_SIZE);
-        let mut trusted = PageTable::new("trusted");
-        trusted.map_range(span, Access::RW, 0);
-        let mut vm = Vm::new(trusted);
-        vm.install(EnvId(1), PageTable::new("rcl"));
-        let mut clock = Clock::new(CostModel::paper());
-
-        vm.transfer(span, Access::RW, &[TRUSTED_ENV], &[EnvId(1)], &mut clock)
-            .unwrap();
-        assert_eq!(clock.now_ns(), 158);
-        assert_eq!(clock.stats().transfers, 1);
-
-        // Source no longer sees the pages; destination does.
-        assert!(vm
-            .table(TRUSTED_ENV)
-            .unwrap()
-            .check(Addr(0x40_000), 1, Access::R)
-            .is_err());
-        assert!(vm
-            .table(EnvId(1))
-            .unwrap()
-            .check(Addr(0x40_000), 1, Access::R)
-            .is_ok());
-    }
-
-    #[test]
-    fn transfer_to_unknown_env_is_rejected_before_charging() {
-        let mut vm = Vm::new(table("trusted", 0x10_000, 1, Access::RW));
-        let mut clock = Clock::new(CostModel::paper());
-        let span = VirtRange::new(Addr(0x10_000), PAGE_SIZE);
-        assert!(vm
-            .transfer(span, Access::RW, &[TRUSTED_ENV], &[EnvId(7)], &mut clock)
-            .is_err());
-        assert_eq!(clock.now_ns(), 0);
     }
 }

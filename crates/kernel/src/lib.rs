@@ -7,7 +7,7 @@
 //!   (`net | io | file | mem | proc | time | sync`, §2.2) — [`Sysno`],
 //!   [`SysCategory`], [`CategorySet`];
 //! * **seccomp-BPF** filtering, including the kernel patch the paper uses
-//!   to expose the PKRU register to filters (§5.3, ref. [45]) — a classic
+//!   to expose the PKRU register to filters (§5.3, ref. \[45\]) — a classic
 //!   BPF [interpreter](bpf) plus a [seccomp filter compiler](seccomp);
 //! * an **in-memory filesystem** with a home directory of plantable
 //!   secrets (SSH/GPG keys, exactly the assets the real malicious packages

@@ -27,7 +27,7 @@ pub const DATA_OFF_ARCH: u32 = 4;
 pub fn data_off_arg(i: u32) -> u32 {
     16 + 8 * i
 }
-/// Byte offset of the PKRU value appended by the kernel patch [45].
+/// Byte offset of the PKRU value appended by the kernel patch \[45\].
 pub const DATA_OFF_PKRU: u32 = 64;
 /// Total size of the extended `seccomp_data`.
 pub const DATA_LEN: usize = 68;

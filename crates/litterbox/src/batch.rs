@@ -3,20 +3,22 @@
 //! dominant term) over a whole quantum of syscalls.
 //!
 //! The synchronous gateway ([`crate::gateway`]) charges one crossing
-//! per proxied syscall: a VM EXIT under [`Backend::Vtx`], a seccomp
-//! program evaluation under [`Backend::Mpk`]. In a queued gateway mode,
-//! goroutines submit [`BatchOp`] descriptors instead and each flush of
-//! the ring pays **one** charged crossing per (environment, batch)
-//! pair:
+//! per proxied syscall. In a queued gateway mode, goroutines submit
+//! [`BatchOp`] descriptors instead and each flush of the ring pays
+//! **one** crossing per (environment, batch) pair, priced by the
+//! backend's enforcer:
 //!
-//! * `Vtx` — one VM EXIT covers every entry in the flush; entries are
+//! * LB_VTX — one VM EXIT covers every entry in the flush; entries are
 //!   serviced host-side at kernel cost.
-//! * `Mpk` — one seccomp filter evaluation admits the batch; each
-//!   entry is still checked against the front environment's compiled
-//!   program (uncharged — the evaluation was paid once), so a denied
-//!   entry completes with `EACCES` without poisoning its neighbors.
-//! * `Baseline` — no crossing to amortize; entries are serviced
+//! * LB_MPK — one seccomp filter evaluation admits the batch.
+//! * LB_PROC — one IPC round-trip to the supervisor (none for the
+//!   supervisor's own batches).
+//! * Baseline — no crossing to amortize; entries are serviced
 //!   directly.
+//!
+//! Each entry is still checked against the flushing environment's
+//! filter (uncharged — the crossing was paid once), so a denied entry
+//! completes with `EACCES` without poisoning its neighbors.
 //!
 //! # Gateway modes
 //!
@@ -57,7 +59,7 @@ use enclosure_kernel::Errno;
 use enclosure_telemetry::{Event, SpanScope};
 
 use crate::fault::Fault;
-use crate::machine::{Backend, LitterBox};
+use crate::machine::LitterBox;
 
 /// How a machine's gateway services proxied syscalls (see the module
 /// docs for where each mode flushes).
@@ -186,9 +188,9 @@ impl LitterBox {
         self.batch.ring.take_completions_for(submitter)
     }
 
-    /// Flushes the queued batch in **one charged crossing**: one VM
-    /// EXIT under `Vtx`, one seccomp evaluation under `Mpk`. Returns
-    /// the number of entries serviced (0 when nothing is queued).
+    /// Flushes the queued batch in **one charged crossing** (see the
+    /// module docs). Returns the number of entries serviced (0 when
+    /// nothing is queued).
     ///
     /// On a [`InjectionSite::BatchFlush`] fault the batch stays queued
     /// and a [`Fault::Transient`] is returned — retry after recovery
@@ -218,14 +220,14 @@ impl LitterBox {
         }
         let env = self.batch.env;
         let enclosed = env != TRUSTED_ENV;
-        let backend = self.backend();
+        // Enclosed entries on an enforcing machine are proxied: they get
+        // a filter event and can lose their completion on the way back.
+        let proxied = enclosed && self.enforced();
+        let entry_site = self.crossing_site();
 
         // The single charged crossing can fault as a whole — before any
         // entry is serviced, so the batch survives intact for a retry.
-        if enclosed
-            && backend != Backend::Baseline
-            && self.clock_mut().should_inject(InjectionSite::BatchFlush)
-        {
+        if proxied && self.clock_mut().should_inject(InjectionSite::BatchFlush) {
             return Err(self.trace_fault(Fault::Transient {
                 site: "batch_flush",
             }));
@@ -244,34 +246,12 @@ impl LitterBox {
         // One crossing per (environment, batch) — this is the whole
         // point: the per-syscall tax of the synchronous gateway is paid
         // once here and amortized over all `n` entries.
-        match backend {
-            Backend::Vtx => self.clock_mut().charge_vm_exit(),
-            Backend::Mpk => {
-                self.clock_mut().charge_seccomp();
-                self.clock_mut().record(Event::SeccompVerdict {
-                    category: "batch",
-                    allowed: true,
-                });
-            }
-            Backend::Proc => {
-                // One IPC round-trip to the supervisor covers the whole
-                // (environment, batch) pair; the trusted environment is
-                // the supervisor itself and needs no crossing.
-                if enclosed {
-                    self.clock_mut().charge_ipc_roundtrip(env.0);
-                }
-            }
-            Backend::Baseline => {}
-        }
+        self.charge_batch_crossing(env);
 
         for sub in self.batch.ring.drain_submissions() {
             let record = sub.op.record();
-            let allowed = if backend == Backend::Baseline {
-                true
-            } else {
-                self.batch_entry_allowed(&record)
-            };
-            if enclosed && backend != Backend::Baseline {
+            let allowed = self.batch_entry_allowed(&record);
+            if proxied {
                 self.clock_mut().record(Event::FilterSyscall {
                     sysno: record.sysno as u32,
                     allowed,
@@ -282,8 +262,7 @@ impl LitterBox {
             } else if enclosed && self.clock_mut().should_inject(InjectionSite::GatewayErrno) {
                 Err(self.pick_transient_errno())
             } else if enclosed
-                && backend == Backend::Vtx
-                && self.clock_mut().should_inject(InjectionSite::VmExit)
+                && entry_site.is_some_and(|site| self.clock_mut().should_inject(site))
             {
                 // The amortized host round-trip can still drop a single
                 // entry's reply; it completes with a transient errno
@@ -297,8 +276,7 @@ impl LitterBox {
             // the flush: it is posted with a transient errno instead of
             // its result, so the submitter still wakes (with the errno)
             // and batch-mates are untouched — never silently lost.
-            let result = if enclosed
-                && backend != Backend::Baseline
+            let result = if proxied
                 && self
                     .clock_mut()
                     .should_inject(InjectionSite::CompletionLost)
@@ -370,6 +348,7 @@ impl LitterBox {
 mod tests {
     use super::*;
     use crate::desc::{EnclosureDesc, EnclosureId, ProgramDesc};
+    use crate::Backend;
     use enclosure_hw::InjectionPlan;
     use enclosure_kernel::fs::OpenFlags;
     use enclosure_kernel::ring::BatchReply;

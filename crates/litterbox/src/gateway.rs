@@ -13,7 +13,7 @@ use enclosure_kernel::net::SockAddr;
 use enclosure_kernel::{Errno, SyscallRecord, Sysno};
 
 use crate::fault::{Fault, SysError};
-use crate::machine::{Backend, LitterBox};
+use crate::machine::LitterBox;
 
 impl LitterBox {
     fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
@@ -35,11 +35,11 @@ impl LitterBox {
                 let pick = clock.injection_roll(Errno::TRANSIENT.len() as u64) as usize;
                 return Err(SysError::Errno(Errno::TRANSIENT[pick]));
             }
-            if self.backend() == Backend::Vtx
-                && self.clock_mut().should_inject(InjectionSite::VmExit)
-            {
-                let fault = self.trace_fault(Fault::Transient { site: "vm_exit" });
-                return Err(SysError::Fault(fault));
+            if let Some(site) = self.crossing_site() {
+                if self.clock_mut().should_inject(site) {
+                    let fault = self.trace_fault(Fault::Transient { site: site.name() });
+                    return Err(SysError::Fault(fault));
+                }
             }
         }
         Ok(())

@@ -4,8 +4,9 @@
 //! A language frontend (the `enclosure-gofront` / `enclosure-pyfront`
 //! crates) describes the program to LitterBox — its packages, sections,
 //! enclosures, and verified API call-sites — and LitterBox enforces each
-//! enclosure's *memory view* and *system-call filter* with one of two
-//! simulated hardware mechanisms:
+//! enclosure's *memory view* and *system-call filter* with one of three
+//! simulated mechanisms, each in its own module behind one enforcer
+//! trait:
 //!
 //! * [`Backend::Mpk`] — Intel Memory Protection Keys: one shared page
 //!   table whose entries carry 4-bit keys (one per *meta-package*, see
@@ -14,6 +15,9 @@
 //! * [`Backend::Vtx`] — Intel VT-x: one page table per environment,
 //!   switches as guest syscalls rewriting CR3, host syscalls proxied via
 //!   VM EXIT hypercalls and filtered by the guest OS.
+//! * [`Backend::Proc`] — process sandboxes: one child process per
+//!   enclosure, crossings priced as IPC round-trips, enclosed syscalls
+//!   proxied to the supervisor behind per-process seccomp filters.
 //! * [`Backend::Baseline`] — no enforcement; vanilla closures. This is the
 //!   paper's evaluation baseline.
 //!
@@ -53,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backend;
 mod batch;
 pub mod cluster;
 pub mod deps;

@@ -15,10 +15,11 @@
 //!   rights, and a 4-bit protection key per page (used by the MPK backend).
 //!
 //! Every memory access performed anywhere in the reproduction flows through
-//! [`AddressSpace::read`] / [`AddressSpace::write`] /
-//! [`AddressSpace::fetch`] after a permission check against the active
+//! [`AddressSpace::read`] / [`AddressSpace::write`] (or their `u64` and
+//! `fill` variants) after a permission check against the active
 //! [`PageTable`], so an enclosure policy violation faults exactly where the
-//! hardware would fault.
+//! hardware would fault. Instruction fetches are checked per cross-package
+//! call, as the view's `X` right.
 //!
 //! # Example
 //!

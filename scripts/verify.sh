@@ -18,6 +18,9 @@ cargo test -q --offline
 echo "== formatting =="
 cargo fmt --all --check
 
+echo "== rustdoc (warnings are errors, private items included) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline
+
 echo "== smoke: repro attribution (telemetry-derived §6.4) =="
 ./target/release/repro attribution --quick >/dev/null
 

@@ -8,11 +8,11 @@ use enclosure_repro::gofront::{GoProgram, GoSource, GoValue};
 use enclosure_repro::pyfront::{Interpreter, MetadataMode, PyModuleDef, PyValue};
 use litterbox::{Backend, Fault};
 
-/// The Figure 1 program behaves identically across all three backends
-/// except for cost: reads allowed, writes and leaks faulted.
+/// The Figure 1 program behaves identically across every backend except
+/// for cost: reads allowed, writes and leaks faulted.
 #[test]
 fn figure1_semantics_are_backend_independent() {
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
         let mut app = App::builder("fig1")
             .package("main", &["libfx", "secrets"])
             .package("libfx", &[])
@@ -58,13 +58,14 @@ fn go_pipeline_results_match_baseline() {
     assert_eq!(run(Backend::Baseline), 144);
     assert_eq!(run(Backend::Mpk), 144);
     assert_eq!(run(Backend::Vtx), 144);
+    assert_eq!(run(Backend::Proc), 144);
 }
 
-/// The enforcement outcome (which operations fault) is identical between
-/// MPK and VT-x for the Figure 1 access matrix, even though the
-/// mechanisms differ entirely.
+/// The enforcement outcome (which operations fault) is identical across
+/// MPK, VT-x and process sandboxes for the Figure 1 access matrix, even
+/// though the mechanisms differ entirely.
 #[test]
-fn mpk_and_vtx_agree_on_the_access_matrix() {
+fn enforcing_backends_agree_on_the_access_matrix() {
     let probe = |backend: Backend| -> Vec<bool> {
         let mut app = App::builder("matrix")
             .package("main", &["a", "b", "c"])
@@ -100,8 +101,8 @@ fn mpk_and_vtx_agree_on_the_access_matrix() {
         enc.call(&mut app, ()).unwrap()
     };
     let mpk = probe(Backend::Mpk);
-    let vtx = probe(Backend::Vtx);
-    assert_eq!(mpk, vtx);
+    assert_eq!(probe(Backend::Vtx), mpk, "LB_VTX");
+    assert_eq!(probe(Backend::Proc), mpk, "LB_PROC");
     assert_eq!(
         mpk,
         vec![true, true, true, false, false, false, false],
@@ -114,7 +115,7 @@ fn mpk_and_vtx_agree_on_the_access_matrix() {
 fn bild_output_is_backend_invariant() {
     let cfg = BildConfig::tiny();
     let mut outputs = Vec::new();
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
+    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
         let mut app = BildApp::new(backend, cfg).unwrap();
         let run = app.run_invert().unwrap();
         assert!(app.verify(&run).unwrap());
@@ -125,8 +126,9 @@ fn bild_output_is_backend_invariant() {
             .unwrap();
         outputs.push(bytes);
     }
-    assert_eq!(outputs[0], outputs[1]);
-    assert_eq!(outputs[1], outputs[2]);
+    for (i, bytes) in outputs.iter().enumerate().skip(1) {
+        assert_eq!(bytes, &outputs[0], "backend #{i}");
+    }
 }
 
 /// Python and Go frontends compose against the same LitterBox semantics:
