@@ -1,15 +1,23 @@
-//! Graceful-degradation helpers shared by the server workloads.
+//! The request lifecycle shared by the enclosed-server workloads
+//! (FastHTTP and the wiki), and its graceful-degradation helpers.
 //!
-//! Under fault injection the serve loops keep the program alive instead of
-//! aborting: transient kernel errnos are retried in place, a request whose
-//! handling faults transiently is answered with a 503 while the server
-//! keeps serving, and a repeatedly failing dependency (the wiki's pq
-//! proxy) is quarantined behind a small circuit breaker. The counters here
-//! surface in [`ServeStats`](crate::httpd::ServeStats) so chaos soaks can
-//! assert on them.
+//! Both servers open a listener, take connections from one load
+//! generator, and close each request out with a latency sample. Under
+//! fault injection they keep the program alive instead of aborting:
+//! transient kernel errnos are retried in place, a request whose handling
+//! faults transiently is answered with a 503 while the server keeps
+//! serving, and a repeatedly failing dependency (the wiki's pq proxy) is
+//! quarantined behind a small circuit breaker. The counters here surface
+//! in [`ServeStats`](crate::httpd::ServeStats) so chaos soaks can assert
+//! on them.
 
+use enclosure_gofront::{GoRuntime, Step};
+use enclosure_hw::Clock;
+use enclosure_kernel::net::SockAddr;
+use enclosure_kernel::Kernel;
 use enclosure_support::Shared;
-use litterbox::SysError;
+use enclosure_telemetry::{Event, Histogram};
+use litterbox::{BatchOp, CompletionToken, Fault, LitterBox, SysError};
 
 /// How many times a transient errno is retried in place before the
 /// failure is surfaced to the degradation path.
@@ -54,6 +62,131 @@ pub fn retry_transient<T>(
 #[must_use]
 pub fn render_unavailable() -> Vec<u8> {
     b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\n\r\n".to_vec()
+}
+
+/// Opens the server's listening socket on `port`, each call retried in
+/// place. `Ok(None)` means a transient failure outlasted the retries:
+/// the server sets up again next quantum.
+pub(crate) fn listen(
+    lb: &mut LitterBox,
+    tally: &Shared<ChaosTally>,
+    port: u16,
+) -> Result<Option<u32>, Fault> {
+    let mut setup = || -> Result<u32, SysError> {
+        let fd = retry_transient(tally, || lb.sys_socket())?;
+        retry_transient(tally, || lb.sys_bind(fd, SockAddr::local(port)))?;
+        retry_transient(tally, || lb.sys_listen(fd))?;
+        Ok(fd)
+    };
+    match setup() {
+        Ok(fd) => Ok(Some(fd)),
+        Err(e) if e.is_transient() => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Issues one deferrable syscall of connection `conn`. When the
+/// machine's gateway queues, the call joins the batch under submitter
+/// `conn` and rides the next flush's single charged crossing; its token
+/// is returned. In `Direct` mode it crosses now, transient errnos
+/// retried in place.
+pub(crate) fn deferrable(
+    lb: &mut LitterBox,
+    tally: &Shared<ChaosTally>,
+    conn: u32,
+    op: BatchOp,
+) -> Result<Option<CompletionToken>, SysError> {
+    if lb.gateway().is_queued() {
+        return Ok(Some(lb.batch_submit(u64::from(conn), op)?));
+    }
+    retry_transient(tally, || match &op {
+        BatchOp::ClockGettime => lb.sys_clock_gettime().map(drop),
+        BatchOp::Futex => lb.sys_futex(),
+        BatchOp::Send { fd, data } => lb.sys_send(*fd, data).map(drop),
+        BatchOp::Close { fd } => lb.sys_close(*fd),
+        other => Err(Fault::Init(format!(
+            "{:?} is not a deferrable server call",
+            other.sysno()
+        ))
+        .into()),
+    })?;
+    Ok(None)
+}
+
+/// The recovery path of a connection whose request failed transiently:
+/// a request never answered gets a 503 (`answer`), then the connection
+/// closes. It runs with injection suspended, so it cannot fail in turn.
+pub(crate) fn abandon(lb: &mut LitterBox, conn: u32, answer: bool) {
+    lb.clock_mut().suspend_injection();
+    if answer {
+        let _ = lb.sys_send(conn, &render_unavailable());
+    }
+    let _ = lb.sys_close(conn);
+    lb.clock_mut().resume_injection();
+}
+
+/// Closes out one request: its latency sample, from the `accept` at
+/// `t0` to now, and its [`Event::RequestServed`].
+pub(crate) fn record_reply(lb: &mut LitterBox, latency: &Shared<Histogram>, t0: u64, ok: bool) {
+    let ns = lb.now_ns() - t0;
+    latency.borrow_mut().record(ns);
+    lb.clock_mut().record(Event::RequestServed { ns, ok });
+}
+
+/// Spawns the load generator goroutine `name`: outside traffic on a
+/// scratch clock, so it charges nothing to the measured machine. It
+/// waits until a probe connection to `port` succeeds, then sends `n`
+/// requests, one connection each. With `probe` set, the probe connection
+/// carries those bytes in place of the last request; otherwise it
+/// carries request 0.
+pub(crate) fn spawn_load_generator(
+    rt: &mut GoRuntime,
+    name: &str,
+    port: u16,
+    n: u64,
+    probe: Option<&'static [u8]>,
+    request: fn(u64) -> String,
+) {
+    fn send(kernel: &mut Kernel, scratch: &mut Clock, fd: u32, bytes: &[u8]) -> Result<(), Fault> {
+        kernel
+            .send(scratch, fd, bytes)
+            .map(drop)
+            .map_err(|e| Fault::Init(format!("client send: {e}")))
+    }
+    rt.spawn(name, move |ctx| {
+        if n == 0 {
+            return Ok(Step::Done);
+        }
+        let mut scratch = Clock::default();
+        let (kernel, _) = ctx.lb_mut().kernel_and_clock();
+        let first = kernel.socket(&mut scratch);
+        if kernel
+            .connect(&mut scratch, first, SockAddr::local(port))
+            .is_err()
+        {
+            let _ = kernel.close(&mut scratch, first);
+            return Ok(Step::Yield);
+        }
+        let mut rest = 0..n;
+        match probe {
+            Some(bytes) => {
+                send(kernel, &mut scratch, first, bytes)?;
+                rest.end -= 1;
+            }
+            None => {
+                send(kernel, &mut scratch, first, request(0).as_bytes())?;
+                rest.start = 1;
+            }
+        }
+        for i in rest {
+            let fd = kernel.socket(&mut scratch);
+            kernel
+                .connect(&mut scratch, fd, SockAddr::local(port))
+                .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
+            send(kernel, &mut scratch, fd, request(i).as_bytes())?;
+        }
+        Ok(Step::Done)
+    });
 }
 
 #[cfg(test)]

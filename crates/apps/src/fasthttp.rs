@@ -10,16 +10,12 @@
 //! page). The scheduler's `Execute` switches between their protection
 //! environments every hop.
 
-use std::collections::HashMap;
-
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_hw::Clock;
-use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
-use enclosure_telemetry::{Event, Histogram};
+use enclosure_telemetry::Histogram;
 use litterbox::{Backend, BatchOp, Fault, GatewayMode, SysError};
 
-use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
+use crate::chaos::{self, abandon, deferrable, record_reply, retry_transient, ChaosTally};
 use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
 
 /// Server listen port.
@@ -47,18 +43,17 @@ pub struct FastHttpApp {
     serve_calls: u64,
 }
 
-enum ServerState {
-    Setup,
-    Running { listen: u32 },
-}
-
-fn io_fault(e: SysError) -> Fault {
-    match e {
-        SysError::Fault(f) => f,
-        // Keep the errno's identity so callers can tell a transient
-        // kernel condition from a broken build.
-        SysError::Errno(e) => Fault::Errno(e),
-    }
+/// Where one serve run stands, shared by its workers.
+#[derive(Debug, Default, Clone, Copy)]
+struct Progress {
+    /// The listening socket, once worker 0 has set it up.
+    listener: Option<u32>,
+    /// Requests taken off the listener.
+    accepted: u64,
+    /// Requests whose reply (or 503) has left.
+    finished: u64,
+    /// Whether the request channel is closed.
+    closed: bool,
 }
 
 impl FastHttpApp {
@@ -115,12 +110,20 @@ impl FastHttpApp {
         self.latency.borrow().clone()
     }
 
-    /// Serves `n` requests through the enclosed-server / trusted-handler
-    /// goroutine pair and reports throughput. `workers` concurrent
-    /// enclosed servers share one listener; `1` keeps the original
-    /// single-server trace. Deferrable syscalls queue in the batched
-    /// gateway unless the machine's [`GatewayMode`] is `Direct`. Client
-    /// traffic runs on a scratch clock (outside the measured machine).
+    /// Serves `n` requests with `workers` enclosed server goroutines
+    /// sharing one listener, one trusted handler and one load generator,
+    /// and reports throughput. Each worker quantum accepts, reads and
+    /// forwards one request, then ships one finished response. The
+    /// deferrable calls queue in the batched gateway unless the
+    /// machine's [`GatewayMode`] is `Direct`; in `Async` a worker parks
+    /// on its reply tail's token, so the switch barriers amortize one
+    /// charged crossing over every worker's batch. Client traffic runs
+    /// on a scratch clock (outside the measured machine).
+    ///
+    /// Under fault injection the workers degrade instead of dying:
+    /// transient errnos are retried in place, a request whose read
+    /// fails is answered with a 503, a reply that fails is closed, and
+    /// the loop keeps serving. [`ServeStats`] carries the tally.
     ///
     /// # Errors
     ///
@@ -132,357 +135,84 @@ impl FastHttpApp {
         // any realistic number of calls.
         let port = FASTHTTP_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
         self.serve_calls += 1;
-        if workers > 1 {
-            return self.serve_requests_concurrent(n, workers, port);
-        }
-        let req_ch = self.rt.make_chan(64);
-        let resp_ch = self.rt.make_chan(64);
-        let tally: Shared<ChaosTally> = Shared::default();
-
-        // Enclosed server goroutine: listener setup, then per-request
-        // accept/read/parse/forward and reply/close. Under fault
-        // injection it degrades instead of dying: transient errnos are
-        // retried in place, and a request whose handling faults is
-        // answered with a 503 while the loop keeps serving.
-        let queued = self.rt.lb().gateway().is_queued();
-        let mut state = ServerState::Setup;
-        let mut accepted = 0u64;
-        let mut replied = 0u64;
-        let mut degraded = 0u64;
-        let srv_tally = tally.clone();
-        // Accept timestamp per live connection; closed out into the
-        // latency histogram when the reply (or 503) leaves.
-        let mut accept_ns: HashMap<u32, u64> = HashMap::new();
-        let latency = self.latency.clone();
-        self.rt
-            .spawn_enclosed("fasthttp-server", "server_enc", move |ctx| {
-                if let ServerState::Setup = state {
-                    let setup = (|| -> Result<u32, SysError> {
-                        let listen = retry_transient(&srv_tally, || ctx.lb_mut().sys_socket())?;
-                        retry_transient(&srv_tally, || {
-                            ctx.lb_mut().sys_bind(listen, SockAddr::local(port))
-                        })?;
-                        retry_transient(&srv_tally, || ctx.lb_mut().sys_listen(listen))?;
-                        Ok(listen)
-                    })();
-                    match setup {
-                        Ok(listen) => state = ServerState::Running { listen },
-                        // Retry the whole setup next round.
-                        Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
-                    }
-                    return Ok(Step::Yield);
-                }
-                let ServerState::Running { listen } = state else {
-                    unreachable!()
-                };
-                // Drain replies the last flush completed: per-entry
-                // errors are contained (each completion carries its own
-                // errno), so draining keeps the ring bounded.
-                if queued {
-                    let _ = ctx.lb_mut().batch_take_completions();
-                }
-                // Accept + parse one request, forward to the trusted side.
-                if accepted < n {
-                    match retry_transient(&srv_tally, || ctx.lb_mut().sys_accept(listen)) {
-                        Ok(conn) => {
-                            accept_ns.insert(conn, ctx.lb().now_ns());
-                            let head = (|| -> Result<Vec<u8>, SysError> {
-                                if queued {
-                                    // Deadline reads and the netpoll arm
-                                    // are deferrable: they ride the next
-                                    // flush's single charged crossing.
-                                    let sub = u64::from(conn);
-                                    ctx.lb_mut()
-                                        .batch_submit(sub, BatchOp::ClockGettime)
-                                        .map_err(SysError::Fault)?;
-                                    let head = retry_transient(&srv_tally, || {
-                                        ctx.lb_mut().sys_recv(conn, 4096)
-                                    })?;
-                                    ctx.lb_mut()
-                                        .batch_submit(sub, BatchOp::ClockGettime)
-                                        .map_err(SysError::Fault)?;
-                                    ctx.lb_mut()
-                                        .batch_submit(sub, BatchOp::Futex)
-                                        .map_err(SysError::Fault)?;
-                                    return Ok(head);
-                                }
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
-                                let head = retry_transient(&srv_tally, || {
-                                    ctx.lb_mut().sys_recv(conn, 4096)
-                                })?;
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
-                                retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // netpoll arm
-                                Ok(head)
-                            })();
-                            match head {
-                                Ok(head) => {
-                                    ctx.compute(PARSE_NS);
-                                    let ok = head.starts_with(b"GET ");
-                                    if ctx.chan_send(
-                                        req_ch,
-                                        GoValue::Tuple(vec![
-                                            GoValue::Int(u64::from(conn)),
-                                            GoValue::Bool(ok),
-                                        ]),
-                                    )? {
-                                        accepted += 1;
-                                    }
-                                }
-                                Err(e) if e.is_transient() => {
-                                    // Degrade: 5xx this request, keep the
-                                    // server alive. The response itself
-                                    // runs un-injectable — it is the
-                                    // recovery path.
-                                    ctx.lb_mut().clock_mut().suspend_injection();
-                                    let _ = ctx.lb_mut().sys_send(conn, &render_unavailable());
-                                    let _ = ctx.lb_mut().sys_close(conn);
-                                    ctx.lb_mut().clock_mut().resume_injection();
-                                    srv_tally.borrow_mut().degraded += 1;
-                                    accepted += 1;
-                                    degraded += 1;
-                                    if let Some(t0) = accept_ns.remove(&conn) {
-                                        let ns = ctx.lb().now_ns() - t0;
-                                        latency.borrow_mut().record(ns);
-                                        ctx.lb_mut()
-                                            .clock_mut()
-                                            .record(Event::RequestServed { ns, ok: false });
-                                    }
-                                }
-                                Err(e) => return Err(io_fault(e)),
-                            }
-                        }
-                        Err(SysError::Errno(_)) => {}
-                        // An injected transient fault (e.g. a lost
-                        // VM EXIT) before any connection state exists:
-                        // nothing to degrade, try again next round.
-                        Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
-                    }
-                }
-                // Send out any finished response.
-                match ctx.chan_recv(resp_ch)? {
-                    Recv::Value(v) => {
-                        let parts = v.as_tuple()?;
-                        let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let body = parts[1].as_bytes()?;
-                        let sent = (|| -> Result<(), SysError> {
-                            if queued {
-                                // The whole reply tail is deferrable:
-                                // queue it and let the next flush pay
-                                // one crossing for everything.
-                                let sub = u64::from(conn);
-                                let (headers, rest) = body.split_at(body.len().min(128));
-                                let lb = ctx.lb_mut();
-                                lb.batch_submit(sub, BatchOp::Futex)
-                                    .map_err(SysError::Fault)?; // worker wake
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: headers.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_submit(
-                                    sub,
-                                    BatchOp::Send {
-                                        fd: conn,
-                                        data: rest.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_submit(sub, BatchOp::Close { fd: conn })
-                                    .map_err(SysError::Fault)?;
-                                lb.batch_submit(sub, BatchOp::Futex)
-                                    .map_err(SysError::Fault)?; // teardown wake
-                                lb.batch_submit(sub, BatchOp::ClockGettime)
-                                    .map_err(SysError::Fault)?;
-                                return Ok(());
-                            }
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // worker wake
-                            let (headers, rest) = body.split_at(body.len().min(128));
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, headers))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, rest))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_close(conn))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_futex())?; // teardown wake
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_clock_gettime())?;
-                            Ok(())
-                        })();
-                        let mut ok = true;
-                        match sent {
-                            Ok(()) => {}
-                            Err(e) if e.is_transient() => {
-                                ctx.lb_mut().clock_mut().suspend_injection();
-                                let _ = ctx.lb_mut().sys_close(conn);
-                                ctx.lb_mut().clock_mut().resume_injection();
-                                srv_tally.borrow_mut().degraded += 1;
-                                ok = false;
-                            }
-                            Err(e) => return Err(io_fault(e)),
-                        }
-                        if let Some(t0) = accept_ns.remove(&conn) {
-                            let ns = ctx.lb().now_ns() - t0;
-                            latency.borrow_mut().record(ns);
-                            ctx.lb_mut()
-                                .clock_mut()
-                                .record(Event::RequestServed { ns, ok });
-                        }
-                        replied += 1;
-                    }
-                    Recv::Empty => {}
-                    Recv::Closed => return Ok(Step::Done),
-                }
-                if replied + degraded == n {
-                    ctx.chan_close(req_ch)?;
-                    return Ok(Step::Done);
-                }
-                Ok(Step::Yield)
-            })?;
-
-        // Trusted handler goroutine: in a real deployment it would read
-        // the private database the enclosure cannot see.
-        self.rt.spawn("trusted-handler", move |ctx| {
-            match ctx.chan_recv(req_ch)? {
-                Recv::Value(v) => {
-                    let parts = v.as_tuple()?;
-                    let conn = parts[0].clone();
-                    let ok = parts[1].as_bool()?;
-                    ctx.compute(HANDLER_NS);
-                    let body: Vec<u8> = if ok {
-                        let mut response =
-                            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
-                                .into_bytes();
-                        response.extend(
-                            b"<html>fast</html>"
-                                .iter()
-                                .copied()
-                                .cycle()
-                                .take(PAGE_SIZE_BYTES),
-                        );
-                        response
-                    } else {
-                        b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
-                    };
-                    ctx.chan_send(resp_ch, GoValue::Tuple(vec![conn, GoValue::Bytes(body)]))?;
-                    Ok(Step::Yield)
-                }
-                Recv::Empty => Ok(Step::Yield),
-                Recv::Closed => Ok(Step::Done),
-            }
-        });
-
-        // Load generator: connects once the listener exists, then feeds
-        // all n requests. Outside traffic — scratch clock.
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("load-generator", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
-            }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            // Probe: is the listener up?
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            kernel
-                .send(&mut scratch, probe, b"GET /fast/probe HTTP/1.1\r\n\r\n")
-                .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            remaining.pop();
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                kernel
-                    .send(
-                        &mut scratch,
-                        fd,
-                        format!("GET /fast/{i} HTTP/1.1\r\n\r\n").as_bytes(),
-                    )
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            }
-            Ok(Step::Done)
-        });
-
-        let t0 = self.rt.lb().now_ns();
-        self.rt.run_scheduler()?;
-        let _ = self.rt.lb_mut().batch_take_completions();
-        let ns = self.rt.lb().now_ns() - t0;
-        let tally = *tally.borrow();
-        Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
-    }
-
-    /// Serves `n` requests with `workers` concurrent enclosed server
-    /// goroutines sharing one listener (plus the trusted handler and
-    /// the load generator). In [`GatewayMode::Async`] the workers
-    /// submit their reply tails and **park** on the final token, so
-    /// the switch barriers amortize one charged crossing over every
-    /// worker's batch; in [`GatewayMode::Batched`] the tails flush
-    /// every quantum (one crossing per worker per round). The request
-    /// results are identical either way — only the flush schedule and
-    /// the charged-crossing ledger differ.
-    fn serve_requests_concurrent(
-        &mut self,
-        n: u64,
-        workers: usize,
-        port: u16,
-    ) -> Result<ServeStats, Fault> {
         let cap = usize::try_from(n).unwrap_or(usize::MAX).max(64);
         let req_ch = self.rt.make_chan(cap);
         let resp_ch = self.rt.make_chan(cap);
-        let mode = self.rt.lb().gateway();
-        let queued = mode.is_queued();
-        let parks = mode == GatewayMode::Async;
-        let listener: Shared<Option<u32>> = Shared::default();
-        let accepted: Shared<u64> = Shared::default();
-        let replied: Shared<u64> = Shared::default();
-        let closed: Shared<bool> = Shared::default();
+        let parks = self.rt.lb().gateway() == GatewayMode::Async;
+        let tally: Shared<ChaosTally> = Shared::default();
+        let progress: Shared<Progress> = Shared::default();
 
         for w in 0..workers {
-            let listener = listener.clone();
-            let accepted = accepted.clone();
-            let replied = replied.clone();
-            let closed = closed.clone();
+            let tally = tally.clone();
+            let progress = progress.clone();
             let latency = self.latency.clone();
-            // The reply tail this worker last shipped: reaped (and its
+            // The reply tail this worker last queued: reaped (and its
             // latency recorded) next quantum, after the flush that
             // serviced it — in async mode the park ends exactly there.
             let mut shipped: Option<(u32, u64)> = None;
             self.rt
                 .spawn_enclosed(&format!("fasthttp-worker-{w}"), "server_enc", move |ctx| {
-                    let Some(listen) = listener.get() else {
+                    let Some(listen) = progress.get().listener else {
                         // Worker 0 owns listener setup; peers wait.
                         if w == 0 {
-                            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
-                            ctx.lb_mut()
-                                .sys_bind(fd, SockAddr::local(port))
-                                .map_err(io_fault)?;
-                            ctx.lb_mut().sys_listen(fd).map_err(io_fault)?;
-                            listener.set(Some(fd));
+                            progress.borrow_mut().listener =
+                                chaos::listen(ctx.lb_mut(), &tally, port)?;
                         }
                         return Ok(Step::Yield);
                     };
                     if let Some((conn, t0)) = shipped.take() {
                         let _ = ctx.lb_mut().batch_take_completions_for(u64::from(conn));
-                        let ns = ctx.lb().now_ns() - t0;
-                        latency.borrow_mut().record(ns);
-                        ctx.lb_mut()
-                            .clock_mut()
-                            .record(Event::RequestServed { ns, ok: true });
-                        replied.set(replied.get() + 1);
+                        record_reply(ctx.lb_mut(), &latency, t0, true);
+                        progress.borrow_mut().finished += 1;
                     }
-                    if replied.get() >= n {
-                        if !closed.get() {
-                            ctx.chan_close(req_ch)?;
-                            closed.set(true);
+                    // Accept + read + parse one request, forward it to
+                    // the trusted side. EAGAIN on accept means no
+                    // connection is pending: it is not retried.
+                    if progress.get().accepted < n {
+                        match ctx.lb_mut().sys_accept(listen) {
+                            Ok(conn) => {
+                                let t0 = ctx.lb().now_ns();
+                                let lb = ctx.lb_mut();
+                                let head = (|| -> Result<Vec<u8>, SysError> {
+                                    deferrable(lb, &tally, conn, BatchOp::ClockGettime)?; // read deadline
+                                    let head = retry_transient(&tally, || lb.sys_recv(conn, 4096))?;
+                                    deferrable(lb, &tally, conn, BatchOp::ClockGettime)?; // write deadline
+                                    deferrable(lb, &tally, conn, BatchOp::Futex)?; // netpoll arm
+                                    Ok(head)
+                                })();
+                                match head {
+                                    Ok(head) => {
+                                        ctx.compute(PARSE_NS);
+                                        let ok = head.starts_with(b"GET ");
+                                        let req = GoValue::Tuple(vec![
+                                            GoValue::Int(u64::from(conn)),
+                                            GoValue::Int(t0),
+                                            GoValue::Bool(ok),
+                                        ]);
+                                        if ctx.chan_send(req_ch, req)? {
+                                            progress.borrow_mut().accepted += 1;
+                                        }
+                                    }
+                                    // Degrade: 503 this request, keep
+                                    // the server alive.
+                                    Err(e) if e.is_transient() => {
+                                        abandon(ctx.lb_mut(), conn, true);
+                                        tally.borrow_mut().degraded += 1;
+                                        record_reply(ctx.lb_mut(), &latency, t0, false);
+                                        let mut p = progress.borrow_mut();
+                                        p.accepted += 1;
+                                        p.finished += 1;
+                                    }
+                                    Err(e) => return Err(e.into()),
+                                }
+                            }
+                            // No pending connection, or an injected
+                            // transient fault before any connection
+                            // state exists: try again next quantum.
+                            Err(SysError::Errno(_)) => {}
+                            Err(e) if e.is_transient() => {}
+                            Err(e) => return Err(e.into()),
                         }
-                        return Ok(Step::Done);
                     }
                     // Ship one finished response (any worker may carry
                     // any connection — the accept timestamp rides the
@@ -491,88 +221,58 @@ impl FastHttpApp {
                         let parts = v.as_tuple()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let t0 = parts[1].as_int()?;
-                        let body = parts[2].as_bytes()?;
-                        let sub = u64::from(conn);
-                        let (headers, rest) = body.split_at(body.len().min(128));
-                        if queued {
-                            let lb = ctx.lb_mut();
-                            lb.batch_submit(sub, BatchOp::Futex)?;
-                            lb.batch_submit(
-                                sub,
-                                BatchOp::Send {
-                                    fd: conn,
-                                    data: headers.to_vec(),
-                                },
-                            )?;
-                            lb.batch_submit(
-                                sub,
-                                BatchOp::Send {
-                                    fd: conn,
-                                    data: rest.to_vec(),
-                                },
-                            )?;
-                            lb.batch_submit(sub, BatchOp::Close { fd: conn })?;
-                            lb.batch_submit(sub, BatchOp::Futex)?;
-                            let last = lb.batch_submit(sub, BatchOp::ClockGettime)?;
-                            shipped = Some((conn, t0));
-                            return Ok(if parks { Step::Park(last) } else { Step::Yield });
-                        }
-                        ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                        ctx.lb_mut().sys_send(conn, headers).map_err(io_fault)?;
-                        ctx.lb_mut().sys_send(conn, rest).map_err(io_fault)?;
-                        ctx.lb_mut().sys_close(conn).map_err(io_fault)?;
-                        ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                        ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                        let ns = ctx.lb().now_ns() - t0;
-                        latency.borrow_mut().record(ns);
-                        ctx.lb_mut()
-                            .clock_mut()
-                            .record(Event::RequestServed { ns, ok: true });
-                        replied.set(replied.get() + 1);
-                        return Ok(Step::Yield);
-                    }
-                    // Accept + parse + forward one request.
-                    if accepted.get() < n {
-                        match ctx.lb_mut().sys_accept(listen) {
-                            Ok(conn) => {
-                                let t0 = ctx.lb().now_ns();
-                                let sub = u64::from(conn);
-                                if queued {
-                                    ctx.lb_mut().batch_submit(sub, BatchOp::ClockGettime)?;
-                                } else {
-                                    ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                                }
-                                let head = ctx.lb_mut().sys_recv(conn, 4096).map_err(io_fault)?;
-                                if queued {
-                                    ctx.lb_mut().batch_submit(sub, BatchOp::ClockGettime)?;
-                                    ctx.lb_mut().batch_submit(sub, BatchOp::Futex)?;
-                                } else {
-                                    ctx.lb_mut().sys_clock_gettime().map_err(io_fault)?;
-                                    ctx.lb_mut().sys_futex().map_err(io_fault)?;
-                                }
-                                ctx.compute(PARSE_NS);
-                                let ok = head.starts_with(b"GET ");
-                                if ctx.chan_send(
-                                    req_ch,
-                                    GoValue::Tuple(vec![
-                                        GoValue::Int(sub),
-                                        GoValue::Int(t0),
-                                        GoValue::Bool(ok),
-                                    ]),
-                                )? {
-                                    accepted.set(accepted.get() + 1);
-                                }
+                        let mut headers = parts[2].as_bytes()?;
+                        let rest = headers.split_off(headers.len().min(128));
+                        let send = |data| BatchOp::Send { fd: conn, data };
+                        let lb = ctx.lb_mut();
+                        let sent = (|| {
+                            deferrable(lb, &tally, conn, BatchOp::Futex)?; // worker wake
+                            deferrable(lb, &tally, conn, send(headers))?;
+                            deferrable(lb, &tally, conn, send(rest))?;
+                            deferrable(lb, &tally, conn, BatchOp::Close { fd: conn })?;
+                            deferrable(lb, &tally, conn, BatchOp::Futex)?; // teardown wake
+                            deferrable(lb, &tally, conn, BatchOp::ClockGettime)
+                        })();
+                        match sent {
+                            Ok(Some(last)) => {
+                                shipped = Some((conn, t0));
+                                return Ok(if parks { Step::Park(last) } else { Step::Yield });
                             }
-                            Err(SysError::Errno(_)) => {}
-                            Err(e) => return Err(io_fault(e)),
+                            Ok(None) => record_reply(lb, &latency, t0, true),
+                            Err(e) if e.is_transient() => {
+                                abandon(lb, conn, false);
+                                tally.borrow_mut().degraded += 1;
+                                record_reply(lb, &latency, t0, false);
+                            }
+                            Err(e) => return Err(e.into()),
                         }
+                        progress.borrow_mut().finished += 1;
+                    }
+                    let mut p = progress.borrow_mut();
+                    if p.finished >= n {
+                        if !p.closed {
+                            ctx.chan_close(req_ch)?;
+                            p.closed = true;
+                        }
+                        return Ok(Step::Done);
                     }
                     Ok(Step::Yield)
                 })?;
         }
 
-        // Trusted handler: same page build as the single-server path;
-        // the accept timestamp is threaded through untouched.
+        // Trusted handler goroutine: in a real deployment it would read
+        // the private database the enclosure cannot see. The accept
+        // timestamp is threaded through untouched. Every 200 carries the
+        // same page, so it is built once per serve call.
+        let mut page =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n").into_bytes();
+        page.extend(
+            b"<html>fast</html>"
+                .iter()
+                .copied()
+                .cycle()
+                .take(PAGE_SIZE_BYTES),
+        );
         self.rt.spawn("trusted-handler", move |ctx| {
             match ctx.chan_recv(req_ch)? {
                 Recv::Value(v) => {
@@ -581,18 +281,8 @@ impl FastHttpApp {
                     let t0 = parts[1].clone();
                     let ok = parts[2].as_bool()?;
                     ctx.compute(HANDLER_NS);
-                    let body: Vec<u8> = if ok {
-                        let mut response =
-                            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n")
-                                .into_bytes();
-                        response.extend(
-                            b"<html>fast</html>"
-                                .iter()
-                                .copied()
-                                .cycle()
-                                .take(PAGE_SIZE_BYTES),
-                        );
-                        response
+                    let body = if ok {
+                        page.clone()
                     } else {
                         b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
                     };
@@ -607,47 +297,21 @@ impl FastHttpApp {
             }
         });
 
-        // Load generator: identical to the single-server path.
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("load-generator", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
-            }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            kernel
-                .send(&mut scratch, probe, b"GET /fast/probe HTTP/1.1\r\n\r\n")
-                .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            remaining.pop();
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                kernel
-                    .send(
-                        &mut scratch,
-                        fd,
-                        format!("GET /fast/{i} HTTP/1.1\r\n\r\n").as_bytes(),
-                    )
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))?;
-            }
-            Ok(Step::Done)
-        });
+        chaos::spawn_load_generator(
+            &mut self.rt,
+            "load-generator",
+            port,
+            n,
+            Some(b"GET /fast/probe HTTP/1.1\r\n\r\n"),
+            |i| format!("GET /fast/{i} HTTP/1.1\r\n\r\n"),
+        );
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
         let _ = self.rt.lb_mut().batch_take_completions();
         let ns = self.rt.lb().now_ns() - t0;
-        Ok(ServeStats::new(n, ns))
+        let tally = *tally.borrow();
+        Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))
     }
 }
 
@@ -793,21 +457,25 @@ mod tests {
     fn degrades_gracefully_under_gateway_chaos() {
         use litterbox::{InjectionPlan, InjectionSite};
         for backend in [Backend::Mpk, Backend::Vtx] {
-            let mut app = FastHttpApp::new(backend).unwrap();
-            let sites = if backend == Backend::Vtx {
-                vec![InjectionSite::GatewayErrno, InjectionSite::VmExit]
-            } else {
-                vec![InjectionSite::GatewayErrno]
-            };
-            app.runtime_mut()
-                .lb_mut()
-                .clock_mut()
-                .arm_injection(InjectionPlan::new(0xFA57, 350_000).with_sites(&sites));
-            let stats = app.serve_requests(30, 1).unwrap();
-            assert_eq!(stats.served + stats.degraded, 30, "{backend}: {stats:?}");
-            assert!(stats.retried > 0, "{backend}: errnos were retried");
-            let c = app.runtime().lb().telemetry().counters();
-            assert_eq!(c.prologs, c.epilogs, "{backend}: balanced switches");
+            for workers in [1, 4] {
+                let mut app = FastHttpApp::new(backend).unwrap();
+                let sites = if backend == Backend::Vtx {
+                    vec![InjectionSite::GatewayErrno, InjectionSite::VmExit]
+                } else {
+                    vec![InjectionSite::GatewayErrno]
+                };
+                app.runtime_mut()
+                    .lb_mut()
+                    .clock_mut()
+                    .arm_injection(InjectionPlan::new(0xFA57, 350_000).with_sites(&sites));
+                let arm = format!("{backend} x{workers}");
+                let stats = app.serve_requests(30, workers).unwrap();
+                assert_eq!(stats.served + stats.degraded, 30, "{arm}: {stats:?}");
+                assert!(stats.retried > 0, "{arm}: errnos were retried");
+                assert_eq!(app.latency().count(), 30, "{arm}: every request timed");
+                let c = app.runtime().lb().telemetry().counters();
+                assert_eq!(c.prologs, c.epilogs, "{arm}: balanced switches");
+            }
         }
     }
 
@@ -826,7 +494,7 @@ mod tests {
         rt.register_fn("fasthttp.Serve", move |ctx, _arg| {
             assert!(ctx.lb().load_u64(secret).is_err(), "secret unreachable");
             // net is allowed…
-            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
+            let fd = ctx.lb_mut().sys_socket()?;
             // …files are not.
             assert!(ctx
                 .lb_mut()

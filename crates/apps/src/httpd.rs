@@ -137,33 +137,27 @@ impl HttpApp {
         // syscall trace of a Go HTTP server, one syscall per crossing.
         rt.register_fn("nethttp.ServeOne", move |ctx, arg: GoValue| {
             let listen_fd = u32::try_from(arg.as_int()?).expect("fd fits u32");
-            let sys = |e: SysError| match e {
-                SysError::Fault(f) => f,
-                // Keep the errno's identity so callers can tell a
-                // transient kernel condition from a broken build.
-                SysError::Errno(e) => Fault::Errno(e),
-            };
             let conn = match ctx.lb_mut().sys_accept(listen_fd) {
                 Ok(fd) => fd,
                 Err(SysError::Errno(_)) => return Ok(GoValue::Bool(false)), // no pending conn
-                Err(e) => return Err(sys(e)),
+                Err(e) => return Err(e.into()),
             };
-            ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // read deadline
-            let head = ctx.lb_mut().sys_recv(conn, 4096).map_err(sys)?;
-            ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // write deadline
+            ctx.lb_mut().sys_clock_gettime()?; // read deadline
+            let head = ctx.lb_mut().sys_recv(conn, 4096)?;
+            ctx.lb_mut().sys_clock_gettime()?; // write deadline
             ctx.compute(PARSE_NS);
-            ctx.lb_mut().sys_futex().map_err(sys)?; // netpoller wakeup
+            ctx.lb_mut().sys_futex()?; // netpoller wakeup
 
             let response = ctx
                 .call_enclosed("handler_enc", GoValue::Bytes(head))?
                 .as_bytes()?;
             let (headers, body) = response.split_at(response.len().min(128));
-            ctx.lb_mut().sys_send(conn, headers).map_err(sys)?;
-            ctx.lb_mut().sys_send(conn, body).map_err(sys)?;
-            ctx.lb_mut().sys_clock_gettime().map_err(sys)?; // access log
-            ctx.lb_mut().sys_close(conn).map_err(sys)?;
-            ctx.lb_mut().sys_futex().map_err(sys)?; // conn teardown wake
-            ctx.lb_mut().sys_getpid().map_err(sys)?; // log pid
+            ctx.lb_mut().sys_send(conn, headers)?;
+            ctx.lb_mut().sys_send(conn, body)?;
+            ctx.lb_mut().sys_clock_gettime()?; // access log
+            ctx.lb_mut().sys_close(conn)?;
+            ctx.lb_mut().sys_futex()?; // conn teardown wake
+            ctx.lb_mut().sys_getpid()?; // log pid
             Ok(GoValue::Bool(true))
         });
 

@@ -18,13 +18,13 @@
 use std::collections::HashMap;
 
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_hw::Clock;
-use enclosure_kernel::net::SockAddr;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{Backend, Fault, SysError};
+use litterbox::{Backend, BatchOp, Fault, SysError};
 
-use crate::chaos::{render_unavailable, retry_transient, ChaosTally};
+use crate::chaos::{
+    self, abandon, deferrable, record_reply, render_unavailable, retry_transient, ChaosTally,
+};
 use crate::httpd::ServeStats;
 use crate::mux::{render_not_found, render_page, route, Route};
 use crate::pq::{self, QueryResult};
@@ -39,15 +39,6 @@ pub const PQ_BREAKER_THRESHOLD: u32 = 3;
 /// probes the database again (a closed-loop recovery: a successful probe
 /// closes the breaker, a failed one re-opens it for another cooldown).
 pub const PQ_BREAKER_COOLDOWN: u32 = 16;
-
-fn io_fault(e: SysError) -> Fault {
-    match e {
-        SysError::Fault(f) => f,
-        // Keep the errno's identity so callers can tell a transient
-        // kernel condition from a broken build.
-        SysError::Errno(e) => Fault::Errno(e),
-    }
-}
 
 /// The assembled wiki application.
 pub struct WikiApp {
@@ -153,7 +144,6 @@ impl WikiApp {
         let reply_ch = self.rt.make_chan(64); // ○7
         let tally: Shared<ChaosTally> = Shared::default();
         let pq_enclosure = self.rt.enclosure("pq_enc").map_or(0, |e| e.id.0);
-        let queued = self.rt.lb().gateway().is_queued();
         // First call keeps the paper's port; later calls (fleet batch
         // serving) each take a fresh one, since old listeners stay
         // bound. The wrap keeps the port a u16 without colliding for
@@ -176,33 +166,18 @@ impl WikiApp {
         let latency = self.latency.clone();
         self.rt
             .spawn_enclosed("wiki-server", "server_enc", move |ctx| {
-                let listen_fd = match listen {
-                    Some(fd) => fd,
-                    None => {
-                        let setup = (|| -> Result<u32, SysError> {
-                            let fd = retry_transient(&srv_tally, || ctx.lb_mut().sys_socket())?;
-                            retry_transient(&srv_tally, || {
-                                ctx.lb_mut().sys_bind(fd, SockAddr::local(port))
-                            })?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_listen(fd))?;
-                            Ok(fd)
-                        })();
-                        match setup {
-                            Ok(fd) => listen = Some(fd),
-                            // Retry the whole setup next round.
-                            Err(e) if e.is_transient() => {}
-                            Err(e) => return Err(io_fault(e)),
-                        }
-                        return Ok(Step::Yield);
-                    }
+                let Some(listen_fd) = listen else {
+                    listen = chaos::listen(ctx.lb_mut(), &srv_tally, port)?;
+                    return Ok(Step::Yield);
                 };
                 if accepted < n {
                     match retry_transient(&srv_tally, || ctx.lb_mut().sys_accept(listen_fd)) {
                         Ok(conn) => {
-                            accept_ns.insert(conn, ctx.lb().now_ns());
+                            let t0 = ctx.lb().now_ns();
                             match retry_transient(&srv_tally, || ctx.lb_mut().sys_recv(conn, 8192))
                             {
                                 Ok(raw) => {
+                                    accept_ns.insert(conn, t0);
                                     ctx.compute(8_000); // mux parse + route
                                     let (kind, title, body) = match route(&raw) {
                                         Route::View { title } => ("view", title, String::new()),
@@ -221,35 +196,25 @@ impl WikiApp {
                                         accepted += 1;
                                     }
                                 }
+                                // Degrade: 503 this request, keep the
+                                // server alive.
                                 Err(e) if e.is_transient() => {
-                                    // Degrade: 5xx this request, keep the
-                                    // server alive. The response itself
-                                    // runs un-injectable — it is the
-                                    // recovery path.
-                                    ctx.lb_mut().clock_mut().suspend_injection();
-                                    let _ = ctx.lb_mut().sys_send(conn, &render_unavailable());
-                                    let _ = ctx.lb_mut().sys_close(conn);
-                                    ctx.lb_mut().clock_mut().resume_injection();
+                                    abandon(ctx.lb_mut(), conn, true);
                                     srv_tally.borrow_mut().degraded += 1;
+                                    record_reply(ctx.lb_mut(), &latency, t0, false);
                                     accepted += 1;
                                     degraded += 1;
-                                    if let Some(t0) = accept_ns.remove(&conn) {
-                                        let ns = ctx.lb().now_ns() - t0;
-                                        latency.borrow_mut().record(ns);
-                                        ctx.lb_mut()
-                                            .clock_mut()
-                                            .record(Event::RequestServed { ns, ok: false });
-                                    }
                                 }
-                                Err(e) => return Err(io_fault(e)),
+                                Err(e) => return Err(e.into()),
                             }
                         }
+                        // No pending connection, or an injected
+                        // transient fault (e.g. a lost VM EXIT) before
+                        // any connection state exists: try again next
+                        // round.
                         Err(SysError::Errno(_)) => {}
-                        // An injected transient fault (e.g. a lost
-                        // VM EXIT) before any connection state exists:
-                        // nothing to degrade, try again next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 match ctx.chan_recv(reply_ch)? {
@@ -257,36 +222,20 @@ impl WikiApp {
                         let parts = v.as_tuple()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let response = parts[1].as_bytes()?;
-                        let sent = (|| -> Result<(), SysError> {
-                            if queued {
-                                // The reply tail is deferrable: queue it
-                                // and let the next flush pay one
-                                // crossing for every reply in the round.
-                                let sub = u64::from(conn);
-                                let lb = ctx.lb_mut();
-                                lb.batch_submit(
-                                    sub,
-                                    litterbox::BatchOp::Send {
-                                        fd: conn,
-                                        data: response.to_vec(),
-                                    },
-                                )
-                                .map_err(SysError::Fault)?;
-                                lb.batch_submit(sub, litterbox::BatchOp::Close { fd: conn })
-                                    .map_err(SysError::Fault)?;
-                                return Ok(());
-                            }
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_send(conn, &response))?;
-                            retry_transient(&srv_tally, || ctx.lb_mut().sys_close(conn))?;
-                            Ok(())
-                        })();
                         let mut ok = !response.starts_with(b"HTTP/1.1 503");
+                        let send = BatchOp::Send {
+                            fd: conn,
+                            data: response,
+                        };
+                        let lb = ctx.lb_mut();
+                        let sent = (|| {
+                            deferrable(lb, &srv_tally, conn, send)?;
+                            deferrable(lb, &srv_tally, conn, BatchOp::Close { fd: conn })
+                        })();
                         match sent {
-                            Ok(()) => {}
+                            Ok(_) => {}
                             Err(e) if e.is_transient() => {
-                                ctx.lb_mut().clock_mut().suspend_injection();
-                                let _ = ctx.lb_mut().sys_close(conn);
-                                ctx.lb_mut().clock_mut().resume_injection();
+                                abandon(lb, conn, false);
                                 // Count each request's degradation once:
                                 // a 503 from the glue already did.
                                 if ok {
@@ -294,14 +243,10 @@ impl WikiApp {
                                 }
                                 ok = false;
                             }
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                         if let Some(t0) = accept_ns.remove(&conn) {
-                            let ns = ctx.lb().now_ns() - t0;
-                            latency.borrow_mut().record(ns);
-                            ctx.lb_mut()
-                                .clock_mut()
-                                .record(Event::RequestServed { ns, ok });
+                            record_reply(lb, &latency, t0, ok);
                         }
                         replied += 1;
                     }
@@ -405,7 +350,7 @@ impl WikiApp {
                         }
                         // Retry the connection next round.
                         Err(e) if e.is_transient() => {}
-                        Err(e) => return Err(io_fault(e)),
+                        Err(e) => return Err(e.into()),
                     }
                     return Ok(Step::Yield);
                 }
@@ -449,7 +394,7 @@ impl WikiApp {
                                 }
                                 "E unavailable".to_owned()
                             }
-                            Err(e) => return Err(io_fault(e)),
+                            Err(e) => return Err(e.into()),
                         }
                     };
                     ctx.chan_send(
@@ -466,47 +411,14 @@ impl WikiApp {
             }
         })?;
 
-        // Load generator (outside traffic).
-        let mut remaining: Vec<u64> = (0..n).collect();
-        self.rt.spawn("wiki-load", move |ctx| {
-            if remaining.is_empty() {
-                return Ok(Step::Done);
+        // Load generator (outside traffic): the probe connection
+        // carries the first request.
+        chaos::spawn_load_generator(&mut self.rt, "wiki-load", port, n, None, |i| {
+            if i % 2 == 0 {
+                "GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_owned()
+            } else {
+                format!("POST /save/Note{i} HTTP/1.1\r\nHost: wiki\r\n\r\nbody{i}")
             }
-            let mut scratch = Clock::default();
-            let (kernel, _) = ctx.lb_mut().kernel_and_clock();
-            let probe = kernel.socket(&mut scratch);
-            if kernel
-                .connect(&mut scratch, probe, SockAddr::local(port))
-                .is_err()
-            {
-                let _ = kernel.close(&mut scratch, probe);
-                return Ok(Step::Yield);
-            }
-            let send_req = |kernel: &mut enclosure_kernel::Kernel,
-                            scratch: &mut Clock,
-                            fd: u32,
-                            i: u64|
-             -> Result<(), Fault> {
-                let req = if i % 2 == 0 {
-                    "GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_owned()
-                } else {
-                    format!("POST /save/Note{i} HTTP/1.1\r\nHost: wiki\r\n\r\nbody{i}")
-                };
-                kernel
-                    .send(scratch, fd, req.as_bytes())
-                    .map(|_| ())
-                    .map_err(|e| Fault::Init(format!("client send: {e}")))
-            };
-            let first = remaining.remove(0);
-            send_req(kernel, &mut scratch, probe, first)?;
-            for i in remaining.drain(..) {
-                let fd = kernel.socket(&mut scratch);
-                kernel
-                    .connect(&mut scratch, fd, SockAddr::local(port))
-                    .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-                send_req(kernel, &mut scratch, fd, i)?;
-            }
-            Ok(Step::Done)
         });
 
         let t0 = self.rt.lb().now_ns();
@@ -523,6 +435,8 @@ impl WikiApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enclosure_hw::Clock;
+    use enclosure_kernel::net::SockAddr;
     use litterbox::GatewayMode;
 
     #[test]
@@ -628,10 +542,10 @@ mod tests {
         let rt = app.runtime_mut();
         rt.register_fn("pq.Proxy", move |ctx, _arg| {
             // Allowed: the pre-defined Postgres socket.
-            let c = pq::connect(ctx.lb_mut()).map_err(io_fault)?;
+            let c = pq::connect(ctx.lb_mut())?;
             let _ = c;
             // Denied: anything else.
-            let fd = ctx.lb_mut().sys_socket().map_err(io_fault)?;
+            let fd = ctx.lb_mut().sys_socket()?;
             let err = ctx.lb_mut().sys_connect(fd, evil).unwrap_err();
             assert!(err.is_fault(), "connect allowlist enforced");
             Ok(GoValue::Unit)

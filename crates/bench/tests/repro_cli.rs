@@ -119,6 +119,24 @@ fn bad_app_value_fails_fast() {
     );
 }
 
+/// The FastHTTP fleet arm serves through `--chaos`: its workers turn
+/// transient faults into 503s and in-place retries instead of
+/// aborting, so the run exits 0 with every invariant intact.
+#[test]
+fn fasthttp_fleet_survives_chaos() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fleet", "--quick", "--app=fasthttp", "--chaos"])
+        .output()
+        .expect("spawn repro");
+    assert!(
+        out.status.success(),
+        "fleet --app=fasthttp --chaos must not abort: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(stdout.contains("invariants: OK"), "{stdout}");
+}
+
 /// `repro batching --json` is byte-stable across runs — including the
 /// new 8-worker async arms and the per-arm latency histograms, whose
 /// key order is fixed by construction (never locale- or hash-seeded).

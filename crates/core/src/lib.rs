@@ -61,11 +61,9 @@
 mod app;
 mod enclosure;
 mod policy;
-mod supervisor;
 mod view;
 
 pub use app::{App, AppBuilder, AppInfo};
 pub use enclosure::{Enclosure, EnclosureCtx};
 pub use policy::{Policy, PolicyError};
-pub use supervisor::{jittered_backoff, RetryPolicy, Supervisor, SupervisorError};
 pub use view::compute_view;

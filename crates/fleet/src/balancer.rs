@@ -23,10 +23,9 @@
 use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_apps::httpd::ServeStats;
 use enclosure_apps::wiki::WikiApp;
-use enclosure_core::{jittered_backoff, RetryPolicy};
 use enclosure_hw::{InjectionPlan, InjectionSite};
 use enclosure_support::pool::run_scoped;
-use enclosure_support::Json;
+use enclosure_support::{Json, XorShift};
 use enclosure_telemetry::{Event, Histogram, Recorder, WindowRing};
 use litterbox::{Backend, Fault};
 
@@ -47,6 +46,20 @@ pub const IDLE_ROUND_NS: u64 = 250_000;
 /// Batches a shard must have served before latency-outlier detection
 /// trusts its baseline.
 const BASELINE_WARMUP_REQS: u64 = 64;
+
+/// Base of the respawn backoff: roughly one dispatch round, so a crashed
+/// shard is back in probation quickly, but repeated crashes double it.
+const RESPAWN_BACKOFF_NS: u64 = 500_000;
+
+/// The wait before a shard's respawn after its `attempt`-th crash
+/// (1-based): the exponential `RESPAWN_BACKOFF_NS << (attempt - 1)` plus a
+/// deterministic uniform draw from `jitter` in `[0, base/2]`, so
+/// simultaneous crashes across shards desynchronize while every run
+/// stays byte-identical per seed.
+fn jittered_backoff(attempt: u32, jitter: &mut XorShift) -> u64 {
+    let base = RESPAWN_BACKOFF_NS << (attempt.max(1) - 1);
+    base + jitter.range_u64(0, base / 2 + 1)
+}
 
 /// Everything that parameterizes a fleet run.
 #[derive(Debug, Clone)]
@@ -74,9 +87,6 @@ pub struct FleetConfig {
     /// Mirror requests from latency-flagged shards onto the fastest
     /// healthy peer; the duplicate answers if the primary fails.
     pub hedge: bool,
-    /// Respawn backoff schedule (reuses the supervisor's policy; the
-    /// attempt number is the shard's crash count).
-    pub respawn: RetryPolicy,
     /// Retry-budget bucket size.
     pub budget_capacity: u64,
     /// Retry-budget refill per round.
@@ -117,13 +127,6 @@ impl FleetConfig {
             backend_rate_ppm: 20_000,
             targeted_crash: false,
             hedge: false,
-            respawn: RetryPolicy {
-                max_retries: 0,
-                // Roughly one dispatch round: a crashed shard is back
-                // in probation quickly, but repeated crashes double it.
-                backoff_base_ns: 500_000,
-                breaker_threshold: u64::MAX,
-            },
             budget_capacity: 64,
             budget_refill: 8,
             eject_after: 3,
@@ -683,7 +686,10 @@ impl<W: Workload> Fleet<W> {
         // respawn waits. Tripping it is a bug, not a degradation.
         let round_cap = 64 + 8 * (self.cfg.requests / admission_rate.max(1) + 1);
 
-        while self.responded < self.admitted || sessions.peek().is_some() {
+        // A shard that crashed late in the run still comes back before
+        // it ends: idle rounds run until its respawn deadline passes.
+        while self.responded < self.admitted || sessions.peek().is_some() || self.respawn_pending()
+        {
             self.round += 1;
             if self.round > round_cap {
                 // Fail loudly: degrade whatever is still queued so the
@@ -719,6 +725,9 @@ impl<W: Workload> Fleet<W> {
             self.respawn_due();
             self.probe_all();
             self.admit(&mut sessions, admission_rate);
+            if sessions.peek().is_none() {
+                self.fail_back();
+            }
             // Plan → execute → fold: all shared-state decisions happen
             // in the sequential plan, the executor only runs each
             // shard's private window, and the sequential fold advances
@@ -740,6 +749,13 @@ impl<W: Workload> Fleet<W> {
         if self.shards[id].can_serve() {
             self.shards[id].state = ShardState::Draining;
         }
+    }
+
+    /// Whether a crashed shard still waits for its respawn.
+    fn respawn_pending(&self) -> bool {
+        self.shards
+            .iter()
+            .any(|s| matches!(s.state, ShardState::Crashed { .. }))
     }
 
     /// Respawns every crashed shard whose backoff deadline has passed.
@@ -829,6 +845,30 @@ impl<W: Workload> Fleet<W> {
         }
     }
 
+    /// Once admission is over, nothing new is routed to the targeted
+    /// kill's victim: if it is back and healthy but has not served since
+    /// its respawn, it would idle to the end without proving its
+    /// recovery. It takes one batch of queued requests back from the
+    /// next busy shard in ring order — the peer that absorbed its
+    /// stranded queue. Runs whose victim re-served on its own never get
+    /// here, so they are unchanged.
+    fn fail_back(&mut self) {
+        let Some(v) = self.victim else { return };
+        let victim = &self.shards[v];
+        if victim.respawns == 0
+            || victim.served_after_respawn > 0
+            || victim.pending > 0
+            || !victim.takes_traffic()
+        {
+            return;
+        }
+        if let Some(p) = self.next_busy(v) {
+            let take = self.cfg.batch.min(self.shards[p].pending);
+            self.shards[p].pending -= take;
+            self.shards[v].pending += take;
+        }
+    }
+
     /// The plan phase: sequential, in shard-index order. Sizes every
     /// batch of the round, draws all chaos (crash, partition, crash
     /// prefix), arms or cancels hedges, grants failover budget,
@@ -845,6 +885,7 @@ impl<W: Workload> Fleet<W> {
         // Shards whose guaranteed batch was a clean serve — the only
         // ones eligible for catch-up grants.
         let mut clean = vec![false; n];
+        self.pass_idle_victim();
 
         for i in 0..n {
             if !self.shards[i].can_serve() {
@@ -894,8 +935,7 @@ impl<W: Workload> Fleet<W> {
                 let stranded = self.shards[i].pending;
                 self.shards[i].pending = 0;
                 let attempt = u32::try_from(self.shards[i].crashes + 1).unwrap_or(u32::MAX);
-                let backoff =
-                    jittered_backoff(&self.cfg.respawn, attempt, Some(&mut self.shards[i].jitter));
+                let backoff = jittered_backoff(attempt, &mut self.shards[i].jitter);
                 let respawn_at_ns = self.now_ns + backoff;
                 plans[i].crash_respawn_at = Some(respawn_at_ns);
                 // The state flips at plan time so the rest of the plan
@@ -1084,6 +1124,34 @@ impl<W: Workload> Fleet<W> {
             self.now_ns + PROBE_ROUND_NS + IDLE_ROUND_NS
         };
         Ok(())
+    }
+
+    /// The scheduled kill fires on its victim's first batch at or after
+    /// the scheduled round. A victim with no work then may get none for
+    /// the rest of the run, and the kill would never fire: it passes to
+    /// the next busy shard in ring order.
+    fn pass_idle_victim(&mut self) {
+        let Some((round, victim)) = self.crash_schedule else {
+            return;
+        };
+        if self.round < round || self.busy(victim) {
+            return;
+        }
+        if let Some(next) = self.next_busy(victim) {
+            self.crash_schedule = Some((round, next));
+            self.victim = Some(next);
+        }
+    }
+
+    /// Whether shard `i` has a batch to serve this round.
+    fn busy(&self, i: usize) -> bool {
+        self.shards[i].can_serve() && self.shards[i].pending > 0
+    }
+
+    /// The first busy shard after `i` in ring order.
+    fn next_busy(&self, i: usize) -> Option<usize> {
+        let n = self.shards.len();
+        (1..n).map(|step| (i + step) % n).find(|&j| self.busy(j))
     }
 
     /// Should shard `i` crash in this round? Either the deterministic
@@ -1310,6 +1378,27 @@ mod tests {
     }
 
     #[test]
+    fn jittered_backoff_is_seeded_and_bounded() {
+        // Same seed ⇒ same schedule; every wait in [base, 1.5*base].
+        let mut a = XorShift::new(42);
+        let mut b = XorShift::new(42);
+        for attempt in 1..=6u32 {
+            let base = RESPAWN_BACKOFF_NS << (attempt - 1);
+            let wa = jittered_backoff(attempt, &mut a);
+            let wb = jittered_backoff(attempt, &mut b);
+            assert_eq!(wa, wb);
+            assert!((base..=base + base / 2).contains(&wa), "{attempt}: {wa}");
+        }
+        // Different seeds desynchronize somewhere along the schedule.
+        let mut c = XorShift::new(1);
+        let mut d = XorShift::new(2);
+        let sched = |rng: &mut XorShift| -> Vec<u64> {
+            (1..=8).map(|n| jittered_backoff(n, rng)).collect()
+        };
+        assert_ne!(sched(&mut c), sched(&mut d));
+    }
+
+    #[test]
     fn clean_fleet_answers_everything() {
         let cfg = FleetConfig::new(3, 600, 11);
         let report = run(cfg.clone());
@@ -1335,6 +1424,44 @@ mod tests {
         assert_eq!(victim.generation, 2);
         assert!(victim.served_after_respawn > 0, "victim re-serves");
         assert!(report.failovers > 0 || report.lb_degraded > 0);
+    }
+
+    #[test]
+    fn a_shard_crashed_late_still_respawns_before_the_run_ends() {
+        // A random shard_crash lands in the last rounds on this seed:
+        // the run idles until the shard's respawn deadline passes.
+        let cfg = FleetConfig::new(4, 1_500, 0xf6bd_4e73_031b_21cc)
+            .mixed_backends()
+            .with_chaos();
+        let report = run(cfg.clone());
+        assert_eq!(check_invariants(&cfg, &report), Vec::<String>::new());
+        assert_eq!(report.crashes, 2, "the scheduled kill and one random crash");
+    }
+
+    #[test]
+    fn the_scheduled_kill_passes_on_from_an_idle_victim() {
+        // This seed's victim has no work from the scheduled round on:
+        // the kill lands on the next busy shard instead of never.
+        let cfg = FleetConfig::new(3, 600, 863).mixed_backends().with_chaos();
+        let report = run(cfg.clone());
+        assert_eq!(check_invariants(&cfg, &report), Vec::<String>::new());
+        let victim = &report.rows[report.victim.unwrap()];
+        assert_ne!(victim.id, 863 % 3, "the kill passed on");
+        assert_eq!((victim.crashes, victim.respawns), (1, 1));
+        assert!(victim.served_after_respawn > 0, "{victim:?}");
+    }
+
+    #[test]
+    fn an_idle_respawned_victim_takes_work_back() {
+        // Admission ends before any session homed to this seed's victim
+        // arrives after its respawn: it takes a batch back from the peer
+        // that absorbed its queue, and so re-serves.
+        let cfg = FleetConfig::new(4, 2_000, 0x3028_2a0e_9dcd_001f).with_chaos();
+        let report = run(cfg.clone());
+        assert_eq!(check_invariants(&cfg, &report), Vec::<String>::new());
+        let victim = &report.rows[report.victim.unwrap()];
+        assert_eq!((victim.crashes, victim.respawns), (1, 1));
+        assert!(victim.served_after_respawn > 0, "{victim:?}");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   batches onto the fastest peer for the p99.9 tail;
 //! * **graceful drain** — stop routing, flush in-flight, retire;
 //! * **supervisor respawn** — crashed shards come back on a seeded,
-//!   jittered exponential backoff (`enclosure_core::jittered_backoff`)
-//!   and re-enter through probation (the `adopt_spawned` idiom).
+//!   jittered exponential backoff (the balancer's own, based at one
+//!   dispatch round) and re-enter through probation (the
+//!   `adopt_spawned` idiom).
 //!
 //! Chaos is first-class: the balancer owns its own
 //! [`InjectionPlan`](enclosure_hw::InjectionPlan) arming the fleet

@@ -294,7 +294,7 @@ impl Network {
         match peer {
             Peer::Local(peer_id) => match self.sockets.get_mut(&peer_id) {
                 Some(SocketState::Stream { rx, .. }) => {
-                    rx.extend(data.iter().copied());
+                    rx.extend(data);
                     Ok(data.len())
                 }
                 _ => Err(Errno::Epipe),

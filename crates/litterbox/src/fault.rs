@@ -196,6 +196,18 @@ impl From<Fault> for SysError {
     }
 }
 
+/// A failed system call as a [`Fault`]: a fault stays itself and an
+/// errno keeps its identity as [`Fault::Errno`], so callers can still
+/// tell a transient kernel condition from a broken build.
+impl From<SysError> for Fault {
+    fn from(e: SysError) -> Self {
+        match e {
+            SysError::Errno(e) => Fault::Errno(e),
+            SysError::Fault(f) => f,
+        }
+    }
+}
+
 impl SysError {
     /// True if this is a policy fault (program-aborting).
     #[must_use]
@@ -240,6 +252,15 @@ mod tests {
         assert!(f.is_fault());
         let m: Fault = VmemError::OutOfAddressSpace.into();
         assert!(matches!(m, Fault::Memory(_)));
+    }
+
+    #[test]
+    fn sys_errors_become_faults_without_losing_the_errno() {
+        let e: Fault = SysError::Errno(Errno::Eagain).into();
+        assert_eq!(e, Fault::Errno(Errno::Eagain));
+        assert!(e.is_transient(), "a transient errno stays retryable");
+        let inner = Fault::Transient { site: "vm_exit" };
+        assert_eq!(Fault::from(SysError::Fault(inner.clone())), inner);
     }
 
     #[test]

@@ -248,16 +248,6 @@ pub enum Event {
         /// Site tag, e.g. `"wrpkru"`, `"gateway_errno"`.
         site: &'static str,
     },
-    /// A supervisor retried an enclosure call after a transient fault,
-    /// backing off in simulated time.
-    Retry {
-        /// Enclosure id.
-        enclosure: u32,
-        /// Retry attempt number (1-based).
-        attempt: u32,
-        /// Simulated backoff charged before the retry.
-        backoff_ns: u64,
-    },
     /// A circuit breaker tripped: the enclosure is quarantined.
     BreakerTrip {
         /// Enclosure id.
@@ -403,14 +393,6 @@ impl fmt::Display for Event {
             Event::SpanTransfer { bytes } => write!(f, "span_transfer bytes={bytes}"),
             Event::GcPause { ns, live } => write!(f, "gc_pause ns={ns} live={live}"),
             Event::InjectedFault { site } => write!(f, "injected_fault site={site}"),
-            Event::Retry {
-                enclosure,
-                attempt,
-                backoff_ns,
-            } => write!(
-                f,
-                "retry enclosure={enclosure} attempt={attempt} backoff_ns={backoff_ns}"
-            ),
             Event::BreakerTrip { enclosure, faults } => {
                 write!(f, "breaker_trip enclosure={enclosure} faults={faults}")
             }

@@ -88,8 +88,6 @@ pub struct Counters {
     pub metadata_switches: u64,
     /// Failures produced by the fault-injection plan.
     pub injected_faults: u64,
-    /// Supervised retries after transient faults.
-    pub retries: u64,
     /// Circuit-breaker trips (enclosure quarantines).
     pub breaker_trips: u64,
     /// Calls fast-failed against a quarantined enclosure.
@@ -174,7 +172,6 @@ impl Counters {
             ("gc_pause_ns", Json::U64(self.gc_pause_ns)),
             ("metadata_switches", Json::U64(self.metadata_switches)),
             ("injected_faults", Json::U64(self.injected_faults)),
-            ("retries", Json::U64(self.retries)),
             ("breaker_trips", Json::U64(self.breaker_trips)),
             ("breaker_fast_fails", Json::U64(self.breaker_fast_fails)),
             ("span_imbalances", Json::U64(self.span_imbalances)),
@@ -275,7 +272,6 @@ impl Counters {
                 "injected_faults",
                 "failures produced by the fault-injection plan",
             ),
-            ("retries", "supervised retries after transient faults"),
             (
                 "breaker_trips",
                 "circuit-breaker trips (enclosure quarantines)",
@@ -373,7 +369,6 @@ impl Counters {
             gc_pause_ns,
             metadata_switches,
             injected_faults,
-            retries,
             breaker_trips,
             breaker_fast_fails,
             span_imbalances,
@@ -426,7 +421,6 @@ impl Counters {
         self.gc_pause_ns += gc_pause_ns;
         self.metadata_switches += metadata_switches;
         self.injected_faults += injected_faults;
-        self.retries += retries;
         self.breaker_trips += breaker_trips;
         self.breaker_fast_fails += breaker_fast_fails;
         self.span_imbalances += span_imbalances;
@@ -524,7 +518,6 @@ impl Counters {
             }
             Event::MetadataSwitch => self.metadata_switches += 1,
             Event::InjectedFault { .. } => self.injected_faults += 1,
-            Event::Retry { .. } => self.retries += 1,
             Event::BreakerTrip { .. } => self.breaker_trips += 1,
             Event::BreakerFastFail { .. } => self.breaker_fast_fails += 1,
             Event::SpanImbalance { .. } => self.span_imbalances += 1,

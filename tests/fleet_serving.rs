@@ -1,22 +1,26 @@
 //! Fleet-level serving properties (ISSUE: fleet subsystem).
 //!
-//! The fleet's claims, proved end-to-end on real wiki machines:
+//! The fleet's claims, proved end-to-end on real wiki and FastHTTP
+//! machines:
 //!
 //! * **histogram algebra** — the merged fleet histogram is exactly the
 //!   fold of per-shard histograms, and each shard's histogram is
 //!   byte-identical to a single machine replaying the same dispatch
 //!   trace (sharding changes *where* requests run, never what they
 //!   cost);
-//! * **determinism** — two chaos runs with the same seed produce
-//!   byte-identical reports;
+//! * **determinism and robustness under chaos, on every seed** — on
+//!   both workloads and on homogeneous and mixed-backend fleets, a
+//!   chaos run keeps every invariant, loses nothing, and a second run
+//!   with the same seed produces a byte-identical report;
 //! * **containment** — killing one shard mid-run loses zero accepted
 //!   requests, leaves every bystander shard's telemetry and latency
 //!   byte-identical to the fault-free run, and the victim respawns and
 //!   re-serves before the run ends.
 
+use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_apps::wiki::WikiApp;
 use enclosure_fleet::{
-    check_invariants, FastHttpFleet, FleetConfig, FleetReport, WikiFleet, Workload,
+    check_invariants, FastHttpFleet, Fleet, FleetConfig, FleetReport, WikiFleet, Workload,
 };
 use enclosure_telemetry::Histogram;
 
@@ -57,24 +61,75 @@ enclosure_support::props! {
     }
 }
 
-/// Two `--chaos` runs with the same seed — mixed backends, targeted
-/// kill, random fleet and machine faults all armed — are
-/// byte-identical: same JSON report, same merged telemetry.
-#[test]
-fn chaos_runs_are_byte_identical_per_seed() {
-    let cfg = FleetConfig::new(4, 1_500, 0xF1EE7)
-        .mixed_backends()
-        .with_chaos();
-    let a = run(&cfg);
-    let b = run(&cfg);
-    assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
-    assert_eq!(a.merged_telemetry.counters(), b.merged_telemetry.counters());
+/// Runs one armed fleet twice and checks the chaos claims on it: the
+/// run completes, every invariant holds (zero loss, budget bounded,
+/// histogram mass conserved, the victim re-serves), the targeted kill
+/// fired, and the same seed renders byte-identically again. Returns
+/// the requests the shard apps degraded or retried in place.
+fn check_chaos_claims<W: Workload>(cfg: &FleetConfig) -> u64 {
+    let arm = format!("seed {:#x} on {:?}", cfg.seed, cfg.backends);
+    let report = Fleet::<W>::new(cfg.clone())
+        .and_then(Fleet::run)
+        .unwrap_or_else(|fault| panic!("{arm}: the fleet aborted: {fault}"));
+    let violations = check_invariants(cfg, &report);
+    assert!(violations.is_empty(), "{arm}: {violations:?}");
+    assert!(report.crashes >= 1, "{arm}: the targeted kill never fired");
+    let again = Fleet::<W>::new(cfg.clone()).unwrap().run().unwrap();
     assert_eq!(
-        a.merged_telemetry.track_costs(),
-        b.merged_telemetry.track_costs()
+        report.to_json().to_pretty(),
+        again.to_json().to_pretty(),
+        "{arm}: two same-seed runs diverged"
     );
-    assert!(a.crashes > 0, "the targeted kill fired");
-    assert_eq!(a.responses(), a.admitted, "zero loss under chaos");
+    assert_eq!(
+        report.merged_telemetry.counters(),
+        again.merged_telemetry.counters(),
+        "{arm}"
+    );
+    assert_eq!(
+        report.merged_telemetry.track_costs(),
+        again.merged_telemetry.track_costs(),
+        "{arm}"
+    );
+    report.rows.iter().map(|r| r.degraded + r.retried).sum()
+}
+
+enclosure_support::props! {
+    /// The fleet's chaos claims hold for every seed, not a hand-picked
+    /// one: on both workloads, on a homogeneous LB_MPK fleet and on a
+    /// mixed MPK/VTX/PROC fleet, a run with the targeted kill and the
+    /// random fleet and machine faults armed completes, keeps its
+    /// invariants and is a pure function of its seed. The FastHTTP
+    /// shards serve through the faults instead of aborting: they answer
+    /// 503s or absorb errnos in place.
+    fn chaos_claims_hold_on_every_seed(rng, cases = 32) {
+        let seed = rng.next_u64();
+        // Three shards give the mixed fleet one of each backend. The
+        // victim can only re-serve in a run that outlasts its recovery
+        // (respawn backoff plus probation): at 360 requests about one
+        // seed in 600 ends first, at 480 none of 1,800 searched did.
+        let homogeneous = FleetConfig::new(3, 480, seed).with_chaos();
+        let mixed = homogeneous.clone().mixed_backends();
+        // The four arms are independent machines: they run side by
+        // side, which keeps the sweep near ten seconds in a debug
+        // build, and a failing arm re-raises its own panic.
+        std::thread::scope(|s| {
+            let mut arms = Vec::new();
+            for cfg in [&homogeneous, &mixed] {
+                arms.push(s.spawn(move || {
+                    check_chaos_claims::<WikiApp>(cfg);
+                }));
+                arms.push(s.spawn(move || {
+                    let absorbed = check_chaos_claims::<FastHttpApp>(cfg);
+                    assert!(absorbed > 0, "seed {seed:#x}: no FastHTTP request met a fault");
+                }));
+            }
+            for arm in arms {
+                if let Err(panic) = arm.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+    }
 }
 
 /// The `--app=fasthttp` fleet arm: the balancer is generic over its
