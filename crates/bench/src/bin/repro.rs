@@ -640,7 +640,7 @@ fn fleet(
     config.chaos = chaos;
     config.app = app;
     config.parallelism = parallel.unwrap_or(1);
-    let (report, violations, elapsed) = fleet_exp::run_timed(config)?;
+    let (report, violations, elapsed) = fleet_exp::run(config)?;
     if json {
         let mut value = report.to_json();
         value.push(

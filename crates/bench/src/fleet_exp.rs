@@ -86,33 +86,18 @@ impl FleetExpConfig {
     }
 }
 
-/// Runs the fleet, returning the report plus any robustness-invariant
-/// violations (zero-loss, retry budget, histogram mass, respawn). A
-/// non-empty violation list is a finding, not a flake: the run is
-/// deterministic.
+/// Runs the fleet, returning the report, any robustness-invariant
+/// violations (zero-loss, retry budget, histogram mass, respawn), and
+/// the wall-clock duration of the fleet run itself (config lowering and
+/// invariant checking excluded). A non-empty violation list is a
+/// finding, not a flake: the run is deterministic. The report is
+/// identical for any `parallelism` — the duration is the only thing the
+/// thread count is allowed to change.
 ///
 /// # Errors
 ///
 /// A machine fault escaping the balancer's containment layers.
-pub fn run(config: FleetExpConfig) -> Result<(FleetReport, Vec<String>), Fault> {
-    let fleet_cfg = config.to_fleet();
-    let report = match config.app {
-        FleetApp::Wiki => WikiFleet::new(fleet_cfg.clone())?.run()?,
-        FleetApp::FastHttp => FastHttpFleet::new(fleet_cfg.clone())?.run()?,
-    };
-    let violations = check_invariants(&fleet_cfg, &report);
-    Ok((report, violations))
-}
-
-/// [`run`] plus the wall-clock duration of the fleet run itself
-/// (config lowering and invariant checking excluded). The report is
-/// identical for any `parallelism` — the duration is the only thing
-/// the thread count is allowed to change.
-///
-/// # Errors
-///
-/// A machine fault escaping the balancer's containment layers.
-pub fn run_timed(
+pub fn run(
     config: FleetExpConfig,
 ) -> Result<(FleetReport, Vec<String>, std::time::Duration), Fault> {
     let fleet_cfg = config.to_fleet();
@@ -136,8 +121,8 @@ mod tests {
             chaos: true,
             ..FleetExpConfig::quick(0xF1EE7)
         };
-        let (a, violations) = run(cfg).unwrap();
-        let (b, _) = run(cfg).unwrap();
+        let (a, violations, _) = run(cfg).unwrap();
+        let (b, ..) = run(cfg).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
         assert_eq!(a.responses(), a.admitted);
@@ -150,8 +135,8 @@ mod tests {
             app: FleetApp::FastHttp,
             ..FleetExpConfig::quick(11)
         };
-        let (a, violations) = run(cfg).unwrap();
-        let (b, _) = run(cfg).unwrap();
+        let (a, violations, _) = run(cfg).unwrap();
+        let (b, ..) = run(cfg).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
         assert_eq!(a.client_ok, a.admitted);
@@ -164,8 +149,8 @@ mod tests {
             mixed_backends: true,
             ..FleetExpConfig::quick(5)
         };
-        let (sequential, _) = run(cfg).unwrap();
-        let (parallel, violations, _elapsed) = run_timed(FleetExpConfig {
+        let (sequential, ..) = run(cfg).unwrap();
+        let (parallel, violations, _) = run(FleetExpConfig {
             parallelism: 4,
             ..cfg
         })
@@ -179,7 +164,7 @@ mod tests {
 
     #[test]
     fn mixed_backend_fleet_serves_the_whole_workload() {
-        let (report, violations) = run(FleetExpConfig {
+        let (report, violations, _) = run(FleetExpConfig {
             mixed_backends: true,
             ..FleetExpConfig::quick(11)
         })

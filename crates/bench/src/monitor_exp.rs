@@ -26,9 +26,7 @@
 //! dump is byte-stable per seed.
 
 use enclosure_apps::wiki::WikiApp;
-use enclosure_fleet::{
-    check_invariants, Brownout, FleetConfig, FleetReport, MonitorConfig, WikiFleet,
-};
+use enclosure_fleet::{check_invariants, FleetConfig, FleetReport, MonitorConfig, WikiFleet};
 use enclosure_hw::InjectionPlan;
 use enclosure_telemetry::{FlightRecording, SloPolicy, DEFAULT_WINDOW_NS};
 use litterbox::{Backend, Fault, GatewayMode};
@@ -48,16 +46,6 @@ pub struct MonitorExpConfig {
     /// scheduled kill, nothing random.
     pub chaos: bool,
 }
-
-/// The round the brownout lands on in the chaos arm (before the
-/// scheduled kill at about a quarter of the run).
-pub const BROWNOUT_ROUND: u64 = 8;
-
-/// Brownout severity: machine-site injection rate while browned out.
-pub const BROWNOUT_RATE_PPM: u64 = 400_000;
-
-/// Brownout severity: clock throttle while browned out (12× charges).
-pub const BROWNOUT_THROTTLE_MILLI: u64 = 12_000;
 
 impl MonitorExpConfig {
     /// The full study.
@@ -84,12 +72,7 @@ impl MonitorExpConfig {
     #[must_use]
     pub fn to_fleet(&self) -> FleetConfig {
         let monitor = MonitorConfig {
-            brownout: self.chaos.then_some(Brownout {
-                round: BROWNOUT_ROUND,
-                rate_ppm: BROWNOUT_RATE_PPM,
-                throttle_milli: BROWNOUT_THROTTLE_MILLI,
-            }),
-            ..MonitorConfig::default()
+            brownout: self.chaos,
         };
         let mut cfg = FleetConfig::new(self.shards, self.requests, self.seed)
             .mixed_backends()

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use enclosure_fleet::monitor::{BROWNOUT, SLO, WINDOW_NS};
 use enclosure_fleet::FleetReport;
 use enclosure_telemetry::{
     BurnState, Counters, FlightRecording, Histogram, SpanCost, SpanScope, MAIN_TRACK,
@@ -532,16 +533,8 @@ pub fn render_fleet(report: &FleetReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  robustness: {} failovers, {} rerouted, {} hedged ({} wins, {} cancelled), \
-         {} crashes, {} partitions, {} probe flaps",
-        report.failovers,
-        report.rerouted,
-        report.hedged,
-        report.hedge_wins,
-        report.hedges_cancelled,
-        report.crashes,
-        report.partitions,
-        report.probe_flaps,
+        "  robustness: {} failovers, {} rerouted, {} crashes, {} partitions, {} probe flaps",
+        report.failovers, report.rerouted, report.crashes, report.partitions, report.probe_flaps,
     );
     let _ = writeln!(
         out,
@@ -646,21 +639,18 @@ pub fn render_monitor(report: &FleetReport) -> String {
         report.rows.len(),
         report.admitted,
         if report.chaos { "on" } else { "off" },
-        monitor.window_ns,
+        WINDOW_NS,
     );
     let _ = writeln!(
         out,
         "  policy: p99 <= {} ns, error budget {} ppm, alert at fast {}m / slow {}m burn",
-        monitor.policy.latency_p99_ns,
-        monitor.policy.error_budget_ppm,
-        monitor.policy.fast_alert_milli,
-        monitor.policy.slow_alert_milli,
+        SLO.latency_p99_ns, SLO.error_budget_ppm, SLO.fast_alert_milli, SLO.slow_alert_milli,
     );
-    if let Some(b) = monitor.brownout {
+    if monitor.brownout {
         let _ = writeln!(
             out,
             "  brownout: round {}, {} ppm injection, clock at {}/1000",
-            b.round, b.rate_ppm, b.throttle_milli,
+            BROWNOUT.round, BROWNOUT.rate_ppm, BROWNOUT.throttle_milli,
         );
     }
     let windows = monitor.ring.windows();
@@ -694,7 +684,7 @@ pub fn render_monitor(report: &FleetReport) -> String {
         if i < skip {
             continue;
         }
-        let (fast, _) = burn.burn_milli(&monitor.policy);
+        let (fast, _) = burn.burn_milli(&SLO);
         let qps = w.requests() * 1_000_000_000 / w.width_ns.max(1);
         let breached = monitor.degraded.iter().any(|d| d.window == w.index);
         let _ = writeln!(

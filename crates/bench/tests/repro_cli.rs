@@ -137,6 +137,54 @@ fn fasthttp_fleet_survives_chaos() {
     assert!(stdout.contains("invariants: OK"), "{stdout}");
 }
 
+/// The differential claim at the CLI boundary: the fleet report, text
+/// and JSON, does not change by one byte when the planned batches
+/// execute on worker threads. Only the wall-clock timing — the one
+/// deliberately nondeterministic output — is dropped before comparing.
+#[test]
+fn parallel_fleet_prints_the_sequential_bytes() {
+    let fleet = |flags: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["fleet", "--quick", "--seed=5"])
+            .args(flags)
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "fleet {flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    for arm in [&[][..], &["--chaos"][..]] {
+        let with = |extra: &[&'static str]| [arm, extra].concat();
+        let sequential = fleet(arm);
+        let parallel = fleet(&with(&["--parallel=2"]));
+        let (wall, report): (Vec<&str>, Vec<&str>) = parallel
+            .lines()
+            .partition(|line| line.starts_with("wall-clock: "));
+        assert_eq!(wall.len(), 1, "{arm:?}: one wall-clock line\n{parallel}");
+        assert_eq!(report, sequential.lines().collect::<Vec<_>>(), "{arm:?}");
+
+        let sequential = fleet(&with(&["--json"]));
+        let parallel = fleet(&with(&["--json", "--parallel=2"]));
+        let (report, timing) = parallel
+            .split_once(",\n  \"timing\": ")
+            .unwrap_or_else(|| panic!("{arm:?}: no timing section\n{parallel}"));
+        assert_eq!(format!("{report}\n}}\n"), sequential, "{arm:?}");
+        assert!(
+            timing.starts_with("{\n    \"threads\": 2,\n"),
+            "{arm:?}: {timing}"
+        );
+        let wall: f64 = timing
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("\"wall_seconds\": "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{arm:?}: unreadable wall_seconds\n{timing}"));
+        assert!(wall > 0.0, "{arm:?}: {timing}");
+    }
+}
+
 /// `repro batching --json` is byte-stable across runs — including the
 /// new 8-worker async arms and the per-arm latency histograms, whose
 /// key order is fixed by construction (never locale- or hash-seeded).

@@ -1,13 +1,13 @@
 //! The simulated load balancer: session-affine routing over N shards
 //! with health probes, outlier ejection, failover under a global retry
-//! budget, optional hedging, graceful drain, and supervisor-driven
-//! respawn. The whole fleet is a pure function of its
-//! [`FleetConfig`] — two runs with the same config are byte-identical.
+//! budget, and supervisor-driven respawn. The whole fleet is a pure
+//! function of its [`FleetConfig`] — two runs with the same config are
+//! byte-identical.
 //!
 //! Time model: each shard carries an absolute virtual *ready time* on
 //! a [`VirtualClock`]. A round plans work in three phases — **plan**
-//! (sequential, in shard-index order: batch sizes, chaos draws, hedge
-//! arming, budget grants — every decision that touches shared state),
+//! (sequential, in shard-index order: batch sizes, chaos draws, budget
+//! grants — every decision that touches shared state),
 //! **execute** (each shard serves its planned window independently,
 //! inline or on a worker-thread pool), and **fold** (sequential again:
 //! ledger credits, latency observation, span recording). Once the
@@ -30,7 +30,7 @@ use enclosure_telemetry::{Event, Histogram, Recorder, WindowRing};
 use litterbox::{Backend, Fault};
 
 use crate::budget::RetryBudget;
-use crate::monitor::{DegradedWindow, MonitorConfig, MonitorReport};
+use crate::monitor::{DegradedWindow, MonitorConfig, MonitorReport, BROWNOUT, RING_CAP, SLO};
 use crate::sched::{plan_catchup, BatchSpan, CatchupSlot, VirtualClock};
 use crate::session;
 use crate::shard::{Shard, ShardChaos, ShardState, Workload};
@@ -46,6 +46,23 @@ pub const IDLE_ROUND_NS: u64 = 250_000;
 /// Batches a shard must have served before latency-outlier detection
 /// trusts its baseline.
 const BASELINE_WARMUP_REQS: u64 = 64;
+
+/// Max requests dispatched to one shard per round; admission takes
+/// `BATCH ×` shards sessions' worth of requests per round.
+const BATCH: u64 = 16;
+
+/// Retry-budget bucket size.
+const BUDGET_CAPACITY: u64 = 64;
+
+/// Retry-budget refill per round.
+const BUDGET_REFILL: u64 = 8;
+
+/// Rounds an ejected shard sits out before probation.
+const EJECT_COOLDOWN_ROUNDS: u64 = 8;
+
+/// Consecutive clean probes a respawned or cooled-down shard needs to
+/// leave probation.
+const PROBATION_PROBES: u32 = 2;
 
 /// Base of the respawn backoff: roughly one dispatch round, so a crashed
 /// shard is back in probation quickly, but repeated crashes double it.
@@ -68,11 +85,12 @@ pub struct FleetConfig {
     pub backends: Vec<Backend>,
     /// Total requests in the session workload.
     pub requests: u64,
-    /// Max requests dispatched to one shard per round.
-    pub batch: u64,
     /// Master seed: workload, chaos, and jitter all derive from it.
     pub seed: u64,
-    /// Arm fleet- and machine-level chaos.
+    /// Arm chaos: one deterministic `shard_crash` at about a quarter of
+    /// the run on a seed-picked shard (early enough that the victim
+    /// provably re-serves before the end), plus the random fleet and
+    /// machine sites at the rates below.
     pub chaos: bool,
     /// Per-query rate for the balancer's random fleet sites
     /// (`shard_crash`/`lb_partition`/`probe_flap`) when chaos is on.
@@ -80,28 +98,11 @@ pub struct FleetConfig {
     /// Per-query rate for each shard's machine-level backend sites
     /// when chaos is on.
     pub backend_rate_ppm: u64,
-    /// Additionally schedule one deterministic `shard_crash` at about a
-    /// quarter of the run on a seed-picked shard (the containment arm:
-    /// early enough that the victim provably re-serves before the end).
-    pub targeted_crash: bool,
-    /// Mirror requests from latency-flagged shards onto the fastest
-    /// healthy peer; the duplicate answers if the primary fails.
-    pub hedge: bool,
-    /// Retry-budget bucket size.
-    pub budget_capacity: u64,
-    /// Retry-budget refill per round.
-    pub budget_refill: u64,
     /// Consecutive probe failures (or latency strikes) that eject.
     pub eject_after: u32,
-    /// Rounds an ejected shard sits out before probation.
-    pub eject_cooldown_rounds: u64,
-    /// Clean probes required to leave probation.
-    pub probation_probes: u32,
     /// Latency strike threshold: a batch whose mean exceeds
     /// `latency_mult ×` the shard's own baseline is a strike.
     pub latency_mult: u64,
-    /// Gracefully drain this shard at this round (tests/ops rehearsal).
-    pub drain_at: Option<(u64, usize)>,
     /// Opt-in SLO monitoring: shards sample windowed metrics, the
     /// balancer drains them per round and logs advisory
     /// `ShardDegraded` events. `None` (the default) changes nothing —
@@ -120,20 +121,12 @@ impl FleetConfig {
         FleetConfig {
             backends: vec![Backend::Mpk; shards.max(1)],
             requests,
-            batch: 16,
             seed,
             chaos: false,
             fleet_rate_ppm: 1_500,
             backend_rate_ppm: 20_000,
-            targeted_crash: false,
-            hedge: false,
-            budget_capacity: 64,
-            budget_refill: 8,
             eject_after: 3,
-            eject_cooldown_rounds: 8,
-            probation_probes: 2,
             latency_mult: 8,
-            drain_at: None,
             monitor: None,
             parallelism: 1,
         }
@@ -155,7 +148,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_chaos(mut self) -> FleetConfig {
         self.chaos = true;
-        self.targeted_crash = true;
         self
     }
 
@@ -250,16 +242,6 @@ pub struct FleetReport {
     /// Queued-not-dispatched requests rerouted off dead shards (free:
     /// first tries, not retries).
     pub rerouted: u64,
-    /// Requests for which a hedge was armed (a mirror reserved on the
-    /// fastest healthy peer at plan time).
-    pub hedged: u64,
-    /// Hedged batches whose mirror was actually dispatched because the
-    /// primary's replies were lost (crash or partition).
-    pub hedge_wins: u64,
-    /// Armed-hedge requests whose mirror was cancelled because the
-    /// primary completed — no duplicate work done, no virtual time
-    /// charged to the loser.
-    pub hedges_cancelled: u64,
     /// Shard crashes (targeted + random).
     pub crashes: u64,
     /// Reply-dropping partition rounds.
@@ -274,7 +256,7 @@ pub struct FleetReport {
     pub budget_refilled: u64,
     /// Retries denied (each one became an `lb_degraded` 503).
     pub budget_denied: u64,
-    /// The shard hit by the scheduled targeted kill, if one was armed.
+    /// The shard hit by the scheduled kill (armed by chaos).
     pub victim: Option<usize>,
     /// Balancer rounds executed.
     pub rounds: u64,
@@ -319,9 +301,6 @@ impl FleetReport {
             ("responses", Json::U64(self.responses())),
             ("failovers", Json::U64(self.failovers)),
             ("rerouted", Json::U64(self.rerouted)),
-            ("hedged", Json::U64(self.hedged)),
-            ("hedge_wins", Json::U64(self.hedge_wins)),
-            ("hedges_cancelled", Json::U64(self.hedges_cancelled)),
             ("crashes", Json::U64(self.crashes)),
             ("partitions", Json::U64(self.partitions)),
             ("probe_flaps", Json::U64(self.probe_flaps)),
@@ -484,7 +463,7 @@ pub fn check_invariants(config: &FleetConfig, report: &FleetReport) -> Vec<Strin
         // enough that the victim must re-serve before the run ends.
         // Random `shard_crash` draws can land arbitrarily late, when
         // no admissions remain to route home.
-        if config.targeted_crash && report.victim == Some(row.id) {
+        if report.victim == Some(row.id) {
             check(
                 row.served_after_respawn > 0,
                 format!("shard {}: respawned but never re-served", row.id),
@@ -514,11 +493,8 @@ enum BatchRole {
     /// observation.
     CrashPrefix,
     /// A partitioned batch: the shard did the work (latency observed)
-    /// but every reply was lost — hedge or failover answers instead.
+    /// but every reply was lost — failover answers instead.
     PartitionLoss,
-    /// An armed hedge's mirror, dispatched on the peer because the
-    /// primary's replies are lost: credit.
-    HedgeMirror,
     /// Budget-funded retries of crash casualties on a peer: credit.
     Failover,
 }
@@ -530,7 +506,6 @@ impl BatchRole {
             BatchRole::Catchup => "catchup",
             BatchRole::CrashPrefix => "crash-prefix",
             BatchRole::PartitionLoss => "partition",
-            BatchRole::HedgeMirror => "hedge",
             BatchRole::Failover => "failover",
         }
     }
@@ -574,9 +549,6 @@ pub struct Fleet<W: Workload> {
     // Balancer counters.
     failovers: u64,
     rerouted: u64,
-    hedged: u64,
-    hedge_wins: u64,
-    hedges_cancelled: u64,
     crashes: u64,
     partitions: u64,
     probe_flaps: u64,
@@ -602,7 +574,13 @@ impl<W: Workload> Fleet<W> {
         });
         let mut shards = Vec::with_capacity(cfg.shards());
         for (id, &backend) in cfg.backends.iter().enumerate() {
-            shards.push(Shard::spawn(id, backend, cfg.seed, chaos, cfg.monitor)?);
+            shards.push(Shard::spawn(
+                id,
+                backend,
+                cfg.seed,
+                chaos,
+                cfg.monitor.is_some(),
+            )?);
         }
         // The balancer's own injection plan: fleet sites only, so its
         // draws never perturb any shard's machine stream.
@@ -613,15 +591,15 @@ impl<W: Workload> Fleet<W> {
                 InjectionSite::ProbeFlap,
             ])
         });
-        // The deterministic kill: one third into the workload (in
+        // The deterministic kill: a quarter into the workload (in
         // rounds), on a seed-picked shard.
-        let crash_schedule = (cfg.chaos && cfg.targeted_crash).then(|| {
-            let total_rounds = cfg.requests / (cfg.batch * cfg.shards() as u64).max(1);
+        let crash_schedule = cfg.chaos.then(|| {
+            let total_rounds = cfg.requests / (BATCH * cfg.shards() as u64).max(1);
             let round = (total_rounds / 4).max(2);
             let victim = (cfg.seed % cfg.shards() as u64) as usize;
             (round, victim)
         });
-        let budget = RetryBudget::new(cfg.budget_capacity, cfg.budget_refill);
+        let budget = RetryBudget::new(BUDGET_CAPACITY, BUDGET_REFILL);
         // The balancer's own monitor recorder: advisory ShardDegraded
         // events land here, never on any shard.
         let monitor_rec = cfg.monitor.map(|_| {
@@ -646,9 +624,6 @@ impl<W: Workload> Fleet<W> {
             responded: 0,
             failovers: 0,
             rerouted: 0,
-            hedged: 0,
-            hedge_wins: 0,
-            hedges_cancelled: 0,
             crashes: 0,
             partitions: 0,
             probe_flaps: 0,
@@ -681,7 +656,7 @@ impl<W: Workload> Fleet<W> {
         // order to `session::generate`, so swapping the Vec for the
         // stream changed no run byte-for-byte.
         let mut sessions = session::SessionStream::new(self.cfg.seed, self.cfg.requests).peekable();
-        let admission_rate = self.cfg.batch * self.shards.len() as u64;
+        let admission_rate = BATCH * self.shards.len() as u64;
         // Generous cap: the workload's round count plus slack for
         // respawn waits. Tripping it is a bug, not a degradation.
         let round_cap = 64 + 8 * (self.cfg.requests / admission_rate.max(1) + 1);
@@ -702,24 +677,13 @@ impl<W: Workload> Fleet<W> {
                 self.truncated = true;
                 break;
             }
-            if let Some((round, id)) = self.cfg.drain_at {
-                if self.round == round {
-                    self.drain(id);
-                }
-            }
-            if let Some(brownout) = self.cfg.monitor.and_then(|m| m.brownout) {
-                if self.round == brownout.round {
-                    if let Some(victim) = self.victim {
-                        // Same derivation discipline as shard chaos: a
-                        // dedicated tag keeps the brownout stream
-                        // disjoint from every other plan's.
-                        let seed = self.cfg.seed ^ 0xb407_0000 ^ victim as u64;
-                        self.shards[victim].brownout(
-                            seed,
-                            brownout.rate_ppm,
-                            brownout.throttle_milli,
-                        );
-                    }
+            if self.cfg.monitor.is_some_and(|m| m.brownout) && self.round == BROWNOUT.round {
+                if let Some(victim) = self.victim {
+                    // Same derivation discipline as shard chaos: a
+                    // dedicated tag keeps the brownout stream disjoint
+                    // from every other plan's.
+                    let seed = self.cfg.seed ^ 0xb407_0000 ^ victim as u64;
+                    self.shards[victim].brownout(seed, BROWNOUT.rate_ppm, BROWNOUT.throttle_milli);
                 }
             }
             self.respawn_due();
@@ -741,14 +705,6 @@ impl<W: Workload> Fleet<W> {
             self.monitor_tick();
         }
         Ok(self.report())
-    }
-
-    /// Marks a shard for graceful drain: routing stops now, the queue
-    /// flushes over the following rounds, then the shard retires.
-    fn drain(&mut self, id: usize) {
-        if self.shards[id].can_serve() {
-            self.shards[id].state = ShardState::Draining;
-        }
     }
 
     /// Whether a crashed shard still waits for its respawn.
@@ -805,7 +761,7 @@ impl<W: Workload> Fleet<W> {
                     shard.consecutive_probe_fails = 0;
                     shard.ejections += 1;
                     shard.state = ShardState::Ejected {
-                        until_round: self.round + self.cfg.eject_cooldown_rounds,
+                        until_round: self.round + EJECT_COOLDOWN_ROUNDS,
                     };
                     self.eject_log.push((i, self.round));
                 }
@@ -813,7 +769,7 @@ impl<W: Workload> Fleet<W> {
                 shard.consecutive_probe_fails = 0;
                 if let ShardState::Probation { clean } = shard.state {
                     let clean = clean + 1;
-                    shard.state = if clean >= self.cfg.probation_probes {
+                    shard.state = if clean >= PROBATION_PROBES {
                         ShardState::Healthy
                     } else {
                         ShardState::Probation { clean }
@@ -863,7 +819,7 @@ impl<W: Workload> Fleet<W> {
             return;
         }
         if let Some(p) = self.next_busy(v) {
-            let take = self.cfg.batch.min(self.shards[p].pending);
+            let take = BATCH.min(self.shards[p].pending);
             self.shards[p].pending -= take;
             self.shards[v].pending += take;
         }
@@ -871,9 +827,8 @@ impl<W: Workload> Fleet<W> {
 
     /// The plan phase: sequential, in shard-index order. Sizes every
     /// batch of the round, draws all chaos (crash, partition, crash
-    /// prefix), arms or cancels hedges, grants failover budget,
-    /// reroutes stranded queues, and handles drain completion — every
-    /// decision that reads or writes shared balancer state. The
+    /// prefix), grants failover budget and reroutes stranded queues —
+    /// every decision that reads or writes shared balancer state. The
     /// executor then only serves the planned windows.
     fn plan_round(&mut self) -> Vec<ShardPlan> {
         let n = self.shards.len();
@@ -891,11 +846,8 @@ impl<W: Workload> Fleet<W> {
             if !self.shards[i].can_serve() {
                 continue;
             }
-            let take = self.cfg.batch.min(self.shards[i].pending);
+            let take = BATCH.min(self.shards[i].pending);
             if take == 0 {
-                if self.shards[i].state == ShardState::Draining {
-                    self.shards[i].state = ShardState::Retired;
-                }
                 continue;
             }
             self.shards[i].pending -= take;
@@ -907,19 +859,9 @@ impl<W: Workload> Fleet<W> {
                     .as_mut()
                     .is_some_and(|p| p.should_fail(InjectionSite::LbPartition));
 
-            // Hedge arming is a plan-time decision: the mirror is
-            // reserved on the fastest healthy peer, but dispatched
-            // only if the primary's replies turn out to be lost —
-            // otherwise the duplicate is cancelled before any work or
-            // virtual time is spent on it.
-            let hedge_peer = (self.cfg.hedge && self.shards[i].latency_strikes > 0)
-                .then(|| self.hedge_peer(i))
-                .flatten();
-            if hedge_peer.is_some() {
-                self.hedged += take;
-            }
-
-            if crash {
+            // Replies lost in flight — a crash's casualties or a whole
+            // partitioned batch — retry on a peer, funded by the budget.
+            let lost = if crash {
                 self.crashes += 1;
                 // Mid-quantum kill: some prefix of the batch completed
                 // and its replies got out; the rest die in flight.
@@ -931,7 +873,6 @@ impl<W: Workload> Fleet<W> {
                         role: BatchRole::CrashPrefix,
                     });
                 }
-                let casualties = take - completed;
                 let stranded = self.shards[i].pending;
                 self.shards[i].pending = 0;
                 let attempt = u32::try_from(self.shards[i].crashes + 1).unwrap_or(u32::MAX);
@@ -942,31 +883,12 @@ impl<W: Workload> Fleet<W> {
                 // routes around the dead shard; the machine teardown
                 // itself runs at execute, after the prefix serves.
                 self.shards[i].state = ShardState::Crashed { respawn_at_ns };
-                match hedge_peer {
-                    Some(p) if casualties > 0 => {
-                        self.hedge_wins += 1;
-                        pred_ready[p] += means[p].saturating_mul(casualties);
-                        plans[p].batches.push(PlannedBatch {
-                            take: casualties,
-                            role: BatchRole::HedgeMirror,
-                        });
-                    }
-                    Some(_) => self.hedges_cancelled += take,
-                    None => {
-                        if let Some((peer, granted)) = self.grant_failover(i, casualties) {
-                            pred_ready[peer] += means[peer].saturating_mul(granted);
-                            plans[peer].batches.push(PlannedBatch {
-                                take: granted,
-                                role: BatchRole::Failover,
-                            });
-                        }
-                    }
-                }
                 // The undispatched queue reroutes for free: those
                 // requests were never tried, so they are not retries.
                 if stranded > 0 {
                     self.reroute(i, stranded);
                 }
+                take - completed
             } else if partition {
                 self.partitions += 1;
                 // The shard does the work but every reply is lost.
@@ -975,25 +897,7 @@ impl<W: Workload> Fleet<W> {
                     take,
                     role: BatchRole::PartitionLoss,
                 });
-                match hedge_peer {
-                    Some(p) => {
-                        self.hedge_wins += 1;
-                        pred_ready[p] += means[p].saturating_mul(take);
-                        plans[p].batches.push(PlannedBatch {
-                            take,
-                            role: BatchRole::HedgeMirror,
-                        });
-                    }
-                    None => {
-                        if let Some((peer, granted)) = self.grant_failover(i, take) {
-                            pred_ready[peer] += means[peer].saturating_mul(granted);
-                            plans[peer].batches.push(PlannedBatch {
-                                take: granted,
-                                role: BatchRole::Failover,
-                            });
-                        }
-                    }
-                }
+                take
             } else {
                 pred_ready[i] += means[i].saturating_mul(take);
                 plans[i].batches.push(PlannedBatch {
@@ -1001,11 +905,14 @@ impl<W: Workload> Fleet<W> {
                     role: BatchRole::Primary,
                 });
                 clean[i] = true;
-                if hedge_peer.is_some() {
-                    // Primary completes: the reserved mirror never
-                    // dispatches, so the loser costs nothing.
-                    self.hedges_cancelled += take;
-                }
+                0
+            };
+            if let Some((peer, granted)) = self.grant_failover(i, lost) {
+                pred_ready[peer] += means[peer].saturating_mul(granted);
+                plans[peer].batches.push(PlannedBatch {
+                    take: granted,
+                    role: BatchRole::Failover,
+                });
             }
         }
 
@@ -1026,7 +933,7 @@ impl<W: Workload> Fleet<W> {
                     pending: self.shards[i].pending,
                 })
                 .collect();
-            for (i, take) in plan_catchup(deadline, self.cfg.batch, slots) {
+            for (i, take) in plan_catchup(deadline, BATCH, slots) {
                 self.shards[i].pending -= take;
                 plans[i].batches.push(PlannedBatch {
                     take,
@@ -1104,7 +1011,7 @@ impl<W: Workload> Fleet<W> {
                         observed_reqs += batch.take;
                         observed = true;
                     }
-                    BatchRole::CrashPrefix | BatchRole::HedgeMirror | BatchRole::Failover => {
+                    BatchRole::CrashPrefix | BatchRole::Failover => {
                         self.credit(&stats);
                     }
                     BatchRole::PartitionLoss => {
@@ -1168,14 +1075,6 @@ impl<W: Workload> Fleet<W> {
             .is_some_and(|p| p.should_fail(InjectionSite::ShardCrash))
     }
 
-    /// The fastest healthy peer of `i` (lowest own-baseline mean), for
-    /// hedging. `None` if no other shard is routable.
-    fn hedge_peer(&self, i: usize) -> Option<usize> {
-        (0..self.shards.len())
-            .filter(|&p| p != i && self.shards[p].takes_traffic())
-            .min_by_key(|&p| (self.shards[p].mean_ns_per_req(), p))
-    }
-
     /// Adds a serve outcome to the client ledger.
     fn credit(&mut self, stats: &enclosure_apps::httpd::ServeStats) {
         self.client_ok += stats.served;
@@ -1195,7 +1094,7 @@ impl<W: Workload> Fleet<W> {
                 shard.latency_strikes = 0;
                 shard.ejections += 1;
                 shard.state = ShardState::Ejected {
-                    until_round: self.round + self.cfg.eject_cooldown_rounds,
+                    until_round: self.round + EJECT_COOLDOWN_ROUNDS,
                 };
                 self.eject_log.push((i, self.round));
             }
@@ -1211,12 +1110,12 @@ impl<W: Workload> Fleet<W> {
     /// state changes here, so arming the monitor cannot perturb any
     /// byte of an unmonitored run.
     fn monitor_tick(&mut self) {
-        let Some(monitor) = self.cfg.monitor else {
+        if self.cfg.monitor.is_none() {
             return;
-        };
+        }
         for i in 0..self.shards.len() {
             for window in self.shards[i].drain_windows() {
-                if !monitor.slo.breached(&window) {
+                if !SLO.breached(&window) {
                     continue;
                 }
                 let observed = DegradedWindow {
@@ -1247,7 +1146,7 @@ impl<W: Workload> Fleet<W> {
     fn build_monitor_report(&mut self) -> Option<MonitorReport> {
         let monitor = self.cfg.monitor?;
         self.monitor_tick();
-        let mut ring = WindowRing::new(monitor.ring_cap);
+        let mut ring = WindowRing::new(RING_CAP);
         let mut shard_rings = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
             shard.finish_monitor();
@@ -1255,8 +1154,6 @@ impl<W: Workload> Fleet<W> {
             shard_rings.push(shard.window_ring().clone());
         }
         Some(MonitorReport {
-            policy: monitor.slo,
-            window_ns: monitor.window_ns,
             brownout: monitor.brownout,
             ring,
             shard_rings,
@@ -1266,8 +1163,8 @@ impl<W: Workload> Fleet<W> {
         })
     }
 
-    /// Grants budget for retrying `casualties` in-flight requests from
-    /// dead shard `i` on a peer, one token each. Denied retries
+    /// Grants budget for retrying `casualties` requests whose replies
+    /// shard `i` lost on a peer, one token each. Denied retries
     /// degrade to balancer 503s at plan time. Returns the peer and
     /// grant for the caller to plan the failover batch.
     fn grant_failover(&mut self, i: usize, casualties: u64) -> Option<(usize, u64)> {
@@ -1348,13 +1245,10 @@ impl<W: Workload> Fleet<W> {
             lb_degraded: self.lb_degraded,
             failovers: self.failovers,
             rerouted: self.rerouted,
-            hedged: self.hedged,
-            hedge_wins: self.hedge_wins,
-            hedges_cancelled: self.hedges_cancelled,
             crashes: self.crashes,
             partitions: self.partitions,
             probe_flaps: self.probe_flaps,
-            budget_capacity: self.cfg.budget_capacity,
+            budget_capacity: self.budget.capacity(),
             budget_consumed: self.budget.consumed(),
             budget_refilled: self.budget.refilled(),
             budget_denied: self.budget.denied(),
@@ -1371,7 +1265,6 @@ impl<W: Workload> Fleet<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::Brownout;
 
     fn run(cfg: FleetConfig) -> FleetReport {
         WikiFleet::new(cfg).unwrap().run().unwrap()
@@ -1475,52 +1368,29 @@ mod tests {
         assert_eq!(check_invariants(&cfg, &a), Vec::<String>::new());
     }
 
-    #[test]
-    fn drained_shard_retires_without_loss() {
-        let mut cfg = FleetConfig::new(3, 900, 21);
-        cfg.drain_at = Some((4, 1));
-        let report = run(cfg.clone());
-        assert_eq!(check_invariants(&cfg, &report), Vec::<String>::new());
-        let drained = &report.rows[1];
-        assert_eq!(drained.state, "retired");
-        assert_eq!(report.responses(), 900);
-        // The drained shard's load moved to its peers.
-        assert!(report.rows[0].served + report.rows[2].served > drained.served);
-    }
-
-    #[test]
-    fn hedging_mirrors_flagged_batches() {
-        let mut cfg = FleetConfig::new(3, 600, 9);
-        cfg.hedge = true;
-        // Zero multiplier: every warmed batch is an outlier, so the
-        // hedge path exercises constantly.
-        cfg.latency_mult = 0;
-        cfg.eject_after = u32::MAX; // keep everyone routable
-        let report = run(cfg.clone());
-        assert!(report.hedged > 0, "hedge fired: {report:?}");
-        assert_eq!(report.responses(), 600, "mirroring never double-counts");
-        let invariants = check_invariants(&cfg, &report);
-        assert_eq!(invariants, Vec::<String>::new());
-    }
-
-    #[test]
-    fn monitor_off_changes_no_byte() {
-        let cfg = FleetConfig::new(4, 800, 0xF1EE7)
-            .mixed_backends()
-            .with_chaos();
-        let plain = run(cfg.clone());
-        let monitored = run(cfg.with_monitor(MonitorConfig::default()));
-        // Arming the sampler perturbs nothing the unmonitored report
-        // contains: every shard byte and every balancer decision is
-        // identical; only the monitor section appears.
-        assert!(monitored.monitor.is_some());
-        let mut replayed = monitored.clone();
-        replayed.monitor = None;
-        assert_eq!(
-            plain.to_json().to_pretty(),
-            replayed.to_json().to_pretty(),
-            "monitoring must be observational"
-        );
+    enclosure_support::props! {
+        /// Arming the sampler perturbs nothing the unmonitored report
+        /// contains, on every seed: every shard byte and every balancer
+        /// decision is identical; only the monitor section appears.
+        /// Each case draws two seeds, one for a homogeneous chaos fleet
+        /// and one for a mixed one: 32 seeds in all.
+        fn monitor_off_changes_no_byte(rng, cases = 16) {
+            for mixed in [false, true] {
+                let seed = rng.next_u64();
+                let mut cfg = FleetConfig::new(4, 800, seed).with_chaos();
+                if mixed {
+                    cfg = cfg.mixed_backends();
+                }
+                let plain = run(cfg.clone());
+                let mut monitored = run(cfg.with_monitor(MonitorConfig::default()));
+                assert!(monitored.monitor.take().is_some());
+                assert_eq!(
+                    plain.to_json().to_pretty(),
+                    monitored.to_json().to_pretty(),
+                    "seed {seed:#x}, mixed {mixed}: monitoring must be observational"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1547,14 +1417,7 @@ mod tests {
     fn brownout_degradation_leads_ejection() {
         let mut cfg = FleetConfig::new(4, 4_000, 7)
             .with_chaos()
-            .with_monitor(MonitorConfig {
-                brownout: Some(Brownout {
-                    round: 8,
-                    rate_ppm: 400_000,
-                    throttle_milli: 12_000,
-                }),
-                ..MonitorConfig::default()
-            });
+            .with_monitor(MonitorConfig { brownout: true });
         // Surgical arm: the brownout and the scheduled kill only. The
         // outlier detector is tightened the way an operator would for
         // a latency-sensitive tier: 2 strikes at 3× self-baseline —
@@ -1594,11 +1457,20 @@ mod tests {
         let mut cfg = FleetConfig::new(4, 1_200, 5).with_chaos();
         cfg.fleet_rate_ppm = 0;
         cfg.backend_rate_ppm = 0;
-        cfg.budget_capacity = 1;
-        cfg.budget_refill = 0;
-        let report = run(cfg.clone());
+        let mut fleet = WikiFleet::new(cfg.clone()).unwrap();
+        // A one-token bucket that never refills.
+        fleet.budget = RetryBudget::new(1, 0);
+        let report = fleet.run().unwrap();
         assert_eq!(check_invariants(&cfg, &report), Vec::<String>::new());
+        assert_eq!(
+            report.budget_capacity, 1,
+            "the report names the bucket that ran"
+        );
         assert!(report.budget_consumed <= 1);
+        assert!(
+            report.budget_denied > 0,
+            "the kill's casualties reach the denial path"
+        );
         assert_eq!(report.responses(), 1_200, "denied retries 503, not lost");
     }
 }

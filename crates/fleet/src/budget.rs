@@ -55,6 +55,12 @@ impl RetryBudget {
         self.refilled += add;
     }
 
+    /// The bucket size.
+    #[must_use]
+    pub fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
     /// Tokens currently available.
     #[must_use]
     pub fn tokens(&self) -> u64 {

@@ -19,9 +19,6 @@
 //! * **retry budget** — a global token bucket caps failover retries so
 //!   a crashing shard cannot amplify into a retry storm
 //!   ([`RetryBudget`]);
-//! * **hedged requests** — optional mirroring of latency-flagged
-//!   batches onto the fastest peer for the p99.9 tail;
-//! * **graceful drain** — stop routing, flush in-flight, retire;
 //! * **supervisor respawn** — crashed shards come back on a seeded,
 //!   jittered exponential backoff (the balancer's own, based at one
 //!   dispatch round) and re-enter through probation (the

@@ -4,11 +4,11 @@
 //!
 //! When [`MonitorConfig`] is set on a
 //! [`FleetConfig`](crate::FleetConfig), every shard generation boots
-//! with a [`Series`](enclosure_telemetry::Series) sampler and the
-//! configured [`SloPolicy`] on its machine recorder. After each
-//! balancer round the fleet drains the windows each shard closed since
-//! the last round and evaluates them against the policy; a breaching
-//! window logs an
+//! with a [`Series`](enclosure_telemetry::Series) sampler cutting
+//! [`WINDOW_NS`]-wide windows into a [`RING_CAP`]-deep ring, and the
+//! [`SLO`] policy on its machine recorder. After each balancer round
+//! the fleet drains the windows each shard closed since the last round
+//! and evaluates them against the policy; a breaching window logs an
 //! [`Event::ShardDegraded`](enclosure_telemetry::Event::ShardDegraded)
 //! into the balancer's own monitor recorder. The signal is advisory by
 //! construction — it is recorded, never routed on — so arming the
@@ -17,32 +17,46 @@
 //! the acceptance bar is that the advisory signal *leads* the ejection
 //! it predicts.
 //!
-//! The optional deterministic *brownout* re-arms the targeted-crash
-//! victim's machine injection at an elevated rate a few rounds before
-//! the scheduled kill: the shard starts burning its error budget and
-//! missing its latency objective while still routable, the monitor
-//! logs `ShardDegraded` from the first breaching window, and only
-//! rounds later do the balancer's latency strikes accumulate into an
-//! ejection — the flight-data story the dashboard renders.
+//! The monitor's one switch is the deterministic [`BROWNOUT`], which
+//! re-arms the scheduled kill's victim's machine injection at an
+//! elevated rate a few rounds before the kill: the shard starts
+//! burning its error budget and missing its latency objective while
+//! still routable, the monitor logs `ShardDegraded` from the first
+//! breaching window, and only rounds later do the balancer's latency
+//! strikes accumulate into an ejection — the flight-data story the
+//! dashboard renders.
 
 use enclosure_support::Json;
 use enclosure_telemetry::{Recorder, SloPolicy, WindowRing, DEFAULT_WINDOW_NS};
 
-/// Opt-in fleet monitoring parameters.
-#[derive(Debug, Clone, Copy)]
+/// Window width each shard cuts, simulated ns on the shard clock.
+pub const WINDOW_NS: u64 = DEFAULT_WINDOW_NS;
+
+/// Closed windows each shard's ring keeps before folding.
+pub const RING_CAP: usize = 512;
+
+/// The per-window objectives every shard is held to.
+pub const SLO: SloPolicy = SloPolicy::DEFAULT;
+
+/// The brownout the monitor applies when armed: from round 8 (before
+/// the scheduled kill at about a quarter of the run), 400,000 ppm
+/// machine-site injection and a clock charging at 12×.
+pub const BROWNOUT: Brownout = Brownout {
+    round: 8,
+    rate_ppm: 400_000,
+    throttle_milli: 12_000,
+};
+
+/// Opt-in fleet monitoring. Window width, ring depth and policy are the
+/// constants above; the one switch is the brownout.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MonitorConfig {
-    /// Window width each shard cuts, simulated ns on the shard clock.
-    pub window_ns: u64,
-    /// Closed windows each shard's ring keeps before folding.
-    pub ring_cap: usize,
-    /// The per-window objectives every shard is held to.
-    pub slo: SloPolicy,
-    /// Deterministic brownout applied to the targeted-crash victim so
-    /// degradation (and the advisory signal) precedes the kill.
-    pub brownout: Option<Brownout>,
+    /// Apply [`BROWNOUT`] to the scheduled kill's victim so degradation
+    /// (and the advisory signal) precedes the kill.
+    pub brownout: bool,
 }
 
-/// A scheduled partial failure of the targeted-crash victim: from
+/// A scheduled partial failure of the scheduled kill's victim: from
 /// `round` on, its machine injects transients at `rate_ppm` *and* its
 /// clock runs throttled — the shard errors more and slows down, the
 /// way real brownouts look, without dying.
@@ -66,17 +80,6 @@ impl Brownout {
             ("rate_ppm", Json::U64(self.rate_ppm)),
             ("throttle_milli", Json::U64(self.throttle_milli)),
         ])
-    }
-}
-
-impl Default for MonitorConfig {
-    fn default() -> MonitorConfig {
-        MonitorConfig {
-            window_ns: DEFAULT_WINDOW_NS,
-            ring_cap: 512,
-            slo: SloPolicy::default(),
-            brownout: None,
-        }
     }
 }
 
@@ -114,12 +117,8 @@ impl DegradedWindow {
 /// [`FleetReport`](crate::FleetReport).
 #[derive(Debug, Clone)]
 pub struct MonitorReport {
-    /// The policy every window was evaluated against.
-    pub policy: SloPolicy,
-    /// Window width the shards cut, simulated ns.
-    pub window_ns: u64,
-    /// The brownout schedule, if one was armed.
-    pub brownout: Option<Brownout>,
+    /// Whether [`BROWNOUT`] was applied.
+    pub brownout: bool,
     /// Every shard's window ring folded index-by-index (shard clocks
     /// all start at zero, so index `i` is the same local epoch
     /// fleet-wide).
@@ -163,11 +162,15 @@ impl MonitorReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("policy", self.policy.to_json()),
-            ("window_ns", Json::U64(self.window_ns)),
+            ("policy", SLO.to_json()),
+            ("window_ns", Json::U64(WINDOW_NS)),
             (
                 "brownout",
-                self.brownout.map_or(Json::Null, |b| b.to_json()),
+                if self.brownout {
+                    BROWNOUT.to_json()
+                } else {
+                    Json::Null
+                },
             ),
             (
                 "windows",

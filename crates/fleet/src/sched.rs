@@ -139,8 +139,8 @@ pub struct BatchSpan {
     pub end_ns: u64,
     /// Requests in the batch.
     pub reqs: u64,
-    /// Dispatch role: `serve`, `catchup`, `crash-prefix`, `partition`,
-    /// `hedge`, or `failover`.
+    /// Dispatch role: `serve`, `catchup`, `crash-prefix`, `partition`
+    /// or `failover`.
     pub label: &'static str,
 }
 

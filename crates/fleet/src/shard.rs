@@ -11,7 +11,7 @@ use enclosure_support::XorShift;
 use enclosure_telemetry::{Histogram, MetricsWindow, Recorder, WindowRing};
 use litterbox::{Backend, Fault, GatewayMode, LitterBox};
 
-use crate::monitor::MonitorConfig;
+use crate::monitor::{RING_CAP, SLO, WINDOW_NS};
 
 /// A serving application a shard can host. The balancer only needs to
 /// build it, push batches of requests through it, and read its machine
@@ -125,10 +125,6 @@ pub enum ShardState {
         /// Clean probes seen so far.
         clean: u32,
     },
-    /// Graceful drain: no new sessions, flush the queue, then retire.
-    Draining,
-    /// Drained and retired; permanently out of the fleet.
-    Retired,
 }
 
 impl ShardState {
@@ -140,8 +136,6 @@ impl ShardState {
             ShardState::Ejected { .. } => "ejected",
             ShardState::Crashed { .. } => "crashed",
             ShardState::Probation { .. } => "probation",
-            ShardState::Draining => "draining",
-            ShardState::Retired => "retired",
         }
     }
 }
@@ -169,7 +163,8 @@ pub struct Shard<W: Workload> {
     pub generation: u32,
     app: Option<W>,
     chaos: Option<ShardChaos>,
-    monitor: Option<MonitorConfig>,
+    // Whether every generation boots with the SLO sampler armed.
+    monitored: bool,
     // Windows drained from every generation, folded index-by-index (a
     // respawned clock restarts at zero, so generation 2's window 0 is
     // the same local epoch as generation 1's).
@@ -229,7 +224,7 @@ impl<W: Workload> Shard<W> {
         backend: Backend,
         seed: u64,
         chaos: Option<ShardChaos>,
-        monitor: Option<MonitorConfig>,
+        monitored: bool,
     ) -> Result<Shard<W>, Fault> {
         let mut shard = Shard {
             id,
@@ -239,8 +234,8 @@ impl<W: Workload> Shard<W> {
             generation: 0,
             app: None,
             chaos,
-            monitor,
-            window_ring: WindowRing::new(monitor.map_or(1, |m| m.ring_cap)),
+            monitored,
+            window_ring: WindowRing::new(if monitored { RING_CAP } else { 1 }),
             drained_through: None,
             archive: Recorder::new(),
             archive_latency: Histogram::new(),
@@ -282,13 +277,13 @@ impl<W: Workload> Shard<W> {
                     .arm_injection(InjectionPlan::new(seed, chaos.rate_ppm).with_sites(sites));
             }
         }
-        if let Some(monitor) = self.monitor {
+        if self.monitored {
             // Enabling the sampler changes no event or counter the
             // machine emits — shard bytes stay identical monitor-on
             // vs. monitor-off; only the windowed view appears.
             let rec = app.lb_mut().clock_mut().recorder_mut();
-            rec.enable_series(monitor.window_ns, monitor.ring_cap);
-            rec.set_slo(monitor.slo);
+            rec.enable_series(WINDOW_NS, RING_CAP);
+            rec.set_slo(SLO);
         }
         self.drained_through = None;
         self.app = Some(app);
@@ -368,11 +363,12 @@ impl<W: Workload> Shard<W> {
     }
 
     /// True if the shard has a live machine that can serve its queue
-    /// (healthy, lame-duck ejected, probation, or draining).
+    /// (healthy, lame-duck ejected, or on probation). A shard the plan
+    /// has just marked `Crashed` still holds its machine until the
+    /// execute phase tears it down, so the state check matters.
     #[must_use]
     pub fn can_serve(&self) -> bool {
-        self.app.is_some()
-            && !matches!(self.state, ShardState::Crashed { .. } | ShardState::Retired)
+        self.app.is_some() && !matches!(self.state, ShardState::Crashed { .. })
     }
 
     /// Serves a batch of `n` requests on the live generation and

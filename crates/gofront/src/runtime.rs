@@ -9,7 +9,7 @@ use enclosure_kernel::Kernel;
 use enclosure_vmem::Addr;
 use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
 
-use crate::alloc::{AllocStats, SpanAllocator};
+use crate::alloc::SpanAllocator;
 use crate::compile::compile;
 use crate::link::{ElfImage, LinkedEnclosure, Linker};
 use crate::sched::{ChanId, GoroutineId, Recv, Scheduler, Step};
@@ -145,12 +145,6 @@ impl GoRuntime {
     #[must_use]
     pub fn image(&self) -> &ElfImage {
         &self.image
-    }
-
-    /// Allocator statistics.
-    #[must_use]
-    pub fn alloc_stats(&self) -> AllocStats {
-        self.allocator.stats()
     }
 
     /// Completed GC cycles.

@@ -305,12 +305,6 @@ impl Clock {
         });
     }
 
-    /// Charges an LB_VTX transfer (presence-bit toggle) of a 4-page
-    /// section.
-    pub fn charge_vtx_transfer(&mut self) {
-        self.charge_vtx_transfer_pages(4);
-    }
-
     /// Charges an LB_VTX transfer over `pages` pages (one Table 1 unit
     /// per 4 pages; presence-bit flips are cheap but still per-PTE).
     pub fn charge_vtx_transfer_pages(&mut self, pages: u64) {

@@ -69,8 +69,9 @@ pub const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
 /// program's execution").
 pub const SECCOMP_RET_KILL_PROCESS: u32 = 0x8000_0000;
 /// seccomp verdict base: fail the syscall with the errno in the low 16
-/// bits instead of killing the process (Linux `SECCOMP_RET_ERRNO`; the
-/// graceful-degradation path compiles filters in this mode).
+/// bits instead of killing the process (Linux `SECCOMP_RET_ERRNO`). The
+/// interpreter and disassembler handle it; the filter compiler never
+/// emits it, since every denial kills (§2.1).
 pub const SECCOMP_RET_ERRNO: u32 = 0x0005_0000;
 /// Mask selecting the verdict's action (high half).
 pub const SECCOMP_RET_ACTION: u32 = 0xffff_0000;

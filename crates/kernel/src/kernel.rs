@@ -414,12 +414,6 @@ impl Kernel {
             None => Err(Errno::Ebadf),
         }
     }
-
-    /// Number of open fds (diagnostics).
-    #[must_use]
-    pub fn open_fds(&self) -> usize {
-        self.fds.len()
-    }
 }
 
 impl Default for Kernel {

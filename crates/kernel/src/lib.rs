@@ -40,5 +40,4 @@ mod sysno;
 pub use errno::Errno;
 pub use kernel::{Kernel, SyscallRecord};
 pub use ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};
-pub use seccomp::{FilterMode, Verdict};
 pub use sysno::{CategorySet, SysCategory, Sysno};

@@ -146,12 +146,6 @@ impl Network {
         self.remotes.get(&addr).map(|r| r.received.as_slice())
     }
 
-    /// The ledger of everything sent off-box.
-    #[must_use]
-    pub fn exfil_ledger(&self) -> &[ExfilRecord] {
-        &self.exfil
-    }
-
     /// True if any off-box payload contains `needle`.
     #[must_use]
     pub fn exfiltrated_contains(&self, needle: &[u8]) -> bool {
@@ -364,12 +358,6 @@ impl Network {
             _ => {}
         }
         Ok(())
-    }
-
-    /// Number of live sockets.
-    #[must_use]
-    pub fn socket_count(&self) -> usize {
-        self.sockets.len()
     }
 }
 

@@ -12,11 +12,8 @@
 
 use std::fmt;
 
-use crate::bpf::{
-    Insn, Program, SECCOMP_RET_ACTION, SECCOMP_RET_ALLOW, SECCOMP_RET_DATA, SECCOMP_RET_ERRNO,
-    SECCOMP_RET_KILL_PROCESS,
-};
-use crate::{CategorySet, Errno, Sysno};
+use crate::bpf::{Insn, Program, SECCOMP_RET_ALLOW, SECCOMP_RET_KILL_PROCESS};
+use crate::{CategorySet, Sysno};
 
 /// Byte offset of the syscall number in `seccomp_data`.
 pub const DATA_OFF_NR: u32 = 0;
@@ -130,60 +127,6 @@ impl fmt::Display for SysPolicy {
     }
 }
 
-/// What a compiled filter does with a denied syscall.
-///
-/// Linux seccomp supports both actions; the paper's abort-by-default
-/// semantics use [`FilterMode::KillProcess`], while the supervised
-/// degradation path compiles [`FilterMode::ReturnErrno`] filters so a
-/// policy violation surfaces as a failed syscall the caller can handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FilterMode {
-    /// Deny = `SECCOMP_RET_KILL_PROCESS` (abort-by-default, §2.1).
-    #[default]
-    KillProcess,
-    /// Deny = `SECCOMP_RET_ERRNO` with the given errno in the verdict's
-    /// data half.
-    ReturnErrno(Errno),
-}
-
-impl FilterMode {
-    /// The BPF verdict this mode compiles denials to.
-    #[must_use]
-    pub fn deny_verdict(self) -> u32 {
-        match self {
-            FilterMode::KillProcess => SECCOMP_RET_KILL_PROCESS,
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            FilterMode::ReturnErrno(errno) => {
-                SECCOMP_RET_ERRNO | (errno.code() as u32 & SECCOMP_RET_DATA)
-            }
-        }
-    }
-}
-
-/// A decoded filter verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The syscall proceeds to the kernel.
-    Allow,
-    /// The process is killed (abort-by-default denial).
-    KillProcess,
-    /// The syscall fails with this errno code; the process keeps running.
-    Errno(u16),
-}
-
-impl Verdict {
-    /// Decodes a raw BPF return value.
-    #[must_use]
-    pub fn decode(raw: u32) -> Verdict {
-        match raw & SECCOMP_RET_ACTION {
-            SECCOMP_RET_ALLOW => Verdict::Allow,
-            #[allow(clippy::cast_possible_truncation)]
-            SECCOMP_RET_ERRNO => Verdict::Errno((raw & SECCOMP_RET_DATA) as u16),
-            _ => Verdict::KillProcess,
-        }
-    }
-}
-
 /// One row of the PKRU-indexed filter table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeccompRule {
@@ -197,39 +140,23 @@ pub struct SeccompRule {
 #[derive(Debug, Clone)]
 pub struct SeccompFilter {
     program: Program,
-    mode: FilterMode,
 }
 
 impl SeccompFilter {
-    /// Compiles a filter table to BPF in kill-process (abort-by-default)
-    /// mode.
+    /// Compiles a filter table to BPF. Every denial compiles to
+    /// `SECCOMP_RET_KILL_PROCESS`: the paper's abort-by-default
+    /// semantics (§2.1).
     ///
     /// Program shape, per rule: load PKRU; if it matches, load the syscall
     /// number and emit a `jeq/ret ALLOW` pair per permitted syscall (with an
     /// argument-inspecting block for an allowlisted `connect`), ending in
-    /// a deny verdict. A final `ret KILL` catches unknown PKRU values.
+    /// `ret KILL`. A final `ret KILL` catches unknown PKRU values.
     ///
     /// # Errors
     ///
     /// Propagates [`crate::bpf::BpfError`] if the table is so large the
     /// program exceeds kernel limits.
     pub fn compile(rules: &[SeccompRule]) -> Result<SeccompFilter, crate::bpf::BpfError> {
-        Self::compile_with_mode(rules, FilterMode::KillProcess)
-    }
-
-    /// Compiles a filter table with the given deny action. Policy
-    /// denials inside a known environment compile to `mode`'s verdict;
-    /// an unknown PKRU or a foreign architecture still kills — those are
-    /// structural violations, not policy ones.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::bpf::BpfError`] if the table is so large the
-    /// program exceeds kernel limits.
-    pub fn compile_with_mode(
-        rules: &[SeccompRule],
-        mode: FilterMode,
-    ) -> Result<SeccompFilter, crate::bpf::BpfError> {
         let mut insns: Vec<Insn> = Vec::new();
         // Architecture pinning, as hardened real-world filters do.
         insns.push(Insn::ld_abs(DATA_OFF_ARCH));
@@ -242,7 +169,7 @@ impl SeccompFilter {
                     return Err(crate::bpf::BpfError::BadProgramLength(list.len()));
                 }
             }
-            let body = Self::rule_body(&rule.policy, mode);
+            let body = Self::rule_body(&rule.policy);
             insns.push(Insn::ld_abs(DATA_OFF_PKRU));
             // If PKRU matches, fall into the body; otherwise skip it.
             insns.push(Insn::jeq(rule.pkru, 1, 0));
@@ -253,7 +180,6 @@ impl SeccompFilter {
         insns.push(Insn::ret(SECCOMP_RET_KILL_PROCESS));
         Ok(SeccompFilter {
             program: Program::new(insns)?,
-            mode,
         })
     }
 
@@ -268,10 +194,7 @@ impl SeccompFilter {
     ///
     /// Propagates [`crate::bpf::BpfError`] if the policy's `connect`
     /// allowlist makes the program exceed kernel limits.
-    pub fn compile_process(
-        policy: &SysPolicy,
-        mode: FilterMode,
-    ) -> Result<SeccompFilter, crate::bpf::BpfError> {
+    pub fn compile_process(policy: &SysPolicy) -> Result<SeccompFilter, crate::bpf::BpfError> {
         if let Some(list) = &policy.connect_allowlist {
             if list.len() > MAX_CONNECT_ALLOWLIST {
                 return Err(crate::bpf::BpfError::BadProgramLength(list.len()));
@@ -281,15 +204,13 @@ impl SeccompFilter {
         insns.push(Insn::ld_abs(DATA_OFF_ARCH));
         insns.push(Insn::jeq(AUDIT_ARCH_X86_64, 1, 0));
         insns.push(Insn::ret(SECCOMP_RET_KILL_PROCESS));
-        insns.extend(Self::rule_body(policy, mode));
+        insns.extend(Self::rule_body(policy));
         Ok(SeccompFilter {
             program: Program::new(insns)?,
-            mode,
         })
     }
 
-    fn rule_body(policy: &SysPolicy, mode: FilterMode) -> Vec<Insn> {
-        let deny = mode.deny_verdict();
+    fn rule_body(policy: &SysPolicy) -> Vec<Insn> {
         let mut body = Vec::new();
         body.push(Insn::ld_abs(DATA_OFF_NR));
         for sysno in Sysno::ALL {
@@ -307,21 +228,15 @@ impl SeccompFilter {
                         body.push(Insn::jeq(*ip, 0, 1));
                         body.push(Insn::ret(SECCOMP_RET_ALLOW));
                     }
-                    body.push(Insn::ret(deny));
+                    body.push(Insn::ret(SECCOMP_RET_KILL_PROCESS));
                     continue;
                 }
             }
             body.push(Insn::jeq(sysno.nr(), 0, 1));
             body.push(Insn::ret(SECCOMP_RET_ALLOW));
         }
-        body.push(Insn::ret(deny));
+        body.push(Insn::ret(SECCOMP_RET_KILL_PROCESS));
         body
-    }
-
-    /// The deny mode this filter was compiled with.
-    #[must_use]
-    pub fn mode(&self) -> FilterMode {
-        self.mode
     }
 
     /// The compiled BPF program.
@@ -336,36 +251,25 @@ impl SeccompFilter {
     /// Returns `true` when the verdict is `SECCOMP_RET_ALLOW`.
     #[must_use]
     pub fn check(&self, sysno: Sysno, args: &[u64; 6], pkru: u32) -> bool {
-        let mut data = [0u8; DATA_LEN];
-        data[0..4].copy_from_slice(&sysno.nr().to_le_bytes());
-        data[4..8].copy_from_slice(&AUDIT_ARCH_X86_64.to_le_bytes());
-        for (i, arg) in args.iter().enumerate() {
-            let off = data_off_arg(i as u32) as usize;
-            data[off..off + 8].copy_from_slice(&arg.to_le_bytes());
-        }
-        data[DATA_OFF_PKRU as usize..DATA_OFF_PKRU as usize + 4]
-            .copy_from_slice(&pkru.to_le_bytes());
-        matches!(self.program.run(&data), Ok(SECCOMP_RET_ALLOW))
+        matches!(
+            self.program.run(&seccomp_data(sysno, args, pkru)),
+            Ok(SECCOMP_RET_ALLOW)
+        )
     }
+}
 
-    /// Like [`SeccompFilter::check`] but returns the full decoded
-    /// verdict, distinguishing kill-process denials from errno denials.
-    #[must_use]
-    pub fn check_verdict(&self, sysno: Sysno, args: &[u64; 6], pkru: u32) -> Verdict {
-        let mut data = [0u8; DATA_LEN];
-        data[0..4].copy_from_slice(&sysno.nr().to_le_bytes());
-        data[4..8].copy_from_slice(&AUDIT_ARCH_X86_64.to_le_bytes());
-        for (i, arg) in args.iter().enumerate() {
-            let off = data_off_arg(i as u32) as usize;
-            data[off..off + 8].copy_from_slice(&arg.to_le_bytes());
-        }
-        data[DATA_OFF_PKRU as usize..DATA_OFF_PKRU as usize + 4]
-            .copy_from_slice(&pkru.to_le_bytes());
-        match self.program.run(&data) {
-            Ok(raw) => Verdict::decode(raw),
-            Err(_) => Verdict::KillProcess,
-        }
+/// The extended `seccomp_data` the kernel hands the filter for one
+/// syscall: number, architecture, arguments and the patched-in PKRU.
+fn seccomp_data(sysno: Sysno, args: &[u64; 6], pkru: u32) -> [u8; DATA_LEN] {
+    let mut data = [0u8; DATA_LEN];
+    data[0..4].copy_from_slice(&sysno.nr().to_le_bytes());
+    data[4..8].copy_from_slice(&AUDIT_ARCH_X86_64.to_le_bytes());
+    for (i, arg) in args.iter().enumerate() {
+        let off = data_off_arg(i as u32) as usize;
+        data[off..off + 8].copy_from_slice(&arg.to_le_bytes());
     }
+    data[DATA_OFF_PKRU as usize..DATA_OFF_PKRU as usize + 4].copy_from_slice(&pkru.to_le_bytes());
+    data
 }
 
 #[cfg(test)]
@@ -455,7 +359,7 @@ mod tests {
     #[test]
     fn per_process_filter_ignores_pkru_and_matches_policy() {
         let policy = SysPolicy::categories(CategorySet::only(SysCategory::Net));
-        let filter = SeccompFilter::compile_process(&policy, FilterMode::KillProcess).unwrap();
+        let filter = SeccompFilter::compile_process(&policy).unwrap();
         for sysno in Sysno::ALL {
             let expected = policy.allows(sysno, &args());
             // Process identity replaces PKRU dispatch: any PKRU value
@@ -471,25 +375,19 @@ mod tests {
     }
 
     #[test]
-    fn per_process_filter_honors_connect_allowlist_and_errno_mode() {
+    fn per_process_filter_honors_connect_allowlist() {
         let good_ip = 0x0a00_0001u32;
         let policy = SysPolicy::categories(CategorySet::only(SysCategory::Net))
             .with_connect_allowlist(vec![good_ip]);
-        let filter =
-            SeccompFilter::compile_process(&policy, FilterMode::ReturnErrno(Errno::Eacces))
-                .unwrap();
+        let filter = SeccompFilter::compile_process(&policy).unwrap();
+        let verdict = |sysno, args: &[u64; 6]| filter.program().run(&seccomp_data(sysno, args, 0));
         let mut a = args();
         a[1] = u64::from(good_ip);
         assert!(filter.check(Sysno::Connect, &a, 0));
         a[1] = 0x0808_0808;
-        assert_eq!(
-            filter.check_verdict(Sysno::Connect, &a, 0),
-            Verdict::Errno(13)
-        );
-        assert_eq!(
-            filter.check_verdict(Sysno::Open, &args(), 0),
-            Verdict::Errno(13)
-        );
+        assert!(!filter.check(Sysno::Connect, &a, 0));
+        assert_eq!(verdict(Sysno::Connect, &a), Ok(SECCOMP_RET_KILL_PROCESS));
+        assert_eq!(verdict(Sysno::Open, &args()), Ok(SECCOMP_RET_KILL_PROCESS));
     }
 
     #[test]
@@ -568,69 +466,15 @@ mod tests {
     }
 
     #[test]
-    fn errno_mode_turns_policy_denials_into_errnos() {
-        let rules = vec![SeccompRule {
-            pkru: 0x4,
-            policy: SysPolicy::categories(CategorySet::only(SysCategory::Net)),
-        }];
-        let filter =
-            SeccompFilter::compile_with_mode(&rules, FilterMode::ReturnErrno(Errno::Eacces))
-                .unwrap();
-        assert_eq!(filter.mode(), FilterMode::ReturnErrno(Errno::Eacces));
-        // Allowed syscalls are unaffected.
-        assert_eq!(
-            filter.check_verdict(Sysno::Socket, &args(), 0x4),
-            Verdict::Allow
-        );
-        assert!(filter.check(Sysno::Socket, &args(), 0x4));
-        // Policy denial surfaces the errno instead of killing.
-        assert_eq!(
-            filter.check_verdict(Sysno::Open, &args(), 0x4),
-            Verdict::Errno(13)
-        );
-        assert!(!filter.check(Sysno::Open, &args(), 0x4));
-        // An unknown PKRU is a structural violation: still a kill.
-        assert_eq!(
-            filter.check_verdict(Sysno::Socket, &args(), 0xdead_0000),
-            Verdict::KillProcess
-        );
-    }
-
-    #[test]
-    fn errno_mode_applies_to_connect_allowlist_denials() {
-        let good_ip = 0x0a00_0001u32;
-        let rules = vec![SeccompRule {
-            pkru: 0x4,
-            policy: SysPolicy::categories(CategorySet::only(SysCategory::Net))
-                .with_connect_allowlist(vec![good_ip]),
-        }];
-        let filter =
-            SeccompFilter::compile_with_mode(&rules, FilterMode::ReturnErrno(Errno::Econnrefused))
-                .unwrap();
-        let mut a = args();
-        a[1] = u64::from(good_ip);
-        assert_eq!(
-            filter.check_verdict(Sysno::Connect, &a, 0x4),
-            Verdict::Allow
-        );
-        a[1] = 0x0808_0808;
-        assert_eq!(
-            filter.check_verdict(Sysno::Connect, &a, 0x4),
-            Verdict::Errno(111)
-        );
-    }
-
-    #[test]
     fn kill_mode_verdicts_decode_as_kill() {
         let rules = vec![SeccompRule {
             pkru: 0,
             policy: SysPolicy::none(),
         }];
         let filter = SeccompFilter::compile(&rules).unwrap();
-        assert_eq!(filter.mode(), FilterMode::KillProcess);
         assert_eq!(
-            filter.check_verdict(Sysno::Open, &args(), 0),
-            Verdict::KillProcess
+            filter.program().run(&seccomp_data(Sysno::Open, &args(), 0)),
+            Ok(SECCOMP_RET_KILL_PROCESS)
         );
     }
 

@@ -325,7 +325,7 @@ impl Mpk {
                 });
             }
         }
-        let filter = SeccompFilter::compile_with_mode(&rules, p.filter_mode)
+        let filter = SeccompFilter::compile(&rules)
             .map_err(|e| Fault::Init(format!("seccomp compilation failed: {e}")))?;
         self.filters.insert(env, filter);
         Ok(())

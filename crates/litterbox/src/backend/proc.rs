@@ -45,7 +45,7 @@ impl Proc {
             if *env != TRUSTED_ENV {
                 sandbox.install(*env, view_table(&p.packages, &info.name, &info.view));
             }
-            let filter = SeccompFilter::compile_process(&info.policy, p.filter_mode)
+            let filter = SeccompFilter::compile_process(&info.policy)
                 .map_err(|e| Fault::Init(format!("per-process seccomp compile failed: {e}")))?;
             filters.insert(*env, filter);
         }

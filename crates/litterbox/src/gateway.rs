@@ -17,12 +17,7 @@ use crate::machine::LitterBox;
 
 impl LitterBox {
     fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
-        self.filter_syscall(record).map_err(|fault| match fault {
-            // Return-errno filter mode delivers denials as failed
-            // syscalls, not program-aborting faults.
-            Fault::Errno(e) => SysError::Errno(e),
-            other => SysError::Fault(other),
-        })?;
+        self.filter_syscall(record).map_err(SysError::Fault)?;
         // Chaos sites, enclosed callers only: a call that passed the
         // filter can still fail transiently in the kernel (EAGAIN /
         // EINTR / ENOMEM), or — on the VT-x backend — lose its VM EXIT.
@@ -78,21 +73,6 @@ impl LitterBox {
         Ok(kernel.clock_gettime(clock))
     }
 
-    /// `nanosleep` through the filter.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::Fault`] if the current filter denies `time` calls.
-    pub fn sys_nanosleep(&mut self, ns: u64) -> Result<(), SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Nanosleep,
-            [ns, 0, 0, 0, 0, 0],
-        ))?;
-        let (kernel, clock) = self.kernel_and_clock();
-        kernel.nanosleep(clock, ns);
-        Ok(())
-    }
-
     /// `futex` through the filter.
     ///
     /// # Errors
@@ -130,41 +110,6 @@ impl LitterBox {
         ))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.open(clock, path, flags)?)
-    }
-
-    /// `stat` through the filter.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
-    /// kernel.
-    pub fn sys_stat(&mut self, path: &str) -> Result<u64, SysError> {
-        self.gate(SyscallRecord::new(Sysno::Stat))?;
-        let (kernel, clock) = self.kernel_and_clock();
-        Ok(kernel.stat(clock, path)?)
-    }
-
-    /// `unlink` through the filter.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
-    /// kernel.
-    pub fn sys_unlink(&mut self, path: &str) -> Result<(), SysError> {
-        self.gate(SyscallRecord::new(Sysno::Unlink))?;
-        let (kernel, clock) = self.kernel_and_clock();
-        Ok(kernel.unlink(clock, path)?)
-    }
-
-    /// `readdir` through the filter.
-    ///
-    /// # Errors
-    ///
-    /// [`SysError::Fault`] on filter denial.
-    pub fn sys_readdir(&mut self, prefix: &str) -> Result<Vec<String>, SysError> {
-        self.gate(SyscallRecord::new(Sysno::Readdir))?;
-        let (kernel, clock) = self.kernel_and_clock();
-        Ok(kernel.readdir(clock, prefix))
     }
 
     /// `read` through the filter.
@@ -416,33 +361,6 @@ mod tests {
                 crate::SysError::Fault(Fault::SyscallDenied { .. })
             ));
             lb.epilog(t).unwrap();
-        }
-    }
-
-    #[test]
-    fn errno_filter_mode_degrades_denials_to_errnos() {
-        use enclosure_kernel::FilterMode;
-        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let mut lb = LitterBox::new(backend);
-            lb.set_filter_mode(FilterMode::ReturnErrno(Errno::Eacces))
-                .unwrap();
-            let mut prog = ProgramDesc::new();
-            prog.add_package(&mut lb, "lib", 1, 1, 1).unwrap();
-            let cs = prog.verified_callsite();
-            prog.add_enclosure(EnclosureDesc {
-                id: EnclosureId(1),
-                name: "e".into(),
-                view: [("lib".to_string(), Access::RWX)].into_iter().collect(),
-                policy: SysPolicy::none(),
-                marked: vec![],
-            });
-            lb.init(prog).unwrap();
-            let t = lb.prolog(EnclosureId(1), cs).unwrap();
-            let err = lb.sys_getuid().unwrap_err();
-            assert_eq!(err, SysError::Errno(Errno::Eacces), "{backend}");
-            lb.epilog(t).unwrap();
-            // The mode cannot change once the filter is built.
-            assert!(lb.set_filter_mode(FilterMode::KillProcess).is_err());
         }
     }
 

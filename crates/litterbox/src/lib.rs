@@ -77,4 +77,3 @@ pub use machine::{
 pub use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
 pub use enclosure_hw::{InjectionPlan, InjectionSite, VirtualKey, VirtualKeyTable, VkeyLedger};
 pub use enclosure_kernel::ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};
-pub use enclosure_kernel::FilterMode;

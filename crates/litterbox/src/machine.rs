@@ -9,7 +9,7 @@ use enclosure_hw::proc::SpawnRecord;
 use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
 use enclosure_hw::{Clock, CostModel, Cpu, HwStats, InjectionSite, VirtualKeyTable};
 use enclosure_kernel::seccomp::SysPolicy;
-use enclosure_kernel::{FilterMode, Kernel, SyscallRecord};
+use enclosure_kernel::{Kernel, SyscallRecord};
 use enclosure_telemetry::{Event, Recorder, SpanScope};
 use enclosure_vmem::{Access, Addr, AddressSpace, ProtectionKey, Section, SectionKind, VirtRange};
 
@@ -170,8 +170,6 @@ pub(crate) struct Program {
     pub(crate) envs: HashMap<EnvId, EnvInfo>,
     /// The meta-package clustering across every view.
     pub(crate) clustering: Clustering,
-    /// How filter denials are delivered; compiled into every filter.
-    pub(crate) filter_mode: FilterMode,
 }
 
 /// What one `Init` wrote into the machine, so a rejected one can take
@@ -430,30 +428,6 @@ impl LitterBox {
     #[must_use]
     pub fn proc_spawn_ledger(&self) -> Option<&[SpawnRecord]> {
         self.enforcer::<Proc>().map(Proc::spawn_ledger)
-    }
-
-    /// How syscall-filter denials are delivered: kill-process
-    /// (abort-by-default, §2.1) or return-errno (supervised degradation).
-    #[must_use]
-    pub fn filter_mode(&self) -> FilterMode {
-        self.program.filter_mode
-    }
-
-    /// Selects the deny action compiled into syscall filters. Must be
-    /// called before `init`: the MPK backend bakes the verdict into its
-    /// BPF program at build time.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::Init`] if the machine is already initialized.
-    pub fn set_filter_mode(&mut self, mode: FilterMode) -> Result<(), Fault> {
-        if self.initialized {
-            return Err(self.trace_fault(Fault::Init(
-                "set_filter_mode after init (the BPF deny verdict is baked at build)".into(),
-            )));
-        }
-        self.program.filter_mode = mode;
-        Ok(())
     }
 
     /// How LB_MPK maps meta-packages onto hardware keys.
@@ -1266,10 +1240,6 @@ impl LitterBox {
         }
         if allowed {
             Ok(())
-        } else if let FilterMode::ReturnErrno(errno) = self.program.filter_mode {
-            // Return-errno mode: the denial is delivered as a failed
-            // syscall (the BPF program's ERRNO verdict), not an abort.
-            Err(self.trace_fault(Fault::Errno(errno)))
         } else {
             let fault = Fault::SyscallDenied {
                 record,

@@ -62,7 +62,6 @@ pub struct PyStats {
 struct ObjInfo {
     meta: Addr,
     data: Addr,
-    module: String,
     size: u64,
 }
 
@@ -503,15 +502,7 @@ impl Interpreter {
         if !bytes.is_empty() {
             self.store_data(data, bytes)?;
         }
-        self.objects.insert(
-            data.0,
-            ObjInfo {
-                meta,
-                data,
-                module: module.to_owned(),
-                size,
-            },
-        );
+        self.objects.insert(data.0, ObjInfo { meta, data, size });
         self.stats.objects_alive += 1;
         Ok(data)
     }
@@ -596,15 +587,6 @@ impl Interpreter {
         self.stats.refcount_ops += 1;
         let rc = self.read_meta(info.meta)?;
         self.write_meta(info.meta, rc.saturating_sub(1))
-    }
-
-    /// The module owning an object's data (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault`] for unknown objects.
-    pub fn module_of(&self, obj: Addr) -> Result<String, Fault> {
-        Ok(self.obj(obj)?.module)
     }
 
     /// An object's current refcount (diagnostics).

@@ -779,11 +779,6 @@ impl Recorder {
         self.flight.as_deref()
     }
 
-    /// Clears a frozen recording so the next trigger freezes again.
-    pub fn rearm_flight_recorder(&mut self) {
-        self.flight = None;
-    }
-
     fn freeze_flight(&mut self, now_ns: u64, trigger: Event) {
         let mut windows: Vec<MetricsWindow> = Vec::new();
         if let Some(series) = &self.series {

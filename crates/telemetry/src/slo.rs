@@ -45,21 +45,24 @@ pub struct SloPolicy {
 
 impl Default for SloPolicy {
     fn default() -> SloPolicy {
-        SloPolicy {
-            // Generous enough that healthy wiki/fasthttp serving under
-            // the calibrated cost model sits well inside it.
-            latency_p99_ns: 2_000_000,
-            // 1% error budget.
-            error_budget_ppm: 10_000,
-            // Fast horizon must burn at 10x budget...
-            fast_alert_milli: 10_000,
-            // ...while the slow horizon confirms at 2x.
-            slow_alert_milli: 2_000,
-        }
+        SloPolicy::DEFAULT
     }
 }
 
 impl SloPolicy {
+    /// The default objectives, usable in constants.
+    pub const DEFAULT: SloPolicy = SloPolicy {
+        // Generous enough that healthy wiki/fasthttp serving under the
+        // calibrated cost model sits well inside it.
+        latency_p99_ns: 2_000_000,
+        // 1% error budget.
+        error_budget_ppm: 10_000,
+        // Fast horizon must burn at 10x budget...
+        fast_alert_milli: 10_000,
+        // ...while the slow horizon confirms at 2x.
+        slow_alert_milli: 2_000,
+    };
+
     /// Whether `window` breaches either objective.
     #[must_use]
     pub fn breached(&self, window: &MetricsWindow) -> bool {

@@ -193,9 +193,7 @@ fn fasthttp_fleet_serves_a_pinned_dispatch_trace() {
 #[test]
 fn killing_one_shard_is_contained() {
     let shards = 4;
-    let mut surgical = FleetConfig::new(shards, 1_600, 11);
-    surgical.chaos = true;
-    surgical.targeted_crash = true;
+    let mut surgical = FleetConfig::new(shards, 1_600, 11).with_chaos();
     surgical.fleet_rate_ppm = 0; // only the scheduled kill fires
     surgical.backend_rate_ppm = 0; // no machine-level faults
     let fault = run(&surgical);

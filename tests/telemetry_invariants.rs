@@ -397,15 +397,13 @@ fn conservative_switches_dwarf_decoupled() {
 }
 
 /// Span hygiene survives the fleet's hostile paths: a chaos run with a
-/// scheduled shard kill, random fleet faults, *and* a graceful drain
-/// must leave every shard's merged span stack balanced — crash
-/// teardown, respawn adoption, and drain flushes all close what they
-/// open. A regression here means some fleet path dropped or duplicated
-/// an `end_span`.
+/// scheduled shard kill and random fleet faults must leave every
+/// shard's merged span stack balanced — crash teardown and respawn
+/// adoption both close what they open. A regression here means some
+/// fleet path dropped or duplicated an `end_span`.
 #[test]
-fn fleet_chaos_and_drain_leave_span_stacks_balanced() {
-    let mut cfg = FleetConfig::new(3, 600, 11).mixed_backends().with_chaos();
-    cfg.drain_at = Some((6, 1));
+fn fleet_chaos_leaves_span_stacks_balanced() {
+    let cfg = FleetConfig::new(3, 600, 11).mixed_backends().with_chaos();
     let report = WikiFleet::new(cfg).unwrap().run().unwrap();
     assert!(report.crashes > 0, "the scheduled kill fired");
     for row in &report.rows {
