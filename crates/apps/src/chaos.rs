@@ -2,7 +2,11 @@
 //! (FastHTTP and the wiki), and its graceful-degradation helpers.
 //!
 //! Both servers open a listener, take connections from one load
-//! generator, and close each request out with a latency sample. Under
+//! generator, and close each request out with a latency sample. A serve
+//! call ends the way a process exit would, off the simulated clock
+//! (`teardown`): the kernel closes every fd the call opened and the
+//! app drops its channels, so a server that serves many calls holds
+//! the same state after each of them. Under
 //! fault injection they keep the program alive instead of aborting:
 //! transient kernel errnos are retried in place, a request whose handling
 //! faults transiently is answered with a 503 while the server keeps
@@ -11,7 +15,7 @@
 //! in [`ServeStats`](crate::httpd::ServeStats) so chaos soaks can assert
 //! on them.
 
-use enclosure_gofront::{GoRuntime, Step};
+use enclosure_gofront::{ChanId, GoRuntime, Step};
 use enclosure_hw::Clock;
 use enclosure_kernel::net::SockAddr;
 use enclosure_kernel::Kernel;
@@ -133,12 +137,39 @@ pub(crate) fn record_reply(lb: &mut LitterBox, latency: &Shared<Histogram>, t0: 
     lb.clock_mut().record(Event::RequestServed { ns, ok });
 }
 
+/// Ends a serve call after its scheduler run, the way a process exit
+/// would and without touching the machine's clock: reaps the gateway's
+/// completions, closes every fd numbered `fd_mark` or above (client
+/// ends and their replies, the listener, any connection a degraded path
+/// left open), and drops the call's channels.
+///
+/// # Errors
+///
+/// [`Fault::Init`] if a syscall is still queued in the gateway: its
+/// completion would land in the next call, on a closed fd.
+pub(crate) fn teardown(rt: &mut GoRuntime, fd_mark: u32, chans: &[ChanId]) -> Result<(), Fault> {
+    // Per-entry errors are contained in their completions.
+    let _ = rt.lb_mut().batch_take_completions();
+    let queued = rt.lb().batch_pending();
+    if queued > 0 {
+        return Err(Fault::Init(format!(
+            "{queued} gateway entries still queued at the end of a serve call"
+        )));
+    }
+    rt.lb_mut().kernel_mut().release_since(fd_mark);
+    for &ch in chans {
+        rt.drop_chan(ch);
+    }
+    Ok(())
+}
+
 /// Spawns the load generator goroutine `name`: outside traffic on a
 /// scratch clock, so it charges nothing to the measured machine. It
 /// waits until a probe connection to `port` succeeds, then sends `n`
-/// requests, one connection each. With `probe` set, the probe connection
-/// carries those bytes in place of the last request; otherwise it
-/// carries request 0.
+/// requests, each on its own connection. With `probe` set, the probe
+/// connection carries those bytes in place of the last request;
+/// otherwise it carries request 0. It never reads a reply: the serve
+/// call's [`teardown`] closes the client ends.
 pub(crate) fn spawn_load_generator(
     rt: &mut GoRuntime,
     name: &str,

@@ -35,12 +35,6 @@ const HANDLER_NS: u64 = 28_000;
 pub struct FastHttpApp {
     rt: GoRuntime,
     latency: Shared<Histogram>,
-    /// Completed `serve_requests` calls. Each call listens on its own
-    /// port (`FASTHTTP_PORT + calls`), because the previous call's
-    /// listener stays bound in the simulated kernel — this is what lets
-    /// a fleet shard serve its workload in many small batches on one
-    /// app.
-    serve_calls: u64,
 }
 
 /// Where one serve run stands, shared by its workers.
@@ -87,7 +81,6 @@ impl FastHttpApp {
         Ok(FastHttpApp {
             rt,
             latency: Shared::default(),
-            serve_calls: 0,
         })
     }
 
@@ -125,16 +118,15 @@ impl FastHttpApp {
     /// fails is answered with a 503, a reply that fails is closed, and
     /// the loop keeps serving. [`ServeStats`] carries the tally.
     ///
+    /// The call ends like a process exit, off the clock: its sockets
+    /// close and its channels go, so a fleet shard can serve its
+    /// workload in many small batches on one app.
+    ///
     /// # Errors
     ///
     /// Any goroutine fault (including scheduler deadlock).
     pub fn serve_requests(&mut self, n: u64, workers: usize) -> Result<ServeStats, Fault> {
-        // First call keeps the paper's port; later calls (fleet batch
-        // serving) each take a fresh one, since old listeners stay
-        // bound. The wrap keeps the port a u16 without colliding for
-        // any realistic number of calls.
-        let port = FASTHTTP_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
-        self.serve_calls += 1;
+        let fd_mark = self.rt.lb().kernel().fd_mark();
         let cap = usize::try_from(n).unwrap_or(usize::MAX).max(64);
         let req_ch = self.rt.make_chan(cap);
         let resp_ch = self.rt.make_chan(cap);
@@ -156,7 +148,7 @@ impl FastHttpApp {
                         // Worker 0 owns listener setup; peers wait.
                         if w == 0 {
                             progress.borrow_mut().listener =
-                                chaos::listen(ctx.lb_mut(), &tally, port)?;
+                                chaos::listen(ctx.lb_mut(), &tally, FASTHTTP_PORT)?;
                         }
                         return Ok(Step::Yield);
                     };
@@ -300,7 +292,7 @@ impl FastHttpApp {
         chaos::spawn_load_generator(
             &mut self.rt,
             "load-generator",
-            port,
+            FASTHTTP_PORT,
             n,
             Some(b"GET /fast/probe HTTP/1.1\r\n\r\n"),
             |i| format!("GET /fast/{i} HTTP/1.1\r\n\r\n"),
@@ -308,7 +300,7 @@ impl FastHttpApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        let _ = self.rt.lb_mut().batch_take_completions();
+        chaos::teardown(&mut self.rt, fd_mark, &[req_ch, resp_ch])?;
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))

@@ -46,11 +46,6 @@ pub struct WikiApp {
     /// The simulated Postgres page store, for assertions.
     pub db: Shared<HashMap<String, String>>,
     latency: Shared<Histogram>,
-    /// Completed `serve_requests` calls. Each call listens on its own
-    /// port (`WIKI_PORT + calls`), because the previous call's listener
-    /// stays bound in the simulated kernel — this is what lets a fleet
-    /// shard serve its workload in many small batches on one app.
-    serve_calls: u64,
 }
 
 impl std::fmt::Debug for WikiApp {
@@ -106,7 +101,6 @@ impl WikiApp {
             rt,
             db,
             latency: Shared::default(),
-            serve_calls: 0,
         })
     }
 
@@ -132,24 +126,22 @@ impl WikiApp {
     /// Serves `n` requests alternating `GET /view/Home` and
     /// `POST /save/Note<i>`, and reports throughput. Unless the
     /// machine's gateway is `Direct`, the server's deferrable reply
-    /// tail (send + close) queues in the batched gateway.
+    /// tail (send + close) queues in the batched gateway. The call ends
+    /// like a process exit, off the clock: its sockets (the per-call pq
+    /// connection included) close and its channels go, so a fleet shard
+    /// can serve its workload in many small batches on one app.
     ///
     /// # Errors
     ///
     /// Any goroutine fault.
     pub fn serve_requests(&mut self, n: u64) -> Result<ServeStats, Fault> {
+        let fd_mark = self.rt.lb().kernel().fd_mark();
         let parsed_ch = self.rt.make_chan(64); // ○2
         let sql_ch = self.rt.make_chan(64); // ○3
         let rows_ch = self.rt.make_chan(64); // ○6
         let reply_ch = self.rt.make_chan(64); // ○7
         let tally: Shared<ChaosTally> = Shared::default();
         let pq_enclosure = self.rt.enclosure("pq_enc").map_or(0, |e| e.id.0);
-        // First call keeps the paper's port; later calls (fleet batch
-        // serving) each take a fresh one, since old listeners stay
-        // bound. The wrap keeps the port a u16 without colliding for
-        // any realistic number of calls.
-        let port = WIKI_PORT + u16::try_from(self.serve_calls % 40_000).expect("bounded");
-        self.serve_calls += 1;
 
         // ○B: enclosed HTTP server. Under fault injection it degrades
         // instead of dying: transient errnos retry in place, a request
@@ -167,7 +159,7 @@ impl WikiApp {
         self.rt
             .spawn_enclosed("wiki-server", "server_enc", move |ctx| {
                 let Some(listen_fd) = listen else {
-                    listen = chaos::listen(ctx.lb_mut(), &srv_tally, port)?;
+                    listen = chaos::listen(ctx.lb_mut(), &srv_tally, WIKI_PORT)?;
                     return Ok(Step::Yield);
                 };
                 if accepted < n {
@@ -413,7 +405,7 @@ impl WikiApp {
 
         // Load generator (outside traffic): the probe connection
         // carries the first request.
-        chaos::spawn_load_generator(&mut self.rt, "wiki-load", port, n, None, |i| {
+        chaos::spawn_load_generator(&mut self.rt, "wiki-load", WIKI_PORT, n, None, |i| {
             if i % 2 == 0 {
                 "GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_owned()
             } else {
@@ -423,9 +415,11 @@ impl WikiApp {
 
         let t0 = self.rt.lb().now_ns();
         self.rt.run_scheduler()?;
-        // Per-entry errors are contained in their completions; the
-        // drain keeps the ring bounded across serve calls.
-        let _ = self.rt.lb_mut().batch_take_completions();
+        chaos::teardown(
+            &mut self.rt,
+            fd_mark,
+            &[parsed_ch, sql_ch, rows_ch, reply_ch],
+        )?;
         let ns = self.rt.lb().now_ns() - t0;
         let tally = *tally.borrow();
         Ok(ServeStats::new(n - tally.degraded, ns).with_tally(tally))

@@ -731,9 +731,11 @@ fn flightrec(json: bool, seed: u64) -> Result<(), AnyError> {
 }
 
 fn trace_export_cmd(quick: bool, format: TraceFormat) -> Result<(), AnyError> {
-    // The span log grows with the workload, so the export always runs
-    // at a bounded request count; `--quick` shrinks it further.
-    let requests = if quick { 20 } else { 100 };
+    let requests = if quick {
+        trace_export::QUICK_REQUESTS
+    } else {
+        trace_export::FULL_REQUESTS
+    };
     let text = trace_export::export_wiki(Backend::Mpk, requests, format)?;
     println!("{text}");
     Ok(())

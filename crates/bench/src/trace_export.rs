@@ -15,8 +15,15 @@
 //! workload are byte-identical.
 
 use enclosure_apps::wiki::WikiApp;
-use enclosure_telemetry::{chrome_trace, folded_stacks};
+use enclosure_telemetry::{chrome_trace, folded_stacks, Recorder};
 use litterbox::{Backend, Fault};
+
+/// Requests `repro trace-export --quick` serves.
+pub const QUICK_REQUESTS: u64 = 20;
+
+/// Requests the full export serves: the span log grows with the
+/// workload, so even the full export stays bounded.
+pub const FULL_REQUESTS: u64 = 100;
 
 /// The export format selected by `repro trace-export --format=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,13 +46,13 @@ impl TraceFormat {
     }
 }
 
-/// Runs the wiki workload under `backend` with the span log armed and
-/// returns the export text.
+/// Serves `requests` wiki requests under `backend` with the span log
+/// armed and returns the recorder, its last track slice closed.
 ///
 /// # Errors
 ///
 /// Workload faults.
-pub fn export_wiki(backend: Backend, requests: u64, format: TraceFormat) -> Result<String, Fault> {
+pub fn traced_wiki(backend: Backend, requests: u64) -> Result<Recorder, Fault> {
     let mut app = WikiApp::new(backend)?;
     {
         let lb = app.runtime_mut().lb_mut();
@@ -56,10 +63,20 @@ pub fn export_wiki(backend: Backend, requests: u64, format: TraceFormat) -> Resu
     let lb = app.runtime_mut().lb_mut();
     let now = lb.now_ns();
     lb.telemetry_mut().flush_tracks(now);
-    let rec = lb.telemetry();
+    Ok(lb.telemetry().clone())
+}
+
+/// Runs the wiki workload under `backend` with the span log armed and
+/// returns the export text.
+///
+/// # Errors
+///
+/// Workload faults.
+pub fn export_wiki(backend: Backend, requests: u64, format: TraceFormat) -> Result<String, Fault> {
+    let rec = traced_wiki(backend, requests)?;
     Ok(match format {
-        TraceFormat::Chrome => chrome_trace(rec).to_pretty(),
-        TraceFormat::Folded => folded_stacks(rec),
+        TraceFormat::Chrome => chrome_trace(&rec).to_pretty(),
+        TraceFormat::Folded => folded_stacks(&rec),
     })
 }
 

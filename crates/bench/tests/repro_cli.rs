@@ -80,6 +80,27 @@ fn menu_keeps_fleet_cluster_alphabetized_and_advertises_parallel() {
     );
 }
 
+/// `repro wiki --quick --profile` prints byte-identical per-goroutine
+/// and percentile tables on every run.
+#[test]
+fn wiki_profile_is_byte_identical_across_runs() {
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["wiki", "--quick", "--profile"])
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "wiki --quick --profile failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let first = run();
+    assert!(first.contains("wiki-server"), "goroutine rows: {first}");
+    assert_eq!(first, run(), "two runs must print the same bytes");
+}
+
 /// `--parallel=` rejects non-counts before any work runs.
 #[test]
 fn bad_parallel_value_fails_fast() {

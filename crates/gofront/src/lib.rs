@@ -70,6 +70,6 @@ mod value;
 pub use compile::{compile, CodeObject};
 pub use link::{ElfImage, ElfSectionInfo, Linker};
 pub use runtime::{GoCtx, GoProgram, GoRuntime, GO_SCHED_PKG};
-pub use sched::{ChanId, GoroutineId, Step};
+pub use sched::{ChanId, GoroutineId, SchedSizes, Step};
 pub use source::{EnclosureSrc, GoSource};
 pub use value::{GoValue, ValueError};

@@ -12,7 +12,7 @@ use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV}
 use crate::alloc::SpanAllocator;
 use crate::compile::compile;
 use crate::link::{ElfImage, LinkedEnclosure, Linker};
-use crate::sched::{ChanId, GoroutineId, Recv, Scheduler, Step};
+use crate::sched::{ChanId, GoroutineId, Recv, SchedSizes, Scheduler, Step};
 use crate::source::GoSource;
 use crate::stack::SplitStack;
 use crate::value::GoValue;
@@ -220,6 +220,19 @@ impl GoRuntime {
         self.sched.make_chan(cap)
     }
 
+    /// Frees a channel and any values still queued on it. Its creator
+    /// drops it once no goroutine can touch it again; later operations
+    /// on `ch` fault as on an unknown channel.
+    pub fn drop_chan(&mut self, ch: ChanId) {
+        self.sched.drop_chan(ch);
+    }
+
+    /// Entry counts of the scheduler's goroutine and channel tables.
+    #[must_use]
+    pub fn sched_sizes(&self) -> SchedSizes {
+        self.sched.sizes()
+    }
+
     /// Spawns a goroutine in the trusted environment.
     pub fn spawn(
         &mut self,
@@ -272,7 +285,8 @@ impl GoRuntime {
         }
     }
 
-    /// Runs the scheduler until every goroutine completes.
+    /// Runs the scheduler until every goroutine completes, then frees
+    /// their slots.
     ///
     /// Each quantum runs in its goroutine's protection context; context
     /// changes go through LitterBox's `Execute` hook, so an enclosed
@@ -282,10 +296,13 @@ impl GoRuntime {
     /// scheduler.
     ///
     /// Every quantum is attributed to its goroutine's telemetry track
-    /// (see [`GoroutineId::track`]) and bracketed in a `go.sched` span,
-    /// so simulated nanoseconds split per goroutine and per environment
-    /// across preemption and `Execute` handoffs; the reschedule switch
-    /// itself is charged to the goroutine being scheduled in.
+    /// and bracketed in a `go.sched` span, so simulated nanoseconds
+    /// split per goroutine and per environment across preemption and
+    /// `Execute` handoffs; the reschedule switch itself is charged to
+    /// the goroutine being scheduled in. A goroutine's track is its
+    /// slot in this run plus 1 (track 0,
+    /// [`enclosure_telemetry::MAIN_TRACK`], is the driver's), so
+    /// repeated runs of the same goroutine set reuse their tracks.
     ///
     /// # Errors
     ///
@@ -295,7 +312,7 @@ impl GoRuntime {
         let cs = self.runtime_callsite;
         let mut idle_quanta = 0usize;
         loop {
-            let Some(gid) = self.sched.runq.pop_front() else {
+            let Some(slot) = self.sched.runq.pop_front() else {
                 if self.sched.parked.is_empty() {
                     break;
                 }
@@ -304,7 +321,8 @@ impl GoRuntime {
                 self.drain_for_parked(cs)?;
                 continue;
             };
-            let mut g = self.sched.goroutines[gid]
+            let gid = self.sched.id_of(slot);
+            let mut g = self.sched.goroutines[slot]
                 .take()
                 .expect("queued goroutine exists");
             {
@@ -316,14 +334,14 @@ impl GoRuntime {
                 let clock = self.lb.clock_mut();
                 let now = clock.now_ns();
                 let rec = clock.recorder_mut();
-                rec.switch_track(now, GoroutineId(gid).track(), &g.name);
+                rec.switch_track(now, slot as u64 + 1, &g.name);
                 rec.begin_span(now, scope);
             }
             if g.ctx.env() != self.lb.current_env() {
                 self.lb
                     .clock_mut()
                     .record(enclosure_telemetry::Event::Reschedule {
-                        goroutine: gid as u64,
+                        goroutine: gid,
                         to_env: g.ctx.env().0,
                     });
                 if let Err(fault) = self.execute_contained(g.ctx.clone(), cs) {
@@ -353,7 +371,7 @@ impl GoRuntime {
                     self.lb
                         .clock_mut()
                         .record(enclosure_telemetry::Event::GoPark {
-                            goroutine: gid as u64,
+                            goroutine: gid,
                             token: token.seq(),
                         });
                 }
@@ -377,19 +395,19 @@ impl GoRuntime {
                     idle_quanta = 0;
                 }
                 Step::Park(token) => {
-                    self.sched.goroutines[gid] = Some(g);
+                    self.sched.goroutines[slot] = Some(g);
                     if self.lb.batch_is_complete(token) {
                         // The flush above already posted this token's
                         // completion: skip the park, stay runnable.
-                        self.sched.runq.push_back(gid);
+                        self.sched.runq.push_back(slot);
                     } else {
-                        self.sched.parked.push((gid, token));
+                        self.sched.parked.push((slot, token));
                     }
                     idle_quanta = 0;
                 }
                 Step::Yield => {
-                    self.sched.goroutines[gid] = Some(g);
-                    self.sched.runq.push_back(gid);
+                    self.sched.goroutines[slot] = Some(g);
+                    self.sched.runq.push_back(slot);
                     if progressed {
                         idle_quanta = 0;
                     } else {
@@ -418,6 +436,7 @@ impl GoRuntime {
             let _ = self.execute_contained(EnvContext::trusted(), cs)?;
         }
         self.switch_to_main_track();
+        self.sched.retire_finished();
         Ok(())
     }
 
@@ -464,16 +483,17 @@ impl GoRuntime {
         let mut woken = 0;
         let mut i = 0;
         while i < self.sched.parked.len() {
-            let (gid, token) = self.sched.parked[i];
+            let (slot, token) = self.sched.parked[i];
             if self.lb.batch_is_complete(token) {
                 self.sched.parked.remove(i);
+                let goroutine = self.sched.id_of(slot);
                 self.lb
                     .clock_mut()
                     .record(enclosure_telemetry::Event::GoWake {
-                        goroutine: gid as u64,
+                        goroutine,
                         token: token.seq(),
                     });
-                self.sched.runq.push_back(gid);
+                self.sched.runq.push_back(slot);
                 self.sched.progress = true;
                 woken += 1;
             } else {

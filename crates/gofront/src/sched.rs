@@ -8,8 +8,15 @@
 //! [`litterbox::EnvContext`] it was spawned in, inherited from its
 //! creator, and the scheduler switches protection contexts with
 //! LitterBox's `Execute` hook.
+//!
+//! Neither table grows with a long-running program. A scheduler run
+//! that ends with every goroutine finished retires their slots, so the
+//! next run starts again from slot 0; goroutine ids stay monotonic
+//! through a base offset. A channel lives until its creator drops it
+//! ([`crate::GoRuntime::drop_chan`]), never implicitly: a driver may
+//! read a channel after the run that filled it.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use litterbox::{CompletionToken, EnvContext, Fault};
@@ -17,22 +24,22 @@ use litterbox::{CompletionToken, EnvContext, Fault};
 use crate::runtime::GoCtx;
 use crate::value::GoValue;
 
-/// Identifier of a channel.
+/// Identifier of a channel. Ids are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChanId(pub(crate) usize);
 
-/// Identifier of a goroutine.
+/// Identifier of a goroutine, unique over the runtime's lifetime (the
+/// `g{id}` of the flight-recorder and trace rings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GoroutineId(pub(crate) usize);
 
-impl GoroutineId {
-    /// The telemetry track this goroutine's quanta are attributed to.
-    /// Track `0` ([`enclosure_telemetry::MAIN_TRACK`]) belongs to the
-    /// main/harness thread, so goroutine `n` reports on track `n + 1`.
-    #[must_use]
-    pub fn track(self) -> u64 {
-        self.0 as u64 + 1
-    }
+/// Entry counts of the scheduler's tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedSizes {
+    /// Goroutine slots held by the current run.
+    pub goroutines: usize,
+    /// Channels not yet dropped.
+    pub channels: usize,
 }
 
 /// What a goroutine quantum reports back to the scheduler.
@@ -89,10 +96,15 @@ impl fmt::Debug for Goroutine {
 }
 
 /// Scheduler bookkeeping: channels, goroutines, and the run queue.
+/// The run queue and the parked set hold slots into `goroutines`.
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
-    pub channels: Vec<Channel>,
+    channels: BTreeMap<usize, Channel>,
+    next_chan: usize,
     pub goroutines: Vec<Option<Goroutine>>,
+    /// Goroutines retired by earlier runs: slot `s` of this run holds
+    /// goroutine `base + s`.
+    base: usize,
     pub runq: VecDeque<usize>,
     /// Goroutines parked on a pending completion token, in park order.
     /// They hold their slot in `goroutines` but are absent from `runq`
@@ -106,19 +118,31 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     pub fn make_chan(&mut self, cap: usize) -> ChanId {
-        self.channels.push(Channel {
-            queue: VecDeque::new(),
-            cap: cap.max(1),
-            closed: false,
-        });
-        ChanId(self.channels.len() - 1)
+        let id = self.next_chan;
+        self.next_chan += 1;
+        self.channels.insert(
+            id,
+            Channel {
+                queue: VecDeque::new(),
+                cap: cap.max(1),
+                closed: false,
+            },
+        );
+        ChanId(id)
+    }
+
+    pub fn drop_chan(&mut self, ch: ChanId) {
+        self.channels.remove(&ch.0);
+    }
+
+    fn chan_mut(&mut self, ch: ChanId) -> Result<&mut Channel, Fault> {
+        self.channels
+            .get_mut(&ch.0)
+            .ok_or_else(|| Fault::Init(format!("unknown channel {ch:?}")))
     }
 
     pub fn try_send(&mut self, ch: ChanId, value: GoValue) -> Result<bool, Fault> {
-        let chan = self
-            .channels
-            .get_mut(ch.0)
-            .ok_or_else(|| Fault::Init(format!("unknown channel {ch:?}")))?;
+        let chan = self.chan_mut(ch)?;
         if chan.closed {
             return Err(Fault::Init("send on closed channel".into()));
         }
@@ -131,10 +155,7 @@ impl Scheduler {
     }
 
     pub fn try_recv(&mut self, ch: ChanId) -> Result<Recv, Fault> {
-        let chan = self
-            .channels
-            .get_mut(ch.0)
-            .ok_or_else(|| Fault::Init(format!("unknown channel {ch:?}")))?;
+        let chan = self.chan_mut(ch)?;
         match chan.queue.pop_front() {
             Some(v) => {
                 self.progress = true;
@@ -146,25 +167,44 @@ impl Scheduler {
     }
 
     pub fn close_chan(&mut self, ch: ChanId) -> Result<(), Fault> {
-        let chan = self
-            .channels
-            .get_mut(ch.0)
-            .ok_or_else(|| Fault::Init(format!("unknown channel {ch:?}")))?;
-        chan.closed = true;
+        self.chan_mut(ch)?.closed = true;
         self.progress = true;
         Ok(())
     }
 
     pub fn spawn(&mut self, name: String, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
-        let id = self.goroutines.len();
+        let slot = self.goroutines.len();
         self.goroutines.push(Some(Goroutine { name, ctx, f }));
-        self.runq.push_back(id);
+        self.runq.push_back(slot);
         self.progress = true;
-        GoroutineId(id)
+        GoroutineId(self.base + slot)
+    }
+
+    /// The lifetime id of the goroutine in `slot`, as events print it.
+    pub fn id_of(&self, slot: usize) -> u64 {
+        (self.base + slot) as u64
+    }
+
+    /// Frees the slots of a run in which every goroutine finished; the
+    /// next run starts again from slot 0.
+    pub fn retire_finished(&mut self) {
+        debug_assert!(
+            self.goroutines.iter().all(Option::is_none),
+            "a goroutine outlived its run"
+        );
+        self.base += self.goroutines.len();
+        self.goroutines.clear();
     }
 
     pub fn pending(&self) -> usize {
         self.runq.len()
+    }
+
+    pub fn sizes(&self) -> SchedSizes {
+        SchedSizes {
+            goroutines: self.goroutines.len(),
+            channels: self.channels.len(),
+        }
     }
 }
 
@@ -206,5 +246,16 @@ mod tests {
         let mut s = Scheduler::default();
         assert!(s.try_recv(ChanId(9)).is_err());
         assert!(s.try_send(ChanId(9), GoValue::Unit).is_err());
+    }
+
+    #[test]
+    fn dropped_channels_free_their_entry_and_ids_stay_unique() {
+        let mut s = Scheduler::default();
+        let a = s.make_chan(1);
+        s.drop_chan(a);
+        assert!(s.try_recv(a).is_err(), "a dropped channel is gone");
+        let b = s.make_chan(1);
+        assert_ne!(a, b, "ids are never reused");
+        assert_eq!(s.sizes().channels, 1);
     }
 }

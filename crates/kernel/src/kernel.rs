@@ -1,6 +1,6 @@
 //! The kernel proper: fd table, typed syscall entry points, service costs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use enclosure_hw::Clock;
@@ -113,6 +113,20 @@ impl ServiceCosts {
     }
 }
 
+/// Entry counts of the kernel's resource tables: what a serve call
+/// gives back when it ends (see [`Kernel::release_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableSizes {
+    /// Open file descriptors.
+    pub fds: usize,
+    /// Live sockets, connected ends never accepted included.
+    pub sockets: usize,
+    /// Addresses with a listening socket.
+    pub listeners: usize,
+    /// Distinct (destination, payload) pairs in the off-box ledger.
+    pub exfil: usize,
+}
+
 /// The simulated kernel: filesystem + network + process identity.
 ///
 /// Each entry point takes the simulated [`Clock`] and charges the generic
@@ -126,7 +140,7 @@ pub struct Kernel {
     pub fs: FileSystem,
     /// The network.
     pub net: Network,
-    fds: HashMap<u32, FdKind>,
+    fds: BTreeMap<u32, FdKind>,
     next_fd: u32,
     uid: u32,
     pid: u32,
@@ -141,7 +155,7 @@ impl Kernel {
         Kernel {
             fs: FileSystem::new(),
             net: Network::new(),
-            fds: HashMap::new(),
+            fds: BTreeMap::new(),
             next_fd: 3, // 0..2 conventionally taken
             uid: 1000,
             pid: 4242,
@@ -172,6 +186,41 @@ impl Kernel {
             category: sysno.category().keyword(),
             enclosed,
         });
+    }
+
+    /// The number the next fd will get. Fd numbers are never reused, so
+    /// every fd opened after this call is numbered at or above it.
+    #[must_use]
+    pub fn fd_mark(&self) -> u32 {
+        self.next_fd
+    }
+
+    /// Closes every fd numbered `mark` or above, the way a process exit
+    /// closes its descriptors: sockets leave the network (a listener
+    /// resets its unaccepted connections) and nothing is charged to any
+    /// clock. A serve call ends with this, so a long-running server's
+    /// kernel tables stay the size they were before the call.
+    pub fn release_since(&mut self, mark: u32) {
+        for kind in self.fds.split_off(&mark).into_values() {
+            if let FdKind::Sock(sock) = kind {
+                // Every fd owns its socket, and only a listener's close
+                // removes another (never-accepted, fd-less) socket.
+                let _ = self.net.close(sock);
+            }
+        }
+    }
+
+    /// Current entry counts of the fd, socket, listener and off-box
+    /// ledger tables.
+    #[must_use]
+    pub fn table_sizes(&self) -> TableSizes {
+        let (sockets, listeners, exfil) = self.net.table_sizes();
+        TableSizes {
+            fds: self.fds.len(),
+            sockets,
+            listeners,
+            exfil,
+        }
     }
 
     /// Commands passed to `exec` so far (the backdoor detector's ledger).
@@ -493,6 +542,30 @@ mod tests {
         // read/write work on sockets too (unified fd space).
         k.write(&mut c, client, b"x").unwrap();
         assert_eq!(k.read(&mut c, conn, 8).unwrap(), b"x");
+    }
+
+    #[test]
+    fn release_since_closes_every_later_fd() {
+        let mut k = Kernel::new();
+        let mut c = clock();
+        let kept = k.open(&mut c, "/keep", OpenFlags::write_create()).unwrap();
+        let before = k.table_sizes();
+        let mark = k.fd_mark();
+        let server = k.socket(&mut c);
+        k.bind(&mut c, server, SockAddr::local(8080)).unwrap();
+        k.listen(&mut c, server).unwrap();
+        for _ in 0..3 {
+            let client = k.socket(&mut c);
+            k.connect(&mut c, client, SockAddr::local(8080)).unwrap();
+        }
+        let conn = k.accept(&mut c, server).unwrap();
+        k.send(&mut c, conn, b"reply").unwrap();
+        k.release_since(mark);
+        assert_eq!(k.table_sizes(), before);
+        assert!(k.write(&mut c, kept, b"x").is_ok(), "earlier fds stay open");
+        assert!(k.fd_mark() > conn, "fd numbers never rewind");
+        let again = k.socket(&mut c);
+        assert!(k.bind(&mut c, again, SockAddr::local(8080)).is_ok());
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub mod seccomp;
 mod sysno;
 
 pub use errno::Errno;
-pub use kernel::{Kernel, SyscallRecord};
+pub use kernel::{Kernel, SyscallRecord, TableSizes};
 pub use ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};
 pub use sysno::{CategorySet, SysCategory, Sysno};

@@ -6,9 +6,12 @@
 //! responders (the "valid remote server" of the ssh-decorator scenario,
 //! §6.5); everything sent off-box is also recorded in the exfiltration
 //! ledger so the security evaluation can assert exactly which bytes left
-//! the machine.
+//! the machine. The ledger keeps each distinct (destination, payload)
+//! pair once: its one question, "did these bytes leave?", has the same
+//! answer either way, and a long-running server that repeats a query
+//! does not grow it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use crate::Errno;
@@ -62,21 +65,7 @@ impl fmt::Display for SockAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SocketId(pub u32);
 
-/// One record of bytes leaving the simulated machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExfilRecord {
-    /// Destination of the traffic.
-    pub dest: SockAddr,
-    /// Payload bytes.
-    pub data: Vec<u8>,
-}
-
 type Responder = Box<dyn FnMut(&[u8]) -> Option<Vec<u8>> + Send>;
-
-struct RemoteHost {
-    received: Vec<u8>,
-    responder: Option<Responder>,
-}
 
 enum SocketState {
     /// Fresh socket, not yet bound or connected.
@@ -104,8 +93,9 @@ enum Peer {
 pub struct Network {
     sockets: HashMap<SocketId, SocketState>,
     listeners: HashMap<SockAddr, SocketId>,
-    remotes: HashMap<SockAddr, RemoteHost>,
-    exfil: Vec<ExfilRecord>,
+    remotes: HashMap<SockAddr, Option<Responder>>,
+    /// Distinct payloads sent off-box, per destination.
+    exfil: HashMap<SockAddr, HashSet<Vec<u8>>>,
     next_id: u32,
 }
 
@@ -115,7 +105,7 @@ impl fmt::Debug for Network {
             .field("sockets", &self.sockets.len())
             .field("listeners", &self.listeners.len())
             .field("remotes", &self.remotes.len())
-            .field("exfil_records", &self.exfil.len())
+            .field("exfil_payloads", &self.exfil_len())
             .finish()
     }
 }
@@ -131,27 +121,25 @@ impl Network {
     /// given, is invoked on each received payload and may push a reply
     /// into the sender's receive queue.
     pub fn register_remote(&mut self, addr: SockAddr, responder: Option<Responder>) {
-        self.remotes.insert(
-            addr,
-            RemoteHost {
-                received: Vec::new(),
-                responder,
-            },
-        );
-    }
-
-    /// Bytes a registered remote host has received so far.
-    #[must_use]
-    pub fn remote_received(&self, addr: SockAddr) -> Option<&[u8]> {
-        self.remotes.get(&addr).map(|r| r.received.as_slice())
+        self.remotes.insert(addr, responder);
     }
 
     /// True if any off-box payload contains `needle`.
     #[must_use]
     pub fn exfiltrated_contains(&self, needle: &[u8]) -> bool {
         self.exfil
-            .iter()
-            .any(|r| r.data.windows(needle.len().max(1)).any(|w| w == needle))
+            .values()
+            .flatten()
+            .any(|data| data.windows(needle.len().max(1)).any(|w| w == needle))
+    }
+
+    /// Live sockets, bound listeners, and distinct off-box payloads.
+    pub(crate) fn table_sizes(&self) -> (usize, usize, usize) {
+        (self.sockets.len(), self.listeners.len(), self.exfil_len())
+    }
+
+    fn exfil_len(&self) -> usize {
+        self.exfil.values().map(HashSet::len).sum()
     }
 
     /// Creates a fresh socket.
@@ -263,8 +251,8 @@ impl Network {
     }
 
     /// Sends bytes on a connected socket. Off-box traffic lands in the
-    /// remote's inbox, the exfiltration ledger, and (if the remote has a
-    /// responder) may enqueue a reply.
+    /// exfiltration ledger and (if the remote has a responder) may
+    /// enqueue a reply.
     ///
     /// # Errors
     ///
@@ -294,15 +282,16 @@ impl Network {
                 _ => Err(Errno::Epipe),
             },
             Peer::Remote(addr) => {
-                self.exfil.push(ExfilRecord {
-                    dest: addr,
-                    data: data.to_vec(),
-                });
-                let reply = {
-                    let host = self.remotes.get_mut(&addr).ok_or(Errno::Epipe)?;
-                    host.received.extend_from_slice(data);
-                    host.responder.as_mut().and_then(|r| r(data))
-                };
+                let sent = self.exfil.entry(addr).or_default();
+                if !sent.contains(data) {
+                    sent.insert(data.to_vec());
+                }
+                let reply = self
+                    .remotes
+                    .get_mut(&addr)
+                    .ok_or(Errno::Epipe)?
+                    .as_mut()
+                    .and_then(|r| r(data));
                 if let Some(reply) = reply {
                     if let Some(SocketState::Stream { rx, .. }) = self.sockets.get_mut(&id) {
                         rx.extend(reply);
@@ -337,6 +326,9 @@ impl Network {
     }
 
     /// Closes a socket; the peer (if local) sees EOF after draining.
+    /// Closing a listener resets every connection it never accepted, as
+    /// Linux does: each pending server end closes, so its client reads
+    /// EOF.
     ///
     /// # Errors
     ///
@@ -344,8 +336,15 @@ impl Network {
     pub fn close(&mut self, id: SocketId) -> Result<(), Errno> {
         let state = self.sockets.remove(&id).ok_or(Errno::Ebadf)?;
         match state {
-            SocketState::Listener { addr, .. } => {
-                self.listeners.remove(&addr);
+            SocketState::Listener { addr, backlog } => {
+                // A bound socket that never listened does not own the
+                // address's listener entry.
+                if self.listeners.get(&addr) == Some(&id) {
+                    self.listeners.remove(&addr);
+                }
+                for pending in backlog {
+                    self.close(pending)?;
+                }
             }
             SocketState::Stream {
                 peer: Peer::Local(peer_id),
@@ -423,10 +422,6 @@ mod tests {
         net.connect(s, evil).unwrap();
         net.send(s, b"stolen: SECRET-SSH-KEY").unwrap();
         assert!(net.exfiltrated_contains(b"SECRET-SSH-KEY"));
-        assert_eq!(
-            net.remote_received(evil).unwrap(),
-            b"stolen: SECRET-SSH-KEY"
-        );
     }
 
     #[test]
@@ -472,6 +467,85 @@ mod tests {
         net.close(a).unwrap();
         let b = net.socket();
         assert!(net.bind(b, SockAddr::local(90)).is_ok());
+    }
+
+    #[test]
+    fn closing_listener_resets_its_backlog() {
+        let mut net = Network::new();
+        let listener = net.socket();
+        net.bind(listener, SockAddr::local(91)).unwrap();
+        net.listen(listener).unwrap();
+        let clients = [net.socket(), net.socket()];
+        for c in clients {
+            net.connect(c, SockAddr::local(91)).unwrap();
+        }
+        net.close(listener).unwrap();
+        for c in clients {
+            assert_eq!(net.recv(c, 10).unwrap(), b"", "client reads EOF");
+            net.close(c).unwrap();
+        }
+        assert_eq!(net.table_sizes(), (0, 0, 0), "no orphaned server ends");
+    }
+
+    #[test]
+    fn closing_an_unlistened_bind_keeps_the_listener() {
+        let mut net = Network::new();
+        let stale = net.socket();
+        net.bind(stale, SockAddr::local(92)).unwrap();
+        let live = net.socket();
+        net.bind(live, SockAddr::local(92)).unwrap();
+        net.listen(live).unwrap();
+        net.close(stale).unwrap();
+        let client = net.socket();
+        assert!(net.connect(client, SockAddr::local(92)).is_ok());
+    }
+
+    enclosure_support::props! {
+        /// The set ledger answers the §6.5 oracle exactly as a log of
+        /// every send would: random payloads, repeats included, to two
+        /// remotes, probed with needles cut from them and random ones.
+        fn set_ledger_matches_a_log_of_every_send(rng, cases = 64) {
+            let hosts = [
+                SockAddr::new(ipv4(203, 0, 113, 9), 443),
+                SockAddr::new(ipv4(198, 51, 100, 7), 5432),
+            ];
+            let mut net = Network::new();
+            let socks = hosts.map(|h| {
+                net.register_remote(h, None);
+                let s = net.socket();
+                net.connect(s, h).unwrap();
+                s
+            });
+            let word = |rng: &mut enclosure_support::XorShift, max: usize| -> Vec<u8> {
+                let len = rng.range_usize(1, max + 1);
+                (0..len).map(|_| *rng.choose(b"abcd")).collect()
+            };
+            let mut log: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..rng.range_usize(1, 24) {
+                let data = if !log.is_empty() && rng.range_u64(0, 3) == 0 {
+                    rng.choose(&log).clone()
+                } else {
+                    word(rng, 8)
+                };
+                let host = rng.range_usize(0, 2);
+                net.send(socks[host], &data).unwrap();
+                log.push(data);
+            }
+            for _ in 0..16 {
+                let needle = if rng.next_bool() {
+                    let data = rng.choose(&log).clone();
+                    let start = rng.range_usize(0, data.len());
+                    let end = rng.range_usize(start + 1, data.len() + 1);
+                    data[start..end].to_vec()
+                } else {
+                    word(rng, 5)
+                };
+                let naive = log
+                    .iter()
+                    .any(|d| d.windows(needle.len()).any(|w| w == needle.as_slice()));
+                assert_eq!(net.exfiltrated_contains(&needle), naive, "{needle:?}");
+            }
+        }
     }
 
     #[test]

@@ -585,8 +585,9 @@ pub struct TracedEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
-/// The track a span ran on: `0` is the main/harness track, goroutines
-/// get `GoroutineId + 1` (see `gofront::sched::GoroutineId::track`).
+/// The track a span ran on: `0` is the main/harness track, a goroutine
+/// gets its slot in the current scheduler run plus 1 (see
+/// `gofront::GoRuntime::run_scheduler`).
 pub const MAIN_TRACK: u64 = 0;
 
 /// One completed span in the span tree (recorded only while the span
@@ -628,7 +629,7 @@ impl SpanNode {
 /// the per-goroutine attribution rows behind `repro table2`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackCost {
-    /// Track id ([`MAIN_TRACK`] or `goroutine + 1`).
+    /// Track id ([`MAIN_TRACK`] or a goroutine's run slot `+ 1`).
     pub track: u64,
     /// Track label (goroutine name; `"main"` for the harness track).
     pub name: String,

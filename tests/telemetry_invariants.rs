@@ -10,11 +10,12 @@ use std::collections::BTreeMap;
 
 use enclosure_apps::plotlib::{self, PlotConfig};
 use enclosure_apps::wiki::WikiApp;
+use enclosure_bench::trace_export;
 use enclosure_fleet::{FleetConfig, WikiFleet};
 use enclosure_pyfront::MetadataMode;
 use enclosure_repro::core::{App, Enclosure, Policy};
-use enclosure_support::XorShift;
-use enclosure_telemetry::{Event, Recorder, SpanScope, MAIN_TRACK};
+use enclosure_support::{Json, XorShift};
+use enclosure_telemetry::{chrome_trace, Event, Recorder, SpanScope, MAIN_TRACK};
 use litterbox::{Backend, GatewayMode};
 
 fn nested_workload(backend: Backend) -> App {
@@ -328,6 +329,59 @@ fn wiki_span_tree_is_well_nested_across_goroutine_tracks() {
     for track in &tracks {
         assert!(ledger_tracks.contains(track), "track {track} missing");
     }
+}
+
+/// `repro trace-export --quick`'s Chrome trace is well formed: on every
+/// track (`tid`) timestamps never go back and each `E` closes an open
+/// `B`, every span is closed, and at least two tracks carry spans.
+#[test]
+fn quick_chrome_trace_is_well_nested_and_monotonic() {
+    fn field<'a>(event: &'a Json, key: &str) -> &'a Json {
+        match event {
+            Json::Obj(pairs) => pairs
+                .iter()
+                .find_map(|(k, v)| (k == key).then_some(v))
+                .unwrap_or_else(|| panic!("event without '{key}': {event:?}")),
+            other => panic!("event is not an object: {other:?}"),
+        }
+    }
+    let rec = trace_export::traced_wiki(Backend::Mpk, trace_export::QUICK_REQUESTS).unwrap();
+    let trace = chrome_trace(&rec);
+    let Json::Arr(events) = field(&trace, "traceEvents") else {
+        panic!("traceEvents is not an array");
+    };
+    assert!(!events.is_empty(), "empty trace");
+    // Per tid: last timestamp and open-span depth.
+    let mut tracks: BTreeMap<u64, (f64, usize)> = BTreeMap::new();
+    for event in events {
+        let (Json::Str(ph), &Json::U64(tid)) = (field(event, "ph"), field(event, "tid")) else {
+            panic!("malformed event {event:?}");
+        };
+        if ph == "M" {
+            continue;
+        }
+        let &Json::F64(ts) = field(event, "ts") else {
+            panic!("timestamp is not a number: {event:?}");
+        };
+        let (last_ts, depth) = tracks.entry(tid).or_insert((0.0, 0));
+        assert!(
+            ts >= *last_ts,
+            "ts regressed on tid {tid}: {ts} < {last_ts}"
+        );
+        *last_ts = ts;
+        match ph.as_str() {
+            "B" => *depth += 1,
+            "E" => {
+                assert!(*depth > 0, "E without a matching B on tid {tid}");
+                *depth -= 1;
+            }
+            other => panic!("unexpected phase {other:?}"),
+        }
+    }
+    for (tid, (_, depth)) in &tracks {
+        assert_eq!(*depth, 0, "unclosed spans on tid {tid}");
+    }
+    assert!(tracks.len() >= 2, "want goroutine tracks, got {tracks:?}");
 }
 
 /// In the Batched gateway mode, the scheduler flushes the syscall ring at each
