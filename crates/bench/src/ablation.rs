@@ -558,19 +558,22 @@ mod tests {
 
     #[test]
     fn virtualized_arm_scales_past_fifteen_enclosures() {
-        let s = key_virtualization_study(30, 3).unwrap();
-        assert_eq!(s.enclosures, 30);
-        assert!(s.metas > 15, "the wall is real: {} metas", s.metas);
-        assert_eq!(s.calls, 90);
-        assert!(
-            s.key_evictions > 0,
-            "round-robin past 15 keys must evict: {s:?}"
-        );
-        assert!(s.eviction_ns > 0, "sweeps cost time: {s:?}");
-        assert!(
-            s.key_binds >= s.key_evictions,
-            "every eviction funds a bind: {s:?}"
-        );
+        // `repro ablations` runs the virtualized arm up to 40.
+        for enclosures in [30, 40] {
+            let s = key_virtualization_study(enclosures, 3).unwrap();
+            assert_eq!(s.enclosures, enclosures);
+            assert!(s.metas > 15, "the wall is real: {} metas", s.metas);
+            assert_eq!(s.calls, 3 * enclosures as u64);
+            assert!(
+                s.key_evictions > 0,
+                "round-robin past 15 keys must evict: {s:?}"
+            );
+            assert!(s.eviction_ns > 0, "sweeps cost time: {s:?}");
+            assert!(
+                s.key_binds >= s.key_evictions,
+                "every eviction funds a bind: {s:?}"
+            );
+        }
     }
 
     #[test]

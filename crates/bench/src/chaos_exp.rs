@@ -13,7 +13,7 @@
 //! the same seed are byte-identical — chaos you can bisect.
 
 use enclosure_apps::wiki::WikiApp;
-use enclosure_hw::{InjectionPlan, InjectionSite};
+use enclosure_hw::InjectionPlan;
 use enclosure_support::Json;
 use litterbox::{Backend, Fault};
 
@@ -47,16 +47,6 @@ impl ChaosConfig {
             ..ChaosConfig::full(seed)
         }
     }
-}
-
-/// The failure sites armed for a backend: transient gateway errnos
-/// everywhere, plus the backend's own switch mechanism. Baseline is
-/// the control arm — no sites armed, nothing fires, and the soak must
-/// come back with zero degradation. (Now just
-/// [`Backend::chaos_sites`], which the fleet balancer shares.)
-#[must_use]
-pub fn sites_for(backend: Backend) -> Vec<InjectionSite> {
-    backend.chaos_sites().to_vec()
 }
 
 /// One backend's soak outcome plus the ledgers the invariants compare.
@@ -200,12 +190,11 @@ pub fn run_profiled_on(
     let mut profiles = Vec::new();
     for &backend in backends {
         let mut app = WikiApp::new(backend)?;
-        let sites = sites_for(backend);
+        let sites = backend.chaos_sites();
         let clock = app.runtime_mut().lb_mut().clock_mut();
         clock.reset();
         if !sites.is_empty() {
-            clock
-                .arm_injection(InjectionPlan::new(config.seed, config.rate_ppm).with_sites(&sites));
+            clock.arm_injection(InjectionPlan::new(config.seed, config.rate_ppm).with_sites(sites));
         }
         let t0 = app.runtime().lb().now_ns();
         let stats = app.serve_requests(config.requests)?;
@@ -315,10 +304,18 @@ mod tests {
         assert!(report.rows[3].injected_faults > 0, "{:?}", report.rows[3]);
     }
 
-    #[test]
-    fn same_seed_same_report() {
-        let a = run(ChaosConfig::quick(7)).unwrap();
-        let b = run(ChaosConfig::quick(7)).unwrap();
-        assert_eq!(a, b);
+    enclosure_support::props! {
+        /// On every seed the quick soak is a pure function of its seed
+        /// and every backend's row keeps its invariants, the LB_PROC
+        /// IPC and spawn ledgers included.
+        fn quick_soak_holds_on_every_seed(rng, cases = 32) {
+            let config = ChaosConfig::quick(rng.next_u64());
+            let report = run(config).unwrap();
+            assert_eq!(report, run(config).unwrap(), "seed {:#x}", config.seed);
+            for row in &report.rows {
+                let violations = check_invariants(&report.config, row);
+                assert!(violations.is_empty(), "seed {:#x}: {violations:?}", config.seed);
+            }
+        }
     }
 }

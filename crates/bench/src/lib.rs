@@ -27,9 +27,9 @@
 //!   span tree recorded while serving the wiki workload;
 //! * [`report`] — table rendering shared by the `repro` binary.
 //!
-//! Every number is *simulated time* from the calibrated cost model; the
-//! Criterion benches under `benches/` additionally measure the wall-clock
-//! cost of the simulation itself.
+//! Every number is *simulated time* from the calibrated cost model. The
+//! wall-clock cost of the simulation itself is measured by the separate
+//! `enclosure-perf` package in the repository's top-level `bench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

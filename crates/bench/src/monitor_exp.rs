@@ -31,8 +31,6 @@ use enclosure_hw::InjectionPlan;
 use enclosure_telemetry::{FlightRecording, SloPolicy, DEFAULT_WINDOW_NS};
 use litterbox::{Backend, Fault, GatewayMode};
 
-use crate::chaos_exp;
-
 /// Parameters for one monitored fleet run (the `repro monitor` knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorExpConfig {
@@ -159,8 +157,8 @@ pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
         rec.enable_series(DEFAULT_WINDOW_NS, 64);
         rec.set_slo(SloPolicy::default());
         rec.arm_flight_recorder(FLIGHTREC_DEPTH);
-        let sites = chaos_exp::sites_for(backend);
-        clock.arm_injection(InjectionPlan::new(seed, FLIGHTREC_RATE_PPM).with_sites(&sites));
+        let sites = backend.chaos_sites();
+        clock.arm_injection(InjectionPlan::new(seed, FLIGHTREC_RATE_PPM).with_sites(sites));
     }
     app.serve_requests(FLIGHTREC_REQUESTS)?;
     let recording = app

@@ -26,6 +26,20 @@ const COMMANDS: [&str; 18] = [
     "all",
 ];
 
+/// Runs `repro` with `args`, asserts it exits 0, and returns its stdout.
+fn repro(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    assert!(
+        out.status.success(),
+        "repro {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
 #[test]
 fn unknown_subcommand_lists_the_menu_and_fails() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -206,38 +220,93 @@ fn parallel_fleet_prints_the_sequential_bytes() {
     }
 }
 
-/// `repro batching --json` is byte-stable across runs — including the
-/// new 8-worker async arms and the per-arm latency histograms, whose
-/// key order is fixed by construction (never locale- or hash-seeded).
+/// `repro batching --json` is byte-stable across runs, at `--quick`
+/// and at the default 200 requests — including the 8-worker async arms
+/// and the per-arm latency histograms, whose key order is fixed by
+/// construction (never locale- or hash-seeded).
 #[test]
 fn batching_json_is_byte_identical_across_runs() {
-    let run = || {
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["batching", "--quick", "--json"])
-            .output()
-            .expect("spawn repro");
-        assert!(out.status.success(), "batching --json must succeed");
-        String::from_utf8(out.stdout).expect("utf-8 stdout")
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "two runs must serialize identically");
-    for mode in [
-        "\"unbatched\"",
-        "\"batched\"",
-        "\"batched_c8\"",
-        "\"async_c8\"",
+    for args in [
+        &["batching", "--quick", "--json"][..],
+        &["batching", "--json"],
     ] {
-        assert!(first.contains(mode), "arm {mode} missing from the JSON");
+        let first = repro(args);
+        assert_eq!(
+            first,
+            repro(args),
+            "{args:?}: two runs must serialize identically"
+        );
+        for mode in [
+            "\"unbatched\"",
+            "\"batched\"",
+            "\"batched_c8\"",
+            "\"async_c8\"",
+        ] {
+            assert!(
+                first.contains(mode),
+                "{args:?}: arm {mode} missing from the JSON"
+            );
+        }
+        assert!(
+            first.contains("\"latency\""),
+            "per-arm latency histograms are serialized"
+        );
+        assert!(
+            first.contains("\"flush_reasons\""),
+            "per-arm flush attribution is serialized"
+        );
     }
-    assert!(
-        first.contains("\"latency\""),
-        "per-arm latency histograms are serialized"
-    );
-    assert!(
-        first.contains("\"flush_reasons\""),
-        "per-arm flush attribution is serialized"
-    );
+}
+
+/// The default chaos soak and the LB_PROC-only quick soak print the
+/// same bytes on every run, LB_PROC row included (`repro chaos` exits
+/// non-zero if a row breaks an invariant, so these runs also balance
+/// every ledger).
+#[test]
+fn chaos_soaks_print_the_same_bytes_twice() {
+    for args in [
+        &["chaos", "--seed=0xC4A05"][..],
+        &["chaos", "--backend=proc", "--quick"],
+    ] {
+        let first = repro(args);
+        assert_eq!(
+            first,
+            repro(args),
+            "{args:?}: two runs must print the same bytes"
+        );
+        assert!(first.contains("LB_PROC"), "{args:?}:\n{first}");
+    }
+}
+
+/// `table2 --backend=proc` gives every app a third slowdown cell, and
+/// the default table has no LB_PROC column.
+#[test]
+fn table2_proc_column_is_opt_in() {
+    let table = repro(&["table2", "--quick", "--backend=proc"]);
+    for app in ["bild", "HTTP", "FastHTTP"] {
+        let row = table
+            .lines()
+            .find(|l| l.starts_with(&format!("{app} ")))
+            .unwrap_or_else(|| panic!("no {app} row:\n{table}"));
+        // name+baseline | LB_MPK | LB_VTX | LB_PROC | paper
+        let cells: Vec<&str> = row.split('|').collect();
+        assert_eq!(cells.len(), 5, "{row}");
+        for cell in &cells[1..4] {
+            let slowdown = cell.split_whitespace().last().unwrap_or_default();
+            let ratio = slowdown
+                .strip_suffix('x')
+                .and_then(|v| v.parse::<f64>().ok());
+            assert!(ratio.is_some(), "no slowdown cell in {cell:?}: {row}");
+        }
+    }
+    let default = repro(&["table2", "--quick"]);
+    assert!(!default.contains("LB_PROC"), "{default}");
+}
+
+/// The telemetry-derived §6.4 attribution runs to completion.
+#[test]
+fn attribution_quick_exits_zero() {
+    repro(&["attribution", "--quick"]);
 }
 
 /// The kill-one-shard rehearsal through the CLI: the monitored chaos

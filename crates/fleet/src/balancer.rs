@@ -269,8 +269,7 @@ pub struct FleetReport {
     pub monitor: Option<MonitorReport>,
     /// Every executed batch as a `[start, end)` span on its shard's
     /// virtual timeline, in fold order. Not serialized by
-    /// [`FleetReport::to_json`] (it would dwarf the report); rendered
-    /// by [`FleetReport::chrome_trace`].
+    /// [`FleetReport::to_json`] (it would dwarf the report).
     pub spans: Vec<BatchSpan>,
 }
 
@@ -354,58 +353,6 @@ impl FleetReport {
             fields.push(("monitor", monitor.to_json()));
         }
         Json::obj(fields)
-    }
-
-    /// Chrome trace-event JSON of the per-batch spans: one `tid` per
-    /// shard, one complete (`X`) event per batch. Loaded in Perfetto /
-    /// `chrome://tracing`, the catch-up scheduler's overlap is visible
-    /// as interleaved shard tracks — multiple batches on a fast track
-    /// inside one batch of a slow one.
-    #[must_use]
-    pub fn chrome_trace(&self) -> Json {
-        // Trace-event timestamps are microseconds.
-        let ts_us = |ns: u64| {
-            #[allow(clippy::cast_precision_loss)]
-            Json::F64(ns as f64 / 1000.0)
-        };
-        let mut events = Vec::new();
-        for row in &self.rows {
-            events.push(Json::obj([
-                ("ph", Json::from("M")),
-                ("name", Json::from("thread_name")),
-                ("pid", Json::U64(1)),
-                ("tid", Json::U64(row.id as u64)),
-                (
-                    "args",
-                    Json::obj([(
-                        "name",
-                        Json::from(format!("shard-{} ({})", row.id, row.backend).as_str()),
-                    )]),
-                ),
-            ]));
-        }
-        for span in &self.spans {
-            events.push(Json::obj([
-                ("ph", Json::from("X")),
-                ("name", Json::from(span.label)),
-                ("cat", Json::from("fleet")),
-                ("pid", Json::U64(1)),
-                ("tid", Json::U64(span.shard as u64)),
-                ("ts", ts_us(span.start_ns)),
-                ("dur", ts_us(span.end_ns - span.start_ns)),
-                (
-                    "args",
-                    Json::obj([
-                        ("round", Json::U64(span.round)),
-                        ("reqs", Json::U64(span.reqs)),
-                    ]),
-                ),
-            ]));
-        }
-        Json::obj([
-            ("traceEvents", Json::arr(events)),
-            ("displayTimeUnit", Json::from("ns")),
-        ])
     }
 }
 

@@ -113,18 +113,3 @@ fn catchup_overlaps_shard_tracks() {
     });
     assert!(interleaved, "no catch-up span interleaves a peer's span");
 }
-
-#[test]
-fn chrome_trace_renders_one_track_per_shard() {
-    let cfg = FleetConfig::new(3, 900, 5).mixed_backends().with_chaos();
-    let report = run(cfg);
-    let text = report.chrome_trace().to_pretty();
-    assert!(text.contains("\"traceEvents\""));
-    for (id, backend) in ["LB_MPK", "LB_VTX", "LB_PROC"].iter().enumerate() {
-        assert!(
-            text.contains(&format!("shard-{id} ({backend})")),
-            "missing track name for shard {id}: {backend}"
-        );
-    }
-    assert!(text.contains("\"ph\": \"X\"") || text.contains("\"ph\":\"X\""));
-}

@@ -165,25 +165,6 @@ impl FileSystem {
         self.read(path).map(|d| d.len() as u64)
     }
 
-    /// Removes a file.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] if the path does not exist.
-    pub fn unlink(&mut self, path: &str) -> Result<(), Errno> {
-        self.files.remove(path).map(|_| ()).ok_or(Errno::Enoent)
-    }
-
-    /// Lists paths under a directory prefix (e.g. `"/home/user/.ssh/"`).
-    #[must_use]
-    pub fn readdir(&self, prefix: &str) -> Vec<String> {
-        self.files
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// Number of files.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -242,27 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn readdir_lists_prefix_only() {
-        let fs = FileSystem::with_demo_home();
-        let ssh = fs.readdir("/home/user/.ssh/");
-        assert_eq!(ssh.len(), 2);
-        assert!(ssh.iter().all(|p| p.starts_with("/home/user/.ssh/")));
-    }
-
-    #[test]
     fn demo_home_has_the_paper_assets() {
         let fs = FileSystem::with_demo_home();
         assert!(fs.exists("/home/user/.ssh/id_rsa"));
         assert!(fs.exists("/home/user/.gnupg/secring.gpg"));
         let key = fs.read("/home/user/.ssh/id_rsa").unwrap();
         assert!(std::str::from_utf8(key).unwrap().contains("SECRET"));
-    }
-
-    #[test]
-    fn unlink_removes() {
-        let mut fs = FileSystem::with_demo_home();
-        fs.unlink("/etc/passwd").unwrap();
-        assert!(!fs.exists("/etc/passwd"));
-        assert_eq!(fs.unlink("/etc/passwd"), Err(Errno::Enoent));
     }
 }

@@ -10,13 +10,15 @@ use crate::net::{Network, SockAddr, SocketId};
 use crate::{Errno, Sysno};
 
 /// A syscall as seen by the filtering layer: number plus raw argument
-/// words (the shape of `seccomp_data`).
+/// words (the shape of `seccomp_data`). The synchronous gateway and the
+/// batched ring's descriptors both build their records through the
+/// constructors below, one per argument shape, so one policy governs
+/// both paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyscallRecord {
     /// The syscall number.
     pub sysno: Sysno,
-    /// Raw argument words. For `connect`, `args[1]` is the destination
-    /// IPv4 and `args[2]` the port.
+    /// Raw argument words.
     pub args: [u64; 6],
 }
 
@@ -30,27 +32,44 @@ impl SyscallRecord {
         }
     }
 
-    /// A record with explicit arguments.
-    #[must_use]
-    pub fn with_args(sysno: Sysno, args: [u64; 6]) -> SyscallRecord {
-        SyscallRecord { sysno, args }
+    fn words(sysno: Sysno, a0: u64, a1: u64, a2: u64) -> SyscallRecord {
+        SyscallRecord {
+            sysno,
+            args: [a0, a1, a2, 0, 0, 0],
+        }
     }
 
-    /// The record for a `connect` to `addr` (arguments laid out the way
-    /// the seccomp filter inspects them).
+    /// A call on one fd (`close`, `listen`, `accept`): the fd in
+    /// `args[0]`.
     #[must_use]
-    pub fn connect(fd: u32, addr: SockAddr) -> SyscallRecord {
-        SyscallRecord {
-            sysno: Sysno::Connect,
-            args: [
-                u64::from(fd),
-                u64::from(addr.ip),
-                u64::from(addr.port),
-                0,
-                0,
-                0,
-            ],
-        }
+    pub fn fd(sysno: Sysno, fd: u32) -> SyscallRecord {
+        SyscallRecord::words(sysno, u64::from(fd), 0, 0)
+    }
+
+    /// A transfer on an fd (`read`, `write`, `sendto`, `recvfrom`): the
+    /// fd in `args[0]`, the byte count in `args[2]`.
+    #[must_use]
+    pub fn fd_len(sysno: Sysno, fd: u32, len: usize) -> SyscallRecord {
+        SyscallRecord::words(sysno, u64::from(fd), 0, len as u64)
+    }
+
+    /// An fd and an address (`connect`, `bind`): the fd in `args[0]`,
+    /// the IPv4 address in `args[1]` and the port in `args[2]`, where
+    /// a connect allowlist inspects them.
+    #[must_use]
+    pub fn fd_addr(sysno: Sysno, fd: u32, addr: SockAddr) -> SyscallRecord {
+        SyscallRecord::words(
+            sysno,
+            u64::from(fd),
+            u64::from(addr.ip),
+            u64::from(addr.port),
+        )
+    }
+
+    /// An `open`: the flag bits in `args[1]`.
+    #[must_use]
+    pub fn open(flags: OpenFlags) -> SyscallRecord {
+        SyscallRecord::words(Sysno::Open, 0, flags.to_bits(), 0)
     }
 }
 
@@ -79,9 +98,6 @@ enum FdKind {
 #[derive(Debug, Clone, Copy)]
 struct ServiceCosts {
     open: u64,
-    stat: u64,
-    unlink: u64,
-    readdir: u64,
     io_base: u64,
     io_per_64b: u64,
     socket: u64,
@@ -97,9 +113,6 @@ impl ServiceCosts {
     fn default_costs() -> ServiceCosts {
         ServiceCosts {
             open: 250,
-            stat: 150,
-            unlink: 200,
-            readdir: 300,
             io_base: 120,
             io_per_64b: 8,
             socket: 150,
@@ -287,32 +300,6 @@ impl Kernel {
             },
         );
         Ok(fd)
-    }
-
-    /// `stat`: file size.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] for missing paths.
-    pub fn stat(&self, clock: &mut Clock, path: &str) -> Result<u64, Errno> {
-        Self::charge(clock, Sysno::Stat, self.costs.stat);
-        self.fs.stat(path)
-    }
-
-    /// `unlink`.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Enoent`] for missing paths.
-    pub fn unlink(&mut self, clock: &mut Clock, path: &str) -> Result<(), Errno> {
-        Self::charge(clock, Sysno::Unlink, self.costs.unlink);
-        self.fs.unlink(path)
-    }
-
-    /// `readdir`: paths under a prefix.
-    pub fn readdir(&self, clock: &mut Clock, prefix: &str) -> Vec<String> {
-        Self::charge(clock, Sysno::Readdir, self.costs.readdir);
-        self.fs.readdir(prefix)
     }
 
     // --- io ---

@@ -21,7 +21,6 @@ use enclosure_hw::Clock;
 
 use crate::fs::OpenFlags;
 use crate::kernel::{Kernel, SyscallRecord};
-use crate::net::SockAddr;
 use crate::{Errno, Sysno};
 
 /// A typed syscall descriptor a goroutine can enqueue. Descriptors carry
@@ -46,11 +45,6 @@ pub enum BatchOp {
         /// Open mode.
         flags: OpenFlags,
     },
-    /// `stat(path)`.
-    Stat {
-        /// Path to stat.
-        path: String,
-    },
     /// `read(fd, len)`.
     Read {
         /// Source fd.
@@ -58,31 +52,10 @@ pub enum BatchOp {
         /// Bytes requested.
         len: usize,
     },
-    /// `write(fd, data)`.
-    Write {
-        /// Destination fd.
-        fd: u32,
-        /// Payload.
-        data: Vec<u8>,
-    },
     /// `close(fd)`.
     Close {
         /// The fd to close.
         fd: u32,
-    },
-    /// `socket()`.
-    Socket,
-    /// `accept(fd)`.
-    Accept {
-        /// The listening fd.
-        fd: u32,
-    },
-    /// `connect(fd, addr)`.
-    Connect {
-        /// The socket fd.
-        fd: u32,
-        /// Destination address.
-        addr: SockAddr,
     },
     /// `send(fd, data)`.
     Send {
@@ -90,13 +63,6 @@ pub enum BatchOp {
         fd: u32,
         /// Payload.
         data: Vec<u8>,
-    },
-    /// `recv(fd, len)`.
-    Recv {
-        /// The socket fd.
-        fd: u32,
-        /// Bytes requested.
-        len: usize,
     },
 }
 
@@ -111,15 +77,9 @@ impl BatchOp {
             BatchOp::Nanosleep(_) => Sysno::Nanosleep,
             BatchOp::Futex => Sysno::Futex,
             BatchOp::Open { .. } => Sysno::Open,
-            BatchOp::Stat { .. } => Sysno::Stat,
             BatchOp::Read { .. } => Sysno::Read,
-            BatchOp::Write { .. } => Sysno::Write,
             BatchOp::Close { .. } => Sysno::Close,
-            BatchOp::Socket => Sysno::Socket,
-            BatchOp::Accept { .. } => Sysno::Accept,
-            BatchOp::Connect { .. } => Sysno::Connect,
             BatchOp::Send { .. } => Sysno::Sendto,
-            BatchOp::Recv { .. } => Sysno::Recvfrom,
         }
     }
 
@@ -128,19 +88,17 @@ impl BatchOp {
     /// gateway's records, so one policy governs both paths.
     #[must_use]
     pub fn record(&self) -> SyscallRecord {
+        let sysno = self.sysno();
         match self {
-            BatchOp::Connect { fd, addr } => SyscallRecord::connect(*fd, *addr),
-            BatchOp::Read { fd, len } | BatchOp::Recv { fd, len } => {
-                SyscallRecord::with_args(self.sysno(), [u64::from(*fd), 0, *len as u64, 0, 0, 0])
-            }
-            BatchOp::Write { fd, data } | BatchOp::Send { fd, data } => SyscallRecord::with_args(
-                self.sysno(),
-                [u64::from(*fd), 0, data.len() as u64, 0, 0, 0],
-            ),
-            BatchOp::Close { fd } | BatchOp::Accept { fd } => {
-                SyscallRecord::with_args(self.sysno(), [u64::from(*fd), 0, 0, 0, 0, 0])
-            }
-            _ => SyscallRecord::new(self.sysno()),
+            BatchOp::Open { flags, .. } => SyscallRecord::open(*flags),
+            BatchOp::Read { fd, len } => SyscallRecord::fd_len(sysno, *fd, *len),
+            BatchOp::Send { fd, data } => SyscallRecord::fd_len(sysno, *fd, data.len()),
+            BatchOp::Close { fd } => SyscallRecord::fd(sysno, *fd),
+            BatchOp::Getuid
+            | BatchOp::Getpid
+            | BatchOp::ClockGettime
+            | BatchOp::Nanosleep(_)
+            | BatchOp::Futex => SyscallRecord::new(sysno),
         }
     }
 }
@@ -225,15 +183,6 @@ impl SyscallRing {
         self.sq.drain(..).collect()
     }
 
-    /// Re-queues submissions at the front, preserving order — used when
-    /// a whole-flush fault (a lost crossing) leaves the batch unserviced
-    /// so the caller can retry the flush.
-    pub fn requeue_front(&mut self, subs: Vec<Submission>) {
-        for sub in subs.into_iter().rev() {
-            self.sq.push_front(sub);
-        }
-    }
-
     /// Posts a completion.
     pub fn complete(&mut self, completion: Completion) {
         self.cq.push_back(completion);
@@ -298,21 +247,11 @@ pub fn service(kernel: &mut Kernel, clock: &mut Clock, op: &BatchOp) -> Result<B
             Ok(BatchReply::Unit)
         }
         BatchOp::Open { path, flags } => kernel.open(clock, path, *flags).map(BatchReply::Fd),
-        BatchOp::Stat { path } => kernel.stat(clock, path).map(BatchReply::Num),
         BatchOp::Read { fd, len } => kernel.read(clock, *fd, *len).map(BatchReply::Bytes),
-        BatchOp::Write { fd, data } => kernel
-            .write(clock, *fd, data)
-            .map(|n| BatchReply::Num(n as u64)),
         BatchOp::Close { fd } => kernel.close(clock, *fd).map(|()| BatchReply::Unit),
-        BatchOp::Socket => Ok(BatchReply::Fd(kernel.socket(clock))),
-        BatchOp::Accept { fd } => kernel.accept(clock, *fd).map(BatchReply::Fd),
-        BatchOp::Connect { fd, addr } => {
-            kernel.connect(clock, *fd, *addr).map(|()| BatchReply::Unit)
-        }
         BatchOp::Send { fd, data } => kernel
             .send(clock, *fd, data)
             .map(|n| BatchReply::Num(n as u64)),
-        BatchOp::Recv { fd, len } => kernel.recv(clock, *fd, *len).map(BatchReply::Bytes),
     }
 }
 
@@ -336,19 +275,6 @@ mod tests {
         assert_eq!(subs[0].seq, 0);
         assert_eq!(subs[2].seq, 2);
         assert_eq!(ring.pending(), 0);
-    }
-
-    #[test]
-    fn requeue_front_restores_order_after_a_lost_crossing() {
-        let mut ring = SyscallRing::new();
-        ring.enqueue(1, BatchOp::Getuid);
-        ring.enqueue(1, BatchOp::Getpid);
-        let subs = ring.drain_submissions();
-        ring.enqueue(1, BatchOp::Futex);
-        ring.requeue_front(subs);
-        let again = ring.drain_submissions();
-        let seqs: Vec<u64> = again.iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
     }
 
     #[test]
@@ -383,18 +309,45 @@ mod tests {
         assert_eq!(done[1].result, Ok(BatchReply::Num(4242)));
     }
 
+    /// Every descriptor's record, word for word: the layout
+    /// `LitterBox::sys_*` gates for the same call, so a policy that
+    /// inspects an argument sees it on both paths.
     #[test]
-    fn records_mirror_the_synchronous_gateway_shape() {
-        let op = BatchOp::Connect {
-            fd: 5,
-            addr: SockAddr::local(80),
-        };
-        assert_eq!(op.record(), SyscallRecord::connect(5, SockAddr::local(80)));
-        let send = BatchOp::Send {
-            fd: 3,
-            data: vec![0; 100],
-        };
-        assert_eq!(send.record().args[2], 100);
+    fn records_pin_every_op_layout() {
+        let flags = OpenFlags::write_create();
+        let record = |sysno, args| SyscallRecord { sysno, args };
+        let cases = [
+            (BatchOp::Getuid, record(Sysno::Getuid, [0; 6])),
+            (BatchOp::Getpid, record(Sysno::Getpid, [0; 6])),
+            (BatchOp::ClockGettime, record(Sysno::ClockGettime, [0; 6])),
+            (BatchOp::Nanosleep(500), record(Sysno::Nanosleep, [0; 6])),
+            (BatchOp::Futex, record(Sysno::Futex, [0; 6])),
+            (
+                BatchOp::Open {
+                    path: "/tmp/x".into(),
+                    flags,
+                },
+                record(Sysno::Open, [0, flags.to_bits(), 0, 0, 0, 0]),
+            ),
+            (
+                BatchOp::Read { fd: 4, len: 64 },
+                record(Sysno::Read, [4, 0, 64, 0, 0, 0]),
+            ),
+            (
+                BatchOp::Close { fd: 6 },
+                record(Sysno::Close, [6, 0, 0, 0, 0, 0]),
+            ),
+            (
+                BatchOp::Send {
+                    fd: 3,
+                    data: vec![0; 100],
+                },
+                record(Sysno::Sendto, [3, 0, 100, 0, 0, 0]),
+            ),
+        ];
+        for (op, expected) in cases {
+            assert_eq!(op.record(), expected, "{op:?}");
+        }
     }
 
     #[test]

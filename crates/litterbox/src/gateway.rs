@@ -104,10 +104,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_open(&mut self, path: &str, flags: OpenFlags) -> Result<u32, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Open,
-            [0, flags.to_bits(), 0, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::open(flags))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.open(clock, path, flags)?)
     }
@@ -119,10 +116,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel (including `EAGAIN` on empty sockets).
     pub fn sys_read(&mut self, fd: u32, len: usize) -> Result<Vec<u8>, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Read,
-            [u64::from(fd), 0, len as u64, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd_len(Sysno::Read, fd, len))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.read(clock, fd, len)?)
     }
@@ -134,10 +128,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_write(&mut self, fd: u32, data: &[u8]) -> Result<usize, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Write,
-            [u64::from(fd), 0, data.len() as u64, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd_len(Sysno::Write, fd, data.len()))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.write(clock, fd, data)?)
     }
@@ -149,10 +140,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_close(&mut self, fd: u32) -> Result<(), SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Close,
-            [u64::from(fd), 0, 0, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd(Sysno::Close, fd))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.close(clock, fd)?)
     }
@@ -175,17 +163,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_bind(&mut self, fd: u32, addr: SockAddr) -> Result<(), SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Bind,
-            [
-                u64::from(fd),
-                u64::from(addr.ip),
-                u64::from(addr.port),
-                0,
-                0,
-                0,
-            ],
-        ))?;
+        self.gate(SyscallRecord::fd_addr(Sysno::Bind, fd, addr))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.bind(clock, fd, addr)?)
     }
@@ -197,10 +175,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_listen(&mut self, fd: u32) -> Result<(), SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Listen,
-            [u64::from(fd), 0, 0, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd(Sysno::Listen, fd))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.listen(clock, fd)?)
     }
@@ -212,10 +187,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel (`EAGAIN` for an empty backlog).
     pub fn sys_accept(&mut self, fd: u32) -> Result<u32, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Accept,
-            [u64::from(fd), 0, 0, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd(Sysno::Accept, fd))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.accept(clock, fd)?)
     }
@@ -228,7 +200,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_connect(&mut self, fd: u32, addr: SockAddr) -> Result<(), SysError> {
-        self.gate(SyscallRecord::connect(fd, addr))?;
+        self.gate(SyscallRecord::fd_addr(Sysno::Connect, fd, addr))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.connect(clock, fd, addr)?)
     }
@@ -240,10 +212,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel.
     pub fn sys_send(&mut self, fd: u32, data: &[u8]) -> Result<usize, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Sendto,
-            [u64::from(fd), 0, data.len() as u64, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd_len(Sysno::Sendto, fd, data.len()))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.send(clock, fd, data)?)
     }
@@ -255,10 +224,7 @@ impl LitterBox {
     /// [`SysError::Fault`] on filter denial; [`SysError::Errno`] from the
     /// kernel (`EAGAIN` when no data is queued).
     pub fn sys_recv(&mut self, fd: u32, len: usize) -> Result<Vec<u8>, SysError> {
-        self.gate(SyscallRecord::with_args(
-            Sysno::Recvfrom,
-            [u64::from(fd), 0, len as u64, 0, 0, 0],
-        ))?;
+        self.gate(SyscallRecord::fd_len(Sysno::Recvfrom, fd, len))?;
         let (kernel, clock) = self.kernel_and_clock();
         Ok(kernel.recv(clock, fd, len)?)
     }

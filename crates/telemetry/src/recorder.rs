@@ -127,315 +127,105 @@ pub struct Counters {
     pub shards_degraded: u64,
 }
 
+/// One counter's row in [`FIELDS`]: its JSON key, the one-line
+/// description `repro counters --list` prints, and the field itself.
+type Field = (&'static str, &'static str, fn(&mut Counters) -> &mut u64);
+
+/// Every counter, in declaration order: the one list that
+/// [`Counters::to_json`], [`Counters::registry`] and [`Counters::merge`]
+/// loop over. Adding a counter is two edits: the field and its row.
+#[rustfmt::skip]
+const FIELDS: &[Field] = &[
+    ("inits", "full Init calls", |c| &mut c.inits),
+    ("incremental_inits", "incremental (lazy-import) Init calls", |c| &mut c.incremental_inits),
+    ("init_ns", "simulated ns of delayed initialization", |c| &mut c.init_ns),
+    ("prologs", "enclosure entries (Prolog calls)", |c| &mut c.prologs),
+    ("epilogs", "enclosure exits (Epilog calls)", |c| &mut c.epilogs),
+    ("executes", "Execute reschedules to another environment", |c| &mut c.executes),
+    ("transfers", "Transfer calls between package arenas", |c| &mut c.transfers),
+    ("transfer_pages", "pages moved by Transfer", |c| &mut c.transfer_pages),
+    ("filter_syscalls", "FilterSyscall evaluations", |c| &mut c.filter_syscalls),
+    ("filter_denied", "FilterSyscall denials", |c| &mut c.filter_denied),
+    ("view_updates", "enclosure view updates after declaration", |c| &mut c.view_updates),
+    ("faults", "faults raised (memory, denial, escalation, ...)", |c| &mut c.faults),
+    ("wrpkru_writes", "WRPKRU writes (MPK switches)", |c| &mut c.wrpkru_writes),
+    ("cr3_writes", "CR3 rewrites (VTX guest-syscall switches)", |c| &mut c.cr3_writes),
+    ("vm_exits", "VM EXITs to the host (VTX host syscalls)", |c| &mut c.vm_exits),
+    ("pkey_mprotects", "pkey_mprotect invocations", |c| &mut c.pkey_mprotects),
+    ("pkey_mprotect_pages", "pages retagged by pkey_mprotect", |c| &mut c.pkey_mprotect_pages),
+    ("key_binds", "virtual->hardware key bindings", |c| &mut c.key_binds),
+    ("key_evictions", "virtual-key evictions (hardware key recycled)", |c| &mut c.key_evictions),
+    ("key_eviction_pages", "pages swept unreachable by evictions", |c| &mut c.key_eviction_pages),
+    ("key_eviction_ns", "simulated ns spent in eviction sweeps", |c| &mut c.key_eviction_ns),
+    ("proc_spawns", "sandbox children forked (LB_PROC spawns + respawns)", |c| &mut c.proc_spawns),
+    ("proc_respawns", "supervisor respawns after child crashes (LB_PROC)", |c| &mut c.proc_respawns),
+    ("ipc_crossings", "charged IPC round-trips to sandbox children (LB_PROC)", |c| &mut c.ipc_crossings),
+    ("syscall_entries", "kernel syscall entries (post-filter)", |c| &mut c.syscall_entries),
+    ("enclosed_syscall_entries", "syscall entries made from inside an enclosure", |c| &mut c.enclosed_syscall_entries),
+    ("seccomp_verdicts", "seccomp verdicts evaluated", |c| &mut c.seccomp_verdicts),
+    ("seccomp_denied", "seccomp denials", |c| &mut c.seccomp_denied),
+    ("batch_flushes", "batched-gateway flushes (one charged crossing each)", |c| &mut c.batch_flushes),
+    ("batched_syscalls", "syscalls serviced through batched flushes", |c| &mut c.batched_syscalls),
+    ("reschedules", "goroutine reschedules across environments", |c| &mut c.reschedules),
+    ("span_transfers", "heap-span transfers", |c| &mut c.span_transfers),
+    ("gc_pauses", "stop-the-world GC pauses", |c| &mut c.gc_pauses),
+    ("gc_pause_ns", "accumulated GC pause ns", |c| &mut c.gc_pause_ns),
+    ("metadata_switches", "metadata trusted round trips (two switches each)", |c| &mut c.metadata_switches),
+    ("injected_faults", "failures produced by the fault-injection plan", |c| &mut c.injected_faults),
+    ("breaker_trips", "circuit-breaker trips (enclosure quarantines)", |c| &mut c.breaker_trips),
+    ("breaker_fast_fails", "calls fast-failed against a quarantined enclosure", |c| &mut c.breaker_fast_fails),
+    ("span_imbalances", "span-stack truncations (unbalanced end_span or reset)", |c| &mut c.span_imbalances),
+    ("go_parks", "goroutines parked on a pending batch completion", |c| &mut c.go_parks),
+    ("go_wakes", "parked goroutines woken by a posted completion", |c| &mut c.go_wakes),
+    ("flush_size_triggers", "retired size-trigger flushes (always 0)", |c| &mut c.flush_size_triggers),
+    ("flush_deadline_triggers", "retired deadline-trigger flushes (always 0)", |c| &mut c.flush_deadline_triggers),
+    ("flush_quantum_triggers", "batch flushes at a scheduler quantum boundary", |c| &mut c.flush_quantum_triggers),
+    ("flush_barrier_triggers", "batch flushes forced by a switch barrier", |c| &mut c.flush_barrier_triggers),
+    ("flush_explicit_triggers", "batch flushes requested by the application", |c| &mut c.flush_explicit_triggers),
+    ("flush_drain_triggers", "batch flushes draining for parked goroutines", |c| &mut c.flush_drain_triggers),
+    ("requests_ok", "application requests completed cleanly", |c| &mut c.requests_ok),
+    ("requests_degraded", "application requests completed degraded", |c| &mut c.requests_degraded),
+    ("slo_burns", "multi-window error-budget burn alerts", |c| &mut c.slo_burns),
+    ("shards_degraded", "advisory shard-degradation signals (fleet monitor)", |c| &mut c.shards_degraded),
+];
+
+// One row per field: a missing or extra row fails to compile, and the
+// accessor round-trip test rules out two rows naming one field.
+const _: () = assert!(std::mem::size_of::<Counters>() == 8 * FIELDS.len());
+
 impl Counters {
     /// Serializes every counter, in declaration order, as a JSON
     /// object — the payload behind `repro --json` counter dumps.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("inits", Json::U64(self.inits)),
-            ("incremental_inits", Json::U64(self.incremental_inits)),
-            ("init_ns", Json::U64(self.init_ns)),
-            ("prologs", Json::U64(self.prologs)),
-            ("epilogs", Json::U64(self.epilogs)),
-            ("executes", Json::U64(self.executes)),
-            ("transfers", Json::U64(self.transfers)),
-            ("transfer_pages", Json::U64(self.transfer_pages)),
-            ("filter_syscalls", Json::U64(self.filter_syscalls)),
-            ("filter_denied", Json::U64(self.filter_denied)),
-            ("view_updates", Json::U64(self.view_updates)),
-            ("faults", Json::U64(self.faults)),
-            ("wrpkru_writes", Json::U64(self.wrpkru_writes)),
-            ("cr3_writes", Json::U64(self.cr3_writes)),
-            ("vm_exits", Json::U64(self.vm_exits)),
-            ("pkey_mprotects", Json::U64(self.pkey_mprotects)),
-            ("pkey_mprotect_pages", Json::U64(self.pkey_mprotect_pages)),
-            ("key_binds", Json::U64(self.key_binds)),
-            ("key_evictions", Json::U64(self.key_evictions)),
-            ("key_eviction_pages", Json::U64(self.key_eviction_pages)),
-            ("key_eviction_ns", Json::U64(self.key_eviction_ns)),
-            ("proc_spawns", Json::U64(self.proc_spawns)),
-            ("proc_respawns", Json::U64(self.proc_respawns)),
-            ("ipc_crossings", Json::U64(self.ipc_crossings)),
-            ("syscall_entries", Json::U64(self.syscall_entries)),
-            (
-                "enclosed_syscall_entries",
-                Json::U64(self.enclosed_syscall_entries),
-            ),
-            ("seccomp_verdicts", Json::U64(self.seccomp_verdicts)),
-            ("seccomp_denied", Json::U64(self.seccomp_denied)),
-            ("batch_flushes", Json::U64(self.batch_flushes)),
-            ("batched_syscalls", Json::U64(self.batched_syscalls)),
-            ("reschedules", Json::U64(self.reschedules)),
-            ("span_transfers", Json::U64(self.span_transfers)),
-            ("gc_pauses", Json::U64(self.gc_pauses)),
-            ("gc_pause_ns", Json::U64(self.gc_pause_ns)),
-            ("metadata_switches", Json::U64(self.metadata_switches)),
-            ("injected_faults", Json::U64(self.injected_faults)),
-            ("breaker_trips", Json::U64(self.breaker_trips)),
-            ("breaker_fast_fails", Json::U64(self.breaker_fast_fails)),
-            ("span_imbalances", Json::U64(self.span_imbalances)),
-            ("go_parks", Json::U64(self.go_parks)),
-            ("go_wakes", Json::U64(self.go_wakes)),
-            ("flush_size_triggers", Json::U64(self.flush_size_triggers)),
-            (
-                "flush_deadline_triggers",
-                Json::U64(self.flush_deadline_triggers),
-            ),
-            (
-                "flush_quantum_triggers",
-                Json::U64(self.flush_quantum_triggers),
-            ),
-            (
-                "flush_barrier_triggers",
-                Json::U64(self.flush_barrier_triggers),
-            ),
-            (
-                "flush_explicit_triggers",
-                Json::U64(self.flush_explicit_triggers),
-            ),
-            ("flush_drain_triggers", Json::U64(self.flush_drain_triggers)),
-            ("requests_ok", Json::U64(self.requests_ok)),
-            ("requests_degraded", Json::U64(self.requests_degraded)),
-            ("slo_burns", Json::U64(self.slo_burns)),
-            ("shards_degraded", Json::U64(self.shards_degraded)),
-        ])
+        let mut counters = *self;
+        Json::obj(
+            FIELDS
+                .iter()
+                .map(|&(key, _, get)| (key, Json::U64(*get(&mut counters)))),
+        )
     }
 
     /// The counter registry: every counter name paired with a one-line
     /// description, in declaration (= [`Counters::to_json`]) order.
-    /// `repro counters --list` renders it, and a property test pins it
-    /// against the JSON dump so a counter cannot ship undocumented.
+    /// `repro counters --list` renders it.
     #[must_use]
-    pub fn registry() -> &'static [(&'static str, &'static str)] {
-        &[
-            ("inits", "full Init calls"),
-            ("incremental_inits", "incremental (lazy-import) Init calls"),
-            ("init_ns", "simulated ns of delayed initialization"),
-            ("prologs", "enclosure entries (Prolog calls)"),
-            ("epilogs", "enclosure exits (Epilog calls)"),
-            ("executes", "Execute reschedules to another environment"),
-            ("transfers", "Transfer calls between package arenas"),
-            ("transfer_pages", "pages moved by Transfer"),
-            ("filter_syscalls", "FilterSyscall evaluations"),
-            ("filter_denied", "FilterSyscall denials"),
-            ("view_updates", "enclosure view updates after declaration"),
-            ("faults", "faults raised (memory, denial, escalation, ...)"),
-            ("wrpkru_writes", "WRPKRU writes (MPK switches)"),
-            ("cr3_writes", "CR3 rewrites (VTX guest-syscall switches)"),
-            ("vm_exits", "VM EXITs to the host (VTX host syscalls)"),
-            ("pkey_mprotects", "pkey_mprotect invocations"),
-            ("pkey_mprotect_pages", "pages retagged by pkey_mprotect"),
-            ("key_binds", "virtual->hardware key bindings"),
-            (
-                "key_evictions",
-                "virtual-key evictions (hardware key recycled)",
-            ),
-            ("key_eviction_pages", "pages swept unreachable by evictions"),
-            ("key_eviction_ns", "simulated ns spent in eviction sweeps"),
-            (
-                "proc_spawns",
-                "sandbox children forked (LB_PROC spawns + respawns)",
-            ),
-            (
-                "proc_respawns",
-                "supervisor respawns after child crashes (LB_PROC)",
-            ),
-            (
-                "ipc_crossings",
-                "charged IPC round-trips to sandbox children (LB_PROC)",
-            ),
-            ("syscall_entries", "kernel syscall entries (post-filter)"),
-            (
-                "enclosed_syscall_entries",
-                "syscall entries made from inside an enclosure",
-            ),
-            ("seccomp_verdicts", "seccomp verdicts evaluated"),
-            ("seccomp_denied", "seccomp denials"),
-            (
-                "batch_flushes",
-                "batched-gateway flushes (one charged crossing each)",
-            ),
-            (
-                "batched_syscalls",
-                "syscalls serviced through batched flushes",
-            ),
-            ("reschedules", "goroutine reschedules across environments"),
-            ("span_transfers", "heap-span transfers"),
-            ("gc_pauses", "stop-the-world GC pauses"),
-            ("gc_pause_ns", "accumulated GC pause ns"),
-            (
-                "metadata_switches",
-                "metadata trusted round trips (two switches each)",
-            ),
-            (
-                "injected_faults",
-                "failures produced by the fault-injection plan",
-            ),
-            (
-                "breaker_trips",
-                "circuit-breaker trips (enclosure quarantines)",
-            ),
-            (
-                "breaker_fast_fails",
-                "calls fast-failed against a quarantined enclosure",
-            ),
-            (
-                "span_imbalances",
-                "span-stack truncations (unbalanced end_span or reset)",
-            ),
-            (
-                "go_parks",
-                "goroutines parked on a pending batch completion",
-            ),
-            ("go_wakes", "parked goroutines woken by a posted completion"),
-            (
-                "flush_size_triggers",
-                "retired size-trigger flushes (always 0)",
-            ),
-            (
-                "flush_deadline_triggers",
-                "retired deadline-trigger flushes (always 0)",
-            ),
-            (
-                "flush_quantum_triggers",
-                "batch flushes at a scheduler quantum boundary",
-            ),
-            (
-                "flush_barrier_triggers",
-                "batch flushes forced by a switch barrier",
-            ),
-            (
-                "flush_explicit_triggers",
-                "batch flushes requested by the application",
-            ),
-            (
-                "flush_drain_triggers",
-                "batch flushes draining for parked goroutines",
-            ),
-            ("requests_ok", "application requests completed cleanly"),
-            (
-                "requests_degraded",
-                "application requests completed degraded",
-            ),
-            ("slo_burns", "multi-window error-budget burn alerts"),
-            (
-                "shards_degraded",
-                "advisory shard-degradation signals (fleet monitor)",
-            ),
-        ]
+    pub fn registry() -> Vec<(&'static str, &'static str)> {
+        FIELDS
+            .iter()
+            .map(|&(key, description, _)| (key, description))
+            .collect()
     }
 
     /// Adds `other`'s counts field-by-field — the fleet-view fold for
     /// per-shard counter sharding. Associative and commutative, so any
     /// merge order over a set of shard recorders produces the same
-    /// totals. The exhaustive destructuring makes adding a counter
-    /// without extending the merge a compile error.
+    /// totals.
     pub fn merge(&mut self, other: &Counters) {
-        let Counters {
-            inits,
-            incremental_inits,
-            init_ns,
-            prologs,
-            epilogs,
-            executes,
-            transfers,
-            transfer_pages,
-            filter_syscalls,
-            filter_denied,
-            view_updates,
-            faults,
-            wrpkru_writes,
-            cr3_writes,
-            vm_exits,
-            pkey_mprotects,
-            pkey_mprotect_pages,
-            key_binds,
-            key_evictions,
-            key_eviction_pages,
-            key_eviction_ns,
-            proc_spawns,
-            proc_respawns,
-            ipc_crossings,
-            syscall_entries,
-            enclosed_syscall_entries,
-            seccomp_verdicts,
-            seccomp_denied,
-            batch_flushes,
-            batched_syscalls,
-            reschedules,
-            span_transfers,
-            gc_pauses,
-            gc_pause_ns,
-            metadata_switches,
-            injected_faults,
-            breaker_trips,
-            breaker_fast_fails,
-            span_imbalances,
-            go_parks,
-            go_wakes,
-            flush_size_triggers,
-            flush_deadline_triggers,
-            flush_quantum_triggers,
-            flush_barrier_triggers,
-            flush_explicit_triggers,
-            flush_drain_triggers,
-            requests_ok,
-            requests_degraded,
-            slo_burns,
-            shards_degraded,
-        } = *other;
-        self.inits += inits;
-        self.incremental_inits += incremental_inits;
-        self.init_ns += init_ns;
-        self.prologs += prologs;
-        self.epilogs += epilogs;
-        self.executes += executes;
-        self.transfers += transfers;
-        self.transfer_pages += transfer_pages;
-        self.filter_syscalls += filter_syscalls;
-        self.filter_denied += filter_denied;
-        self.view_updates += view_updates;
-        self.faults += faults;
-        self.wrpkru_writes += wrpkru_writes;
-        self.cr3_writes += cr3_writes;
-        self.vm_exits += vm_exits;
-        self.pkey_mprotects += pkey_mprotects;
-        self.pkey_mprotect_pages += pkey_mprotect_pages;
-        self.key_binds += key_binds;
-        self.key_evictions += key_evictions;
-        self.key_eviction_pages += key_eviction_pages;
-        self.key_eviction_ns += key_eviction_ns;
-        self.proc_spawns += proc_spawns;
-        self.proc_respawns += proc_respawns;
-        self.ipc_crossings += ipc_crossings;
-        self.syscall_entries += syscall_entries;
-        self.enclosed_syscall_entries += enclosed_syscall_entries;
-        self.seccomp_verdicts += seccomp_verdicts;
-        self.seccomp_denied += seccomp_denied;
-        self.batch_flushes += batch_flushes;
-        self.batched_syscalls += batched_syscalls;
-        self.reschedules += reschedules;
-        self.span_transfers += span_transfers;
-        self.gc_pauses += gc_pauses;
-        self.gc_pause_ns += gc_pause_ns;
-        self.metadata_switches += metadata_switches;
-        self.injected_faults += injected_faults;
-        self.breaker_trips += breaker_trips;
-        self.breaker_fast_fails += breaker_fast_fails;
-        self.span_imbalances += span_imbalances;
-        self.go_parks += go_parks;
-        self.go_wakes += go_wakes;
-        self.flush_size_triggers += flush_size_triggers;
-        self.flush_deadline_triggers += flush_deadline_triggers;
-        self.flush_quantum_triggers += flush_quantum_triggers;
-        self.flush_barrier_triggers += flush_barrier_triggers;
-        self.flush_explicit_triggers += flush_explicit_triggers;
-        self.flush_drain_triggers += flush_drain_triggers;
-        self.requests_ok += requests_ok;
-        self.requests_degraded += requests_degraded;
-        self.slo_burns += slo_burns;
-        self.shards_degraded += shards_degraded;
+        let mut other = *other;
+        for (_, _, get) in FIELDS {
+            *get(self) += *get(&mut other);
+        }
     }
 
     pub(crate) fn bump(&mut self, event: &Event) {
@@ -1048,7 +838,7 @@ impl Recorder {
     /// debugging aids whose timestamps only make sense on their own
     /// clock. Merge each source recorder exactly once per view; to keep
     /// accumulating on the source afterwards without re-counting, reset
-    /// it with [`Recorder::reset_at`].
+    /// its clock (`Clock::reset`, which resets this recorder too).
     pub fn merge(&mut self, other: &Recorder) {
         self.counters.merge(&other.counters);
         for (scope, cost) in &other.attribution {
@@ -1078,21 +868,10 @@ impl Recorder {
     /// panicking or silently losing the fact.
     ///
     /// Only correct when simulated time also restarts at zero (the
-    /// clock-owned path, `Clock::reset`). If the clock keeps running,
-    /// use [`Recorder::reset_at`] instead — resetting the slice origin
-    /// to `0` under a non-zero clock would re-charge the whole `[0,
-    /// now)` prefix to the first slice closed after the reset,
-    /// double-counting every merged-out track nanosecond.
+    /// clock-owned path, `Clock::reset`): the next track slice starts
+    /// at `0`, so under a clock still at `now` it would re-charge the
+    /// whole `[0, now)` prefix.
     pub fn reset(&mut self) {
-        self.reset_at(0);
-    }
-
-    /// [`Recorder::reset`] for a recorder whose clock is *not* being
-    /// rewound: clears all ledgers but restarts the track-slice origin
-    /// at `now_ns`, so the next `close_slice` charges only time that
-    /// actually elapsed after the reset. This is what a fleet shard
-    /// calls after its ledgers were merged into a fleet view mid-run.
-    pub fn reset_at(&mut self, now_ns: u64) {
         let dropped = self.spans.len() as u64;
         self.counters = Counters::default();
         self.ring.clear();
@@ -1102,7 +881,7 @@ impl Recorder {
         self.span_log.clear();
         self.cur_track = MAIN_TRACK;
         self.cur_env = 0;
-        self.slice_start_ns = now_ns;
+        self.slice_start_ns = 0;
         self.track_ns.clear();
         self.track_names.clear();
         self.ops.clear();
@@ -1121,7 +900,7 @@ impl Recorder {
         self.flight = None;
         if dropped > 0 {
             self.record(
-                now_ns,
+                0,
                 Event::SpanImbalance {
                     at: "reset_with_open_spans",
                     dropped,
@@ -1150,13 +929,36 @@ mod tests {
             registry.len(),
             "registry entry count matches the JSON dump"
         );
-        for ((key, _), &(name, description)) in pairs.iter().zip(registry) {
+        for ((key, _), &(name, description)) in pairs.iter().zip(&registry) {
             assert_eq!(key, name, "registry order matches JSON key order");
             assert!(
                 description.trim().len() >= 8,
                 "counter '{name}' is missing a usable description: {description:?}"
             );
         }
+    }
+
+    /// Each row addresses its own field, under its own name: after a
+    /// distinct value is written through every row's accessor, each
+    /// reads back its own value, and the derived `Debug` (field names
+    /// in declaration order) prints exactly the rows' keys and values.
+    /// With the size assertion next to [`FIELDS`], this rules out a
+    /// missing, extra, aliased, misnamed or reordered row.
+    #[test]
+    fn every_row_reads_back_its_own_field() {
+        let mut c = Counters::default();
+        for (value, (_, _, get)) in (1u64..).zip(FIELDS) {
+            *get(&mut c) = value;
+        }
+        let mut expected = Vec::new();
+        for (value, (key, _, get)) in (1u64..).zip(FIELDS) {
+            assert_eq!(*get(&mut c), value, "row '{key}' aliases a later row");
+            expected.push(format!("{key}: {value}"));
+        }
+        assert_eq!(
+            format!("{c:?}"),
+            format!("Counters {{ {} }}", expected.join(", "))
+        );
     }
 
     #[test]
@@ -1385,24 +1187,6 @@ mod tests {
         assert_eq!(left2.attribution(), right.attribution());
         assert_eq!(left2.track_costs(), right.track_costs());
         assert_eq!(left2.op_hists(), right.op_hists());
-    }
-
-    #[test]
-    fn reset_at_restarts_slices_at_the_live_clock() {
-        let mut rec = Recorder::new();
-        rec.flush_tracks(500); // main/env0: [0, 500)
-        rec.reset_at(500);
-        rec.flush_tracks(560);
-        let costs = rec.track_costs();
-        assert_eq!(costs.len(), 1);
-        assert_eq!(
-            costs[0].ns, 60,
-            "post-reset slice must start at the reset point, not at 0"
-        );
-        // The plain reset keeps its clock-rewound contract.
-        rec.reset();
-        rec.flush_tracks(70);
-        assert_eq!(rec.track_costs()[0].ns, 70);
     }
 
     #[test]

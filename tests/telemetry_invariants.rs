@@ -527,11 +527,11 @@ fn flight_recorder_dump_is_byte_identical_across_same_seed_runs() {
     assert!(!a.events.is_empty(), "event ring captured");
 }
 
-/// The fleet's archive idiom: flush, merge the live recorder into an
-/// archive, `reset_at` the live clock, keep serving, merge again. The
-/// archive must account every track nanosecond exactly once — the
-/// pre-reset slice must not be double-counted by the second merge, and
-/// the merged counters must equal the sum of the two slices.
+/// The archive idiom: flush, merge the live recorder into an archive,
+/// reset the clock (which resets its recorder), keep serving, merge
+/// again. The archive must account every track nanosecond exactly once
+/// — the pre-reset slice must not be double-counted by the second
+/// merge, and the merged counters must equal the sum of the two slices.
 #[test]
 fn merge_after_reset_counts_every_slice_exactly_once() {
     let mut app = WikiApp::new(Backend::Mpk).unwrap();
@@ -544,7 +544,7 @@ fn merge_after_reset_counts_every_slice_exactly_once() {
     let slice1_ns: u64 = lb.telemetry().track_costs().iter().map(|t| t.ns).sum();
     let slice1_prologs = lb.telemetry().counters().prologs;
     archive.merge(lb.telemetry());
-    lb.telemetry_mut().reset_at(now);
+    lb.clock_mut().reset();
     assert_eq!(
         lb.telemetry()
             .track_costs()
@@ -552,7 +552,7 @@ fn merge_after_reset_counts_every_slice_exactly_once() {
             .map(|t| t.ns)
             .sum::<u64>(),
         0,
-        "reset_at empties the track ledger"
+        "a clock reset empties the track ledger"
     );
 
     app.serve_requests(6).unwrap();
@@ -570,7 +570,6 @@ fn merge_after_reset_counts_every_slice_exactly_once() {
         "every nanosecond lands in the archive exactly once"
     );
     assert_eq!(archive.counters().prologs, slice1_prologs + slice2_prologs);
-    // `reset_at` keeps the live clock: a fresh span still costs time.
     assert!(
         archive.track_costs().iter().any(|t| t.ns > 0),
         "{:?}",
