@@ -113,7 +113,7 @@ pub fn run(config: MonitorExpConfig) -> Result<(FleetReport, Vec<String>), Fault
     if config.chaos {
         let degraded = monitor.first_degraded_round();
         let ejected = monitor.first_eject_round();
-        if !degraded.is_some_and(|d| ejected.is_none_or(|e| d < e)) {
+        if degraded.is_none_or(|d| ejected.is_some_and(|e| d >= e)) {
             violations.push(format!(
                 "advisory signal must fire, and strictly before any ejection: \
                  first degraded window round {degraded:?}, first ejection round {ejected:?}"

@@ -664,7 +664,7 @@ pub fn render_monitor(report: &FleetReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>6} {:>7}  {}",
+        "  {:>6} {:>7} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>6} {:>7}  flush reasons",
         "window",
         "reqs",
         "req/s",
@@ -675,7 +675,6 @@ pub fn render_monitor(report: &FleetReport) -> String {
         "parks",
         "wakes",
         "flushes",
-        "flush reasons",
     );
     let mut burn = BurnState::default();
     let skip = windows.len() - shown;

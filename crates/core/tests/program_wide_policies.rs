@@ -96,7 +96,7 @@ fn integrity_by_read_only_mapping() {
         "writer",
         &["foo"],
         Policy::default_policy().grant("secrets", Access::R),
-        move |ctx, ()| ctx.lb.store_u64(secret, 0).map(|()| ()),
+        move |ctx, ()| ctx.lb.store_u64(secret, 0),
     )
     .unwrap();
     assert!(matches!(writer.call(&mut app, ()), Err(Fault::Memory(_))));

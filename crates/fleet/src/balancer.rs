@@ -1034,7 +1034,7 @@ impl<W: Workload> Fleet<W> {
         let shard = &mut self.shards[i];
         let baseline = shard.mean_ns_per_req();
         let warmed = shard.baseline_reqs() > BASELINE_WARMUP_REQS + reqs;
-        let mean = if reqs == 0 { 0 } else { ns / reqs };
+        let mean = ns.checked_div(reqs).unwrap_or(0);
         if warmed && mean > baseline.saturating_mul(self.cfg.latency_mult) {
             shard.latency_strikes += 1;
             if shard.latency_strikes >= self.cfg.eject_after && shard.state == ShardState::Healthy {
@@ -1106,7 +1106,7 @@ impl<W: Workload> Fleet<W> {
             shard_rings,
             degraded: std::mem::take(&mut self.degraded_log),
             eject_rounds: std::mem::take(&mut self.eject_log),
-            telemetry: self.monitor_rec.take().unwrap_or_else(Recorder::new),
+            telemetry: self.monitor_rec.take().unwrap_or_default(),
         })
     }
 

@@ -75,7 +75,7 @@ impl Iterator for SessionStream {
         // Double the base length until a 1-in-4 stopping draw hits,
         // then spread uniformly within the reached tier.
         let mut base = 1u64;
-        while base < MAX_SESSION_LEN / 2 && self.rng.next_u64() % 4 != 0 {
+        while base < MAX_SESSION_LEN / 2 && !self.rng.next_u64().is_multiple_of(4) {
             base *= 2;
         }
         let len = (base + self.rng.range_u64(0, base)).min(self.remaining);

@@ -403,11 +403,9 @@ impl<W: Workload> Shard<W> {
     /// fleet is not an outlier).
     #[must_use]
     pub fn mean_ns_per_req(&self) -> u64 {
-        if self.batch_reqs_total == 0 {
-            0
-        } else {
-            self.batch_ns_total / self.batch_reqs_total
-        }
+        self.batch_ns_total
+            .checked_div(self.batch_reqs_total)
+            .unwrap_or(0)
     }
 
     /// Requests this shard has seen batches for (baseline warm-up).

@@ -221,7 +221,7 @@ impl SpanAllocator {
             return Ok(());
         }
         let offset = addr.0 - start;
-        if offset % span.class != 0 {
+        if !offset.is_multiple_of(span.class) {
             return Err(Fault::Init(format!("misaligned free at {addr}")));
         }
         let slot = (offset / span.class) as usize;

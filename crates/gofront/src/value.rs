@@ -10,10 +10,11 @@ use enclosure_vmem::Addr;
 /// The reproduction's "Go" functions are Rust closures; `GoValue` is the
 /// argument/result type at their boundary so the runtime can mediate every
 /// cross-package call (and check the `X` right at each one).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum GoValue {
     /// No value.
+    #[default]
     Unit,
     /// An integer.
     Int(u64),
@@ -81,12 +82,6 @@ impl GoValue {
     #[must_use]
     pub fn is_unit(&self) -> bool {
         matches!(self, GoValue::Unit)
-    }
-}
-
-impl Default for GoValue {
-    fn default() -> Self {
-        GoValue::Unit
     }
 }
 

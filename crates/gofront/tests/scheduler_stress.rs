@@ -113,7 +113,7 @@ fn enclosed_and_trusted_goroutines_interleave_safely() {
     let total = rt.lb().load_u64(rt.global_addr("main.total")).unwrap();
     assert_eq!(total, (0..ROUNDS).sum::<u64>());
     // Plenty of environment switches happened along the way.
-    assert!(rt.lb().stats().wrpkru as u64 > ROUNDS);
+    assert!(rt.lb().stats().wrpkru > ROUNDS);
 }
 
 #[test]

@@ -147,17 +147,14 @@ impl Clock {
         if self.injection_suspended > 0 {
             return false;
         }
-        match self.injection.as_mut() {
-            None => false,
-            Some(plan) => {
-                if plan.should_fail(site) {
-                    self.record(Event::InjectedFault { site: site.name() });
-                    true
-                } else {
-                    false
-                }
-            }
+        let fires = self
+            .injection
+            .as_mut()
+            .is_some_and(|plan| plan.should_fail(site));
+        if fires {
+            self.record(Event::InjectedFault { site: site.name() });
         }
+        fires
     }
 
     /// A deterministic draw in `[0, n)` from the armed plan's stream

@@ -88,7 +88,7 @@ impl Cpu {
                     key: entry.key,
                     needed,
                     pkru: self.pkru.bits(),
-                    table: table.name().to_owned(),
+                    table: table.name().clone(),
                 });
             }
         }

@@ -17,7 +17,6 @@
 //! the supervisor keeps. A crashed child is reaped and respawned by the
 //! supervisor on the next switch.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use enclosure_vmem::{Access, Addr, PageTable, VmemError};
@@ -41,6 +40,7 @@ pub struct SpawnRecord {
 /// enclosure's view) plus its process state.
 #[derive(Debug)]
 struct Child {
+    env: EnvId,
     table: PageTable,
     /// `Some(pid)` once forked; `None` before the lazy spawn.
     pid: Option<u32>,
@@ -51,14 +51,15 @@ struct Child {
 /// The simulated process sandbox `LB_PROC` runs the application in.
 ///
 /// Structurally a sibling of [`crate::vtx::Vm`]: one [`PageTable`] per
-/// execution environment. The differences are the process model —
-/// children exist only after their lazy spawn, may crash, and are
+/// execution environment, in install order, and the running process's
+/// slot, so a check reads it directly. The differences are the process
+/// model — children exist only after their lazy spawn, may crash, and are
 /// respawned by the supervisor — and the pricing: crossings are pipe
 /// messages and IPC round-trips instead of CR3 rewrites and VM EXITs.
 #[derive(Debug)]
 pub struct ProcSandbox {
-    children: HashMap<EnvId, Child>,
-    current: EnvId,
+    children: Vec<Child>,
+    current: usize,
     next_pid: u32,
     ledger: Vec<SpawnRecord>,
 }
@@ -69,48 +70,50 @@ impl ProcSandbox {
     /// running.
     #[must_use]
     pub fn new(trusted: PageTable) -> ProcSandbox {
-        let mut children = HashMap::new();
-        children.insert(
-            TRUSTED_ENV,
-            Child {
-                table: trusted,
-                pid: Some(1),
-                crashed: false,
-            },
-        );
-        ProcSandbox {
-            children,
-            current: TRUSTED_ENV,
+        let mut sandbox = ProcSandbox {
+            children: Vec::new(),
+            current: 0,
             next_pid: 100,
             ledger: Vec::new(),
-        }
+        };
+        sandbox.install(TRUSTED_ENV, trusted);
+        sandbox
+    }
+
+    fn slot(&self, env: EnvId) -> Option<usize> {
+        self.children.iter().position(|c| c.env == env)
+    }
+
+    fn child(&self, env: EnvId) -> Option<&Child> {
+        self.slot(env).map(|i| &self.children[i])
     }
 
     /// Registers environment `env`'s address-space image, replacing any
     /// previous one. The child process itself is not forked until the
     /// first switch into `env`.
     pub fn install(&mut self, env: EnvId, table: PageTable) {
-        self.children.insert(
+        let child = Child {
             env,
-            Child {
-                table,
-                pid: if env == TRUSTED_ENV { Some(1) } else { None },
-                crashed: false,
-            },
-        );
+            table,
+            pid: if env == TRUSTED_ENV { Some(1) } else { None },
+            crashed: false,
+        };
+        match self.slot(env) {
+            Some(i) => self.children[i] = child,
+            None => self.children.push(child),
+        }
     }
 
     /// The environment whose process currently runs the program.
     #[must_use]
     pub fn current(&self) -> EnvId {
-        self.current
+        self.children[self.current].env
     }
 
     /// True once `env`'s child has been forked and is alive.
     #[must_use]
     pub fn is_spawned(&self, env: EnvId) -> bool {
-        self.children
-            .get(&env)
+        self.child(env)
             .is_some_and(|c| c.pid.is_some() && !c.crashed)
     }
 
@@ -118,7 +121,7 @@ impl ProcSandbox {
     /// child keeps its last pid until respawned).
     #[must_use]
     pub fn pid_of(&self, env: EnvId) -> Option<u32> {
-        self.children.get(&env).and_then(|c| c.pid)
+        self.child(env).and_then(|c| c.pid)
     }
 
     /// The supervisor's spawn ledger: every `fork` in order, respawns
@@ -143,8 +146,8 @@ impl ProcSandbox {
     /// carry over too, so spawn accounting spans generations; children
     /// of environments that vanished are simply not adopted (reaped).
     pub fn adopt_spawned(&mut self, old: &ProcSandbox) {
-        for (env, child) in &mut self.children {
-            if let Some(prev) = old.children.get(env) {
+        for child in &mut self.children {
+            if let Some(prev) = old.child(child.env) {
                 child.pid = prev.pid;
                 child.crashed = prev.crashed;
             }
@@ -162,40 +165,37 @@ impl ProcSandbox {
         if env == TRUSTED_ENV {
             return;
         }
-        if let Some(child) = self.children.get_mut(&env) {
-            child.crashed = true;
+        if let Some(i) = self.slot(env) {
+            self.children[i].crashed = true;
         }
     }
 
-    /// Ensures `env`'s child is running, forking it (lazily, or as a
-    /// respawn after a crash) if not. Charges [`Clock::charge_fork_spawn`]
-    /// and appends to the spawn ledger on an actual fork.
+    /// Ensures the child in `slot` is running, forking it (lazily, or as
+    /// a respawn after a crash) if not. Charges
+    /// [`Clock::charge_fork_spawn`] and appends to the spawn ledger on an
+    /// actual fork.
     ///
-    /// # Errors
-    ///
-    /// [`ProcError::ForkFailed`] when the armed injection plan fails the
-    /// `fork` — nothing is charged, no child exists, and the switch can
-    /// be retried.
-    pub fn ensure_spawned(&mut self, env: EnvId, clock: &mut Clock) -> Result<(), ProcError> {
-        let Some(child) = self.children.get(&env) else {
-            return Err(ProcError::UnknownEnv(env));
-        };
+    /// An injected fork failure (EAGAIN) fires before any state moves:
+    /// nothing is charged, no child exists, and the switch can be retried.
+    fn spawn(&mut self, slot: usize, clock: &mut Clock) -> Result<(), ProcError> {
+        let child = &mut self.children[slot];
         if child.pid.is_some() && !child.crashed {
             return Ok(());
         }
         let respawn = child.crashed;
-        // Injected fork failure (EAGAIN): fires before any state moves,
-        // so the enclosure simply has no process yet.
         if clock.should_inject(InjectionSite::ProcFork) {
-            return Err(ProcError::ForkFailed(env));
+            return Err(ProcError::ForkFailed(child.env));
         }
         let pid = self.next_pid;
         self.next_pid += 1;
-        let child = self.children.get_mut(&env).expect("checked above");
         child.pid = Some(pid);
         child.crashed = false;
-        self.ledger.push(SpawnRecord { env, pid, respawn });
-        clock.charge_fork_spawn(env.0, respawn);
+        self.ledger.push(SpawnRecord {
+            env: child.env,
+            pid,
+            respawn,
+        });
+        clock.charge_fork_spawn(child.env.0, respawn);
         Ok(())
     }
 
@@ -209,13 +209,12 @@ impl ProcSandbox {
     ///
     /// # Errors
     ///
-    /// [`ProcError::UnknownEnv`], [`ProcError::ForkFailed`].
+    /// [`ProcError::UnknownEnv`], [`ProcError::ForkFailed`]; either way
+    /// the running process does not change.
     pub fn switch(&mut self, env: EnvId, clock: &mut Clock) -> Result<EnvId, ProcError> {
-        if !self.children.contains_key(&env) {
-            return Err(ProcError::UnknownEnv(env));
-        }
-        let previous = self.current;
-        if env == previous {
+        let slot = self.slot(env).ok_or(ProcError::UnknownEnv(env))?;
+        let previous = self.current();
+        if slot == self.current {
             return Ok(previous);
         }
         if env == TRUSTED_ENV {
@@ -223,12 +222,12 @@ impl ProcSandbox {
             // no reply to send; the supervisor reclaims control on the
             // EOF it reads, which costs the same wakeup.
             clock.charge_pipe_msg();
-            self.current = TRUSTED_ENV;
+            self.current = slot;
             return Ok(previous);
         }
-        self.ensure_spawned(env, clock)?;
+        self.spawn(slot, clock)?;
         clock.charge_pipe_msg();
-        self.current = env;
+        self.current = slot;
         Ok(previous)
     }
 
@@ -242,30 +241,22 @@ impl ProcSandbox {
     }
 
     /// The active process's page table.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: `current` always names an installed
-    /// environment (enforced by [`ProcSandbox::switch`]).
     #[must_use]
     pub fn active_table(&self) -> &PageTable {
-        &self
-            .children
-            .get(&self.current)
-            .expect("current points at an installed environment")
-            .table
+        &self.children[self.current].table
     }
 
     /// Mutable access to a specific environment's table (used by
     /// `Transfer` to update the address-space images).
     pub fn table_mut(&mut self, env: EnvId) -> Option<&mut PageTable> {
-        self.children.get_mut(&env).map(|c| &mut c.table)
+        let slot = self.slot(env)?;
+        Some(&mut self.children[slot].table)
     }
 
     /// Read-only access to a specific environment's table.
     #[must_use]
     pub fn table(&self, env: EnvId) -> Option<&PageTable> {
-        self.children.get(&env).map(|c| &c.table)
+        self.child(env).map(|c| &c.table)
     }
 }
 
@@ -397,6 +388,47 @@ mod tests {
         clock.arm_injection(InjectionPlan::new(1, crate::inject::PPM));
         assert!(sb.switch(TRUSTED_ENV, &mut clock).is_ok());
         assert_eq!(sb.current(), TRUSTED_ENV);
+    }
+
+    /// `check` must answer exactly as the table `current()` names.
+    fn answers_from_current(sb: &ProcSandbox) {
+        let table = sb.table(sb.current()).unwrap();
+        for needed in [Access::R, Access::W, Access::X] {
+            for addr in [0x10_000, 0x10_000 + PAGE_SIZE, 0x10_000 + 4 * PAGE_SIZE] {
+                assert_eq!(
+                    sb.check(Addr(addr), 8, needed),
+                    table.check(Addr(addr), 8, needed)
+                );
+            }
+        }
+        assert!(std::ptr::eq(sb.active_table(), table));
+    }
+
+    #[test]
+    fn checks_answer_from_the_current_environment() {
+        let mut sb = sandbox();
+        answers_from_current(&sb);
+        let mut clock = Clock::new(CostModel::paper());
+        sb.switch(EnvId(1), &mut clock).unwrap();
+        assert_eq!(sb.current(), EnvId(1));
+        answers_from_current(&sb);
+        // Reinstalling the running environment's image takes effect at once.
+        sb.install(EnvId(1), table("rcl-2", 0x10_000, 2, Access::RW));
+        answers_from_current(&sb);
+        assert_eq!(&**sb.active_table().name(), "rcl-2");
+        sb.switch(TRUSTED_ENV, &mut clock).unwrap();
+        answers_from_current(&sb);
+        // A failed switch (fork fails) leaves the supervisor running.
+        sb.install(EnvId(2), table("other", 0x10_000, 1, Access::NONE));
+        clock.arm_injection(InjectionPlan::once(InjectionSite::ProcFork));
+        assert!(sb.switch(EnvId(2), &mut clock).is_err());
+        assert_eq!(sb.current(), TRUSTED_ENV);
+        answers_from_current(&sb);
+        assert!(sb.switch(EnvId(u32::MAX), &mut clock).is_err());
+        answers_from_current(&sb);
+        sb.switch(EnvId(2), &mut clock).unwrap();
+        assert_eq!(sb.current(), EnvId(2));
+        answers_from_current(&sb);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! per execution environment, CR3 switches via guest syscalls, and
 //! hypercall (VM EXIT) syscall proxying (§5.3, `LB_VTX`).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use enclosure_vmem::{Access, Addr, PageTable, VmemError};
@@ -30,47 +29,56 @@ impl fmt::Display for EnvId {
 /// The VM owns one [`PageTable`] per execution environment and a simulated
 /// CR3 selecting the active one. Switches are guest syscalls (charged via
 /// [`Clock::charge_guest_syscall`]); host syscalls VM EXIT.
+///
+/// The tables sit in install order, and CR3 is the active table's slot: a
+/// switch looks its target up once, and a check reads the active slot
+/// directly. Slots are never keyed by [`EnvId`] value, which comes from the
+/// program descriptor and could be arbitrarily large.
 #[derive(Debug)]
 pub struct Vm {
-    tables: HashMap<EnvId, PageTable>,
-    cr3: EnvId,
+    tables: Vec<(EnvId, PageTable)>,
+    cr3: usize,
 }
 
 impl Vm {
     /// Creates a VM with only the trusted page table installed.
     #[must_use]
     pub fn new(trusted: PageTable) -> Vm {
-        let mut tables = HashMap::new();
-        tables.insert(TRUSTED_ENV, trusted);
         Vm {
-            tables,
-            cr3: TRUSTED_ENV,
+            tables: vec![(TRUSTED_ENV, trusted)],
+            cr3: 0,
         }
+    }
+
+    fn slot(&self, env: EnvId) -> Option<usize> {
+        self.tables.iter().position(|(e, _)| *e == env)
     }
 
     /// Installs the page table for environment `env`, replacing any
     /// previous one.
     pub fn install(&mut self, env: EnvId, table: PageTable) {
-        self.tables.insert(env, table);
+        match self.slot(env) {
+            Some(i) => self.tables[i].1 = table,
+            None => self.tables.push((env, table)),
+        }
     }
 
     /// The environment CR3 currently points at.
     #[must_use]
     pub fn current(&self) -> EnvId {
-        self.cr3
+        self.tables[self.cr3].0
     }
 
     /// Performs a CR3 switch to `env` via a guest syscall, charging its
-    /// cost.
+    /// cost, and returns the environment switched away from.
     ///
     /// # Errors
     ///
-    /// Returns [`VmemError::BadRange`]-free error: an unknown environment
-    /// is reported as an unmapped CR3 target through [`VtxError`].
+    /// [`VtxError::UnknownEnv`] when `env` has no installed table, and
+    /// [`VtxError::SwitchFailed`] when an injected CR3 rewrite fails. Either
+    /// way CR3 stays on the old table and nothing is charged.
     pub fn switch(&mut self, env: EnvId, clock: &mut Clock) -> Result<EnvId, VtxError> {
-        if !self.tables.contains_key(&env) {
-            return Err(VtxError::UnknownEnv(env));
-        }
+        let slot = self.slot(env).ok_or(VtxError::UnknownEnv(env))?;
         // Injected CR3-rewrite failure: the guest syscall aborts before
         // the root is moved, so the old table stays active.
         if clock.should_inject(crate::InjectionSite::Cr3Write) {
@@ -78,8 +86,8 @@ impl Vm {
         }
         clock.charge_guest_syscall();
         clock.record(enclosure_telemetry::Event::Cr3Write { env: env.0 });
-        let previous = self.cr3;
-        self.cr3 = env;
+        let previous = self.current();
+        self.cr3 = slot;
         Ok(previous)
     }
 
@@ -93,29 +101,23 @@ impl Vm {
     }
 
     /// The active page table.
-    ///
-    /// # Panics
-    ///
-    /// Never panics in practice: CR3 always points at an installed table
-    /// (enforced by [`Vm::switch`]).
     #[must_use]
     pub fn active_table(&self) -> &PageTable {
-        self.tables
-            .get(&self.cr3)
-            .expect("CR3 points at an installed table")
+        &self.tables[self.cr3].1
     }
 
     /// Mutable access to a specific environment's table (used by
     /// `Transfer` to update "the relevant execution environments' page
     /// tables", §5.3).
     pub fn table_mut(&mut self, env: EnvId) -> Option<&mut PageTable> {
-        self.tables.get_mut(&env)
+        let slot = self.slot(env)?;
+        Some(&mut self.tables[slot].1)
     }
 
     /// Read-only access to a specific environment's table.
     #[must_use]
     pub fn table(&self, env: EnvId) -> Option<&PageTable> {
-        self.tables.get(&env)
+        self.slot(env).map(|slot| &self.tables[slot].1)
     }
 }
 
@@ -192,6 +194,44 @@ mod tests {
         assert_eq!(clock.now_ns(), 0, "failed switch charges nothing");
         // The plan's budget is spent: the retry succeeds.
         assert!(vm.switch(EnvId(1), &mut clock).is_ok());
+    }
+
+    /// `check` must answer exactly as the table `current()` names.
+    fn answers_from_current(vm: &Vm) {
+        let table = vm.table(vm.current()).unwrap();
+        for needed in [Access::R, Access::W, Access::X] {
+            for addr in [0x10_000, 0x10_000 + PAGE_SIZE, 0x10_000 + 4 * PAGE_SIZE] {
+                assert_eq!(
+                    vm.check(Addr(addr), 8, needed),
+                    table.check(Addr(addr), 8, needed)
+                );
+            }
+        }
+        assert!(std::ptr::eq(vm.active_table(), table));
+    }
+
+    #[test]
+    fn checks_answer_from_the_current_environment() {
+        let mut vm = Vm::new(table("trusted", 0x10_000, 4, Access::RWX));
+        vm.install(EnvId(7), table("rcl", 0x10_000, 1, Access::R));
+        answers_from_current(&vm);
+        let mut clock = Clock::default();
+        vm.switch(EnvId(7), &mut clock).unwrap();
+        assert_eq!(vm.current(), EnvId(7));
+        answers_from_current(&vm);
+        // Reinstalling the active environment's table takes effect at once.
+        vm.install(EnvId(7), table("rcl-2", 0x10_000, 2, Access::RW));
+        answers_from_current(&vm);
+        assert_eq!(&**vm.active_table().name(), "rcl-2");
+        // A failed switch leaves CR3, and the answers, where they were.
+        clock.arm_injection(crate::InjectionPlan::once(crate::InjectionSite::Cr3Write));
+        assert!(vm.switch(TRUSTED_ENV, &mut clock).is_err());
+        assert_eq!(vm.current(), EnvId(7));
+        answers_from_current(&vm);
+        assert!(vm.switch(EnvId(u32::MAX), &mut clock).is_err());
+        answers_from_current(&vm);
+        vm.switch(TRUSTED_ENV, &mut clock).unwrap();
+        answers_from_current(&vm);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub fn cluster(package_names: &[String], enclosures: &[EnclosureDesc]) -> Cluste
     }
 
     // Deterministic index order: by first member name.
-    let mut ordered: Vec<(Vec<(EnclosureId, Access)>, Vec<String>)> = groups.into_iter().collect();
+    let mut ordered: Vec<_> = groups.into_iter().collect();
     ordered.sort_by(|a, b| a.1[0].cmp(&b.1[0]));
 
     let mut clustering = Clustering::default();

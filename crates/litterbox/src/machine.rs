@@ -1458,6 +1458,36 @@ mod tests {
     }
 
     #[test]
+    fn spans_past_the_address_space_fault_on_every_backend() {
+        let wrap = Addr(u64::MAX - 3);
+        for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
+            let (mut lb, f) = figure1(backend);
+            let data = f.libfx.data_start();
+            for enclosed in [false, true] {
+                let token = enclosed.then(|| lb.prolog(EnclosureId(1), f.callsite).unwrap());
+                for load in [
+                    lb.load(wrap, 8),
+                    lb.load(data, 1 << 44),
+                    lb.load(wrap, u64::MAX),
+                ] {
+                    assert!(matches!(load, Err(Fault::Memory(_))), "{backend}: {load:?}");
+                }
+                let store = lb.store(wrap, &[1; 8]);
+                assert!(
+                    matches!(store, Err(Fault::Memory(_))),
+                    "{backend}: {store:?}"
+                );
+                // The machine still serves a normal access.
+                lb.store_u64(data, 5).unwrap();
+                assert_eq!(lb.load_u64(data).unwrap(), 5, "{backend}");
+                if let Some(token) = token {
+                    lb.epilog(token).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
     fn baseline_enforces_nothing() {
         let (mut lb, f) = figure1(Backend::Baseline);
         let token = lb.prolog(EnclosureId(1), f.callsite).unwrap();

@@ -58,7 +58,7 @@ pub struct PyStats {
     pub refcount_ops: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ObjInfo {
     meta: Addr,
     data: Addr,
@@ -520,7 +520,7 @@ impl Interpreter {
     fn obj(&self, data: Addr) -> Result<ObjInfo, Fault> {
         self.objects
             .get(&data.0)
-            .cloned()
+            .copied()
             .ok_or_else(|| Fault::Init(format!("not a Python object: {data}")))
     }
 
@@ -569,10 +569,14 @@ impl Interpreter {
     /// [`Fault`] for unknown objects or irrecoverable metadata access.
     pub fn incref(&mut self, obj: Addr) -> Result<(), Fault> {
         let info = self.obj(obj)?;
+        self.incref_meta(info.meta)
+    }
+
+    fn incref_meta(&mut self, meta: Addr) -> Result<(), Fault> {
         self.lb.clock_mut().advance(REFCOUNT_NS);
         self.stats.refcount_ops += 1;
-        let rc = self.read_meta(info.meta)?;
-        self.write_meta(info.meta, rc + 1)
+        let rc = self.read_meta(meta)?;
+        self.write_meta(meta, rc + 1)
     }
 
     /// Decrements an object's refcount. Objects reaching zero are
@@ -583,10 +587,14 @@ impl Interpreter {
     /// [`Fault`] for unknown objects or irrecoverable metadata access.
     pub fn decref(&mut self, obj: Addr) -> Result<(), Fault> {
         let info = self.obj(obj)?;
+        self.decref_meta(info.meta)
+    }
+
+    fn decref_meta(&mut self, meta: Addr) -> Result<(), Fault> {
         self.lb.clock_mut().advance(REFCOUNT_NS);
         self.stats.refcount_ops += 1;
-        let rc = self.read_meta(info.meta)?;
-        self.write_meta(info.meta, rc.saturating_sub(1))
+        let rc = self.read_meta(meta)?;
+        self.write_meta(meta, rc.saturating_sub(1))
     }
 
     /// An object's current refcount (diagnostics).
@@ -757,18 +765,21 @@ impl PyCtx<'_> {
     ///
     /// # Errors
     ///
-    /// View violations on the data itself surface as [`Fault::Memory`].
+    /// View violations on the data itself surface as [`Fault::Memory`];
+    /// an unknown object, or a span that does not fit inside it (an
+    /// `off + len` that overflows included), is [`Fault::Init`] and
+    /// touches no refcount.
     pub fn read(&mut self, obj: Addr, off: u64, len: u64) -> Result<Vec<u8>, Fault> {
         let info = self.py.obj(obj)?;
-        if off + len > info.size {
+        if off.checked_add(len).is_none_or(|end| end > info.size) {
             return Err(Fault::Init(format!(
                 "object read out of bounds: {off}+{len} > {}",
                 info.size
             )));
         }
-        self.py.incref(obj)?;
+        self.py.incref_meta(info.meta)?;
         let result = self.py.lb.load(info.data + off, len);
-        self.py.decref(obj)?;
+        self.py.decref_meta(info.meta)?;
         result
     }
 
@@ -777,15 +788,18 @@ impl PyCtx<'_> {
     /// # Errors
     ///
     /// [`Fault::Memory`] when the active view lacks write rights on the
-    /// object's module.
+    /// object's module; [`Fault::Init`] as for [`PyCtx::read`].
     pub fn write(&mut self, obj: Addr, off: u64, bytes: &[u8]) -> Result<(), Fault> {
         let info = self.py.obj(obj)?;
-        if off + bytes.len() as u64 > info.size {
+        if off
+            .checked_add(bytes.len() as u64)
+            .is_none_or(|end| end > info.size)
+        {
             return Err(Fault::Init("object write out of bounds".into()));
         }
-        self.py.incref(obj)?;
+        self.py.incref_meta(info.meta)?;
         let result = self.py.lb.store(info.data + off, bytes);
-        self.py.decref(obj)?;
+        self.py.decref_meta(info.meta)?;
         result
     }
 
@@ -1157,5 +1171,32 @@ mod tests {
             Ok(PyValue::None)
         });
         py.call("secret.touch", PyValue::None).unwrap();
+    }
+
+    #[test]
+    fn wrapped_offsets_are_out_of_bounds() {
+        for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
+            let mut py = setup(backend, MetadataMode::CoLocated);
+            let obj = py.alloc_in("secret", &[7; 8]).unwrap();
+            let meta = py.obj(obj).unwrap().meta;
+            let before = py.lb().load(meta, HEADER_BYTES + 8).unwrap();
+            py.register_fn("plotlib.render", move |ctx, _| {
+                // `off + len` wraps to 1 or 7: inside the object if unchecked.
+                for off in [u64::MAX, u64::MAX - 6] {
+                    let read = ctx.read(obj, off, 8);
+                    assert!(matches!(read, Err(Fault::Init(_))), "{read:?}");
+                    let write = ctx.write(obj, off, &[1; 8]);
+                    assert!(matches!(write, Err(Fault::Init(_))), "{write:?}");
+                }
+                Ok(PyValue::Bytes(ctx.read(obj, 0, 8)?))
+            });
+            py.declare_enclosure("plot", "plotlib.render", &[], "secret: RW, none")
+                .unwrap();
+            let out = py.call_enclosed("plot", PyValue::None).unwrap();
+            assert_eq!(out.as_bytes().unwrap(), vec![7; 8], "{backend}");
+            assert_eq!(py.refcount(obj).unwrap(), 1, "{backend}");
+            let after = py.lb().load(meta, HEADER_BYTES + 8).unwrap();
+            assert_eq!(after, before, "{backend}: header and data unchanged");
+        }
     }
 }

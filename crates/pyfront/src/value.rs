@@ -6,10 +6,11 @@ use std::fmt;
 use enclosure_vmem::Addr;
 
 /// A Python value crossing the registered-function boundary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub enum PyValue {
     /// `None`.
+    #[default]
     None,
     /// An integer.
     Int(i64),
@@ -77,12 +78,6 @@ impl PyValue {
     #[must_use]
     pub fn is_none(&self) -> bool {
         matches!(self, PyValue::None)
-    }
-}
-
-impl Default for PyValue {
-    fn default() -> Self {
-        PyValue::None
     }
 }
 

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn jobs_may_borrow_caller_state() {
-        let base = vec![10u64, 20, 30, 40];
+        let base = [10u64, 20, 30, 40];
         let jobs: Vec<_> = base.iter().map(|v| move || v + 1).collect();
         assert_eq!(run_scoped(2, jobs), vec![11, 21, 31, 41]);
     }

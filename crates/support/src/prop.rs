@@ -15,7 +15,6 @@ pub const DEFAULT_CASES: u32 = 64;
 pub fn run_cases(label: &str, cases: u32, mut body: impl FnMut(&mut crate::XorShift)) {
     let mut rng = crate::XorShift::from_label(label);
     for case in 0..cases {
-        let before = rng.clone();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
         if let Err(payload) = result {
             let msg = payload
@@ -23,7 +22,6 @@ pub fn run_cases(label: &str, cases: u32, mut body: impl FnMut(&mut crate::XorSh
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("<non-string panic>");
-            drop(before);
             panic!("property '{label}' failed at case {case}/{cases}: {msg}");
         }
     }

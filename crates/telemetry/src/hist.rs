@@ -139,11 +139,7 @@ impl Histogram {
     /// Mean of recorded samples, rounded down (`0` when empty).
     #[must_use]
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// Value at percentile `p` (a fraction of 1000, so `p999` is

@@ -85,12 +85,9 @@ impl MetricsWindow {
     /// Degraded-request rate in parts per million (0 when idle).
     #[must_use]
     pub fn error_ppm(&self) -> u64 {
-        let total = self.requests();
-        if total == 0 {
-            0
-        } else {
-            self.counters.requests_degraded * 1_000_000 / total
-        }
+        (self.counters.requests_degraded * 1_000_000)
+            .checked_div(self.requests())
+            .unwrap_or(0)
     }
 
     /// Feeds one event into the window's deltas.

@@ -187,28 +187,29 @@ impl VirtRange {
     /// True if both endpoints are page aligned.
     #[must_use]
     pub fn is_page_aligned(&self) -> bool {
-        self.start.is_page_aligned() && self.len % PAGE_SIZE == 0
+        self.start.is_page_aligned() && self.len.is_multiple_of(PAGE_SIZE)
     }
 
-    /// Iterates over every page the range touches.
-    pub fn pages(&self) -> impl Iterator<Item = PageIdx> {
+    /// One past the index of the last page the range touches. A range
+    /// whose end does not fit in 64 bits stops at the top page.
+    fn end_page(&self) -> u64 {
         let first = self.start.page().0;
-        let last = if self.len == 0 {
-            first
-        } else {
-            Addr(self.start.0 + self.len - 1).page().0 + 1
-        };
-        (first..last).map(PageIdx)
+        match self.len {
+            0 => first,
+            len => Addr(self.start.0.saturating_add(len - 1)).page().0 + 1,
+        }
     }
 
-    /// Number of pages the range touches.
+    /// Iterates over every page the range touches (up to the top page of
+    /// the address space, for a range that would wrap).
+    pub fn pages(&self) -> impl Iterator<Item = PageIdx> {
+        (self.start.page().0..self.end_page()).map(PageIdx)
+    }
+
+    /// Number of pages [`VirtRange::pages`] yields.
     #[must_use]
     pub fn page_len(&self) -> u64 {
-        if self.len == 0 {
-            0
-        } else {
-            Addr(self.start.0 + self.len - 1).page().0 - self.start.page().0 + 1
-        }
+        self.end_page() - self.start.page().0
     }
 }
 
@@ -285,6 +286,17 @@ mod tests {
         let pages: Vec<_> = r.pages().collect();
         assert_eq!(pages, vec![PageIdx(0), PageIdx(1)]);
         assert_eq!(r.page_len(), 2);
+    }
+
+    #[test]
+    fn wrapping_ranges_stop_at_the_top_page() {
+        let top = PageIdx(u64::MAX >> PAGE_SHIFT);
+        let r = VirtRange::new(Addr(u64::MAX - 3), 8);
+        assert_eq!(r.pages().collect::<Vec<_>>(), vec![top]);
+        assert_eq!(r.page_len(), 1);
+        let all = VirtRange::new(Addr(PAGE_SIZE), u64::MAX);
+        assert_eq!(all.page_len(), top.0);
+        assert_eq!(all.pages().next(), Some(PageIdx(1)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{Access, Addr, VirtRange};
 
@@ -19,8 +20,9 @@ pub enum VmemError {
     Unmapped {
         /// The faulting address.
         addr: Addr,
-        /// Name of the page table (execution environment) in force.
-        table: String,
+        /// Name of the page table (execution environment) in force,
+        /// shared with the table.
+        table: Arc<str>,
     },
     /// Access to a mapped page with insufficient rights.
     ProtectionFault {
@@ -30,8 +32,9 @@ pub enum VmemError {
         needed: Access,
         /// Rights the page actually granted.
         granted: Access,
-        /// Name of the page table (execution environment) in force.
-        table: String,
+        /// Name of the page table (execution environment) in force,
+        /// shared with the table.
+        table: Arc<str>,
     },
     /// Access to an address with no backing memory in the address space.
     NotBacked {
@@ -62,8 +65,9 @@ pub enum VmemError {
         needed: Access,
         /// The PKRU register value in force.
         pkru: u32,
-        /// Name of the page table (execution environment) in force.
-        table: String,
+        /// Name of the page table (execution environment) in force,
+        /// shared with the table.
+        table: Arc<str>,
     },
     /// An access-rights string could not be parsed.
     BadAccessSpec {
@@ -136,7 +140,7 @@ mod tests {
             addr: Addr(0x1000),
             needed: Access::W,
             granted: Access::R,
-            table: "rcl".to_owned(),
+            table: "rcl".into(),
         };
         let msg = e.to_string();
         assert!(msg.contains("0x1000"));

@@ -9,17 +9,22 @@
 //! * [`Access`] — R/W/X permission bits.
 //! * [`Section`] — a contiguous, page-aligned region with default rights
 //!   (LitterBox's *section* abstraction, §4.1).
-//! * [`AddressSpace`] — the program's sparse backing memory plus a bump
-//!   region allocator (the simulated `mmap`).
+//! * [`AddressSpace`] — the program's backing memory plus a bump region
+//!   allocator (the simulated `mmap`). Regions are never freed, so the
+//!   backed pages are contiguous and page `i` of the region is slot `i`.
 //! * [`PageTable`] — a per-execution-environment view: present bit,
-//!   rights, and a 4-bit protection key per page (used by the MPK backend).
+//!   rights, and a 4-bit protection key per page (used by the MPK backend),
+//!   one slot per page from the lowest mapped page to the highest. Its name
+//!   is shared with every [`VmemError`] it raises.
 //!
 //! Every memory access performed anywhere in the reproduction flows through
 //! [`AddressSpace::read`] / [`AddressSpace::write`] (or their `u64` and
 //! `fill` variants) after a permission check against the active
 //! [`PageTable`], so an enclosure policy violation faults exactly where the
 //! hardware would fault. Instruction fetches are checked per cross-package
-//! call, as the view's `X` right.
+//! call, as the view's `X` right. Like the hardware's page walk, finding a
+//! page is an index, never a search; a span whose end overflows `u64` is
+//! neither mapped nor backed.
 //!
 //! # Example
 //!

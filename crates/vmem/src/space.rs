@@ -1,9 +1,7 @@
-//! The program's single virtual address space: sparse backing pages plus a
-//! bump region allocator standing in for `mmap`.
+//! The program's single virtual address space: backing pages indexed by
+//! page number plus a bump region allocator standing in for `mmap`.
 
-use std::collections::HashMap;
-
-use crate::{Addr, PageIdx, VirtRange, VmemError, PAGE_SIZE};
+use crate::{Addr, VirtRange, VmemError, PAGE_SHIFT, PAGE_SIZE};
 
 /// Base of the allocatable region. Low addresses stay unmapped so that
 /// null-ish pointers fault, as on a real OS.
@@ -16,24 +14,45 @@ const ALLOC_TOP: u64 = 1 << 40;
 /// The simulated program's virtual address space.
 ///
 /// One `AddressSpace` backs the whole program; execution environments differ
-/// only in their [`crate::PageTable`] view of it. Pages are materialized
-/// lazily on first allocation and are zero-filled, like anonymous `mmap`.
+/// only in their [`crate::PageTable`] view of it. Pages are zero-filled on
+/// allocation, like anonymous `mmap`. Regions are handed out contiguously
+/// from the base of the allocatable region and never freed, so the backed
+/// bytes are exactly `[ALLOC_BASE, top)` and page `i` of the region lives in
+/// slot `i`: finding a page is an index, not a search.
 #[derive(Debug, Default)]
 pub struct AddressSpace {
-    pages: HashMap<PageIdx, Box<[u8]>>,
-    next: u64,
-    allocated_bytes: u64,
+    /// Slot `i` backs the page at `ALLOC_BASE + i * PAGE_SIZE`.
+    pages: Vec<Box<[u8]>>,
 }
 
 impl AddressSpace {
     /// Creates an empty address space.
     #[must_use]
     pub fn new() -> AddressSpace {
-        AddressSpace {
-            pages: HashMap::new(),
-            next: ALLOC_BASE,
-            allocated_bytes: 0,
-        }
+        AddressSpace::default()
+    }
+
+    /// One past the last backed byte: where the next region starts.
+    fn top(&self) -> u64 {
+        ALLOC_BASE + ((self.pages.len() as u64) << PAGE_SHIFT)
+    }
+
+    fn slot(addr: Addr) -> Option<usize> {
+        usize::try_from(addr.0.checked_sub(ALLOC_BASE)? >> PAGE_SHIFT).ok()
+    }
+
+    fn page(&self, addr: Addr) -> Result<&[u8], VmemError> {
+        Self::slot(addr)
+            .and_then(|i| self.pages.get(i))
+            .map(|page| &**page)
+            .ok_or(VmemError::NotBacked { addr })
+    }
+
+    fn page_mut(&mut self, addr: Addr) -> Result<&mut [u8], VmemError> {
+        Self::slot(addr)
+            .and_then(|i| self.pages.get_mut(i))
+            .map(|page| &mut **page)
+            .ok_or(VmemError::NotBacked { addr })
     }
 
     /// Allocates a fresh page-aligned region of at least `len` bytes
@@ -47,49 +66,19 @@ impl AddressSpace {
     /// Returns [`VmemError::OutOfAddressSpace`] if the 40-bit region is
     /// exhausted.
     pub fn alloc(&mut self, len: u64) -> Result<VirtRange, VmemError> {
-        let len = Addr(len).page_align_up().0.max(PAGE_SIZE);
-        let start = self.next;
-        let end = start.checked_add(len).ok_or(VmemError::OutOfAddressSpace)?;
-        if end > ALLOC_TOP {
-            return Err(VmemError::OutOfAddressSpace);
-        }
-        self.next = end;
-        let range = VirtRange::new(Addr(start), len);
-        for page in range.pages() {
-            self.pages
-                .insert(page, vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-        }
-        self.allocated_bytes += len;
-        Ok(range)
-    }
-
-    /// Releases the backing memory of a page-aligned range. Later accesses
-    /// to it return [`VmemError::NotBacked`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmemError::Unaligned`] for a non-page-aligned range.
-    pub fn release(&mut self, range: VirtRange) -> Result<(), VmemError> {
-        if !range.is_page_aligned() {
-            return Err(VmemError::Unaligned { range });
-        }
-        for page in range.pages() {
-            if self.pages.remove(&page).is_some() {
-                self.allocated_bytes -= PAGE_SIZE;
-            }
-        }
-        Ok(())
-    }
-
-    /// True if every byte of `[addr, addr+len)` has backing memory.
-    #[must_use]
-    pub fn is_backed(&self, addr: Addr, len: u64) -> bool {
-        if len == 0 {
-            return self.pages.contains_key(&addr.page());
-        }
-        VirtRange::new(addr, len)
-            .pages()
-            .all(|p| self.pages.contains_key(&p))
+        let len = len
+            .max(1)
+            .checked_next_multiple_of(PAGE_SIZE)
+            .ok_or(VmemError::OutOfAddressSpace)?;
+        let start = self.top();
+        let end = start
+            .checked_add(len)
+            .filter(|&end| end <= ALLOC_TOP)
+            .ok_or(VmemError::OutOfAddressSpace)?;
+        let slots = Self::slot(Addr(end)).ok_or(VmemError::OutOfAddressSpace)?;
+        self.pages
+            .resize_with(slots, || vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        Ok(VirtRange::new(Addr(start), len))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -101,10 +90,7 @@ impl AddressSpace {
         let mut cursor = addr;
         let mut filled = 0usize;
         while filled < buf.len() {
-            let page = self
-                .pages
-                .get(&cursor.page())
-                .ok_or(VmemError::NotBacked { addr: cursor })?;
+            let page = self.page(cursor)?;
             let off = cursor.page_offset() as usize;
             let take = ((PAGE_SIZE as usize) - off).min(buf.len() - filled);
             buf[filled..filled + take].copy_from_slice(&page[off..off + take]);
@@ -115,12 +101,22 @@ impl AddressSpace {
     }
 
     /// Convenience wrapper over [`AddressSpace::read`] returning a fresh
-    /// buffer.
+    /// buffer. The span is checked before the buffer is allocated, so an
+    /// unbacked span of any length costs nothing.
     ///
     /// # Errors
     ///
     /// Same as [`AddressSpace::read`].
     pub fn read_vec(&self, addr: Addr, len: u64) -> Result<Vec<u8>, VmemError> {
+        if len > 0 {
+            // Backed bytes are contiguous: the span is backed iff its first
+            // byte is and it ends by the top. If not, `read` faults at the top.
+            self.page(addr)?;
+            let top = self.top();
+            if addr.checked_add(len).is_none_or(|end| end.0 > top) {
+                return Err(VmemError::NotBacked { addr: Addr(top) });
+            }
+        }
         let mut buf = vec![0u8; len as usize];
         self.read(addr, &mut buf)?;
         Ok(buf)
@@ -148,10 +144,7 @@ impl AddressSpace {
         let mut cursor = addr;
         let mut written = 0usize;
         while written < data.len() {
-            let page = self
-                .pages
-                .get_mut(&cursor.page())
-                .ok_or(VmemError::NotBacked { addr: cursor })?;
+            let page = self.page_mut(cursor)?;
             let off = cursor.page_offset() as usize;
             let take = ((PAGE_SIZE as usize) - off).min(data.len() - written);
             page[off..off + take].copy_from_slice(&data[written..written + take]);
@@ -180,23 +173,14 @@ impl AddressSpace {
         let mut cursor = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let page = self
-                .pages
-                .get_mut(&cursor.page())
-                .ok_or(VmemError::NotBacked { addr: cursor })?;
-            let off = cursor.page_offset() as usize;
-            let take = ((PAGE_SIZE as u64) - off as u64).min(remaining);
-            page[off..off + take as usize].fill(byte);
+            let page = self.page_mut(cursor)?;
+            let off = cursor.page_offset();
+            let take = (PAGE_SIZE - off).min(remaining);
+            page[off as usize..(off + take) as usize].fill(byte);
             remaining -= take;
             cursor = Addr(cursor.0 + take);
         }
         Ok(())
-    }
-
-    /// Total bytes currently backed.
-    #[must_use]
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes
     }
 
     /// Number of backed pages.
@@ -246,26 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn released_pages_fault() {
-        let mut s = AddressSpace::new();
-        let r = s.alloc(PAGE_SIZE).unwrap();
-        s.release(r).unwrap();
-        assert!(matches!(
-            s.read_vec(r.start(), 1),
-            Err(VmemError::NotBacked { .. })
-        ));
-        assert!(!s.is_backed(r.start(), 1));
-    }
-
-    #[test]
-    fn release_rejects_unaligned() {
-        let mut s = AddressSpace::new();
-        let r = s.alloc(PAGE_SIZE).unwrap();
-        let sub = VirtRange::new(r.start() + 1, 10);
-        assert!(matches!(s.release(sub), Err(VmemError::Unaligned { .. })));
-    }
-
-    #[test]
     fn fill_spans_pages() {
         let mut s = AddressSpace::new();
         let r = s.alloc(2 * PAGE_SIZE).unwrap();
@@ -276,14 +240,69 @@ mod tests {
     }
 
     #[test]
-    fn accounting_tracks_alloc_and_release() {
+    fn page_len_counts_allocated_pages() {
         let mut s = AddressSpace::new();
-        let r = s.alloc(3 * PAGE_SIZE).unwrap();
-        assert_eq!(s.allocated_bytes(), 3 * PAGE_SIZE);
-        assert_eq!(s.page_len(), 3);
-        s.release(r).unwrap();
-        assert_eq!(s.allocated_bytes(), 0);
         assert_eq!(s.page_len(), 0);
+        s.alloc(3 * PAGE_SIZE).unwrap();
+        s.alloc(1).unwrap();
+        assert_eq!(s.page_len(), 4);
+    }
+
+    #[test]
+    fn default_starts_at_the_allocation_base() {
+        let a = AddressSpace::default().alloc(1).unwrap();
+        assert_eq!(a, AddressSpace::new().alloc(1).unwrap());
+        assert_eq!(a.start(), Addr(ALLOC_BASE));
+        assert!(matches!(
+            AddressSpace::default().read_vec(Addr::NULL, 1),
+            Err(VmemError::NotBacked { addr: Addr::NULL })
+        ));
+    }
+
+    #[test]
+    fn oversized_allocations_are_out_of_address_space() {
+        let mut s = AddressSpace::new();
+        for len in [ALLOC_TOP, u64::MAX - 1, u64::MAX] {
+            assert_eq!(s.alloc(len), Err(VmemError::OutOfAddressSpace), "{len}");
+        }
+        assert_eq!(s.page_len(), 0);
+    }
+
+    #[test]
+    fn spans_that_overflow_or_outgrow_the_space_are_not_backed() {
+        let mut s = AddressSpace::new();
+        let r = s.alloc(2 * PAGE_SIZE).unwrap();
+        let top = r.start() + 2 * PAGE_SIZE;
+        let wrap = Addr(u64::MAX - 3);
+        assert_eq!(
+            s.read_vec(wrap, 8),
+            Err(VmemError::NotBacked { addr: wrap })
+        );
+        assert_eq!(s.read_u64(wrap), Err(VmemError::NotBacked { addr: wrap }));
+        assert_eq!(
+            s.write(wrap, &[1; 8]),
+            Err(VmemError::NotBacked { addr: wrap })
+        );
+        assert_eq!(s.fill(wrap, 8, 1), Err(VmemError::NotBacked { addr: wrap }));
+        // Checked before the buffer exists: no 16 TiB allocation.
+        assert_eq!(
+            s.read_vec(r.start(), 1 << 44),
+            Err(VmemError::NotBacked { addr: top })
+        );
+        assert_eq!(
+            s.read_vec(r.start() + 8, u64::MAX),
+            Err(VmemError::NotBacked { addr: top })
+        );
+        assert_eq!(
+            s.read_vec(Addr(ALLOC_TOP), 1 << 44),
+            Err(VmemError::NotBacked {
+                addr: Addr(ALLOC_TOP)
+            })
+        );
+        // The space still serves normal accesses.
+        s.write_u64(r.start(), 7).unwrap();
+        assert_eq!(s.read_u64(r.start()).unwrap(), 7);
+        assert_eq!(s.read_vec(wrap, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]

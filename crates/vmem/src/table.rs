@@ -1,7 +1,8 @@
 //! Per-execution-environment page tables.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::{Access, Addr, PageIdx, VirtRange, VmemError};
 
@@ -45,40 +46,106 @@ impl PageEntry {
 /// * The **MPK backend** uses a single shared table whose entries carry key
 ///   tags; the per-environment state is the PKRU register, checked by the
 ///   CPU layer on top of this table.
+///
+/// Entries sit in one slot per page, from the lowest page ever mapped up
+/// to the highest, so a check indexes instead of searching, like the
+/// hardware's page walk. The table name is shared with every fault the
+/// table raises.
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    name: String,
-    entries: HashMap<PageIdx, PageEntry>,
+    name: Arc<str>,
+    /// Page number of `slots[0]`.
+    base: u64,
+    /// One slot per page from `base` up; `None` is an unmapped page.
+    slots: Vec<Option<PageEntry>>,
+    /// Number of `Some` slots.
+    mapped: usize,
 }
 
 impl PageTable {
     /// Creates an empty table named `name` (names appear in fault traces).
     #[must_use]
-    pub fn new(name: impl Into<String>) -> PageTable {
+    pub fn new(name: impl Into<Arc<str>>) -> PageTable {
         PageTable {
             name: name.into(),
-            entries: HashMap::new(),
+            base: 0,
+            slots: Vec::new(),
+            mapped: 0,
         }
     }
 
-    /// The table's (environment's) name.
+    /// The table's (environment's) name, as its faults carry it.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Arc<str> {
         &self.name
     }
 
+    /// The slots `range` covers, clipped to the slots that exist.
+    fn span(&self, range: VirtRange) -> Range<usize> {
+        let first = range.start().page().0;
+        let end = first + range.page_len();
+        let len = self.slots.len() as u64;
+        let clip = |page: u64| page.saturating_sub(self.base).min(len) as usize;
+        clip(first)..clip(end)
+    }
+
+    fn get(&self, page: PageIdx) -> Option<&PageEntry> {
+        let i = usize::try_from(page.0.checked_sub(self.base)?).ok()?;
+        self.slots.get(i)?.as_ref()
+    }
+
+    /// The entries of every page of `range`, or [`VmemError::BadRange`] if
+    /// one of them is unmapped.
+    fn mapped_mut(
+        &mut self,
+        range: VirtRange,
+        what: &'static str,
+    ) -> Result<impl Iterator<Item = &mut PageEntry>, VmemError> {
+        let span = self.span(range);
+        let slots = &mut self.slots[span];
+        if slots.len() as u64 != range.page_len() || slots.iter().any(Option::is_none) {
+            return Err(VmemError::BadRange { range, what });
+        }
+        Ok(slots.iter_mut().flatten())
+    }
+
     /// Maps every page of `range` with `rights` and `key`, replacing any
-    /// existing entries.
+    /// existing entries. The table grows to cover `range`, downwards too.
     pub fn map_range(&mut self, range: VirtRange, rights: Access, key: ProtectionKey) {
-        for page in range.pages() {
-            self.entries.insert(page, PageEntry::new(rights, key));
+        let pages = range.page_len();
+        if pages == 0 {
+            return;
+        }
+        let first = range.start().page().0;
+        if self.mapped == 0 {
+            self.slots.clear();
+            self.base = first;
+        }
+        if first < self.base {
+            let below = (self.base - first) as usize;
+            self.slots.splice(0..0, std::iter::repeat_n(None, below));
+            self.base = first;
+        }
+        let end = (first + pages - self.base) as usize;
+        if end > self.slots.len() {
+            self.slots.resize(end, None);
+        }
+        let start = end - pages as usize;
+        for slot in &mut self.slots[start..end] {
+            if slot.is_none() {
+                self.mapped += 1;
+            }
+            *slot = Some(PageEntry::new(rights, key));
         }
     }
 
     /// Removes every page of `range` from the table.
     pub fn unmap_range(&mut self, range: VirtRange) {
-        for page in range.pages() {
-            self.entries.remove(&page);
+        let span = self.span(range);
+        for slot in &mut self.slots[span] {
+            if slot.take().is_some() {
+                self.mapped -= 1;
+            }
         }
     }
 
@@ -88,11 +155,8 @@ impl PageTable {
     ///
     /// Returns [`VmemError::BadRange`] if any page of `range` is unmapped.
     pub fn protect_range(&mut self, range: VirtRange, rights: Access) -> Result<(), VmemError> {
-        self.check_mapped(range, "protect")?;
-        for page in range.pages() {
-            if let Some(entry) = self.entries.get_mut(&page) {
-                entry.rights = rights;
-            }
+        for entry in self.mapped_mut(range, "protect")? {
+            entry.rights = rights;
         }
         Ok(())
     }
@@ -103,11 +167,8 @@ impl PageTable {
     ///
     /// Returns [`VmemError::BadRange`] if any page of `range` is unmapped.
     pub fn retag_range(&mut self, range: VirtRange, key: ProtectionKey) -> Result<(), VmemError> {
-        self.check_mapped(range, "retag")?;
-        for page in range.pages() {
-            if let Some(entry) = self.entries.get_mut(&page) {
-                entry.key = key;
-            }
+        for entry in self.mapped_mut(range, "retag")? {
+            entry.key = key;
         }
         Ok(())
     }
@@ -119,11 +180,8 @@ impl PageTable {
     ///
     /// Returns [`VmemError::BadRange`] if any page of `range` is unmapped.
     pub fn set_present(&mut self, range: VirtRange, present: bool) -> Result<(), VmemError> {
-        self.check_mapped(range, "set_present")?;
-        for page in range.pages() {
-            if let Some(entry) = self.entries.get_mut(&page) {
-                entry.present = present;
-            }
+        for entry in self.mapped_mut(range, "set_present")? {
+            entry.present = present;
         }
         Ok(())
     }
@@ -131,43 +189,49 @@ impl PageTable {
     /// Looks up the entry covering `addr`.
     #[must_use]
     pub fn entry(&self, addr: Addr) -> Option<&PageEntry> {
-        self.entries.get(&addr.page())
+        self.get(addr.page())
     }
 
     /// Checks that the whole span `[addr, addr+len)` is mapped, present, and
-    /// grants `needed`.
+    /// grants `needed`, page by page from the lowest. A zero-length span
+    /// checks the page at `addr`.
     ///
     /// This is the page-rights half of the access check; the MPK key/PKRU
     /// half lives in the CPU layer, which has the register state.
     ///
     /// # Errors
     ///
-    /// * [`VmemError::Unmapped`] for absent or non-present pages.
-    /// * [`VmemError::ProtectionFault`] when rights are insufficient.
+    /// * [`VmemError::Unmapped`] for absent or non-present pages (at the
+    ///   page's base), and at `addr` for a span whose end does not fit in
+    ///   64 bits.
+    /// * [`VmemError::ProtectionFault`] at `addr` when rights are
+    ///   insufficient.
     pub fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
         let span = VirtRange::new(addr, len.max(1));
-        for page in span.pages() {
-            let entry = self.entries.get(&page).ok_or_else(|| VmemError::Unmapped {
-                addr: page.base(),
+        if addr.checked_add(span.len()).is_none() {
+            return Err(VmemError::Unmapped {
+                addr,
                 table: self.name.clone(),
-            })?;
-            if !entry.present {
-                return Err(VmemError::Unmapped {
-                    addr: page.base(),
-                    table: self.name.clone(),
-                });
-            }
-            if !entry.rights.contains(needed) {
-                return Err(VmemError::ProtectionFault {
-                    addr: if span.contains(addr) {
-                        addr
-                    } else {
-                        page.base()
-                    },
-                    needed,
-                    granted: entry.rights,
-                    table: self.name.clone(),
-                });
+            });
+        }
+        for page in span.pages() {
+            match self.get(page) {
+                Some(entry) if entry.present => {
+                    if !entry.rights.contains(needed) {
+                        return Err(VmemError::ProtectionFault {
+                            addr,
+                            needed,
+                            granted: entry.rights,
+                            table: self.name.clone(),
+                        });
+                    }
+                }
+                _ => {
+                    return Err(VmemError::Unmapped {
+                        addr: page.base(),
+                        table: self.name.clone(),
+                    })
+                }
             }
         }
         Ok(())
@@ -176,32 +240,13 @@ impl PageTable {
     /// Number of mapped pages.
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterates over `(page, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageIdx, &PageEntry)> {
-        self.entries.iter().map(|(p, e)| (*p, e))
-    }
-
-    fn check_mapped(&self, range: VirtRange, what: &'static str) -> Result<(), VmemError> {
-        for page in range.pages() {
-            if !self.entries.contains_key(&page) {
-                return Err(VmemError::BadRange { range, what });
-            }
-        }
-        Ok(())
+        self.mapped
     }
 }
 
 impl fmt::Display for PageTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PageTable('{}', {} pages)",
-            self.name,
-            self.entries.len()
-        )
+        write!(f, "PageTable('{}', {} pages)", self.name, self.mapped)
     }
 }
 
@@ -293,6 +338,66 @@ mod tests {
         t.map_range(range(2), Access::R, 0);
         t.unmap_range(range(2));
         assert_eq!(t.mapped_pages(), 0);
+    }
+
+    #[test]
+    fn table_grows_downwards_and_counts_mapped_pages() {
+        let mut t = PageTable::new("env");
+        t.map_range(VirtRange::new(Addr(0x20_000), PAGE_SIZE), Access::RW, 1);
+        t.map_range(VirtRange::new(Addr(0x10_000), 2 * PAGE_SIZE), Access::R, 2);
+        assert_eq!(t.mapped_pages(), 3);
+        assert_eq!(t.entry(Addr(0x20_000)).unwrap().key, 1);
+        assert_eq!(t.entry(Addr(0x10_000 + PAGE_SIZE)).unwrap().key, 2);
+        assert!(t.entry(Addr(0x10_000 + 2 * PAGE_SIZE)).is_none());
+        assert!(matches!(
+            t.check(Addr(0x10_000 + PAGE_SIZE), 2 * PAGE_SIZE, Access::R),
+            Err(VmemError::Unmapped {
+                addr: Addr(0x12_000),
+                ..
+            })
+        ));
+        // Remapping a mapped page does not count it twice.
+        t.map_range(VirtRange::new(Addr(0x20_000), PAGE_SIZE), Access::R, 1);
+        assert_eq!(t.mapped_pages(), 3);
+        assert_eq!(t.to_string(), "PageTable('env', 3 pages)");
+    }
+
+    #[test]
+    fn overflowing_spans_are_unmapped() {
+        let mut t = PageTable::new("env");
+        t.map_range(range(1), Access::RW, 0);
+        let wrap = Addr(u64::MAX - 3);
+        for len in [8, u64::MAX] {
+            let err = t.check(wrap, len, Access::W).unwrap_err();
+            assert_eq!(
+                err,
+                VmemError::Unmapped {
+                    addr: wrap,
+                    table: "env".into()
+                }
+            );
+        }
+        let err = t.check(Addr(0x10_000), u64::MAX, Access::R).unwrap_err();
+        assert!(matches!(
+            err,
+            VmemError::Unmapped {
+                addr: Addr(0x10_000),
+                ..
+            }
+        ));
+        // Mapping-wide operations on such spans stay bounded.
+        t.unmap_range(VirtRange::new(Addr(0x10_000), u64::MAX));
+        assert_eq!(t.mapped_pages(), 0);
+        assert!(t.protect_range(VirtRange::new(wrap, 8), Access::R).is_err());
+    }
+
+    #[test]
+    fn faults_share_the_table_name() {
+        let t = PageTable::new("env");
+        let Err(VmemError::Unmapped { table, .. }) = t.check(Addr(0x10_000), 1, Access::R) else {
+            panic!("expected an unmapped fault");
+        };
+        assert!(Arc::ptr_eq(&table, t.name()));
     }
 
     #[test]

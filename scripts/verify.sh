@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification gate: build, full test suite, formatting, rustdoc.
+# Offline verification gate: build, full test suite, formatting, clippy,
+# rustdoc.
 # Every claim about `repro` output is a test in `cargo test`.
 # The container has no network access — everything must resolve from
 # the in-tree workspace (no crates.io dependencies, see DESIGN.md §6).
@@ -18,6 +19,9 @@ cargo test -q --offline
 
 echo "== formatting =="
 cargo fmt --all --check
+
+echo "== clippy (warnings are errors, tests and examples included) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== rustdoc (warnings are errors, private items included) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline

@@ -186,7 +186,7 @@ fn faults_do_not_corrupt_trusted_state() {
         "bad",
         &["lib"],
         Policy::default_policy(),
-        move |ctx, ()| ctx.lb.store_u64(canary, 0).map(|()| ()),
+        move |ctx, ()| ctx.lb.store_u64(canary, 0),
     )
     .unwrap();
     for _ in 0..3 {
