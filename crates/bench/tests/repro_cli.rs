@@ -2,6 +2,7 @@
 //! loudly and print the full menu, so a typo is self-correcting instead
 //! of pointing the user at the crate docs.
 
+use std::path::Path;
 use std::process::Command;
 
 /// Every subcommand `repro` dispatches on, in menu order.
@@ -349,4 +350,68 @@ fn counters_lists_the_registry() {
         stdout.contains("shards_degraded") && stdout.contains("advisory"),
         "new counters are listed with descriptions:\n{stdout}"
     );
+}
+
+/// Each golden report under `tests/golden/` and the `repro` arguments
+/// that print it. A change that keeps every report byte-identical
+/// leaves these files alone; one that means to move a report
+/// regenerates its file and says why.
+const GOLDEN: [(&str, &[&str]); 12] = [
+    ("table1.json", &["table1", "--json"]),
+    ("table2_quick.json", &["table2", "--quick", "--json"]),
+    (
+        "table2_quick_proc.txt",
+        &["table2", "--quick", "--backend=proc"],
+    ),
+    (
+        "attribution_quick.json",
+        &["attribution", "--quick", "--json"],
+    ),
+    ("batching_quick.json", &["batching", "--quick", "--json"]),
+    ("chaos_quick.json", &["chaos", "--quick", "--json"]),
+    ("wiki_quick_profile.txt", &["wiki", "--quick", "--profile"]),
+    ("fleet_quick.json", &["fleet", "--quick", "--json"]),
+    (
+        "fleet_quick_fasthttp_mixed.json",
+        &[
+            "fleet",
+            "--quick",
+            "--app=fasthttp",
+            "--mixed-backends",
+            "--json",
+        ],
+    ),
+    (
+        "fleet_quick_chaos.json",
+        &["fleet", "--quick", "--chaos", "--json"],
+    ),
+    ("trace_export_quick.json", &["trace-export", "--quick"]),
+    ("counters_list.txt", &["counters", "--list"]),
+];
+
+/// Every golden report prints byte for byte; a mismatch names the
+/// first line that differs.
+#[test]
+fn reports_match_their_golden_files() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (file, args) in GOLDEN {
+        let golden = std::fs::read_to_string(dir.join(file))
+            .unwrap_or_else(|e| panic!("read golden/{file}: {e}"));
+        let got = repro(args);
+        if got == golden {
+            continue;
+        }
+        let want: Vec<&str> = golden.lines().collect();
+        let have: Vec<&str> = got.lines().collect();
+        let line = (0..want.len().max(have.len()))
+            .find(|&i| want.get(i) != have.get(i))
+            .unwrap_or(want.len());
+        panic!(
+            "repro {args:?} differs from golden/{file} at line {}:\n  \
+             golden:  {:?}\n  printed: {:?}",
+            line + 1,
+            want.get(line),
+            have.get(line)
+        );
+    }
 }
