@@ -250,7 +250,7 @@ impl BildApp {
         self.rt
             .register_fn("bild.Dispatch", move |ctx, arg: GoValue| {
                 let op = arg.as_str()?;
-                ctx.call(&op, GoValue::Ptr(src))
+                ctx.call(op, GoValue::Ptr(src))
             });
         // bild.Dispatch lives in the bild package, so the rcl enclosure
         // may invoke it.

@@ -10,6 +10,9 @@
 //! page). The scheduler's `Execute` switches between their protection
 //! environments every hop.
 
+use std::fmt;
+use std::sync::Arc;
+
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
 use enclosure_support::Shared;
 use enclosure_telemetry::Histogram;
@@ -29,12 +32,30 @@ pub const FASTHTTP_PORT: u16 = 8081;
 const PARSE_NS: u64 = 9_000;
 /// Trusted handler compute per request.
 const HANDLER_NS: u64 = 28_000;
+/// A reply leaves in two sends: its first 128 bytes (status line and
+/// headers), then the rest.
+const REPLY_HEAD_BYTES: usize = 128;
+/// The page body's repeating unit.
+const PAGE_UNIT: &[u8] = b"<html>fast</html>";
 
 /// The assembled FastHTTP application.
-#[derive(Debug)]
 pub struct FastHttpApp {
     rt: GoRuntime,
     latency: Shared<Histogram>,
+    /// The 200 every request is answered with: status line, headers
+    /// and the 13 KB body. Built once; the trusted handler copies it
+    /// into each response.
+    page: Arc<[u8]>,
+}
+
+impl fmt::Debug for FastHttpApp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastHttpApp")
+            .field("rt", &self.rt)
+            .field("latency", &self.latency)
+            .field("page_len", &self.page.len())
+            .finish()
+    }
 }
 
 /// Where one serve run stands, shared by its workers.
@@ -78,9 +99,14 @@ impl FastHttpApp {
                 .enclosure("server_enc", "fasthttp.Serve", "net io time sync"),
         );
         let rt = program.build(backend)?;
+        let mut page =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n").into_bytes();
+        let units = PAGE_SIZE_BYTES.div_ceil(PAGE_UNIT.len());
+        page.extend_from_slice(&PAGE_UNIT.repeat(units)[..PAGE_SIZE_BYTES]);
         Ok(FastHttpApp {
             rt,
             latency: Shared::default(),
+            page: page.into(),
         })
     }
 
@@ -210,16 +236,16 @@ impl FastHttpApp {
                     // any connection — the accept timestamp rides the
                     // channels).
                     if let Recv::Value(v) = ctx.chan_recv(resp_ch)? {
-                        let parts = v.as_tuple()?;
+                        let mut parts = v.into_tuple()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
                         let t0 = parts[1].as_int()?;
-                        let mut headers = parts[2].as_bytes()?;
-                        let rest = headers.split_off(headers.len().min(128));
+                        let head = std::mem::take(&mut parts[2]).into_bytes()?;
+                        let rest = std::mem::take(&mut parts[3]).into_bytes()?;
                         let send = |data| BatchOp::Send { fd: conn, data };
                         let lb = ctx.lb_mut();
                         let sent = (|| {
                             deferrable(lb, &tally, conn, BatchOp::Futex)?; // worker wake
-                            deferrable(lb, &tally, conn, send(headers))?;
+                            deferrable(lb, &tally, conn, send(head))?;
                             deferrable(lb, &tally, conn, send(rest))?;
                             deferrable(lb, &tally, conn, BatchOp::Close { fd: conn })?;
                             deferrable(lb, &tally, conn, BatchOp::Futex)?; // teardown wake
@@ -254,17 +280,10 @@ impl FastHttpApp {
 
         // Trusted handler goroutine: in a real deployment it would read
         // the private database the enclosure cannot see. The accept
-        // timestamp is threaded through untouched. Every 200 carries the
-        // same page, so it is built once per serve call.
-        let mut page =
-            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n").into_bytes();
-        page.extend(
-            b"<html>fast</html>"
-                .iter()
-                .copied()
-                .cycle()
-                .take(PAGE_SIZE_BYTES),
-        );
+        // timestamp is threaded through untouched. Its response write is
+        // the reply's one copy on the Go side: the workers move the two
+        // halves into their sends.
+        let page = Arc::clone(&self.page);
         self.rt.spawn("trusted-handler", move |ctx| {
             match ctx.chan_recv(req_ch)? {
                 Recv::Value(v) => {
@@ -273,14 +292,15 @@ impl FastHttpApp {
                     let t0 = parts[1].clone();
                     let ok = parts[2].as_bool()?;
                     ctx.compute(HANDLER_NS);
-                    let body = if ok {
-                        page.clone()
+                    let body: &[u8] = if ok {
+                        &page
                     } else {
-                        b"HTTP/1.1 400 Bad Request\r\n\r\n".to_vec()
+                        b"HTTP/1.1 400 Bad Request\r\n\r\n"
                     };
+                    let (head, rest) = response_halves(body);
                     ctx.chan_send(
                         resp_ch,
-                        GoValue::Tuple(vec![conn, t0, GoValue::Bytes(body)]),
+                        GoValue::Tuple(vec![conn, t0, GoValue::Bytes(head), GoValue::Bytes(rest)]),
                     )?;
                     Ok(Step::Yield)
                 }
@@ -307,9 +327,39 @@ impl FastHttpApp {
     }
 }
 
+/// The trusted handler's response write: `body` copied out in the two
+/// halves the worker sends, status line and headers first.
+fn response_halves(body: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let (head, rest) = body.split_at(body.len().min(REPLY_HEAD_BYTES));
+    (head.to_vec(), rest.to_vec())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_page_matches_the_old_build_and_splits_into_the_sent_halves() {
+        let app = FastHttpApp::new(Backend::Baseline).unwrap();
+        let mut reference =
+            format!("HTTP/1.1 200 OK\r\nContent-Length: {PAGE_SIZE_BYTES}\r\n\r\n").into_bytes();
+        reference.extend(PAGE_UNIT.iter().copied().cycle().take(PAGE_SIZE_BYTES));
+        assert_eq!(*app.page, *reference);
+
+        let (head, rest) = response_halves(&app.page);
+        assert_eq!(head.len(), REPLY_HEAD_BYTES);
+        assert_eq!([head, rest].concat(), reference);
+        let (head, rest) = response_halves(b"HTTP/1.1 400 Bad Request\r\n\r\n");
+        assert!(rest.is_empty(), "a short reply is all head");
+        assert_eq!(head, b"HTTP/1.1 400 Bad Request\r\n\r\n");
+
+        let debug = format!("{app:?}");
+        assert!(
+            debug.len() < 2 * 1024,
+            "Debug must not dump the page: {} bytes",
+            debug.len()
+        );
+    }
 
     /// A fresh app on `backend` in gateway `mode`, clock zeroed.
     fn app_on(backend: Backend, mode: GatewayMode) -> FastHttpApp {

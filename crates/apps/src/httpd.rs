@@ -150,7 +150,7 @@ impl HttpApp {
 
             let response = ctx
                 .call_enclosed("handler_enc", GoValue::Bytes(head))?
-                .as_bytes()?;
+                .into_bytes()?;
             let (headers, body) = response.split_at(response.len().min(128));
             ctx.lb_mut().sys_send(conn, headers)?;
             ctx.lb_mut().sys_send(conn, body)?;

@@ -211,9 +211,9 @@ impl WikiApp {
                 }
                 match ctx.chan_recv(reply_ch)? {
                     Recv::Value(v) => {
-                        let parts = v.as_tuple()?;
+                        let mut parts = v.into_tuple()?;
                         let conn = u32::try_from(parts[0].as_int()?).expect("fd fits");
-                        let response = parts[1].as_bytes()?;
+                        let response = std::mem::take(&mut parts[1]).into_bytes()?;
                         let mut ok = !response.starts_with(b"HTTP/1.1 503");
                         let send = BatchOp::Send {
                             fd: conn,
@@ -258,10 +258,10 @@ impl WikiApp {
             let mut progressed = false;
             match ctx.chan_recv(parsed_ch)? {
                 Recv::Value(v) => {
-                    let parts = v.as_tuple()?;
+                    let mut parts = v.into_tuple()?;
+                    let title = std::mem::take(&mut parts[2]).into_str()?;
                     let conn = parts[0].clone();
                     let kind = parts[1].as_str()?;
-                    let title = parts[2].as_str()?;
                     let body = parts[3].as_str()?;
                     ctx.compute(3_000); // validation
                     if kind == "404" || title.contains(|c: char| !c.is_alphanumeric()) {
@@ -306,7 +306,7 @@ impl WikiApp {
                             render_not_found()
                         }
                     } else {
-                        render_page(&title, &row)
+                        render_page(title, row)
                     };
                     ctx.chan_send(
                         reply_ch,
@@ -349,10 +349,10 @@ impl WikiApp {
             };
             match ctx.chan_recv(sql_ch)? {
                 Recv::Value(v) => {
-                    let parts = v.as_tuple()?;
+                    let mut parts = v.into_tuple()?;
+                    let title = std::mem::take(&mut parts[2]);
                     let http_conn = parts[0].clone();
                     let sql = parts[1].as_str()?;
-                    let title = parts[2].clone();
                     let row = if breaker_open && fast_fails_since_trip < PQ_BREAKER_COOLDOWN {
                         fast_fails_since_trip += 1;
                         pq_tally.borrow_mut().quarantined += 1;
@@ -363,7 +363,7 @@ impl WikiApp {
                     } else {
                         // Closed — or half-open after the cooldown, in
                         // which case this query is the probe.
-                        match retry_transient(&pq_tally, || pq::query(ctx.lb_mut(), conn, &sql)) {
+                        match retry_transient(&pq_tally, || pq::query(ctx.lb_mut(), conn, sql)) {
                             Ok(QueryResult::Row(r)) => {
                                 breaker_open = false;
                                 consecutive_failures = 0;

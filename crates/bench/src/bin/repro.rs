@@ -87,6 +87,14 @@ use litterbox::Backend;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !is_listed_flag(a))
+    {
+        eprintln!("unknown flag '{bad}'\n");
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let profile = args.iter().any(|a| a == "--profile");
@@ -248,7 +256,27 @@ flags: --quick --json --profile --trace[=N] --seed=S --format=chrome|folded
        --shards=N --mixed-backends --chaos (fleet shard count / backend mix / fault arm)
        --app=wiki|fasthttp (fleet shard workload)
        --parallel[=T] (fleet worker threads, default detected cores; adds wall-clock timing)
+       --list (counters)
 ";
+
+/// Whether `arg` spells a flag of [`USAGE`]'s flag list: `--name` as
+/// listed, `--name=V` for a flag listed with a value, and either for
+/// one listed with an optional `[=V]`. Values are checked where each
+/// flag is parsed.
+fn is_listed_flag(arg: &str) -> bool {
+    let (name, valued) = arg.split_once('=').map_or((arg, false), |(n, _)| (n, true));
+    let flags = USAGE.split_once("\nflags:").map_or("", |(_, f)| f);
+    flags
+        .split_whitespace()
+        .filter(|t| t.starts_with("--"))
+        .any(|spec| match spec.split_once("[=") {
+            Some((listed, _)) => listed == name,
+            None => match spec.split_once('=') {
+                Some((listed, _)) => listed == name && valued,
+                None => spec == name && !valued,
+            },
+        })
+}
 
 /// Default seed for `repro chaos` when `--seed=S` is not given.
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;

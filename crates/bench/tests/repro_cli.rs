@@ -116,6 +116,32 @@ fn wiki_profile_is_byte_identical_across_runs() {
     assert_eq!(first, run(), "two runs must print the same bytes");
 }
 
+/// A flag the usage text does not list is a typo: `repro` prints the
+/// menu, names the flag and exits 2 before running anything (a
+/// misspelt `--quick` used to run the full 100k-request fleet).
+#[test]
+fn unknown_flags_fail_before_any_work_runs() {
+    for args in [
+        &["fleet", "--qiuck"][..],
+        &["table1", "--bogus"],
+        &["table2", "--quick=yes"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let bad = args[1];
+        assert!(
+            stderr.contains(&format!("unknown flag '{bad}'")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: repro"), "{stderr}");
+    }
+}
+
 /// `--parallel=` rejects non-counts before any work runs.
 #[test]
 fn bad_parallel_value_fails_fast() {
@@ -406,12 +432,13 @@ fn reports_match_their_golden_files() {
         let line = (0..want.len().max(have.len()))
             .find(|&i| want.get(i) != have.get(i))
             .unwrap_or(want.len());
+        let end = "<end of output>";
         panic!(
             "repro {args:?} differs from golden/{file} at line {}:\n  \
              golden:  {:?}\n  printed: {:?}",
             line + 1,
-            want.get(line),
-            have.get(line)
+            want.get(line).unwrap_or(&end),
+            have.get(line).unwrap_or(&end)
         );
     }
 }

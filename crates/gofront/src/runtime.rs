@@ -92,6 +92,8 @@ impl GoProgram {
             stack: SplitStack::new(),
             runtime_callsite,
             gc_cycles: 0,
+            sched_pkg: GO_SCHED_PKG.into(),
+            drain_span: "reactor.drain".into(),
         })
     }
 }
@@ -107,6 +109,10 @@ pub struct GoRuntime {
     stack: SplitStack,
     runtime_callsite: Addr,
     gc_cycles: u64,
+    /// [`GO_SCHED_PKG`], the package every quantum span is charged to.
+    sched_pkg: Arc<str>,
+    /// The name of the reactor's forced-drain span.
+    drain_span: Arc<str>,
 }
 
 impl std::fmt::Debug for GoRuntime {
@@ -240,7 +246,7 @@ impl GoRuntime {
         f: impl FnMut(&mut GoCtx<'_>) -> Result<Step, Fault> + Send + 'static,
     ) -> GoroutineId {
         self.sched
-            .spawn(name.to_owned(), EnvContext::trusted(), Box::new(f))
+            .spawn(name.into(), EnvContext::trusted(), Box::new(f))
     }
 
     /// Spawns a goroutine that runs entirely inside `enclosure`'s
@@ -262,7 +268,7 @@ impl GoRuntime {
         let env = litterbox::EnvId(enc.id.0);
         Ok(self
             .sched
-            .spawn(name.to_owned(), EnvContext::in_env(env), Box::new(f)))
+            .spawn(name.into(), EnvContext::in_env(env), Box::new(f)))
     }
 
     /// An `Execute` that survives injected faults: a transient failure
@@ -327,8 +333,8 @@ impl GoRuntime {
                 .expect("queued goroutine exists");
             {
                 let scope = enclosure_telemetry::SpanScope::new(
-                    g.name.clone(),
-                    GO_SCHED_PKG,
+                    Arc::clone(&g.name),
+                    Arc::clone(&self.sched_pkg),
                     g.ctx.env().0,
                 );
                 let clock = self.lb.clock_mut();
@@ -516,7 +522,11 @@ impl GoRuntime {
             let now = clock.now_ns();
             clock.recorder_mut().begin_span(
                 now,
-                enclosure_telemetry::SpanScope::new("reactor.drain", GO_SCHED_PKG, env),
+                enclosure_telemetry::SpanScope::new(
+                    Arc::clone(&self.drain_span),
+                    Arc::clone(&self.sched_pkg),
+                    env,
+                ),
             );
         }
         let flushed = self.contained_flush(litterbox::LitterBox::batch_flush_drain);
@@ -752,7 +762,7 @@ impl GoCtx<'_> {
         let env = self.rt.lb.current_env();
         self.rt
             .sched
-            .spawn(name.to_owned(), EnvContext::in_env(env), Box::new(f))
+            .spawn(name.into(), EnvContext::in_env(env), Box::new(f))
     }
 
     /// Creates a channel.

@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 use litterbox::{CompletionToken, EnvContext, Fault};
 
@@ -81,7 +82,8 @@ pub(crate) struct Channel {
 pub type GoroutineFn = Box<dyn FnMut(&mut GoCtx<'_>) -> Result<Step, Fault> + Send>;
 
 pub(crate) struct Goroutine {
-    pub name: String,
+    /// Also the name of every quantum span it runs under.
+    pub name: Arc<str>,
     pub ctx: EnvContext,
     pub f: GoroutineFn,
 }
@@ -172,7 +174,7 @@ impl Scheduler {
         Ok(())
     }
 
-    pub fn spawn(&mut self, name: String, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
+    pub fn spawn(&mut self, name: Arc<str>, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
         let slot = self.goroutines.len();
         self.goroutines.push(Some(Goroutine { name, ctx, f }));
         self.runq.push_back(slot);

@@ -214,16 +214,18 @@ impl SyscallRing {
     /// service (= submission) order; other submitters' completions stay
     /// queued.
     pub fn take_completions_for(&mut self, submitter: u64) -> Vec<Completion> {
+        // One lap of the queue in place: each completion leaves the
+        // front and either goes to `taken` or rejoins at the back, so
+        // the kept ones stay in order and the queue never regrows.
         let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.cq.len());
-        for c in self.cq.drain(..) {
+        for _ in 0..self.cq.len() {
+            let Some(c) = self.cq.pop_front() else { break };
             if c.submitter == submitter {
                 taken.push(c);
             } else {
-                kept.push_back(c);
+                self.cq.push_back(c);
             }
         }
-        self.cq = kept;
         taken
     }
 }
@@ -431,6 +433,36 @@ mod tests {
                     .collect();
                 assert_eq!(completed, submitted, "submitter {submitter}");
             }
+        }
+
+        /// Reaping one submitter takes exactly its completions, in
+        /// order, and leaves every other completion queued in order.
+        fn reaping_one_submitter_keeps_the_rest_in_order(rng, cases = 32) {
+            let mut ring = SyscallRing::new();
+            let mut submitted: Vec<(u64, u64)> = Vec::new(); // (submitter, seq)
+            for _ in 0..rng.range_usize(0, 24) {
+                let submitter = rng.range_u64(1, 4);
+                submitted.push((submitter, ring.enqueue(submitter, BatchOp::Getuid)));
+            }
+            for sub in ring.drain_submissions() {
+                ring.complete(Completion {
+                    seq: sub.seq,
+                    submitter: sub.submitter,
+                    sysno: sub.op.sysno(),
+                    result: Ok(BatchReply::Unit),
+                });
+            }
+            let who = rng.range_u64(1, 4);
+            let seqs = |done: Vec<Completion>| done.iter().map(|c| c.seq).collect::<Vec<_>>();
+            let of = |mine: bool| -> Vec<u64> {
+                submitted
+                    .iter()
+                    .filter(|(s, _)| (*s == who) == mine)
+                    .map(|(_, seq)| *seq)
+                    .collect()
+            };
+            assert_eq!(seqs(ring.take_completions_for(who)), of(true));
+            assert_eq!(seqs(ring.take_completions()), of(false));
         }
     }
 }

@@ -52,6 +52,8 @@
 //! charged crossing is lost) aborts a flush — and then the batch stays
 //! queued, so a retry services every entry exactly once.
 
+use std::sync::Arc;
+
 use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
 use enclosure_hw::InjectionSite;
 use enclosure_kernel::ring::{self, BatchOp, Completion, SyscallRing};
@@ -107,6 +109,10 @@ pub(crate) struct BatchState {
     mode: GatewayMode,
     ring: SyscallRing,
     env: EnvId,
+    /// The flush span's name, `batch.flush`.
+    flush_span: Arc<str>,
+    /// The package flushes are charged to, `litterbox.gateway`.
+    gateway_pkg: Arc<str>,
 }
 
 impl BatchState {
@@ -115,6 +121,8 @@ impl BatchState {
             mode: GatewayMode::Direct,
             ring: SyscallRing::new(),
             env: TRUSTED_ENV,
+            flush_span: "batch.flush".into(),
+            gateway_pkg: "litterbox.gateway".into(),
         }
     }
 }
@@ -234,12 +242,14 @@ impl LitterBox {
         }
 
         {
+            let scope = SpanScope::new(
+                Arc::clone(&self.batch.flush_span),
+                Arc::clone(&self.batch.gateway_pkg),
+                env.0,
+            );
             let clock = self.clock_mut();
             let now = clock.now_ns();
-            clock.recorder_mut().begin_span(
-                now,
-                SpanScope::new("batch.flush", "litterbox.gateway", env.0),
-            );
+            clock.recorder_mut().begin_span(now, scope);
             clock.record(Event::FlushTrigger { reason });
         }
 

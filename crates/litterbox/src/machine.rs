@@ -4,6 +4,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem;
+use std::sync::Arc;
 
 use enclosure_hw::proc::SpawnRecord;
 use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
@@ -863,11 +864,11 @@ impl LitterBox {
     /// Opens the telemetry span for `enclosure` and records the prolog
     /// event.
     fn enter_span(&mut self, enclosure: EnclosureId) {
-        let name = self
-            .enclosures
-            .get(&enclosure)
-            .map_or_else(|| format!("enc#{}", enclosure.0), |e| e.name.clone());
-        let package = self
+        let name: Arc<str> = self.enclosures.get(&enclosure).map_or_else(
+            || format!("enc#{}", enclosure.0).into(),
+            |e| e.name.as_str().into(),
+        );
+        let package: Arc<str> = self
             .enclosures
             .get(&enclosure)
             .and_then(|e| {
@@ -880,12 +881,12 @@ impl LitterBox {
                         .keys()
                         .filter(|p| p.as_str() != LB_USER_PKG)
                         .min()
-                        .cloned()
+                        .map(|p| Arc::from(p.as_str()))
                 } else {
-                    Some(e.marked.join("+"))
+                    Some(e.marked.join("+").into())
                 }
             })
-            .unwrap_or_else(|| "-".to_owned());
+            .unwrap_or_else(|| "-".into());
         let clock = self.cpu.clock_mut();
         let now = clock.now_ns();
         clock

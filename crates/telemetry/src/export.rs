@@ -86,7 +86,7 @@ pub fn chrome_trace(rec: &Recorder) -> Json {
                     let n = &forest.nodes[i];
                     events.push(Json::obj([
                         ("ph", Json::from("B")),
-                        ("name", Json::from(n.scope.enclosure.as_str())),
+                        ("name", Json::from(&*n.scope.enclosure)),
                         ("cat", Json::from("enclosure")),
                         ("pid", Json::U64(1)),
                         ("tid", Json::U64(n.track)),
@@ -94,7 +94,7 @@ pub fn chrome_trace(rec: &Recorder) -> Json {
                         (
                             "args",
                             Json::obj([
-                                ("package", Json::from(n.scope.package.as_str())),
+                                ("package", Json::from(&*n.scope.package)),
                                 ("env", Json::from(n.scope.env)),
                                 ("self_ns", Json::U64(n.self_ns())),
                             ]),
@@ -132,12 +132,12 @@ pub fn folded_stacks(rec: &Recorder) -> String {
     let by_id: BTreeMap<u64, usize> = nodes.iter().enumerate().map(|(i, n)| (n.id.0, i)).collect();
     let mut folded: BTreeMap<String, u64> = BTreeMap::new();
     for node in nodes {
-        let mut path = vec![node.scope.enclosure.as_str()];
+        let mut path = vec![&*node.scope.enclosure];
         let mut cur = node;
         while let Some(pid) = cur.parent {
             let Some(&pi) = by_id.get(&pid.0) else { break };
             cur = &nodes[pi];
-            path.push(cur.scope.enclosure.as_str());
+            path.push(&*cur.scope.enclosure);
         }
         path.push(rec.track_name(node.track));
         path.reverse();

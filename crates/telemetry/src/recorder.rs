@@ -2,6 +2,7 @@
 //! attribution.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use enclosure_support::Json;
 
@@ -326,12 +327,16 @@ impl Counters {
 }
 
 /// Attribution key: where simulated time was spent.
+///
+/// The names are shared strings: whoever opens spans under a name
+/// (a goroutine, the scheduler, the batch gateway) holds it once and
+/// hands out clones, so opening a span copies no string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanScope {
     /// Enclosure name (`"<trusted>"` outside any enclosure).
-    pub enclosure: String,
+    pub enclosure: Arc<str>,
     /// Meta-package (cluster) hosting the enclosure.
-    pub package: String,
+    pub package: Arc<str>,
     /// Hardware environment id.
     pub env: u32,
 }
@@ -339,7 +344,11 @@ pub struct SpanScope {
 impl SpanScope {
     /// Scope for an enclosure span.
     #[must_use]
-    pub fn new(enclosure: impl Into<String>, package: impl Into<String>, env: u32) -> SpanScope {
+    pub fn new(
+        enclosure: impl Into<Arc<str>>,
+        package: impl Into<Arc<str>>,
+        env: u32,
+    ) -> SpanScope {
         SpanScope {
             enclosure: enclosure.into(),
             package: package.into(),
@@ -359,6 +368,15 @@ pub struct SpanCost {
     /// Nanoseconds attributed to the scope itself (total minus time in
     /// nested spans).
     pub self_ns: u64,
+}
+
+impl SpanCost {
+    /// Adds `other`'s entries and time to this cost.
+    fn absorb(&mut self, other: SpanCost) {
+        self.entries += other.entries;
+        self.total_ns += other.total_ns;
+        self.self_ns += other.self_ns;
+    }
 }
 
 /// A timestamped event in the trace ring.
@@ -637,10 +655,10 @@ impl Recorder {
     /// Closes the innermost span (enclosure exit), attributing its
     /// elapsed simulated time. Self-time excludes nested spans; nested
     /// totals roll up into the parent's child time. Returns the closed
-    /// scope. An `end_span` with no span open is tolerated (faulting
+    /// span's id. An `end_span` with no span open is tolerated (faulting
     /// runs may unwind past an epilog): it returns `None` and records a
     /// [`Event::SpanImbalance`] instead of panicking.
-    pub fn end_span(&mut self, now_ns: u64) -> Option<SpanScope> {
+    pub fn end_span(&mut self, now_ns: u64) -> Option<SpanId> {
         let Some(frame) = self.spans.pop() else {
             self.record(
                 now_ns,
@@ -652,10 +670,6 @@ impl Recorder {
             return None;
         };
         let total = now_ns.saturating_sub(frame.started_ns);
-        let cost = self.attribution.entry(frame.scope.clone()).or_default();
-        cost.entries += 1;
-        cost.total_ns += total;
-        cost.self_ns += total.saturating_sub(frame.child_ns);
         if let Some(parent) = self.spans.last_mut() {
             parent.child_ns += total;
         }
@@ -670,7 +684,20 @@ impl Recorder {
                 child_ns: frame.child_ns,
             });
         }
-        Some(frame.scope)
+        let cost = SpanCost {
+            entries: 1,
+            total_ns: total,
+            self_ns: total.saturating_sub(frame.child_ns),
+        };
+        // A scope is keyed once, on its first close; later closes add
+        // in place.
+        match self.attribution.get_mut(&frame.scope) {
+            Some(acc) => acc.absorb(cost),
+            None => {
+                self.attribution.insert(frame.scope, cost);
+            }
+        }
+        Some(frame.id)
     }
 
     /// Enables the span log: every span closed from here on is kept as
@@ -815,8 +842,8 @@ impl Recorder {
     pub fn attribution_json(&self) -> Json {
         Json::arr(self.attribution.iter().map(|(scope, cost)| {
             Json::obj([
-                ("enclosure", Json::from(scope.enclosure.as_str())),
-                ("package", Json::from(scope.package.as_str())),
+                ("enclosure", Json::from(&*scope.enclosure)),
+                ("package", Json::from(&*scope.package)),
                 ("env", Json::from(scope.env)),
                 ("entries", Json::U64(cost.entries)),
                 ("total_ns", Json::U64(cost.total_ns)),
@@ -841,11 +868,11 @@ impl Recorder {
     /// its clock (`Clock::reset`, which resets this recorder too).
     pub fn merge(&mut self, other: &Recorder) {
         self.counters.merge(&other.counters);
-        for (scope, cost) in &other.attribution {
-            let dst = self.attribution.entry(scope.clone()).or_default();
-            dst.entries += cost.entries;
-            dst.total_ns += cost.total_ns;
-            dst.self_ns += cost.self_ns;
+        for (scope, &cost) in &other.attribution {
+            self.attribution
+                .entry(scope.clone())
+                .or_default()
+                .absorb(cost);
         }
         for (&key, &ns) in &other.track_ns {
             *self.track_ns.entry(key).or_default() += ns;
@@ -1014,10 +1041,10 @@ mod tests {
     #[test]
     fn span_attribution_splits_self_from_nested() {
         let mut rec = Recorder::new();
-        rec.begin_span(100, SpanScope::new("outer", "pkg.a", 1));
+        let outer = rec.begin_span(100, SpanScope::new("outer", "pkg.a", 1));
         rec.begin_span(150, SpanScope::new("inner", "pkg.b", 2));
         rec.end_span(250); // inner: 100 ns
-        assert_eq!(rec.end_span(400).unwrap().enclosure, "outer"); // outer: 300 total
+        assert_eq!(rec.end_span(400), Some(outer)); // outer: 300 total
         let outer = &rec.attribution()[&SpanScope::new("outer", "pkg.a", 1)];
         let inner = &rec.attribution()[&SpanScope::new("inner", "pkg.b", 2)];
         assert_eq!(inner.total_ns, 100);

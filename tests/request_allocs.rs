@@ -1,0 +1,114 @@
+//! Host allocations per request on the two fleet workloads.
+//!
+//! A counting global allocator delegates to [`System`] and counts, per
+//! thread, every allocation and the bytes it asks for (a `realloc`
+//! counts as one allocation of its new size). Only `Fleet::run` is
+//! counted: the fleet is built first, and the fleets run at the default
+//! parallelism of 1, so every request is served on the test's own
+//! thread and the harness's other threads stay out of the count.
+//!
+//! The budgets pin the request path's host work: a FastHTTP reply
+//! copies its 13 KB page twice (the trusted handler's response write
+//! and the kernel's socket queue, DESIGN §14), and neither fleet
+//! allocates span names per scheduler quantum.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use enclosure_apps::httpd::PAGE_SIZE_BYTES;
+use enclosure_fleet::{FastHttpFleet, FleetConfig, WikiFleet};
+
+/// Requests per counted fleet run.
+const REQUESTS: u64 = 2_000;
+/// Seeds each workload is counted at.
+const SEEDS: [u64; 2] = [3, 4];
+
+/// Most allocations one FastHTTP request may make.
+const FASTHTTP_ALLOCS_PER_REQUEST: f64 = 40.0;
+/// Most bytes one FastHTTP request may allocate: under three copies of
+/// the page.
+const FASTHTTP_BYTES_PER_REQUEST: f64 = 3.0 * PAGE_SIZE_BYTES as f64;
+/// Most allocations one wiki request may make.
+const WIKI_ALLOCS_PER_REQUEST: f64 = 62.0;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// Counts on the allocating thread, then hands the request to
+/// [`System`].
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are
+// thread-local `Cell`s with const initializers and no destructor, so
+// touching them never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations and bytes per admitted request that `run` makes on this
+/// thread.
+fn per_request(run: impl FnOnce() -> u64) -> (f64, f64) {
+    let (allocs, bytes) = (ALLOCS.get(), BYTES.get());
+    let admitted = run();
+    assert_eq!(admitted, REQUESTS, "every request admitted");
+    let per = |n: u64| n as f64 / admitted as f64;
+    (per(ALLOCS.get() - allocs), per(BYTES.get() - bytes))
+}
+
+#[test]
+fn fasthttp_replies_copy_the_page_twice() {
+    for seed in SEEDS {
+        let fleet = FastHttpFleet::new(FleetConfig::new(4, REQUESTS, seed).mixed_backends())
+            .expect("fleet builds");
+        let (allocs, bytes) = per_request(|| fleet.run().expect("fleet runs").admitted);
+        assert!(
+            allocs <= FASTHTTP_ALLOCS_PER_REQUEST,
+            "seed {seed}: {allocs:.2} allocations per request, budget {FASTHTTP_ALLOCS_PER_REQUEST}"
+        );
+        assert!(
+            bytes <= FASTHTTP_BYTES_PER_REQUEST,
+            "seed {seed}: {bytes:.0} bytes per request, budget {FASTHTTP_BYTES_PER_REQUEST}"
+        );
+    }
+}
+
+#[test]
+fn wiki_requests_stay_within_their_allocation_budget() {
+    for seed in SEEDS {
+        let fleet = WikiFleet::new(FleetConfig::new(4, REQUESTS, seed)).expect("fleet builds");
+        let (allocs, _) = per_request(|| fleet.run().expect("fleet runs").admitted);
+        assert!(
+            allocs <= WIKI_ALLOCS_PER_REQUEST,
+            "seed {seed}: {allocs:.2} allocations per request, budget {WIKI_ALLOCS_PER_REQUEST}"
+        );
+    }
+}

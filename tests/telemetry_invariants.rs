@@ -123,7 +123,7 @@ fn spans_are_labeled_by_marked_packages() {
         .telemetry()
         .attribution()
         .keys()
-        .map(|scope| (scope.enclosure.clone(), scope.package.clone()))
+        .map(|scope| (scope.enclosure.to_string(), scope.package.to_string()))
         .collect();
     assert_eq!(labels["outer"], "lib");
     assert_eq!(labels["inner"], "anchor");
@@ -409,13 +409,13 @@ fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
         let flushes: Vec<_> = rec
             .span_log()
             .iter()
-            .filter(|n| n.scope.enclosure == "batch.flush")
+            .filter(|n| &*n.scope.enclosure == "batch.flush")
             .collect();
         assert!(!flushes.is_empty(), "{backend}: quanta flushed batches");
         for node in &flushes {
             let parent = node.parent.expect("flush spans never run bare");
             assert_eq!(
-                by_id[&parent].scope.package,
+                &*by_id[&parent].scope.package,
                 enclosure_gofront::GO_SCHED_PKG,
                 "{backend}: batch.flush nests in the quantum span"
             );
