@@ -79,22 +79,14 @@ fn build(backend: Backend) -> Result<Interpreter, Fault> {
     Ok(py)
 }
 
-/// Runs the scenario under `backend`.
+/// Runs the scenario under `backend`. With `trace` (`--trace[=N]`), the
+/// enforcing interpreter keeps a bounded event ring, printed to stderr
+/// when the clone is blocked.
 ///
 /// # Errors
 ///
 /// Harness faults (attack faults are the data).
-pub fn run_scenario(backend: Backend) -> Result<DjangoReport, Fault> {
-    run_scenario_traced(backend, None)
-}
-
-/// [`run_scenario`] with `--trace` support: the enforcing interpreter
-/// keeps a bounded event ring, dumped when the clone is blocked.
-///
-/// # Errors
-///
-/// Harness faults (attack faults are the data).
-pub fn run_scenario_traced(backend: Backend, trace: Option<usize>) -> Result<DjangoReport, Fault> {
+pub fn run_scenario(backend: Backend, trace: Option<usize>) -> Result<DjangoReport, Fault> {
     // 1. Unprotected: the clone leaks the key.
     let unprotected_leaked = {
         let mut py = build(Backend::Baseline)?;
@@ -114,9 +106,7 @@ pub fn run_scenario_traced(backend: Backend, trace: Option<usize>) -> Result<Dja
     //    the request but neither the settings module nor any sockets.
     let enclosed_blocked = {
         let mut py = build(backend)?;
-        if let Some(capacity) = trace {
-            py.lb_mut().telemetry_mut().enable_trace(capacity);
-        }
+        py.lb_mut().telemetry_mut().arm_trace(trace);
         let secret = py.alloc_in("settings", b"SECRET_KEY=django-insecure")?;
         py.declare_enclosure("dispatch", "django.dispatch", &[], "settings: R, none")?;
         let result = py.call_enclosed(
@@ -126,11 +116,8 @@ pub fn run_scenario_traced(backend: Backend, trace: Option<usize>) -> Result<Dja
                 PyValue::Obj(secret),
             ]),
         );
-        if result.is_err() && py.lb().telemetry().tracing() {
-            eprintln!("last telemetry events before the block (Django clone):");
-            for traced in py.lb().telemetry().recent_events() {
-                eprintln!("  [{:>12} ns] {}", traced.at_ns, traced.event);
-            }
+        if result.is_err() {
+            py.lb().telemetry().dump_trace("block (Django clone)");
         }
         result.is_err() && !py.lb().kernel().net.exfiltrated_contains(b"SECRET_KEY")
     };
@@ -181,14 +168,14 @@ mod tests {
     #[test]
     fn django_clone_scenario_reproduces_on_both_backends() {
         for backend in [Backend::Mpk, Backend::Vtx] {
-            let report = run_scenario(backend).unwrap();
+            let report = run_scenario(backend, None).unwrap();
             assert!(report.reproduced(), "{backend}: {report:?}");
         }
     }
 
     #[test]
     fn unprotected_clone_really_leaks() {
-        let report = run_scenario(Backend::Mpk).unwrap();
+        let report = run_scenario(Backend::Mpk, None).unwrap();
         assert!(report.unprotected_leaked);
     }
 

@@ -1,32 +1,20 @@
 //! `repro` — regenerates every table and figure of the paper's
-//! evaluation from the simulated substrate.
+//! evaluation from the simulated substrate: `repro <command> [flags]`.
 //!
-//! ```text
-//! repro table1 [--json]      Table 1 microbenchmarks
-//! repro table2 [--quick] [--json] [--profile] [--backend=proc]  Table 2 macrobenchmarks
-//! repro table2-info          Table 2 information columns
-//! repro figure4              Figure 4 ELF layout dump
-//! repro wiki [--quick] [--profile]  Figure 5 / §6.3 usability study
-//! repro python [--quick]     §6.4 Python experiments
-//! repro attribution [--quick] [--json]  §6.4 telemetry cost breakdown
-//! repro security [--profile] §6.5 recreated attacks
-//! repro filter-dump          compiled seccomp-BPF for the Figure 1 program
-//! repro ablations            design-choice studies
-//! repro batching [--quick] [--json] [--profile]  batched-gateway crossing-tax study
-//! repro chaos [--quick] [--json] [--seed=S] [--profile] [--backend=proc]  fault-injection soak
-//! repro fleet [--app=wiki|fasthttp] [--shards=N] [--mixed-backends] [--chaos] [--seed=S] [--quick] [--json] [--parallel[=T]]  fleet serving
-//! repro monitor [--shards=N] [--chaos] [--seed=S] [--quick] [--json]  windowed SLO dashboard
-//! repro flightrec [--seed=S] [--json]  black-box flight-recorder dump
-//! repro counters [--list]    counter registry with descriptions
-//! repro trace-export [--format=chrome|folded] [--quick]  span-tree export
-//! repro all [--quick]        everything above
-//! ```
+//! One table, [`COMMANDS`], holds each command's name, menu line, the
+//! flags it reads and the function that runs it; an unknown command
+//! prints the menu it renders. A command accepts only the flags it
+//! reads: any other flag prints the menu and exits 2 before any work
+//! runs. A flag with a bad value (`--seed=x`, `--trace=0`) exits 1 and
+//! names the flag. `all`, which a bare `repro` also runs, runs every
+//! command in menu order except `filter-dump`, `flightrec` and
+//! `trace-export`, and accepts every flag one of them reads.
 //!
-//! The global `--trace[=N]` flag keeps a bounded ring of the last N
-//! telemetry events (default 32) in the workload machines; on a fault
-//! they are printed alongside the root-cause trace (for the security
-//! matrix, where the blocking fault is the data, the ring is dumped at
-//! each block).
+//! `--trace[=N]`, read by `table2`, `wiki`, `python`, `attribution` and
+//! `security`, keeps a bounded ring of the last N telemetry events
+//! (default 32) in the workload machines; on a fault they are printed
+//! alongside the root-cause trace (for the security matrix, where the
+//! blocking fault is the data, the ring is dumped at each block).
 //!
 //! `--seed=S` (decimal or `0x` hex) seeds the chaos soak's injection
 //! plan and the fleet run's workload/chaos/jitter streams; two runs
@@ -73,149 +61,47 @@
 
 use std::process::ExitCode;
 
-use enclosure_apps::plotlib::{self, PlotConfig};
+use enclosure_apps::plotlib::PlotConfig;
 use enclosure_bench::chaos_exp::{self, ChaosConfig};
-use enclosure_bench::fleet_exp::{self, FleetApp, FleetExpConfig};
+use enclosure_bench::fleet_exp::{self, FleetApp};
 use enclosure_bench::macrobench::{self, MacroScale};
 use enclosure_bench::monitor_exp::{self, MonitorExpConfig};
 use enclosure_bench::trace_export::{self, TraceFormat};
 use enclosure_bench::{ablation, batching_exp, micro, python_exp, report, security_exp, wiki_exp};
+use enclosure_bench::{BACKENDS, PAPER_BACKENDS};
+use enclosure_fleet::FleetConfig;
 use enclosure_gofront::{GoProgram, GoSource};
-use enclosure_pyfront::{Interpreter, MetadataMode};
 use enclosure_support::Json;
 use litterbox::Backend;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !is_listed_flag(a))
-    {
-        eprintln!("unknown flag '{bad}'\n");
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let profile = args.iter().any(|a| a == "--profile");
-    let format = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--format=").map(TraceFormat::parse))
-        .unwrap_or(Some(TraceFormat::Chrome));
-    let Some(format) = format else {
-        eprintln!("--format wants 'chrome' or 'folded'");
-        return ExitCode::FAILURE;
-    };
-    let trace = args.iter().find_map(|a| {
-        if a == "--trace" {
-            Some(32)
-        } else {
-            a.strip_prefix("--trace=").and_then(|n| n.parse().ok())
-        }
-    });
-    let seed = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--seed=").map(parse_seed))
-        .unwrap_or(Some(DEFAULT_CHAOS_SEED));
-    let Some(seed) = seed else {
-        eprintln!("--seed wants a decimal or 0x-hex u64");
-        return ExitCode::FAILURE;
-    };
-    let proc_arm = match args.iter().find_map(|a| a.strip_prefix("--backend=")) {
-        None => false,
-        Some("proc") => true,
-        Some(other) => {
-            eprintln!(
-                "--backend wants 'proc' (the paper's two backends always run); got '{other}'"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let shards = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--shards=").map(str::parse))
-        .transpose();
-    let Ok(shards) = shards else {
-        eprintln!("--shards wants a shard count");
-        return ExitCode::FAILURE;
-    };
-    let mixed = args.iter().any(|a| a == "--mixed-backends");
-    let fleet_chaos = args.iter().any(|a| a == "--chaos");
-    let app = match args.iter().find_map(|a| a.strip_prefix("--app=")) {
-        None | Some("wiki") => FleetApp::Wiki,
-        Some("fasthttp") => FleetApp::FastHttp,
-        Some(other) => {
-            eprintln!("--app wants 'wiki' or 'fasthttp'; got '{other}'");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parallel = match args.iter().find_map(|a| {
-        if a == "--parallel" {
-            Some("auto")
-        } else {
-            a.strip_prefix("--parallel=")
-        }
-    }) {
-        None => None,
-        Some("auto") => Some(detected_cores()),
-        Some(text) => match text.parse::<usize>() {
-            Ok(threads) if threads >= 1 => Some(threads),
-            _ => {
-                eprintln!("--parallel wants a worker thread count >= 1");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let command = args
+    let name = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    let result = match command {
-        "table1" => table1(json),
-        "table2" => table2(quick, json, profile, trace, proc_arm),
-        "table2-info" => {
-            print!("{}", report::render_table2_info());
-            Ok(())
-        }
-        "figure4" => figure4(),
-        "wiki" => wiki(quick, profile, trace),
-        "python" => python(quick, trace),
-        "attribution" => attribution(quick, json, trace),
-        "security" => security(trace, profile),
-        "filter-dump" => filter_dump(),
-        "ablations" => ablations(),
-        "batching" => batching(quick, json, profile),
-        "chaos" => chaos(quick, json, seed, profile, proc_arm),
-        "fleet" => fleet(quick, json, seed, shards, mixed, fleet_chaos, app, parallel),
-        "monitor" => monitor(quick, json, seed, shards, fleet_chaos),
-        "flightrec" => flightrec(json, seed),
-        "counters" => {
-            print!("\n{}", report::render_counters_list());
-            Ok(())
-        }
-        "trace-export" => trace_export_cmd(quick, format),
-        "all" => table1(json)
-            .and_then(|()| table2(quick, json, profile, trace, proc_arm))
-            .map(|()| print!("\n{}", report::render_table2_info()))
-            .and_then(|()| figure4())
-            .and_then(|()| wiki(quick, profile, trace))
-            .and_then(|()| python(quick, trace))
-            .and_then(|()| attribution(quick, json, trace))
-            .and_then(|()| security(trace, profile))
-            .and_then(|()| ablations())
-            .and_then(|()| batching(quick, json, profile))
-            .and_then(|()| chaos(quick, json, seed, profile, proc_arm))
-            .and_then(|()| fleet(quick, json, seed, shards, mixed, fleet_chaos, app, parallel))
-            .and_then(|()| monitor(quick, json, seed, shards, fleet_chaos))
-            .map(|()| print!("\n{}", report::render_counters_list())),
-        other => {
-            eprintln!("unknown command '{other}'\n");
-            eprint!("{USAGE}");
+        .map_or(ALL.name, String::as_str);
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command '{name}'\n");
+        eprint!("{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let flags = command.flags();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.iter().any(|f| f.matches(a)))
+    {
+        eprintln!("unknown flag '{bad}' for '{name}'\n");
+        eprint!("{}", usage());
+        return ExitCode::from(2);
+    }
+    let opts = match Opts::parse(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    match (command.run)(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro failed: {e}");
@@ -226,60 +112,349 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Printed (to stderr) when the subcommand is not recognized, so a typo
-/// surfaces the whole menu instead of a pointer at the docs.
-const USAGE: &str = "\
-usage: repro <command> [flags]
-
-commands:
-  table1        Table 1 microbenchmarks (call / transfer / syscall costs)
-  table2        Table 2 macrobenchmarks (FastHTTP-shaped serving workloads)
-  table2-info   Table 2 information columns (packages, policies, keys)
-  figure4       Figure 4 linked-executable layout for the Figure 1 program
-  wiki          Figure 5 / \u{a7}6.3 wiki usability study
-  python        \u{a7}6.4 Python plotting experiments
-  attribution   \u{a7}6.4 telemetry cost breakdown per package
-  security      \u{a7}6.5 recreated attacks matrix
-  filter-dump   compiled seccomp-BPF for the Figure 1 program
-  ablations     design-choice studies (clustering, keys, scoping, switches)
-  batching      batched-gateway crossing-tax study
-  chaos         seeded fault-injection soak with containment invariants
-  fleet         N-shard fleet (wiki or fasthttp) behind the health-checking balancer
-  flightrec     black-box flight recorder dump (first fault freezes windows + event ring)
-  monitor       windowed SLO dashboard over the fleet (burn rates, kill-one-shard rehearsal)
-  counters      counter registry with one-line descriptions
-  trace-export  span-tree export (Chrome trace JSON or folded stacks)
-  all           everything above in order
-
-flags: --quick --json --profile --trace[=N] --seed=S --format=chrome|folded
-       --backend=proc (three-way table2; process-sandbox chaos arm)
-       --shards=N --mixed-backends --chaos (fleet shard count / backend mix / fault arm)
-       --app=wiki|fasthttp (fleet shard workload)
-       --parallel[=T] (fleet worker threads, default detected cores; adds wall-clock timing)
-       --list (counters)
-";
-
-/// Whether `arg` spells a flag of [`USAGE`]'s flag list: `--name` as
-/// listed, `--name=V` for a flag listed with a value, and either for
-/// one listed with an optional `[=V]`. Values are checked where each
-/// flag is parsed.
-fn is_listed_flag(arg: &str) -> bool {
-    let (name, valued) = arg.split_once('=').map_or((arg, false), |(n, _)| (n, true));
-    let flags = USAGE.split_once("\nflags:").map_or("", |(_, f)| f);
-    flags
-        .split_whitespace()
-        .filter(|t| t.starts_with("--"))
-        .any(|spec| match spec.split_once("[=") {
-            Some((listed, _)) => listed == name,
-            None => match spec.split_once('=') {
-                Some((listed, _)) => listed == name && valued,
-                None => spec == name && !valued,
-            },
-        })
+/// One `repro` command: its name, menu line, the flags it reads and the
+/// function that runs it.
+struct Command {
+    name: &'static str,
+    menu: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Opts) -> Result<(), AnyError>,
+    /// `Some(lead)`: [`ALL`] runs the command, after printing `lead`;
+    /// `None`: [`ALL`] skips it.
+    in_all: Option<&'static str>,
 }
 
-/// Default seed for `repro chaos` when `--seed=S` is not given.
-const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
+/// Every command, in menu order.
+const COMMANDS: [Command; 18] = [
+    Command {
+        name: "table1",
+        menu: "Table 1 microbenchmarks (call / transfer / syscall costs)",
+        flags: &[JSON],
+        run: table1,
+        in_all: Some(""),
+    },
+    Command {
+        name: "table2",
+        menu: "Table 2 macrobenchmarks (FastHTTP-shaped serving workloads)",
+        flags: &[QUICK, JSON, PROFILE, TRACE, BACKEND],
+        run: table2,
+        in_all: Some(""),
+    },
+    Command {
+        name: "table2-info",
+        menu: "Table 2 information columns (packages, policies, keys)",
+        flags: &[],
+        run: table2_info,
+        // Its report has no leading blank line of its own.
+        in_all: Some("\n"),
+    },
+    Command {
+        name: "figure4",
+        menu: "Figure 4 linked-executable layout for the Figure 1 program",
+        flags: &[],
+        run: figure4,
+        in_all: Some(""),
+    },
+    Command {
+        name: "wiki",
+        menu: "Figure 5 / \u{a7}6.3 wiki usability study",
+        flags: &[QUICK, PROFILE, TRACE],
+        run: wiki,
+        in_all: Some(""),
+    },
+    Command {
+        name: "python",
+        menu: "\u{a7}6.4 Python plotting experiments",
+        flags: &[QUICK, TRACE],
+        run: python,
+        in_all: Some(""),
+    },
+    Command {
+        name: "attribution",
+        menu: "\u{a7}6.4 telemetry cost breakdown per package",
+        flags: &[QUICK, JSON, TRACE],
+        run: attribution,
+        in_all: Some(""),
+    },
+    Command {
+        name: "security",
+        menu: "\u{a7}6.5 recreated attacks matrix",
+        flags: &[PROFILE, TRACE],
+        run: security,
+        in_all: Some(""),
+    },
+    Command {
+        name: "filter-dump",
+        menu: "compiled seccomp-BPF for the Figure 1 program",
+        flags: &[],
+        run: filter_dump,
+        in_all: None,
+    },
+    Command {
+        name: "ablations",
+        menu: "design-choice studies (clustering, keys, scoping, switches)",
+        flags: &[],
+        run: ablations,
+        in_all: Some(""),
+    },
+    Command {
+        name: "batching",
+        menu: "batched-gateway crossing-tax study",
+        flags: &[QUICK, JSON, PROFILE],
+        run: batching,
+        in_all: Some(""),
+    },
+    Command {
+        name: "chaos",
+        menu: "seeded fault-injection soak with containment invariants",
+        flags: &[QUICK, JSON, PROFILE, SEED, BACKEND],
+        run: chaos,
+        in_all: Some(""),
+    },
+    Command {
+        name: "fleet",
+        menu: "N-shard fleet (wiki or fasthttp) behind the health-checking balancer",
+        flags: &[QUICK, JSON, SEED, SHARDS, MIXED, CHAOS, APP, PARALLEL],
+        run: fleet,
+        in_all: Some(""),
+    },
+    Command {
+        name: "flightrec",
+        menu: "black-box flight recorder dump (first fault freezes windows + event ring)",
+        flags: &[JSON, SEED],
+        run: flightrec,
+        in_all: None,
+    },
+    Command {
+        name: "monitor",
+        menu: "windowed SLO dashboard over the fleet (burn rates, kill-one-shard rehearsal)",
+        flags: &[QUICK, JSON, SEED, SHARDS, CHAOS],
+        run: monitor,
+        in_all: Some(""),
+    },
+    Command {
+        name: "counters",
+        menu: "counter registry with one-line descriptions",
+        flags: &[LIST],
+        run: counters,
+        in_all: Some(""),
+    },
+    Command {
+        name: "trace-export",
+        menu: "span-tree export (Chrome trace JSON or folded stacks)",
+        flags: &[QUICK, FORMAT],
+        run: trace_export_cmd,
+        in_all: None,
+    },
+    ALL,
+];
+
+/// Runs every command that has an `in_all` lead, in menu order; also
+/// what a bare `repro` runs.
+const ALL: Command = Command {
+    name: "all",
+    menu: "everything above in order, except",
+    flags: &[],
+    run: all,
+    in_all: None,
+};
+
+impl Command {
+    /// The flags the command reads: [`ALL`] reads every flag one of its
+    /// members reads.
+    fn flags(&self) -> Vec<&'static Flag> {
+        if self.name != ALL.name {
+            return self.flags.iter().collect();
+        }
+        FLAGS
+            .iter()
+            .filter(|f| {
+                COMMANDS
+                    .iter()
+                    .any(|c| c.in_all.is_some() && c.flags.contains(f))
+            })
+            .collect()
+    }
+
+    /// The menu line: [`ALL`]'s names the commands it skips.
+    fn menu(&self) -> String {
+        if self.name != ALL.name {
+            return self.menu.to_owned();
+        }
+        let skipped: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.in_all.is_none() && c.name != ALL.name)
+            .map(|c| c.name)
+            .collect();
+        format!("{} {}", self.menu, skipped.join(", "))
+    }
+}
+
+/// A flag: its name and what may follow it: `""` for nothing, `"=V"`
+/// for a required value, `"[=V]"` for an optional one.
+#[derive(PartialEq)]
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+}
+
+impl Flag {
+    /// How the usage spells the flag, e.g. `--trace[=N]`.
+    fn spec(&self) -> String {
+        format!("{}{}", self.name, self.value)
+    }
+
+    /// Whether `arg` spells this flag.
+    fn matches(&self, arg: &str) -> bool {
+        match arg.split_once('=') {
+            None => arg == self.name && !self.value.starts_with('='),
+            Some((name, _)) => name == self.name && !self.value.is_empty(),
+        }
+    }
+}
+
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag { name, value, help }
+}
+
+const QUICK: Flag = flag("--quick", "", "small scale: seconds, not minutes");
+const JSON: Flag = flag("--json", "", "JSON instead of text");
+const PROFILE: Flag = flag("--profile", "", "latency percentiles, per-op costs");
+const TRACE: Flag = flag("--trace", "[=N]", "last N events at a fault (N=32)");
+const SEED: Flag = flag("--seed", "=S", "decimal or 0x-hex seed (0xc4a05)");
+const FORMAT: Flag = flag("--format", "=chrome|folded", "export format (chrome)");
+const BACKEND: Flag = flag("--backend", "=proc", "run the LB_PROC arm");
+const SHARDS: Flag = flag("--shards", "=N", "fleet shard count (default 4)");
+const MIXED: Flag = flag("--mixed-backends", "", "cycle MPK/VTX/PROC shards");
+const CHAOS: Flag = flag("--chaos", "", "kill a shard, inject faults");
+const APP: Flag = flag("--app", "=wiki|fasthttp", "fleet shard workload");
+const PARALLEL: Flag = flag("--parallel", "[=T]", "fleet threads (default: cores)");
+const LIST: Flag = flag("--list", "", "list the registry");
+
+/// Every flag, in the usage's order.
+const FLAGS: [Flag; 13] = [
+    QUICK, JSON, PROFILE, TRACE, SEED, FORMAT, BACKEND, SHARDS, MIXED, CHAOS, APP, PARALLEL, LIST,
+];
+
+/// The usage text, printed (to stderr) when the command or a flag is
+/// not recognized, so a typo surfaces the whole menu instead of a
+/// pointer at the docs.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: repro <command> [flags]\n\ncommands (each reads only the flags under it):\n",
+    );
+    for command in &COMMANDS {
+        text += &format!("  {:<13} {}\n", command.name, command.menu());
+        // The flags it reads, indented under the menu line and wrapped
+        // at 80 columns.
+        let mut line = String::new();
+        for spec in command.flags().iter().map(|f| f.spec()) {
+            if !line.is_empty() && 16 + line.len() + spec.len() >= 80 {
+                text += &format!("{:16}{}\n", "", line.trim_end());
+                line.clear();
+            }
+            line += &spec;
+            line.push(' ');
+        }
+        if !line.is_empty() {
+            text += &format!("{:16}{}\n", "", line.trim_end());
+        }
+    }
+    text += "\nflags:\n";
+    for flag in &FLAGS {
+        text += &format!("  {:<23} {}\n", flag.spec(), flag.help);
+    }
+    text
+}
+
+/// Every flag's value once the command has vetted the flags; a flag
+/// that is not given keeps its default.
+struct Opts {
+    quick: bool,
+    json: bool,
+    profile: bool,
+    trace: Option<usize>,
+    seed: u64,
+    format: TraceFormat,
+    proc_arm: bool,
+    shards: Option<usize>,
+    mixed: bool,
+    chaos: bool,
+    app: FleetApp,
+    parallel: Option<usize>,
+}
+
+impl Opts {
+    /// Parses the flag values, naming the flag whose value is bad.
+    fn parse(args: &[String]) -> Result<Opts, String> {
+        // The first `--name` or `--name=V`: `Some(None)` when bare.
+        let find = |flag: &Flag| {
+            args.iter().find_map(|a| match a.strip_prefix(flag.name)? {
+                "" => Some(None),
+                rest => rest.strip_prefix('=').map(Some),
+            })
+        };
+        let given = |flag: &Flag| find(flag).is_some();
+        let value = |flag: &Flag| find(flag).map(Option::unwrap_or_default);
+        let count = |text: &str| text.parse::<usize>().ok().filter(|&n| n >= 1);
+        let trace = match find(&TRACE) {
+            None => None,
+            Some(None) => Some(32),
+            Some(Some(text)) => Some(count(text).ok_or("--trace wants an event count >= 1")?),
+        };
+        let seed = match value(&SEED) {
+            None => DEFAULT_SEED,
+            Some(text) => parse_seed(text).ok_or("--seed wants a decimal or 0x-hex u64")?,
+        };
+        let format = match value(&FORMAT) {
+            None => TraceFormat::Chrome,
+            Some(text) => TraceFormat::parse(text).ok_or("--format wants 'chrome' or 'folded'")?,
+        };
+        let proc_arm = match value(&BACKEND) {
+            None => false,
+            Some("proc") => true,
+            Some(other) => {
+                return Err(format!(
+                    "--backend wants 'proc' (the paper's two backends always run); got '{other}'"
+                ))
+            }
+        };
+        let shards = match value(&SHARDS) {
+            None => None,
+            Some(text) => Some(text.parse().map_err(|_| "--shards wants a shard count")?),
+        };
+        let app = match value(&APP) {
+            None | Some("wiki") => FleetApp::Wiki,
+            Some("fasthttp") => FleetApp::FastHttp,
+            Some(other) => return Err(format!("--app wants 'wiki' or 'fasthttp'; got '{other}'")),
+        };
+        let parallel = match find(&PARALLEL) {
+            None => None,
+            Some(None | Some("auto")) => Some(detected_cores()),
+            Some(Some(text)) => {
+                Some(count(text).ok_or("--parallel wants a worker thread count >= 1")?)
+            }
+        };
+        Ok(Opts {
+            quick: given(&QUICK),
+            json: given(&JSON),
+            profile: given(&PROFILE),
+            trace,
+            seed,
+            format,
+            proc_arm,
+            shards,
+            mixed: given(&MIXED),
+            chaos: given(&CHAOS),
+            app,
+            parallel,
+        })
+    }
+}
+
+/// Default seed for `--seed=S`.
+const DEFAULT_SEED: u64 = 0xC4A05;
 
 /// What a bare `--parallel` means: one worker per detected core.
 fn detected_cores() -> usize {
@@ -293,9 +468,19 @@ fn parse_seed(text: &str) -> Option<u64> {
     }
 }
 
-fn table1(json: bool) -> Result<(), AnyError> {
+fn all(o: &Opts) -> Result<(), AnyError> {
+    for command in &COMMANDS {
+        if let Some(lead) = command.in_all {
+            print!("{lead}");
+            (command.run)(o)?;
+        }
+    }
+    Ok(())
+}
+
+fn table1(o: &Opts) -> Result<(), AnyError> {
     let rows = micro::table1(1_000)?;
-    if json {
+    if o.json {
         let value = Json::arr(rows.iter().map(|r| {
             Json::obj([
                 ("op", Json::from(r.name)),
@@ -331,21 +516,20 @@ fn goroutines_json(profiled: &macrobench::ProfiledRow) -> Json {
     }))
 }
 
-fn table2(
-    quick: bool,
-    json: bool,
-    profile: bool,
-    trace: Option<usize>,
-    proc_arm: bool,
-) -> Result<(), AnyError> {
-    let scale = if quick {
+fn table2(o: &Opts) -> Result<(), AnyError> {
+    let scale = if o.quick {
         MacroScale::quick()
     } else {
         MacroScale::default()
     };
-    let profiled = macrobench::table2_profiled_with(scale, trace, proc_arm)?;
+    let backends: &[Backend] = if o.proc_arm {
+        &BACKENDS
+    } else {
+        &PAPER_BACKENDS
+    };
+    let profiled = macrobench::table2(scale, o.trace, backends)?;
     let rows: Vec<_> = profiled.iter().map(|p| p.row).collect();
-    if json {
+    if o.json {
         let value = Json::arr(profiled.iter().map(|p| {
             let r = &p.row;
             let mut fields = vec![
@@ -377,7 +561,7 @@ fn table2(
                 ));
             }
             fields.push(("goroutines", goroutines_json(p)));
-            if profile {
+            if o.profile {
                 fields.push((
                     "latency",
                     Json::arr(p.profiles.iter().map(|bp| {
@@ -395,7 +579,7 @@ fn table2(
     }
     print!("\n{}", report::render_table2(&rows));
     print!("\n{}", report::render_goroutine_rows(&profiled));
-    if profile {
+    if o.profile {
         for p in &profiled {
             print!(
                 "\n{}",
@@ -406,7 +590,12 @@ fn table2(
     Ok(())
 }
 
-fn figure4() -> Result<(), AnyError> {
+fn table2_info(_: &Opts) -> Result<(), AnyError> {
+    print!("{}", report::render_table2_info());
+    Ok(())
+}
+
+fn figure4(_: &Opts) -> Result<(), AnyError> {
     // Link the Figure 1 program and dump its layout (Figure 4).
     let mut program = GoProgram::new();
     program.add_source(GoSource::new("os").loc(3_000));
@@ -432,11 +621,11 @@ fn figure4() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn wiki(quick: bool, profile: bool, trace: Option<usize>) -> Result<(), AnyError> {
-    let requests = if quick { 20 } else { 500 };
-    let (results, profiles) = wiki_exp::run_profiled(requests, trace)?;
+fn wiki(o: &Opts) -> Result<(), AnyError> {
+    let requests = if o.quick { 20 } else { 500 };
+    let (results, profiles) = wiki_exp::run(requests, o.trace)?;
     print!("\n{}", report::render_wiki(&results));
-    if profile {
+    if o.profile {
         print!("\n{}", report::render_track_costs("wiki", &profiles));
         print!("\n{}", report::render_latency_profile("wiki", &profiles));
     }
@@ -454,50 +643,15 @@ fn plot_config(quick: bool) -> PlotConfig {
     }
 }
 
-/// Builds and drives one plotting run, honouring `--trace`: on a fault
-/// the machine's last events are dumped next to the root-cause trace.
-fn traced_plot_run(
-    backend: Backend,
-    mode: MetadataMode,
-    cfg: PlotConfig,
-    trace: Option<usize>,
-) -> Result<(Interpreter, plotlib::PlotRun), AnyError> {
-    let mut py = plotlib::build(backend, mode, cfg)?;
-    if let Some(n) = trace {
-        py.lb_mut().telemetry_mut().enable_trace(n);
-    }
-    match plotlib::run_on(&mut py, cfg) {
-        Ok(run) => Ok((py, run)),
-        Err(fault) => {
-            if trace.is_some() {
-                eprintln!("last telemetry events before the fault ({backend}, {mode:?}):");
-                for traced in py.lb().telemetry().recent_events() {
-                    eprintln!("  [{:>12} ns] {}", traced.at_ns, traced.event);
-                }
-            }
-            Err(fault.into())
-        }
-    }
-}
-
-fn python(quick: bool, trace: Option<usize>) -> Result<(), AnyError> {
-    let cfg = plot_config(quick);
-    let (_, baseline) = traced_plot_run(Backend::Baseline, MetadataMode::CoLocated, cfg, trace)?;
-    let (_, conservative) = traced_plot_run(Backend::Vtx, MetadataMode::CoLocated, cfg, trace)?;
-    let (_, optimized) = traced_plot_run(Backend::Vtx, MetadataMode::Decoupled, cfg, trace)?;
-    let results = python_exp::derive(&baseline, &conservative, &optimized);
+fn python(o: &Opts) -> Result<(), AnyError> {
+    let (results, ..) = python_exp::run(plot_config(o.quick), o.trace)?;
     print!("\n{}", report::render_python(&results));
     Ok(())
 }
 
-fn attribution(quick: bool, json: bool, trace: Option<usize>) -> Result<(), AnyError> {
-    let cfg = plot_config(quick);
-    let (_, baseline) = traced_plot_run(Backend::Baseline, MetadataMode::CoLocated, cfg, trace)?;
-    let (cons_py, conservative) =
-        traced_plot_run(Backend::Vtx, MetadataMode::CoLocated, cfg, trace)?;
-    let (opt_py, optimized) = traced_plot_run(Backend::Vtx, MetadataMode::Decoupled, cfg, trace)?;
-    let results = python_exp::derive(&baseline, &conservative, &optimized);
-    if json {
+fn attribution(o: &Opts) -> Result<(), AnyError> {
+    let (results, cons_py, opt_py) = python_exp::run(plot_config(o.quick), o.trace)?;
+    if o.json {
         let value = Json::obj([
             (
                 "breakdown",
@@ -541,7 +695,7 @@ fn attribution(quick: bool, json: bool, trace: Option<usize>) -> Result<(), AnyE
     Ok(())
 }
 
-fn filter_dump() -> Result<(), AnyError> {
+fn filter_dump(_: &Opts) -> Result<(), AnyError> {
     use enclosure_core::{App, Enclosure, Policy};
     let mut app = App::builder("figure1")
         .package("main", &["libfx", "secrets"])
@@ -568,58 +722,50 @@ fn filter_dump() -> Result<(), AnyError> {
     Ok(())
 }
 
-fn security(trace: Option<usize>, profile: bool) -> Result<(), AnyError> {
-    if profile {
-        let (results, profiles) = security_exp::run_profiled(trace)?;
-        print!("\n{}", report::render_security(&results));
+fn security(o: &Opts) -> Result<(), AnyError> {
+    let (results, profiles) = security_exp::run(o.trace)?;
+    print!("\n{}", report::render_security(&results));
+    if o.profile {
         print!(
             "\n{}",
             report::render_latency_profile("security (benign enclosed path)", &profiles)
         );
-        return Ok(());
     }
-    let results = security_exp::run_traced(trace)?;
-    print!("\n{}", report::render_security(&results));
     Ok(())
 }
 
-fn batching(quick: bool, json: bool, profile: bool) -> Result<(), AnyError> {
-    let requests = if quick { 20 } else { 200 };
+fn batching(o: &Opts) -> Result<(), AnyError> {
+    let requests = if o.quick { 20 } else { 200 };
     let study = batching_exp::run(requests)?;
-    if json {
+    if o.json {
         println!("{}", study.to_json().to_pretty());
         return Ok(());
     }
     print!("\n{}", report::render_batching(&study));
-    if profile {
+    if o.profile {
         print!("\n{}", report::render_batching_profile(&study));
     }
     Ok(())
 }
 
-fn chaos(
-    quick: bool,
-    json: bool,
-    seed: u64,
-    profile: bool,
-    proc_arm: bool,
-) -> Result<(), AnyError> {
-    let config = if quick {
-        ChaosConfig::quick(seed)
+fn chaos(o: &Opts) -> Result<(), AnyError> {
+    let config = if o.quick {
+        ChaosConfig::quick(o.seed)
     } else {
-        ChaosConfig::full(seed)
+        ChaosConfig::full(o.seed)
     };
-    let (soak, profiles) = if proc_arm {
-        chaos_exp::run_profiled_on(config, &[Backend::Proc])?
+    let backends: &[Backend] = if o.proc_arm {
+        &[Backend::Proc]
     } else {
-        chaos_exp::run_profiled(config)?
+        &BACKENDS
     };
+    let (soak, profiles) = chaos_exp::run(config, backends)?;
     let violations: Vec<String> = soak
         .rows
         .iter()
         .flat_map(|row| chaos_exp::check_invariants(&soak.config, row))
         .collect();
-    if json {
+    if o.json {
         let mut value = soak.to_json();
         value.push(
             "invariant_violations",
@@ -629,14 +775,14 @@ fn chaos(
     } else {
         print!("\n{}", report::render_chaos(&soak));
     }
-    if profile && !json {
+    if o.profile && !o.json {
         print!(
             "\n{}",
             report::render_latency_profile("chaos wiki", &profiles)
         );
     }
     if violations.is_empty() {
-        if !json {
+        if !o.json {
             println!("invariants: OK (all requests answered, ledgers balanced)");
         }
         Ok(())
@@ -645,37 +791,29 @@ fn chaos(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fleet(
-    quick: bool,
-    json: bool,
-    seed: u64,
-    shards: Option<usize>,
-    mixed: bool,
-    chaos: bool,
-    app: FleetApp,
-    parallel: Option<usize>,
-) -> Result<(), AnyError> {
-    let mut config = if quick {
-        FleetExpConfig::quick(seed)
+fn fleet(o: &Opts) -> Result<(), AnyError> {
+    let requests = if o.quick {
+        fleet_exp::QUICK_REQUESTS
     } else {
-        FleetExpConfig::full(seed)
+        fleet_exp::FULL_REQUESTS
     };
-    if let Some(n) = shards {
-        config.shards = n.max(1);
+    let shards = o.shards.unwrap_or(fleet_exp::SHARDS);
+    let mut config =
+        FleetConfig::new(shards, requests, o.seed).with_parallelism(o.parallel.unwrap_or(1));
+    if o.mixed {
+        config = config.mixed_backends();
     }
-    config.mixed_backends = mixed;
-    config.chaos = chaos;
-    config.app = app;
-    config.parallelism = parallel.unwrap_or(1);
-    let (report, violations, elapsed) = fleet_exp::run(config)?;
-    if json {
+    if o.chaos {
+        config = config.with_chaos();
+    }
+    let (report, violations, elapsed) = fleet_exp::run(&config, o.app)?;
+    if o.json {
         let mut value = report.to_json();
         value.push(
             "invariant_violations",
             Json::arr(violations.iter().map(|v| Json::from(v.clone()))),
         );
-        if let Some(threads) = parallel {
+        if let Some(threads) = o.parallel {
             // Wall-clock time is the one deliberately nondeterministic
             // section; byte-identity gates strip it before comparing.
             value.push(
@@ -691,9 +829,9 @@ fn fleet(
         print!("\n{}", report::render_fleet(&report));
     }
     if violations.is_empty() {
-        if !json {
+        if !o.json {
             println!("invariants: OK (zero loss, budget bounded, histogram mass conserved)");
-            if let Some(threads) = parallel {
+            if let Some(threads) = o.parallel {
                 println!(
                     "wall-clock: {:.3}s on {} worker threads",
                     elapsed.as_secs_f64(),
@@ -707,24 +845,18 @@ fn fleet(
     }
 }
 
-fn monitor(
-    quick: bool,
-    json: bool,
-    seed: u64,
-    shards: Option<usize>,
-    chaos: bool,
-) -> Result<(), AnyError> {
-    let mut config = if quick {
-        MonitorExpConfig::quick(seed)
+fn monitor(o: &Opts) -> Result<(), AnyError> {
+    let mut config = if o.quick {
+        MonitorExpConfig::quick(o.seed)
     } else {
-        MonitorExpConfig::full(seed)
+        MonitorExpConfig::full(o.seed)
     };
-    if let Some(n) = shards {
+    if let Some(n) = o.shards {
         config.shards = n.max(1);
     }
-    config.chaos = chaos;
+    config.chaos = o.chaos;
     let (report, violations) = monitor_exp::run(config)?;
-    if json {
+    if o.json {
         let mut value = report.to_json();
         value.push(
             "invariant_violations",
@@ -735,7 +867,7 @@ fn monitor(
         print!("\n{}", report::render_monitor(&report));
     }
     if violations.is_empty() {
-        if !json {
+        if !o.json {
             println!("invariants: OK (zero loss, windows conserve mass, signal leads ejection)");
         }
         Ok(())
@@ -748,9 +880,9 @@ fn monitor(
     }
 }
 
-fn flightrec(json: bool, seed: u64) -> Result<(), AnyError> {
-    let recording = monitor_exp::flightrec(seed)?;
-    if json {
+fn flightrec(o: &Opts) -> Result<(), AnyError> {
+    let recording = monitor_exp::flightrec(o.seed)?;
+    if o.json {
         println!("{}", recording.to_json().to_pretty());
         return Ok(());
     }
@@ -758,18 +890,23 @@ fn flightrec(json: bool, seed: u64) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn trace_export_cmd(quick: bool, format: TraceFormat) -> Result<(), AnyError> {
-    let requests = if quick {
+fn counters(_: &Opts) -> Result<(), AnyError> {
+    print!("\n{}", report::render_counters_list());
+    Ok(())
+}
+
+fn trace_export_cmd(o: &Opts) -> Result<(), AnyError> {
+    let requests = if o.quick {
         trace_export::QUICK_REQUESTS
     } else {
         trace_export::FULL_REQUESTS
     };
-    let text = trace_export::export_wiki(Backend::Mpk, requests, format)?;
+    let text = trace_export::export_wiki(Backend::Mpk, requests, o.format)?;
     println!("{text}");
     Ok(())
 }
 
-fn ablations() -> Result<(), AnyError> {
+fn ablations(_: &Opts) -> Result<(), AnyError> {
     println!("\nAblation 1: meta-package clustering (§5.3)");
     for deps in [5usize, 40, 100, 400] {
         let s = ablation::clustering_study(deps);

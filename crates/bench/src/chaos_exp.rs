@@ -153,36 +153,18 @@ impl ChaosReport {
     }
 }
 
-/// Runs the soak on every backend with per-backend failure sites.
+/// Runs the soak on each of `backends` ([`crate::BACKENDS`] for the
+/// full table; `repro chaos --backend=proc` soaks LB_PROC alone) with
+/// per-backend failure sites, keeping each backend's latency histogram
+/// and per-operation cost distributions for `--profile`: the
+/// percentile tables show what the injected faults cost the requests
+/// that absorbed them.
 ///
 /// # Errors
 ///
 /// A fault escaping the containment layers — which is itself a finding:
 /// the soak's contract is that no injected fault aborts the run.
-pub fn run(config: ChaosConfig) -> Result<ChaosReport, Fault> {
-    run_profiled(config).map(|(report, _)| report)
-}
-
-/// [`run`] keeping each backend's latency histogram and per-operation
-/// cost distributions for `--profile`: the percentile tables show what
-/// the injected faults cost the requests that absorbed them.
-///
-/// # Errors
-///
-/// A fault escaping the containment layers.
-pub fn run_profiled(
-    config: ChaosConfig,
-) -> Result<(ChaosReport, Vec<crate::macrobench::BackendProfile>), Fault> {
-    run_profiled_on(config, &crate::BACKENDS)
-}
-
-/// [`run_profiled`] over an explicit backend set — the `repro chaos
-/// --backend=proc` path, which soaks only the process-sandbox arm.
-///
-/// # Errors
-///
-/// A fault escaping the containment layers.
-pub fn run_profiled_on(
+pub fn run(
     config: ChaosConfig,
     backends: &[Backend],
 ) -> Result<(ChaosReport, Vec<crate::macrobench::BackendProfile>), Fault> {
@@ -289,10 +271,11 @@ pub fn check_invariants(config: &ChaosConfig, row: &ChaosRow) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BACKENDS;
 
     #[test]
     fn quick_soak_degrades_but_survives() {
-        let report = run(ChaosConfig::quick(0xC4A05)).unwrap();
+        let (report, _) = run(ChaosConfig::quick(0xC4A05), &BACKENDS).unwrap();
         assert_eq!(report.rows.len(), 4);
         for row in &report.rows {
             let violations = check_invariants(&report.config, row);
@@ -310,8 +293,8 @@ mod tests {
         /// IPC and spawn ledgers included.
         fn quick_soak_holds_on_every_seed(rng, cases = 32) {
             let config = ChaosConfig::quick(rng.next_u64());
-            let report = run(config).unwrap();
-            assert_eq!(report, run(config).unwrap(), "seed {:#x}", config.seed);
+            let (report, _) = run(config, &BACKENDS).unwrap();
+            assert_eq!(report, run(config, &BACKENDS).unwrap().0, "seed {:#x}", config.seed);
             for row in &report.rows {
                 let violations = check_invariants(&report.config, row);
                 assert!(violations.is_empty(), "seed {:#x}: {violations:?}", config.seed);

@@ -44,11 +44,13 @@ pub mod monitor_exp;
 pub mod python_exp;
 pub mod report;
 pub mod security_exp;
-pub mod trace;
 pub mod trace_export;
 pub mod wiki_exp;
 
 pub use litterbox::Backend;
+
+/// The paper's three configurations, in Table 2 column order.
+pub const PAPER_BACKENDS: [Backend; 3] = [Backend::Baseline, Backend::Mpk, Backend::Vtx];
 
 /// The measured configurations, in Table 1/2 column order: the paper's
 /// three plus the LB_PROC process-sandbox fallback.

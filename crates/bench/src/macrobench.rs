@@ -4,6 +4,7 @@
 use enclosure_apps::bild::{BildApp, BildConfig};
 use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_apps::httpd::HttpApp;
+use enclosure_gofront::GoRuntime;
 use enclosure_telemetry::{Histogram, TrackCost};
 use litterbox::{Backend, Fault};
 
@@ -149,61 +150,67 @@ pub(crate) fn profile_from(
     }
 }
 
+/// Measures one run on a freshly built `app`: arms the `--trace[=N]`
+/// ring, zeroes the clock, runs `serve` and drains the machine into a
+/// [`BackendProfile`] around the latency histogram `serve` returns. On
+/// a fault the ring's lead-up is printed, headed by `what` and the
+/// backend, before the fault propagates.
+pub(crate) fn measure<A, T>(
+    mut app: A,
+    runtime: fn(&mut A) -> &mut GoRuntime,
+    what: &str,
+    backend: Backend,
+    trace: Option<usize>,
+    serve: impl FnOnce(&mut A) -> Result<(T, Histogram), Fault>,
+) -> Result<(T, BackendProfile), Fault> {
+    let lb = runtime(&mut app).lb_mut();
+    lb.telemetry_mut().arm_trace(trace);
+    lb.clock_mut().reset();
+    match serve(&mut app) {
+        Ok((value, latency)) => {
+            let profile = profile_from(runtime(&mut app).lb_mut(), backend, latency);
+            Ok((value, profile))
+        }
+        Err(fault) => {
+            let lb = runtime(&mut app).lb();
+            lb.telemetry()
+                .dump_trace(&format!("fault ({what}, {backend})"));
+            Err(fault)
+        }
+    }
+}
+
+/// The row's raw value under `backend`: ms for bild, req/s otherwise.
 fn measure_raw(
     bench: MacroBench,
     backend: Backend,
     scale: MacroScale,
     trace: Option<usize>,
 ) -> Result<(f64, BackendProfile), Fault> {
+    let what = bench.name();
     match bench {
         MacroBench::Bild => {
-            let mut app = BildApp::new(backend, scale.bild)?;
-            crate::trace::arm(app.runtime_mut().lb_mut(), trace);
-            app.runtime_mut().lb_mut().clock_mut().reset();
-            match app.run_invert() {
-                Ok(run) => {
-                    let profile =
-                        profile_from(app.runtime_mut().lb_mut(), backend, Histogram::new());
-                    #[allow(clippy::cast_precision_loss)]
-                    Ok((run.ns as f64 / 1e6, profile)) // ms
-                }
-                Err(fault) => {
-                    crate::trace::dump(app.runtime().lb(), &format!("bild, {backend}"));
-                    Err(fault)
-                }
-            }
+            let app = BildApp::new(backend, scale.bild)?;
+            measure(app, BildApp::runtime_mut, what, backend, trace, |app| {
+                let run = app.run_invert()?;
+                #[allow(clippy::cast_precision_loss)]
+                let ms = run.ns as f64 / 1e6;
+                Ok((ms, Histogram::new()))
+            })
         }
         MacroBench::Http => {
-            let mut app = HttpApp::new(backend)?;
-            crate::trace::arm(app.runtime_mut().lb_mut(), trace);
-            app.runtime_mut().lb_mut().clock_mut().reset();
-            match app.serve_requests(scale.requests) {
-                Ok(stats) => {
-                    let latency = app.latency().clone();
-                    let profile = profile_from(app.runtime_mut().lb_mut(), backend, latency);
-                    Ok((stats.reqs_per_sec, profile))
-                }
-                Err(fault) => {
-                    crate::trace::dump(app.runtime().lb(), &format!("HTTP, {backend}"));
-                    Err(fault)
-                }
-            }
+            let app = HttpApp::new(backend)?;
+            measure(app, HttpApp::runtime_mut, what, backend, trace, |app| {
+                let stats = app.serve_requests(scale.requests)?;
+                Ok((stats.reqs_per_sec, app.latency().clone()))
+            })
         }
         MacroBench::FastHttp => {
-            let mut app = FastHttpApp::new(backend)?;
-            crate::trace::arm(app.runtime_mut().lb_mut(), trace);
-            app.runtime_mut().lb_mut().clock_mut().reset();
-            match app.serve_requests(scale.requests, 1) {
-                Ok(stats) => {
-                    let latency = app.latency();
-                    let profile = profile_from(app.runtime_mut().lb_mut(), backend, latency);
-                    Ok((stats.reqs_per_sec, profile))
-                }
-                Err(fault) => {
-                    crate::trace::dump(app.runtime().lb(), &format!("FastHTTP, {backend}"));
-                    Err(fault)
-                }
-            }
+            let app = FastHttpApp::new(backend)?;
+            measure(app, FastHttpApp::runtime_mut, what, backend, trace, |app| {
+                let stats = app.serve_requests(scale.requests, 1)?;
+                Ok((stats.reqs_per_sec, app.latency()))
+            })
         }
     }
 }
@@ -213,166 +220,93 @@ fn measure_raw(
 pub struct ProfiledRow {
     /// The rendered row.
     pub row: MacroRow,
-    /// Backend profiles in baseline / MPK / VTX order.
+    /// Backend profiles, in the order the backends were measured.
     pub profiles: Vec<BackendProfile>,
 }
 
-/// Runs one Table 2 row across all backends.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_row(bench: MacroBench, scale: MacroScale) -> Result<MacroRow, Fault> {
-    run_row_traced(bench, scale, None)
-}
-
-/// [`run_row`] with `--trace` support: each workload machine keeps a
-/// bounded event ring, dumped on the fault path.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_row_traced(
+/// Runs one Table 2 row on every backend in `backends`.
+fn run_row(
     bench: MacroBench,
     scale: MacroScale,
     trace: Option<usize>,
-) -> Result<MacroRow, Fault> {
-    run_row_profiled(bench, scale, trace).map(|p| p.row)
-}
-
-/// [`run_row`] keeping the latency histograms, per-goroutine track
-/// attribution, and per-operation cost histograms of every backend run.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_row_profiled(
-    bench: MacroBench,
-    scale: MacroScale,
-    trace: Option<usize>,
+    backends: &[Backend],
 ) -> Result<ProfiledRow, Fault> {
-    run_row_profiled_with(bench, scale, trace, false)
-}
-
-/// [`run_row_profiled`] with an LB_PROC arm: the same unmodified app
-/// runs under the process sandbox, and the row gains its three-way
-/// `proc` cell (`repro table2 --backend=proc`).
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_row_profiled_with(
-    bench: MacroBench,
-    scale: MacroScale,
-    trace: Option<usize>,
-    include_proc: bool,
-) -> Result<ProfiledRow, Fault> {
-    let (base, base_prof) = measure_raw(bench, Backend::Baseline, scale, trace)?;
-    let (mpk, mpk_prof) = measure_raw(bench, Backend::Mpk, scale, trace)?;
-    let (vtx, vtx_prof) = measure_raw(bench, Backend::Vtx, scale, trace)?;
+    let mut raws = Vec::new();
+    let mut profiles = Vec::new();
+    for &backend in backends {
+        let (raw, profile) = measure_raw(bench, backend, scale, trace)?;
+        raws.push((backend, raw));
+        profiles.push(profile);
+    }
+    let raw = |backend| {
+        raws.iter()
+            .find(|(b, _)| *b == backend)
+            .map(|&(_, raw)| raw)
+    };
+    let column = |backend| {
+        raw(backend).ok_or_else(|| Fault::Init(format!("Table 2 needs a {backend} column")))
+    };
+    let base = column(Backend::Baseline)?;
     // For latency (bild), slowdown = time/time_base; for throughput,
     // slowdown = rate_base/rate.
-    let slowdown = |v: f64| -> f64 {
-        match bench {
-            MacroBench::Bild => v / base,
-            _ => base / v,
-        }
-    };
-    let mut profiles = vec![base_prof, mpk_prof, vtx_prof];
-    let proc = if include_proc {
-        let (proc, proc_prof) = measure_raw(bench, Backend::Proc, scale, trace)?;
-        profiles.push(proc_prof);
-        Some(MacroCell {
-            raw: proc,
-            slowdown: slowdown(proc),
-        })
-    } else {
-        None
+    let cell = |raw: f64| MacroCell {
+        raw,
+        slowdown: match bench {
+            MacroBench::Bild => raw / base,
+            _ => base / raw,
+        },
     };
     Ok(ProfiledRow {
         row: MacroRow {
             bench,
-            baseline: MacroCell {
-                raw: base,
-                slowdown: 1.0,
-            },
-            mpk: MacroCell {
-                raw: mpk,
-                slowdown: slowdown(mpk),
-            },
-            vtx: MacroCell {
-                raw: vtx,
-                slowdown: slowdown(vtx),
-            },
-            proc,
+            baseline: cell(base),
+            mpk: cell(column(Backend::Mpk)?),
+            vtx: cell(column(Backend::Vtx)?),
+            proc: raw(Backend::Proc).map(cell),
         },
         profiles,
     })
 }
 
-/// Runs the full Table 2.
+/// Runs the full Table 2 on `backends`, keeping every backend's
+/// profile alongside the rows. [`crate::PAPER_BACKENDS`] gives the
+/// paper's columns; [`crate::BACKENDS`] adds the LB_PROC cell
+/// (`repro table2 --backend=proc`). With `trace` (`--trace[=N]`), each
+/// workload machine keeps a bounded event ring, printed on the fault
+/// path.
 ///
 /// # Errors
 ///
-/// Workload faults.
-pub fn table2(scale: MacroScale) -> Result<Vec<MacroRow>, Fault> {
-    table2_traced(scale, None)
-}
-
-/// [`table2`] with `--trace` support.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn table2_traced(scale: MacroScale, trace: Option<usize>) -> Result<Vec<MacroRow>, Fault> {
-    MacroBench::ALL
-        .into_iter()
-        .map(|bench| run_row_traced(bench, scale, trace))
-        .collect()
-}
-
-/// [`table2`] keeping every backend's profile alongside the rows.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn table2_profiled(scale: MacroScale, trace: Option<usize>) -> Result<Vec<ProfiledRow>, Fault> {
-    table2_profiled_with(scale, trace, false)
-}
-
-/// [`table2_profiled`] with the LB_PROC arm toggled on — every row
-/// gains its process-sandbox cell and profile.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn table2_profiled_with(
+/// Workload faults, or a `backends` set without the paper's three
+/// columns.
+pub fn table2(
     scale: MacroScale,
     trace: Option<usize>,
-    include_proc: bool,
+    backends: &[Backend],
 ) -> Result<Vec<ProfiledRow>, Fault> {
     MacroBench::ALL
         .into_iter()
-        .map(|bench| run_row_profiled_with(bench, scale, trace, include_proc))
+        .map(|bench| run_row(bench, scale, trace, backends))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BACKENDS, PAPER_BACKENDS};
 
     #[test]
     fn table2_shape_holds_at_quick_scale() {
-        let rows = table2(MacroScale::quick()).unwrap();
-        let bild = &rows[0];
+        let rows = table2(MacroScale::quick(), None, &PAPER_BACKENDS).unwrap();
+        let bild = &rows[0].row;
         assert!(bild.mpk.slowdown > bild.vtx.slowdown, "bild: MPK loses");
         assert!(bild.mpk.slowdown > 1.0 && bild.mpk.slowdown < 1.5);
 
-        let http = &rows[1];
+        let http = &rows[1].row;
         assert!(http.mpk.slowdown < 1.1, "HTTP MPK near baseline");
         assert!(http.vtx.slowdown > 1.4, "HTTP VTX pays for syscalls");
 
-        let fast = &rows[2];
+        let fast = &rows[2].row;
         assert!(fast.mpk.slowdown < 1.15);
         assert!(fast.vtx.slowdown > 1.5);
         assert!(
@@ -387,7 +321,7 @@ mod tests {
     fn proc_arm_runs_the_unmodified_apps() {
         let mut rows = Vec::new();
         for bench in MacroBench::ALL {
-            let p = run_row_profiled_with(bench, MacroScale::quick(), None, true).unwrap();
+            let p = run_row(bench, MacroScale::quick(), None, &BACKENDS).unwrap();
             let proc = p.row.proc.expect("three-way row has a proc cell");
             assert!(
                 proc.slowdown > p.row.mpk.slowdown,
@@ -417,7 +351,9 @@ mod tests {
 
     #[test]
     fn throughput_rows_report_reqs_per_sec() {
-        let row = run_row(MacroBench::Http, MacroScale::quick()).unwrap();
+        let row = run_row(MacroBench::Http, MacroScale::quick(), None, &PAPER_BACKENDS)
+            .unwrap()
+            .row;
         assert!(row.baseline.raw > 1000.0, "at least 1k req/s simulated");
         assert_eq!(row.bench.unit(), "reqs/s");
     }

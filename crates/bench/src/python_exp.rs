@@ -6,9 +6,9 @@
 //! share — is derived from the runs' telemetry counters; nothing in this
 //! module maintains its own event counts.
 
-use enclosure_apps::plotlib::{self, PlotConfig};
+use enclosure_apps::plotlib::{self, PlotConfig, PlotRun};
 use enclosure_hw::CostModel;
-use enclosure_pyfront::MetadataMode;
+use enclosure_pyfront::{Interpreter, MetadataMode};
 use enclosure_telemetry::Counters;
 use litterbox::{Backend, Fault};
 
@@ -43,12 +43,7 @@ pub struct PythonResults {
 }
 
 /// Derives the §6.4 result set from three completed runs' telemetry.
-#[must_use]
-pub fn derive(
-    baseline: &plotlib::PlotRun,
-    conservative: &plotlib::PlotRun,
-    optimized: &plotlib::PlotRun,
-) -> PythonResults {
+fn derive(baseline: &PlotRun, conservative: &PlotRun, optimized: &PlotRun) -> PythonResults {
     #[allow(clippy::cast_precision_loss)]
     let (base, cons, opt) = (
         baseline.total_ns as f64,
@@ -87,16 +82,45 @@ pub fn derive(
     }
 }
 
-/// Runs the experiment at the given scale.
+/// One plotting arm: builds the interpreter, arms the `--trace[=N]`
+/// ring and drives the workload; on a fault the ring's lead-up is
+/// printed next to the root-cause trace.
+fn run_arm(
+    backend: Backend,
+    mode: MetadataMode,
+    cfg: PlotConfig,
+    trace: Option<usize>,
+) -> Result<(Interpreter, PlotRun), Fault> {
+    let mut py = plotlib::build(backend, mode, cfg)?;
+    py.lb_mut().telemetry_mut().arm_trace(trace);
+    match plotlib::run_on(&mut py, cfg) {
+        Ok(run) => Ok((py, run)),
+        Err(fault) => {
+            let what = format!("fault ({backend}, {mode:?})");
+            py.lb().telemetry().dump_trace(&what);
+            Err(fault)
+        }
+    }
+}
+
+/// Runs the experiment's baseline, conservative and optimized arms at
+/// the given scale and derives the result set. It also returns the
+/// conservative and optimized interpreters, whose telemetry the cost
+/// attribution renders. With `trace` (`--trace[=N]`), each machine
+/// keeps a bounded event ring, printed on the fault path.
 ///
 /// # Errors
 ///
 /// Workload faults.
-pub fn run(cfg: PlotConfig) -> Result<PythonResults, Fault> {
-    let baseline = plotlib::run(Backend::Baseline, MetadataMode::CoLocated, cfg)?;
-    let conservative = plotlib::run(Backend::Vtx, MetadataMode::CoLocated, cfg)?;
-    let optimized = plotlib::run(Backend::Vtx, MetadataMode::Decoupled, cfg)?;
-    Ok(derive(&baseline, &conservative, &optimized))
+pub fn run(
+    cfg: PlotConfig,
+    trace: Option<usize>,
+) -> Result<(PythonResults, Interpreter, Interpreter), Fault> {
+    let (_, baseline) = run_arm(Backend::Baseline, MetadataMode::CoLocated, cfg, trace)?;
+    let (cons_py, conservative) = run_arm(Backend::Vtx, MetadataMode::CoLocated, cfg, trace)?;
+    let (opt_py, optimized) = run_arm(Backend::Vtx, MetadataMode::Decoupled, cfg, trace)?;
+    let results = derive(&baseline, &conservative, &optimized);
+    Ok((results, cons_py, opt_py))
 }
 
 #[cfg(test)]
@@ -114,7 +138,7 @@ mod tests {
 
     #[test]
     fn conservative_is_much_slower_than_optimized() {
-        let results = run(small()).unwrap();
+        let (results, ..) = run(small(), None).unwrap();
         assert!(
             results.conservative_ns > 2 * results.optimized_ns,
             "conservative {} vs optimized {}",
@@ -127,7 +151,7 @@ mod tests {
 
     #[test]
     fn switch_count_scales_with_points() {
-        let results = run(small()).unwrap();
+        let (results, ..) = run(small(), None).unwrap();
         // 2 passes × (incref+decref) round trips per point.
         assert!(results.switches >= 4 * 20_000, "got {}", results.switches);
         // The decoupled run's whole point: zero metadata round trips.
@@ -136,7 +160,7 @@ mod tests {
 
     #[test]
     fn shares_are_fractions() {
-        let results = run(small()).unwrap();
+        let (results, ..) = run(small(), None).unwrap();
         assert!(results.init_share > 0.0 && results.init_share < 1.0);
         assert!(results.syscall_share >= 0.0 && results.syscall_share < 0.2);
     }

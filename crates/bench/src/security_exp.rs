@@ -2,7 +2,7 @@
 //! hardware backends and tabulate outcomes.
 
 use enclosure_apps::django;
-use enclosure_apps::malware::{legit_lab, run_security_eval_traced, ScenarioReport};
+use enclosure_apps::malware::{legit_lab, run_security_eval, ScenarioReport};
 use enclosure_gofront::GoValue;
 use enclosure_telemetry::Histogram;
 use litterbox::{Backend, Fault};
@@ -26,55 +26,35 @@ impl SecurityResults {
     }
 }
 
-/// Runs the full matrix (MPK and VT-x).
+/// Runs the full matrix (MPK and VT-x). With `trace` (`--trace[=N]`),
+/// enforcing labs keep a bounded event ring, printed whenever an attack
+/// is blocked (the block is the data, so that is where the lead-up is
+/// interesting).
+///
+/// Per backend it also drives the benign ssh-decorator call repeatedly
+/// through the enforcing lab and keeps its per-call latency histogram
+/// and the machine's per-operation cost distributions: the price of
+/// enforcement on the legitimate path, which `--profile` renders with
+/// the shared percentile tables.
 ///
 /// # Errors
 ///
 /// Harness faults.
-pub fn run() -> Result<Vec<SecurityResults>, Fault> {
-    run_traced(None)
-}
-
-/// [`run`] with `--trace` support: enforcing labs keep a bounded event
-/// ring, dumped whenever an attack is blocked (the block is the data, so
-/// that is where the lead-up is interesting).
-///
-/// # Errors
-///
-/// Harness faults.
-pub fn run_traced(trace: Option<usize>) -> Result<Vec<SecurityResults>, Fault> {
-    [Backend::Mpk, Backend::Vtx]
-        .into_iter()
-        .map(|backend| {
-            let mut scenarios = run_security_eval_traced(backend, trace)?;
-            let dj = django::run_scenario_traced(backend, trace)?;
-            scenarios.push(ScenarioReport {
-                name: "Django clone (secured callbacks, §6.5)",
-                unprotected_leaked: dj.unprotected_leaked,
-                enclosed_blocked: dj.enclosed_blocked,
-                legit_ok: dj.legit_ok,
-                fault: Some("syscall denied: socket in 'dispatch'".to_owned()),
-            });
-            Ok(SecurityResults { backend, scenarios })
-        })
-        .collect()
-}
-
-/// [`run_traced`] plus `--profile` support: per backend, drives the
-/// benign ssh-decorator call repeatedly through the enforcing lab and
-/// keeps its per-call latency histogram and the machine's per-operation
-/// cost distributions — the price of enforcement on the legitimate
-/// path, rendered with the shared percentile tables.
-///
-/// # Errors
-///
-/// Harness faults.
-pub fn run_profiled(
-    trace: Option<usize>,
-) -> Result<(Vec<SecurityResults>, Vec<BackendProfile>), Fault> {
-    let results = run_traced(trace)?;
+pub fn run(trace: Option<usize>) -> Result<(Vec<SecurityResults>, Vec<BackendProfile>), Fault> {
+    let mut results = Vec::new();
     let mut profiles = Vec::new();
     for backend in [Backend::Mpk, Backend::Vtx] {
+        let mut scenarios = run_security_eval(backend, trace)?;
+        let dj = django::run_scenario(backend, trace)?;
+        scenarios.push(ScenarioReport {
+            name: "Django clone (secured callbacks, §6.5)",
+            unprotected_leaked: dj.unprotected_leaked,
+            enclosed_blocked: dj.enclosed_blocked,
+            legit_ok: dj.legit_ok,
+            fault: Some("syscall denied: socket in 'dispatch'".to_owned()),
+        });
+        results.push(SecurityResults { backend, scenarios });
+
         let mut rt = legit_lab(backend)?;
         rt.lb_mut().clock_mut().reset();
         let mut latency = Histogram::new();
@@ -97,7 +77,7 @@ mod tests {
 
     #[test]
     fn full_matrix_reproduces() {
-        for results in run().unwrap() {
+        for results in run(None).unwrap().0 {
             assert!(results.all_reproduced(), "{:?}", results.backend);
         }
     }

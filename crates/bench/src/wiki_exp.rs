@@ -6,7 +6,8 @@
 use enclosure_apps::wiki::WikiApp;
 use litterbox::{Backend, Fault};
 
-use crate::macrobench::BackendProfile;
+use crate::macrobench::{measure, BackendProfile};
+use crate::PAPER_BACKENDS;
 
 /// The wiki study's measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,60 +22,35 @@ pub struct WikiResults {
     pub switches_per_request: f64,
 }
 
-/// Runs the wiki under all backends with `requests` each.
+/// Runs the wiki under the paper's backends with `requests` each,
+/// keeping each backend's latency histogram, per-goroutine attribution
+/// and per-operation cost histograms. With `trace` (`--trace[=N]`),
+/// each machine keeps a bounded event ring, printed on the fault path.
 ///
 /// # Errors
 ///
 /// Workload faults.
-pub fn run(requests: u64) -> Result<WikiResults, Fault> {
-    run_traced(requests, None)
-}
-
-/// [`run`] with `--trace` support: each backend's machine keeps a
-/// bounded event ring, dumped on the fault path.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_traced(requests: u64, trace: Option<usize>) -> Result<WikiResults, Fault> {
-    run_profiled(requests, trace).map(|(results, _)| results)
-}
-
-/// [`run_traced`] keeping each backend's latency histogram,
-/// per-goroutine attribution, and per-operation cost histograms.
-///
-/// # Errors
-///
-/// Workload faults.
-pub fn run_profiled(
+pub fn run(
     requests: u64,
     trace: Option<usize>,
 ) -> Result<(WikiResults, Vec<BackendProfile>), Fault> {
     let mut rates = Vec::new();
     let mut profiles = Vec::new();
     let mut switch_pairs = 0;
-    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx] {
-        let mut app = WikiApp::new(backend)?;
-        crate::trace::arm(app.runtime_mut().lb_mut(), trace);
-        app.runtime_mut().lb_mut().clock_mut().reset();
-        let stats = match app.serve_requests(requests) {
-            Ok(stats) => stats,
-            Err(fault) => {
-                crate::trace::dump(app.runtime().lb(), &format!("wiki, {backend}"));
-                return Err(fault);
-            }
-        };
-        rates.push(stats.reqs_per_sec);
-        let latency = app.latency();
-        profiles.push(crate::macrobench::profile_from(
-            app.runtime_mut().lb_mut(),
-            backend,
-            latency,
-        ));
+    for backend in PAPER_BACKENDS {
+        let app = WikiApp::new(backend)?;
+        let ((rate, wrpkru), profile) =
+            measure(app, WikiApp::runtime_mut, "wiki", backend, trace, |app| {
+                let stats = app.serve_requests(requests)?;
+                let wrpkru = app.runtime().lb().stats().wrpkru;
+                Ok(((stats.reqs_per_sec, wrpkru), app.latency()))
+            })?;
+        rates.push(rate);
+        profiles.push(profile);
         if backend == Backend::Mpk {
             // Execute-based context switches, not prolog/epilog pairs:
             // count PKRU writes as the proxy.
-            switch_pairs = app.runtime().lb().stats().wrpkru;
+            switch_pairs = wrpkru;
         }
     }
     #[allow(clippy::cast_precision_loss)]
@@ -93,7 +69,7 @@ mod tests {
 
     #[test]
     fn wiki_slowdowns_track_fasthttp_shape() {
-        let results = run(10).unwrap();
+        let (results, _) = run(10, None).unwrap();
         assert!(results.mpk.1 < 1.2, "MPK near baseline: {}", results.mpk.1);
         assert!(results.vtx.1 > 1.4, "VTX pays: {}", results.vtx.1);
         assert!(results.switches_per_request > 0.0);

@@ -116,15 +116,21 @@ fn wiki_profile_is_byte_identical_across_runs() {
     assert_eq!(first, run(), "two runs must print the same bytes");
 }
 
-/// A flag the usage text does not list is a typo: `repro` prints the
-/// menu, names the flag and exits 2 before running anything (a
-/// misspelt `--quick` used to run the full 100k-request fleet).
+/// A flag the named command does not read is a typo: `repro` prints
+/// the menu, names the flag and exits 2 before running anything (a
+/// misspelt `--quick` used to run the full 100k-request fleet, and
+/// `python --json` used to print text and exit 0).
 #[test]
 fn unknown_flags_fail_before_any_work_runs() {
     for args in [
         &["fleet", "--qiuck"][..],
         &["table1", "--bogus"],
         &["table2", "--quick=yes"],
+        &["python", "--json"],
+        &["table1", "--quick"],
+        &["figure4", "--json"],
+        &["counters", "--seed=3"],
+        &["fleet", "--trace"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -156,6 +162,22 @@ fn bad_parallel_value_fails_fast() {
     }
 }
 
+/// `--trace=` rejects anything but an event count >= 1 the same way: it
+/// used to arm no ring and exit 0 in silence.
+#[test]
+fn bad_trace_value_fails_fast() {
+    for bad in ["--trace=abc", "--trace=0"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["security", bad])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(1), "{bad} must exit 1");
+        assert!(out.stdout.is_empty(), "{bad}: nothing runs");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains("--trace wants"), "{stderr}");
+    }
+}
+
 #[test]
 fn bad_backend_value_fails_fast() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -179,6 +201,73 @@ fn bad_app_value_fails_fast() {
         stderr.contains("--app wants 'wiki' or 'fasthttp'"),
         "{stderr}"
     );
+}
+
+/// `--trace` arms the event ring without touching the report: the
+/// ring goes to stderr, and only where a fault or a blocked attack
+/// calls for it. The security matrix blocks five attacks on each of
+/// LB_MPK and LB_VTX, so it prints ten lead-up sections.
+#[test]
+fn trace_prints_to_stderr_and_leaves_stdout_alone() {
+    assert_eq!(
+        repro(&["wiki", "--quick", "--trace"]),
+        repro(&["wiki", "--quick"])
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["security", "--trace=4"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        repro(&["security"])
+    );
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let sections = stderr
+        .matches("last telemetry events before the block")
+        .count();
+    assert_eq!(sections, 10, "{stderr}");
+}
+
+/// `all` runs every member in menu order, and its menu line names the
+/// three commands it skips.
+#[test]
+fn all_runs_its_members_in_order() {
+    let stdout = repro(&["all", "--quick"]);
+    let mut rest = stdout.as_str();
+    for header in [
+        "Table 1: Microbenchmarks",
+        "Table 2: Macrobenchmarks",
+        "Table 2: Benchmark information",
+        "Figure 4: linked executable layout",
+        "Figure 5 / \u{a7}6.3: wiki web application",
+        "\u{a7}6.4: Python enclosures",
+        "\u{a7}6.4 cost attribution",
+        "\u{a7}6.5: recreated malicious packages",
+        "Ablation 1: meta-package clustering",
+        "Batching study:",
+        "Chaos soak:",
+        "Fleet serving:",
+        "SLO monitor:",
+        "Counter registry:",
+    ] {
+        let at = rest
+            .find(header)
+            .unwrap_or_else(|| panic!("'{header}' missing or out of order:\n{stdout}"));
+        rest = &rest[at + header.len()..];
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("frobnicate")
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let menu = stderr
+        .lines()
+        .find(|l| l.trim_start().starts_with("all "))
+        .unwrap_or_else(|| panic!("menu line for 'all' missing:\n{stderr}"));
+    for skipped in ["filter-dump", "flightrec", "trace-export"] {
+        assert!(menu.contains(skipped), "{menu}");
+    }
 }
 
 /// The FastHTTP fleet arm serves through `--chaos`: its workers turn

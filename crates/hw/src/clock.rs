@@ -253,17 +253,11 @@ impl Clock {
         self.record(Event::VmExit);
     }
 
-    /// Charges a `pkey_mprotect` (LB_MPK transfer) of a 4-page section.
-    pub fn charge_pkey_mprotect(&mut self) {
-        self.charge_pkey_mprotect_pages(4);
-    }
-
     /// Charges a `pkey_mprotect` over `pages` pages: the kernel walks and
     /// re-tags each PTE, so cost scales with the region (one Table 1 unit
     /// per 4 pages).
     pub fn charge_pkey_mprotect_pages(&mut self, pages: u64) {
-        let units = pages.div_ceil(4).max(1);
-        let ns = self.model.pkey_mprotect * units;
+        let ns = self.model.pkey_mprotect * page_units(pages);
         self.tick(ns);
         self.stats.transfers += 1;
         self.recorder.record_op("pkey_mprotect", ns);
@@ -276,8 +270,7 @@ impl Clock {
     /// Unlike [`Clock::charge_pkey_mprotect_pages`] this is binding
     /// traffic, not a `Transfer`, so it bumps `key_binds` instead.
     pub fn charge_key_bind_pages(&mut self, vkey: u32, hkey: u8, pages: u64) {
-        let units = pages.div_ceil(4).max(1);
-        let ns = self.model.pkey_mprotect * units;
+        let ns = self.model.pkey_mprotect * page_units(pages);
         self.tick(ns);
         self.stats.key_binds += 1;
         self.recorder.record_op("key_bind", ns);
@@ -289,8 +282,7 @@ impl Clock {
     /// hardware key is recycled. Costs one Table 1 `pkey_mprotect` unit
     /// per 4 pages; bumps `key_evictions`, not `transfers`.
     pub fn charge_key_evict_pages(&mut self, vkey: u32, hkey: u8, pages: u64) {
-        let units = pages.div_ceil(4).max(1);
-        let ns = self.model.pkey_mprotect * units;
+        let ns = self.model.pkey_mprotect * page_units(pages);
         self.tick(ns);
         self.stats.key_evictions += 1;
         self.recorder.record_op("key_evict", ns);
@@ -305,8 +297,7 @@ impl Clock {
     /// Charges an LB_VTX transfer over `pages` pages (one Table 1 unit
     /// per 4 pages; presence-bit flips are cheap but still per-PTE).
     pub fn charge_vtx_transfer_pages(&mut self, pages: u64) {
-        let units = pages.div_ceil(4).max(1);
-        self.tick(self.model.vtx_transfer * units);
+        self.tick(self.model.vtx_transfer * page_units(pages));
         self.stats.transfers += 1;
     }
 
@@ -344,7 +335,7 @@ impl Clock {
     /// contents are shipped over the socketpair, one message per 4-page
     /// unit, and the supervisor updates the images.
     pub fn charge_proc_transfer_pages(&mut self, pages: u64) {
-        let units = pages.div_ceil(4).max(1);
+        let units = page_units(pages);
         let ns = self.model.pipe_msg * units;
         self.tick(ns);
         self.stats.pipe_msgs += units;
@@ -356,6 +347,12 @@ impl Clock {
     pub fn note_switch_pair(&mut self) {
         self.stats.switch_pairs += 1;
     }
+}
+
+/// The Table 1 cost units a page-priced charge takes: one per 4 pages,
+/// at least one.
+fn page_units(pages: u64) -> u64 {
+    pages.div_ceil(4).max(1)
 }
 
 impl Default for Clock {

@@ -74,7 +74,7 @@ enclosure_support::props! {
                 3 => clock.charge_kernel_syscall(),
                 4 => clock.charge_seccomp(),
                 5 => clock.charge_vm_exit(),
-                _ => clock.charge_pkey_mprotect(),
+                _ => clock.charge_pkey_mprotect_pages(4),
             }
             assert!(clock.now_ns() >= last);
             last = clock.now_ns();

@@ -9,8 +9,8 @@
 //!   `proptest` strategy sampling).
 //! * [`prop`] — a deterministic property-loop harness built on the PRNG
 //!   (replaces the `proptest!` macro for our property tests).
-//! * [`sync`] — std `Mutex` re-export under the `parking_lot` names the
-//!   workspace previously used.
+//! * [`sync`] — [`Shared`], an `Arc<Mutex<T>>` with `RefCell`-style
+//!   accessors for app state that crosses the fleet's worker threads.
 //! * [`pool`] — a scoped fork/join thread pool (replaces `rayon` for
 //!   the parallel fleet engine).
 

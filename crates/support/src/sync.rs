@@ -1,14 +1,10 @@
-//! Std-backed synchronization re-exports.
-//!
-//! The workspace previously declared `parking_lot`; nothing needs its
-//! extra semantics, so the std types are re-exported under the same
-//! names for any future crate that wants a lock without a dependency.
+//! [`Shared`]: thread-safe shared state with `RefCell`-style accessors.
 
-pub use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks a mutex, recovering the guard even if a holder panicked
 /// (poisoning is irrelevant to the simulator's single-threaded tests).
-pub fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -15,7 +15,9 @@
 //! * [`Counters`] — fixed-cost, always-on monotonic counters; the
 //!   source of truth for every report.
 //! * [`Event`] — the typed event stream; buffered only when tracing is
-//!   enabled ([`Recorder::enable_trace`]) in a bounded ring.
+//!   enabled ([`Recorder::enable_trace`]) in a bounded ring;
+//!   [`Recorder::arm_trace`] and [`Recorder::dump_trace`] are the
+//!   `--trace[=N]` pair that arms it and prints a fault's lead-up.
 //! * span tree — [`Recorder::begin_span`]/[`Recorder::end_span`]
 //!   bracket enclosure entry/exit and attribute simulated nanoseconds
 //!   to a [`SpanScope`], splitting self-time from nested-enclosure

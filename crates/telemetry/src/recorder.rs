@@ -617,6 +617,26 @@ impl Recorder {
         }
     }
 
+    /// Arms the ring of a `--trace[=N]` run: `Some(n)` keeps the last
+    /// `n` events, `None` leaves tracing as it is.
+    pub fn arm_trace(&mut self, trace: Option<usize>) {
+        if let Some(capacity) = trace {
+            self.enable_trace(capacity);
+        }
+    }
+
+    /// Prints the buffered events to stderr under "last telemetry
+    /// events before the {before}:" when tracing is active, so a fault
+    /// or a blocked attack shows its lead-up.
+    pub fn dump_trace(&self, before: &str) {
+        if self.tracing() {
+            eprintln!("last telemetry events before the {before}:");
+            for traced in &self.ring {
+                eprintln!("  [{:>12} ns] {}", traced.at_ns, traced.event);
+            }
+        }
+    }
+
     /// Whether event tracing is active.
     #[must_use]
     pub fn tracing(&self) -> bool {

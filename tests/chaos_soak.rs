@@ -5,6 +5,7 @@
 
 use enclosure_apps::wiki::WikiApp;
 use enclosure_bench::chaos_exp::{self, ChaosConfig};
+use enclosure_bench::BACKENDS;
 use litterbox::{Backend, InjectionPlan, InjectionSite};
 
 const SOAK: ChaosConfig = ChaosConfig {
@@ -17,7 +18,7 @@ const SOAK: ChaosConfig = ChaosConfig {
 /// answered, nothing aborts, and every cross-layer invariant holds.
 #[test]
 fn soak_degrades_gracefully_and_keeps_its_invariants() {
-    let report = chaos_exp::run(SOAK).expect("no fault escapes containment");
+    let (report, _) = chaos_exp::run(SOAK, &BACKENDS).expect("no fault escapes containment");
     assert_eq!(report.rows.len(), 4);
     for row in &report.rows {
         let violations = chaos_exp::check_invariants(&report.config, row);
@@ -50,15 +51,15 @@ fn soak_degrades_gracefully_and_keeps_its_invariants() {
 /// bisect.
 #[test]
 fn soak_is_a_pure_function_of_the_seed() {
-    let a = chaos_exp::run(SOAK).unwrap();
-    let b = chaos_exp::run(SOAK).unwrap();
+    let (a, _) = chaos_exp::run(SOAK, &BACKENDS).unwrap();
+    let (b, _) = chaos_exp::run(SOAK, &BACKENDS).unwrap();
     assert_eq!(a, b);
     // A different seed produces a different fault history.
-    let c = chaos_exp::run(ChaosConfig {
+    let config = ChaosConfig {
         seed: 0x50AD,
         ..SOAK
-    })
-    .unwrap();
+    };
+    let (c, _) = chaos_exp::run(config, &BACKENDS).unwrap();
     assert_ne!(a, c);
 }
 
