@@ -471,7 +471,7 @@ fn counters_lists_the_registry() {
 /// that print it. A change that keeps every report byte-identical
 /// leaves these files alone; one that means to move a report
 /// regenerates its file and says why.
-const GOLDEN: [(&str, &[&str]); 12] = [
+const GOLDEN: [(&str, &[&str]); 17] = [
     ("table1.json", &["table1", "--json"]),
     ("table2_quick.json", &["table2", "--quick", "--json"]),
     (
@@ -502,6 +502,14 @@ const GOLDEN: [(&str, &[&str]); 12] = [
     ),
     ("trace_export_quick.json", &["trace-export", "--quick"]),
     ("counters_list.txt", &["counters", "--list"]),
+    ("ablations.txt", &["ablations"]),
+    ("security_profile.txt", &["security", "--profile"]),
+    ("filter_dump.txt", &["filter-dump"]),
+    ("python_quick.txt", &["python", "--quick"]),
+    (
+        "monitor_quick_chaos_seed7.txt",
+        &["monitor", "--quick", "--chaos", "--seed=7"],
+    ),
 ];
 
 /// Every golden report prints byte for byte; a mismatch names the
