@@ -4,11 +4,12 @@
 //! One table, [`COMMANDS`], holds each command's name, menu line, the
 //! flags it reads and the function that runs it; an unknown command
 //! prints the menu it renders. A command accepts only the flags it
-//! reads: any other flag prints the menu and exits 2 before any work
-//! runs. A flag with a bad value (`--seed=x`, `--trace=0`) exits 1 and
-//! names the flag. `all`, which a bare `repro` also runs, runs every
-//! command in menu order except `filter-dump`, `flightrec` and
-//! `trace-export`, and accepts every flag one of them reads.
+//! reads: any other flag, or a second command word, prints the menu and
+//! exits 2 before any work runs. A flag with a bad value (`--seed=x`,
+//! `--trace=0`) exits 1 and names the flag. `all`, which a bare `repro`
+//! also runs, runs every command in menu order except `filter-dump`,
+//! `flightrec` and `trace-export`, and accepts every flag one of them
+//! reads.
 //!
 //! `--trace[=N]`, read by `table2`, `wiki`, `python`, `attribution` and
 //! `security`, keeps a bounded ring of the last N telemetry events
@@ -65,7 +66,7 @@ use enclosure_apps::plotlib::PlotConfig;
 use enclosure_bench::chaos_exp::{self, ChaosConfig};
 use enclosure_bench::fleet_exp::{self, FleetApp};
 use enclosure_bench::macrobench::{self, MacroScale};
-use enclosure_bench::monitor_exp::{self, MonitorExpConfig};
+use enclosure_bench::monitor_exp;
 use enclosure_bench::trace_export::{self, TraceFormat};
 use enclosure_bench::{ablation, batching_exp, micro, python_exp, report, security_exp, wiki_exp};
 use enclosure_bench::{BACKENDS, PAPER_BACKENDS};
@@ -76,15 +77,18 @@ use litterbox::Backend;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map_or(ALL.name, String::as_str);
+    let mut words = args.iter().filter(|a| !a.starts_with("--"));
+    let name = words.next().map_or(ALL.name, String::as_str);
     let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
         eprintln!("unknown command '{name}'\n");
         eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
+    if let Some(extra) = words.next() {
+        eprintln!("unexpected word '{extra}' after command '{name}'\n");
+        eprint!("{}", usage());
+        return ExitCode::from(2);
+    }
     let flags = command.flags();
     if let Some(bad) = args
         .iter()
@@ -846,16 +850,17 @@ fn fleet(o: &Opts) -> Result<(), AnyError> {
 }
 
 fn monitor(o: &Opts) -> Result<(), AnyError> {
-    let mut config = if o.quick {
-        MonitorExpConfig::quick(o.seed)
+    let requests = if o.quick {
+        monitor_exp::QUICK_REQUESTS
     } else {
-        MonitorExpConfig::full(o.seed)
+        monitor_exp::FULL_REQUESTS
     };
-    if let Some(n) = o.shards {
-        config.shards = n.max(1);
+    let shards = o.shards.unwrap_or(fleet_exp::SHARDS);
+    let mut config = FleetConfig::new(shards, requests, o.seed).mixed_backends();
+    if o.chaos {
+        config = config.with_chaos();
     }
-    config.chaos = o.chaos;
-    let (report, violations) = monitor_exp::run(config)?;
+    let (report, violations) = monitor_exp::run(&config)?;
     if o.json {
         let mut value = report.to_json();
         value.push(

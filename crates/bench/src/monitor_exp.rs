@@ -31,81 +31,46 @@ use enclosure_hw::InjectionPlan;
 use enclosure_telemetry::{FlightRecording, SloPolicy, DEFAULT_WINDOW_NS};
 use litterbox::{Backend, Fault, GatewayMode};
 
-/// Parameters for one monitored fleet run (the `repro monitor` knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorExpConfig {
-    /// Number of shards.
-    pub shards: usize,
-    /// Total requests in the session workload.
-    pub requests: u64,
-    /// Master seed.
-    pub seed: u64,
-    /// Arm the kill-one-shard rehearsal: scheduled brownout, then the
-    /// scheduled kill, nothing random.
-    pub chaos: bool,
-}
+/// Requests in the full study's session workload.
+pub const FULL_REQUESTS: u64 = 20_000;
 
-impl MonitorExpConfig {
-    /// The full study.
-    #[must_use]
-    pub fn full(seed: u64) -> MonitorExpConfig {
-        MonitorExpConfig {
-            shards: 4,
-            requests: 20_000,
-            seed,
-            chaos: false,
-        }
-    }
+/// Requests in a `--quick` run.
+pub const QUICK_REQUESTS: u64 = 4_000;
 
-    /// A bounded run for `--quick` and CI gates.
-    #[must_use]
-    pub fn quick(seed: u64) -> MonitorExpConfig {
-        MonitorExpConfig {
-            requests: 4_000,
-            ..MonitorExpConfig::full(seed)
-        }
-    }
-
-    /// Lowers to the balancer's config with the monitor armed.
-    #[must_use]
-    pub fn to_fleet(&self) -> FleetConfig {
-        let monitor = MonitorConfig {
-            brownout: self.chaos,
-        };
-        let mut cfg = FleetConfig::new(self.shards, self.requests, self.seed)
-            .mixed_backends()
-            .with_monitor(monitor);
-        if self.chaos {
-            cfg = cfg.with_chaos();
-            // Surgical: the scheduled brownout + kill are the whole
-            // fault story, so the degraded-before-ejected ordering is
-            // reproducible by design rather than by draw.
-            cfg.fleet_rate_ppm = 0;
-            cfg.backend_rate_ppm = 0;
-            // Operator tuning for a latency-sensitive tier: two
-            // strikes at 3× self-baseline eject. The baseline is
-            // cumulative, so it absorbs a sustained brownout within a
-            // few rounds — a lazier detector never fires at all, which
-            // is exactly the gap the advisory window signal covers.
-            cfg.latency_mult = 3;
-            cfg.eject_after = 2;
-        }
-        cfg
-    }
-}
-
-/// Runs the monitored fleet, returning the report plus any
-/// robustness-invariant violations. In the chaos arm, a run in which
-/// no advisory fired, or in which an ejection came no later than the
-/// first advisory, is a violation too.
+/// Runs `config`'s wiki fleet with the SLO monitor armed on every
+/// shard, returning the report plus any robustness-invariant
+/// violations.
+///
+/// With `config.chaos` the run is the kill-one-shard rehearsal: the
+/// monitor's brownout lands on the scheduled-kill victim, and `run`
+/// turns the random fault sites off and tightens ejection, so the
+/// brownout and the kill are the whole fault story. A rehearsal in
+/// which no advisory fired, or in which an ejection came no later than
+/// the first advisory, is a violation too.
 ///
 /// # Errors
 ///
 /// A machine fault escaping the balancer's containment layers.
-pub fn run(config: MonitorExpConfig) -> Result<(FleetReport, Vec<String>), Fault> {
-    let fleet_cfg = config.to_fleet();
-    let report = WikiFleet::new(fleet_cfg.clone())?.run()?;
-    let mut violations = check_invariants(&fleet_cfg, &report);
+pub fn run(config: &FleetConfig) -> Result<(FleetReport, Vec<String>), Fault> {
+    let mut config = config.clone().with_monitor(MonitorConfig {
+        brownout: config.chaos,
+    });
+    if config.chaos {
+        // Surgical: the scheduled brownout + kill are the whole fault
+        // story, so the degraded-before-ejected ordering is
+        // reproducible by design rather than by draw.
+        config.fleet_rate_ppm = 0;
+        config.backend_rate_ppm = 0;
+        // Operator tuning for a latency-sensitive tier: two strikes at
+        // 3× self-baseline eject. The baseline is cumulative, so it
+        // absorbs a sustained brownout within a few rounds — a lazier
+        // detector never fires at all, which is exactly the gap the
+        // advisory window signal covers.
+        config.latency_mult = 3;
+        config.eject_after = 2;
+    }
+    let report = WikiFleet::new(config.clone())?.run()?;
+    let mut violations = check_invariants(&config, &report);
     let monitor = report
         .monitor
         .as_ref()
@@ -174,18 +139,21 @@ pub fn flightrec(seed: u64) -> Result<FlightRecording, Fault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet_exp::SHARDS;
+
+    /// The `repro monitor --quick` fleet.
+    fn quick(seed: u64) -> FleetConfig {
+        FleetConfig::new(SHARDS, QUICK_REQUESTS, seed).mixed_backends()
+    }
 
     enclosure_support::props! {
         /// The kill-one-shard rehearsal holds on every seed: the run
         /// is deterministic, the advisory signal fires, any ejection
         /// comes strictly after it, and the scheduled kill still lands.
         fn monitored_chaos_run_is_deterministic_and_led_by_the_signal(rng, cases = 32) {
-            let cfg = MonitorExpConfig {
-                chaos: true,
-                ..MonitorExpConfig::quick(rng.range_u64(1, 65))
-            };
-            let (a, violations) = run(cfg).unwrap();
-            let (b, _) = run(cfg).unwrap();
+            let cfg = quick(rng.range_u64(1, 65)).with_chaos();
+            let (a, violations) = run(&cfg).unwrap();
+            let (b, _) = run(&cfg).unwrap();
             assert!(violations.is_empty(), "seed {}: {violations:?}", cfg.seed);
             assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
             let monitor = a.monitor.as_ref().unwrap();
@@ -199,7 +167,7 @@ mod tests {
 
     #[test]
     fn clean_monitor_run_logs_no_degradation() {
-        let (report, violations) = run(MonitorExpConfig::quick(7)).unwrap();
+        let (report, violations) = run(&quick(7)).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
         let monitor = report.monitor.as_ref().unwrap();
         assert!(monitor.degraded.is_empty(), "{:?}", monitor.degraded);

@@ -119,7 +119,8 @@ fn wiki_profile_is_byte_identical_across_runs() {
 /// A flag the named command does not read is a typo: `repro` prints
 /// the menu, names the flag and exits 2 before running anything (a
 /// misspelt `--quick` used to run the full 100k-request fleet, and
-/// `python --json` used to print text and exit 0).
+/// `python --json` used to print text and exit 0). So is a second
+/// command word: `table1 wiki` used to print Table 1 and exit 0.
 #[test]
 fn unknown_flags_fail_before_any_work_runs() {
     for args in [
@@ -131,6 +132,7 @@ fn unknown_flags_fail_before_any_work_runs() {
         &["figure4", "--json"],
         &["counters", "--seed=3"],
         &["fleet", "--trace"],
+        &["table1", "wiki"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(args)
@@ -140,10 +142,12 @@ fn unknown_flags_fail_before_any_work_runs() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
         let bad = args[1];
-        assert!(
-            stderr.contains(&format!("unknown flag '{bad}'")),
-            "{stderr}"
-        );
+        let named = if bad.starts_with("--") {
+            format!("unknown flag '{bad}'")
+        } else {
+            format!("unexpected word '{bad}'")
+        };
+        assert!(stderr.contains(&named), "{stderr}");
         assert!(stderr.contains("usage: repro"), "{stderr}");
     }
 }

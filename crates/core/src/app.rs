@@ -3,8 +3,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use enclosure_hw::CostModel;
-use enclosure_kernel::Kernel;
 use enclosure_vmem::Addr;
 use litterbox::deps::DepGraph;
 use litterbox::{
@@ -70,21 +68,7 @@ impl AppBuilder {
     ///
     /// [`Fault::Init`] for invalid programs (duplicate packages etc.).
     pub fn build(self, backend: Backend) -> Result<App, Fault> {
-        self.build_with_parts(backend, Kernel::new(), CostModel::paper())
-    }
-
-    /// Like [`AppBuilder::build`] with a custom kernel and cost model.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::Init`] for invalid programs.
-    pub fn build_with_parts(
-        self,
-        backend: Backend,
-        kernel: Kernel,
-        model: CostModel,
-    ) -> Result<App, Fault> {
-        let mut lb = LitterBox::with_parts(backend, kernel, model);
+        let mut lb = LitterBox::new(backend);
         let mut prog = ProgramDesc::new();
         let mut layouts = BTreeMap::new();
         let mut graph = DepGraph::new();

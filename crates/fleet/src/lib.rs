@@ -21,8 +21,8 @@
 //!   ([`RetryBudget`]);
 //! * **supervisor respawn** — crashed shards come back on a seeded,
 //!   jittered exponential backoff (the balancer's own, based at one
-//!   dispatch round) and re-enter through probation (the
-//!   `adopt_spawned` idiom).
+//!   dispatch round) and re-enter through probation (the idiom of an
+//!   LB_PROC rebuild adopting its predecessor's children).
 //!
 //! Chaos is first-class: the balancer owns its own
 //! [`InjectionPlan`](enclosure_hw::InjectionPlan) arming the fleet

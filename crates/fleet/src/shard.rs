@@ -118,9 +118,9 @@ pub enum ShardState {
         respawn_at_ns: u64,
     },
     /// Respawned but not yet trusted: must pass consecutive clean
-    /// probes before taking traffic again (the `adopt_spawned` idiom —
-    /// the new generation exists, the balancer just hasn't adopted it
-    /// into the routable set yet).
+    /// probes before taking traffic again (as an LB_PROC rebuild adopts
+    /// its predecessor's children — the new generation exists, the
+    /// balancer just hasn't adopted it into the routable set yet).
     Probation {
         /// Clean probes seen so far.
         clean: u32,

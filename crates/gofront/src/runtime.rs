@@ -4,7 +4,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use enclosure_hw::CostModel;
 use enclosure_kernel::Kernel;
 use enclosure_vmem::Addr;
 use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
@@ -60,23 +59,19 @@ impl GoProgram {
     /// [`Fault::Init`] for compile-time policy errors or link/init
     /// failures.
     pub fn build(&self, backend: Backend) -> Result<GoRuntime, Fault> {
-        self.build_with_parts(backend, Kernel::new(), CostModel::paper())
+        self.build_with_parts(backend, Kernel::new())
     }
 
-    /// Like [`GoProgram::build`] with a custom kernel and cost model.
+    /// Like [`GoProgram::build`] with a custom kernel (e.g.
+    /// [`Kernel::with_demo_home`]).
     ///
     /// # Errors
     ///
     /// [`Fault::Init`] for compile-time policy errors or link/init
     /// failures.
-    pub fn build_with_parts(
-        &self,
-        backend: Backend,
-        kernel: Kernel,
-        model: CostModel,
-    ) -> Result<GoRuntime, Fault> {
+    pub fn build_with_parts(&self, backend: Backend, kernel: Kernel) -> Result<GoRuntime, Fault> {
         let objects: Vec<_> = self.sources.iter().map(compile).collect::<Result<_, _>>()?;
-        let mut lb = LitterBox::with_parts(backend, kernel, model);
+        let mut lb = LitterBox::with_parts(backend, kernel);
         let (image, prog) = Linker::new().link(&objects, &mut lb)?;
         lb.init(prog)?;
         let runtime_callsite = image

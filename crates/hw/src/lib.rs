@@ -1,20 +1,21 @@
-//! Simulated hardware isolation mechanisms for the Enclosure reproduction.
+//! Simulated hardware for the Enclosure reproduction: the clock and
+//! cost model every isolation mechanism is priced by, and the MPK
+//! primitives the LB_MPK backend is built from.
 //!
-//! The paper's LitterBox backend drives two hardware technologies:
+//! The mechanisms themselves — LB_MPK's live PKRU register, LB_VTX's
+//! per-environment page tables behind CR3, LB_PROC's sandbox children —
+//! are state of their enforcer in the `litterbox` crate, one file per
+//! backend. This crate holds what they share:
 //!
-//! * **Intel MPK** (§5.3, `LB_MPK`) — 4-bit protection keys in page-table
-//!   entries plus a user-writable PKRU register holding access/write-disable
-//!   bits for each of 16 keys. Modeled by [`mpk::Pkru`] and
-//!   [`mpk::KeyAllocator`].
-//! * **Intel VT-x** (§5.3, `LB_VTX`) — one virtual machine per application,
-//!   one page table per enclosure, switches implemented as guest system
-//!   calls that rewrite CR3, and host syscalls proxied through hypercalls
-//!   (VM EXITs). Modeled by [`vtx::Vm`].
-//! * **Process sandboxes** (`LB_PROC`) — the hardware-free fallback: one
-//!   child process per enclosure, isolation by address-space separation,
-//!   crossings priced as socketpair IPC round-trips, syscalls proxied to
-//!   the supervisor behind per-process seccomp filters. Modeled by
-//!   [`proc::ProcSandbox`].
+//! * [`Clock`] and [`CostModel`] — simulated time and the price of each
+//!   primitive (WRPKRU, CR3 write, VM EXIT, `fork`, pipe message, ...);
+//! * [`InjectionPlan`] — seeded fault injection at each mechanism's
+//!   sites;
+//! * **Intel MPK** (§5.3) — the [`mpk::Pkru`] register encoding (access
+//!   and write-disable bits for each of 16 keys), the hardware
+//!   [`mpk::KeyAllocator`], and the libmpk-style [`VirtualKeyTable`];
+//! * [`EnvId`], which every backend keys its state by, and the
+//!   [`SpawnRecord`]s of LB_PROC's spawn ledger.
 //!
 //! Because the reproduction runs without the real hardware, time is
 //! *simulated*: every mechanism primitive advances a [`Clock`] by a cost
@@ -44,15 +45,13 @@
 
 mod clock;
 mod cost;
-mod cpu;
+mod env;
 pub mod inject;
 pub mod mpk;
-pub mod proc;
 pub mod vkey;
-pub mod vtx;
 
 pub use clock::{Clock, HwStats};
 pub use cost::CostModel;
-pub use cpu::Cpu;
+pub use env::{EnvId, SpawnRecord, TRUSTED_ENV};
 pub use inject::{InjectionPlan, InjectionSite};
 pub use vkey::{VirtualKey, VirtualKeyTable, VkeyLedger};

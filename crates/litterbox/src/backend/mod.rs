@@ -1,13 +1,18 @@
 //! The enforcement backends: one file per mechanism, each an
-//! [`Enforcer`].
+//! [`Enforcer`] that owns its mechanism's state.
 //!
 //! * [`mpk`] — Intel MPK (`LB_MPK`): one shared page table whose pages
-//!   carry virtual keys, a PKRU image per environment, and a seccomp
-//!   program indexed on PKRU.
-//! * [`vtx`] — Intel VT-x (`LB_VTX`): one page table per environment,
-//!   CR3 switches, and syscalls proxied through VM EXITs.
-//! * [`proc`] — process sandboxes (`LB_PROC`): one child process per
-//!   enclosure and every crossing priced as IPC.
+//!   carry virtual keys, the live PKRU register and a PKRU image per
+//!   environment, and a seccomp program indexed on PKRU.
+//! * [`vtx`] — Intel VT-x (`LB_VTX`): one page table per environment
+//!   behind CR3, CR3 switches, and syscalls proxied through VM EXITs.
+//! * [`proc`] — process sandboxes (`LB_PROC`): one lazily forked child
+//!   process per enclosure, the supervisor's spawn ledger, and every
+//!   crossing priced as IPC.
+//!
+//! LB_VTX and LB_PROC keep their per-environment tables in one
+//! [`EnvTables`]. Every backend charges the machine's [`Clock`]; none
+//! shares state with another.
 //!
 //! [`Backend::Baseline`] has no enforcer: a machine without one runs
 //! enclosures as vanilla closures, and so does every machine before its
@@ -27,8 +32,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use enclosure_hw::vtx::EnvId;
-use enclosure_hw::{Clock, Cpu, InjectionSite};
+use enclosure_hw::{Clock, EnvId, InjectionSite, TRUSTED_ENV};
 use enclosure_kernel::SyscallRecord;
 use enclosure_vmem::{Access, Addr, AddressSpace, PageTable, Section, VirtRange, VmemError};
 
@@ -45,26 +49,26 @@ const INIT_NS_PER_PAGE: u64 = 500;
 /// the six-call API asks of it.
 pub(crate) trait Enforcer: fmt::Debug + Send + Any {
     /// Moves the hardware into `target`'s environment.
-    fn switch(&mut self, program: &Program, cpu: &mut Cpu, target: EnvId) -> Result<(), Fault>;
+    fn switch(&mut self, program: &Program, clock: &mut Clock, target: EnvId) -> Result<(), Fault>;
 
     /// Charges one syscall crossing out of `env`: what one proxied
     /// syscall, or one whole batch flush, pays.
     fn charge_crossing(&self, clock: &mut Clock, env: EnvId);
 
     /// The verdict `env`'s filter gives `record`, uncharged.
-    fn verdict(&self, program: &Program, cpu: &Cpu, env: EnvId, record: &SyscallRecord) -> bool;
+    fn verdict(&self, program: &Program, env: EnvId, record: &SyscallRecord) -> bool;
 
     /// `FilterSyscall` from `env`: one charged crossing, then the
     /// verdict.
     fn filter(
         &mut self,
         program: &Program,
-        cpu: &mut Cpu,
+        clock: &mut Clock,
         env: EnvId,
         record: &SyscallRecord,
     ) -> Result<bool, Fault> {
-        self.charge_crossing(cpu.clock_mut(), env);
-        Ok(self.verdict(program, cpu, env, record))
+        self.charge_crossing(clock, env);
+        Ok(self.verdict(program, env, record))
     }
 
     /// The site that can drop one proxied syscall after its verdict
@@ -84,7 +88,7 @@ pub(crate) trait Enforcer: fmt::Debug + Send + Any {
     fn transfer(&mut self, program: &Program, clock: &mut Clock, range: VirtRange, to: &str);
 
     /// Checks a data access in the running environment.
-    fn check(&self, cpu: &Cpu, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError>;
+    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError>;
 
     /// Appends `env`'s hardware state to the environment listing.
     fn describe(&self, env: EnvId, out: &mut String);
@@ -96,7 +100,7 @@ pub(crate) struct Build<'a> {
     pub(crate) program: &'a Program,
     /// The address space (LB_MPK scans package text in it).
     pub(crate) space: &'a AddressSpace,
-    pub(crate) cpu: &'a mut Cpu,
+    pub(crate) clock: &'a mut Clock,
     /// The machine's Init total, which [`Build::charge_init`] adds to.
     pub(crate) init_ns: &'a mut u64,
     /// The environment the machine runs in.
@@ -119,7 +123,7 @@ impl Build<'_> {
         let cost = INIT_NS_PER_PACKAGE * packages.len() as u64
             + INIT_NS_PER_PAGE * pages
             + per_env * self.program.envs.len() as u64;
-        self.cpu.clock_mut().advance(cost);
+        self.clock.advance(cost);
         *self.init_ns += cost;
     }
 
@@ -158,6 +162,98 @@ pub(crate) fn build(
     }))
 }
 
+/// One page table per execution environment, in install order, and the
+/// running environment's slot: LB_VTX's tables, whose active slot is
+/// CR3, and LB_PROC's address-space images, whose active slot is the
+/// running process. A switch looks its target up once, and a check
+/// reads the active slot directly. Slots are found by scanning for the
+/// [`EnvId`], never keyed by its value, which comes from the program
+/// descriptor and could be arbitrarily large.
+#[derive(Debug)]
+struct EnvTables {
+    tables: Vec<(EnvId, PageTable)>,
+    active: usize,
+}
+
+impl EnvTables {
+    /// Tables holding only `trusted`, which is active.
+    fn new(trusted: PageTable) -> EnvTables {
+        EnvTables {
+            tables: vec![(TRUSTED_ENV, trusted)],
+            active: 0,
+        }
+    }
+
+    /// A [`view_table`] for every environment of `program`, the trusted
+    /// one (named `trusted_name`) active.
+    fn of_views(program: &Program, trusted_name: &str) -> EnvTables {
+        let packages = &program.packages;
+        let mut tables = EnvTables::new(view_table(
+            packages,
+            trusted_name,
+            &program.envs[&TRUSTED_ENV].view,
+        ));
+        for (env, info) in &program.envs {
+            if *env != TRUSTED_ENV {
+                tables.install(*env, view_table(packages, &info.name, &info.view));
+            }
+        }
+        tables
+    }
+
+    /// Installs `env`'s table, replacing any previous one.
+    fn install(&mut self, env: EnvId, table: PageTable) {
+        match self.slot(env) {
+            Some(i) => self.tables[i].1 = table,
+            None => self.tables.push((env, table)),
+        }
+    }
+
+    fn slot(&self, env: EnvId) -> Option<usize> {
+        self.tables.iter().position(|(e, _)| *e == env)
+    }
+
+    /// The environment whose table is active.
+    fn current(&self) -> EnvId {
+        self.tables[self.active].0
+    }
+
+    /// `env`'s table.
+    fn table(&self, env: EnvId) -> Option<&PageTable> {
+        self.slot(env).map(|slot| &self.tables[slot].1)
+    }
+
+    /// The active table.
+    fn active_table(&self) -> &PageTable {
+        &self.tables[self.active].1
+    }
+
+    /// Checks a data access against the active table.
+    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
+        self.active_table().check(addr, len, needed)
+    }
+
+    /// Rewrites every environment's table for an arena `range` that now
+    /// belongs to `to`: mapped with the data rights *its* view grants
+    /// `to` (an R-only view yields read-only arena pages), unmapped where
+    /// it grants none.
+    fn remap_arena(&mut self, program: &Program, range: VirtRange, to: &str) {
+        for (env, table) in &mut self.tables {
+            let rights = program
+                .envs
+                .get(env)
+                .and_then(|info| info.view.get(to).copied())
+                .unwrap_or(Access::NONE)
+                .intersection(Access::RW);
+            if rights.is_none() {
+                table.unmap_range(range);
+            } else {
+                table.map_range(range, rights, 0);
+            }
+        }
+    }
+}
+
 /// A page table mapping exactly what `view` grants: every section of
 /// every viewed package, with the section's rights narrowed to the
 /// view's. LB_VTX's per-environment tables and LB_PROC's address-space
@@ -173,31 +269,4 @@ fn view_table(packages: &BTreeMap<String, Vec<Section>>, name: &str, view: &View
         }
     }
     table
-}
-
-/// Rewrites every environment's table for an arena `range` that now
-/// belongs to `to`: mapped with the data rights *its* view grants `to`
-/// (an R-only view yields read-only arena pages), unmapped where it
-/// grants none.
-fn remap_arena<T>(
-    hw: &mut T,
-    table_mut: fn(&mut T, EnvId) -> Option<&mut PageTable>,
-    program: &Program,
-    range: VirtRange,
-    to: &str,
-) {
-    for (env, info) in &program.envs {
-        let rights = info
-            .view
-            .get(to)
-            .copied()
-            .unwrap_or(Access::NONE)
-            .intersection(Access::RW);
-        let table = table_mut(hw, *env).expect("every environment has an installed table");
-        if rights.is_none() {
-            table.unmap_range(range);
-        } else {
-            table.map_range(range, rights, 0);
-        }
-    }
 }

@@ -3,19 +3,18 @@
 //!
 //! Every environment shares one page table whose pages carry the
 //! hardware key bound to their meta-package's *virtual* key; a switch
-//! is a WRPKRU to the target's PKRU image, and syscalls are checked by
-//! a seccomp-BPF program indexed on PKRU. At most 15 virtual keys are
-//! bound at a time: a switch demand-binds the target's working set,
-//! evicting the least-recently-used binding outside it with a
-//! `pkey_mprotect` sweep that parks the victim's pages non-present
-//! (libmpk's `PROT_NONE`).
+//! is a WRPKRU of the target's PKRU image into the live PKRU register
+//! this enforcer holds, and syscalls are checked by a seccomp-BPF
+//! program indexed on PKRU. At most 15 virtual keys are bound at a
+//! time: a switch demand-binds the target's working set, evicting the
+//! least-recently-used binding outside it with a `pkey_mprotect` sweep
+//! that parks the victim's pages non-present (libmpk's `PROT_NONE`).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use enclosure_hw::mpk::{Pkru, NUM_KEYS};
-use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
-use enclosure_hw::{Clock, Cpu, InjectionSite, VirtualKey, VirtualKeyTable};
+use enclosure_hw::{Clock, EnvId, InjectionSite, VirtualKey, VirtualKeyTable, TRUSTED_ENV};
 use enclosure_kernel::bpf;
 use enclosure_kernel::seccomp::{SeccompFilter, SeccompRule, SysPolicy};
 use enclosure_kernel::SyscallRecord;
@@ -57,6 +56,10 @@ pub(crate) struct Mpk {
     /// so pinning never introduces a failure the pure LRU would not
     /// have.
     hot: Vec<VirtualKey>,
+    /// The live PKRU register, written only by [`Mpk::write_pkru`]. A
+    /// rebuilt enforcer starts from its predecessor's value, and the
+    /// first from allow-all.
+    pkru: Pkru,
 }
 
 impl Mpk {
@@ -169,6 +172,7 @@ impl Mpk {
             }
         }
 
+        let old = b.old::<Mpk>();
         let mut mpk = Mpk {
             table,
             pkru_of_env: pkru_map(p, &vkeys, &vkey_of_meta),
@@ -177,10 +181,8 @@ impl Mpk {
             vkey_of_meta,
             filters: HashMap::new(),
             front: b.current,
-            hot: b
-                .old::<Mpk>()
-                .map(|old| old.hot.clone())
-                .unwrap_or_default(),
+            hot: old.map(|old| old.hot.clone()).unwrap_or_default(),
+            pkru: old.map_or(Pkru::allow_all(), |old| old.pkru),
         };
         mpk.load_filter(p, b.current)?;
         Ok(mpk)
@@ -221,7 +223,7 @@ impl Mpk {
     pub(crate) fn bind_package(
         &mut self,
         p: &Program,
-        cpu: &mut Cpu,
+        clock: &mut Clock,
         current: EnvId,
         meta: usize,
     ) -> Result<(), Fault> {
@@ -234,12 +236,12 @@ impl Mpk {
             );
         }
         pinned.push(self.vkey_of_meta[meta]);
-        self.bind(p, cpu, &pinned, meta)?;
+        self.bind(p, clock, &pinned, meta)?;
         // The freshly bound key must be usable from the running
         // environment right away.
         if self.refresh(p) {
             self.load_filter(p, current)?;
-            cpu.write_pkru(self.pkru_of_env[&current]);
+            self.write_pkru(clock, self.pkru_of_env[&current]);
         }
         Ok(())
     }
@@ -248,19 +250,13 @@ impl Mpk {
     /// `current`: the virtual-key table is consistent, and every hardware
     /// key the live PKRU grants rights on belongs to a meta-package whose
     /// rights in `current`'s view cover the grant.
-    pub(crate) fn stale_binding_violation(
-        &self,
-        p: &Program,
-        cpu: &Cpu,
-        current: EnvId,
-    ) -> Option<String> {
+    pub(crate) fn stale_binding_violation(&self, p: &Program, current: EnvId) -> Option<String> {
         if let Some(v) = self.vkeys.invariant_violation() {
             return Some(v);
         }
         let info = p.envs.get(&current)?;
-        let pkru = cpu.pkru();
         for hkey in 1..NUM_KEYS {
-            let granted = pkru.key_rights(hkey);
+            let granted = self.pkru.key_rights(hkey);
             if granted.is_none() {
                 continue;
             }
@@ -287,6 +283,15 @@ impl Mpk {
             }
         }
         None
+    }
+
+    /// Executes a WRPKRU: installs `pkru` in the live register and
+    /// charges it. Only LitterBox may execute WRPKRU (§5.3): `build`
+    /// rejects any other package whose text holds one.
+    fn write_pkru(&mut self, clock: &mut Clock, pkru: Pkru) {
+        clock.charge_wrpkru();
+        clock.record(Event::Wrpkru { pkru: pkru.bits() });
+        self.pkru = pkru;
     }
 
     /// Re-derives every PKRU image after the bindings moved, dropping
@@ -342,7 +347,7 @@ impl Mpk {
     fn bind(
         &mut self,
         p: &Program,
-        cpu: &mut Cpu,
+        clock: &mut Clock,
         pinned: &[VirtualKey],
         meta: usize,
     ) -> Result<(), Fault> {
@@ -361,17 +366,16 @@ impl Mpk {
                 .ok_or_else(|| {
                     Fault::Init("all 15 hardware keys are pinned by the current working set".into())
                 })?;
-            if cpu.clock_mut().should_inject(InjectionSite::PkeyMprotect) {
+            if clock.should_inject(InjectionSite::PkeyMprotect) {
                 return Err(Fault::Transient {
                     site: "pkey_mprotect",
                 });
             }
             let victim_hkey = self.vkeys.binding(victim).expect("candidate is bound");
-            let live = cpu.pkru();
-            if !live.key_rights(victim_hkey).is_none() {
-                let mut interim = live;
+            if !self.pkru.key_rights(victim_hkey).is_none() {
+                let mut interim = self.pkru;
                 interim.set_key_rights(victim_hkey, Access::NONE);
-                cpu.write_pkru(interim);
+                self.write_pkru(clock, interim);
             }
             let victim_meta = self
                 .vkey_of_meta
@@ -379,8 +383,7 @@ impl Mpk {
                 .position(|vk| *vk == victim)
                 .expect("every bound virtual key belongs to a meta-package");
             let pages = sweep(&mut self.table, p, &p.clustering.metas[victim_meta], None);
-            cpu.clock_mut()
-                .charge_key_evict_pages(victim.0, victim_hkey, pages);
+            clock.charge_key_evict_pages(victim.0, victim_hkey, pages);
             self.vkeys.unbind(victim);
         }
         let hkey = self
@@ -388,13 +391,13 @@ impl Mpk {
             .bind(v)
             .expect("a hardware key is free after the eviction");
         let pages = sweep(&mut self.table, p, &p.clustering.metas[meta], Some(hkey));
-        cpu.clock_mut().charge_key_bind_pages(v.0, hkey, pages);
+        clock.charge_key_bind_pages(v.0, hkey, pages);
         Ok(())
     }
 }
 
 impl Enforcer for Mpk {
-    fn switch(&mut self, p: &Program, cpu: &mut Cpu, target: EnvId) -> Result<(), Fault> {
+    fn switch(&mut self, p: &Program, clock: &mut Clock, target: EnvId) -> Result<(), Fault> {
         let Some(info) = p.envs.get(&target) else {
             return Err(Fault::UnknownEnclosure(EnclosureId(target.0)));
         };
@@ -422,7 +425,7 @@ impl Enforcer for Mpk {
                 )));
             }
             for meta in to_bind {
-                self.bind(p, cpu, &pinned, meta)?;
+                self.bind(p, clock, &pinned, meta)?;
             }
             for &v in &pinned {
                 self.vkeys.touch(v);
@@ -440,10 +443,10 @@ impl Enforcer for Mpk {
             .ok_or(Fault::UnknownEnclosure(EnclosureId(target.0)))?;
         // Injection fires before the write: PKRU keeps its old value and
         // nothing is charged, like a faulted WRPKRU.
-        if cpu.clock_mut().should_inject(InjectionSite::Wrpkru) {
+        if clock.should_inject(InjectionSite::Wrpkru) {
             return Err(Fault::Transient { site: "wrpkru" });
         }
-        cpu.write_pkru(pkru);
+        self.write_pkru(clock, pkru);
         Ok(())
     }
 
@@ -456,25 +459,25 @@ impl Enforcer for Mpk {
         });
     }
 
-    fn verdict(&self, _p: &Program, cpu: &Cpu, _env: EnvId, record: &SyscallRecord) -> bool {
+    fn verdict(&self, _p: &Program, _env: EnvId, record: &SyscallRecord) -> bool {
         self.filters
             .get(&self.front)
             .expect("the front environment's filter is compiled at switch")
-            .check(record.sysno, &record.args, cpu.pkru().bits())
+            .check(record.sysno, &record.args, self.pkru.bits())
     }
 
     fn filter(
         &mut self,
         p: &Program,
-        cpu: &mut Cpu,
+        clock: &mut Clock,
         env: EnvId,
         record: &SyscallRecord,
     ) -> Result<bool, Fault> {
-        cpu.clock_mut().charge_seccomp();
-        let allowed = self.verdict(p, cpu, env, record);
+        clock.charge_seccomp();
+        let allowed = self.verdict(p, env, record);
         // Every PKRU-indexed BPF evaluation is a verdict, trusted code
         // included (it pays the filter too, Table 1).
-        cpu.clock_mut().record(Event::SeccompVerdict {
+        clock.record(Event::SeccompVerdict {
             category: record.sysno.category().keyword(),
             allowed,
         });
@@ -493,8 +496,35 @@ impl Enforcer for Mpk {
         clock.charge_pkey_mprotect_pages(range.page_len());
     }
 
-    fn check(&self, cpu: &Cpu, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        cpu.check_mpk(&self.table, addr, len, needed)
+    /// Page rights first, then the live PKRU's key rights. A key denial
+    /// is a [`VmemError::PkeyFault`] carrying the key, the PKRU value
+    /// and the table's name: the root-cause trace.
+    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
+        self.table.check(addr, len, needed)?;
+        // Instruction fetches bypass PKRU entirely.
+        if (needed - Access::X).is_none() {
+            return Ok(());
+        }
+        for page in VirtRange::new(addr, len.max(1)).pages() {
+            let entry = self
+                .table
+                .entry(page.base())
+                .expect("checked by table.check");
+            if !self.pkru.allows(entry.key, needed) {
+                return Err(VmemError::PkeyFault {
+                    addr: if page == addr.page() {
+                        addr
+                    } else {
+                        page.base()
+                    },
+                    key: entry.key,
+                    needed,
+                    pkru: self.pkru.bits(),
+                    table: self.table.name().clone(),
+                });
+            }
+        }
+        Ok(())
     }
 
     fn describe(&self, env: EnvId, out: &mut String) {
@@ -591,4 +621,101 @@ fn sweep(
         pages += range.page_len();
     }
     pages
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use enclosure_hw::CostModel;
+    use enclosure_vmem::PAGE_SIZE;
+
+    /// An enforcer over `table` alone, PKRU allow-all as before the
+    /// first `Init`.
+    fn mpk_over(table: PageTable) -> Mpk {
+        Mpk {
+            table,
+            vkeys: VirtualKeyTable::new(),
+            vkey_of_meta: Vec::new(),
+            pkru_of_env: HashMap::new(),
+            pkru_epoch: 0,
+            filters: HashMap::new(),
+            front: TRUSTED_ENV,
+            hot: Vec::new(),
+            pkru: Pkru::allow_all(),
+        }
+    }
+
+    fn keyed_table() -> PageTable {
+        let mut t = PageTable::new("mpk");
+        t.map_range(VirtRange::new(Addr(0x10_000), PAGE_SIZE), Access::RW, 1);
+        t.map_range(
+            VirtRange::new(Addr(0x10_000 + PAGE_SIZE), PAGE_SIZE),
+            Access::RW,
+            2,
+        );
+        t
+    }
+
+    #[test]
+    fn pkru_gates_data_access_per_key() {
+        let mut mpk = mpk_over(keyed_table());
+        let mut clock = Clock::new(CostModel::free());
+        let mut pkru = Pkru::allow_all();
+        pkru.set_key_rights(2, Access::NONE);
+        mpk.write_pkru(&mut clock, pkru);
+
+        assert!(mpk.check(Addr(0x10_000), 8, Access::RW).is_ok());
+        let err = mpk
+            .check(Addr(0x10_000 + PAGE_SIZE), 8, Access::R)
+            .unwrap_err();
+        assert!(matches!(err, VmemError::PkeyFault { key: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn page_rights_checked_before_keys() {
+        let mpk = mpk_over(keyed_table());
+        // X not granted by the table: fails as a protection fault even
+        // though PKRU is permissive.
+        assert!(matches!(
+            mpk.check(Addr(0x10_000), 1, Access::X),
+            Err(VmemError::ProtectionFault { .. })
+        ));
+    }
+
+    #[test]
+    fn pure_execute_bypasses_pkru() {
+        let mut t = PageTable::new("mpk");
+        t.map_range(VirtRange::new(Addr(0x20_000), PAGE_SIZE), Access::RX, 3);
+        let mut mpk = mpk_over(t);
+        let mut clock = Clock::new(CostModel::free());
+        let mut pkru = Pkru::allow_all();
+        pkru.set_key_rights(3, Access::NONE);
+        mpk.write_pkru(&mut clock, pkru);
+        assert!(mpk.check(Addr(0x20_000), 1, Access::X).is_ok());
+        assert!(mpk.check(Addr(0x20_000), 1, Access::R).is_err());
+    }
+
+    #[test]
+    fn write_pkru_charges_cost() {
+        let mut mpk = mpk_over(keyed_table());
+        let mut clock = Clock::new(CostModel::paper());
+        mpk.write_pkru(&mut clock, Pkru::deny_all());
+        assert_eq!(clock.now_ns(), 20);
+        assert_eq!(clock.stats().wrpkru, 1);
+        assert_eq!(mpk.pkru, Pkru::deny_all());
+    }
+
+    #[test]
+    fn read_only_key_allows_read_denies_write() {
+        let mut mpk = mpk_over(keyed_table());
+        let mut clock = Clock::new(CostModel::free());
+        let mut pkru = Pkru::allow_all();
+        pkru.set_key_rights(1, Access::R);
+        mpk.write_pkru(&mut clock, pkru);
+        assert!(mpk.check(Addr(0x10_000), 4, Access::R).is_ok());
+        assert!(matches!(
+            mpk.check(Addr(0x10_000), 4, Access::W),
+            Err(VmemError::PkeyFault { .. })
+        ));
+    }
 }

@@ -54,8 +54,8 @@
 
 use std::sync::Arc;
 
-use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
 use enclosure_hw::InjectionSite;
+use enclosure_hw::{EnvId, TRUSTED_ENV};
 use enclosure_kernel::ring::{self, BatchOp, Completion, SyscallRing};
 use enclosure_kernel::Errno;
 use enclosure_telemetry::{Event, SpanScope};

@@ -8,7 +8,7 @@
 use std::error::Error;
 use std::fmt;
 
-use enclosure_hw::vtx::EnvId;
+use enclosure_hw::EnvId;
 use enclosure_kernel::{Errno, SyscallRecord};
 use enclosure_vmem::{Addr, VmemError};
 

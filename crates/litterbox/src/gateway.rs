@@ -6,8 +6,8 @@
 //! filter. Denials are [`Fault`]s (program-aborting); ordinary kernel
 //! failures are [`enclosure_kernel::Errno`]s the program may handle.
 
-use enclosure_hw::vtx::TRUSTED_ENV;
 use enclosure_hw::InjectionSite;
+use enclosure_hw::TRUSTED_ENV;
 use enclosure_kernel::fs::OpenFlags;
 use enclosure_kernel::net::SockAddr;
 use enclosure_kernel::{Errno, SyscallRecord, Sysno};

@@ -5,19 +5,22 @@
 //! crates) describes the program to LitterBox — its packages, sections,
 //! enclosures, and verified API call-sites — and LitterBox enforces each
 //! enclosure's *memory view* and *system-call filter* with one of three
-//! simulated mechanisms, each in its own module behind one enforcer
-//! trait:
+//! simulated mechanisms. Each is one file behind one enforcer trait and
+//! owns its mechanism's state; all of them charge the machine's
+//! [`Clock`](enclosure_hw::Clock):
 //!
 //! * [`Backend::Mpk`] — Intel Memory Protection Keys: one shared page
 //!   table whose entries carry 4-bit keys (one per *meta-package*, see
-//!   [`cluster`]), and a PKRU value per execution environment. Syscalls
-//!   are filtered by a compiled seccomp-BPF program indexed on PKRU.
-//! * [`Backend::Vtx`] — Intel VT-x: one page table per environment,
-//!   switches as guest syscalls rewriting CR3, host syscalls proxied via
-//!   VM EXIT hypercalls and filtered by the guest OS.
-//! * [`Backend::Proc`] — process sandboxes: one child process per
-//!   enclosure, crossings priced as IPC round-trips, enclosed syscalls
-//!   proxied to the supervisor behind per-process seccomp filters.
+//!   [`cluster`]), the live PKRU register, and a PKRU value per
+//!   execution environment. Syscalls are filtered by a compiled
+//!   seccomp-BPF program indexed on PKRU.
+//! * [`Backend::Vtx`] — Intel VT-x: one page table per environment
+//!   behind CR3, switches as guest syscalls rewriting CR3, host syscalls
+//!   proxied via VM EXIT hypercalls and filtered by the guest OS.
+//! * [`Backend::Proc`] — process sandboxes: one lazily forked child
+//!   process per enclosure and the supervisor's spawn ledger, crossings
+//!   priced as IPC round-trips, enclosed syscalls proxied to the
+//!   supervisor behind per-process seccomp filters.
 //! * [`Backend::Baseline`] — no enforcement; vanilla closures. This is the
 //!   paper's evaluation baseline.
 //!
@@ -74,6 +77,7 @@ pub use machine::{
     Backend, EnvContext, LitterBox, MpkKeyMode, SwitchToken, LB_SUPER_PKG, LB_USER_PKG,
 };
 
-pub use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
-pub use enclosure_hw::{InjectionPlan, InjectionSite, VirtualKey, VirtualKeyTable, VkeyLedger};
+pub use enclosure_hw::{
+    EnvId, InjectionPlan, InjectionSite, VirtualKey, VirtualKeyTable, VkeyLedger, TRUSTED_ENV,
+};
 pub use enclosure_kernel::ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};

@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem;
 use std::sync::Arc;
 
-use enclosure_hw::proc::SpawnRecord;
-use enclosure_hw::vtx::{EnvId, TRUSTED_ENV};
-use enclosure_hw::{Clock, CostModel, Cpu, HwStats, InjectionSite, VirtualKeyTable};
+use enclosure_hw::{
+    Clock, CostModel, EnvId, HwStats, InjectionSite, SpawnRecord, VirtualKeyTable, TRUSTED_ENV,
+};
 use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_kernel::{Kernel, SyscallRecord};
 use enclosure_telemetry::{Event, Recorder, SpanScope};
@@ -162,7 +162,7 @@ pub(crate) struct EnvInfo {
 
 /// What `Init` built from the descriptions — the part of the machine an
 /// enforcer reads, kept in one field so the machine can lend it out
-/// while it also lends out its CPU.
+/// while it also lends out its clock.
 #[derive(Debug, Default)]
 pub(crate) struct Program {
     /// Each package's sections (a `Transfer` moves arenas between them).
@@ -189,14 +189,14 @@ pub const LB_USER_PKG: &str = "litterbox.user";
 /// verification list; never mapped in user environments (§5.3).
 pub const LB_SUPER_PKG: &str = "litterbox.super";
 
-/// The LitterBox machine: address space, kernel, CPU, and enforcement
+/// The LitterBox machine: address space, kernel, clock, and enforcement
 /// state. See the crate docs for the API walkthrough.
 #[derive(Debug)]
 pub struct LitterBox {
     backend: Backend,
     space: AddressSpace,
     kernel: Kernel,
-    cpu: Cpu,
+    clock: Clock,
     program: Program,
     ranges: Vec<(VirtRange, String)>,
     enclosures: BTreeMap<EnclosureId, EnclosureDesc>,
@@ -220,18 +220,18 @@ impl LitterBox {
     /// the paper-calibrated cost model.
     #[must_use]
     pub fn new(backend: Backend) -> LitterBox {
-        LitterBox::with_parts(backend, Kernel::new(), CostModel::paper())
+        LitterBox::with_parts(backend, Kernel::new())
     }
 
     /// Creates a machine with a custom kernel (e.g.
-    /// [`Kernel::with_demo_home`]) and cost model.
+    /// [`Kernel::with_demo_home`]).
     #[must_use]
-    pub fn with_parts(backend: Backend, kernel: Kernel, model: CostModel) -> LitterBox {
+    pub fn with_parts(backend: Backend, kernel: Kernel) -> LitterBox {
         LitterBox {
             backend,
             space: AddressSpace::new(),
             kernel,
-            cpu: Cpu::new(Clock::new(model)),
+            clock: Clock::new(CostModel::paper()),
             program: Program::default(),
             ranges: Vec::new(),
             enclosures: BTreeMap::new(),
@@ -260,18 +260,18 @@ impl LitterBox {
     /// The simulated clock.
     #[must_use]
     pub fn clock(&self) -> &Clock {
-        self.cpu.clock()
+        &self.clock
     }
 
     /// Mutable clock access (workloads charge compute through this).
     pub fn clock_mut(&mut self) -> &mut Clock {
-        self.cpu.clock_mut()
+        &mut self.clock
     }
 
     /// Hardware event counters.
     #[must_use]
     pub fn stats(&self) -> HwStats {
-        self.cpu.clock().stats()
+        self.clock.stats()
     }
 
     /// The telemetry recorder: counters, trace ring, and span
@@ -279,17 +279,17 @@ impl LitterBox {
     /// hardware beneath it) did.
     #[must_use]
     pub fn telemetry(&self) -> &Recorder {
-        self.cpu.clock().recorder()
+        self.clock.recorder()
     }
 
     /// Mutable telemetry access (enable tracing, reset between runs).
     pub fn telemetry_mut(&mut self) -> &mut Recorder {
-        self.cpu.clock_mut().recorder_mut()
+        self.clock.recorder_mut()
     }
 
     /// Records a telemetry event at the current simulated time.
     fn record(&mut self, event: Event) {
-        self.cpu.clock_mut().record(event);
+        self.clock.record(event);
     }
 
     /// Records a fault event and hands the fault back (error-path
@@ -307,7 +307,7 @@ impl LitterBox {
     fn sync_enclosed_flag(&mut self) {
         let enclosed = self.current != TRUSTED_ENV;
         let env = self.current.0;
-        let clock = self.cpu.clock_mut();
+        let clock = &mut self.clock;
         let now = clock.now_ns();
         let rec = clock.recorder_mut();
         rec.set_enclosed(enclosed);
@@ -317,7 +317,7 @@ impl LitterBox {
     /// Current simulated time.
     #[must_use]
     pub fn now_ns(&self) -> u64 {
-        self.cpu.clock().now_ns()
+        self.clock.now_ns()
     }
 
     /// The kernel (load generators and assertions use it directly,
@@ -337,7 +337,7 @@ impl LitterBox {
     /// Splits the machine into the kernel and the clock, for out-of-band
     /// harness traffic that must still advance time.
     pub fn kernel_and_clock(&mut self) -> (&mut Kernel, &mut Clock) {
-        (&mut self.kernel, self.cpu.clock_mut())
+        (&mut self.kernel, &mut self.clock)
     }
 
     /// The program's address space.
@@ -484,7 +484,7 @@ impl LitterBox {
     #[must_use]
     pub fn stale_binding_violation(&self) -> Option<String> {
         self.enforcer::<Mpk>()?
-            .stale_binding_violation(&self.program, &self.cpu, self.current)
+            .stale_binding_violation(&self.program, self.current)
     }
 
     /// Rights the current environment's view grants on `package`.
@@ -534,7 +534,7 @@ impl LitterBox {
     fn init_with(&mut self, mut desc: ProgramDesc, incremental: bool) -> Result<(), Fault> {
         // Injected allocation failure fires before any description is
         // ingested, so a failed init leaves the machine untouched.
-        if self.cpu.clock_mut().should_inject(InjectionSite::InitAlloc) {
+        if self.clock.should_inject(InjectionSite::InitAlloc) {
             return Err(self.trace_fault(Fault::Transient { site: "init_alloc" }));
         }
         let before_ns = self.init_ns;
@@ -760,7 +760,7 @@ impl LitterBox {
             &mut Build {
                 program: &self.program,
                 space: &self.space,
-                cpu: &mut self.cpu,
+                clock: &mut self.clock,
                 init_ns: &mut self.init_ns,
                 current: self.current,
                 mpk_key_mode: self.mpk_key_mode,
@@ -831,8 +831,8 @@ impl LitterBox {
         if !self.enclosures.contains_key(&enclosure) {
             return Err(self.trace_fault(Fault::UnknownEnclosure(enclosure)));
         }
-        let switch_started_ns = self.cpu.clock().now_ns();
-        self.cpu.clock_mut().charge_callsite_check();
+        let switch_started_ns = self.clock.now_ns();
+        self.clock.charge_callsite_check();
         if !self.verif.contains(&callsite) {
             return Err(self.trace_fault(Fault::UnverifiedCallsite { addr: callsite }));
         }
@@ -851,7 +851,7 @@ impl LitterBox {
         // writes + any demand-bind sweep the switch triggered. Feeding
         // the measured delta (not a constant) keeps eviction tails
         // visible in the distribution.
-        let clock = self.cpu.clock_mut();
+        let clock = &mut self.clock;
         let delta = clock.now_ns().saturating_sub(switch_started_ns);
         clock.recorder_mut().record_op("switch_prolog", delta);
         Ok(SwitchToken {
@@ -887,7 +887,7 @@ impl LitterBox {
                 }
             })
             .unwrap_or_else(|| "-".into());
-        let clock = self.cpu.clock_mut();
+        let clock = &mut self.clock;
         let now = clock.now_ns();
         clock
             .recorder_mut()
@@ -921,7 +921,7 @@ impl LitterBox {
         // the enclosure span and the crossing bills the departing
         // environment.
         self.flush_batch_barrier();
-        let switch_started_ns = self.cpu.clock().now_ns();
+        let switch_started_ns = self.clock.now_ns();
         if let Err(e) = self.switch_hw(token.prev) {
             // The hardware write back to `prev` failed (e.g. an injected
             // WRPKRU/CR3 fault). Restore the nesting frame so the ledger
@@ -932,8 +932,8 @@ impl LitterBox {
         }
         self.current = token.prev;
         self.sync_enclosed_flag();
-        self.cpu.clock_mut().note_switch_pair();
-        let clock = self.cpu.clock_mut();
+        self.clock.note_switch_pair();
+        let clock = &mut self.clock;
         let now = clock.now_ns();
         if self.backend != Backend::Baseline {
             clock
@@ -959,13 +959,13 @@ impl LitterBox {
         if self.current == TRUSTED_ENV && self.stack.is_empty() {
             return;
         }
-        self.cpu.clock_mut().suspend_injection();
+        self.clock.suspend_injection();
         self.flush_batch_barrier();
         while let Some((prev, _seq)) = self.stack.pop() {
             let exited = self.current;
             self.current = prev;
-            self.cpu.clock_mut().note_switch_pair();
-            let clock = self.cpu.clock_mut();
+            self.clock.note_switch_pair();
+            let clock = &mut self.clock;
             let now = clock.now_ns();
             clock.recorder_mut().end_span(now);
             clock.record(Event::Epilog {
@@ -976,7 +976,7 @@ impl LitterBox {
         self.switch_hw(TRUSTED_ENV)
             .expect("the trusted environment is always installed");
         self.sync_enclosed_flag();
-        self.cpu.clock_mut().resume_injection();
+        self.clock.resume_injection();
     }
 
     /// `Execute`: the user-level scheduler's switch between unrelated
@@ -991,7 +991,7 @@ impl LitterBox {
         // must not carry another environment's batch with it.
         self.flush_batch_barrier();
         if self.backend != Backend::Baseline {
-            self.cpu.clock_mut().charge_callsite_check();
+            self.clock.charge_callsite_check();
             if !self.verif.contains(&callsite) {
                 return Err(self.trace_fault(Fault::UnverifiedCallsite { addr: callsite }));
             }
@@ -1017,7 +1017,7 @@ impl LitterBox {
     /// Moves the enforcer (if any) into `target`'s environment.
     fn switch_hw(&mut self, target: EnvId) -> Result<(), Fault> {
         match self.hw.as_deref_mut() {
-            Some(hw) => hw.switch(&self.program, &mut self.cpu, target),
+            Some(hw) => hw.switch(&self.program, &mut self.clock, target),
             None => Ok(()),
         }
     }
@@ -1082,7 +1082,7 @@ impl LitterBox {
             self.hw.as_ref().and_then(|hw| hw.transfer_site()),
         ];
         for site in sites.into_iter().flatten() {
-            if self.cpu.clock_mut().should_inject(site) {
+            if self.clock.should_inject(site) {
                 return Err(self.trace_fault(Fault::Transient { site: site.name() }));
             }
         }
@@ -1124,7 +1124,7 @@ impl LitterBox {
             to: to.to_owned(),
         });
         if let Some(hw) = self.hw.as_deref_mut() {
-            hw.transfer(&self.program, self.cpu.clock_mut(), range, to);
+            hw.transfer(&self.program, &mut self.clock, range, to);
         }
         Ok(())
     }
@@ -1157,7 +1157,7 @@ impl LitterBox {
             return Ok(());
         };
         let meta = self.program.clustering.meta_of[package];
-        mpk.bind_package(&self.program, &mut self.cpu, self.current, meta)
+        mpk.bind_package(&self.program, &mut self.clock, self.current, meta)
             .map_err(|e| self.trace_fault(e))
     }
 
@@ -1225,7 +1225,7 @@ impl LitterBox {
     /// [`Fault::SyscallDenied`] carrying the record and environment.
     pub fn filter_syscall(&mut self, record: SyscallRecord) -> Result<(), Fault> {
         let allowed = match self.hw.as_deref_mut() {
-            Some(hw) => hw.filter(&self.program, &mut self.cpu, self.current, &record),
+            Some(hw) => hw.filter(&self.program, &mut self.clock, self.current, &record),
             None => Ok(true),
         }
         .map_err(|e| self.trace_fault(e))?;
@@ -1271,14 +1271,14 @@ impl LitterBox {
     pub(crate) fn batch_entry_allowed(&self, record: &SyscallRecord) -> bool {
         self.hw
             .as_deref()
-            .is_none_or(|hw| hw.verdict(&self.program, &self.cpu, self.current, record))
+            .is_none_or(|hw| hw.verdict(&self.program, self.current, record))
     }
 
     /// Charges one batch flush's crossing out of `env` (nothing when
     /// nothing is enforced).
     pub(crate) fn charge_batch_crossing(&mut self, env: EnvId) {
         if let Some(hw) = self.hw.as_deref() {
-            hw.charge_crossing(self.cpu.clock_mut(), env);
+            hw.charge_crossing(&mut self.clock, env);
         }
     }
 
@@ -1288,9 +1288,7 @@ impl LitterBox {
 
     fn check_access(&self, addr: Addr, len: u64, needed: Access) -> Result<(), Fault> {
         match self.hw.as_deref() {
-            Some(hw) => hw
-                .check(&self.cpu, addr, len, needed)
-                .map_err(Fault::Memory),
+            Some(hw) => hw.check(addr, len, needed).map_err(Fault::Memory),
             None => Ok(()),
         }
     }

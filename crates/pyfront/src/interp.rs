@@ -4,8 +4,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use enclosure_core::{compute_view, Policy};
-use enclosure_hw::CostModel;
-use enclosure_kernel::Kernel;
 use enclosure_vmem::{Access, Addr, Section, SectionKind, PAGE_SIZE};
 use litterbox::deps::DepGraph;
 use litterbox::{
@@ -164,22 +162,7 @@ impl Interpreter {
     /// cannot be installed, which indicates a bug, not bad input.
     #[must_use]
     pub fn new(backend: Backend, mode: MetadataMode) -> Interpreter {
-        Interpreter::with_parts(backend, mode, Kernel::new(), CostModel::paper())
-    }
-
-    /// Like [`Interpreter::new`] with a custom kernel and cost model.
-    ///
-    /// # Panics
-    ///
-    /// As [`Interpreter::new`].
-    #[must_use]
-    pub fn with_parts(
-        backend: Backend,
-        mode: MetadataMode,
-        kernel: Kernel,
-        model: CostModel,
-    ) -> Interpreter {
-        let mut lb = LitterBox::with_parts(backend, kernel, model);
+        let mut lb = LitterBox::new(backend);
         let mut prog = ProgramDesc::new();
         let runtime_callsite = prog.verified_callsite();
         prog.add_package(&mut lb, "main", 1, 1, 1)

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// One telemetry event. Environment ids are raw `u32`s (the numeric
-/// half of `hw::vtx::EnvId`) so this crate stays at the bottom of the
+/// half of `hw::EnvId`) so this crate stays at the bottom of the
 /// dependency graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {

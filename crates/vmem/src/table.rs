@@ -44,8 +44,8 @@ impl PageEntry {
 /// * The **VT-x backend** creates one table per enclosure and switches the
 ///   simulated CR3 between them (§5.3).
 /// * The **MPK backend** uses a single shared table whose entries carry key
-///   tags; the per-environment state is the PKRU register, checked by the
-///   CPU layer on top of this table.
+///   tags; the per-environment state is the PKRU register, which the MPK
+///   enforcer holds and checks on top of this table.
 ///
 /// Entries sit in one slot per page, from the lowest page ever mapped up
 /// to the highest, so a check indexes instead of searching, like the
@@ -197,7 +197,7 @@ impl PageTable {
     /// checks the page at `addr`.
     ///
     /// This is the page-rights half of the access check; the MPK key/PKRU
-    /// half lives in the CPU layer, which has the register state.
+    /// half lives in the MPK enforcer, which holds the register.
     ///
     /// # Errors
     ///

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification gate: build, full test suite, formatting, clippy,
-# rustdoc.
+# Offline verification gate: build, full test suite, the examples,
+# formatting, clippy, rustdoc.
 # Every claim about `repro` output is a test in `cargo test`.
 # The container has no network access — everything must resolve from
 # the in-tree workspace (no crates.io dependencies, see DESIGN.md §6).
@@ -16,6 +16,13 @@ cargo test -q --workspace --offline
 echo "== tier-1 gate (root package) =="
 cargo build --release --offline
 cargo test -q --offline
+
+echo "== examples (release; each must exit 0) =="
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    cargo run -q --release --offline --example "$name" > /dev/null
+done
 
 echo "== formatting =="
 cargo fmt --all --check

@@ -279,3 +279,45 @@ enclosure_support::props! {
         );
     }
 }
+
+/// A rebuild whose closing switch fails after an eviction sweep has
+/// written an interim PKRU is rolled back whole: the old enforcer comes
+/// back with the PKRU it had, so the running enclosure still reaches its
+/// own package and the live PKRU grants nothing stale. An interim PKRU
+/// left behind would revoke a key the restored bindings still give the
+/// enclosure, and its own loads would hit a `PkeyFault`.
+#[test]
+fn rolled_back_rebuilds_restore_the_live_pkru() {
+    for n in [15, 16, 20] {
+        for i in 0..n {
+            let ctx = format!("{n} enclosures, inside enc{i:02}");
+            let mut lab = build(n);
+            let token = lab
+                .lb
+                .prolog(EnclosureId(i as u32 + 1), lab.callsite)
+                .unwrap();
+            // Any rebuild re-enters the running environment with a
+            // WRPKRU; fail that write.
+            lab.lb
+                .clock_mut()
+                .arm_injection(InjectionPlan::once(InjectionSite::Wrpkru));
+            let j = (i + 1) % n;
+            let view = [(format!("pkg{j:02}"), Access::R)].into_iter().collect();
+            let err = lab
+                .lb
+                .update_enclosure_view(EnclosureId(j as u32 + 1), view)
+                .unwrap_err();
+            lab.lb.clock_mut().disarm_injection();
+            assert!(
+                matches!(err, litterbox::Fault::Transient { site: "wrpkru" }),
+                "{ctx}: {err}"
+            );
+            assert_invariants(&lab, &ctx);
+            assert!(
+                lab.lb.load(lab.data[i], 8).is_ok(),
+                "{ctx}: own package unreachable after the rollback"
+            );
+            lab.lb.epilog(token).unwrap();
+        }
+    }
+}

@@ -238,10 +238,11 @@ enclosure_support::props! {
 enclosure_support::props! {
     /// A rejected `Init`, incremental `Init` or view update returns a
     /// `Fault::Init` and leaves the machine as it was — same
-    /// environments, same current environment — so the corrected
-    /// description succeeds on the same machine and its enclosure
-    /// round-trips. The rejected call may come from inside an enclosure,
-    /// as a dynamic import does.
+    /// environments, same current environment, a live PKRU that grants
+    /// no more than the current view — so the corrected description
+    /// succeeds on the same machine and its enclosure round-trips. The
+    /// rejected call may come from inside an enclosure, as a dynamic
+    /// import does.
     fn rejected_init_leaves_the_machine_reusable(rng, cases = 96) {
         let backend =
             *rng.choose(&[Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc]);
@@ -302,6 +303,7 @@ enclosure_support::props! {
         assert!(matches!(err, Fault::Init(_)), "{case}: {err:?}");
         assert_eq!(lb.describe_environments(), envs, "{case}");
         assert_eq!(lb.current_env(), current, "{case}");
+        assert_eq!(lb.stale_binding_violation(), None, "{case}");
 
         match op {
             InitOp::Init => {
@@ -317,6 +319,7 @@ enclosure_support::props! {
             }
         }
         .unwrap_or_else(|e| panic!("{case}: corrected description rejected: {e}"));
+        assert_eq!(lb.stale_binding_violation(), None, "{case}: corrected");
         if let Some(token) = inside {
             lb.epilog(token).unwrap();
         }
