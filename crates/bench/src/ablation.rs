@@ -172,7 +172,7 @@ impl KeyVirtualizationStudy {
 ///
 /// # Errors
 ///
-/// Build or switch faults — notably, any `OutOfKeys` leaking through
+/// Build or switch faults — notably, any key exhaustion leaking through
 /// virtualization would surface here as a [`Fault::Init`].
 pub fn key_virtualization_study(
     enclosures: usize,

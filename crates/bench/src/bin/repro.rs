@@ -426,7 +426,7 @@ impl Opts {
         };
         let shards = match value(&SHARDS) {
             None => None,
-            Some(text) => Some(text.parse().map_err(|_| "--shards wants a shard count")?),
+            Some(text) => Some(count(text).ok_or("--shards wants a shard count >= 1")?),
         };
         let app = match value(&APP) {
             None | Some("wiki") => FleetApp::Wiki,

@@ -182,6 +182,24 @@ fn bad_trace_value_fails_fast() {
     }
 }
 
+/// `--shards=` rejects a count below 1 the same way: `--shards=0` used
+/// to run one shard, print "1 shards" and exit 0.
+#[test]
+fn bad_shards_value_fails_fast() {
+    for command in ["fleet", "monitor"] {
+        for bad in ["--shards=x", "--shards=0"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+                .args([command, "--quick", bad])
+                .output()
+                .expect("spawn repro");
+            assert_eq!(out.status.code(), Some(1), "{command} {bad} must exit 1");
+            assert!(out.stdout.is_empty(), "{command} {bad}: nothing runs");
+            let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+            assert!(stderr.contains("--shards wants"), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn bad_backend_value_fails_fast() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))

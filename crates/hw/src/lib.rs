@@ -1,19 +1,15 @@
 //! Simulated hardware for the Enclosure reproduction: the clock and
-//! cost model every isolation mechanism is priced by, and the MPK
-//! primitives the LB_MPK backend is built from.
+//! cost model every isolation mechanism is priced by.
 //!
-//! The mechanisms themselves — LB_MPK's live PKRU register, LB_VTX's
-//! per-environment page tables behind CR3, LB_PROC's sandbox children —
-//! are state of their enforcer in the `litterbox` crate, one file per
-//! backend. This crate holds what they share:
+//! The mechanisms themselves — LB_MPK's protection keys and live PKRU
+//! register, LB_VTX's per-environment page tables behind CR3, LB_PROC's
+//! sandbox children — are state of their enforcer in the `litterbox`
+//! crate, one file per backend. This crate holds what they share:
 //!
 //! * [`Clock`] and [`CostModel`] — simulated time and the price of each
 //!   primitive (WRPKRU, CR3 write, VM EXIT, `fork`, pipe message, ...);
 //! * [`InjectionPlan`] — seeded fault injection at each mechanism's
 //!   sites;
-//! * **Intel MPK** (§5.3) — the [`mpk::Pkru`] register encoding (access
-//!   and write-disable bits for each of 16 keys), the hardware
-//!   [`mpk::KeyAllocator`], and the libmpk-style [`VirtualKeyTable`];
 //! * [`EnvId`], which every backend keys its state by, and the
 //!   [`SpawnRecord`]s of LB_PROC's spawn ledger.
 //!
@@ -29,15 +25,13 @@
 //! # Example
 //!
 //! ```
-//! use enclosure_hw::{mpk::Pkru, Clock, CostModel};
-//! use enclosure_vmem::Access;
+//! use enclosure_hw::{Clock, CostModel};
 //!
 //! let mut clock = Clock::new(CostModel::paper());
-//! let mut pkru = Pkru::allow_all();
-//! pkru.set_key_rights(3, Access::NONE); // lock key 3
-//! clock.charge_wrpkru();
-//! assert!(!pkru.allows(3, Access::R));
-//! assert!(pkru.allows(2, Access::RW));
+//! clock.charge_wrpkru(); // an LB_MPK switch: one WRPKRU
+//! clock.charge_vm_exit(); // an LB_VTX syscall: one VM EXIT round trip
+//! assert_eq!(clock.now_ns(), 20 + 3_739);
+//! assert_eq!(clock.stats().wrpkru, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,11 +41,8 @@ mod clock;
 mod cost;
 mod env;
 pub mod inject;
-pub mod mpk;
-pub mod vkey;
 
 pub use clock::{Clock, HwStats};
 pub use cost::CostModel;
 pub use env::{EnvId, SpawnRecord, TRUSTED_ENV};
 pub use inject::{InjectionPlan, InjectionSite};
-pub use vkey::{VirtualKey, VirtualKeyTable, VkeyLedger};

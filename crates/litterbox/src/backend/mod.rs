@@ -2,8 +2,9 @@
 //! [`Enforcer`] that owns its mechanism's state.
 //!
 //! * [`mpk`] — Intel MPK (`LB_MPK`): one shared page table whose pages
-//!   carry virtual keys, the live PKRU register and a PKRU image per
-//!   environment, and a seccomp program indexed on PKRU.
+//!   carry their meta-package's hardware key, the key table binding
+//!   metas to the 15 usable keys, the live PKRU register and a PKRU
+//!   image per environment, and a seccomp program indexed on PKRU.
 //! * [`vtx`] — Intel VT-x (`LB_VTX`): one page table per environment
 //!   behind CR3, CR3 switches, and syscalls proxied through VM EXITs.
 //! * [`proc`] — process sandboxes (`LB_PROC`): one lazily forked child

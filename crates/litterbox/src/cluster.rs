@@ -3,12 +3,14 @@
 //! "LitterBox performs an important optimization by clustering the
 //! packages across all memory views that have the same access rights.
 //! This clustering creates larger, logical meta-packages that can be
-//! efficiently managed." For LB_MPK, each meta-package consumes one
-//! *virtual* protection key. Under libmpk-style key virtualization
-//! (`hw::vkey`, the default) clustering is purely an optimization — it
-//! shrinks the working set of keys a switch must bind, reducing
-//! evictions; in [`crate::MpkKeyMode::Static`] it is what decides
-//! whether a program fits the 15 allocatable hardware keys at all.
+//! efficiently managed." For LB_MPK, each meta-package needs one
+//! protection key while it is bound. Under libmpk-style key
+//! virtualization ([`crate::MpkKeyMode::Virtual`], the default), where
+//! the LB_MPK enforcer's key table multiplexes the hardware keys over
+//! the metas, clustering is purely an optimization — it shrinks the
+//! working set of keys a switch must bind, reducing evictions; in
+//! [`crate::MpkKeyMode::Static`] it is what decides whether a program
+//! fits the 15 allocatable hardware keys at all.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +22,8 @@ use crate::{EnclosureDesc, EnclosureId};
 /// enclosure memory view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaPackage {
-    /// Dense index (LB_MPK maps it to protection key `index + 1`).
+    /// Dense index: the row of LB_MPK's key table, which binds it to
+    /// a hardware key on demand.
     pub index: usize,
     /// Member package names.
     pub members: Vec<String>,

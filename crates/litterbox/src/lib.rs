@@ -70,6 +70,7 @@ mod gateway;
 mod machine;
 pub mod scan;
 
+pub use backend::mpk::KeyLedger;
 pub use batch::{CompletionToken, GatewayMode};
 pub use desc::{EnclosureDesc, EnclosureId, PackageDesc, PackageLayout, ProgramDesc, ViewMap};
 pub use fault::{Fault, SysError};
@@ -77,7 +78,5 @@ pub use machine::{
     Backend, EnvContext, LitterBox, MpkKeyMode, SwitchToken, LB_SUPER_PKG, LB_USER_PKG,
 };
 
-pub use enclosure_hw::{
-    EnvId, InjectionPlan, InjectionSite, VirtualKey, VirtualKeyTable, VkeyLedger, TRUSTED_ENV,
-};
+pub use enclosure_hw::{EnvId, InjectionPlan, InjectionSite, TRUSTED_ENV};
 pub use enclosure_kernel::ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};

@@ -6,15 +6,13 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::mem;
 use std::sync::Arc;
 
-use enclosure_hw::{
-    Clock, CostModel, EnvId, HwStats, InjectionSite, SpawnRecord, VirtualKeyTable, TRUSTED_ENV,
-};
+use enclosure_hw::{Clock, CostModel, EnvId, HwStats, InjectionSite, SpawnRecord, TRUSTED_ENV};
 use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_kernel::{Kernel, SyscallRecord};
 use enclosure_telemetry::{Event, Recorder, SpanScope};
 use enclosure_vmem::{Access, Addr, AddressSpace, ProtectionKey, Section, SectionKind, VirtRange};
 
-use crate::backend::mpk::Mpk;
+use crate::backend::mpk::{KeyLedger, Mpk};
 use crate::backend::proc::Proc;
 use crate::backend::{self, Build, Enforcer};
 use crate::cluster::{cluster, Clustering};
@@ -82,9 +80,10 @@ pub enum MpkKeyMode {
     /// needs more than 15 keys (the pre-virtualization behavior; kept
     /// for the ablation that measures the wall).
     Static,
-    /// libmpk-style virtualization (the default): meta-packages hold
-    /// *virtual* keys without bound, and an LRU cache binds at most 15
-    /// of them to hardware keys at a time, re-tagging pages on demand.
+    /// libmpk-style virtualization (the default): any number of
+    /// meta-packages, each its own virtual key, share the hardware keys
+    /// through an LRU cache that binds at most 15 of them at a time,
+    /// re-tagging pages on demand.
     /// Only an enclosure whose own working set exceeds 15 meta-packages
     /// is rejected.
     #[default]
@@ -431,12 +430,6 @@ impl LitterBox {
         self.enforcer::<Proc>().map(Proc::spawn_ledger)
     }
 
-    /// How LB_MPK maps meta-packages onto hardware keys.
-    #[must_use]
-    pub fn mpk_key_mode(&self) -> MpkKeyMode {
-        self.mpk_key_mode
-    }
-
     /// Selects the LB_MPK key-mapping mode. On an initialized machine
     /// the environments are rebuilt immediately, so a switch to
     /// [`MpkKeyMode::Static`] surfaces key exhaustion right here.
@@ -457,12 +450,11 @@ impl LitterBox {
         Ok(())
     }
 
-    /// The virtual-key table behind LB_MPK, when that backend is active:
-    /// bindings, LRU state, and the bind/evict ledger. `None` on other
-    /// backends.
+    /// LB_MPK's binding traffic since its last rebuild: binds,
+    /// evictions, and the metas bound now. `None` on other backends.
     #[must_use]
-    pub fn virtual_keys(&self) -> Option<&VirtualKeyTable> {
-        self.enforcer::<Mpk>().map(Mpk::vkeys)
+    pub fn key_ledger(&self) -> Option<KeyLedger> {
+        self.enforcer::<Mpk>().map(Mpk::key_ledger)
     }
 
     /// The hardware key currently backing `package`'s meta-package
@@ -477,10 +469,9 @@ impl LitterBox {
     /// Checks the LB_MPK stale-binding security invariant: every
     /// hardware key the *live* PKRU register grants rights on must be
     /// owned by a meta-package whose rights in the current environment's
-    /// view cover that grant, and the virtual-key table must be
-    /// structurally consistent. Returns a description of the first
-    /// violation, or `None` when the invariant holds (trivially on
-    /// non-MPK backends).
+    /// view cover that grant, and the key table must be structurally
+    /// consistent. Returns a description of the first violation, or
+    /// `None` when the invariant holds (trivially on non-MPK backends).
     #[must_use]
     pub fn stale_binding_violation(&self) -> Option<String> {
         self.enforcer::<Mpk>()?
@@ -1169,22 +1160,23 @@ impl LitterBox {
     /// LRU prefers any other victim while one exists. Advisory — when
     /// everything else is hard-pinned by the running working set a hot
     /// meta is still evicted, so pinning can never introduce a failure
-    /// the pure LRU would not have. Replaces any previous hot set;
-    /// a no-op (beyond validation) on non-MPK backends.
+    /// the pure LRU would not have. The pins name packages, so they
+    /// survive a rebuild that renumbers the meta-packages. Replaces any
+    /// previous hot set; a no-op (beyond validation) on non-MPK
+    /// backends.
     ///
     /// # Errors
     ///
     /// [`Fault::UnknownPackage`] for unregistered names.
     pub fn pin_hot_packages(&mut self, packages: &[&str]) -> Result<(), Fault> {
-        let mut metas = Vec::with_capacity(packages.len());
-        for pkg in packages {
-            let Some(&meta) = self.program.clustering.meta_of.get(*pkg) else {
-                return Err(self.trace_fault(Fault::UnknownPackage((*pkg).to_owned())));
-            };
-            metas.push(meta);
+        if let Some(pkg) = packages
+            .iter()
+            .find(|pkg| !self.program.packages.contains_key(**pkg))
+        {
+            return Err(self.trace_fault(Fault::UnknownPackage((*pkg).to_owned())));
         }
         if let Some(mpk) = backend::downcast_mut::<Mpk>(self.hw.as_deref_mut()) {
-            mpk.pin_hot(&metas);
+            mpk.pin_hot(packages);
         }
         Ok(())
     }

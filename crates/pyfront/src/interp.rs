@@ -856,7 +856,16 @@ impl PyCtx<'_> {
         self.py.enclosure_stack.push(name.to_owned());
         let result = self.call(&enc.entry, arg);
         self.py.enclosure_stack.pop();
-        self.py.lb.epilog(token)?;
+        if let Err(epilog_fault) = self.py.lb.epilog(token) {
+            // The switch back failed (e.g. an injected WRPKRU/CR3
+            // fault). Containment: force the machine back to trusted
+            // and prefer the body's own fault as the root cause.
+            self.py.lb.recover_to_trusted();
+            return Err(match result {
+                Err(body_fault) => body_fault,
+                Ok(_) => epilog_fault,
+            });
+        }
         result
     }
 }
@@ -864,6 +873,7 @@ impl PyCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litterbox::{InjectionPlan, InjectionSite};
 
     fn setup(backend: Backend, mode: MetadataMode) -> Interpreter {
         let mut py = Interpreter::new(backend, mode);
@@ -1142,6 +1152,49 @@ mod tests {
             .unwrap();
         let err = py.call_enclosed("narrow", PyValue::None).unwrap_err();
         assert!(matches!(err, Fault::Escalation { .. }), "{err}");
+    }
+
+    /// A failed epilog is contained: the interpreter is back in the
+    /// trusted environment, the caller sees the body's own fault when
+    /// there is one (the epilog's otherwise), and the next enclosed call
+    /// runs normally.
+    #[test]
+    fn failed_epilogs_restore_the_trusted_environment() {
+        for body_fails in [false, true] {
+            let mut py = setup(Backend::Vtx, MetadataMode::CoLocated);
+            py.register_fn("plotlib.render", move |ctx, _arg| {
+                ctx.lb_mut()
+                    .clock_mut()
+                    .arm_injection(InjectionPlan::once(InjectionSite::Cr3Write));
+                if body_fails {
+                    return Err(Fault::Init("render failed".into()));
+                }
+                Ok(PyValue::None)
+            });
+            py.declare_enclosure("plot", "plotlib.render", &[], "none")
+                .unwrap();
+            let err = py.call_enclosed("plot", PyValue::None).unwrap_err();
+            if body_fails {
+                assert!(
+                    matches!(err, Fault::Init(ref m) if m == "render failed"),
+                    "{err}"
+                );
+            } else {
+                assert!(
+                    matches!(err, Fault::Transient { site: "cr3_write" }),
+                    "{err}"
+                );
+            }
+            assert_eq!(
+                py.lb().current_env(),
+                TRUSTED_ENV,
+                "body_fails={body_fails}"
+            );
+            py.register_fn("plotlib.render", |_ctx, _arg| Ok(PyValue::Int(1)));
+            let out = py.call_enclosed("plot", PyValue::None).unwrap();
+            assert_eq!(out, PyValue::Int(1), "body_fails={body_fails}");
+            assert_eq!(py.lb().current_env(), TRUSTED_ENV);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification gate: build, full test suite, the examples,
-# formatting, clippy, rustdoc.
+# Offline verification gate: build, full test suite (release and
+# debug), the examples, formatting, clippy, rustdoc.
 # Every claim about `repro` output is a test in `cargo test`.
 # The container has no network access — everything must resolve from
 # the in-tree workspace (no crates.io dependencies, see DESIGN.md §6).
@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 
 echo "== build (release, workspace) =="
 cargo build --release --workspace --offline
+
+# Release builds wrap on overflow and compile out `debug_assert!`, so a
+# bug can show in one profile only: run the tests in both.
+echo "== tests (workspace, release) =="
+cargo test --release -q --workspace --offline
 
 echo "== tests (workspace) =="
 cargo test -q --workspace --offline

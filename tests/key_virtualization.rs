@@ -1,5 +1,5 @@
-//! Property suite for libmpk-style key virtualization (ISSUE: lifting
-//! the 15-enclosure LB_MPK wall).
+//! Property suite for libmpk-style key virtualization (lifting the
+//! 15-enclosure LB_MPK wall).
 //!
 //! The machine under test hosts `n` enclosures with pairwise-disjoint
 //! views — far past the 15 hardware keys — and the properties drive
@@ -56,21 +56,16 @@ fn build(n: usize) -> Lab {
 /// Asserts the structural and security invariants that must hold after
 /// *every* operation.
 fn assert_invariants(lab: &Lab, ctx: &str) {
-    let vkeys = lab.lb.virtual_keys().expect("MPK backend");
-    assert_eq!(
-        vkeys.invariant_violation(),
-        None,
-        "{ctx}: virtual-key table corrupt"
-    );
+    // The check covers the key table's own consistency first.
     assert_eq!(
         lab.lb.stale_binding_violation(),
         None,
-        "{ctx}: live PKRU grants rights through a stale binding"
+        "{ctx}: key table corrupt, or live PKRU grants rights through a stale binding"
     );
-    let ledger = vkeys.ledger();
+    let ledger = lab.lb.key_ledger().expect("MPK backend");
     assert_eq!(
         ledger.binds,
-        ledger.evictions + vkeys.bound() as u64,
+        ledger.evictions + ledger.bound as u64,
         "{ctx}: bind/evict ledger does not balance the resident set"
     );
 }
@@ -145,11 +140,10 @@ enclosure_support::props! {
             let i = rng.range_usize(0, n);
             call(&mut lab, i, n, rng);
         }
-        let vkeys = lab.lb.virtual_keys().unwrap();
-        let ledger = vkeys.ledger();
+        let ledger = lab.lb.key_ledger().unwrap();
         let stats = lab.lb.stats();
         let counters = *lab.lb.telemetry().counters();
-        assert_eq!(ledger.binds, ledger.evictions + vkeys.bound() as u64);
+        assert_eq!(ledger.binds, ledger.evictions + ledger.bound as u64);
         assert_eq!(stats.key_evictions, ledger.evictions, "every eviction is charged");
         assert_eq!(stats.key_binds, counters.key_binds, "stats vs telemetry");
         assert_eq!(stats.key_evictions, counters.key_evictions, "stats vs telemetry");
@@ -197,7 +191,7 @@ enclosure_support::props! {
             .filter(|i| lab.lb.hardware_key_of(&format!("pkg{i:02}")).is_none())
             .collect();
         let target = *rng.choose(&parked);
-        let before_ledger = lab.lb.virtual_keys().unwrap().ledger();
+        let before_ledger = lab.lb.key_ledger().unwrap();
         let before_resident: Vec<bool> = (0..n)
             .map(|i| lab.lb.hardware_key_of(&format!("pkg{i:02}")).is_some())
             .collect();
@@ -221,7 +215,7 @@ enclosure_support::props! {
             .collect();
         assert_eq!(before_resident, after_resident, "bindings must be untouched");
         assert_eq!(
-            lab.lb.virtual_keys().unwrap().ledger(),
+            lab.lb.key_ledger().unwrap(),
             before_ledger,
             "no bind or eviction may be ledgered for a failed sweep"
         );
@@ -235,7 +229,7 @@ enclosure_support::props! {
         call(&mut lab, target, n, rng);
     }
 
-    /// `OutOfKeys` never reaches the application: any enclosure count
+    /// Key exhaustion never reaches the application: any enclosure count
     /// up to twice the hardware limit initializes and runs, and demand
     /// binding (`bind_package`) lets trusted code reach parked packages.
     fn out_of_keys_never_surfaces(rng, cases = 10) {
@@ -320,4 +314,56 @@ fn rolled_back_rebuilds_restore_the_live_pkru() {
             lab.lb.epilog(token).unwrap();
         }
     }
+}
+
+/// Keys evicted by five rounds of ablation 2b's skewed trace (a burst of
+/// the four hot enclosures, then a scan of all twenty) after an
+/// incremental `Init` adds a package `a0`. It sorts first, so it takes
+/// meta 0 and every other meta's index shifts by one. `pin` says
+/// whether pkg00–pkg03 are pinned hot before that `Init`, after it, or
+/// not at all.
+fn evictions_after_renumbering(pin: Option<Pin>) -> u64 {
+    const HOT: [&str; 4] = ["pkg00", "pkg01", "pkg02", "pkg03"];
+    let n = 20;
+    let mut lab = build(n);
+    if pin == Some(Pin::BeforeInit) {
+        lab.lb.pin_hot_packages(&HOT).unwrap();
+    }
+    let mut prog = ProgramDesc::new();
+    prog.add_package(&mut lab.lb, "a0", 1, 1, 1).unwrap();
+    lab.lb.init_incremental(prog).unwrap();
+    if pin == Some(Pin::AfterInit) {
+        lab.lb.pin_hot_packages(&HOT).unwrap();
+    }
+    let before = lab.lb.stats().key_evictions;
+    for _ in 0..5 {
+        for i in (0..HOT.len()).chain(0..n) {
+            let token = lab
+                .lb
+                .prolog(EnclosureId(i as u32 + 1), lab.callsite)
+                .unwrap();
+            lab.lb.epilog(token).unwrap();
+        }
+    }
+    assert_invariants(&lab, "after the skewed trace");
+    lab.lb.stats().key_evictions - before
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pin {
+    BeforeInit,
+    AfterInit,
+}
+
+/// Hot pins name packages, so a rebuild that renumbers the metas keeps
+/// pinning the same packages: pinning before the incremental `Init`
+/// evicts exactly as many keys as pinning after it, and fewer than no
+/// pins at all.
+#[test]
+fn hot_pins_survive_a_renumbering_rebuild() {
+    let before = evictions_after_renumbering(Some(Pin::BeforeInit));
+    let after = evictions_after_renumbering(Some(Pin::AfterInit));
+    let unpinned = evictions_after_renumbering(None);
+    assert_eq!(before, after, "pins moved to other packages in the rebuild");
+    assert!(after < unpinned, "pinned {after} vs unpinned {unpinned}");
 }
