@@ -13,9 +13,7 @@
 //! kernel's network — the stand-in for the external Postgres instance of
 //! Figure 5 (○4/○5).
 
-use std::collections::HashMap;
-
-use enclosure_support::Shared;
+use enclosure_support::{IdMap, Shared};
 
 use enclosure_kernel::net::{ipv4, Network, SockAddr};
 use litterbox::{Fault, LitterBox, SysError};
@@ -31,8 +29,8 @@ pub fn postgres_addr() -> SockAddr {
 pub fn install_postgres(
     net: &mut Network,
     pages: &[(&str, &str)],
-) -> Shared<HashMap<String, String>> {
-    let store: Shared<HashMap<String, String>> = Shared::new(
+) -> Shared<IdMap<String, String>> {
+    let store: Shared<IdMap<String, String>> = Shared::new(
         pages
             .iter()
             .map(|(t, b)| ((*t).to_owned(), (*b).to_owned()))
@@ -121,7 +119,7 @@ mod tests {
     use super::*;
     use litterbox::Backend;
 
-    fn machine_with_db() -> (LitterBox, Shared<HashMap<String, String>>) {
+    fn machine_with_db() -> (LitterBox, Shared<IdMap<String, String>>) {
         let mut lb = LitterBox::new(Backend::Baseline);
         let mut prog = litterbox::ProgramDesc::new();
         prog.add_package(&mut lb, "pq", 1, 1, 1).unwrap();

@@ -15,10 +15,8 @@
 //!   renders HTML ○7. It holds the page templates and the database
 //!   password, which neither enclosure can reach.
 
-use std::collections::HashMap;
-
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
-use enclosure_support::Shared;
+use enclosure_support::{IdMap, Shared};
 use enclosure_telemetry::{Event, Histogram};
 use litterbox::{Backend, BatchOp, Fault, SysError};
 
@@ -44,7 +42,7 @@ pub const PQ_BREAKER_COOLDOWN: u32 = 16;
 pub struct WikiApp {
     rt: GoRuntime,
     /// The simulated Postgres page store, for assertions.
-    pub db: Shared<HashMap<String, String>>,
+    pub db: Shared<IdMap<String, String>>,
     latency: Shared<Histogram>,
 }
 
@@ -154,7 +152,7 @@ impl WikiApp {
         let srv_tally = tally.clone();
         // Accept timestamp per live connection; closed out into the
         // latency histogram when the reply (or 503) leaves.
-        let mut accept_ns: HashMap<u32, u64> = HashMap::new();
+        let mut accept_ns: IdMap<u32, u64> = IdMap::default();
         let latency = self.latency.clone();
         self.rt
             .spawn_enclosed("wiki-server", "server_enc", move |ctx| {

@@ -1,7 +1,9 @@
 //! Program assembly: packages, the dependence graph, and enclosure
 //! registration over a LitterBox machine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use enclosure_support::IdMap;
 
 use enclosure_vmem::Addr;
 use litterbox::deps::DepGraph;
@@ -94,7 +96,7 @@ impl AppBuilder {
                 name: self.name,
                 graph,
                 layouts,
-                callsites: HashMap::new(),
+                callsites: IdMap::default(),
                 loc,
             },
             next_enclosure_id: 1,
@@ -108,7 +110,7 @@ pub struct AppInfo {
     name: String,
     graph: DepGraph,
     layouts: BTreeMap<String, PackageLayout>,
-    callsites: HashMap<EnclosureId, Addr>,
+    callsites: IdMap<EnclosureId, Addr>,
     loc: BTreeMap<String, u64>,
 }
 

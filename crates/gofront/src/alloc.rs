@@ -8,7 +8,9 @@
 //! `Transfer`." Freed spans return to a pool and may be reused by a
 //! *different* package — which triggers another `Transfer` (§4.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use enclosure_support::IdMap;
 
 use enclosure_vmem::{Addr, VirtRange, PAGE_SIZE};
 use litterbox::{Fault, LitterBox};
@@ -57,7 +59,7 @@ pub struct AllocStats {
 pub struct SpanAllocator {
     spans: Vec<Span>,
     /// (package, class) → spans with free slots.
-    partial: HashMap<(String, u64), Vec<usize>>,
+    partial: IdMap<(String, u64), Vec<usize>>,
     /// Fully free spans, reusable by any package.
     pool: Vec<usize>,
     /// Span start address → span index (for `free`).

@@ -1,10 +1,10 @@
 //! The Go runtime extended for enclosures: function registry, enclosure
 //! invocation, allocator integration, scheduler loop, and the trusted GC.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use enclosure_kernel::Kernel;
+use enclosure_support::IdMap;
 use enclosure_vmem::Addr;
 use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
 
@@ -80,7 +80,7 @@ impl GoProgram {
         Ok(GoRuntime {
             lb,
             image,
-            functions: HashMap::new(),
+            functions: IdMap::default(),
             allocator: SpanAllocator::new(),
             sched: Scheduler::default(),
             pkg_stack: vec!["main".to_owned()],
@@ -97,7 +97,7 @@ impl GoProgram {
 pub struct GoRuntime {
     lb: LitterBox,
     image: ElfImage,
-    functions: HashMap<String, FnBox>,
+    functions: IdMap<String, FnBox>,
     allocator: SpanAllocator,
     sched: Scheduler,
     pkg_stack: Vec<String>,

@@ -8,6 +8,7 @@
 //! scrapes the stack for caller secrets (the classic in-process
 //! info-leak) faults instead.
 
+use enclosure_support::IdMap;
 use enclosure_vmem::{Addr, VirtRange, PAGE_SIZE};
 use litterbox::{Fault, LitterBox};
 
@@ -33,7 +34,7 @@ struct Segment {
 #[derive(Debug, Default)]
 pub struct SplitStack {
     segments: Vec<Segment>,
-    pools: std::collections::HashMap<String, Vec<VirtRange>>,
+    pools: IdMap<String, Vec<VirtRange>>,
 }
 
 impl SplitStack {

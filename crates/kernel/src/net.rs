@@ -11,7 +11,9 @@
 //! answer either way, and a long-running server that repeats a query
 //! does not grow it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+
+use enclosure_support::{IdMap, IdSet};
 use std::fmt;
 
 use crate::Errno;
@@ -91,11 +93,11 @@ enum Peer {
 /// The simulated network.
 #[derive(Default)]
 pub struct Network {
-    sockets: HashMap<SocketId, SocketState>,
-    listeners: HashMap<SockAddr, SocketId>,
-    remotes: HashMap<SockAddr, Option<Responder>>,
+    sockets: IdMap<SocketId, SocketState>,
+    listeners: IdMap<SockAddr, SocketId>,
+    remotes: IdMap<SockAddr, Option<Responder>>,
     /// Distinct payloads sent off-box, per destination.
-    exfil: HashMap<SockAddr, HashSet<Vec<u8>>>,
+    exfil: IdMap<SockAddr, IdSet<Vec<u8>>>,
     next_id: u32,
 }
 
@@ -139,7 +141,7 @@ impl Network {
     }
 
     fn exfil_len(&self) -> usize {
-        self.exfil.values().map(HashSet::len).sum()
+        self.exfil.values().map(IdSet::len).sum()
     }
 
     /// Creates a fresh socket.

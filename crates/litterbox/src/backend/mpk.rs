@@ -12,18 +12,18 @@
 //! least-recently-used binding outside it with a `pkey_mprotect` sweep
 //! that parks the victim's pages non-present (libmpk's `PROT_NONE`).
 
-use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 
 use enclosure_hw::{Clock, EnvId, InjectionSite, TRUSTED_ENV};
 use enclosure_kernel::bpf;
 use enclosure_kernel::seccomp::{SeccompFilter, SeccompRule, SysPolicy};
 use enclosure_kernel::SyscallRecord;
+use enclosure_support::{IdMap, IdSet};
 use enclosure_telemetry::Event;
 use enclosure_vmem::{Access, Addr, PageTable, ProtectionKey, VirtRange, VmemError, NO_KEY};
 
 use super::{Build, Enforcer};
-use crate::cluster::{Clustering, MetaPackage};
+use crate::cluster::MetaPackage;
 use crate::desc::{EnclosureId, ViewMap};
 use crate::fault::Fault;
 use crate::machine::{MpkKeyMode, Program, LB_SUPER_PKG, LB_USER_PKG};
@@ -291,12 +291,17 @@ pub(crate) struct Mpk {
     /// PKRU images per environment, valid at `pkru_epoch`. They depend
     /// only on the bindings (not on which environment is in front), so
     /// one recompute serves every switch until the bindings move.
-    pkru_of_env: HashMap<EnvId, Pkru>,
+    pkru_of_env: IdMap<EnvId, Pkru>,
     pkru_epoch: u64,
     /// Compiled seccomp programs per front environment. Emptied whenever
     /// the bindings move (the PKRU values the rules index on all move),
     /// so whatever it holds is fresh.
-    filters: HashMap<EnvId, SeccompFilter>,
+    filters: IdMap<EnvId, SeccompFilter>,
+    /// Each enclosure's working set: the metas its view touches, minus
+    /// `litterbox.super` (never bound), in meta order. The keys it needs
+    /// resident while it runs. Views and the clustering change only
+    /// through a rebuild, which builds a new enforcer.
+    working_sets: IdMap<EnvId, Vec<usize>>,
     /// Environment whose filter is loaded (the one syscalls are checked
     /// against).
     front: EnvId,
@@ -327,7 +332,8 @@ impl Mpk {
             for section in sections {
                 if let Some(addr) = crate::scan::scan_section(b.space, section) {
                     return Err(Fault::Init(format!(
-                        "package '{name}' contains a PKRU-writing instruction at {addr}                              (section {}); only LitterBox may execute WRPKRU",
+                        "package '{name}' contains a PKRU-writing instruction at {addr} \
+                         (section {}); only LitterBox may execute WRPKRU",
                         section.name()
                     )));
                 }
@@ -344,7 +350,7 @@ impl Mpk {
         // (seccomp indexes on PKRU).
         let mut env_ids: Vec<EnvId> = p.envs.keys().copied().collect();
         env_ids.sort();
-        let mut seen_sig: HashMap<Vec<Access>, (&str, &SysPolicy)> = HashMap::new();
+        let mut seen_sig: IdMap<Vec<Access>, (&str, &SysPolicy)> = IdMap::default();
         for env in &env_ids {
             let info = &p.envs[env];
             let sig: Vec<Access> = clustering
@@ -369,6 +375,17 @@ impl Mpk {
         }
 
         let super_meta = clustering.meta_of.get(LB_SUPER_PKG).copied();
+        let working_sets: IdMap<EnvId, Vec<usize>> = p
+            .envs
+            .iter()
+            .filter(|(env, _)| **env != TRUSTED_ENV)
+            .map(|(env, info)| {
+                let metas = clustering.metas.iter().filter(|m| {
+                    Some(m.index) != super_meta && !meta_rights(m, &info.view).is_none()
+                });
+                (*env, metas.map(|m| m.index).collect())
+            })
+            .collect();
         match b.mpk_key_mode {
             MpkKeyMode::Static => {
                 // One hardware key per meta for the program's lifetime.
@@ -387,17 +404,16 @@ impl Mpk {
                 // single environment's working set must still fit the
                 // hardware at once.
                 for env in &env_ids {
-                    if *env == TRUSTED_ENV {
+                    let Some(set) = working_sets.get(env) else {
                         continue;
-                    }
-                    let info = &p.envs[env];
-                    let pinned = working_set(clustering, &info.view).count();
-                    if pinned > MAX_BOUND_KEYS {
+                    };
+                    if set.len() > MAX_BOUND_KEYS {
                         return Err(Fault::Init(format!(
-                            "enclosure '{}' views {pinned} meta-packages at once, \
+                            "enclosure '{}' views {} meta-packages at once, \
                              more than the {MAX_BOUND_KEYS} hardware keys key \
                              virtualization can bind simultaneously",
-                            info.name
+                            p.envs[env].name,
+                            set.len()
                         )));
                     }
                 }
@@ -428,7 +444,8 @@ impl Mpk {
             pkru_of_env: pkru_map(p, &keys),
             pkru_epoch: keys.epoch,
             keys,
-            filters: HashMap::new(),
+            filters: IdMap::default(),
+            working_sets,
             front: b.current,
             hot: old.map(|old| old.hot.clone()).unwrap_or_default(),
             pkru: old.map_or(Pkru::allow_all(), |old| old.pkru),
@@ -458,11 +475,10 @@ impl Mpk {
     }
 
     /// Demand-binds meta-package `meta` from environment `current`
-    /// (libmpk's `pkey_sync`), with `current`'s resident working set
-    /// pinned so the bind never evicts what the running code needs, then
-    /// re-grants under the new bindings. Under
-    /// [`MpkKeyMode::Static`] every meta is bound for life, so this only
-    /// refreshes its LRU stamp.
+    /// (libmpk's `pkey_sync`), with `current`'s working set pinned so the
+    /// bind never evicts what the running code needs, then re-grants
+    /// under the new bindings. Under [`MpkKeyMode::Static`] every meta
+    /// is bound for life, so this only refreshes its LRU stamp.
     pub(crate) fn bind_package(
         &mut self,
         p: &Program,
@@ -470,16 +486,7 @@ impl Mpk {
         current: EnvId,
         meta: usize,
     ) -> Result<(), Fault> {
-        let mut pinned: Vec<usize> = Vec::new();
-        if current != TRUSTED_ENV {
-            pinned.extend(
-                working_set(&p.clustering, &p.envs[&current].view)
-                    .map(|m| m.index)
-                    .filter(|&m| self.keys.key(m).is_some()),
-            );
-        }
-        pinned.push(meta);
-        self.bind(p, clock, &pinned, meta)?;
+        self.bind(p, clock, current, meta)?;
         // The freshly bound key must be usable from the running
         // environment right away.
         if self.refresh(p) {
@@ -557,7 +564,7 @@ impl Mpk {
         let mut env_ids: Vec<EnvId> = p.envs.keys().copied().collect();
         env_ids.sort_by_key(|e| (*e != env, *e));
         let mut rules: Vec<SeccompRule> = Vec::new();
-        let mut seen: HashSet<u32> = HashSet::new();
+        let mut seen: IdSet<u32> = IdSet::default();
         for e in env_ids {
             let pkru = self.pkru_of_env[&e];
             if seen.insert(pkru.bits()) {
@@ -574,18 +581,19 @@ impl Mpk {
     }
 
     /// Binds `meta` to a hardware key, evicting the least-recently-used
-    /// binding outside `pinned` when no hardware key is free (sparing
-    /// the hot pins while any other victim exists). The eviction sweep
-    /// is a `pkey_mprotect` that can be injected to fail; the check fires
-    /// before any mutation, so a failed sweep leaves the victim's binding
-    /// and the live PKRU intact. Before the sweep, any live PKRU grant on
-    /// the recycled key is revoked: the running environment must never
-    /// keep rights on a key about to tag someone else's pages.
+    /// binding outside `env`'s working set when no hardware key is free
+    /// (sparing the hot pins while any other victim exists). The
+    /// eviction sweep is a `pkey_mprotect` that can be injected to fail;
+    /// the check fires before any mutation, so a failed sweep leaves the
+    /// victim's binding and the live PKRU intact. Before the sweep, any
+    /// live PKRU grant on the recycled key is revoked: the running
+    /// environment must never keep rights on a key about to tag someone
+    /// else's pages.
     fn bind(
         &mut self,
         p: &Program,
         clock: &mut Clock,
-        pinned: &[usize],
+        env: EnvId,
         meta: usize,
     ) -> Result<(), Fault> {
         if self.keys.key(meta).is_some() {
@@ -593,6 +601,7 @@ impl Mpk {
             return Ok(());
         }
         if self.keys.is_full() {
+            let pinned = self.working_sets.get(&env).map_or(&[][..], Vec::as_slice);
             let hot = self
                 .hot
                 .iter()
@@ -632,35 +641,24 @@ impl Mpk {
 
 impl Enforcer for Mpk {
     fn switch(&mut self, p: &Program, clock: &mut Clock, target: EnvId) -> Result<(), Fault> {
-        let Some(info) = p.envs.get(&target) else {
+        if !p.envs.contains_key(&target) {
             return Err(Fault::UnknownEnclosure(EnclosureId(target.0)));
-        };
+        }
         // Bind the target's working set before granting anything. A
         // no-op when every needed meta is already resident (the common
         // case the Table 1 switch costs are pinned to); otherwise this
         // is where libmpk's LRU multiplexing pays its `pkey_mprotect`
-        // sweeps.
-        if target != TRUSTED_ENV {
-            let pinned: Vec<usize> = working_set(&p.clustering, &info.view)
-                .map(|m| m.index)
-                .collect();
-            if pinned.len() > MAX_BOUND_KEYS {
-                return Err(Fault::Init(format!(
-                    "enclosure '{}' pins {} meta-packages at once, more than \
-                     the {MAX_BOUND_KEYS} hardware keys",
-                    info.name,
-                    pinned.len()
-                )));
+        // sweeps, over a copy of the set, since `bind` borrows the whole
+        // enforcer.
+        if let Some(set) = self.working_sets.get(&target) {
+            if set.iter().any(|&m| self.keys.key(m).is_none()) {
+                for meta in set.clone() {
+                    if self.keys.key(meta).is_none() {
+                        self.bind(p, clock, target, meta)?;
+                    }
+                }
             }
-            let to_bind: Vec<usize> = pinned
-                .iter()
-                .copied()
-                .filter(|&m| self.keys.key(m).is_none())
-                .collect();
-            for meta in to_bind {
-                self.bind(p, clock, &pinned, meta)?;
-            }
-            for &meta in &pinned {
+            for &meta in &self.working_sets[&target] {
                 self.keys.touch(meta);
             }
         }
@@ -776,24 +774,11 @@ fn meta_rights(meta: &MetaPackage, view: &ViewMap) -> Access {
         .unwrap_or(Access::NONE)
 }
 
-/// The metas a view touches, minus `litterbox.super` (never bound): the
-/// keys an environment needs resident while it runs.
-fn working_set<'a>(
-    clustering: &'a Clustering,
-    view: &'a ViewMap,
-) -> impl Iterator<Item = &'a MetaPackage> + 'a {
-    let super_meta = clustering.meta_of.get(LB_SUPER_PKG).copied();
-    clustering
-        .metas
-        .iter()
-        .filter(move |m| Some(m.index) != super_meta && !meta_rights(m, view).is_none())
-}
-
 /// Every environment's PKRU image under the current bindings: data
 /// rights on every *resident* meta's hardware key, access-disable
 /// everywhere else. Parked metas need no PKRU bit at all — their pages
 /// are non-present.
-fn pkru_map(p: &Program, keys: &KeyTable) -> HashMap<EnvId, Pkru> {
+fn pkru_map(p: &Program, keys: &KeyTable) -> IdMap<EnvId, Pkru> {
     p.envs
         .iter()
         .map(|(env, info)| {
@@ -868,9 +853,10 @@ mod tests {
         Mpk {
             table,
             keys: KeyTable::default(),
-            pkru_of_env: HashMap::new(),
+            pkru_of_env: IdMap::default(),
             pkru_epoch: 0,
-            filters: HashMap::new(),
+            filters: IdMap::default(),
+            working_sets: IdMap::default(),
             front: TRUSTED_ENV,
             hot: Vec::new(),
             pkru: Pkru::allow_all(),

@@ -16,12 +16,12 @@
 //! spawn in its ledger. A crashed child is reaped, and respawned on the
 //! next switch into it.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use enclosure_hw::{Clock, EnvId, InjectionSite, SpawnRecord, TRUSTED_ENV};
 use enclosure_kernel::seccomp::SeccompFilter;
 use enclosure_kernel::SyscallRecord;
+use enclosure_support::IdMap;
 use enclosure_vmem::{Access, Addr, VirtRange, VmemError};
 
 use super::{Build, Enforcer, EnvTables};
@@ -55,21 +55,21 @@ pub(crate) struct Proc {
     images: EnvTables,
     /// Every child forked so far, by environment (a crashed child keeps
     /// its pid until it is respawned).
-    children: HashMap<EnvId, Child>,
+    children: IdMap<EnvId, Child>,
     /// The supervisor's spawn ledger: every `fork` in order, respawns
     /// flagged.
     ledger: Vec<SpawnRecord>,
     /// One per-process seccomp program per environment, compiled at
     /// build and installed into each child at fork time. Process
     /// identity replaces LB_MPK's PKRU dispatch.
-    filters: HashMap<EnvId, SeccompFilter>,
+    filters: IdMap<EnvId, SeccompFilter>,
 }
 
 impl Proc {
     pub(crate) fn build(b: &mut Build<'_>) -> Result<Proc, Fault> {
         b.charge_init(INIT_NS_PER_ENV);
         let p = b.program;
-        let mut filters = HashMap::new();
+        let mut filters = IdMap::default();
         for (env, info) in &p.envs {
             let filter = SeccompFilter::compile_process(&info.policy)
                 .map_err(|e| Fault::Init(format!("per-process seccomp compile failed: {e}")))?;
@@ -94,10 +94,10 @@ impl Proc {
     }
 
     /// A sandbox with no child forked yet, the supervisor running.
-    fn new(images: EnvTables, filters: HashMap<EnvId, SeccompFilter>) -> Proc {
+    fn new(images: EnvTables, filters: IdMap<EnvId, SeccompFilter>) -> Proc {
         Proc {
             images,
-            children: HashMap::new(),
+            children: IdMap::default(),
             ledger: Vec::new(),
             filters,
         }
@@ -269,7 +269,7 @@ mod tests {
     fn sandbox() -> Proc {
         let mut sb = Proc::new(
             EnvTables::new(table("supervisor", 0x10_000, 4, Access::RWX)),
-            HashMap::new(),
+            IdMap::default(),
         );
         sb.images
             .install(EnvId(1), table("rcl", 0x10_000, 1, Access::R));
@@ -435,7 +435,7 @@ mod tests {
     fn checks_use_active_address_space() {
         let mut sb = Proc::new(
             EnvTables::new(table("supervisor", 0x10_000, 4, Access::RWX)),
-            HashMap::new(),
+            IdMap::default(),
         );
         sb.images
             .install(EnvId(1), table("rcl", 0x10_000, 4, Access::R));

@@ -2,13 +2,14 @@
 //! checked memory access. The enforcement mechanisms live in
 //! [`crate::backend`]; this module is what every backend shares.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::mem;
 use std::sync::Arc;
 
 use enclosure_hw::{Clock, CostModel, EnvId, HwStats, InjectionSite, SpawnRecord, TRUSTED_ENV};
 use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_kernel::{Kernel, SyscallRecord};
+use enclosure_support::{IdMap, IdSet};
 use enclosure_telemetry::{Event, Recorder, SpanScope};
 use enclosure_vmem::{Access, Addr, AddressSpace, ProtectionKey, Section, SectionKind, VirtRange};
 
@@ -154,9 +155,28 @@ impl Default for EnvContext {
 /// One execution environment: a view and a syscall policy.
 #[derive(Debug, Clone)]
 pub(crate) struct EnvInfo {
-    pub(crate) name: String,
+    /// The environment's name, which also names its enclosure's spans.
+    pub(crate) name: Arc<str>,
+    /// The package its enclosure's spans are attributed to (see
+    /// [`span_package`]); `-` for the trusted environment.
+    pub(crate) span_package: Arc<str>,
     pub(crate) view: ViewMap,
     pub(crate) policy: SysPolicy,
+}
+
+/// The package `enc`'s spans are attributed to: what the programmer
+/// marked (the `#[enclose]` roots), not whatever view entry happens to
+/// sort first, since the view is mostly derived dependency closure.
+fn span_package(enc: &EnclosureDesc) -> Arc<str> {
+    if enc.marked.is_empty() {
+        enc.view
+            .keys()
+            .filter(|p| p.as_str() != LB_USER_PKG)
+            .min()
+            .map_or_else(|| "-".into(), |p| p.as_str().into())
+    } else {
+        enc.marked.join("+").into()
+    }
 }
 
 /// What `Init` built from the descriptions — the part of the machine an
@@ -167,7 +187,7 @@ pub(crate) struct Program {
     /// Each package's sections (a `Transfer` moves arenas between them).
     pub(crate) packages: BTreeMap<String, Vec<Section>>,
     /// The execution environments, trusted included.
-    pub(crate) envs: HashMap<EnvId, EnvInfo>,
+    pub(crate) envs: IdMap<EnvId, EnvInfo>,
     /// The meta-package clustering across every view.
     pub(crate) clustering: Clustering,
 }
@@ -199,7 +219,7 @@ pub struct LitterBox {
     program: Program,
     ranges: Vec<(VirtRange, String)>,
     enclosures: BTreeMap<EnclosureId, EnclosureDesc>,
-    verif: HashSet<Addr>,
+    verif: IdSet<Addr>,
     /// The backend's enforcer: `None` on Baseline, and on every backend
     /// before the first `Init`.
     hw: Option<Box<dyn Enforcer>>,
@@ -234,7 +254,7 @@ impl LitterBox {
             program: Program::default(),
             ranges: Vec::new(),
             enclosures: BTreeMap::new(),
-            verif: HashSet::new(),
+            verif: IdSet::default(),
             hw: None,
             current: TRUSTED_ENV,
             stack: Vec::new(),
@@ -360,7 +380,7 @@ impl LitterBox {
     /// Name of an environment (for traces).
     #[must_use]
     pub fn env_name(&self, env: EnvId) -> &str {
-        self.program.envs.get(&env).map_or("?", |e| e.name.as_str())
+        self.program.envs.get(&env).map_or("?", |e| &e.name)
     }
 
     /// The meta-package clustering computed at init.
@@ -697,11 +717,12 @@ impl LitterBox {
 
         // Enclosure views are augmented with the always-available
         // litterbox.user package.
-        let mut envs: HashMap<EnvId, EnvInfo> = HashMap::new();
+        let mut envs: IdMap<EnvId, EnvInfo> = IdMap::default();
         envs.insert(
             TRUSTED_ENV,
             EnvInfo {
                 name: "trusted".into(),
+                span_package: "-".into(),
                 view: trusted_view.clone(),
                 policy: SysPolicy::all(),
             },
@@ -712,7 +733,8 @@ impl LitterBox {
             envs.insert(
                 EnvId(enc.id.0),
                 EnvInfo {
-                    name: enc.name.clone(),
+                    name: enc.name.as_str().into(),
+                    span_package: span_package(enc),
                     view,
                     policy: enc.policy.clone(),
                 },
@@ -733,7 +755,7 @@ impl LitterBox {
             if *env != TRUSTED_ENV {
                 cluster_inputs.push(EnclosureDesc {
                     id: EnclosureId(env.0),
-                    name: info.name.clone(),
+                    name: info.name.to_string(),
                     view: info.view.clone(),
                     policy: info.policy.clone(),
                     marked: vec![],
@@ -853,36 +875,21 @@ impl LitterBox {
     }
 
     /// Opens the telemetry span for `enclosure` and records the prolog
-    /// event.
+    /// event. The span's names were built with the environment, so an
+    /// entry only clones them.
     fn enter_span(&mut self, enclosure: EnclosureId) {
-        let name: Arc<str> = self.enclosures.get(&enclosure).map_or_else(
-            || format!("enc#{}", enclosure.0).into(),
-            |e| e.name.as_str().into(),
-        );
-        let package: Arc<str> = self
-            .enclosures
-            .get(&enclosure)
-            .and_then(|e| {
-                // Attribute the span to what the programmer marked (the
-                // `#[enclose]` roots), not to whatever view entry happens
-                // to sort first — the view is mostly derived dependency
-                // closure.
-                if e.marked.is_empty() {
-                    e.view
-                        .keys()
-                        .filter(|p| p.as_str() != LB_USER_PKG)
-                        .min()
-                        .map(|p| Arc::from(p.as_str()))
-                } else {
-                    Some(e.marked.join("+").into())
-                }
-            })
-            .unwrap_or_else(|| "-".into());
+        let env = EnvId(enclosure.0);
+        let scope = match self.program.envs.get(&env) {
+            Some(info) if env != TRUSTED_ENV => SpanScope::new(
+                Arc::clone(&info.name),
+                Arc::clone(&info.span_package),
+                enclosure.0,
+            ),
+            _ => SpanScope::new(format!("enc#{}", enclosure.0), "-", enclosure.0),
+        };
         let clock = &mut self.clock;
         let now = clock.now_ns();
-        clock
-            .recorder_mut()
-            .begin_span(now, SpanScope::new(name, package, enclosure.0));
+        clock.recorder_mut().begin_span(now, scope);
         clock.record(Event::Prolog {
             enclosure: enclosure.0,
         });
@@ -1025,16 +1032,16 @@ impl LitterBox {
             let held = from.view.get(pkg).copied().unwrap_or(Access::NONE);
             if !rights.is_subset_of(held) {
                 return Err(Fault::Escalation {
-                    from: from.name.clone(),
-                    to: to.name.clone(),
+                    from: from.name.to_string(),
+                    to: to.name.to_string(),
                     detail: format!("would gain {rights} on '{pkg}' (held {held})"),
                 });
             }
         }
         if !to.policy.is_subset_of(&from.policy) {
             return Err(Fault::Escalation {
-                from: from.name.clone(),
-                to: to.name.clone(),
+                from: from.name.to_string(),
+                to: to.name.to_string(),
                 detail: format!(
                     "would widen syscalls from [{}] to [{}]",
                     from.policy, to.policy
@@ -1953,7 +1960,17 @@ mod tests {
             .write(layout.text_start() + 100, &crate::scan::WRPKRU)
             .unwrap();
         let err = lb.init(prog).unwrap_err();
-        assert!(matches!(err, Fault::Init(msg) if msg.contains("WRPKRU")));
+        let Fault::Init(msg) = err else {
+            panic!("expected an Init fault, got {err}")
+        };
+        assert_eq!(
+            msg,
+            format!(
+                "package 'evil' contains a PKRU-writing instruction at {} (section \
+                 evil.text); only LitterBox may execute WRPKRU",
+                layout.text_start() + 100
+            )
+        );
 
         // The same program loads fine under LB_VTX (no PKRU to protect).
         let mut lb = LitterBox::new(Backend::Vtx);

@@ -1,9 +1,10 @@
 //! The simulated CPython interpreter with enclosure support.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use enclosure_core::{compute_view, Policy};
+use enclosure_support::IdMap;
 use enclosure_vmem::{Access, Addr, Section, SectionKind, PAGE_SIZE};
 use litterbox::deps::DepGraph;
 use litterbox::{
@@ -80,11 +81,11 @@ type FnBox = Arc<dyn Fn(&mut PyCtx<'_>, PyValue) -> Result<PyValue, Fault> + Sen
 pub struct Interpreter {
     lb: LitterBox,
     mode: MetadataMode,
-    registry: HashMap<String, PyModuleDef>,
+    registry: IdMap<String, PyModuleDef>,
     loaded: BTreeSet<String>,
-    functions: HashMap<String, FnBox>,
-    enclosures: HashMap<String, PyEnclosure>,
-    objects: HashMap<u64, ObjInfo>,
+    functions: IdMap<String, FnBox>,
+    enclosures: IdMap<String, PyEnclosure>,
+    objects: IdMap<u64, ObjInfo>,
     allocator: crate::interp::bump::BumpArenas,
     gc_young: Option<Addr>,
     gc_old: Option<Addr>,
@@ -113,13 +114,13 @@ impl std::fmt::Debug for Interpreter {
 /// the address space and `Transfer`red into the owning module.
 mod bump {
     use super::{Addr, Fault, LitterBox, PAGE_SIZE};
-    use std::collections::HashMap;
+    use enclosure_support::IdMap;
 
     const CHUNK_PAGES: u64 = 16;
 
     #[derive(Debug, Default)]
     pub struct BumpArenas {
-        cursors: HashMap<String, (Addr, u64)>, // (next, remaining)
+        cursors: IdMap<String, (Addr, u64)>, // (next, remaining)
     }
 
     impl BumpArenas {
@@ -176,11 +177,11 @@ impl Interpreter {
         Interpreter {
             lb,
             mode,
-            registry: HashMap::new(),
+            registry: IdMap::default(),
             loaded,
-            functions: HashMap::new(),
-            enclosures: HashMap::new(),
-            objects: HashMap::new(),
+            functions: IdMap::default(),
+            enclosures: IdMap::default(),
+            objects: IdMap::default(),
             allocator: bump::BumpArenas::default(),
             gc_young: None,
             gc_old: None,
@@ -327,7 +328,7 @@ impl Interpreter {
             .enclosures
             .get(&current)
             .expect("stack holds known enclosures");
-        let restricted: HashMap<&str, Access> = enc
+        let restricted: IdMap<&str, Access> = enc
             .policy
             .modifiers()
             .iter()

@@ -9,6 +9,9 @@
 //!   `proptest` strategy sampling).
 //! * [`prop`] — a deterministic property-loop harness built on the PRNG
 //!   (replaces the `proptest!` macro for our property tests).
+//! * [`hash`] — [`IdMap`] and [`IdSet`], hash maps under a fixed
+//!   multiply-rotate hasher for keys the simulator makes itself
+//!   (replaces `rustc-hash`).
 //! * [`sync`] — [`Shared`], an `Arc<Mutex<T>>` with `RefCell`-style
 //!   accessors for app state that crosses the fleet's worker threads.
 //! * [`pool`] — a scoped fork/join thread pool (replaces `rayon` for
@@ -17,12 +20,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod prop;
 pub mod rng;
 pub mod sync;
 
+pub use hash::{IdMap, IdSet};
 pub use json::Json;
 pub use rng::XorShift;
 pub use sync::Shared;

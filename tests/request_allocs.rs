@@ -1,4 +1,5 @@
-//! Host allocations per request on the two fleet workloads.
+//! Host allocations per request on the two fleet workloads, and per
+//! environment switch.
 //!
 //! A counting global allocator delegates to [`System`] and counts, per
 //! thread, every allocation and the bytes it asks for (a `realloc`
@@ -10,13 +11,17 @@
 //! The budgets pin the request path's host work: a FastHTTP reply
 //! copies its 13 KB page twice (the trusted handler's response write
 //! and the kernel's socket queue, DESIGN §14), and neither fleet
-//! allocates span names per scheduler quantum.
+//! allocates span names per scheduler quantum. A warm switch allocates
+//! nothing: an enclosure's span names and LB_MPK's working sets are
+//! built at `Init`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use enclosure_apps::httpd::PAGE_SIZE_BYTES;
+use enclosure_core::{App, Enclosure, Policy};
 use enclosure_fleet::{FastHttpFleet, FleetConfig, WikiFleet};
+use litterbox::{Backend, EnvContext, EnvId};
 
 /// Requests per counted fleet run.
 const REQUESTS: u64 = 2_000;
@@ -30,6 +35,8 @@ const FASTHTTP_ALLOCS_PER_REQUEST: f64 = 40.0;
 const FASTHTTP_BYTES_PER_REQUEST: f64 = 3.0 * PAGE_SIZE_BYTES as f64;
 /// Most allocations one wiki request may make.
 const WIKI_ALLOCS_PER_REQUEST: f64 = 62.0;
+/// Enclosure calls, and `Execute` round trips, per counted window.
+const SWITCHES: u64 = 1_000;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -109,6 +116,57 @@ fn wiki_requests_stay_within_their_allocation_budget() {
         assert!(
             allocs <= WIKI_ALLOCS_PER_REQUEST,
             "seed {seed}: {allocs:.2} allocations per request, budget {WIKI_ALLOCS_PER_REQUEST}"
+        );
+    }
+}
+
+/// Allocations `run` makes on this thread.
+fn allocs_of(run: impl FnOnce()) -> u64 {
+    let before = ALLOCS.get();
+    run();
+    ALLOCS.get() - before
+}
+
+#[test]
+fn warm_switches_allocate_nothing() {
+    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+        let mut app = App::builder("switches")
+            .package("main", &["lib"])
+            .package("lib", &[])
+            .build(backend)
+            .expect("app builds");
+        let policy = Policy::parse("none").expect("policy parses");
+        let mut enc = Enclosure::declare(&mut app, "enc", &["lib"], policy, |_ctx, ()| Ok(()))
+            .expect("enclosure declared");
+        let env = EnvId(enc.id().0);
+        let callsite = app.info.callsite(enc.id()).expect("verified call-site");
+        let round_trip = |app: &mut App| {
+            let trusted = app
+                .lb
+                .execute(EnvContext::in_env(env), callsite)
+                .expect("execute into the enclosure");
+            app.lb.execute(trusted, callsite).expect("execute back");
+        };
+        // Warm-up: LB_PROC forks its child on the first entry, and the
+        // recorder's span stack and attribution entries fill.
+        for _ in 0..8 {
+            enc.call(&mut app, ()).expect("call");
+            round_trip(&mut app);
+        }
+        let calls = allocs_of(|| {
+            for _ in 0..SWITCHES {
+                enc.call(&mut app, ()).expect("call");
+            }
+        });
+        let round_trips = allocs_of(|| {
+            for _ in 0..SWITCHES {
+                round_trip(&mut app);
+            }
+        });
+        assert_eq!(
+            (calls, round_trips),
+            (0, 0),
+            "{backend}: allocations over {SWITCHES} calls and over {SWITCHES} round trips"
         );
     }
 }
