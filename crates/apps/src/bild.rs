@@ -238,7 +238,8 @@ impl BildApp {
     ///
     /// The operation runs *enclosed* by routing through `rcl`'s entry:
     /// bild functions call each other freely inside the enclosure (they
-    /// share the bild package's `RWX` view).
+    /// share the bild package's `RWX` view). However the op ends, the
+    /// runtime is back in the trusted environment.
     ///
     /// # Errors
     ///
@@ -261,8 +262,7 @@ impl BildApp {
             .rt
             .call("bild.Dispatch", GoValue::Str(op.to_owned()))
             .and_then(|v| v.as_ptr().map_err(Fault::from));
-        self.rt.lb_mut().epilog(token)?;
-        result
+        self.rt.lb_mut().leave(token, result)
     }
 
     /// The source image pointer (in `main`'s arena).
@@ -385,6 +385,7 @@ impl BildApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litterbox::{InjectionPlan, InjectionSite, TRUSTED_ENV};
 
     #[test]
     fn invert_is_correct_on_all_backends() {
@@ -393,6 +394,32 @@ mod tests {
             let run = app.run_invert().unwrap();
             assert!(app.verify(&run).unwrap(), "{backend}");
             assert!(run.ns > 0);
+        }
+    }
+
+    #[test]
+    fn failed_epilog_in_run_op_leaves_the_runtime_trusted() {
+        for (backend, site) in [
+            (Backend::Mpk, InjectionSite::Wrpkru),
+            (Backend::Vtx, InjectionSite::Cr3Write),
+        ] {
+            let mut app = BildApp::new(backend, BildConfig::tiny()).unwrap();
+            // An op that arms a fault on the switch back, then returns its
+            // source unchanged.
+            app.runtime_mut()
+                .register_fn("bild.ArmEpilogFault", move |ctx, src| {
+                    ctx.lb_mut()
+                        .clock_mut()
+                        .arm_injection(InjectionPlan::once(site));
+                    Ok(src)
+                });
+            let err = app.run_op("bild.ArmEpilogFault").unwrap_err();
+            assert!(matches!(err, Fault::Transient { .. }), "{backend}: {err}");
+            assert_eq!(app.runtime().lb().current_env(), TRUSTED_ENV, "{backend}");
+            let c = app.runtime().lb().telemetry().counters();
+            assert_eq!(c.prologs, c.epilogs, "{backend}");
+            let run = app.run_invert().unwrap();
+            assert!(app.verify(&run).unwrap(), "{backend}");
         }
     }
 

@@ -119,14 +119,14 @@ pub(crate) fn deferrable(
 
 /// The recovery path of a connection whose request failed transiently:
 /// a request never answered gets a 503 (`answer`), then the connection
-/// closes. It runs with injection suspended, so it cannot fail in turn.
+/// closes. It runs uninjected, so it cannot fail in turn.
 pub(crate) fn abandon(lb: &mut LitterBox, conn: u32, answer: bool) {
-    lb.clock_mut().suspend_injection();
-    if answer {
-        let _ = lb.sys_send(conn, &render_unavailable());
-    }
-    let _ = lb.sys_close(conn);
-    lb.clock_mut().resume_injection();
+    lb.uninjected(|lb| {
+        if answer {
+            let _ = lb.sys_send(conn, &render_unavailable());
+        }
+        let _ = lb.sys_close(conn);
+    });
 }
 
 /// Closes out one request: its latency sample, from the `accept` at

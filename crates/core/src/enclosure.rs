@@ -104,72 +104,41 @@ impl<A, R> Enclosure<A, R> {
     }
 
     /// Calls the enclosed closure: switches into the restricted
-    /// environment (`Prolog`), runs the body, and switches back
-    /// (`Epilog`) — even when the body faults, so the caller observes the
-    /// fault from its own environment, as LitterBox's abort path does.
+    /// environment (`Prolog`), runs the body, and leaves it
+    /// ([`LitterBox::leave`]) even when the body faults, so the caller
+    /// observes the fault from its own environment.
     ///
     /// # Errors
     ///
     /// Any [`Fault`] the body raises (view violations, denied syscalls),
     /// or switch faults (unverified call-site, escalation).
     pub fn call(&mut self, app: &mut App, arg: A) -> Result<R, Fault> {
-        let callsite = app
-            .info
-            .callsite(self.id)
-            .ok_or(Fault::UnknownEnclosure(self.id))?;
-        app.lb.clock_mut().charge_call();
-        let token = app.lb.prolog(self.id, callsite)?;
-        let mut ctx = EnclosureCtx {
-            lb: &mut app.lb,
-            info: &app.info,
-        };
-        let result = (self.f)(&mut ctx, arg);
-        if let Err(epilog_fault) = app.lb.epilog(token) {
-            // The switch back failed (e.g. an injected WRPKRU/CR3
-            // fault). Force the machine back to trusted so the caller
-            // can continue, and prefer the body's own fault as the root
-            // cause — the epilog failure is a symptom.
-            app.lb.recover_to_trusted();
-            return Err(match result {
-                Err(body_fault) => body_fault,
-                Ok(_) => epilog_fault,
-            });
-        }
-        result
+        self.run(&mut app.lb, &app.info, arg)
     }
 
     /// Calls this enclosure from inside another enclosure's body —
     /// dynamic nesting (§2.2). The switch is subject to the
     /// monotone-restriction rule: entering a less restrictive environment
-    /// faults.
+    /// faults. However the call ends, the calling body resumes in its own
+    /// environment: a failed switch back unwinds to the caller's frame,
+    /// never past it.
     ///
     /// # Errors
     ///
     /// [`Fault::Escalation`] on a widening switch; otherwise as
     /// [`Enclosure::call`].
     pub fn call_nested(&mut self, ctx: &mut EnclosureCtx<'_>, arg: A) -> Result<R, Fault> {
-        let callsite = ctx
-            .info
+        self.run(ctx.lb, ctx.info, arg)
+    }
+
+    fn run(&mut self, lb: &mut LitterBox, info: &AppInfo, arg: A) -> Result<R, Fault> {
+        let callsite = info
             .callsite(self.id)
             .ok_or(Fault::UnknownEnclosure(self.id))?;
-        ctx.lb.clock_mut().charge_call();
-        let token = ctx.lb.prolog(self.id, callsite)?;
-        let mut inner = EnclosureCtx {
-            lb: ctx.lb,
-            info: ctx.info,
-        };
-        let result = (self.f)(&mut inner, arg);
-        if let Err(epilog_fault) = ctx.lb.epilog(token) {
-            // Don't recover here: that would unwind the *outer*
-            // enclosure's frames too. Surface the root cause and let the
-            // top-level `Enclosure::call` (or a supervisor) restore the
-            // trusted environment.
-            return Err(match result {
-                Err(body_fault) => body_fault,
-                Ok(_) => epilog_fault,
-            });
-        }
-        result
+        lb.clock_mut().charge_call();
+        let token = lb.prolog(self.id, callsite)?;
+        let result = (self.f)(&mut EnclosureCtx { lb, info }, arg);
+        lb.leave(token, result)
     }
 }
 

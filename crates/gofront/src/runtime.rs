@@ -266,24 +266,13 @@ impl GoRuntime {
             .spawn(name.into(), EnvContext::in_env(env), Box::new(f)))
     }
 
-    /// An `Execute` that survives injected faults: a transient failure
-    /// (faulted WRPKRU / CR3 rewrite) is retried once with injection
-    /// suspended, because the scheduler must make progress for the rest
-    /// of the program to stay available. Real faults still propagate.
-    fn execute_contained(
-        &mut self,
-        ctx: EnvContext,
-        cs: enclosure_vmem::Addr,
-    ) -> Result<EnvContext, Fault> {
-        match self.lb.execute(ctx.clone(), cs) {
-            Err(fault) if fault.is_transient() => {
-                self.lb.clock_mut().suspend_injection();
-                let retried = self.lb.execute(ctx, cs);
-                self.lb.clock_mut().resume_injection();
-                retried
-            }
-            other => other,
-        }
+    /// An `Execute` that survives injected faults: the scheduler must
+    /// make progress for the rest of the program to stay available, so
+    /// a transient failure is retried uninjected
+    /// ([`LitterBox::retry_uninjected`]). Real faults still propagate.
+    fn execute(&mut self, ctx: &mut EnvContext) -> Result<(), Fault> {
+        let cs = self.runtime_callsite;
+        self.lb.retry_uninjected(|lb| lb.execute(ctx, cs))
     }
 
     /// Runs the scheduler until every goroutine completes, then frees
@@ -310,7 +299,6 @@ impl GoRuntime {
     /// The first [`Fault`] any goroutine raises, or a deadlock fault when
     /// every runnable goroutine spins without progress.
     pub fn run_scheduler(&mut self) -> Result<(), Fault> {
-        let cs = self.runtime_callsite;
         let mut idle_quanta = 0usize;
         loop {
             let Some(slot) = self.sched.runq.pop_front() else {
@@ -319,7 +307,7 @@ impl GoRuntime {
                 }
                 // Every remaining goroutine is parked on the reactor:
                 // force a drain flush and wake the completed set.
-                self.drain_for_parked(cs)?;
+                self.drain_for_parked()?;
                 continue;
             };
             let gid = self.sched.id_of(slot);
@@ -345,7 +333,7 @@ impl GoRuntime {
                         goroutine: gid,
                         to_env: g.ctx.env().0,
                     });
-                if let Err(fault) = self.execute_contained(g.ctx.clone(), cs) {
+                if let Err(fault) = self.execute(&mut g.ctx.clone()) {
                     self.end_quantum_span();
                     self.switch_to_main_track();
                     return Err(fault);
@@ -381,14 +369,7 @@ impl GoRuntime {
             self.end_quantum_span();
             let step = match step {
                 Ok(step) => step,
-                Err(fault) => {
-                    // Abort: restore the trusted context, then surface the
-                    // fault trace.
-                    let restore = self.execute_contained(EnvContext::trusted(), cs);
-                    self.switch_to_main_track();
-                    restore?;
-                    return Err(fault);
-                }
+                Err(fault) => return Err(self.abort(fault)),
             };
             let progressed = self.sched.progress || self.lb.now_ns() != before_ns;
             match step {
@@ -415,18 +396,16 @@ impl GoRuntime {
                         idle_quanta += 1;
                         if idle_quanta > 2 * self.sched.pending() + 4 {
                             if self.sched.parked.is_empty() {
-                                let restore = self.execute_contained(EnvContext::trusted(), cs);
-                                self.switch_to_main_track();
-                                restore?;
-                                return Err(Fault::Init(format!(
+                                let deadlock = Fault::Init(format!(
                                     "scheduler deadlock: {} goroutines blocked without progress",
                                     self.sched.pending()
-                                )));
+                                ));
+                                return Err(self.abort(deadlock));
                             }
                             // The runnable set is spinning on goroutines
                             // parked in the reactor: drain it instead of
                             // declaring deadlock.
-                            self.drain_for_parked(cs)?;
+                            self.drain_for_parked()?;
                             idle_quanta = 0;
                         }
                     }
@@ -434,11 +413,20 @@ impl GoRuntime {
             }
         }
         if self.lb.current_env() != TRUSTED_ENV {
-            let _ = self.execute_contained(EnvContext::trusted(), cs)?;
+            self.execute(&mut EnvContext::trusted())?;
         }
         self.switch_to_main_track();
         self.sched.retire_finished();
         Ok(())
+    }
+
+    /// Ends a failed scheduler run: back to the trusted context
+    /// `run_scheduler` was called from, and to the main track. Returns the fault to
+    /// surface: the restore's own if it failed, else `fault`.
+    fn abort(&mut self, fault: Fault) -> Fault {
+        let restore = self.execute(&mut EnvContext::trusted());
+        self.switch_to_main_track();
+        restore.err().unwrap_or(fault)
     }
 
     /// Flushes the batched syscall gateway at the quantum boundary —
@@ -446,35 +434,17 @@ impl GoRuntime {
     /// [`GatewayMode::Async`] the batch instead accumulates across
     /// quanta: the switch barriers, the idle drain, and explicit
     /// flushes bound its lifetime. A transient whole-flush fault (an
-    /// injected lost crossing) is retried once with injection
-    /// suspended, mirroring [`GoRuntime::execute_contained`]: the
-    /// scheduler must drain the batch for the rest of the program to
-    /// make progress, and the retry services every queued entry
-    /// exactly once.
+    /// injected lost crossing) is retried uninjected
+    /// ([`LitterBox::retry_uninjected`]): the scheduler must drain the
+    /// batch for the rest of the program to make progress, and the
+    /// retry services every queued entry exactly once.
     fn flush_quantum_batch(&mut self) -> Result<(), Fault> {
         if self.lb.gateway() == GatewayMode::Async || self.lb.batch_pending() == 0 {
             return Ok(());
         }
-        self.contained_flush(litterbox::LitterBox::batch_flush_quantum)
-    }
-
-    /// Runs one flush entry point with the transient-fault containment
-    /// the scheduler owes the program: a lost crossing is retried once
-    /// with injection suspended, so every queued entry completes
-    /// exactly once.
-    fn contained_flush(
-        &mut self,
-        flush: impl Fn(&mut LitterBox) -> Result<usize, Fault>,
-    ) -> Result<(), Fault> {
-        match flush(&mut self.lb) {
-            Err(fault) if fault.is_transient() => {
-                self.lb.clock_mut().suspend_injection();
-                let retried = flush(&mut self.lb);
-                self.lb.clock_mut().resume_injection();
-                retried.map(|_| ())
-            }
-            other => other.map(|_| ()),
-        }
+        self.lb
+            .retry_uninjected(LitterBox::batch_flush_quantum)
+            .map(drop)
     }
 
     /// Moves every parked goroutine whose completion has been posted
@@ -510,7 +480,7 @@ impl GoRuntime {
     /// park/wake telemetry stays well-nested. A drain that wakes no one is a reactor stall —
     /// the parked tokens can never complete — and faults rather than
     /// spinning forever.
-    fn drain_for_parked(&mut self, cs: enclosure_vmem::Addr) -> Result<(), Fault> {
+    fn drain_for_parked(&mut self) -> Result<(), Fault> {
         let env = self.lb.current_env().0;
         {
             let clock = self.lb.clock_mut();
@@ -524,18 +494,16 @@ impl GoRuntime {
                 ),
             );
         }
-        let flushed = self.contained_flush(litterbox::LitterBox::batch_flush_drain);
+        let flushed = self.lb.retry_uninjected(LitterBox::batch_flush_drain);
         let woken = self.wake_parked();
         self.end_quantum_span();
         flushed?;
         if woken == 0 {
-            let restore = self.execute_contained(EnvContext::trusted(), cs);
-            self.switch_to_main_track();
-            restore?;
-            return Err(Fault::Init(format!(
+            let stall = Fault::Init(format!(
                 "reactor stall: {} goroutines parked on completions that never arrive",
                 self.sched.parked.len()
-            )));
+            ));
+            return Err(self.abort(stall));
         }
         Ok(())
     }
@@ -565,8 +533,8 @@ impl GoRuntime {
     ///
     /// Propagates `Execute` faults.
     pub fn run_gc(&mut self) -> Result<u64, Fault> {
-        let cs = self.runtime_callsite;
-        let prev = self.execute_contained(EnvContext::trusted(), cs)?;
+        let mut ctx = EnvContext::trusted();
+        self.execute(&mut ctx)?;
         let live = self.allocator.live_count();
         self.lb.clock_mut().advance(live * GC_NS_PER_OBJECT);
         self.lb
@@ -576,7 +544,7 @@ impl GoRuntime {
                 live,
             });
         self.gc_cycles += 1;
-        let _ = self.execute_contained(prev, cs)?;
+        self.execute(&mut ctx)?;
         Ok(live)
     }
 }
@@ -682,12 +650,15 @@ impl GoCtx<'_> {
     }
 
     /// Invokes the enclosure `name` from the current environment
-    /// (dynamic nesting applies).
+    /// (dynamic nesting applies). However the call ends, the caller
+    /// resumes in its own environment: a failed switch back unwinds to
+    /// the caller's frame ([`LitterBox::leave`]), never past it.
     ///
     /// # Errors
     ///
     /// Switch faults ([`Fault::Escalation`], [`Fault::UnverifiedCallsite`])
-    /// or any fault from the body.
+    /// or any fault from the body, which stays the root cause when the
+    /// switch back fails too.
     pub fn call_enclosed(&mut self, name: &str, arg: GoValue) -> Result<GoValue, Fault> {
         let enc = self
             .rt
@@ -695,43 +666,19 @@ impl GoCtx<'_> {
             .ok_or_else(|| Fault::Init(format!("unknown enclosure '{name}'")))?;
         let (id, callsite, entry) = (enc.id, enc.callsite, enc.entry.clone());
         // Split stacks (§5.1): the closure gets a fresh segment owned by
-        // its entry package; the caller's frames stay hidden.
+        // its entry package; the caller's frames stay hidden. The segment
+        // pops however the call ends, so a failed switch cannot leave a
+        // frame owned by the target package on the stack.
         let entry_pkg = entry
             .split_once('.')
             .map_or(entry.as_str(), |(pkg, _)| pkg)
             .to_owned();
         self.rt.stack.push_segment(&mut self.rt.lb, &entry_pkg)?;
-        let token = match self.rt.lb.prolog(id, callsite) {
-            Ok(token) => token,
-            Err(fault) => {
-                // Unwind the segment so a failed switch cannot leave a
-                // frame owned by the target package on the stack. The
-                // unwind itself must not be injectable, or the prolog
-                // fault would be masked by a second, spurious one.
-                self.rt.lb.clock_mut().suspend_injection();
-                let popped = self.rt.stack.pop_segment(&mut self.rt.lb);
-                self.rt.lb.clock_mut().resume_injection();
-                popped?;
-                return Err(fault);
-            }
-        };
-        let result = self.call(&entry, arg);
-        if let Err(epilog_fault) = self.rt.lb.epilog(token) {
-            // The switch back failed (e.g. an injected WRPKRU/CR3
-            // fault). Containment: force the machine back to trusted,
-            // unwind the segment with injection suspended, and prefer
-            // the body's own fault as the root cause.
-            self.rt.lb.recover_to_trusted();
-            self.rt.lb.clock_mut().suspend_injection();
-            let popped = self.rt.stack.pop_segment(&mut self.rt.lb);
-            self.rt.lb.clock_mut().resume_injection();
-            popped?;
-            return Err(match result {
-                Err(body_fault) => body_fault,
-                Ok(_) => epilog_fault,
-            });
-        }
-        self.rt.stack.pop_segment(&mut self.rt.lb)?;
+        let result = self.rt.lb.prolog(id, callsite).and_then(|token| {
+            let result = self.call(&entry, arg);
+            self.rt.lb.leave(token, result)
+        });
+        self.rt.stack.pop_segment()?;
         result
     }
 
@@ -797,6 +744,7 @@ impl GoCtx<'_> {
 mod tests {
     use super::*;
     use enclosure_vmem::Access;
+    use litterbox::{InjectionPlan, InjectionSite};
 
     fn figure1_program() -> GoProgram {
         let mut p = GoProgram::new();
@@ -855,6 +803,70 @@ mod tests {
         // And the runtime is back in the trusted environment.
         let key = rt.global_addr("main.privateKey");
         assert!(rt.lb().load_u64(key).is_ok());
+    }
+
+    /// `rcl` calling `rcl`, whose inner switch back is injected to fail:
+    /// the outer body (arg 0) catches the fault and must still be
+    /// confined to `rcl`'s view.
+    fn nested_rcl_runtime(backend: Backend) -> GoRuntime {
+        let site = switch_site(backend);
+        let mut rt = figure1_program().build(backend).unwrap();
+        rt.register_fn("libfx.Invert", move |ctx, arg: GoValue| {
+            if arg.as_int()? == 1 {
+                ctx.lb_mut()
+                    .clock_mut()
+                    .arm_injection(InjectionPlan::once(site));
+                return Ok(GoValue::Unit);
+            }
+            let inner = ctx.call_enclosed("rcl", GoValue::Int(1));
+            assert!(matches!(inner, Err(Fault::Transient { .. })), "{inner:?}");
+            assert_eq!(ctx.lb().current_env(), litterbox::EnvId(1));
+            let key = ctx.global_addr("main.privateKey");
+            assert!(ctx.lb().load_u64(key).is_err(), "rcl's view excludes main");
+            Ok(GoValue::Unit)
+        });
+        rt
+    }
+
+    fn switch_site(backend: Backend) -> InjectionSite {
+        if backend == Backend::Mpk {
+            InjectionSite::Wrpkru
+        } else {
+            InjectionSite::Cr3Write
+        }
+    }
+
+    #[test]
+    fn failed_nested_switch_back_keeps_the_outer_view() {
+        for backend in [Backend::Mpk, Backend::Vtx] {
+            let mut rt = nested_rcl_runtime(backend);
+            rt.call_enclosed("rcl", GoValue::Int(0)).unwrap();
+            assert_eq!(rt.lb().current_env(), TRUSTED_ENV, "{backend}");
+            let c = rt.lb().telemetry().counters();
+            assert_eq!(c.prologs, c.epilogs, "{backend}");
+        }
+    }
+
+    #[test]
+    fn failed_nested_switch_back_in_an_enclosed_goroutine_keeps_its_view() {
+        for backend in [Backend::Mpk, Backend::Vtx] {
+            let mut rt = nested_rcl_runtime(backend);
+            rt.spawn_enclosed("rcl-worker", "rcl", |ctx| {
+                let inner = ctx.call_enclosed("rcl", GoValue::Int(1));
+                assert!(matches!(inner, Err(Fault::Transient { .. })), "{inner:?}");
+                assert_eq!(ctx.lb().current_env(), litterbox::EnvId(1));
+                let key = ctx.global_addr("main.privateKey");
+                assert!(ctx.lb().load_u64(key).is_err(), "rcl's view excludes main");
+                Ok(Step::Done)
+            })
+            .unwrap();
+            rt.run_scheduler().unwrap();
+            assert_eq!(rt.lb().current_env(), TRUSTED_ENV, "{backend}");
+            let telemetry = rt.lb().telemetry();
+            let c = telemetry.counters();
+            assert_eq!(c.prologs, c.epilogs, "{backend}");
+            assert_eq!(telemetry.span_depth(), 0, "{backend}");
+        }
     }
 
     #[test]

@@ -80,13 +80,13 @@ impl SplitStack {
 
     /// Pops the top segment (Epilog). The segment stays owned by its
     /// package in that package's pool — like Go's goroutine-stack reuse —
-    /// so the next entry into the same enclosure pays no `Transfer`.
+    /// so the next entry into the same enclosure pays no `Transfer`, and
+    /// the pop touches no machine state.
     ///
     /// # Errors
     ///
     /// [`Fault::Init`] when no segment is live.
-    pub fn pop_segment(&mut self, lb: &mut LitterBox) -> Result<(), Fault> {
-        let _ = lb; // ownership is retained; no hardware update needed
+    pub fn pop_segment(&mut self) -> Result<(), Fault> {
         let segment = self
             .segments
             .pop()
@@ -157,7 +157,7 @@ mod tests {
         stack.push_segment(&mut lb, "libfx").unwrap();
         let inner = stack.frame_alloc(&mut lb, 8).unwrap();
         assert_eq!(lb.package_at(inner), Some("libfx"));
-        stack.pop_segment(&mut lb).unwrap();
+        stack.pop_segment().unwrap();
         assert_eq!(
             lb.package_at(inner),
             Some("libfx"),
@@ -171,7 +171,7 @@ mod tests {
         let mut lb = machine();
         let mut stack = SplitStack::new();
         stack.push_segment(&mut lb, "libfx").unwrap();
-        stack.pop_segment(&mut lb).unwrap();
+        stack.pop_segment().unwrap();
         let transfers_before = lb.stats().transfers;
         let pages_before = lb.space().page_len();
         stack.push_segment(&mut lb, "libfx").unwrap();
@@ -187,7 +187,7 @@ mod tests {
     fn underflow_and_overflow_are_faults() {
         let mut lb = machine();
         let mut stack = SplitStack::new();
-        assert!(stack.pop_segment(&mut lb).is_err());
+        assert!(stack.pop_segment().is_err());
         assert!(stack
             .frame_alloc(&mut lb, SEGMENT_PAGES * PAGE_SIZE + 8)
             .is_err());

@@ -131,7 +131,9 @@ impl Clock {
 
     /// Suspends injection (recovery paths must be infallible: a
     /// containment sequence that could itself be injected would never
-    /// converge). Nests; pair with [`Clock::resume_injection`].
+    /// converge). Nests; pair with [`Clock::resume_injection`]. Callers
+    /// go through `LitterBox::uninjected`, which pairs the two; the
+    /// workspace's clippy configuration rejects any other call.
     pub fn suspend_injection(&mut self) {
         self.injection_suspended += 1;
     }
@@ -406,6 +408,9 @@ mod tests {
     }
 
     #[test]
+    // The one caller outside `LitterBox::uninjected`: the counter's own
+    // test.
+    #[allow(clippy::disallowed_methods)]
     fn injection_fires_records_and_suspends() {
         let mut c = Clock::new(CostModel::paper());
         c.arm_injection(InjectionPlan::new(11, crate::inject::PPM));

@@ -1,82 +1,55 @@
 //! A classic-BPF (cBPF) virtual machine.
 //!
 //! seccomp filters are classic BPF programs evaluated over a fixed-layout
-//! `seccomp_data` buffer. This module implements the instruction subset
-//! seccomp filters use — absolute 32-bit loads, ALU ops, conditional and
-//! unconditional jumps, and returns — faithfully enough that the programs
-//! emitted by [`crate::seccomp`] would assemble for a real kernel.
+//! `seccomp_data` buffer. This module runs the four instructions the
+//! filter compiler in [`crate::seccomp`] emits — absolute 32-bit loads,
+//! `jeq` against a constant, unconditional jumps and returns — encoded
+//! exactly as a real kernel would assemble them.
 //!
-//! The interpreter enforces the kernel's own safety rules: jumps only move
-//! forward, loads stay in bounds, and every path must end in a `RET`.
+//! [`Program::new`] is the verifier: it admits only those four opcodes,
+//! forward jumps that land inside the program, and a final `RET`, so a
+//! validated program cannot run off its end and [`Program::run`] never
+//! re-checks an opcode. Loads are bounds-checked against the data at
+//! run time.
 
 use std::fmt;
 
 // --- Instruction class ---
 /// Load into the accumulator.
 pub const BPF_LD: u16 = 0x00;
-/// Load into the index register.
-pub const BPF_LDX: u16 = 0x01;
-/// ALU operation on the accumulator.
-pub const BPF_ALU: u16 = 0x04;
 /// Jump.
 pub const BPF_JMP: u16 = 0x05;
 /// Return a verdict.
 pub const BPF_RET: u16 = 0x06;
-/// Register move (TAX/TXA).
-pub const BPF_MISC: u16 = 0x07;
 
 // --- Size / addressing mode ---
 /// 32-bit word operand.
 pub const BPF_W: u16 = 0x00;
 /// Absolute offset addressing.
 pub const BPF_ABS: u16 = 0x20;
-/// Immediate operand.
-pub const BPF_IMM: u16 = 0x00;
-/// Constant operand for ALU/JMP.
+/// Constant operand for JMP/RET.
 pub const BPF_K: u16 = 0x00;
-/// Index-register operand for ALU/JMP.
-pub const BPF_X: u16 = 0x08;
 
 // --- Jump conditions ---
 /// Unconditional jump.
 pub const BPF_JA: u16 = 0x00;
 /// Jump if equal.
 pub const BPF_JEQ: u16 = 0x10;
-/// Jump if strictly greater (unsigned).
-pub const BPF_JGT: u16 = 0x20;
-/// Jump if greater-or-equal (unsigned).
-pub const BPF_JGE: u16 = 0x30;
-/// Jump if `A & k` is non-zero.
-pub const BPF_JSET: u16 = 0x40;
 
-// --- ALU ops ---
-/// Bitwise and.
-pub const BPF_AND: u16 = 0x50;
-/// Bitwise or.
-pub const BPF_OR: u16 = 0x40;
-/// Right shift.
-pub const BPF_RSH: u16 = 0x70;
-
-// --- MISC ops ---
-/// A := X.
-pub const BPF_TXA: u16 = 0x80;
-/// X := A.
-pub const BPF_TAX: u16 = 0x00;
+/// `ld [k]`: the one load.
+const LD_ABS: u16 = BPF_LD | BPF_W | BPF_ABS;
+/// `jeq #k, jt, jf`: the one conditional jump.
+const JEQ_K: u16 = BPF_JMP | BPF_JEQ | BPF_K;
+/// `ja k`: the one unconditional jump.
+const JA: u16 = BPF_JMP | BPF_JA;
+/// `ret #k`: the one return.
+const RET_K: u16 = BPF_RET | BPF_K;
 
 /// seccomp verdict: allow the syscall.
 pub const SECCOMP_RET_ALLOW: u32 = 0x7fff_0000;
 /// seccomp verdict: kill the process (the paper's "fault ... stops the
 /// program's execution").
 pub const SECCOMP_RET_KILL_PROCESS: u32 = 0x8000_0000;
-/// seccomp verdict base: fail the syscall with the errno in the low 16
-/// bits instead of killing the process (Linux `SECCOMP_RET_ERRNO`). The
-/// interpreter and disassembler handle it; the filter compiler never
-/// emits it, since every denial kills (§2.1).
-pub const SECCOMP_RET_ERRNO: u32 = 0x0005_0000;
-/// Mask selecting the verdict's action (high half).
-pub const SECCOMP_RET_ACTION: u32 = 0xffff_0000;
-/// Mask selecting the verdict's data (errno) half.
-pub const SECCOMP_RET_DATA: u32 = 0x0000_ffff;
 
 /// One classic-BPF instruction (`struct sock_filter`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,18 +69,7 @@ impl Insn {
     #[must_use]
     pub fn ld_abs(k: u32) -> Insn {
         Insn {
-            code: BPF_LD | BPF_W | BPF_ABS,
-            jt: 0,
-            jf: 0,
-            k,
-        }
-    }
-
-    /// `A := k`.
-    #[must_use]
-    pub fn ld_imm(k: u32) -> Insn {
-        Insn {
-            code: BPF_LD | BPF_W | BPF_IMM,
+            code: LD_ABS,
             jt: 0,
             jf: 0,
             k,
@@ -118,29 +80,7 @@ impl Insn {
     #[must_use]
     pub fn jeq(k: u32, jt: u8, jf: u8) -> Insn {
         Insn {
-            code: BPF_JMP | BPF_JEQ | BPF_K,
-            jt,
-            jf,
-            k,
-        }
-    }
-
-    /// `if A >= k: pc += jt else pc += jf`.
-    #[must_use]
-    pub fn jge(k: u32, jt: u8, jf: u8) -> Insn {
-        Insn {
-            code: BPF_JMP | BPF_JGE | BPF_K,
-            jt,
-            jf,
-            k,
-        }
-    }
-
-    /// `if A & k: pc += jt else pc += jf`.
-    #[must_use]
-    pub fn jset(k: u32, jt: u8, jf: u8) -> Insn {
-        Insn {
-            code: BPF_JMP | BPF_JSET | BPF_K,
+            code: JEQ_K,
             jt,
             jf,
             k,
@@ -151,7 +91,7 @@ impl Insn {
     #[must_use]
     pub fn ja(k: u32) -> Insn {
         Insn {
-            code: BPF_JMP | BPF_JA,
+            code: JA,
             jt: 0,
             jf: 0,
             k,
@@ -162,29 +102,7 @@ impl Insn {
     #[must_use]
     pub fn ret(k: u32) -> Insn {
         Insn {
-            code: BPF_RET | BPF_K,
-            jt: 0,
-            jf: 0,
-            k,
-        }
-    }
-
-    /// `A := A & k`.
-    #[must_use]
-    pub fn and(k: u32) -> Insn {
-        Insn {
-            code: BPF_ALU | BPF_AND | BPF_K,
-            jt: 0,
-            jf: 0,
-            k,
-        }
-    }
-
-    /// `A := A >> k`.
-    #[must_use]
-    pub fn rsh(k: u32) -> Insn {
-        Insn {
-            code: BPF_ALU | BPF_RSH | BPF_K,
+            code: RET_K,
             jt: 0,
             jf: 0,
             k,
@@ -210,14 +128,15 @@ pub enum BpfError {
         /// The absolute offset requested.
         offset: u32,
     },
-    /// Unknown or unsupported opcode.
+    /// An opcode outside the four the filter compiler emits.
     BadInstruction {
         /// Index of the offending instruction.
         pc: usize,
         /// The opcode.
         code: u16,
     },
-    /// Execution fell off the end without returning.
+    /// The last instruction is not a `RET`, so execution could fall off
+    /// the end.
     NoReturn,
 }
 
@@ -232,7 +151,7 @@ impl fmt::Display for BpfError {
             BpfError::BadInstruction { pc, code } => {
                 write!(f, "bad instruction {code:#06x} at pc {pc}")
             }
-            BpfError::NoReturn => write!(f, "program ended without RET"),
+            BpfError::NoReturn => write!(f, "program ends without RET"),
         }
     }
 }
@@ -253,26 +172,29 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Rejects empty/oversized programs and forward jumps that land outside
-    /// the program, mirroring the kernel verifier.
+    /// Rejects empty/oversized programs, any opcode other than `ld [k]`,
+    /// `jeq #k`, `ja` and `ret #k`, jumps that land outside the program,
+    /// and a program whose last instruction is not a `RET`.
     pub fn new(insns: Vec<Insn>) -> Result<Program, BpfError> {
         if insns.is_empty() || insns.len() > Program::MAX_INSNS {
             return Err(BpfError::BadProgramLength(insns.len()));
         }
+        let last = insns.len() - 1;
         for (pc, insn) in insns.iter().enumerate() {
-            if insn.code & 0x07 == BPF_JMP {
-                let cond = insn.code & 0xf0;
-                if cond == BPF_JA {
-                    if pc + 1 + insn.k as usize > insns.len() - 1 {
-                        return Err(BpfError::JumpOutOfRange { pc });
-                    }
+            // The furthest instruction this one can pass control to.
+            let next = match insn.code {
+                RET_K => continue,
+                LD_ABS => pc + 1,
+                JA => pc + 1 + insn.k as usize,
+                JEQ_K => pc + 1 + usize::from(insn.jt.max(insn.jf)),
+                code => return Err(BpfError::BadInstruction { pc, code }),
+            };
+            if next > last {
+                return Err(if insn.code == LD_ABS {
+                    BpfError::NoReturn
                 } else {
-                    let t = pc + 1 + insn.jt as usize;
-                    let f_ = pc + 1 + insn.jf as usize;
-                    if t > insns.len() - 1 || f_ > insns.len() - 1 {
-                        return Err(BpfError::JumpOutOfRange { pc });
-                    }
-                }
+                    BpfError::JumpOutOfRange { pc }
+                });
             }
         }
         Ok(Program { insns })
@@ -304,61 +226,21 @@ impl Program {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (pc, insn) in self.insns.iter().enumerate() {
-            let class = insn.code & 0x07;
-            let text = match class {
-                BPF_LD => {
-                    if insn.code & 0xe0 == BPF_ABS {
-                        format!("ld  A, data[{}]", insn.k)
-                    } else {
-                        format!("ld  A, #{:#x}", insn.k)
-                    }
-                }
-                BPF_LDX => format!("ldx X, #{:#x}", insn.k),
-                BPF_ALU => {
-                    let op = match insn.code & 0xf0 {
-                        BPF_AND => "and",
-                        BPF_OR => "or ",
-                        BPF_RSH => "rsh",
-                        _ => "alu?",
-                    };
-                    format!("{op} A, #{:#x}", insn.k)
-                }
-                BPF_JMP => {
-                    let cond = insn.code & 0xf0;
-                    if cond == BPF_JA {
-                        format!("jmp {}", pc + 1 + insn.k as usize)
-                    } else {
-                        let op = match cond {
-                            BPF_JEQ => "jeq",
-                            BPF_JGT => "jgt",
-                            BPF_JGE => "jge",
-                            BPF_JSET => "jset",
-                            _ => "j?",
-                        };
-                        format!(
-                            "{op} #{:#x}, {}, {}",
-                            insn.k,
-                            pc + 1 + insn.jt as usize,
-                            pc + 1 + insn.jf as usize
-                        )
-                    }
-                }
-                BPF_RET => match insn.k {
+            let text = match insn.code {
+                LD_ABS => format!("ld  A, data[{}]", insn.k),
+                JEQ_K => format!(
+                    "jeq #{:#x}, {}, {}",
+                    insn.k,
+                    pc + 1 + insn.jt as usize,
+                    pc + 1 + insn.jf as usize
+                ),
+                JA => format!("jmp {}", pc + 1 + insn.k as usize),
+                // `RET_K`, the only other opcode `Program::new` admits.
+                _ => match insn.k {
                     SECCOMP_RET_ALLOW => "ret ALLOW".to_owned(),
                     SECCOMP_RET_KILL_PROCESS => "ret KILL_PROCESS".to_owned(),
-                    k if k & SECCOMP_RET_ACTION == SECCOMP_RET_ERRNO => {
-                        format!("ret ERRNO({})", k & SECCOMP_RET_DATA)
-                    }
                     other => format!("ret {other:#x}"),
                 },
-                BPF_MISC => {
-                    if insn.code & 0xf8 == BPF_TAX {
-                        "tax".to_owned()
-                    } else {
-                        "txa".to_owned()
-                    }
-                }
-                _ => format!(".byte {:#06x}", insn.code),
             };
             let _ = writeln!(out, "{pc:04}: {text}");
         }
@@ -369,119 +251,34 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns a [`BpfError`] for out-of-range loads, bad opcodes, or a
-    /// missing return.
+    /// [`BpfError::LoadOutOfRange`] for a load past the end of `data`.
     pub fn run(&self, data: &[u8]) -> Result<u32, BpfError> {
         let mut acc: u32 = 0;
-        let mut idx: u32 = 0;
         let mut pc = 0usize;
-        let mut steps = 0usize;
-        while pc < self.insns.len() {
-            // Defensive bound: validated programs cannot loop (forward
-            // jumps only), but keep the interpreter total anyway.
-            steps += 1;
-            if steps > self.insns.len() + 1 {
-                return Err(BpfError::NoReturn);
-            }
+        // `Program::new` proved every path ends in a `RET` inside the
+        // program, so `pc` stays in range and the loop ends.
+        loop {
             let insn = self.insns[pc];
-            let class = insn.code & 0x07;
-            match class {
-                BPF_LD => {
-                    let mode = insn.code & 0xe0;
-                    if mode == BPF_ABS {
-                        let off = insn.k as usize;
-                        if off + 4 > data.len() {
-                            return Err(BpfError::LoadOutOfRange { pc, offset: insn.k });
-                        }
-                        acc = u32::from_le_bytes([
-                            data[off],
-                            data[off + 1],
-                            data[off + 2],
-                            data[off + 3],
-                        ]);
-                    } else if mode == BPF_IMM {
-                        acc = insn.k;
-                    } else {
-                        return Err(BpfError::BadInstruction {
-                            pc,
-                            code: insn.code,
-                        });
-                    }
-                    pc += 1;
-                }
-                BPF_LDX => {
-                    idx = insn.k;
-                    pc += 1;
-                }
-                BPF_ALU => {
-                    let op = insn.code & 0xf0;
-                    let operand = if insn.code & BPF_X != 0 { idx } else { insn.k };
-                    match op {
-                        BPF_AND => acc &= operand,
-                        BPF_OR => acc |= operand,
-                        BPF_RSH => acc = acc.wrapping_shr(operand),
-                        _ => {
-                            return Err(BpfError::BadInstruction {
-                                pc,
-                                code: insn.code,
-                            })
-                        }
-                    }
-                    pc += 1;
-                }
-                BPF_JMP => {
-                    let cond = insn.code & 0xf0;
-                    if cond == BPF_JA {
-                        pc = pc + 1 + insn.k as usize;
-                        continue;
-                    }
-                    let operand = if insn.code & BPF_X != 0 { idx } else { insn.k };
-                    let taken = match cond {
-                        BPF_JEQ => acc == operand,
-                        BPF_JGT => acc > operand,
-                        BPF_JGE => acc >= operand,
-                        BPF_JSET => acc & operand != 0,
-                        _ => {
-                            return Err(BpfError::BadInstruction {
-                                pc,
-                                code: insn.code,
-                            })
-                        }
+            match insn.code {
+                LD_ABS => {
+                    let Some(word) = data
+                        .get(insn.k as usize..)
+                        .and_then(<[u8]>::first_chunk::<4>)
+                    else {
+                        return Err(BpfError::LoadOutOfRange { pc, offset: insn.k });
                     };
-                    pc = pc
-                        + 1
-                        + if taken {
-                            insn.jt as usize
-                        } else {
-                            insn.jf as usize
-                        };
-                }
-                BPF_RET => {
-                    return Ok(insn.k);
-                }
-                BPF_MISC => {
-                    let op = insn.code & 0xf8;
-                    if op == BPF_TAX {
-                        idx = acc;
-                    } else if op == BPF_TXA {
-                        acc = idx;
-                    } else {
-                        return Err(BpfError::BadInstruction {
-                            pc,
-                            code: insn.code,
-                        });
-                    }
+                    acc = u32::from_le_bytes(*word);
                     pc += 1;
                 }
-                _ => {
-                    return Err(BpfError::BadInstruction {
-                        pc,
-                        code: insn.code,
-                    })
+                JEQ_K => {
+                    let skip = if acc == insn.k { insn.jt } else { insn.jf };
+                    pc += 1 + usize::from(skip);
                 }
+                JA => pc += 1 + insn.k as usize,
+                // `RET_K`, the only other opcode `Program::new` admits.
+                _ => return Ok(insn.k),
             }
         }
-        Err(BpfError::NoReturn)
     }
 }
 
@@ -541,64 +338,9 @@ mod tests {
     }
 
     #[test]
-    fn alu_and_jset() {
-        // Return the masked low nibble class: A = data[0..4] & 0xf; if A has
-        // bit 0b100 set return 7 else 9.
-        let p = Program::new(vec![
-            Insn::ld_abs(0),
-            Insn::and(0xf),
-            Insn::jset(0b100, 0, 1),
-            Insn::ret(7),
-            Insn::ret(9),
-        ])
-        .unwrap();
-        assert_eq!(p.run(&[0b0101, 0, 0, 0]).unwrap(), 7);
-        assert_eq!(p.run(&[0b0010, 0, 0, 0]).unwrap(), 9);
-    }
-
-    #[test]
     fn jump_over_with_ja() {
         let p = Program::new(vec![Insn::ja(1), Insn::ret(1), Insn::ret(2)]).unwrap();
         assert_eq!(p.run(&[]).unwrap(), 2);
-    }
-
-    #[test]
-    fn rsh_shifts_accumulator() {
-        let p = Program::new(vec![
-            Insn::ld_abs(0),
-            Insn::rsh(8),
-            Insn::jeq(0xAB, 0, 1),
-            Insn::ret(1),
-            Insn::ret(0),
-        ])
-        .unwrap();
-        let data = 0x0000_AB00u32.to_le_bytes();
-        assert_eq!(p.run(&data).unwrap(), 1);
-    }
-
-    #[test]
-    fn tax_txa_move_registers() {
-        let p = Program::new(vec![
-            Insn::ld_abs(0),
-            Insn {
-                code: BPF_MISC | BPF_TAX,
-                jt: 0,
-                jf: 0,
-                k: 0,
-            },
-            Insn::ld_imm(0),
-            Insn {
-                code: BPF_MISC | BPF_TXA,
-                jt: 0,
-                jf: 0,
-                k: 0,
-            },
-            Insn::jeq(42, 0, 1),
-            Insn::ret(1),
-            Insn::ret(0),
-        ])
-        .unwrap();
-        assert_eq!(p.run(&42u32.to_le_bytes()).unwrap(), 1);
     }
 
     #[test]
@@ -620,27 +362,54 @@ mod tests {
     }
 
     #[test]
-    fn errno_verdicts_disassemble_with_their_code() {
-        let p = Program::new(vec![Insn::ret(SECCOMP_RET_ERRNO | 13)]).unwrap();
-        assert!(
-            p.disassemble().contains("ret ERRNO(13)"),
-            "{}",
-            p.disassemble()
-        );
-        assert_eq!(p.run(&[0u8; 8]).unwrap(), SECCOMP_RET_ERRNO | 13);
+    fn validation_rejects_every_opcode_the_compiler_does_not_emit() {
+        let rejected = [
+            (0x00, "ld #imm"),
+            (0x28, "ldh [k]"),
+            (0x30, "ldb [k]"),
+            (0x40, "ld [x + k]"),
+            (0x80, "ld len"),
+            (0x01, "ldx #imm"),
+            (0x61, "ldx M[k]"),
+            (0x02, "st"),
+            (0x03, "stx"),
+            (0x04, "add #k"),
+            (0x44, "or #k"),
+            (0x54, "and #k"),
+            (0x74, "rsh #k"),
+            (0x5c, "and x"),
+            (0x07, "tax"),
+            (0x87, "txa"),
+            (0x25, "jgt #k"),
+            (0x35, "jge #k"),
+            (0x45, "jset #k"),
+            (0x1d, "jeq x"),
+            (0x16, "ret A"),
+        ];
+        for (code, name) in rejected {
+            let insn = Insn {
+                code,
+                jt: 0,
+                jf: 0,
+                k: 0,
+            };
+            assert_eq!(
+                Program::new(vec![insn, Insn::ret(SECCOMP_RET_ALLOW)]),
+                Err(BpfError::BadInstruction { pc: 0, code }),
+                "{name}"
+            );
+        }
     }
 
     #[test]
-    fn jge_unsigned_compare() {
-        let p = Program::new(vec![
-            Insn::ld_abs(0),
-            Insn::jge(10, 0, 1),
-            Insn::ret(1),
-            Insn::ret(0),
-        ])
-        .unwrap();
-        assert_eq!(p.run(&10u32.to_le_bytes()).unwrap(), 1);
-        assert_eq!(p.run(&9u32.to_le_bytes()).unwrap(), 0);
-        assert_eq!(p.run(&u32::MAX.to_le_bytes()).unwrap(), 1);
+    fn validation_rejects_a_program_that_can_run_off_its_end() {
+        assert_eq!(
+            Program::new(vec![Insn::ret(0), Insn::ld_abs(0)]),
+            Err(BpfError::NoReturn)
+        );
+        assert_eq!(
+            Program::new(vec![Insn::ld_abs(0), Insn::jeq(1, 0, 0)]),
+            Err(BpfError::JumpOutOfRange { pc: 1 })
+        );
     }
 }

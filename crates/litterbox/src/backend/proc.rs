@@ -152,7 +152,8 @@ impl Enforcer for Proc {
     /// Into a child: the supervisor forwards the call as one pipe
     /// message, lazily forking the child first. Back to the supervisor:
     /// the child's reply message. That direction is infallible (no
-    /// injection), so `recover_to_trusted` always converges.
+    /// injection), so a call from trusted code always gets back to the
+    /// supervisor.
     fn switch(
         &mut self,
         _program: &Program,

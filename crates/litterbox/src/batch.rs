@@ -322,7 +322,7 @@ impl LitterBox {
     }
 
     /// The infallible flush used by the switch barriers (`prolog`,
-    /// `epilog`, `execute`, contained recovery). Injection is suspended
+    /// `epilog`, `execute`, the unwind of a failed switch back). Injection is suspended
     /// for its duration: barrier flushes are bookkeeping the enclosure
     /// cannot observe failing — fault coverage lives on the explicit
     /// [`LitterBox::batch_flush`] path.
@@ -337,9 +337,7 @@ impl LitterBox {
         if self.batch.ring.pending() == 0 {
             return;
         }
-        self.clock_mut().suspend_injection();
-        let flushed = self.flush_with_reason("barrier");
-        self.clock_mut().resume_injection();
+        let flushed = self.uninjected(|lb| lb.flush_with_reason("barrier"));
         debug_assert!(flushed.is_ok(), "barrier flushes run injection-suspended");
     }
 

@@ -318,19 +318,14 @@ impl LitterBox {
         fault
     }
 
-    /// Keeps the recorder's in-enclosure flag and environment slice in
-    /// sync with `current` after every environment change. The
-    /// `note_env` call closes the recorder's open (track, env)
-    /// attribution slice exactly at the switch, so per-goroutine rows
-    /// split time by environment across `Execute` handoffs too.
-    fn sync_enclosed_flag(&mut self) {
-        let enclosed = self.current != TRUSTED_ENV;
-        let env = self.current.0;
-        let clock = &mut self.clock;
-        let now = clock.now_ns();
-        let rec = clock.recorder_mut();
-        rec.set_enclosed(enclosed);
-        rec.note_env(now, env);
+    /// Tells the recorder the machine changed environment. This closes
+    /// the recorder's open (track, env) attribution slice exactly at the
+    /// switch, so per-goroutine rows split time by environment across
+    /// `Execute` handoffs too, and it is what the kernel labels enclosed
+    /// syscalls by.
+    fn sync_env(&mut self) {
+        let now = self.clock.now_ns();
+        self.clock.recorder_mut().note_env(now, self.current.0);
     }
 
     /// Current simulated time.
@@ -807,7 +802,7 @@ impl LitterBox {
             self.stack.clear();
         }
         self.current = resume;
-        self.sync_enclosed_flag();
+        self.sync_env();
         Ok(())
     }
 
@@ -858,7 +853,7 @@ impl LitterBox {
         self.seq += 1;
         self.stack.push((prev, self.seq));
         self.current = target;
-        self.sync_enclosed_flag();
+        self.sync_env();
         self.enter_span(enclosure);
         // The entry half of the switch: callsite check + hardware
         // writes + any demand-bind sweep the switch triggered. Feeding
@@ -895,20 +890,51 @@ impl LitterBox {
         });
     }
 
-    /// `Epilog`: returns to the environment captured by `token`.
+    /// `Epilog`: returns to the environment captured by `token`. This is
+    /// [`LitterBox::leave`] for a body that returned `Ok(())`.
     ///
     /// # Errors
     ///
-    /// [`Fault::SwitchMismatch`] if prolog/epilog nesting is violated.
+    /// [`Fault::SwitchMismatch`] if prolog/epilog nesting is violated,
+    /// or the fault of the switch back. The machine then unwinds as
+    /// [`LitterBox::leave`] describes.
     pub fn epilog(&mut self, token: SwitchToken) -> Result<(), Fault> {
-        let Some((prev, seq)) = self.stack.pop() else {
-            return Err(self.trace_fault(Fault::SwitchMismatch {
-                expected: token.prev,
-                actual: self.current,
-            }));
+        self.leave(token, Ok(()))
+    }
+
+    /// Ends the enclosed call `token` began, whose body returned
+    /// `result`: the one way out of an enclosure. It switches back to the
+    /// environment the call was made from and hands `result` on.
+    ///
+    /// When the switch back fails (an injected WRPKRU/CR3 fault, or a
+    /// frame left open above the token's), the machine unwinds instead.
+    /// It pops the token's frame and every frame above it, each with its
+    /// `Epilog` event and closed span, and lands in the token's
+    /// environment with injection suspended. The caller resumes with
+    /// exactly its own rights: trusted is only where a call from trusted
+    /// code lands. A token whose frame is gone (already left, or opened
+    /// in another context) unwinds nothing.
+    ///
+    /// # Errors
+    ///
+    /// The body's fault, which stays the root cause; otherwise the fault
+    /// of the switch back.
+    pub fn leave<R>(&mut self, token: SwitchToken, result: Result<R, Fault>) -> Result<R, Fault> {
+        let Err(switch_fault) = self.switch_back(&token) else {
+            return result;
         };
-        if seq != token.seq || prev != token.prev {
-            self.stack.push((prev, seq));
+        let frame = (token.prev, token.seq);
+        if let Some(floor) = self.stack.iter().rposition(|&f| f == frame) {
+            self.unwind(floor);
+        }
+        result.and(Err(switch_fault))
+    }
+
+    /// The epilog proper: pops the token's frame and switches the
+    /// hardware back to the token's environment. On a fault nothing has
+    /// moved.
+    fn switch_back(&mut self, token: &SwitchToken) -> Result<(), Fault> {
+        if self.stack.last() != Some(&(token.prev, token.seq)) {
             return Err(self.trace_fault(Fault::SwitchMismatch {
                 expected: token.prev,
                 actual: self.current,
@@ -920,16 +946,11 @@ impl LitterBox {
         // environment.
         self.flush_batch_barrier();
         let switch_started_ns = self.clock.now_ns();
-        if let Err(e) = self.switch_hw(token.prev) {
-            // The hardware write back to `prev` failed (e.g. an injected
-            // WRPKRU/CR3 fault). Restore the nesting frame so the ledger
-            // stays consistent: the program is still inside the
-            // enclosure and `recover_to_trusted` can unwind it.
-            self.stack.push((prev, seq));
-            return Err(self.trace_fault(e));
-        }
+        self.switch_hw(token.prev)
+            .map_err(|e| self.trace_fault(e))?;
+        self.stack.pop();
         self.current = token.prev;
-        self.sync_enclosed_flag();
+        self.sync_env();
         self.clock.note_switch_pair();
         let clock = &mut self.clock;
         let now = clock.now_ns();
@@ -945,46 +966,67 @@ impl LitterBox {
         Ok(())
     }
 
-    /// Forcibly returns the machine to the trusted environment after a
-    /// fault, unwinding any abandoned prolog frames so the telemetry
-    /// ledger stays balanced (every recorded `Prolog` gets its `Epilog`,
-    /// every open span is closed). Injection is suspended for the whole
-    /// recovery — a containment path must not itself be injectable.
-    ///
-    /// A no-op (zero events, zero simulated time) when the machine is
-    /// already trusted with no open frames.
-    pub fn recover_to_trusted(&mut self) {
-        if self.current == TRUSTED_ENV && self.stack.is_empty() {
-            return;
-        }
-        self.clock.suspend_injection();
-        self.flush_batch_barrier();
-        while let Some((prev, _seq)) = self.stack.pop() {
-            let exited = self.current;
-            self.current = prev;
-            self.clock.note_switch_pair();
-            let clock = &mut self.clock;
-            let now = clock.now_ns();
-            clock.recorder_mut().end_span(now);
-            clock.record(Event::Epilog {
-                enclosure: exited.0,
-            });
-        }
-        self.current = TRUSTED_ENV;
-        self.switch_hw(TRUSTED_ENV)
-            .expect("the trusted environment is always installed");
-        self.sync_enclosed_flag();
-        self.clock.resume_injection();
+    /// Pops every nesting frame from `floor` up, innermost first, each
+    /// with its `Epilog` event and closed span, and moves the hardware
+    /// into the environment the `floor` frame was entered from.
+    fn unwind(&mut self, floor: usize) {
+        self.uninjected(|lb| {
+            lb.flush_batch_barrier();
+            for (prev, _seq) in lb.stack.split_off(floor).into_iter().rev() {
+                let exited = mem::replace(&mut lb.current, prev);
+                lb.clock.note_switch_pair();
+                let clock = &mut lb.clock;
+                let now = clock.now_ns();
+                clock.recorder_mut().end_span(now);
+                clock.record(Event::Epilog {
+                    enclosure: exited.0,
+                });
+            }
+            lb.switch_hw(lb.current)
+                .expect("an uninjected switch into an installed environment cannot fail");
+            lb.sync_env();
+        });
     }
 
-    /// `Execute`: the user-level scheduler's switch between unrelated
-    /// protection contexts (§4.2). Swaps the whole (environment, nesting)
-    /// context and returns the previous one.
+    /// Runs `f` with fault injection suspended: the one way to make a
+    /// step of a containment path infallible, since a recovery that could
+    /// itself be injected would never converge. Nests.
+    #[allow(clippy::disallowed_methods)]
+    pub fn uninjected<R>(&mut self, f: impl FnOnce(&mut LitterBox) -> R) -> R {
+        self.clock.suspend_injection();
+        let out = f(self);
+        self.clock.resume_injection();
+        out
+    }
+
+    /// Runs `f`, and runs it once more with injection suspended if it
+    /// failed transiently (a faulted WRPKRU or CR3 write, a lost
+    /// crossing): the one retry of an `Execute` or a flush that the
+    /// program needs to make progress. A real fault propagates.
     ///
     /// # Errors
     ///
-    /// [`Fault::UnverifiedCallsite`] for unknown call-sites.
-    pub fn execute(&mut self, ctx: EnvContext, callsite: Addr) -> Result<EnvContext, Fault> {
+    /// `f`'s fault when it is not transient, or the retry's.
+    pub fn retry_uninjected<R>(
+        &mut self,
+        mut f: impl FnMut(&mut LitterBox) -> Result<R, Fault>,
+    ) -> Result<R, Fault> {
+        match f(self) {
+            Err(fault) if fault.is_transient() => self.uninjected(f),
+            other => other,
+        }
+    }
+
+    /// `Execute`: the user-level scheduler's switch between unrelated
+    /// protection contexts (§4.2). Swaps the machine's whole (environment,
+    /// nesting) context with `ctx`, which then holds the context it
+    /// replaced. On a fault nothing moves, so `ctx` can be retried as is.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::UnverifiedCallsite`] for unknown call-sites, or the
+    /// switch fault.
+    pub fn execute(&mut self, ctx: &mut EnvContext, callsite: Addr) -> Result<(), Fault> {
         // Same flush barrier as prolog/epilog: a scheduler context swap
         // must not carry another environment's batch with it.
         self.flush_batch_barrier();
@@ -996,20 +1038,16 @@ impl LitterBox {
             self.switch_hw(ctx.current)
                 .map_err(|e| self.trace_fault(e))?;
         }
-        let prev = EnvContext {
-            current: self.current,
-            stack: mem::take(&mut self.stack),
-        };
         self.record(Event::Execute {
-            from_env: prev.current.0,
+            from_env: self.current.0,
             to_env: ctx.current.0,
         });
-        self.current = ctx.current;
-        self.stack = ctx.stack;
+        mem::swap(&mut self.current, &mut ctx.current);
+        mem::swap(&mut self.stack, &mut ctx.stack);
         if self.backend != Backend::Baseline {
-            self.sync_enclosed_flag();
+            self.sync_env();
         }
-        Ok(prev)
+        Ok(())
     }
 
     /// Moves the enforcer (if any) into `target`'s environment.
@@ -1884,11 +1922,13 @@ mod tests {
         let _token = lb.prolog(EnclosureId(1), f.callsite).unwrap();
         assert_eq!(lb.current_env(), EnvId(1));
         // Scheduler preempts A, resumes goroutine B (trusted).
-        let ctx_a = lb.execute(EnvContext::trusted(), f.callsite).unwrap();
+        let mut ctx = EnvContext::trusted();
+        lb.execute(&mut ctx, f.callsite).unwrap();
         assert_eq!(lb.current_env(), TRUSTED_ENV);
+        assert_eq!(ctx.env(), EnvId(1), "A's context, swapped out");
         lb.store_u64(f.os.data_start(), 5).unwrap();
         // Resume A: restrictions return.
-        lb.execute(ctx_a, f.callsite).unwrap();
+        lb.execute(&mut ctx, f.callsite).unwrap();
         assert_eq!(lb.current_env(), EnvId(1));
         assert!(lb.store_u64(f.os.data_start(), 6).is_err());
     }
@@ -1910,7 +1950,13 @@ mod tests {
             let outer = lb.prolog(EnclosureId(1), f.callsite).unwrap();
             let inner = lb.prolog(EnclosureId(1), f.callsite).unwrap();
             let err = lb.epilog(outer);
-            lb.epilog(inner).unwrap();
+            // The out-of-order epilog unwinds both frames back to the
+            // outer caller, so the inner token is stale.
+            assert_eq!(lb.current_env(), TRUSTED_ENV);
+            assert!(matches!(
+                lb.epilog(inner),
+                Err(Fault::SwitchMismatch { .. })
+            ));
             err
         };
         assert!(matches!(t4_err, Err(Fault::SwitchMismatch { .. })));
@@ -1998,7 +2044,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_epilog_fault_is_recoverable() {
+    fn failed_switch_back_lands_in_the_callers_environment() {
         use enclosure_hw::InjectionPlan;
         for backend in [Backend::Mpk, Backend::Vtx] {
             let site = if backend == Backend::Mpk {
@@ -2007,17 +2053,27 @@ mod tests {
                 InjectionSite::Cr3Write
             };
             let (mut lb, f) = figure1(backend);
-            let token = lb.prolog(EnclosureId(1), f.callsite).unwrap();
+            // Nested: the inner switch back fails. The outer body resumes
+            // in its own environment, and the inner body's fault stays the
+            // root cause.
+            let outer = lb.prolog(EnclosureId(1), f.callsite).unwrap();
+            let inner = lb.prolog(EnclosureId(1), f.callsite).unwrap();
             lb.clock_mut().arm_injection(InjectionPlan::once(site));
-            let err = lb.epilog(token).unwrap_err();
-            assert!(matches!(err, Fault::Transient { .. }), "{backend}: {err}");
-            // Still inside the enclosure: the frame was restored.
+            let body: Result<(), Fault> = Err(Fault::Init("body".into()));
+            let err = lb.leave(inner, body).unwrap_err();
+            assert!(matches!(err, Fault::Init(_)), "{backend}: {err}");
             assert_eq!(lb.current_env(), EnvId(1), "{backend}");
-            lb.recover_to_trusted();
+            assert!(lb.load_u64(f.main.data_start()).is_err(), "{backend}");
+            // Top level: the switch fault surfaces, and the caller is
+            // trusted again.
+            lb.clock_mut().arm_injection(InjectionPlan::once(site));
+            let err = lb.epilog(outer).unwrap_err();
+            assert!(matches!(err, Fault::Transient { .. }), "{backend}: {err}");
             assert_eq!(lb.current_env(), TRUSTED_ENV, "{backend}");
             // Ledger balanced and the machine fully usable again.
             let c = lb.telemetry().counters();
             assert_eq!(c.prologs, c.epilogs, "{backend}");
+            assert_eq!(lb.telemetry().span_depth(), 0, "{backend}");
             lb.store_u64(f.secrets.data_start(), 5).unwrap();
             let token = lb.prolog(EnclosureId(1), f.callsite).unwrap();
             lb.epilog(token).unwrap();
@@ -2025,13 +2081,18 @@ mod tests {
     }
 
     #[test]
-    fn recover_to_trusted_is_a_noop_when_trusted() {
-        let (mut lb, _f) = figure1(Backend::Mpk);
-        let t0 = lb.now_ns();
-        let events_before = lb.telemetry().counters().epilogs;
-        lb.recover_to_trusted();
+    fn a_token_from_another_context_unwinds_nothing() {
+        let (mut lb, f) = figure1(Backend::Mpk);
+        let token = lb.prolog(EnclosureId(1), f.callsite).unwrap();
+        // The scheduler hands the machine to a trusted goroutine, which
+        // holds no frame for the token.
+        lb.execute(&mut EnvContext::trusted(), f.callsite).unwrap();
+        let (t0, epilogs) = (lb.now_ns(), lb.telemetry().counters().epilogs);
+        let err = lb.epilog(token).unwrap_err();
+        assert!(matches!(err, Fault::SwitchMismatch { .. }), "{err}");
+        assert_eq!(lb.current_env(), TRUSTED_ENV);
         assert_eq!(lb.now_ns(), t0);
-        assert_eq!(lb.telemetry().counters().epilogs, events_before);
+        assert_eq!(lb.telemetry().counters().epilogs, epilogs);
     }
 
     #[test]

@@ -244,28 +244,15 @@ impl Interpreter {
             return Ok(());
         }
         let enclosed = self.lb.current_env() != TRUSTED_ENV;
-        let prev = if enclosed {
-            let prev = self
-                .lb
-                .execute(EnvContext::trusted(), self.runtime_callsite)?;
-            self.stats.metadata_switches += 2;
-            self.lb
-                .clock_mut()
-                .record(enclosure_telemetry::Event::MetadataSwitch);
-            Some(prev)
-        } else {
-            None
-        };
-        let before: BTreeSet<String> = self.loaded.clone();
-        let mut result = self.import_inner(name);
-        if result.is_ok() && enclosed {
-            let new_modules: Vec<String> = self.loaded.difference(&before).cloned().collect();
-            result = self.extend_current_enclosure_view(&new_modules);
-        }
-        if let Some(prev) = prev {
-            self.lb.execute(prev, self.runtime_callsite)?;
-        }
-        result
+        self.trusted_detour(|py| {
+            let before: BTreeSet<String> = py.loaded.clone();
+            py.import_inner(name)?;
+            if enclosed {
+                let new_modules: Vec<String> = py.loaded.difference(&before).cloned().collect();
+                py.extend_current_enclosure_view(&new_modules)?;
+            }
+            Ok(())
+        })
     }
 
     fn import_inner(&mut self, name: &str) -> Result<(), Fault> {
@@ -513,7 +500,7 @@ impl Interpreter {
     fn read_meta(&mut self, addr: Addr) -> Result<u64, Fault> {
         match self.lb.load_u64(addr) {
             Ok(v) => Ok(v),
-            Err(Fault::Memory(_)) => self.trusted_roundtrip(|lb| lb.load_u64(addr)),
+            Err(Fault::Memory(_)) => self.trusted_detour(|py| py.lb.load_u64(addr)),
             Err(e) => Err(e),
         }
     }
@@ -522,23 +509,30 @@ impl Interpreter {
     fn write_meta(&mut self, addr: Addr, value: u64) -> Result<(), Fault> {
         match self.lb.store_u64(addr, value) {
             Ok(()) => Ok(()),
-            Err(Fault::Memory(_)) => self.trusted_roundtrip(|lb| lb.store_u64(addr, value)),
+            Err(Fault::Memory(_)) => self.trusted_detour(|py| py.lb.store_u64(addr, value)),
             Err(e) => Err(e),
         }
     }
 
-    fn trusted_roundtrip<R>(
+    /// Runs `f` in the trusted environment, where interpreter state
+    /// (metadata, the module table, the GC lists) is writable. From
+    /// inside an enclosure that is §5.2's controlled switch: an `Execute`
+    /// to trusted and one back, counted as two metadata switches. The
+    /// `Execute` back is retried uninjected
+    /// ([`LitterBox::retry_uninjected`]), so whatever `f` or the switch
+    /// did, the caller resumes in its own environment.
+    fn trusted_detour<R>(
         &mut self,
-        f: impl FnOnce(&mut LitterBox) -> Result<R, Fault>,
+        f: impl FnOnce(&mut Interpreter) -> Result<R, Fault>,
     ) -> Result<R, Fault> {
         if self.lb.current_env() == TRUSTED_ENV {
-            return f(&mut self.lb);
+            return f(self);
         }
-        let prev = self
-            .lb
-            .execute(EnvContext::trusted(), self.runtime_callsite)?;
-        let result = f(&mut self.lb);
-        self.lb.execute(prev, self.runtime_callsite)?;
+        let cs = self.runtime_callsite;
+        let mut ctx = EnvContext::trusted();
+        self.lb.execute(&mut ctx, cs)?;
+        let result = f(self);
+        self.lb.retry_uninjected(|lb| lb.execute(&mut ctx, cs))?;
         self.stats.metadata_switches += 2;
         self.lb
             .clock_mut()
@@ -614,27 +608,11 @@ impl Interpreter {
     }
 
     fn collect(&mut self, full: bool) -> Result<u64, Fault> {
-        let enclosed = self.lb.current_env() != TRUSTED_ENV;
-        let prev = if enclosed {
-            let prev = self
-                .lb
-                .execute(EnvContext::trusted(), self.runtime_callsite)?;
-            self.stats.metadata_switches += 2;
-            self.lb
-                .clock_mut()
-                .record(enclosure_telemetry::Event::MetadataSwitch);
-            Some(prev)
-        } else {
-            None
-        };
-        let mut freed = self.sweep_young_promoting();
-        if full {
-            freed = freed.and_then(|f| self.sweep_old().map(|o| f + o));
-        }
-        if let Some(prev) = prev {
-            self.lb.execute(prev, self.runtime_callsite)?;
-        }
-        freed
+        self.trusted_detour(|py| {
+            let young = py.sweep_young_promoting()?;
+            let old = if full { py.sweep_old()? } else { 0 };
+            Ok(young + old)
+        })
     }
 
     /// Young-generation sweep: free the dead, promote the living.
@@ -841,11 +819,15 @@ impl PyCtx<'_> {
         result
     }
 
-    /// Invokes a declared enclosure (nesting allowed, monotone).
+    /// Invokes a declared enclosure (nesting allowed, monotone). However
+    /// the call ends, the caller resumes in its own environment: a
+    /// failed switch back unwinds to the caller's frame
+    /// ([`LitterBox::leave`]), never past it.
     ///
     /// # Errors
     ///
-    /// Switch faults or any fault from the body.
+    /// Switch faults or any fault from the body, which stays the root
+    /// cause when the switch back fails too.
     pub fn call_enclosed(&mut self, name: &str, arg: PyValue) -> Result<PyValue, Fault> {
         let enc = self
             .py
@@ -857,17 +839,7 @@ impl PyCtx<'_> {
         self.py.enclosure_stack.push(name.to_owned());
         let result = self.call(&enc.entry, arg);
         self.py.enclosure_stack.pop();
-        if let Err(epilog_fault) = self.py.lb.epilog(token) {
-            // The switch back failed (e.g. an injected WRPKRU/CR3
-            // fault). Containment: force the machine back to trusted
-            // and prefer the body's own fault as the root cause.
-            self.py.lb.recover_to_trusted();
-            return Err(match result {
-                Err(body_fault) => body_fault,
-                Ok(_) => epilog_fault,
-            });
-        }
-        result
+        self.py.lb.leave(token, result)
     }
 }
 
@@ -1194,6 +1166,65 @@ mod tests {
             py.register_fn("plotlib.render", |_ctx, _arg| Ok(PyValue::Int(1)));
             let out = py.call_enclosed("plot", PyValue::None).unwrap();
             assert_eq!(out, PyValue::Int(1), "body_fails={body_fails}");
+            assert_eq!(py.lb().current_env(), TRUSTED_ENV);
+        }
+    }
+
+    #[test]
+    fn failed_nested_switch_back_keeps_the_outer_view() {
+        let mut py = setup(Backend::Vtx, MetadataMode::CoLocated);
+        py.register_fn("numpy.inner", |ctx, _arg| {
+            ctx.lb_mut()
+                .clock_mut()
+                .arm_injection(InjectionPlan::once(InjectionSite::Cr3Write));
+            Ok(PyValue::None)
+        });
+        py.register_fn("plotlib.outer", |ctx, _arg| {
+            let inner = ctx.call_enclosed("inner", PyValue::None);
+            assert!(
+                matches!(inner, Err(Fault::Transient { site: "cr3_write" })),
+                "{inner:?}"
+            );
+            // colorsys is outside `outer`'s view.
+            assert!(ctx.lb_mut().check_invoke("colorsys").is_err());
+            Ok(PyValue::Int(1))
+        });
+        py.import_module("colorsys").unwrap();
+        py.declare_enclosure("outer", "plotlib.outer", &[], "none")
+            .unwrap();
+        py.declare_enclosure("inner", "numpy.inner", &[], "none")
+            .unwrap();
+        let out = py.call_enclosed("outer", PyValue::None).unwrap();
+        assert_eq!(out, PyValue::Int(1));
+        assert_eq!(py.lb().current_env(), TRUSTED_ENV);
+        let c = py.lb().telemetry().counters();
+        assert_eq!(c.prologs, c.epilogs);
+    }
+
+    #[test]
+    fn failed_metadata_round_trip_returns_to_the_enclosure() {
+        // At these seeds the plan's one fault lands on the `Execute` back
+        // from the first metadata round trip.
+        for seed in [8, 14, 22] {
+            let mut py = setup(Backend::Vtx, MetadataMode::CoLocated);
+            let secret = py.alloc_in("secret", &[9; 8]).unwrap();
+            py.register_fn("plotlib.render", move |ctx, _arg| {
+                let plan = InjectionPlan::new(seed, 500_000)
+                    .with_sites(&[InjectionSite::Cr3Write])
+                    .with_budget(1);
+                ctx.lb_mut().clock_mut().arm_injection(plan);
+                let read = ctx.read(secret, 0, 1);
+                assert_eq!(ctx.lb().clock().injection().unwrap().fired(), 1);
+                assert_ne!(ctx.lb().current_env(), TRUSTED_ENV);
+                assert!(ctx.write(secret, 0, &[0]).is_err(), "read-only share");
+                assert_eq!(read?, vec![9]);
+                Ok(PyValue::None)
+            });
+            py.declare_enclosure("plot", "plotlib.render", &[], "secret: R, none")
+                .unwrap();
+            py.call_enclosed("plot", PyValue::None).unwrap();
+            py.lb_mut().clock_mut().disarm_injection();
+            assert_eq!(py.lb().load(secret, 1).unwrap(), vec![9], "seed {seed}");
             assert_eq!(py.lb().current_env(), TRUSTED_ENV);
         }
     }

@@ -466,7 +466,6 @@ pub struct Recorder {
     ring_cap: usize,
     spans: Vec<Frame>,
     attribution: BTreeMap<SpanScope, SpanCost>,
-    enclosed: bool,
     // Span tree (opt-in, for trace export).
     next_span_id: u64,
     span_log_on: bool,
@@ -825,18 +824,13 @@ impl Recorder {
         &self.ops
     }
 
-    /// Marks whether execution is currently inside an enclosure. The
-    /// enforcement layer flips this on every environment change so
-    /// lower layers (the kernel) can label their events without knowing
-    /// about enclosures.
-    pub fn set_enclosed(&mut self, enclosed: bool) {
-        self.enclosed = enclosed;
-    }
-
-    /// Whether execution is currently inside an enclosure.
+    /// Whether execution is currently inside an enclosure: the
+    /// environment [`Recorder::note_env`] last noted is not the trusted
+    /// one. Lower layers (the kernel) label their events by it without
+    /// knowing about enclosures.
     #[must_use]
     pub fn enclosed(&self) -> bool {
-        self.enclosed
+        self.cur_env != 0
     }
 
     /// Depth of the open span stack.
@@ -924,7 +918,6 @@ impl Recorder {
         self.ring.clear();
         self.spans.clear();
         self.attribution.clear();
-        self.enclosed = false;
         self.span_log.clear();
         self.cur_track = MAIN_TRACK;
         self.cur_env = 0;

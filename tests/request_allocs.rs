@@ -141,11 +141,11 @@ fn warm_switches_allocate_nothing() {
         let env = EnvId(enc.id().0);
         let callsite = app.info.callsite(enc.id()).expect("verified call-site");
         let round_trip = |app: &mut App| {
-            let trusted = app
-                .lb
-                .execute(EnvContext::in_env(env), callsite)
+            let mut ctx = EnvContext::in_env(env);
+            app.lb
+                .execute(&mut ctx, callsite)
                 .expect("execute into the enclosure");
-            app.lb.execute(trusted, callsite).expect("execute back");
+            app.lb.execute(&mut ctx, callsite).expect("execute back");
         };
         // Warm-up: LB_PROC forks its child on the first entry, and the
         // recorder's span stack and attribution entries fill.
