@@ -692,8 +692,8 @@ fn attribution(o: &Opts) -> Result<(), AnyError> {
         "\n{}",
         report::render_attribution(
             &results,
-            cons_py.lb().telemetry().attribution(),
-            opt_py.lb().telemetry().attribution(),
+            &cons_py.lb().telemetry().attribution(),
+            &opt_py.lb().telemetry().attribution(),
         )
     );
     Ok(())

@@ -276,8 +276,8 @@ pub fn render_python(results: &PythonResults) -> String {
 #[must_use]
 pub fn render_attribution(
     results: &PythonResults,
-    conservative_spans: &BTreeMap<SpanScope, SpanCost>,
-    optimized_spans: &BTreeMap<SpanScope, SpanCost>,
+    conservative_spans: &BTreeMap<&SpanScope, SpanCost>,
+    optimized_spans: &BTreeMap<&SpanScope, SpanCost>,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(

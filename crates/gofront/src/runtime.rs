@@ -5,13 +5,14 @@ use std::sync::Arc;
 
 use enclosure_kernel::Kernel;
 use enclosure_support::IdMap;
+use enclosure_telemetry::SpanScope;
 use enclosure_vmem::Addr;
 use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
 
 use crate::alloc::SpanAllocator;
 use crate::compile::compile;
 use crate::link::{ElfImage, LinkedEnclosure, Linker};
-use crate::sched::{ChanId, GoroutineId, Recv, SchedSizes, Scheduler, Step};
+use crate::sched::{ChanId, GoroutineFn, GoroutineId, Recv, SchedSizes, Scheduler, Step};
 use crate::source::GoSource;
 use crate::stack::SplitStack;
 use crate::value::GoValue;
@@ -77,6 +78,7 @@ impl GoProgram {
         let runtime_callsite = image
             .symbol("runtime.callsite")
             .expect("linker always emits the runtime call-site");
+        let sched_pkg: Arc<str> = GO_SCHED_PKG.into();
         Ok(GoRuntime {
             lb,
             image,
@@ -87,8 +89,8 @@ impl GoProgram {
             stack: SplitStack::new(),
             runtime_callsite,
             gc_cycles: 0,
-            sched_pkg: GO_SCHED_PKG.into(),
-            drain_span: "reactor.drain".into(),
+            drain_scope: SpanScope::new("reactor.drain", Arc::clone(&sched_pkg), TRUSTED_ENV.0),
+            sched_pkg,
         })
     }
 }
@@ -106,8 +108,9 @@ pub struct GoRuntime {
     gc_cycles: u64,
     /// [`GO_SCHED_PKG`], the package every quantum span is charged to.
     sched_pkg: Arc<str>,
-    /// The name of the reactor's forced-drain span.
-    drain_span: Arc<str>,
+    /// The scope of the reactor's forced-drain span; its environment is
+    /// set at each drain.
+    drain_scope: SpanScope,
 }
 
 impl std::fmt::Debug for GoRuntime {
@@ -240,8 +243,14 @@ impl GoRuntime {
         name: &str,
         f: impl FnMut(&mut GoCtx<'_>) -> Result<Step, Fault> + Send + 'static,
     ) -> GoroutineId {
-        self.sched
-            .spawn(name.into(), EnvContext::trusted(), Box::new(f))
+        self.spawn_in(name, EnvContext::trusted(), Box::new(f))
+    }
+
+    /// Queues goroutine `name` to run in `ctx`, with the scope of its
+    /// quantum spans built once, here.
+    fn spawn_in(&mut self, name: &str, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
+        let scope = SpanScope::new(name, Arc::clone(&self.sched_pkg), ctx.env().0);
+        self.sched.spawn(scope, ctx, f)
     }
 
     /// Spawns a goroutine that runs entirely inside `enclosure`'s
@@ -261,9 +270,7 @@ impl GoRuntime {
             .enclosure(enclosure)
             .ok_or_else(|| Fault::Init(format!("unknown enclosure '{enclosure}'")))?;
         let env = litterbox::EnvId(enc.id.0);
-        Ok(self
-            .sched
-            .spawn(name.into(), EnvContext::in_env(env), Box::new(f)))
+        Ok(self.spawn_in(name, EnvContext::in_env(env), Box::new(f)))
     }
 
     /// An `Execute` that survives injected faults: the scheduler must
@@ -315,16 +322,11 @@ impl GoRuntime {
                 .take()
                 .expect("queued goroutine exists");
             {
-                let scope = enclosure_telemetry::SpanScope::new(
-                    Arc::clone(&g.name),
-                    Arc::clone(&self.sched_pkg),
-                    g.ctx.env().0,
-                );
                 let clock = self.lb.clock_mut();
                 let now = clock.now_ns();
                 let rec = clock.recorder_mut();
-                rec.switch_track(now, slot as u64 + 1, &g.name);
-                rec.begin_span(now, scope);
+                rec.switch_track(now, slot as u64 + 1, &g.scope.enclosure);
+                rec.begin_span(now, &g.scope);
             }
             if g.ctx.env() != self.lb.current_env() {
                 self.lb
@@ -481,18 +483,11 @@ impl GoRuntime {
     /// the parked tokens can never complete — and faults rather than
     /// spinning forever.
     fn drain_for_parked(&mut self) -> Result<(), Fault> {
-        let env = self.lb.current_env().0;
+        self.drain_scope.env = self.lb.current_env().0;
         {
             let clock = self.lb.clock_mut();
             let now = clock.now_ns();
-            clock.recorder_mut().begin_span(
-                now,
-                enclosure_telemetry::SpanScope::new(
-                    Arc::clone(&self.drain_span),
-                    Arc::clone(&self.sched_pkg),
-                    env,
-                ),
-            );
+            clock.recorder_mut().begin_span(now, &self.drain_scope);
         }
         let flushed = self.lb.retry_uninjected(LitterBox::batch_flush_drain);
         let woken = self.wake_parked();
@@ -702,9 +697,7 @@ impl GoCtx<'_> {
         f: impl FnMut(&mut GoCtx<'_>) -> Result<Step, Fault> + Send + 'static,
     ) -> GoroutineId {
         let env = self.rt.lb.current_env();
-        self.rt
-            .sched
-            .spawn(name.into(), EnvContext::in_env(env), Box::new(f))
+        self.rt.spawn_in(name, EnvContext::in_env(env), Box::new(f))
     }
 
     /// Creates a channel.
@@ -971,6 +964,28 @@ mod tests {
         // Environment switches actually happened.
         assert!(rt.lb().stats().wrpkru > 2);
         assert_eq!(rt.lb().current_env(), TRUSTED_ENV);
+    }
+
+    /// Each scheduler run starts again from slot 0, so a later
+    /// goroutine reports on the track of an earlier one. Its time is
+    /// charged under its own name, not the name the track first had.
+    #[test]
+    fn a_reused_slot_charges_its_own_goroutine() {
+        let mut rt = figure1_program().build(Backend::Mpk).unwrap();
+        for (name, ns) in [("alpha", 1_000), ("beta", 5_000)] {
+            rt.spawn(name, move |ctx| {
+                ctx.compute(ns);
+                Ok(Step::Done)
+            });
+            rt.run_scheduler().unwrap();
+        }
+        let costs = rt.lb().telemetry().track_costs();
+        let track1: Vec<(&str, u64)> = costs
+            .iter()
+            .filter(|c| c.track == 1)
+            .map(|c| (c.name.as_str(), c.ns))
+            .collect();
+        assert_eq!(track1, [("alpha", 1_000), ("beta", 5_000)]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
+use enclosure_telemetry::SpanScope;
 use litterbox::{CompletionToken, EnvContext, Fault};
 
 use crate::runtime::GoCtx;
@@ -82,8 +82,9 @@ pub(crate) struct Channel {
 pub type GoroutineFn = Box<dyn FnMut(&mut GoCtx<'_>) -> Result<Step, Fault> + Send>;
 
 pub(crate) struct Goroutine {
-    /// Also the name of every quantum span it runs under.
-    pub name: Arc<str>,
+    /// The scope every quantum of it runs under, built at spawn:
+    /// `{name, go.sched, env}`. `scope.enclosure` is its name.
+    pub scope: SpanScope,
     pub ctx: EnvContext,
     pub f: GoroutineFn,
 }
@@ -91,7 +92,7 @@ pub(crate) struct Goroutine {
 impl fmt::Debug for Goroutine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Goroutine")
-            .field("name", &self.name)
+            .field("name", &self.scope.enclosure)
             .field("env", &self.ctx.env())
             .finish_non_exhaustive()
     }
@@ -174,9 +175,9 @@ impl Scheduler {
         Ok(())
     }
 
-    pub fn spawn(&mut self, name: Arc<str>, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
+    pub fn spawn(&mut self, scope: SpanScope, ctx: EnvContext, f: GoroutineFn) -> GoroutineId {
         let slot = self.goroutines.len();
-        self.goroutines.push(Some(Goroutine { name, ctx, f }));
+        self.goroutines.push(Some(Goroutine { scope, ctx, f }));
         self.runq.push_back(slot);
         self.progress = true;
         GoroutineId(self.base + slot)

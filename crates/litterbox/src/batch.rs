@@ -52,13 +52,11 @@
 //! charged crossing is lost) aborts a flush — and then the batch stays
 //! queued, so a retry services every entry exactly once.
 
-use std::sync::Arc;
-
 use enclosure_hw::InjectionSite;
 use enclosure_hw::{EnvId, TRUSTED_ENV};
 use enclosure_kernel::ring::{self, BatchOp, Completion, SyscallRing};
 use enclosure_kernel::Errno;
-use enclosure_telemetry::{Event, SpanScope};
+use enclosure_telemetry::{Event, FlushReason, SpanScope};
 
 use crate::fault::Fault;
 use crate::machine::LitterBox;
@@ -109,10 +107,10 @@ pub(crate) struct BatchState {
     mode: GatewayMode,
     ring: SyscallRing,
     env: EnvId,
-    /// The flush span's name, `batch.flush`.
-    flush_span: Arc<str>,
-    /// The package flushes are charged to, `litterbox.gateway`.
-    gateway_pkg: Arc<str>,
+    /// The scope flush spans open under: `batch.flush`, charged to
+    /// `litterbox.gateway`, in the flushed batch's environment (set at
+    /// each flush).
+    flush_scope: SpanScope,
 }
 
 impl BatchState {
@@ -121,8 +119,7 @@ impl BatchState {
             mode: GatewayMode::Direct,
             ring: SyscallRing::new(),
             env: TRUSTED_ENV,
-            flush_span: "batch.flush".into(),
-            gateway_pkg: "litterbox.gateway".into(),
+            flush_scope: SpanScope::new("batch.flush", "litterbox.gateway", TRUSTED_ENV.0),
         }
     }
 }
@@ -204,24 +201,24 @@ impl LitterBox {
     /// and a [`Fault::Transient`] is returned — retry after recovery
     /// and every entry completes exactly once.
     pub fn batch_flush(&mut self) -> Result<usize, Fault> {
-        self.flush_with_reason("explicit")
+        self.flush_with_reason(FlushReason::Explicit)
     }
 
     /// The scheduler's per-quantum flush in [`GatewayMode::Batched`]:
     /// identical to [`LitterBox::batch_flush`] but tagged `quantum` in
     /// the flush-trigger telemetry.
     pub fn batch_flush_quantum(&mut self) -> Result<usize, Fault> {
-        self.flush_with_reason("quantum")
+        self.flush_with_reason(FlushReason::Quantum)
     }
 
     /// The reactor's idle-drain flush: when every runnable goroutine is
     /// parked, the scheduler forces a flush so no goroutine waits
     /// forever. Tagged `drain` in telemetry.
     pub fn batch_flush_drain(&mut self) -> Result<usize, Fault> {
-        self.flush_with_reason("drain")
+        self.flush_with_reason(FlushReason::Drain)
     }
 
-    fn flush_with_reason(&mut self, reason: &'static str) -> Result<usize, Fault> {
+    fn flush_with_reason(&mut self, reason: FlushReason) -> Result<usize, Fault> {
         let n = self.batch.ring.pending();
         if n == 0 {
             return Ok(0);
@@ -242,14 +239,12 @@ impl LitterBox {
         }
 
         {
-            let scope = SpanScope::new(
-                Arc::clone(&self.batch.flush_span),
-                Arc::clone(&self.batch.gateway_pkg),
-                env.0,
-            );
-            let clock = self.clock_mut();
+            self.batch.flush_scope.env = env.0;
+            let clock = &mut self.clock;
             let now = clock.now_ns();
-            clock.recorder_mut().begin_span(now, scope);
+            clock
+                .recorder_mut()
+                .begin_span(now, &self.batch.flush_scope);
             clock.record(Event::FlushTrigger { reason });
         }
 
@@ -337,7 +332,7 @@ impl LitterBox {
         if self.batch.ring.pending() == 0 {
             return;
         }
-        let flushed = self.uninjected(|lb| lb.flush_with_reason("barrier"));
+        let flushed = self.uninjected(|lb| lb.flush_with_reason(FlushReason::Barrier));
         debug_assert!(flushed.is_ok(), "barrier flushes run injection-suspended");
     }
 

@@ -155,11 +155,12 @@ impl Default for EnvContext {
 /// One execution environment: a view and a syscall policy.
 #[derive(Debug, Clone)]
 pub(crate) struct EnvInfo {
-    /// The environment's name, which also names its enclosure's spans.
+    /// The environment's name.
     pub(crate) name: Arc<str>,
-    /// The package its enclosure's spans are attributed to (see
-    /// [`span_package`]); `-` for the trusted environment.
-    pub(crate) span_package: Arc<str>,
+    /// The scope its enclosure's spans open under: the name, the
+    /// package they are attributed to (see [`span_package`]) and the
+    /// environment id.
+    pub(crate) span: SpanScope,
     pub(crate) view: ViewMap,
     pub(crate) policy: SysPolicy,
 }
@@ -215,7 +216,7 @@ pub struct LitterBox {
     backend: Backend,
     space: AddressSpace,
     kernel: Kernel,
-    clock: Clock,
+    pub(crate) clock: Clock,
     program: Program,
     ranges: Vec<(VirtRange, String)>,
     enclosures: BTreeMap<EnclosureId, EnclosureDesc>,
@@ -306,15 +307,10 @@ impl LitterBox {
         self.clock.recorder_mut()
     }
 
-    /// Records a telemetry event at the current simulated time.
-    fn record(&mut self, event: Event) {
-        self.clock.record(event);
-    }
-
     /// Records a fault event and hands the fault back (error-path
     /// helper for the API surface).
     pub(crate) fn trace_fault(&mut self, fault: Fault) -> Fault {
-        self.record(Event::Fault { kind: fault.kind() });
+        self.clock.record(Event::Fault { kind: fault.kind() });
         fault
     }
 
@@ -560,7 +556,7 @@ impl LitterBox {
             return Err(self.trace_fault(e));
         }
         self.initialized = true;
-        self.record(Event::Init {
+        self.clock.record(Event::Init {
             packages: self.program.packages.len() as u64,
             enclosures: self.enclosures.len() as u64,
             incremental,
@@ -591,7 +587,7 @@ impl LitterBox {
             }
             return Err(self.trace_fault(e));
         }
-        self.record(Event::ViewUpdate {
+        self.clock.record(Event::ViewUpdate {
             enclosure: id.0,
             ns: self.init_ns - before_ns,
         });
@@ -713,11 +709,12 @@ impl LitterBox {
         // Enclosure views are augmented with the always-available
         // litterbox.user package.
         let mut envs: IdMap<EnvId, EnvInfo> = IdMap::default();
+        let trusted: Arc<str> = "trusted".into();
         envs.insert(
             TRUSTED_ENV,
             EnvInfo {
-                name: "trusted".into(),
-                span_package: "-".into(),
+                span: SpanScope::new(Arc::clone(&trusted), "-", TRUSTED_ENV.0),
+                name: trusted,
                 view: trusted_view.clone(),
                 policy: SysPolicy::all(),
             },
@@ -725,11 +722,12 @@ impl LitterBox {
         for enc in self.enclosures.values() {
             let mut view = enc.view.clone();
             view.insert(LB_USER_PKG.to_owned(), Access::RX);
+            let name: Arc<str> = enc.name.as_str().into();
             envs.insert(
                 EnvId(enc.id.0),
                 EnvInfo {
-                    name: enc.name.as_str().into(),
-                    span_package: span_package(enc),
+                    span: SpanScope::new(Arc::clone(&name), span_package(enc), enc.id.0),
+                    name,
                     view,
                     policy: enc.policy.clone(),
                 },
@@ -870,21 +868,21 @@ impl LitterBox {
     }
 
     /// Opens the telemetry span for `enclosure` and records the prolog
-    /// event. The span's names were built with the environment, so an
-    /// entry only clones them.
+    /// event. The span's scope was built with the environment, so an
+    /// entry only lends it.
     fn enter_span(&mut self, enclosure: EnclosureId) {
         let env = EnvId(enclosure.0);
-        let scope = match self.program.envs.get(&env) {
-            Some(info) if env != TRUSTED_ENV => SpanScope::new(
-                Arc::clone(&info.name),
-                Arc::clone(&info.span_package),
-                enclosure.0,
-            ),
-            _ => SpanScope::new(format!("enc#{}", enclosure.0), "-", enclosure.0),
-        };
         let clock = &mut self.clock;
         let now = clock.now_ns();
-        clock.recorder_mut().begin_span(now, scope);
+        match self.program.envs.get(&env) {
+            Some(info) if env != TRUSTED_ENV => {
+                clock.recorder_mut().begin_span(now, &info.span);
+            }
+            _ => {
+                let scope = SpanScope::new(format!("enc#{}", enclosure.0), "-", enclosure.0);
+                clock.recorder_mut().begin_span(now, &scope);
+            }
+        }
         clock.record(Event::Prolog {
             enclosure: enclosure.0,
         });
@@ -1038,7 +1036,7 @@ impl LitterBox {
             self.switch_hw(ctx.current)
                 .map_err(|e| self.trace_fault(e))?;
         }
-        self.record(Event::Execute {
+        self.clock.record(Event::Execute {
             from_env: self.current.0,
             to_env: ctx.current.0,
         });
@@ -1155,7 +1153,7 @@ impl LitterBox {
             .expect("checked above")
             .push(section);
         self.ranges.push((range, to.to_owned()));
-        self.record(Event::Transfer {
+        self.clock.record(Event::Transfer {
             pages: range.page_len(),
             to: to.to_owned(),
         });
@@ -1271,7 +1269,7 @@ impl LitterBox {
         // though it pays the backend's filtering tax above. This keeps
         // `filter_syscalls == enclosed_syscall_entries` exact.
         if self.current != TRUSTED_ENV && self.hw.is_some() {
-            self.record(Event::FilterSyscall {
+            self.clock.record(Event::FilterSyscall {
                 sysno: record.sysno.nr(),
                 allowed,
             });

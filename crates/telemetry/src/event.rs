@@ -2,6 +2,34 @@
 
 use std::fmt;
 
+/// Why the batched gateway flushed. Each reason has its own counter
+/// (`flush_{reason}_triggers`); `Display` prints the word trace lines
+/// show after `flush_trigger reason=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushReason {
+    /// The per-quantum flush of the batched gateway.
+    Quantum,
+    /// A prolog/epilog/execute switch barrier, or the unwind of a
+    /// failed switch back.
+    Barrier,
+    /// The scheduler ran out of runnable goroutines with submitters
+    /// parked on the ring.
+    Drain,
+    /// A flush the application asked for.
+    Explicit,
+}
+
+impl fmt::Display for FlushReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            FlushReason::Quantum => "quantum",
+            FlushReason::Barrier => "barrier",
+            FlushReason::Drain => "drain",
+            FlushReason::Explicit => "explicit",
+        })
+    }
+}
+
 /// One telemetry event. Environment ids are raw `u32`s (the numeric
 /// half of `hw::EnvId`) so this crate stays at the bottom of the
 /// dependency graph.
@@ -156,14 +184,10 @@ pub enum Event {
         /// Raw syscall number.
         sysno: u32,
     },
-    /// What caused a batch flush: `"quantum"` (per-quantum flush of the
-    /// batched gateway), `"barrier"` (prolog/epilog/execute/recover
-    /// switch barrier),
-    /// `"drain"` (scheduler ran out of runnable goroutines with parked
-    /// submitters), or `"explicit"` (application-requested flush).
+    /// What caused a batch flush (see [`FlushReason`]).
     FlushTrigger {
-        /// The trigger tag.
-        reason: &'static str,
+        /// The trigger.
+        reason: FlushReason,
     },
     /// A goroutine parked on a pending batch completion instead of
     /// blocking its quantum on a flush.
@@ -423,6 +447,13 @@ mod tests {
             "filter_syscall sysno=41 deny"
         );
         assert_eq!(Event::VmExit.to_string(), "vm_exit");
+        assert_eq!(
+            Event::FlushTrigger {
+                reason: FlushReason::Drain
+            }
+            .to_string(),
+            "flush_trigger reason=drain"
+        );
         assert_eq!(
             Event::GcPause { ns: 300, live: 10 }.to_string(),
             "gc_pause ns=300 live=10"

@@ -2,10 +2,11 @@
 //! stacks, both derived from the recorder's span log.
 //!
 //! The span log is written in close order; both exporters first
-//! rebuild the per-track forest (parent links never cross tracks, so
-//! every track's spans are well nested) and then walk it
-//! deterministically — children in `(start_ns, id)` order — so the
-//! output is byte-stable for a given seed.
+//! rebuild the forest of each thread, one goroutine on one track
+//! (parent links never cross tracks or quanta, so every thread's spans
+//! are well nested), and then walk it deterministically — children in
+//! `(start_ns, id)` order — so the output is byte-stable for a given
+//! seed.
 
 use std::collections::BTreeMap;
 
@@ -13,26 +14,31 @@ use enclosure_support::Json;
 
 use crate::recorder::{Recorder, SpanNode};
 
-/// Per-track forest over the span log: `(roots, children)` as indices
-/// into the log slice, plus the sorted list of tracks.
+/// Per-thread forest over the span log: `(roots, children)` as indices
+/// into the log slice.
 struct Forest<'a> {
     nodes: &'a [SpanNode],
-    /// Track → root node indices, in `(start_ns, id)` order.
-    roots: BTreeMap<u64, Vec<usize>>,
+    /// (track, goroutine) → root node indices, in `(start_ns, id)`
+    /// order. A scheduler run reuses the last run's tracks, so a track
+    /// can hold several goroutines.
+    roots: BTreeMap<(u64, &'a str), Vec<usize>>,
     /// Parent span id → child node indices, in `(start_ns, id)` order.
     children: BTreeMap<u64, Vec<usize>>,
 }
 
 fn build_forest(nodes: &[SpanNode]) -> Forest<'_> {
     let known: BTreeMap<u64, usize> = nodes.iter().enumerate().map(|(i, n)| (n.id.0, i)).collect();
-    let mut roots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    let mut roots: BTreeMap<(u64, &str), Vec<usize>> = BTreeMap::new();
     let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, node) in nodes.iter().enumerate() {
         // A parent that was truncated (reset mid-enclosure) is absent
         // from the log; its orphans become roots rather than vanishing.
         match node.parent {
             Some(p) if known.contains_key(&p.0) => children.entry(p.0).or_default().push(i),
-            _ => roots.entry(node.track).or_default().push(i),
+            _ => roots
+                .entry((node.track, &*node.goroutine))
+                .or_default()
+                .push(i),
         }
     }
     let by_start = |xs: &mut Vec<usize>| xs.sort_by_key(|&i| (nodes[i].start_ns, nodes[i].id));
@@ -54,24 +60,38 @@ fn ts_us(ns: u64) -> Json {
 }
 
 /// Serializes the recorder's span log as Chrome trace-event JSON
-/// (`chrome://tracing` / Perfetto "JSON" format): one `tid` per track
-/// (goroutine or main), named via `thread_name` metadata events, with
-/// `B`/`E` duration events per span. Requires
-/// [`Recorder::enable_span_log`] to have been on during the run.
+/// (`chrome://tracing` / Perfetto "JSON" format): one `tid` per thread
+/// (a goroutine on its track, or main), named via `thread_name`
+/// metadata events, with `B`/`E` duration events per span. A thread's
+/// tid is its track, except that on a track that ran several
+/// goroutines only the first in name order keeps it, and the others
+/// get ids past every track's. Requires [`Recorder::enable_span_log`]
+/// to have been on during the run.
 #[must_use]
 pub fn chrome_trace(rec: &Recorder) -> Json {
     let forest = build_forest(rec.span_log());
+    let mut spare_tid = forest
+        .roots
+        .keys()
+        .map(|&(track, _)| track + 1)
+        .max()
+        .unwrap_or(0);
+    let mut last_track = None;
     let mut events = Vec::new();
-    for (&track, roots) in &forest.roots {
+    for (&(track, goroutine), roots) in &forest.roots {
+        let tid = if last_track == Some(track) {
+            spare_tid += 1;
+            spare_tid - 1
+        } else {
+            track
+        };
+        last_track = Some(track);
         events.push(Json::obj([
             ("ph", Json::from("M")),
             ("name", Json::from("thread_name")),
             ("pid", Json::U64(1)),
-            ("tid", Json::U64(track)),
-            (
-                "args",
-                Json::obj([("name", Json::from(rec.track_name(track)))]),
-            ),
+            ("tid", Json::U64(tid)),
+            ("args", Json::obj([("name", Json::from(goroutine))])),
         ]));
         // Explicit open/close stack: emits B, children in start order,
         // then the matching E — well nested by construction.
@@ -89,7 +109,7 @@ pub fn chrome_trace(rec: &Recorder) -> Json {
                         ("name", Json::from(&*n.scope.enclosure)),
                         ("cat", Json::from("enclosure")),
                         ("pid", Json::U64(1)),
-                        ("tid", Json::U64(n.track)),
+                        ("tid", Json::U64(tid)),
                         ("ts", ts_us(n.start_ns)),
                         (
                             "args",
@@ -110,7 +130,7 @@ pub fn chrome_trace(rec: &Recorder) -> Json {
                     events.push(Json::obj([
                         ("ph", Json::from("E")),
                         ("pid", Json::U64(1)),
-                        ("tid", Json::U64(n.track)),
+                        ("tid", Json::U64(tid)),
                         ("ts", ts_us(n.end_ns)),
                     ]));
                 }
@@ -139,7 +159,7 @@ pub fn folded_stacks(rec: &Recorder) -> String {
             cur = &nodes[pi];
             path.push(&*cur.scope.enclosure);
         }
-        path.push(rec.track_name(node.track));
+        path.push(&*node.goroutine);
         path.reverse();
         *folded.entry(path.join(";")).or_default() += node.self_ns();
     }
@@ -156,20 +176,20 @@ pub fn folded_stacks(rec: &Recorder) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::SpanScope;
+    use crate::recorder::{SpanScope, MAIN_TRACK};
 
     fn sample_recorder() -> Recorder {
         let mut rec = Recorder::new();
         rec.enable_span_log();
         rec.switch_track(0, 1, "g-alpha");
-        rec.begin_span(0, SpanScope::new("quantum", "go.sched", 1));
-        rec.begin_span(10, SpanScope::new("img", "pkg.img", 2));
+        rec.begin_span(0, &SpanScope::new("quantum", "go.sched", 1));
+        rec.begin_span(10, &SpanScope::new("img", "pkg.img", 2));
         rec.end_span(40);
-        rec.begin_span(50, SpanScope::new("img", "pkg.img", 2));
+        rec.begin_span(50, &SpanScope::new("img", "pkg.img", 2));
         rec.end_span(60);
         rec.end_span(100);
         rec.switch_track(100, 2, "g-beta");
-        rec.begin_span(100, SpanScope::new("quantum", "go.sched", 3));
+        rec.begin_span(100, &SpanScope::new("quantum", "go.sched", 3));
         rec.end_span(130);
         rec
     }
@@ -199,6 +219,41 @@ mod tests {
         assert!(text.contains("g-alpha;quantum;img 40\n"), "{text}");
         assert!(text.contains("g-alpha;quantum 60\n"), "{text}");
         assert!(text.contains("g-beta;quantum 30\n"), "{text}");
+    }
+
+    /// A later scheduler run reuses track 1 for another goroutine: each
+    /// goroutine is its own thread under its own name.
+    #[test]
+    fn a_reused_track_exports_one_thread_per_goroutine() {
+        let mut rec = sample_recorder();
+        rec.switch_track(130, MAIN_TRACK, "main");
+        rec.switch_track(140, 1, "g-gamma");
+        rec.begin_span(140, &SpanScope::new("quantum", "go.sched", 1));
+        rec.end_span(150);
+        let text = folded_stacks(&rec);
+        assert!(text.contains("g-alpha;quantum 60\n"), "{text}");
+        assert!(text.contains("g-gamma;quantum 10\n"), "{text}");
+        let Json::Obj(fields) = chrome_trace(&rec) else {
+            panic!("a trace is an object");
+        };
+        let Json::Arr(events) = &fields[0].1 else {
+            panic!("traceEvents is an array");
+        };
+        let threads: Vec<String> = events
+            .iter()
+            .filter(|e| e.to_compact().contains("\"thread_name\""))
+            .map(Json::to_compact)
+            .collect();
+        assert_eq!(threads.len(), 3, "{threads:?}");
+        for (tid, name) in [(1, "g-alpha"), (2, "g-beta"), (3, "g-gamma")] {
+            assert!(
+                threads
+                    .iter()
+                    .any(|t| t.contains(&format!("\"tid\":{tid},"))
+                        && t.contains(&format!("\"name\":\"{name}\""))),
+                "{threads:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!
 //! Design:
 //! * [`Counters`] — fixed-cost, always-on monotonic counters; the
-//!   source of truth for every report.
+//!   source of truth for every report. With no consumer armed,
+//!   [`Recorder::record`] is an inlined counter bump; the trace ring,
+//!   the window series and the flight recorder each pay for
+//!   themselves on an out-of-line path.
 //! * [`Event`] — the typed event stream; buffered only when tracing is
 //!   enabled ([`Recorder::enable_trace`]) in a bounded ring;
 //!   [`Recorder::arm_trace`] and [`Recorder::dump_trace`] are the
@@ -21,17 +24,20 @@
 //! * span tree — [`Recorder::begin_span`]/[`Recorder::end_span`]
 //!   bracket enclosure entry/exit and attribute simulated nanoseconds
 //!   to a [`SpanScope`], splitting self-time from nested-enclosure
-//!   time. Every span carries a [`SpanId`] and a parent link; with the
+//!   time. A scope resolves to its attribution row when the span
+//!   opens, and its owner lends it prebuilt, so a span copies no
+//!   name. Every span carries a [`SpanId`] and a parent link; with the
 //!   opt-in span log ([`Recorder::enable_span_log`]) the recorder
 //!   keeps the whole well-nested tree ([`SpanNode`]) for export.
 //! * tracks — [`Recorder::switch_track`]/[`Recorder::note_env`] slice
-//!   simulated time per (goroutine track, environment) pair across
-//!   scheduler preemption and `Execute` handoffs ([`TrackCost`]).
+//!   simulated time per (goroutine track, environment, goroutine name)
+//!   across scheduler preemption and `Execute` handoffs
+//!   ([`TrackCost`]).
 //! * histograms — [`Histogram`] is a log-bucketed HDR-style sketch;
 //!   [`Recorder::record_op`] keeps per-operation cost distributions
 //!   (switches, `pkey_mprotect` sweeps, key evictions).
 //! * exporters — [`chrome_trace`] (Perfetto / `chrome://tracing`
-//!   JSON, one track per goroutine) and [`folded_stacks`] (flamegraph
+//!   JSON, one thread per goroutine) and [`folded_stacks`] (flamegraph
 //!   text) serialize the span tree.
 //! * time series — [`Recorder::enable_series`] cuts every ledger above
 //!   into fixed-width [`MetricsWindow`]s on the simulated clock, held
@@ -50,7 +56,7 @@ mod recorder;
 mod series;
 mod slo;
 
-pub use event::Event;
+pub use event::{Event, FlushReason};
 pub use export::{chrome_trace, folded_stacks};
 pub use hist::Histogram;
 pub use recorder::{

@@ -1,12 +1,25 @@
 //! The recorder sink: counters, bounded trace ring, and span
 //! attribution.
+//!
+//! The always-on path is a counter bump. [`Recorder::record`] inlines
+//! into its caller; with no trace ring, window series or flight
+//! recorder armed it bumps the event's counter and returns. An armed
+//! consumer pays for itself on an out-of-line path.
+//!
+//! Spans resolve their [`SpanScope`] to an attribution row when they
+//! open, with one [`IdMap`] lookup, and closing one adds into that row.
+//! The track ledger likewise keeps one row per (track, goroutine),
+//! which [`Recorder::switch_track`] finds through an [`IdMap`] by track
+//! once per quantum; an environment switch then adds the closed slice
+//! into that row. The keys of both maps are names and ids this repository makes
+//! (DESIGN §14, "Lookups").
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use enclosure_support::Json;
+use enclosure_support::{IdMap, Json};
 
-use crate::event::Event;
+use crate::event::{Event, FlushReason};
 use crate::hist::Histogram;
 use crate::series::{MetricsWindow, Series};
 use crate::slo::{is_flight_trigger, FlightRecording, SloPolicy};
@@ -229,6 +242,11 @@ impl Counters {
         }
     }
 
+    /// Counts `event`. Always inlined: at a call site that names the
+    /// event's variant the match folds to the counters it bumps, and
+    /// plain `#[inline]` leaves it a call, because the whole match looks
+    /// too big before the variant is known.
+    #[inline(always)]
     pub(crate) fn bump(&mut self, event: &Event) {
         match event {
             Event::Init {
@@ -293,11 +311,11 @@ impl Counters {
             }
             Event::BatchFlush { .. } => self.batch_flushes += 1,
             Event::BatchedSyscall { .. } => self.batched_syscalls += 1,
-            Event::FlushTrigger { reason } => match *reason {
-                "quantum" => self.flush_quantum_triggers += 1,
-                "barrier" => self.flush_barrier_triggers += 1,
-                "drain" => self.flush_drain_triggers += 1,
-                _ => self.flush_explicit_triggers += 1,
+            Event::FlushTrigger { reason } => match reason {
+                FlushReason::Quantum => self.flush_quantum_triggers += 1,
+                FlushReason::Barrier => self.flush_barrier_triggers += 1,
+                FlushReason::Drain => self.flush_drain_triggers += 1,
+                FlushReason::Explicit => self.flush_explicit_triggers += 1,
             },
             Event::GoPark { .. } => self.go_parks += 1,
             Event::GoWake { .. } => self.go_wakes += 1,
@@ -328,10 +346,11 @@ impl Counters {
 
 /// Attribution key: where simulated time was spent.
 ///
-/// The names are shared strings: whoever opens spans under a name
-/// (a goroutine, the scheduler, the batch gateway) holds it once and
-/// hands out clones, so opening a span copies no string.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Whoever opens spans under a scope (an environment, a goroutine, the
+/// scheduler's drain, the batch gateway) builds it once and lends it to
+/// [`Recorder::begin_span`], so opening a span copies no string and
+/// touches no reference count.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanScope {
     /// Enclosure name (`"<trusted>"` outside any enclosure).
     pub enclosure: Arc<str>,
@@ -411,6 +430,9 @@ pub struct SpanNode {
     pub scope: SpanScope,
     /// Track the span ran on ([`MAIN_TRACK`] or a goroutine track).
     pub track: u64,
+    /// The goroutine the track was running (`"main"` on
+    /// [`MAIN_TRACK`]); a scheduler run reuses the last run's tracks.
+    pub goroutine: Arc<str>,
     /// Simulated time the span opened.
     pub start_ns: u64,
     /// Simulated time the span closed.
@@ -433,13 +455,16 @@ impl SpanNode {
     }
 }
 
-/// Simulated nanoseconds one (track, environment) pair accumulated;
-/// the per-goroutine attribution rows behind `repro table2`.
+/// Simulated nanoseconds one goroutine accumulated on one (track,
+/// environment) pair; the per-goroutine attribution rows behind `repro
+/// table2`. A track that later runs another goroutine (a scheduler run
+/// reuses the slots of the last one) gets one row per name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackCost {
     /// Track id ([`MAIN_TRACK`] or a goroutine's run slot `+ 1`).
     pub track: u64,
-    /// Track label (goroutine name; `"main"` for the harness track).
+    /// The goroutine that ran on the track (`"main"` for the harness
+    /// track).
     pub name: String,
     /// Hardware environment id the time was spent in.
     pub env: u32,
@@ -452,9 +477,31 @@ struct Frame {
     id: SpanId,
     parent: Option<SpanId>,
     track: u64,
-    scope: SpanScope,
+    /// The attribution row the span's scope resolved to when it opened.
+    row: usize,
     started_ns: u64,
     child_ns: u64,
+}
+
+/// One goroutine's simulated time on one track, per environment.
+#[derive(Debug, Clone)]
+struct TrackRow {
+    track: u64,
+    /// The goroutine (`"main"` on [`MAIN_TRACK`]).
+    name: Arc<str>,
+    /// Nanoseconds per environment, in first-charged order. A track
+    /// runs in few environments, so a scan finds one sooner than a hash
+    /// would.
+    env_ns: Vec<(u32, u64)>,
+}
+
+impl TrackRow {
+    fn charge(&mut self, env: u32, ns: u64) {
+        match self.env_ns.iter_mut().find(|(e, _)| *e == env) {
+            Some((_, acc)) => *acc += ns,
+            None => self.env_ns.push((env, ns)),
+        }
+    }
 }
 
 /// The telemetry sink. One lives inside the simulated clock, so every
@@ -465,19 +512,28 @@ pub struct Recorder {
     ring: VecDeque<TracedEvent>,
     ring_cap: usize,
     spans: Vec<Frame>,
-    attribution: BTreeMap<SpanScope, SpanCost>,
+    // Attribution rows in first-open order, and the row of each scope.
+    // A row whose scope never closed has no entries and is not
+    // reported.
+    rows: Vec<(SpanScope, SpanCost)>,
+    row_of: IdMap<SpanScope, usize>,
     // Span tree (opt-in, for trace export).
     next_span_id: u64,
     span_log_on: bool,
     span_log: Vec<SpanNode>,
     // Track attribution (always on): simulated time is sliced between
     // `switch_track`/`note_env` boundary calls and charged to the
-    // (track, env) pair that was current during the slice.
+    // environment that was current, on the row of the (track,
+    // goroutine) that was. `switch_track` resolves the row; `None`
+    // until the main track's first charge.
     cur_track: u64,
     cur_env: u32,
+    cur_row: Option<usize>,
     slice_start_ns: u64,
-    track_ns: BTreeMap<(u64, u32), u64>,
-    track_names: BTreeMap<u64, String>,
+    // One row per (track, goroutine), in first-switch order, and each
+    // track's rows.
+    track_rows: Vec<TrackRow>,
+    rows_of_track: IdMap<u64, Vec<usize>>,
     // Per-operation cost distributions (switches, pkey_mprotect
     // sweeps, key binds/evictions, ...).
     ops: BTreeMap<&'static str, Histogram>,
@@ -496,12 +552,33 @@ impl Recorder {
         Recorder::default()
     }
 
-    /// Records one event at simulated time `now_ns`: advances the
-    /// window sampler (when enabled), bumps counters (final and live
-    /// window), and, when tracing is enabled, appends to the bounded
-    /// ring (evicting the oldest event once full). The first
-    /// fault/chaos/breaker event freezes the armed flight recorder.
+    /// Records one event at simulated time `now_ns`. With nothing
+    /// armed this bumps the event's counter and returns; the armed
+    /// consumers pay for themselves out of line. Always inlined, with
+    /// the bump, so that the unarmed path is the bump alone.
+    #[inline(always)]
     pub fn record(&mut self, now_ns: u64, event: Event) {
+        if self.armed() {
+            self.record_armed(now_ns, event);
+        } else {
+            self.counters.bump(&event);
+        }
+    }
+
+    /// Whether a consumer beyond the counters sees events: the trace
+    /// ring, the window series or the flight recorder.
+    #[inline]
+    fn armed(&self) -> bool {
+        self.ring_cap > 0 || self.flight_cap > 0 || self.series.is_some()
+    }
+
+    /// The armed path of [`Recorder::record`]: advances the window
+    /// sampler (when enabled), bumps counters (final and live window),
+    /// and, when tracing is enabled, appends to the bounded ring
+    /// (evicting the oldest event once full). The first
+    /// fault/chaos/breaker event freezes the armed flight recorder.
+    #[inline(never)]
+    fn record_armed(&mut self, now_ns: u64, event: Event) {
         self.advance_series(now_ns);
         self.counters.bump(&event);
         if let Some(series) = &mut self.series {
@@ -531,9 +608,13 @@ impl Recorder {
     /// [`Event::SloBurn`] alerts the window closes fired. Flush
     /// barriers call this explicitly (via the clock) so windows close
     /// at batch boundaries even when the boundary itself records no
-    /// event; every timestamped `record` also advances lazily.
+    /// event; every timestamped `record` also advances lazily. A no-op
+    /// without a series.
+    #[inline]
     pub fn tick_series(&mut self, now_ns: u64) {
-        self.advance_series(now_ns);
+        if self.series.is_some() {
+            self.advance_series(now_ns);
+        }
     }
 
     fn advance_series(&mut self, now_ns: u64) {
@@ -655,8 +736,11 @@ impl Recorder {
 
     /// Opens an attribution span (enclosure entry or scheduler
     /// quantum) and returns its id. The span's parent is whatever span
-    /// is currently innermost; its track is the current track.
-    pub fn begin_span(&mut self, now_ns: u64, scope: SpanScope) -> SpanId {
+    /// is currently innermost; its track is the current track. `scope`
+    /// resolves to its attribution row here, once; the recorder clones
+    /// it only the first time it sees it.
+    pub fn begin_span(&mut self, now_ns: u64, scope: &SpanScope) -> SpanId {
+        let row = self.span_row(scope);
         self.next_span_id += 1;
         let id = SpanId(self.next_span_id);
         let parent = self.spans.last().map(|f| f.id);
@@ -664,19 +748,31 @@ impl Recorder {
             id,
             parent,
             track: self.cur_track,
-            scope,
+            row,
             started_ns: now_ns,
             child_ns: 0,
         });
         id
     }
 
+    /// The attribution row of `scope`, appended empty the first time.
+    fn span_row(&mut self, scope: &SpanScope) -> usize {
+        if let Some(&row) = self.row_of.get(scope) {
+            return row;
+        }
+        let row = self.rows.len();
+        self.rows.push((scope.clone(), SpanCost::default()));
+        self.row_of.insert(scope.clone(), row);
+        row
+    }
+
     /// Closes the innermost span (enclosure exit), attributing its
-    /// elapsed simulated time. Self-time excludes nested spans; nested
-    /// totals roll up into the parent's child time. Returns the closed
-    /// span's id. An `end_span` with no span open is tolerated (faulting
-    /// runs may unwind past an epilog): it returns `None` and records a
-    /// [`Event::SpanImbalance`] instead of panicking.
+    /// elapsed simulated time to the row it opened on. Self-time
+    /// excludes nested spans; nested totals roll up into the parent's
+    /// child time. Returns the closed span's id. An `end_span` with no
+    /// span open is tolerated (faulting runs may unwind past an
+    /// epilog): it returns `None` and records a [`Event::SpanImbalance`]
+    /// instead of panicking.
     pub fn end_span(&mut self, now_ns: u64) -> Option<SpanId> {
         let Some(frame) = self.spans.pop() else {
             self.record(
@@ -693,29 +789,24 @@ impl Recorder {
             parent.child_ns += total;
         }
         if self.span_log_on {
+            let row = self.cur_row();
+            let goroutine = Arc::clone(&self.track_rows[row].name);
             self.span_log.push(SpanNode {
                 id: frame.id,
                 parent: frame.parent,
-                scope: frame.scope.clone(),
+                scope: self.rows[frame.row].0.clone(),
                 track: frame.track,
+                goroutine,
                 start_ns: frame.started_ns,
                 end_ns: now_ns,
                 child_ns: frame.child_ns,
             });
         }
-        let cost = SpanCost {
+        self.rows[frame.row].1.absorb(SpanCost {
             entries: 1,
             total_ns: total,
             self_ns: total.saturating_sub(frame.child_ns),
-        };
-        // A scope is keyed once, on its first close; later closes add
-        // in place.
-        match self.attribution.get_mut(&frame.scope) {
-            Some(acc) => acc.absorb(cost),
-            None => {
-                self.attribution.insert(frame.scope, cost);
-            }
-        }
+        });
         Some(frame.id)
     }
 
@@ -734,24 +825,56 @@ impl Recorder {
     }
 
     /// Switches the active track (the scheduler calls this at every
-    /// quantum boundary), closing the current attribution slice. The
-    /// `name` labels the track the first time it is seen.
+    /// quantum boundary) to the goroutine `name`, closing the current
+    /// attribution slice. [`MAIN_TRACK`] is always `"main"`.
     pub fn switch_track(&mut self, now_ns: u64, track: u64, name: &str) {
-        if track == self.cur_track {
+        let name = if track == MAIN_TRACK { "main" } else { name };
+        if track == self.cur_track && self.cur_name() == name {
             return;
         }
         self.close_slice(now_ns);
         self.cur_track = track;
-        if track != MAIN_TRACK {
-            self.track_names
-                .entry(track)
-                .or_insert_with(|| name.to_owned());
+        self.cur_row = Some(self.track_row(track, name));
+    }
+
+    /// The goroutine the current track runs.
+    fn cur_name(&self) -> &str {
+        self.cur_row
+            .map_or("main", |row| &self.track_rows[row].name)
+    }
+
+    /// The current (track, goroutine) row; the main track's is made
+    /// the first time it is needed.
+    fn cur_row(&mut self) -> usize {
+        let row = match self.cur_row {
+            Some(row) => row,
+            None => self.track_row(MAIN_TRACK, "main"),
+        };
+        self.cur_row = Some(row);
+        row
+    }
+
+    /// The row of goroutine `name` on `track`, appended empty the first
+    /// time. A track runs few goroutines, so its rows are scanned.
+    fn track_row(&mut self, track: u64, name: &str) -> usize {
+        let track_rows = &mut self.track_rows;
+        let rows = self.rows_of_track.entry(track).or_default();
+        if let Some(&row) = rows.iter().find(|&&row| &*track_rows[row].name == name) {
+            return row;
         }
+        rows.push(track_rows.len());
+        track_rows.push(TrackRow {
+            track,
+            name: name.into(),
+            env_ns: Vec::new(),
+        });
+        track_rows.len() - 1
     }
 
     /// Notes an environment change (the enforcement layer calls this on
     /// every prolog/epilog/execute/recovery), closing the current
     /// attribution slice so time splits exactly at the switch.
+    #[inline]
     pub fn note_env(&mut self, now_ns: u64, env: u32) {
         if env == self.cur_env {
             return;
@@ -768,13 +891,11 @@ impl Recorder {
     }
 
     fn close_slice(&mut self, now_ns: u64) {
-        self.advance_series(now_ns);
+        self.tick_series(now_ns);
         let elapsed = now_ns.saturating_sub(self.slice_start_ns);
         if elapsed > 0 {
-            *self
-                .track_ns
-                .entry((self.cur_track, self.cur_env))
-                .or_default() += elapsed;
+            let row = self.cur_row();
+            self.track_rows[row].charge(self.cur_env, elapsed);
             if let Some(series) = &mut self.series {
                 series.observe_slice(elapsed);
             }
@@ -782,31 +903,25 @@ impl Recorder {
         self.slice_start_ns = now_ns;
     }
 
-    /// Label of `track` (`"main"` for [`MAIN_TRACK`], the goroutine
-    /// name otherwise).
-    #[must_use]
-    pub fn track_name(&self, track: u64) -> &str {
-        if track == MAIN_TRACK {
-            "main"
-        } else {
-            self.track_names.get(&track).map_or("?", String::as_str)
-        }
-    }
-
-    /// Per-(track, environment) simulated time, ordered by track then
-    /// environment. Flush with [`Recorder::flush_tracks`] first if the
-    /// run just ended.
+    /// Per-(track, environment, goroutine) simulated time, ordered by
+    /// track, then environment, then name. Flush with
+    /// [`Recorder::flush_tracks`] first if the run just ended.
     #[must_use]
     pub fn track_costs(&self) -> Vec<TrackCost> {
-        self.track_ns
+        let mut costs: Vec<TrackCost> = self
+            .track_rows
             .iter()
-            .map(|(&(track, env), &ns)| TrackCost {
-                track,
-                name: self.track_name(track).to_owned(),
-                env,
-                ns,
+            .flat_map(|row| {
+                row.env_ns.iter().map(|&(env, ns)| TrackCost {
+                    track: row.track,
+                    name: row.name.to_string(),
+                    env,
+                    ns,
+                })
             })
-            .collect()
+            .collect();
+        costs.sort_by(|a, b| (a.track, a.env, &a.name).cmp(&(b.track, b.env, &b.name)));
+        costs
     }
 
     /// Records one sample of a named operation's cost distribution
@@ -839,10 +954,19 @@ impl Recorder {
         self.spans.len()
     }
 
-    /// Attributed cost per scope, ordered by scope.
+    /// Attributed cost per scope, ordered by scope. A scope whose spans
+    /// have all stayed open has no row.
     #[must_use]
-    pub fn attribution(&self) -> &BTreeMap<SpanScope, SpanCost> {
-        &self.attribution
+    pub fn attribution(&self) -> BTreeMap<&SpanScope, SpanCost> {
+        self.closed_rows()
+            .map(|(scope, cost)| (scope, *cost))
+            .collect()
+    }
+
+    /// The attribution rows with at least one closed span, in row
+    /// order.
+    fn closed_rows(&self) -> impl Iterator<Item = &(SpanScope, SpanCost)> {
+        self.rows.iter().filter(|(_, cost)| cost.entries > 0)
     }
 
     /// Counters as a JSON object.
@@ -851,10 +975,11 @@ impl Recorder {
         self.counters.to_json()
     }
 
-    /// Attribution table as a JSON array of scope/cost rows.
+    /// Attribution table as a JSON array of scope/cost rows, ordered by
+    /// scope.
     #[must_use]
     pub fn attribution_json(&self) -> Json {
-        Json::arr(self.attribution.iter().map(|(scope, cost)| {
+        Json::arr(self.attribution().into_iter().map(|(scope, cost)| {
             Json::obj([
                 ("enclosure", Json::from(&*scope.enclosure)),
                 ("package", Json::from(&*scope.package)),
@@ -872,29 +997,26 @@ impl Recorder {
     /// a fleet report folds them into one view with no global state.
     /// Associative, and mass-conserving for every ledger it touches.
     ///
-    /// Open state is deliberately excluded: unclosed spans and the open
-    /// track slice belong to whoever still drives `other` (close the
-    /// slice with [`Recorder::flush_tracks`] before merging if the tail
-    /// matters), and the trace ring / span log stay per-shard — they are
+    /// Open state is deliberately excluded: unclosed spans (and a scope
+    /// no span of which has closed) and the open track slice belong to
+    /// whoever still drives `other` (close the slice with
+    /// [`Recorder::flush_tracks`] before merging if the tail matters),
+    /// and the trace ring / span log stay per-shard — they are
     /// debugging aids whose timestamps only make sense on their own
     /// clock. Merge each source recorder exactly once per view; to keep
     /// accumulating on the source afterwards without re-counting, reset
     /// its clock (`Clock::reset`, which resets this recorder too).
     pub fn merge(&mut self, other: &Recorder) {
         self.counters.merge(&other.counters);
-        for (scope, &cost) in &other.attribution {
-            self.attribution
-                .entry(scope.clone())
-                .or_default()
-                .absorb(cost);
+        for (scope, cost) in other.closed_rows() {
+            let row = self.span_row(scope);
+            self.rows[row].1.absorb(*cost);
         }
-        for (&key, &ns) in &other.track_ns {
-            *self.track_ns.entry(key).or_default() += ns;
-        }
-        for (&track, name) in &other.track_names {
-            self.track_names
-                .entry(track)
-                .or_insert_with(|| name.clone());
+        for theirs in &other.track_rows {
+            let row = self.track_row(theirs.track, &theirs.name);
+            for &(env, ns) in &theirs.env_ns {
+                self.track_rows[row].charge(env, ns);
+            }
         }
         for (op, hist) in &other.ops {
             self.ops.entry(op).or_default().merge(hist);
@@ -917,13 +1039,15 @@ impl Recorder {
         self.counters = Counters::default();
         self.ring.clear();
         self.spans.clear();
-        self.attribution.clear();
+        self.rows.clear();
+        self.row_of.clear();
         self.span_log.clear();
         self.cur_track = MAIN_TRACK;
         self.cur_env = 0;
+        self.cur_row = None;
         self.slice_start_ns = 0;
-        self.track_ns.clear();
-        self.track_names.clear();
+        self.track_rows.clear();
+        self.rows_of_track.clear();
         self.ops.clear();
         // A fresh series epoch keeps the sampler settings (width, ring
         // bound, SLO policy) but drops the windows, same as the trace
@@ -1054,8 +1178,8 @@ mod tests {
     #[test]
     fn span_attribution_splits_self_from_nested() {
         let mut rec = Recorder::new();
-        let outer = rec.begin_span(100, SpanScope::new("outer", "pkg.a", 1));
-        rec.begin_span(150, SpanScope::new("inner", "pkg.b", 2));
+        let outer = rec.begin_span(100, &SpanScope::new("outer", "pkg.a", 1));
+        rec.begin_span(150, &SpanScope::new("inner", "pkg.b", 2));
         rec.end_span(250); // inner: 100 ns
         assert_eq!(rec.end_span(400), Some(outer)); // outer: 300 total
         let outer = &rec.attribution()[&SpanScope::new("outer", "pkg.a", 1)];
@@ -1087,8 +1211,8 @@ mod tests {
     fn span_log_records_parent_links_and_tracks() {
         let mut rec = Recorder::new();
         rec.enable_span_log();
-        let outer = rec.begin_span(100, SpanScope::new("outer", "pkg.a", 1));
-        let inner = rec.begin_span(150, SpanScope::new("inner", "pkg.b", 2));
+        let outer = rec.begin_span(100, &SpanScope::new("outer", "pkg.a", 1));
+        let inner = rec.begin_span(150, &SpanScope::new("inner", "pkg.b", 2));
         rec.end_span(250);
         rec.end_span(400);
         let log = rec.span_log();
@@ -1123,8 +1247,48 @@ mod tests {
         assert_eq!(get(0, 7), 30);
         let total: u64 = costs.iter().map(|c| c.ns).sum();
         assert_eq!(total, 250, "every simulated ns lands in exactly one slice");
-        assert_eq!(rec.track_name(1), "g1");
-        assert_eq!(rec.track_name(MAIN_TRACK), "main");
+        for cost in &costs {
+            let name = if cost.track == 1 { "g1" } else { "main" };
+            assert_eq!(cost.name, name, "{cost:?}");
+        }
+    }
+
+    #[test]
+    fn a_reused_track_splits_its_rows_by_name() {
+        let mut rec = Recorder::new();
+        rec.switch_track(0, 1, "alpha");
+        rec.switch_track(10, MAIN_TRACK, "main"); // alpha: [0, 10)
+        rec.switch_track(15, 1, "beta"); // main: [10, 15)
+        rec.switch_track(40, 1, "alpha"); // beta: [15, 40)
+        rec.flush_tracks(41); // alpha: [40, 41)
+        let costs = rec.track_costs();
+        let rows: Vec<(u64, &str, u64)> = costs
+            .iter()
+            .map(|c| (c.track, c.name.as_str(), c.ns))
+            .collect();
+        assert_eq!(rows, [(0, "main", 5), (1, "alpha", 11), (1, "beta", 25)]);
+    }
+
+    #[test]
+    fn unclosed_scopes_stay_out_of_attribution_and_merge() {
+        let mut rec = Recorder::new();
+        let open = SpanScope::new("open", "p", 1);
+        let closed = SpanScope::new("closed", "p", 1);
+        rec.begin_span(0, &open);
+        rec.begin_span(5, &closed);
+        rec.end_span(9);
+        assert_eq!(
+            rec.attribution().keys().copied().collect::<Vec<_>>(),
+            [&closed]
+        );
+        let text = rec.attribution_json().to_pretty();
+        assert!(!text.contains("\"open\""), "{text}");
+        let mut merged = Recorder::new();
+        merged.merge(&rec);
+        assert_eq!(merged.attribution(), rec.attribution());
+        // Closing the outer span later gives it its row.
+        rec.end_span(20);
+        assert_eq!(rec.attribution()[&open].total_ns, 20);
     }
 
     #[test]
@@ -1162,7 +1326,7 @@ mod tests {
     fn merge_folds_counters_attribution_tracks_and_ops() {
         let mut a = Recorder::new();
         a.record(0, Event::VmExit);
-        a.begin_span(0, SpanScope::new("e", "p", 1));
+        a.begin_span(0, &SpanScope::new("e", "p", 1));
         a.end_span(100);
         a.switch_track(40, 1, "g1");
         a.flush_tracks(90); // main/env0: 40, g1/env0: 50
@@ -1171,9 +1335,9 @@ mod tests {
         let mut b = Recorder::new();
         b.record(0, Event::VmExit);
         b.record(0, Event::MetadataSwitch);
-        b.begin_span(10, SpanScope::new("e", "p", 1));
+        b.begin_span(10, &SpanScope::new("e", "p", 1));
         b.end_span(40);
-        b.begin_span(50, SpanScope::new("f", "q", 2));
+        b.begin_span(50, &SpanScope::new("f", "q", 2));
         b.end_span(60);
         b.switch_track(25, 2, "g2");
         b.flush_tracks(30); // main/env0: 25, g2/env0: 5
@@ -1189,8 +1353,12 @@ mod tests {
         assert_eq!(a.attribution()[&SpanScope::new("f", "q", 2)].total_ns, 10);
         let total: u64 = a.track_costs().iter().map(|t| t.ns).sum();
         assert_eq!(total, 90 + 30, "merged track ledger conserves mass");
-        assert_eq!(a.track_name(1), "g1");
-        assert_eq!(a.track_name(2), "g2");
+        let names: Vec<(u64, String)> = a
+            .track_costs()
+            .into_iter()
+            .map(|t| (t.track, t.name))
+            .collect();
+        assert!(names.contains(&(1, "g1".into())) && names.contains(&(2, "g2".into())));
         assert_eq!(a.op_hists()["switch"].count(), 2);
         assert_eq!(a.op_hists()["transfer"].sum(), 9);
     }
@@ -1202,7 +1370,7 @@ mod tests {
             for _ in 0..seed {
                 r.record(0, Event::VmExit);
             }
-            r.begin_span(0, SpanScope::new("e", "p", 1));
+            r.begin_span(0, &SpanScope::new("e", "p", 1));
             r.end_span(seed * 10);
             r.flush_tracks(seed * 10);
             r.record_op("switch", seed * 7);
@@ -1233,8 +1401,8 @@ mod tests {
     fn reset_with_open_spans_truncates_and_reports() {
         let mut rec = Recorder::new();
         rec.enable_trace(4);
-        rec.begin_span(0, SpanScope::new("e", "p", 1));
-        rec.begin_span(5, SpanScope::new("f", "q", 2));
+        rec.begin_span(0, &SpanScope::new("e", "p", 1));
+        rec.begin_span(5, &SpanScope::new("f", "q", 2));
         rec.reset();
         assert_eq!(rec.span_depth(), 0);
         // The truncation survives into the fresh epoch as a counter and

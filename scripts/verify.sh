@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline verification gate: build, full test suite (release and
-# debug), the examples, formatting, clippy, rustdoc.
+# debug), the benchmark's build and tests, the examples, formatting,
+# clippy, rustdoc.
 # Every claim about `repro` output is a test in `cargo test`.
 # The container has no network access — everything must resolve from
 # the in-tree workspace (no crates.io dependencies, see DESIGN.md §6).
@@ -21,6 +22,16 @@ cargo test -q --workspace --offline
 echo "== tier-1 gate (root package) =="
 cargo build --release --offline
 cargo test -q --offline
+
+# The benchmark (bench/) is a workspace of its own that builds against
+# these crates by path, so no step above compiles it: a crate change
+# that breaks it would show only as a failed benchmark run. Its lockfile
+# is stale and cargo rewrites it; the committed one is put back.
+echo "== benchmark (builds against the workspace; catalog and smoke tests) =="
+bench_lock=$(mktemp)
+cp bench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" bench/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo test --release --offline --manifest-path bench/Cargo.toml
 
 echo "== examples (release; each must exit 0) =="
 for example in examples/*.rs; do

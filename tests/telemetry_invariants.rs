@@ -15,7 +15,7 @@ use enclosure_fleet::{FleetConfig, WikiFleet};
 use enclosure_pyfront::MetadataMode;
 use enclosure_repro::core::{App, Enclosure, Policy};
 use enclosure_support::{Json, XorShift};
-use enclosure_telemetry::{chrome_trace, Event, Recorder, SpanScope, MAIN_TRACK};
+use enclosure_telemetry::{chrome_trace, Event, FlushReason, Recorder, SpanScope, MAIN_TRACK};
 use litterbox::{Backend, GatewayMode};
 
 fn nested_workload(backend: Backend) -> App {
@@ -577,58 +577,18 @@ fn merge_after_reset_counts_every_slice_exactly_once() {
     );
 }
 
-/// A pseudo-random recorder exercising every ledger `merge` folds:
-/// counters (via events), span attribution, track slices, and op
-/// histograms. Track names are a fixed function of the track id
-/// (`g{track}`) because merge resolves name conflicts first-wins —
-/// with id-derived names, any merge order yields the same table, which
-/// is exactly the discipline the fleet's shard archives follow.
+/// A pseudo-random recorder exercising every ledger `merge` folds: the
+/// workload of [`arbitrary_steps`], replayed with nothing armed.
 fn arbitrary_recorder(rng: &mut XorShift) -> Recorder {
     let mut rec = Recorder::new();
-    let mut now = 0u64;
-    for _ in 0..rng.range_u64(0, 6) {
-        match rng.range_u64(0, 4) {
-            0 => rec.record(now, Event::VmExit),
-            1 => rec.record(now, Event::MetadataSwitch),
-            2 => rec.record(now, Event::Fault { kind: "synthetic" }),
-            _ => rec.record(
-                now,
-                Event::Transfer {
-                    pages: rng.range_u64(1, 16),
-                    to: "peer".into(),
-                },
-            ),
-        }
-    }
-    for _ in 0..rng.range_u64(0, 4) {
-        let scope = match rng.range_u64(0, 3) {
-            0 => SpanScope::new("alpha", "lib", 1),
-            1 => SpanScope::new("beta", "anchor", 2),
-            _ => SpanScope::new("gamma", "lib", 1),
-        };
-        rec.begin_span(now, scope);
-        now += rng.range_u64(1, 64);
-        rec.end_span(now);
-        now += 1;
-    }
-    let track = rng.range_u64(1, 4);
-    rec.switch_track(now, track, &format!("g{track}"));
-    now += rng.range_u64(1, 48);
-    for _ in 0..rng.range_u64(0, 5) {
-        let op = if rng.next_bool() {
-            "switch"
-        } else {
-            "key_evict"
-        };
-        rec.record_op(op, rng.range_u64(1, 400));
-    }
-    rec.flush_tracks(now);
+    replay(&mut rec, &arbitrary_steps(rng));
     rec
 }
 
-/// Everything `Recorder::merge` folds, as one comparable string.
-/// `track_costs` sorts by (track, env) and the maps are BTreeMaps, so
-/// the rendering is canonical.
+/// Everything `Recorder::merge` folds, as one comparable string: the
+/// ledgers every report reads. Attribution rows come in scope order,
+/// `track_costs` in (track, env, name) order and the op histograms are
+/// a `BTreeMap`, so the rendering is canonical.
 fn recorder_snapshot(rec: &Recorder) -> String {
     format!(
         "{}\n{}\n{:?}\n{:?}",
@@ -678,15 +638,295 @@ enclosure_support::props! {
         );
     }
 
-    /// With id-derived track names (the caveat [`arbitrary_recorder`]
-    /// documents), `Recorder::merge` also commutes — shard order in the
-    /// report fold is presentation, not semantics.
+    /// `Recorder::merge` also commutes, whatever goroutines a track ran
+    /// (its time splits by name) — shard order in the report fold is
+    /// presentation, not semantics.
     fn recorder_merge_is_commutative(rng, cases = 32) {
         let a = arbitrary_recorder(rng);
         let b = arbitrary_recorder(rng);
         assert_eq!(
             recorder_snapshot(&merged(&a, &b)),
             recorder_snapshot(&merged(&b, &a)),
+        );
+    }
+}
+
+/// How many kinds of [`Event`] there are; [`event_kind`] numbers them.
+const EVENT_KINDS: u64 = 35;
+
+/// The number of `event`'s kind, in `0..EVENT_KINDS`. The match has no
+/// wildcard arm, so a new kind fails to compile here until
+/// [`arbitrary_event`] can make it.
+fn event_kind(event: &Event) -> u64 {
+    match event {
+        Event::Init { .. } => 0,
+        Event::Prolog { .. } => 1,
+        Event::Epilog { .. } => 2,
+        Event::Execute { .. } => 3,
+        Event::Transfer { .. } => 4,
+        Event::FilterSyscall { .. } => 5,
+        Event::ViewUpdate { .. } => 6,
+        Event::Fault { .. } => 7,
+        Event::Wrpkru { .. } => 8,
+        Event::Cr3Write { .. } => 9,
+        Event::VmExit => 10,
+        Event::PkeyMprotect { .. } => 11,
+        Event::KeyBind { .. } => 12,
+        Event::KeyEvict { .. } => 13,
+        Event::ProcSpawn { .. } => 14,
+        Event::IpcCrossing { .. } => 15,
+        Event::SyscallEntry { .. } => 16,
+        Event::SeccompVerdict { .. } => 17,
+        Event::BatchFlush { .. } => 18,
+        Event::BatchedSyscall { .. } => 19,
+        Event::FlushTrigger { .. } => 20,
+        Event::GoPark { .. } => 21,
+        Event::GoWake { .. } => 22,
+        Event::RequestServed { .. } => 23,
+        Event::SloBurn { .. } => 24,
+        Event::ShardDegraded { .. } => 25,
+        Event::Reschedule { .. } => 26,
+        Event::SpanTransfer { .. } => 27,
+        Event::GcPause { .. } => 28,
+        Event::MetadataSwitch => 29,
+        Event::InjectedFault { .. } => 30,
+        Event::BreakerTrip { .. } => 31,
+        Event::BreakerFastFail { .. } => 32,
+        Event::SpanImbalance { .. } => 33,
+        Event::IncrementalInit { .. } => 34,
+    }
+}
+
+/// A random event of kind `kind` (see [`event_kind`]).
+fn arbitrary_event(rng: &mut XorShift, kind: u64) -> Event {
+    let n = rng.range_u64(0, 4096);
+    let flag = rng.next_bool();
+    let env = rng.next_u32() % 4;
+    match kind {
+        0 => Event::Init {
+            packages: n % 9,
+            enclosures: n % 5,
+            incremental: flag,
+            ns: n,
+        },
+        1 => Event::Prolog { enclosure: env },
+        2 => Event::Epilog { enclosure: env },
+        3 => Event::Execute {
+            from_env: env,
+            to_env: (env + 1) % 4,
+        },
+        4 => Event::Transfer {
+            pages: n % 16,
+            to: "peer".into(),
+        },
+        5 => Event::FilterSyscall {
+            sysno: env,
+            allowed: flag,
+        },
+        6 => Event::ViewUpdate {
+            enclosure: env,
+            ns: n,
+        },
+        7 => Event::Fault { kind: "synthetic" },
+        8 => Event::Wrpkru { pkru: env },
+        9 => Event::Cr3Write { env },
+        10 => Event::VmExit,
+        11 => Event::PkeyMprotect { pages: n % 16 },
+        12 => Event::KeyBind {
+            vkey: env,
+            hkey: 1,
+            pages: n % 16,
+        },
+        13 => Event::KeyEvict {
+            vkey: env,
+            hkey: 1,
+            pages: n % 16,
+            ns: n,
+        },
+        14 => Event::ProcSpawn { env, respawn: flag },
+        15 => Event::IpcCrossing { env },
+        16 => Event::SyscallEntry {
+            sysno: env,
+            category: "io",
+            enclosed: flag,
+        },
+        17 => Event::SeccompVerdict {
+            category: "net",
+            allowed: flag,
+        },
+        18 => Event::BatchFlush {
+            env,
+            entries: n % 8,
+        },
+        19 => Event::BatchedSyscall { sysno: env },
+        20 => Event::FlushTrigger {
+            reason: *rng.choose(&[
+                FlushReason::Quantum,
+                FlushReason::Barrier,
+                FlushReason::Drain,
+                FlushReason::Explicit,
+            ]),
+        },
+        21 => Event::GoPark {
+            goroutine: n % 4,
+            token: n,
+        },
+        22 => Event::GoWake {
+            goroutine: n % 4,
+            token: n,
+        },
+        23 => Event::RequestServed { ns: n, ok: flag },
+        24 => Event::SloBurn {
+            window: n % 8,
+            fast_burn_milli: n,
+            slow_burn_milli: n / 2,
+        },
+        25 => Event::ShardDegraded {
+            shard: n % 4,
+            window: n % 8,
+            error_ppm: n,
+            p99_ns: n,
+        },
+        26 => Event::Reschedule {
+            goroutine: n % 4,
+            to_env: env,
+        },
+        27 => Event::SpanTransfer { bytes: n },
+        28 => Event::GcPause {
+            ns: n,
+            live: n % 64,
+        },
+        29 => Event::MetadataSwitch,
+        30 => Event::InjectedFault { site: "wrpkru" },
+        31 => Event::BreakerTrip {
+            enclosure: env,
+            faults: n % 8,
+        },
+        32 => Event::BreakerFastFail { enclosure: env },
+        33 => Event::SpanImbalance {
+            at: "synthetic",
+            dropped: n % 3,
+        },
+        _ => Event::IncrementalInit {
+            module: "colorsys".into(),
+        },
+    }
+}
+
+/// One step of a recorder workload, applied at a simulated time.
+enum Step {
+    Record(Event),
+    Open(SpanScope),
+    Close,
+    Track(u64, &'static str),
+    Env(u32),
+    Op(&'static str, u64),
+}
+
+/// A random recorder workload: every event kind at least once, nested
+/// span opens and closes (it starts with a close on an empty stack),
+/// track switches (a track may change goroutine), environment notes
+/// and op samples, in random order at non-decreasing times.
+fn arbitrary_steps(rng: &mut XorShift) -> Vec<(u64, Step)> {
+    let mut steps: Vec<Step> = vec![Step::Close];
+    steps.extend((0..EVENT_KINDS).map(|kind| Step::Record(arbitrary_event(rng, kind))));
+    for _ in 0..rng.range_u64(20, 80) {
+        steps.push(match rng.range_u64(0, 7) {
+            0 => {
+                let kind = rng.range_u64(0, EVENT_KINDS);
+                Step::Record(arbitrary_event(rng, kind))
+            }
+            1 | 2 => Step::Open(match rng.range_u64(0, 4) {
+                0 => SpanScope::new("alpha", "lib", 1),
+                1 => SpanScope::new("beta", "anchor", 2),
+                2 => SpanScope::new("quantum", "go.sched", 0),
+                _ => SpanScope::new("gamma", "lib", 1),
+            }),
+            3 => Step::Close,
+            4 => {
+                let name = *rng.choose(&["g1", "g2", "web"]);
+                Step::Track(rng.range_u64(0, 4), name)
+            }
+            5 => Step::Env(rng.next_u32() % 4),
+            _ => {
+                let op = *rng.choose(&["switch_prolog", "key_evict", "batch_size"]);
+                Step::Op(op, rng.range_u64(1, 5000))
+            }
+        });
+    }
+    // Fisher-Yates, keeping the leading close in place.
+    for i in (2..steps.len()).rev() {
+        let j = rng.range_usize(1, i + 1);
+        steps.swap(i, j);
+    }
+    let mut now = 0;
+    steps
+        .into_iter()
+        .map(|step| {
+            now += rng.range_u64(0, 400);
+            (now, step)
+        })
+        .collect()
+}
+
+fn replay(rec: &mut Recorder, steps: &[(u64, Step)]) {
+    for (now, step) in steps {
+        let now = *now;
+        match step {
+            Step::Record(event) => rec.record(now, event.clone()),
+            Step::Open(scope) => {
+                rec.begin_span(now, scope);
+            }
+            Step::Close => {
+                rec.end_span(now);
+            }
+            Step::Track(track, name) => rec.switch_track(now, *track, name),
+            Step::Env(env) => rec.note_env(now, *env),
+            Step::Op(op, ns) => rec.record_op(op, *ns),
+        }
+    }
+    let end = steps.last().map_or(0, |(now, _)| now + 1);
+    rec.flush_tracks(end);
+}
+
+enclosure_support::props! {
+    /// The consumers a run can arm — the trace ring, the flight
+    /// recorder, the span log and a window series without an SLO
+    /// policy — observe and never count: a recorder with all of them
+    /// armed and one with none keep the same ledgers over the same
+    /// workload, and merge into a fresh recorder alike.
+    fn arming_a_consumer_never_changes_a_ledger(rng, cases = 64) {
+        let steps = arbitrary_steps(rng);
+        let kinds: std::collections::BTreeSet<u64> = steps
+            .iter()
+            .filter_map(|(_, step)| match step {
+                Step::Record(event) => Some(event_kind(event)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds.len() as u64, EVENT_KINDS, "every event kind is made");
+
+        let mut armed = Recorder::new();
+        armed.enable_trace(16);
+        armed.arm_flight_recorder(4);
+        armed.enable_span_log();
+        armed.enable_series(500, 8);
+        let mut bare = Recorder::new();
+        replay(&mut armed, &steps);
+        replay(&mut bare, &steps);
+
+        assert!(armed.flight_recording().is_some(), "a fault froze the flight recorder");
+        assert!(armed.series().is_some_and(|s| s.ring().windows().len() > 1));
+        assert!(bare.counters().span_imbalances > 0, "a close found no open span");
+        assert_eq!(recorder_snapshot(&armed), recorder_snapshot(&bare));
+        let (mut into_armed, mut into_bare) = (Recorder::new(), Recorder::new());
+        into_armed.merge(&armed);
+        into_bare.merge(&bare);
+        assert_eq!(recorder_snapshot(&into_armed), recorder_snapshot(&into_bare));
+        assert_eq!(
+            recorder_snapshot(&into_bare),
+            recorder_snapshot(&bare),
+            "a merge carries every ledger"
         );
     }
 }
