@@ -271,12 +271,6 @@ impl BildApp {
         self.src_image
     }
 
-    /// The configured dimensions.
-    #[must_use]
-    pub fn config(&self) -> BildConfig {
-        self.cfg
-    }
-
     /// Runs the inversion *in parallel*: `workers` goroutines spawned
     /// inside the enclosure environment (bild is "a collection of
     /// parallel image processing algorithms"), each inverting a stripe of

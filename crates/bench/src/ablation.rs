@@ -4,9 +4,8 @@ use enclosure_core::{App, Enclosure, Policy};
 use enclosure_hw::CostModel;
 use litterbox::cluster::cluster;
 use litterbox::deps::{natural_dependencies, DepGraph};
-use litterbox::{Backend, EnclosureDesc, EnclosureId, Fault, MpkKeyMode, ViewMap};
+use litterbox::{Backend, EnclosureId, Fault, MpkKeyMode, ViewMap};
 
-use enclosure_kernel::seccomp::SysPolicy;
 use enclosure_vmem::Access;
 
 /// Ablation 1 — meta-package clustering (§5.3): how many MPK keys a
@@ -34,14 +33,8 @@ pub fn clustering_study(dep_count: usize) -> ClusteringStudy {
     let view: ViewMap = (0..dep_count)
         .map(|i| (format!("dep{i:04}"), Access::RWX))
         .collect();
-    let enclosures = vec![EnclosureDesc {
-        id: EnclosureId(1),
-        name: "server".into(),
-        view,
-        policy: SysPolicy::none(),
-        marked: vec![],
-    }];
-    let clustering = cluster(&packages, &enclosures);
+    let names: Vec<&str> = packages.iter().map(String::as_str).collect();
+    let clustering = cluster(&names, &[(EnclosureId(1), &view)]);
     ClusteringStudy {
         packages: packages.len(),
         metas: clustering.len(),

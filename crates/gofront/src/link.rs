@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use enclosure_core::compute_view;
 use enclosure_kernel::seccomp::SysPolicy;
-use enclosure_vmem::{Addr, Section, SectionKind, VirtRange, PAGE_SIZE};
+use enclosure_vmem::{Addr, Section, SectionKind, PAGE_SIZE};
 use litterbox::deps::DepGraph;
 use litterbox::{EnclosureDesc, EnclosureId, Fault, LitterBox, PackageDesc, ProgramDesc, ViewMap};
 
@@ -184,18 +184,20 @@ impl Linker {
         let mut symbols = BTreeMap::new();
         let mut loc = BTreeMap::new();
         for obj in objects {
-            let mut pkg_sections = Vec::new();
+            // Allocates one section of the package, lists it in the
+            // image, and returns it.
             let add = |lb: &mut LitterBox,
                        name: String,
                        kind: SectionKind,
                        pages: u64,
                        sections: &mut Vec<ElfSectionInfo>|
-             -> Result<VirtRange, Fault> {
+             -> Result<Section, Fault> {
                 let range = lb
                     .space_mut()
                     .alloc(pages.max(1) * PAGE_SIZE)
                     .map_err(|e| Fault::Init(e.to_string()))?;
-                Section::new(name.clone(), kind, range).map_err(|e| Fault::Init(e.to_string()))?;
+                let section = Section::new(name.clone(), kind, range)
+                    .map_err(|e| Fault::Init(e.to_string()))?;
                 sections.push(ElfSectionInfo {
                     name,
                     addr: range.start(),
@@ -203,7 +205,7 @@ impl Linker {
                     flags: kind.default_rights().to_string(),
                     owner: obj.name.clone(),
                 });
-                Ok(range)
+                Ok(section)
             };
 
             let text = add(
@@ -213,10 +215,6 @@ impl Linker {
                 obj.text_pages,
                 &mut sections,
             )?;
-            pkg_sections.push(
-                Section::new(format!("{}.text", obj.name), SectionKind::Text, text)
-                    .map_err(|e| Fault::Init(e.to_string()))?,
-            );
 
             let ro_pages = obj.rodata_size.div_ceil(PAGE_SIZE).max(1);
             let rodata = add(
@@ -226,12 +224,8 @@ impl Linker {
                 ro_pages,
                 &mut sections,
             )?;
-            pkg_sections.push(
-                Section::new(format!("{}.rodata", obj.name), SectionKind::Rodata, rodata)
-                    .map_err(|e| Fault::Init(e.to_string()))?,
-            );
             for (symbol, offset, bytes) in &obj.rodata {
-                let addr = rodata.start() + *offset;
+                let addr = rodata.range().start() + *offset;
                 lb.space_mut()
                     .write(addr, bytes)
                     .map_err(|e| Fault::Init(e.to_string()))?;
@@ -246,17 +240,13 @@ impl Linker {
                 data_pages,
                 &mut sections,
             )?;
-            pkg_sections.push(
-                Section::new(format!("{}.data", obj.name), SectionKind::Data, data)
-                    .map_err(|e| Fault::Init(e.to_string()))?,
-            );
             for (symbol, offset, _size) in &obj.data {
-                symbols.insert(symbol.clone(), data.start() + *offset);
+                symbols.insert(symbol.clone(), data.range().start() + *offset);
             }
 
             prog.add_package_desc(PackageDesc {
                 name: obj.name.clone(),
-                sections: pkg_sections,
+                sections: vec![text, rodata, data],
                 deps: obj.deps.clone(),
             });
             loc.insert(obj.name.clone(), obj.loc);

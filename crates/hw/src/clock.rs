@@ -99,12 +99,6 @@ impl Clock {
         self.throttle_milli = milli.max(1);
     }
 
-    /// The current throttle, thousandths (1000 = none).
-    #[must_use]
-    pub fn throttle_milli(&self) -> u64 {
-        self.throttle_milli
-    }
-
     /// Advances simulated time by `ns` scaled by the throttle — the
     /// single funnel every charge goes through.
     fn tick(&mut self, ns: u64) {

@@ -213,12 +213,6 @@ impl Program {
         self.insns.is_empty()
     }
 
-    /// The raw instructions.
-    #[must_use]
-    pub fn insns(&self) -> &[Insn] {
-        &self.insns
-    }
-
     /// Renders the program as human-readable assembly, one instruction
     /// per line — the format `seccomp-tools` users would expect.
     #[must_use]

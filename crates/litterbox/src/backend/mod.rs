@@ -13,14 +13,16 @@
 //!
 //! LB_VTX and LB_PROC keep their per-environment tables in one
 //! [`EnvTables`]. Every backend charges the machine's [`Clock`]; none
-//! shares state with another.
+//! shares state with another. Building an enforcer charges nothing: it
+//! runs the backend's own Init checks and prices the Init, and the
+//! machine charges that price once the build has passed.
 //!
 //! [`Backend::Baseline`] has no enforcer: a machine without one runs
 //! enclosures as vanilla closures, and so does every machine before its
 //! first `Init`. The machine keeps everything backend-independent (the
 //! descriptions, the environments and their clustering, `.verif`, the
-//! nesting stack, telemetry) and lends an enforcer the part it reads as
-//! a [`Program`].
+//! nesting stack, telemetry) in a [`Program`], which it lends to the
+//! enforcer.
 //!
 //! A new backend is one more file implementing [`Enforcer`], one arm in
 //! [`build`], and its [`Backend::chaos_sites`].
@@ -32,6 +34,7 @@ pub(crate) mod vtx;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use enclosure_hw::{Clock, EnvId, InjectionSite, TRUSTED_ENV};
 use enclosure_kernel::SyscallRecord;
@@ -97,13 +100,10 @@ pub(crate) trait Enforcer: fmt::Debug + Send + Any {
 
 /// What an enforcer is built from.
 pub(crate) struct Build<'a> {
-    /// The packages and the new environments and clustering.
+    /// The next program: its packages, environments and clustering.
     pub(crate) program: &'a Program,
     /// The address space (LB_MPK scans package text in it).
     pub(crate) space: &'a AddressSpace,
-    pub(crate) clock: &'a mut Clock,
-    /// The machine's Init total, which [`Build::charge_init`] adds to.
-    pub(crate) init_ns: &'a mut u64,
     /// The environment the machine runs in.
     pub(crate) current: EnvId,
     pub(crate) mpk_key_mode: MpkKeyMode,
@@ -112,20 +112,18 @@ pub(crate) struct Build<'a> {
 }
 
 impl Build<'_> {
-    /// Charges Init: view computation per package and page, plus
+    /// The Init's price: view computation per package and page, plus
     /// `per_env` ns of backend setup for every environment.
-    pub(crate) fn charge_init(&mut self, per_env: u64) {
+    pub(crate) fn init_price(&self, per_env: u64) -> u64 {
         let packages = &self.program.packages;
         let pages: u64 = packages
             .values()
             .flatten()
             .map(|s| s.range().page_len())
             .sum();
-        let cost = INIT_NS_PER_PACKAGE * packages.len() as u64
+        INIT_NS_PER_PACKAGE * packages.len() as u64
             + INIT_NS_PER_PAGE * pages
-            + per_env * self.program.envs.len() as u64;
-        self.clock.advance(cost);
-        *self.init_ns += cost;
+            + per_env * self.program.envs.len() as u64
     }
 
     /// The enforcer being replaced, if it is an `E`.
@@ -147,20 +145,23 @@ pub(crate) fn downcast_mut<E: Enforcer>(hw: Option<&mut dyn Enforcer>) -> Option
     hw.downcast_mut()
 }
 
-/// Builds `backend`'s enforcer for `b.program`: the backend's own Init
-/// checks, its Init cost, and its hardware state for every environment.
-/// Baseline enforces nothing, so it gets no enforcer and charges no
-/// Init.
+/// Builds `backend`'s enforcer for `b.program`, after the backend's own
+/// Init checks, with its hardware state for every environment, and
+/// prices the Init. Charges nothing. Baseline enforces nothing, so it
+/// gets no enforcer and its Init is free.
 pub(crate) fn build(
     backend: Backend,
-    b: &mut Build<'_>,
-) -> Result<Option<Box<dyn Enforcer>>, Fault> {
-    Ok(Some(match backend {
-        Backend::Baseline => return Ok(None),
-        Backend::Mpk => Box::new(mpk::Mpk::build(b)?),
-        Backend::Vtx => Box::new(vtx::Vtx::build(b)?),
-        Backend::Proc => Box::new(proc::Proc::build(b)?),
-    }))
+    b: &Build<'_>,
+) -> Result<(Option<Box<dyn Enforcer>>, u64), Fault> {
+    fn boxed<E: Enforcer>((hw, ns): (E, u64)) -> (Option<Box<dyn Enforcer>>, u64) {
+        (Some(Box::new(hw)), ns)
+    }
+    Ok(match backend {
+        Backend::Baseline => (None, 0),
+        Backend::Mpk => boxed(mpk::Mpk::build(b)?),
+        Backend::Vtx => boxed(vtx::Vtx::build(b)?),
+        Backend::Proc => boxed(proc::Proc::build(b)?),
+    })
 }
 
 /// One page table per execution environment, in install order, and the
@@ -259,10 +260,14 @@ impl EnvTables {
 /// every viewed package, with the section's rights narrowed to the
 /// view's. LB_VTX's per-environment tables and LB_PROC's address-space
 /// images are both this; they differ in how they enforce it.
-fn view_table(packages: &BTreeMap<String, Vec<Section>>, name: &str, view: &ViewMap) -> PageTable {
+fn view_table(
+    packages: &BTreeMap<Arc<str>, Vec<Section>>,
+    name: &str,
+    view: &ViewMap,
+) -> PageTable {
     let mut table = PageTable::new(name);
     for (pkg, rights) in view {
-        for section in packages.get(pkg).into_iter().flatten() {
+        for section in packages.get(pkg.as_str()).into_iter().flatten() {
             let effective = section.default_rights().intersection(*rights);
             if !effective.is_none() {
                 table.map_range(section.range(), effective, 0);

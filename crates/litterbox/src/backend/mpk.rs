@@ -320,13 +320,14 @@ pub(crate) struct Mpk {
 }
 
 impl Mpk {
-    pub(crate) fn build(b: &mut Build<'_>) -> Result<Mpk, Fault> {
-        b.charge_init(INIT_NS_PER_ENV);
+    /// The enforcer for `b.program`, after LB_MPK's own Init checks, and
+    /// its Init's price.
+    pub(crate) fn build(b: &Build<'_>) -> Result<(Mpk, u64), Fault> {
         let p = b.program;
         // ERIM-style screening (§5.3): only the LitterBox package may
         // modify PKRU, so untrusted text must hold no WRPKRU/XRSTOR.
         for (name, sections) in &p.packages {
-            if name == LB_USER_PKG || name == LB_SUPER_PKG {
+            if &**name == LB_USER_PKG || &**name == LB_SUPER_PKG {
                 continue;
             }
             for section in sections {
@@ -432,7 +433,7 @@ impl Mpk {
 
         let mut table = PageTable::new("mpk-shared");
         for (name, sections) in &p.packages {
-            let key = keys.key(clustering.meta_of[name]);
+            let key = keys.key(clustering.meta_of[&**name]);
             for section in sections {
                 map_keyed(&mut table, section.range(), section.default_rights(), key);
             }
@@ -451,7 +452,7 @@ impl Mpk {
             pkru: old.map_or(Pkru::allow_all(), |old| old.pkru),
         };
         mpk.load_filter(p, b.current)?;
-        Ok(mpk)
+        Ok((mpk, b.init_price(INIT_NS_PER_ENV)))
     }
 
     /// The binding traffic since this enforcer was built.
@@ -823,7 +824,7 @@ fn sweep(
     for section in meta
         .members
         .iter()
-        .filter_map(|m| p.packages.get(m))
+        .filter_map(|m| p.packages.get(m.as_str()))
         .flatten()
     {
         let range = section.range();

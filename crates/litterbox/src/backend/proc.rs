@@ -66,8 +66,8 @@ pub(crate) struct Proc {
 }
 
 impl Proc {
-    pub(crate) fn build(b: &mut Build<'_>) -> Result<Proc, Fault> {
-        b.charge_init(INIT_NS_PER_ENV);
+    /// The sandbox for `b.program`, and its Init's price.
+    pub(crate) fn build(b: &Build<'_>) -> Result<(Proc, u64), Fault> {
         let p = b.program;
         let mut filters = IdMap::default();
         for (env, info) in &p.envs {
@@ -90,7 +90,7 @@ impl Proc {
                 .collect();
             proc.ledger.clone_from(&old.ledger);
         }
-        Ok(proc)
+        Ok((proc, b.init_price(INIT_NS_PER_ENV)))
     }
 
     /// A sandbox with no child forked yet, the supervisor running.

@@ -25,11 +25,12 @@ pub(crate) struct Vtx {
 }
 
 impl Vtx {
-    pub(crate) fn build(b: &mut Build<'_>) -> Result<Vtx, Fault> {
-        b.charge_init(INIT_NS_PER_ENV);
-        Ok(Vtx {
+    /// The VM for `b.program`, and its Init's price.
+    pub(crate) fn build(b: &Build<'_>) -> Result<(Vtx, u64), Fault> {
+        let vm = Vtx {
             tables: EnvTables::of_views(b.program, "trusted"),
-        })
+        };
+        Ok((vm, b.init_price(INIT_NS_PER_ENV)))
     }
 }
 

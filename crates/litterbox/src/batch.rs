@@ -335,16 +335,6 @@ impl LitterBox {
         let flushed = self.uninjected(|lb| lb.flush_with_reason(FlushReason::Barrier));
         debug_assert!(flushed.is_ok(), "barrier flushes run injection-suspended");
     }
-
-    /// One deterministic transient errno, driven by the injection
-    /// plan's PRNG (mirrors the synchronous gateway's pick).
-    fn pick_transient_errno(&mut self) -> Errno {
-        #[allow(clippy::cast_possible_truncation)]
-        let pick = self
-            .clock_mut()
-            .injection_roll(Errno::TRANSIENT.len() as u64) as usize;
-        Errno::TRANSIENT[pick]
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use enclosure_vmem::Access;
 
-use crate::{EnclosureDesc, EnclosureId};
+use crate::{EnclosureId, ViewMap};
 
 /// A cluster of packages that share identical access rights across every
 /// enclosure memory view.
@@ -65,29 +65,29 @@ impl Clustering {
     }
 }
 
-/// Clusters `package_names` by their access signature across
-/// `enclosures`' views.
+/// Clusters `package_names` by their access signature across the
+/// enclosures' `views`, one `(id, view)` pair per enclosure.
 ///
 /// Two packages land in the same meta-package exactly when every
 /// enclosure grants them identical rights. Meta-package indices are
 /// assigned deterministically (by first member in name order) so key
 /// assignment is reproducible run to run.
 #[must_use]
-pub fn cluster(package_names: &[String], enclosures: &[EnclosureDesc]) -> Clustering {
-    let mut by_id: Vec<&EnclosureDesc> = enclosures.iter().collect();
-    by_id.sort_by_key(|e| e.id);
+pub fn cluster(package_names: &[&str], views: &[(EnclosureId, &ViewMap)]) -> Clustering {
+    let mut by_id: Vec<(EnclosureId, &ViewMap)> = views.to_vec();
+    by_id.sort_by_key(|(id, _)| *id);
 
     // signature → members (BTreeMap keyed by the signature bytes keeps
     // the grouping deterministic).
     let mut groups: BTreeMap<Vec<(EnclosureId, Access)>, Vec<String>> = BTreeMap::new();
     let mut names = package_names.to_vec();
-    names.sort();
-    for name in &names {
+    names.sort_unstable();
+    for name in names {
         let signature: Vec<(EnclosureId, Access)> = by_id
             .iter()
-            .map(|e| (e.id, e.view.get(name).copied().unwrap_or(Access::NONE)))
+            .map(|(id, view)| (*id, view.get(name).copied().unwrap_or(Access::NONE)))
             .collect();
-        groups.entry(signature).or_default().push(name.clone());
+        groups.entry(signature).or_default().push(name.to_owned());
     }
 
     // Deterministic index order: by first member name.
@@ -111,20 +111,17 @@ pub fn cluster(package_names: &[String], enclosures: &[EnclosureDesc]) -> Cluste
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enclosure_kernel::seccomp::SysPolicy;
 
-    fn enclosure(id: u32, view: &[(&str, Access)]) -> EnclosureDesc {
-        EnclosureDesc {
-            id: EnclosureId(id),
-            name: format!("e{id}"),
-            view: view.iter().map(|(n, a)| (n.to_string(), *a)).collect(),
-            policy: SysPolicy::none(),
-            marked: vec![],
-        }
+    fn enclosure(id: u32, view: &[(&str, Access)]) -> (EnclosureId, ViewMap) {
+        let view = view.iter().map(|(n, a)| (n.to_string(), *a)).collect();
+        (EnclosureId(id), view)
     }
 
-    fn names(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    /// [`cluster`] over owned `(id, view)` pairs.
+    fn cluster_of(names: &[&str], enclosures: &[(EnclosureId, ViewMap)]) -> Clustering {
+        let views: Vec<(EnclosureId, &ViewMap)> =
+            enclosures.iter().map(|(id, view)| (*id, view)).collect();
+        cluster(names, &views)
     }
 
     #[test]
@@ -137,7 +134,7 @@ mod tests {
                 ("secrets", Access::R),
             ],
         )];
-        let c = cluster(&names(&["libfx", "util", "secrets", "main"]), &encls);
+        let c = cluster_of(&["libfx", "util", "secrets", "main"], &encls);
         assert_eq!(c.len(), 3, "RWX pair, R singleton, unmapped singleton");
         assert_eq!(c.meta_of["libfx"], c.meta_of["util"]);
         assert_ne!(c.meta_of["libfx"], c.meta_of["secrets"]);
@@ -150,14 +147,14 @@ mod tests {
             enclosure(1, &[("a", Access::RWX), ("b", Access::RWX)]),
             enclosure(2, &[("a", Access::RWX)]), // b unmapped here
         ];
-        let c = cluster(&names(&["a", "b"]), &encls);
+        let c = cluster_of(&["a", "b"], &encls);
         assert_eq!(c.len(), 2);
         assert_ne!(c.meta_of["a"], c.meta_of["b"]);
     }
 
     #[test]
     fn no_enclosures_is_one_big_meta() {
-        let c = cluster(&names(&["a", "b", "c"]), &[]);
+        let c = cluster(&["a", "b", "c"], &[]);
         assert_eq!(c.len(), 1);
         assert_eq!(c.metas[0].members.len(), 3);
     }
@@ -165,7 +162,7 @@ mod tests {
     #[test]
     fn rights_in_reports_signature() {
         let encls = vec![enclosure(1, &[("a", Access::R)])];
-        let c = cluster(&names(&["a", "b"]), &encls);
+        let c = cluster_of(&["a", "b"], &encls);
         let meta_a = &c.metas[c.meta_of["a"]];
         assert_eq!(meta_a.rights_in(EnclosureId(1)), Access::R);
         assert_eq!(meta_a.rights_in(EnclosureId(99)), Access::NONE);
@@ -179,8 +176,8 @@ mod tests {
             enclosure(1, &[("x", Access::R), ("y", Access::RW)]),
             enclosure(2, &[("z", Access::RWX)]),
         ];
-        let a = cluster(&names(&["x", "y", "z", "w"]), &encls);
-        let b = cluster(&names(&["w", "z", "y", "x"]), &encls);
+        let a = cluster_of(&["x", "y", "z", "w"], &encls);
+        let b = cluster_of(&["w", "z", "y", "x"], &encls);
         assert_eq!(a, b);
     }
 
@@ -191,17 +188,11 @@ mod tests {
         // meta-packages regardless of count (§5.3).
         let mut pkgs: Vec<String> = (0..100).map(|i| format!("dep{i:03}")).collect();
         pkgs.push("main".into());
-        let view: Vec<(String, Access)> = (0..100)
+        let view: ViewMap = (0..100)
             .map(|i| (format!("dep{i:03}"), Access::RWX))
             .collect();
-        let encls = vec![EnclosureDesc {
-            id: EnclosureId(1),
-            name: "server".into(),
-            view: view.into_iter().collect(),
-            policy: SysPolicy::none(),
-            marked: vec![],
-        }];
-        let c = cluster(&pkgs, &encls);
+        let names: Vec<&str> = pkgs.iter().map(String::as_str).collect();
+        let c = cluster(&names, &[(EnclosureId(1), &view)]);
         assert_eq!(c.len(), 2, "100 deps collapse to one meta + main's meta");
         assert!(c.len() <= 15, "fits the MPK key budget");
     }

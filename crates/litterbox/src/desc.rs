@@ -79,12 +79,6 @@ impl PackageLayout {
         self.text
     }
 
-    /// The `.rodata` range.
-    #[must_use]
-    pub fn rodata(&self) -> VirtRange {
-        self.rodata
-    }
-
     /// The `.data` range.
     #[must_use]
     pub fn data(&self) -> VirtRange {

@@ -16,6 +16,17 @@ use crate::fault::{Fault, SysError};
 use crate::machine::LitterBox;
 
 impl LitterBox {
+    /// One deterministic transient errno, driven by the injection
+    /// plan's PRNG: what an injected gateway failure returns, here and
+    /// in the batched gateway.
+    pub(crate) fn pick_transient_errno(&mut self) -> Errno {
+        #[allow(clippy::cast_possible_truncation)]
+        let pick = self
+            .clock_mut()
+            .injection_roll(Errno::TRANSIENT.len() as u64) as usize;
+        Errno::TRANSIENT[pick]
+    }
+
     fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
         self.filter_syscall(record).map_err(SysError::Fault)?;
         // Chaos sites, enclosed callers only: a call that passed the
@@ -24,11 +35,8 @@ impl LitterBox {
         // Either way nothing reached the kernel proper, so there is no
         // state to undo.
         if self.current_env() != TRUSTED_ENV {
-            let clock = self.clock_mut();
-            if clock.should_inject(InjectionSite::GatewayErrno) {
-                #[allow(clippy::cast_possible_truncation)]
-                let pick = clock.injection_roll(Errno::TRANSIENT.len() as u64) as usize;
-                return Err(SysError::Errno(Errno::TRANSIENT[pick]));
+            if self.clock_mut().should_inject(InjectionSite::GatewayErrno) {
+                return Err(SysError::Errno(self.pick_transient_errno()));
             }
             if let Some(site) = self.crossing_site() {
                 if self.clock_mut().should_inject(site) {

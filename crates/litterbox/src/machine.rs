@@ -180,27 +180,166 @@ fn span_package(enc: &EnclosureDesc) -> Arc<str> {
     }
 }
 
-/// What `Init` built from the descriptions — the part of the machine an
-/// enforcer reads, kept in one field so the machine can lend it out
-/// while it also lends out its clock.
+/// One program: everything `Init` writes, and what is derived from it.
+/// An `Init`, a view update and a key-mode change each build the next
+/// one whole ([`Program::with`]), and the machine swaps it in only once
+/// its enforcer is built, so a rejected call leaves the machine as it
+/// was. It is one field so the machine can lend it to an enforcer while
+/// it also lends out its clock.
 #[derive(Debug, Default)]
 pub(crate) struct Program {
     /// Each package's sections (a `Transfer` moves arenas between them).
-    pub(crate) packages: BTreeMap<String, Vec<Section>>,
+    pub(crate) packages: BTreeMap<Arc<str>, Vec<Section>>,
+    /// The enclosure descriptions.
+    enclosures: BTreeMap<EnclosureId, EnclosureDesc>,
+    /// The verified call-sites (`.verif`).
+    verif: IdSet<Addr>,
     /// The execution environments, trusted included.
     pub(crate) envs: IdMap<EnvId, EnvInfo>,
     /// The meta-package clustering across every view.
     pub(crate) clustering: Clustering,
 }
 
-/// What one `Init` wrote into the machine, so a rejected one can take
-/// it back out.
-#[derive(Debug, Default)]
-struct Ingested {
-    packages: Vec<String>,
-    ranges: usize,
-    enclosures: Vec<EnclosureId>,
-    callsites: Vec<Addr>,
+impl Program {
+    /// The next program: this one's descriptions plus `desc`'s, checked
+    /// and derived. The one place a description is checked.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Init`] for a duplicate package, an unaligned or
+    /// overlapping section, enclosure id 0, a duplicate id, or a view
+    /// [`Program::derive`] rejects.
+    fn with(&self, desc: ProgramDesc) -> Result<Program, Fault> {
+        let mut next = self.descriptions();
+        for pkg in desc.packages {
+            if next.packages.contains_key(pkg.name.as_str()) {
+                return Err(Fault::Init(format!("duplicate package '{}'", pkg.name)));
+            }
+            for (i, section) in pkg.sections.iter().enumerate() {
+                let range = section.range();
+                if !range.is_page_aligned() {
+                    return Err(Fault::Init(format!(
+                        "section {} of '{}' is not page aligned",
+                        section.name(),
+                        pkg.name
+                    )));
+                }
+                let own = pkg.sections[..i].iter().map(|s| (pkg.name.as_str(), s));
+                if let Some((owner, existing)) = next
+                    .sections()
+                    .chain(own)
+                    .find(|(_, s)| s.range().overlaps(&range))
+                {
+                    return Err(Fault::Init(format!(
+                        "section {} of '{}' overlaps '{owner}' ({})",
+                        section.name(),
+                        pkg.name,
+                        existing.range()
+                    )));
+                }
+            }
+            next.packages.insert(pkg.name.into(), pkg.sections);
+        }
+        for enc in desc.enclosures {
+            if enc.id.0 == 0 {
+                return Err(Fault::Init("enclosure id 0 is reserved".into()));
+            }
+            if next.enclosures.contains_key(&enc.id) {
+                return Err(Fault::Init(format!("duplicate {}", enc.id)));
+            }
+            next.enclosures.insert(enc.id, enc);
+        }
+        next.verif.extend(desc.verified_callsites);
+        next.derive()
+    }
+
+    /// Every package's sections, each with its owner.
+    fn sections(&self) -> impl Iterator<Item = (&str, &Section)> {
+        self.packages
+            .iter()
+            .flat_map(|(owner, sections)| sections.iter().map(move |s| (&**owner, s)))
+    }
+
+    /// A copy of this program's descriptions, nothing derived yet.
+    fn descriptions(&self) -> Program {
+        Program {
+            packages: self.packages.clone(),
+            enclosures: self.enclosures.clone(),
+            verif: self.verif.clone(),
+            ..Program::default()
+        }
+    }
+
+    /// Checks every view against the packages, then derives the
+    /// environments and the clustering from the descriptions.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Init`] for a view naming an unknown package or
+    /// `litterbox.super`.
+    fn derive(mut self) -> Result<Program, Fault> {
+        for enc in self.enclosures.values() {
+            for pkg in enc.view.keys() {
+                if !self.packages.contains_key(pkg.as_str()) {
+                    return Err(Fault::Init(format!(
+                        "view of '{}' references unknown package '{pkg}'",
+                        enc.name
+                    )));
+                }
+                if pkg == LB_SUPER_PKG {
+                    return Err(Fault::Init(format!(
+                        "view of '{}' must not include {LB_SUPER_PKG}",
+                        enc.name
+                    )));
+                }
+            }
+        }
+
+        // Trusted view: everything RWX except litterbox.super.
+        let trusted_view: ViewMap = self
+            .packages
+            .keys()
+            .filter(|&name| &**name != LB_SUPER_PKG)
+            .map(|name| (name.to_string(), Access::RWX))
+            .collect();
+        let trusted: Arc<str> = "trusted".into();
+        self.envs.insert(
+            TRUSTED_ENV,
+            EnvInfo {
+                span: SpanScope::new(Arc::clone(&trusted), "-", TRUSTED_ENV.0),
+                name: trusted,
+                view: trusted_view,
+                policy: SysPolicy::all(),
+            },
+        );
+        // Enclosure views are augmented with the always-available
+        // litterbox.user package.
+        for enc in self.enclosures.values() {
+            let mut view = enc.view.clone();
+            view.insert(LB_USER_PKG.to_owned(), Access::RX);
+            let name: Arc<str> = enc.name.as_str().into();
+            self.envs.insert(
+                EnvId(enc.id.0),
+                EnvInfo {
+                    span: SpanScope::new(Arc::clone(&name), span_package(enc), enc.id.0),
+                    name,
+                    view,
+                    policy: enc.policy.clone(),
+                },
+            );
+        }
+
+        // Clustering across all views, trusted included (as pseudo id 0),
+        // so litterbox.super lands in its own meta-package.
+        let names: Vec<&str> = self.packages.keys().map(|name| &**name).collect();
+        let views: Vec<(EnclosureId, &ViewMap)> = self
+            .envs
+            .iter()
+            .map(|(env, info)| (EnclosureId(env.0), &info.view))
+            .collect();
+        self.clustering = cluster(&names, &views);
+        Ok(self)
+    }
 }
 
 /// Name of LitterBox's always-mapped API package (§5.3).
@@ -218,15 +357,11 @@ pub struct LitterBox {
     kernel: Kernel,
     pub(crate) clock: Clock,
     program: Program,
-    ranges: Vec<(VirtRange, String)>,
-    enclosures: BTreeMap<EnclosureId, EnclosureDesc>,
-    verif: IdSet<Addr>,
     /// The backend's enforcer: `None` on Baseline, and on every backend
     /// before the first `Init`.
     hw: Option<Box<dyn Enforcer>>,
     current: EnvId,
     stack: Vec<(EnvId, u64)>,
-    initialized: bool,
     seq: u64,
     init_ns: u64,
     mpk_key_mode: MpkKeyMode,
@@ -253,13 +388,9 @@ impl LitterBox {
             kernel,
             clock: Clock::new(CostModel::paper()),
             program: Program::default(),
-            ranges: Vec::new(),
-            enclosures: BTreeMap::new(),
-            verif: IdSet::default(),
             hw: None,
             current: TRUSTED_ENV,
             stack: Vec::new(),
-            initialized: false,
             seq: 0,
             init_ns: 0,
             mpk_key_mode: MpkKeyMode::default(),
@@ -390,10 +521,10 @@ impl LitterBox {
     /// The package owning `addr`, if any.
     #[must_use]
     pub fn package_at(&self, addr: Addr) -> Option<&str> {
-        self.ranges
-            .iter()
-            .find(|(r, _)| r.contains(addr))
-            .map(|(_, name)| name.as_str())
+        self.program
+            .sections()
+            .find(|(_, s)| s.range().contains(addr))
+            .map(|(owner, _)| owner)
     }
 
     /// Renders every execution environment: name, view, filter, and the
@@ -450,14 +581,13 @@ impl LitterBox {
     /// [`Fault::Init`] if the rebuild fails (e.g. more than 15
     /// meta-packages under [`MpkKeyMode::Static`]).
     pub fn set_mpk_key_mode(&mut self, mode: MpkKeyMode) -> Result<(), Fault> {
-        let prev = self.mpk_key_mode;
-        self.mpk_key_mode = mode;
         if self.enforcer::<Mpk>().is_some() {
-            if let Err(e) = self.rebuild() {
-                self.mpk_key_mode = prev;
+            let rebuilt = self.program.descriptions().derive();
+            if let Err(e) = rebuilt.and_then(|next| self.commit(next, mode)) {
                 return Err(self.trace_fault(e));
             }
         }
+        self.mpk_key_mode = mode;
         Ok(())
     }
 
@@ -506,14 +636,19 @@ impl LitterBox {
     /// `Init`: validates the program description, computes meta-packages,
     /// and builds every execution environment (§4.2, §5.3).
     ///
+    /// A first `Init` allocates LitterBox's own two pages (`litterbox.user`
+    /// and `litterbox.super`) from the address space before any check
+    /// runs, so a rejected one has still taken them, and the next attempt
+    /// allocates two more.
+    ///
     /// # Errors
     ///
     /// [`Fault::Init`] for invalid descriptions (overlapping sections,
     /// unknown packages in views, duplicate ids, MPK key exhaustion,
     /// ambiguous PKRU/filter combinations). A rejected description
-    /// leaves the machine as it was.
+    /// leaves the machine as it was, its clock and `init_ns` included.
     pub fn init(&mut self, desc: ProgramDesc) -> Result<(), Fault> {
-        if self.initialized {
+        if self.initialized() {
             return Err(self.trace_fault(Fault::Init(
                 "init called twice (use init_incremental)".into(),
             )));
@@ -533,34 +668,31 @@ impl LitterBox {
         self.init_with(desc, true)
     }
 
+    /// Whether a first `Init` has succeeded: it is what installs
+    /// LitterBox's own packages.
+    fn initialized(&self) -> bool {
+        self.program.packages.contains_key(LB_USER_PKG)
+    }
+
     fn init_with(&mut self, mut desc: ProgramDesc, incremental: bool) -> Result<(), Fault> {
         // Injected allocation failure fires before any description is
-        // ingested, so a failed init leaves the machine untouched.
+        // read, so a failed init leaves the machine untouched.
         if self.clock.should_inject(InjectionSite::InitAlloc) {
             return Err(self.trace_fault(Fault::Transient { site: "init_alloc" }));
         }
-        let before_ns = self.init_ns;
-        let mut added = Ingested {
-            ranges: self.ranges.len(),
-            ..Ingested::default()
-        };
         let run = (|| {
-            if !self.initialized {
+            if !self.initialized() {
                 self.install_internal_packages(&mut desc)?;
             }
-            self.ingest(desc, &mut added)?;
-            self.rebuild()
+            let next = self.program.with(desc)?;
+            self.commit(next, self.mpk_key_mode)
         })();
-        if let Err(e) = run {
-            self.withdraw(added);
-            return Err(self.trace_fault(e));
-        }
-        self.initialized = true;
+        let ns = run.map_err(|e| self.trace_fault(e))?;
         self.clock.record(Event::Init {
             packages: self.program.packages.len() as u64,
-            enclosures: self.enclosures.len() as u64,
+            enclosures: self.program.enclosures.len() as u64,
             incremental,
-            ns: self.init_ns - before_ns,
+            ns,
         });
         Ok(())
     }
@@ -576,20 +708,18 @@ impl LitterBox {
     /// [`Fault::UnknownEnclosure`] for unknown ids; otherwise the same
     /// conditions as [`LitterBox::init`].
     pub fn update_enclosure_view(&mut self, id: EnclosureId, view: ViewMap) -> Result<(), Fault> {
-        let Some(enc) = self.enclosures.get_mut(&id) else {
+        let mut next = self.program.descriptions();
+        let Some(enc) = next.enclosures.get_mut(&id) else {
             return Err(self.trace_fault(Fault::UnknownEnclosure(id)));
         };
-        let old = mem::replace(&mut enc.view, view);
-        let before_ns = self.init_ns;
-        if let Err(e) = self.rebuild() {
-            if let Some(enc) = self.enclosures.get_mut(&id) {
-                enc.view = old;
-            }
-            return Err(self.trace_fault(e));
-        }
+        enc.view = view;
+        let ns = next
+            .derive()
+            .and_then(|next| self.commit(next, self.mpk_key_mode))
+            .map_err(|e| self.trace_fault(e))?;
         self.clock.record(Event::ViewUpdate {
             enclosure: id.0,
-            ns: self.init_ns - before_ns,
+            ns,
         });
         Ok(())
     }
@@ -614,194 +744,34 @@ impl LitterBox {
         Ok(())
     }
 
-    /// Writes `desc` into the machine, logging every addition in
-    /// `added` as it goes.
-    fn ingest(&mut self, desc: ProgramDesc, added: &mut Ingested) -> Result<(), Fault> {
-        for pkg in desc.packages {
-            if self.program.packages.contains_key(&pkg.name) {
-                return Err(Fault::Init(format!("duplicate package '{}'", pkg.name)));
-            }
-            for section in &pkg.sections {
-                let range = section.range();
-                if !range.is_page_aligned() {
-                    return Err(Fault::Init(format!(
-                        "section {} of '{}' is not page aligned",
-                        section.name(),
-                        pkg.name
-                    )));
-                }
-                for (existing, owner) in &self.ranges {
-                    if existing.overlaps(&range) {
-                        return Err(Fault::Init(format!(
-                            "section {} of '{}' overlaps '{owner}' ({existing})",
-                            section.name(),
-                            pkg.name
-                        )));
-                    }
-                }
-                self.ranges.push((range, pkg.name.clone()));
-            }
-            added.packages.push(pkg.name.clone());
-            self.program.packages.insert(pkg.name, pkg.sections);
-        }
-        for enc in desc.enclosures {
-            if enc.id.0 == 0 {
-                return Err(Fault::Init("enclosure id 0 is reserved".into()));
-            }
-            if self.enclosures.contains_key(&enc.id) {
-                return Err(Fault::Init(format!("duplicate {}", enc.id)));
-            }
-            added.enclosures.push(enc.id);
-            self.enclosures.insert(enc.id, enc);
-        }
-        for addr in desc.verified_callsites {
-            if self.verif.insert(addr) {
-                added.callsites.push(addr);
-            }
-        }
-        Ok(())
-    }
-
-    /// Takes a rejected `Init`'s descriptions back out of the machine.
-    fn withdraw(&mut self, added: Ingested) {
-        for name in &added.packages {
-            self.program.packages.remove(name);
-        }
-        self.ranges.truncate(added.ranges);
-        for id in &added.enclosures {
-            self.enclosures.remove(id);
-        }
-        for addr in &added.callsites {
-            self.verif.remove(addr);
-        }
-    }
-
-    /// Rebuilds environments, clustering, and hardware state from the
-    /// current descriptions. All or nothing: on an error the machine
-    /// keeps its previous environments and enforcer.
-    fn rebuild(&mut self) -> Result<(), Fault> {
-        // Views may only reference known packages.
-        for enc in self.enclosures.values() {
-            for pkg in enc.view.keys() {
-                if !self.program.packages.contains_key(pkg) {
-                    return Err(Fault::Init(format!(
-                        "view of '{}' references unknown package '{pkg}'",
-                        enc.name
-                    )));
-                }
-                if pkg == LB_SUPER_PKG {
-                    return Err(Fault::Init(format!(
-                        "view of '{}' must not include {LB_SUPER_PKG}",
-                        enc.name
-                    )));
-                }
-            }
-        }
-
-        // Trusted view: everything RWX except litterbox.super.
-        let mut trusted_view: ViewMap = ViewMap::new();
-        for name in self.program.packages.keys() {
-            if name != LB_SUPER_PKG {
-                trusted_view.insert(name.clone(), Access::RWX);
-            }
-        }
-
-        // Enclosure views are augmented with the always-available
-        // litterbox.user package.
-        let mut envs: IdMap<EnvId, EnvInfo> = IdMap::default();
-        let trusted: Arc<str> = "trusted".into();
-        envs.insert(
-            TRUSTED_ENV,
-            EnvInfo {
-                span: SpanScope::new(Arc::clone(&trusted), "-", TRUSTED_ENV.0),
-                name: trusted,
-                view: trusted_view.clone(),
-                policy: SysPolicy::all(),
-            },
-        );
-        for enc in self.enclosures.values() {
-            let mut view = enc.view.clone();
-            view.insert(LB_USER_PKG.to_owned(), Access::RX);
-            let name: Arc<str> = enc.name.as_str().into();
-            envs.insert(
-                EnvId(enc.id.0),
-                EnvInfo {
-                    span: SpanScope::new(Arc::clone(&name), span_package(enc), enc.id.0),
-                    name,
-                    view,
-                    policy: enc.policy.clone(),
-                },
-            );
-        }
-
-        // Clustering across all views, trusted included (as pseudo id 0),
-        // so litterbox.super lands in its own meta-package.
-        let package_names: Vec<String> = self.program.packages.keys().cloned().collect();
-        let mut cluster_inputs: Vec<EnclosureDesc> = vec![EnclosureDesc {
-            id: EnclosureId(0),
-            name: "trusted".into(),
-            view: trusted_view,
-            policy: SysPolicy::all(),
-            marked: vec![],
-        }];
-        for (env, info) in &envs {
-            if *env != TRUSTED_ENV {
-                cluster_inputs.push(EnclosureDesc {
-                    id: EnclosureId(env.0),
-                    name: info.name.to_string(),
-                    view: info.view.clone(),
-                    policy: info.policy.clone(),
-                    marked: vec![],
-                });
-            }
-        }
-        let clustering = cluster(&package_names, &cluster_inputs);
-
-        // Install the new environments, then build the enforcer against
-        // them; either failure puts the old ones back.
-        let old_envs = mem::replace(&mut self.program.envs, envs);
-        let old_clustering = mem::replace(&mut self.program.clustering, clustering);
-        let built = backend::build(
+    /// Puts `next` in force: builds its enforcer (the backend's own
+    /// checks), charges the Init, and switches the new enforcer into
+    /// the running environment, which every rebuild keeps, since no
+    /// path removes an enclosure. Only then are the program and the
+    /// enforcer swapped in and `init_ns` added to, so on any fault the
+    /// old ones stay in force. A switch that faults by injection keeps
+    /// the Init's cost on the clock, as any faulted switch's work stays.
+    /// Returns the Init's cost.
+    fn commit(&mut self, next: Program, mpk_key_mode: MpkKeyMode) -> Result<u64, Fault> {
+        let (mut hw, ns) = backend::build(
             self.backend,
-            &mut Build {
-                program: &self.program,
+            &Build {
+                program: &next,
                 space: &self.space,
-                clock: &mut self.clock,
-                init_ns: &mut self.init_ns,
                 current: self.current,
-                mpk_key_mode: self.mpk_key_mode,
+                mpk_key_mode,
                 old: self.hw.as_deref(),
             },
-        );
-        let old_hw = match built {
-            Ok(hw) => mem::replace(&mut self.hw, hw),
-            Err(e) => {
-                self.program.envs = old_envs;
-                self.program.clustering = old_clustering;
-                return Err(e);
-            }
-        };
-
-        // Preserve the current environment across incremental rebuilds
-        // (dynamic imports happen mid-execution, §5.2); fall back to
-        // trusted if the environment vanished.
-        let resume = if self.program.envs.contains_key(&self.current) {
-            self.current
-        } else {
-            TRUSTED_ENV
-        };
-        if let Err(e) = self.switch_hw(resume) {
-            self.program.envs = old_envs;
-            self.program.clustering = old_clustering;
-            self.hw = old_hw;
-            return Err(e);
+        )?;
+        self.clock.advance(ns);
+        if let Some(hw) = hw.as_deref_mut() {
+            hw.switch(&next, &mut self.clock, self.current)?;
         }
-        if resume != self.current {
-            self.stack.clear();
-        }
-        self.current = resume;
+        self.program = next;
+        self.hw = hw;
+        self.init_ns += ns;
         self.sync_env();
-        Ok(())
+        Ok(ns)
     }
 
     // ------------------------------------------------------------------
@@ -834,12 +804,12 @@ impl LitterBox {
             self.enter_span(enclosure);
             return Ok(token);
         }
-        if !self.enclosures.contains_key(&enclosure) {
+        if !self.program.enclosures.contains_key(&enclosure) {
             return Err(self.trace_fault(Fault::UnknownEnclosure(enclosure)));
         }
         let switch_started_ns = self.clock.now_ns();
         self.clock.charge_callsite_check();
-        if !self.verif.contains(&callsite) {
+        if !self.program.verif.contains(&callsite) {
             return Err(self.trace_fault(Fault::UnverifiedCallsite { addr: callsite }));
         }
         let target = EnvId(enclosure.0);
@@ -1030,7 +1000,7 @@ impl LitterBox {
         self.flush_batch_barrier();
         if self.backend != Backend::Baseline {
             self.clock.charge_callsite_check();
-            if !self.verif.contains(&callsite) {
+            if !self.program.verif.contains(&callsite) {
                 return Err(self.trace_fault(Fault::UnverifiedCallsite { addr: callsite }));
             }
             self.switch_hw(ctx.current)
@@ -1105,9 +1075,10 @@ impl LitterBox {
         from: Option<&str>,
         to: &str,
     ) -> Result<(), Fault> {
-        if !self.program.packages.contains_key(to) {
+        let Some((to, _)) = self.program.packages.get_key_value(to) else {
             return Err(self.trace_fault(Fault::UnknownPackage(to.to_owned())));
-        }
+        };
+        let to = Arc::clone(to);
         // Injected failures fire before any ownership mutation, modeling
         // an allocation failure in the destination arena or a faulted
         // hardware update; the transfer simply did not happen.
@@ -1132,7 +1103,6 @@ impl LitterBox {
                     "transfer source '{from}' does not own {range}"
                 ))));
             }
-            self.ranges.retain(|(r, _)| *r != range);
         } else if let Some(owner) = self.package_at(range.start()) {
             let owner = owner.to_owned();
             return Err(self.trace_fault(Fault::Init(format!(
@@ -1149,16 +1119,15 @@ impl LitterBox {
         .map_err(|e| self.trace_fault(Fault::Init(e.to_string())))?;
         self.program
             .packages
-            .get_mut(to)
+            .get_mut(&to)
             .expect("checked above")
             .push(section);
-        self.ranges.push((range, to.to_owned()));
         self.clock.record(Event::Transfer {
             pages: range.page_len(),
-            to: to.to_owned(),
+            to: Arc::clone(&to),
         });
         if let Some(hw) = self.hw.as_deref_mut() {
-            hw.transfer(&self.program, &mut self.clock, range, to);
+            hw.transfer(&self.program, &mut self.clock, range, &to);
         }
         Ok(())
     }
@@ -1627,8 +1596,9 @@ mod tests {
     fn proc_child_crash_is_respawned_on_the_next_entry() {
         let (mut lb, f) = figure1(Backend::Proc);
         // Give the enclosure a syscall so the proxy path is reachable.
-        lb.enclosures.get_mut(&EnclosureId(1)).unwrap().policy = SysPolicy::all();
-        lb.rebuild().unwrap();
+        let mut next = lb.program.descriptions();
+        next.enclosures.get_mut(&EnclosureId(1)).unwrap().policy = SysPolicy::all();
+        lb.commit(next.derive().unwrap(), lb.mpk_key_mode).unwrap();
 
         let token = lb.prolog(EnclosureId(1), f.callsite).unwrap();
         let old_pid = lb.proc_spawn_ledger().unwrap()[0].pid;

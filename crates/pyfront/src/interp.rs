@@ -81,7 +81,7 @@ type FnBox = Arc<dyn Fn(&mut PyCtx<'_>, PyValue) -> Result<PyValue, Fault> + Sen
 pub struct Interpreter {
     lb: LitterBox,
     mode: MetadataMode,
-    registry: IdMap<String, PyModuleDef>,
+    registry: IdMap<Arc<str>, PyModuleDef>,
     loaded: BTreeSet<String>,
     functions: IdMap<String, FnBox>,
     enclosures: IdMap<String, PyEnclosure>,
@@ -218,7 +218,7 @@ impl Interpreter {
 
     /// Makes a module available for import.
     pub fn register_module(&mut self, def: PyModuleDef) {
-        self.registry.insert(def.name_str().to_owned(), def);
+        self.registry.insert(def.name_str().into(), def);
     }
 
     /// Registers the body of `module.func`.
@@ -259,10 +259,12 @@ impl Interpreter {
         if self.loaded.contains(name) {
             return Ok(());
         }
-        let def =
-            self.registry.get(name).cloned().ok_or_else(|| {
-                Fault::Init(format!("ModuleNotFoundError: no module named '{name}'"))
-            })?;
+        let Some((module, def)) = self.registry.get_key_value(name) else {
+            return Err(Fault::Init(format!(
+                "ModuleNotFoundError: no module named '{name}'"
+            )));
+        };
+        let (module, def) = (Arc::clone(module), def.clone());
         // Parse + compile cost.
         self.lb
             .clock_mut()
@@ -288,9 +290,7 @@ impl Interpreter {
         self.lb.init_incremental(prog)?;
         self.lb
             .clock_mut()
-            .record(enclosure_telemetry::Event::IncrementalInit {
-                module: name.to_owned(),
-            });
+            .record(enclosure_telemetry::Event::IncrementalInit { module });
         self.loaded.insert(name.to_owned());
         self.stats.imports += 1;
         // Python executes the module's top level, which imports its own
@@ -406,7 +406,7 @@ impl Interpreter {
             .map(|m| {
                 let deps = self
                     .registry
-                    .get(m)
+                    .get(m.as_str())
                     .map(|d| d.dep_list().to_vec())
                     .unwrap_or_default();
                 (m.clone(), deps)
@@ -538,16 +538,6 @@ impl Interpreter {
             .clock_mut()
             .record(enclosure_telemetry::Event::MetadataSwitch);
         result
-    }
-
-    /// Increments an object's refcount (§5.2 metadata semantics).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault`] for unknown objects or irrecoverable metadata access.
-    pub fn incref(&mut self, obj: Addr) -> Result<(), Fault> {
-        let info = self.obj(obj)?;
-        self.incref_meta(info.meta)
     }
 
     fn incref_meta(&mut self, meta: Addr) -> Result<(), Fault> {

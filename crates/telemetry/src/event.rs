@@ -1,6 +1,7 @@
 //! The typed event vocabulary, spanning every layer of the stack.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Why the batched gateway flushed. Each reason has its own counter
 /// (`flush_{reason}_triggers`); `Display` prints the word trace lines
@@ -70,7 +71,7 @@ pub enum Event {
         /// Pages moved.
         pages: u64,
         /// Destination package.
-        to: String,
+        to: Arc<str>,
     },
     /// `FilterSyscall` ran the current environment's filter.
     FilterSyscall {
@@ -306,7 +307,7 @@ pub enum Event {
     /// A lazy import triggered an incremental Init.
     IncrementalInit {
         /// Module being imported.
-        module: String,
+        module: Arc<str>,
     },
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline verification gate: build, full test suite (release and
-# debug), the benchmark's build and tests, the examples, formatting,
-# clippy, rustdoc.
+# debug), the benchmark's build and tests, the examples and their
+# golden output, formatting, clippy, rustdoc.
 # Every claim about `repro` output is a test in `cargo test`.
 # The container has no network access — everything must resolve from
 # the in-tree workspace (no crates.io dependencies, see DESIGN.md §6).
@@ -33,11 +33,16 @@ cp bench/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" bench/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo test --release --offline --manifest-path bench/Cargo.toml
 
-echo "== examples (release; each must exit 0) =="
+# Each example's stdout is a golden file: a change that means to move
+# one regenerates it with
+#   cargo run -q --release --offline --example NAME > tests/golden/examples/NAME.txt
+# and says why in CHANGES.md.
+echo "== examples (release; each must exit 0 and print its golden stdout) =="
 for example in examples/*.rs; do
     name=$(basename "$example" .rs)
     echo "-- $name"
-    cargo run -q --release --offline --example "$name" > /dev/null
+    cargo run -q --release --offline --example "$name" |
+        diff -u "tests/golden/examples/$name.txt" -
 done
 
 echo "== formatting =="

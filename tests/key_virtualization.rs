@@ -275,10 +275,10 @@ enclosure_support::props! {
 }
 
 /// A rebuild whose closing switch fails after an eviction sweep has
-/// written an interim PKRU is rolled back whole: the old enforcer comes
-/// back with the PKRU it had, so the running enclosure still reaches its
+/// written an interim PKRU changes no enforcer: the old one stays in
+/// force with the PKRU it had, so the running enclosure still reaches its
 /// own package and the live PKRU grants nothing stale. An interim PKRU
-/// left behind would revoke a key the restored bindings still give the
+/// left behind would revoke a key the old bindings still give the
 /// enclosure, and its own loads would hit a `PkeyFault`.
 #[test]
 fn rolled_back_rebuilds_restore_the_live_pkru() {

@@ -13,7 +13,9 @@
 //! and the kernel's socket queue, DESIGN §14), and neither fleet
 //! allocates span names per scheduler quantum. A warm switch allocates
 //! nothing: an enclosure's span names and LB_MPK's working sets are
-//! built at `Init`.
+//! built at `Init`. A warm `Transfer` allocates only the name of the
+//! arena section it adds: the packages' sections are the one owner
+//! index, and its event shares the destination's name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +23,7 @@ use std::cell::Cell;
 use enclosure_apps::httpd::PAGE_SIZE_BYTES;
 use enclosure_core::{App, Enclosure, Policy};
 use enclosure_fleet::{FastHttpFleet, FleetConfig, WikiFleet};
+use enclosure_vmem::PAGE_SIZE;
 use litterbox::{Backend, EnvContext, EnvId};
 
 /// Requests per counted fleet run.
@@ -37,6 +40,9 @@ const FASTHTTP_BYTES_PER_REQUEST: f64 = 3.0 * PAGE_SIZE_BYTES as f64;
 const WIKI_ALLOCS_PER_REQUEST: f64 = 62.0;
 /// Enclosure calls, and `Execute` round trips, per counted window.
 const SWITCHES: u64 = 1_000;
+/// Allocations one warm `Transfer` makes: its arena section's name,
+/// formatted into a `String` that grows twice.
+const TRANSFER_ALLOCS: u64 = 3;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -167,6 +173,46 @@ fn warm_switches_allocate_nothing() {
             (calls, round_trips),
             (0, 0),
             "{backend}: allocations over {SWITCHES} calls and over {SWITCHES} round trips"
+        );
+    }
+}
+
+#[test]
+fn warm_transfers_allocate_only_the_arena_name() {
+    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+        let mut app = App::builder("transfers")
+            .package("main", &["lib", "other"])
+            .package("lib", &[])
+            .package("other", &[])
+            .build(backend)
+            .expect("app builds");
+        let arena = app
+            .lb
+            .space_mut()
+            .alloc(4 * PAGE_SIZE)
+            .expect("arena allocated");
+        app.lb.transfer(arena, None, "lib").expect("first transfer");
+        let there_and_back = |app: &mut App| {
+            app.lb
+                .transfer(arena, Some("lib"), "other")
+                .expect("transfer there");
+            app.lb
+                .transfer(arena, Some("other"), "lib")
+                .expect("transfer back");
+        };
+        // Warm-up: each package's section list reaches its capacity.
+        for _ in 0..8 {
+            there_and_back(&mut app);
+        }
+        let allocs = allocs_of(|| {
+            for _ in 0..SWITCHES {
+                there_and_back(&mut app);
+            }
+        });
+        assert_eq!(
+            allocs,
+            2 * SWITCHES * TRANSFER_ALLOCS,
+            "{backend}: allocations over {SWITCHES} round trips of a 4-page arena"
         );
     }
 }

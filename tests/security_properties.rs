@@ -7,10 +7,10 @@ use enclosure_repro::core::{App, Enclosure, Policy};
 use enclosure_repro::kernel::seccomp::SysPolicy;
 use enclosure_repro::kernel::{CategorySet, SysCategory};
 use enclosure_support::XorShift;
-use enclosure_vmem::{Access, Section, SectionKind};
+use enclosure_vmem::{Access, Addr, Section, SectionKind};
 use litterbox::{
-    Backend, EnclosureDesc, EnclosureId, Fault, LitterBox, PackageDesc, PackageLayout, ProgramDesc,
-    ViewMap, LB_SUPER_PKG,
+    scan, Backend, EnclosureDesc, EnclosureId, Fault, LitterBox, PackageDesc, PackageLayout,
+    ProgramDesc, ViewMap, LB_SUPER_PKG,
 };
 
 /// Arbitrary access rights (the four the grammar allows).
@@ -42,6 +42,9 @@ enum Malformed {
     /// Two environments with the same data rights but different syscall
     /// filters, which PKRU-indexed seccomp cannot tell apart (LB_MPK).
     AmbiguousFilters,
+    /// A new package whose text holds a WRPKRU, which only LitterBox may
+    /// execute (LB_MPK).
+    WrpkruInText,
 }
 
 fn view(entries: &[(&str, Access)]) -> ViewMap {
@@ -120,7 +123,24 @@ fn malform(lb: &mut LitterBox, prog: &mut ProgramDesc, kind: Malformed, a: Packa
         Malformed::DuplicateId => {
             prog.add_enclosure(enclosure(1, "again", ViewMap::new(), SysPolicy::none()));
         }
+        Malformed::WrpkruInText => {
+            let evil = prog.add_package(lb, "evil", 1, 1, 1).unwrap();
+            lb.space_mut()
+                .write(evil.text_start() + 100, &scan::WRPKRU)
+                .unwrap();
+        }
     }
+}
+
+/// `Init`'s two ledgers: the machine's `init_ns()` and the recorder's
+/// `init_ns` counter, which every accepted `Init` and view update adds
+/// the same cost to.
+fn assert_init_ledgers_agree(lb: &LitterBox, case: &str, step: &str) {
+    assert_eq!(
+        lb.init_ns(),
+        lb.telemetry().counters().init_ns,
+        "{case}: init ledgers {step}"
+    );
 }
 
 enclosure_support::props! {
@@ -235,97 +255,152 @@ enclosure_support::props! {
     }
 }
 
-enclosure_support::props! {
-    /// A rejected `Init`, incremental `Init` or view update returns a
-    /// `Fault::Init` and leaves the machine as it was — same
-    /// environments, same current environment, a live PKRU that grants
-    /// no more than the current view — so the corrected description
-    /// succeeds on the same machine and its enclosure round-trips. The
-    /// rejected call may come from inside an enclosure, as a dynamic
-    /// import does.
-    fn rejected_init_leaves_the_machine_reusable(rng, cases = 96) {
-        let backend =
-            *rng.choose(&[Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc]);
-        let op = *rng.choose(&[InitOp::Init, InitOp::Incremental, InitOp::UpdateView]);
-        let mut kinds = match op {
-            InitOp::UpdateView => vec![Malformed::UnknownViewPackage, Malformed::SuperInView],
-            _ => vec![
-                Malformed::UnknownViewPackage,
-                Malformed::SuperInView,
-                Malformed::DuplicatePackage,
-                Malformed::OverlappingSection,
-                Malformed::ReservedId,
-                Malformed::DuplicateId,
-            ],
-        };
-        if backend == Backend::Mpk {
-            kinds.push(Malformed::AmbiguousFilters);
+/// Every way `op` can be handed a malformed description on `backend`.
+fn malformations(backend: Backend, op: InitOp) -> Vec<Malformed> {
+    let mut kinds = match op {
+        InitOp::UpdateView => vec![Malformed::UnknownViewPackage, Malformed::SuperInView],
+        _ => vec![
+            Malformed::UnknownViewPackage,
+            Malformed::SuperInView,
+            Malformed::DuplicatePackage,
+            Malformed::OverlappingSection,
+            Malformed::ReservedId,
+            Malformed::DuplicateId,
+        ],
+    };
+    if backend == Backend::Mpk {
+        kinds.push(Malformed::AmbiguousFilters);
+        if op != InitOp::UpdateView {
+            kinds.push(Malformed::WrpkruInText);
         }
-        let kind = *rng.choose(&kinds);
-        let case = format!("{backend} {op:?} {kind:?}");
+    }
+    kinds
+}
 
-        let mut lb = LitterBox::new(backend);
-        let cs = enclosure_vmem::Addr(0x2000);
-        let (mut prog, a) = base_program(&mut lb);
-        let mut inside = None;
-        let target = if op == InitOp::Init {
-            malform(&mut lb, &mut prog, kind, a);
-            EnclosureId(1)
+/// A rejected `Init`, incremental `Init` or view update returns a
+/// `Fault::Init` and changes nothing but the one fault it records: same
+/// clock, same `init_ns()`, same counters, same environments, same
+/// current environment, same package owners, and a live PKRU that grants
+/// no more than the current view. The corrected description then
+/// succeeds on the same machine and its enclosure round-trips. The
+/// rejected call may come from inside an enclosure, as a dynamic import
+/// does. Every backend, call, malformation and caller (96 cases).
+#[test]
+fn rejected_init_leaves_the_machine_reusable() {
+    let mut cases = 0;
+    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
+        for op in [InitOp::Init, InitOp::Incremental, InitOp::UpdateView] {
+            for kind in malformations(backend, op) {
+                // Only a program can run inside an enclosure.
+                let callers: &[bool] = if op == InitOp::Init {
+                    &[false]
+                } else {
+                    &[false, true]
+                };
+                for &inside in callers {
+                    reject_then_correct(backend, op, kind, inside);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 96);
+}
+
+/// One case of [`rejected_init_leaves_the_machine_reusable`]: the
+/// malformed call from trusted code or from `inside` enclosure 1, then
+/// the corrected one.
+fn reject_then_correct(backend: Backend, op: InitOp, kind: Malformed, inside: bool) {
+    let case = format!("{backend} {op:?} {kind:?} inside={inside}");
+    let mut lb = LitterBox::new(backend);
+    let cs = enclosure_vmem::Addr(0x2000);
+    let (prog, a) = base_program(&mut lb);
+    let mut token = None;
+    let mut bad = if op == InitOp::Init {
+        prog
+    } else {
+        lb.init(prog).unwrap();
+        if inside {
+            token = Some(lb.prolog(EnclosureId(1), cs).unwrap());
+        }
+        if op == InitOp::Incremental {
+            late_program(&mut lb)
         } else {
-            lb.init(prog.clone()).unwrap();
-            if rng.next_bool() {
-                inside = Some(lb.prolog(EnclosureId(1), cs).unwrap());
-            }
-            if op == InitOp::Incremental {
-                EnclosureId(3)
-            } else {
-                EnclosureId(1)
-            }
-        };
-        let envs = lb.describe_environments();
-        let current = lb.current_env();
-
-        let err = match op {
-            InitOp::Init => lb.init(prog).unwrap_err(),
-            InitOp::Incremental => {
-                let mut late = late_program(&mut lb);
-                malform(&mut lb, &mut late, kind, a);
-                lb.init_incremental(late).unwrap_err()
-            }
-            InitOp::UpdateView => {
-                let mut bad = ProgramDesc::new();
-                bad.add_enclosure(enclosure(1, "one", view(&[("a", Access::RWX)]), SysPolicy::none()));
-                malform(&mut lb, &mut bad, kind, a);
-                lb.update_enclosure_view(EnclosureId(1), bad.enclosures.remove(0).view)
-                    .unwrap_err()
-            }
-        };
-        assert!(matches!(err, Fault::Init(_)), "{case}: {err:?}");
-        assert_eq!(lb.describe_environments(), envs, "{case}");
-        assert_eq!(lb.current_env(), current, "{case}");
-        assert_eq!(lb.stale_binding_violation(), None, "{case}");
-
-        match op {
-            InitOp::Init => {
-                let (fixed, _) = base_program(&mut lb);
-                lb.init(fixed)
-            }
-            InitOp::Incremental => {
-                let late = late_program(&mut lb);
-                lb.init_incremental(late)
-            }
-            InitOp::UpdateView => {
-                lb.update_enclosure_view(EnclosureId(1), view(&[("a", Access::R)]))
-            }
+            let mut update = ProgramDesc::new();
+            update.add_enclosure(enclosure(
+                1,
+                "one",
+                view(&[("a", Access::RWX)]),
+                SysPolicy::none(),
+            ));
+            update
         }
-        .unwrap_or_else(|e| panic!("{case}: corrected description rejected: {e}"));
-        assert_eq!(lb.stale_binding_violation(), None, "{case}: corrected");
-        if let Some(token) = inside {
-            lb.epilog(token).unwrap();
+    };
+    malform(&mut lb, &mut bad, kind, a);
+    let target = if op == InitOp::Incremental {
+        EnclosureId(3)
+    } else {
+        EnclosureId(1)
+    };
+    assert_init_ledgers_agree(&lb, &case, "before the rejected call");
+
+    // Every address the rejected description names, and `a`'s.
+    let probes: Vec<Addr> = bad
+        .packages
+        .iter()
+        .flat_map(|pkg| &pkg.sections)
+        .map(|section| section.range().start())
+        .chain([a.text_start(), a.data_start()])
+        .collect();
+    let owners = |lb: &LitterBox| -> Vec<Option<String>> {
+        probes
+            .iter()
+            .map(|&addr| lb.package_at(addr).map(str::to_owned))
+            .collect()
+    };
+    let envs = lb.describe_environments();
+    let current = lb.current_env();
+    let owned = owners(&lb);
+    let (now, init_ns) = (lb.now_ns(), lb.init_ns());
+    let mut counters = *lb.telemetry().counters();
+    counters.faults += 1;
+
+    let err = match op {
+        InitOp::Init => lb.init(bad).unwrap_err(),
+        InitOp::Incremental => lb.init_incremental(bad).unwrap_err(),
+        InitOp::UpdateView => lb
+            .update_enclosure_view(EnclosureId(1), bad.enclosures.remove(0).view)
+            .unwrap_err(),
+    };
+    assert!(matches!(err, Fault::Init(_)), "{case}: {err:?}");
+    assert_eq!(lb.now_ns(), now, "{case}: clock");
+    assert_eq!(lb.init_ns(), init_ns, "{case}: init_ns");
+    assert_eq!(*lb.telemetry().counters(), counters, "{case}: counters");
+    assert_init_ledgers_agree(&lb, &case, "after the rejected call");
+    assert_eq!(lb.describe_environments(), envs, "{case}");
+    assert_eq!(lb.current_env(), current, "{case}");
+    assert_eq!(owners(&lb), owned, "{case}: package owners");
+    assert_eq!(lb.stale_binding_violation(), None, "{case}");
+
+    match op {
+        InitOp::Init => {
+            let (fixed, _) = base_program(&mut lb);
+            lb.init(fixed)
         }
-        let token = lb.prolog(target, cs).unwrap();
+        InitOp::Incremental => {
+            let late = late_program(&mut lb);
+            lb.init_incremental(late)
+        }
+        InitOp::UpdateView => lb.update_enclosure_view(EnclosureId(1), view(&[("a", Access::R)])),
+    }
+    .unwrap_or_else(|e| panic!("{case}: corrected description rejected: {e}"));
+    assert_init_ledgers_agree(&lb, &case, "after the corrected call");
+    assert_eq!(lb.stale_binding_violation(), None, "{case}: corrected");
+    if let Some(token) = token {
         lb.epilog(token).unwrap();
     }
+    let token = lb.prolog(target, cs).unwrap();
+    lb.epilog(token).unwrap();
 }
 
 /// An `App` whose enclosure registration LB_MPK rejects (same view as
