@@ -21,7 +21,7 @@ use enclosure_kernel::net::SockAddr;
 use enclosure_kernel::Kernel;
 use enclosure_support::Shared;
 use enclosure_telemetry::{Event, Histogram};
-use litterbox::{BatchOp, CompletionToken, Fault, LitterBox, SysError};
+use litterbox::{BatchOp, CompletionToken, Fault, GatewayMode, LitterBox, SysError};
 
 /// How many times a transient errno is retried in place before the
 /// failure is surfaced to the degradation path.
@@ -89,8 +89,8 @@ pub(crate) fn listen(
     }
 }
 
-/// Issues one deferrable syscall of connection `conn`. When the
-/// machine's gateway queues, the call joins the batch under submitter
+/// Issues one deferrable syscall of connection `conn`. In
+/// [`GatewayMode::Async`] the call joins the batch under submitter
 /// `conn` and rides the next flush's single charged crossing; its token
 /// is returned. In `Direct` mode it crosses now, transient errnos
 /// retried in place.
@@ -100,7 +100,7 @@ pub(crate) fn deferrable(
     conn: u32,
     op: BatchOp,
 ) -> Result<Option<CompletionToken>, SysError> {
-    if lb.gateway().is_queued() {
+    if lb.gateway() == GatewayMode::Async {
         return Ok(Some(lb.batch_submit(u64::from(conn), op)?));
     }
     retry_transient(tally, || match &op {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use enclosure_gofront::{sched::Recv, GoProgram, GoRuntime, GoSource, GoValue, Step};
 use enclosure_support::Shared;
 use enclosure_telemetry::Histogram;
-use litterbox::{Backend, BatchOp, Fault, GatewayMode, SysError};
+use litterbox::{Backend, BatchOp, Fault, SysError};
 
 use crate::chaos::{self, abandon, deferrable, record_reply, retry_transient, ChaosTally};
 use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
@@ -132,12 +132,13 @@ impl FastHttpApp {
     /// Serves `n` requests with `workers` enclosed server goroutines
     /// sharing one listener, one trusted handler and one load generator,
     /// and reports throughput. Each worker quantum accepts, reads and
-    /// forwards one request, then ships one finished response. The
-    /// deferrable calls queue in the batched gateway unless the
-    /// machine's [`GatewayMode`] is `Direct`; in `Async` a worker parks
-    /// on its reply tail's token, so the switch barriers amortize one
-    /// charged crossing over every worker's batch. Client traffic runs
-    /// on a scratch clock (outside the measured machine).
+    /// forwards one request, then ships one finished response. In
+    /// [`litterbox::GatewayMode::Async`] the deferrable calls queue in
+    /// the batched gateway and a worker parks on its reply tail's
+    /// token, so the switch barriers amortize one charged crossing over
+    /// every worker's batch; in `Direct` each crosses on its own.
+    /// Client traffic runs on a scratch clock (outside the measured
+    /// machine).
     ///
     /// Under fault injection the workers degrade instead of dying:
     /// transient errnos are retried in place, a request whose read
@@ -156,7 +157,6 @@ impl FastHttpApp {
         let cap = usize::try_from(n).unwrap_or(usize::MAX).max(64);
         let req_ch = self.rt.make_chan(cap);
         let resp_ch = self.rt.make_chan(cap);
-        let parks = self.rt.lb().gateway() == GatewayMode::Async;
         let tally: Shared<ChaosTally> = Shared::default();
         let progress: Shared<Progress> = Shared::default();
 
@@ -166,7 +166,7 @@ impl FastHttpApp {
             let latency = self.latency.clone();
             // The reply tail this worker last queued: reaped (and its
             // latency recorded) next quantum, after the flush that
-            // serviced it — in async mode the park ends exactly there.
+            // serviced it ended the worker's park.
             let mut shipped: Option<(u32, u64)> = None;
             self.rt
                 .spawn_enclosed(&format!("fasthttp-worker-{w}"), "server_enc", move |ctx| {
@@ -254,7 +254,7 @@ impl FastHttpApp {
                         match sent {
                             Ok(Some(last)) => {
                                 shipped = Some((conn, t0));
-                                return Ok(if parks { Step::Park(last) } else { Step::Yield });
+                                return Ok(Step::Park(last));
                             }
                             Ok(None) => record_reply(lb, &latency, t0, true),
                             Err(e) if e.is_transient() => {
@@ -337,6 +337,7 @@ fn response_halves(body: &[u8]) -> (Vec<u8>, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use litterbox::GatewayMode;
 
     #[test]
     fn the_page_matches_the_old_build_and_splits_into_the_sent_halves() {
@@ -401,11 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_gateway_amortizes_crossings_at_equal_request_counts() {
+    fn async_gateway_amortizes_crossings_at_equal_request_counts() {
         for backend in [Backend::Mpk, Backend::Vtx] {
             let mut plain = app_on(backend, GatewayMode::Direct);
             plain.serve_requests(10, 1).unwrap();
-            let mut batched = app_on(backend, GatewayMode::Batched);
+            let mut batched = app_on(backend, GatewayMode::Async);
             let stats = batched.serve_requests(10, 1).unwrap();
             assert_eq!(stats.served, 10, "{backend}");
             let p = plain.runtime().lb().stats();
@@ -432,18 +433,12 @@ mod tests {
     fn concurrent_workers_serve_all_requests_in_every_io_mode() {
         for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
             for workers in [1, 8] {
-                let mut sim_ns = Vec::new();
-                for mode in [
-                    GatewayMode::Direct,
-                    GatewayMode::Batched,
-                    GatewayMode::Async,
-                ] {
+                for mode in [GatewayMode::Direct, GatewayMode::Async] {
                     let mut app = app_on(backend, mode);
                     let stats = app.serve_requests(24, workers).unwrap();
                     let arm = format!("{backend} x{workers} {mode:?}");
                     assert_eq!(stats.served, 24, "{arm}");
                     assert_eq!(app.latency().count(), 24, "{arm}: every request timed");
-                    sim_ns.push(stats.ns);
                     let c = app.runtime().lb().telemetry().counters();
                     if workers == 1 && mode == GatewayMode::Async {
                         // A lone server never parks: every flush is the
@@ -452,46 +447,7 @@ mod tests {
                         assert_eq!(c.flush_barrier_triggers, c.batch_flushes, "{arm}");
                     }
                 }
-                if workers == 1 {
-                    // The barrier that ends each server quantum is where
-                    // the per-quantum flush would have landed anyway.
-                    assert_eq!(sim_ns[2], sim_ns[1], "{backend}: Async x1 == Batched x1");
-                }
             }
-        }
-    }
-
-    #[test]
-    fn async_submission_beats_per_quantum_flush_under_concurrency() {
-        // The acceptance bar: with >= 8 concurrent enclosed workers,
-        // completion-driven submission (accumulate + park) must beat
-        // the synchronous batched gateway (flush every quantum) end to
-        // end, because one charged crossing now covers every worker's
-        // quantum instead of one each.
-        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let mut sync_app = app_on(backend, GatewayMode::Batched);
-            let sync_stats = sync_app.serve_requests(48, 8).unwrap();
-            let mut async_app = app_on(backend, GatewayMode::Async);
-            let async_stats = async_app.serve_requests(48, 8).unwrap();
-            assert_eq!(sync_stats.served, 48, "{backend}");
-            assert_eq!(async_stats.served, 48, "{backend}");
-            assert!(
-                async_stats.ns <= sync_stats.ns,
-                "{backend}: async {} ns vs sync {} ns",
-                async_stats.ns,
-                sync_stats.ns
-            );
-            if backend == Backend::Vtx {
-                assert!(
-                    async_stats.ns < sync_stats.ns,
-                    "VT-x crossings dominate: async {} must strictly beat sync {}",
-                    async_stats.ns,
-                    sync_stats.ns
-                );
-            }
-            let c = async_app.runtime().lb().telemetry().counters();
-            assert!(c.go_parks > 0, "{backend}: workers actually parked");
-            assert_eq!(c.go_parks, c.go_wakes, "{backend}: every park woke");
         }
     }
 

@@ -462,8 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_gateway_serves_the_same_pages_with_fewer_crossings() {
-        for backend in [Backend::Mpk, Backend::Vtx] {
+    fn async_gateway_serves_the_same_pages_with_fewer_crossings() {
+        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
             let mut plain = WikiApp::new(backend).unwrap();
             plain.runtime_mut().lb_mut().clock_mut().reset();
             let p = plain.serve_requests(10).unwrap();
@@ -471,7 +471,7 @@ mod tests {
 
             let mut fast = WikiApp::new(backend).unwrap();
             let lb = fast.runtime_mut().lb_mut();
-            lb.set_gateway(GatewayMode::Batched);
+            lb.set_gateway(GatewayMode::Async);
             lb.clock_mut().reset();
             let b = fast.serve_requests(10).unwrap();
             let bs = fast.runtime_mut().lb_mut().clock_mut().stats();
@@ -481,42 +481,19 @@ mod tests {
                 fast.db.borrow().keys().any(|k| k.starts_with("Note")),
                 "{backend}: POSTs still land"
             );
-            match backend {
-                Backend::Vtx => assert!(
-                    bs.vm_exits < ps.vm_exits,
-                    "{backend}: batching must reduce VM EXITs ({} vs {})",
-                    bs.vm_exits,
-                    ps.vm_exits
-                ),
-                _ => assert!(
-                    bs.seccomp_checks < ps.seccomp_checks,
-                    "{backend}: batching must reduce seccomp evaluations ({} vs {})",
-                    bs.seccomp_checks,
-                    ps.seccomp_checks
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn async_gateway_serves_the_same_pages_as_batched() {
-        for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-            let mut sync = WikiApp::new(backend).unwrap();
-            let lb = sync.runtime_mut().lb_mut();
-            lb.set_gateway(GatewayMode::Batched);
-            lb.clock_mut().reset();
-            let s = sync.serve_requests(10).unwrap();
-
-            let mut fut = WikiApp::new(backend).unwrap();
-            let lb = fut.runtime_mut().lb_mut();
-            lb.set_gateway(GatewayMode::Async);
-            lb.clock_mut().reset();
-            let a = fut.serve_requests(10).unwrap();
-
-            assert_eq!(a.served, s.served, "{backend}: same work either way");
+            assert_eq!(
+                *fast.db.borrow(),
+                *plain.db.borrow(),
+                "{backend}: same pages"
+            );
+            let (fewer, direct) = match backend {
+                Backend::Vtx => (bs.vm_exits, ps.vm_exits),
+                Backend::Mpk => (bs.seccomp_checks, ps.seccomp_checks),
+                _ => (bs.ipc_roundtrips, ps.ipc_roundtrips),
+            };
             assert!(
-                fut.db.borrow().keys().any(|k| k.starts_with("Note")),
-                "{backend}: POSTs still land under the async gateway"
+                fewer < direct,
+                "{backend}: batching must reduce charged crossings ({fewer} vs {direct})"
             );
         }
     }

@@ -1,26 +1,27 @@
 //! The batching study: how much of the crossing tax the batched syscall
 //! gateway amortizes away.
 //!
-//! Six sequential arms — {LB_MPK, LB_VTX, LB_PROC} × {unbatched,
-//! batched} — serve the same FastHTTP workload (§6.2: the server itself
-//! is the enclosure, so its syscall trace crosses the boundary) at
-//! identical request counts. The charged crossing tax is read straight
-//! off the hardware ledger: VM EXITs × the calibrated per-exit cost
-//! under LB_VTX, seccomp evaluations under LB_MPK, IPC round-trips ×
-//! the calibrated per-trip cost under LB_PROC. With batching the ring
-//! pays one VM EXIT (one seccomp evaluation, one IPC round-trip) per
-//! flushed (environment, batch) pair instead of one per syscall, so the
-//! per-request tax must drop ≥2× under LB_VTX and LB_PROC and the
-//! evaluation count must strictly shrink under LB_MPK.
+//! Twelve arms — {LB_MPK, LB_VTX, LB_PROC} × {unbatched, async} ×
+//! {1, 8 workers} — serve the same FastHTTP workload (§6.2: the server
+//! itself is the enclosure, so its syscall trace crosses the boundary)
+//! at identical request counts. `unbatched` is the paper's trace
+//! ([`GatewayMode::Direct`]); `async` is the completion-driven reactor
+//! ([`GatewayMode::Async`]): workers park on submission tokens and the
+//! accumulated batch crosses at the next switch barrier. The charged
+//! crossing tax is read straight off the hardware ledger: VM EXITs ×
+//! the calibrated per-exit cost under LB_VTX, seccomp evaluations under
+//! LB_MPK, IPC round-trips × the calibrated per-trip cost under
+//! LB_PROC. The ring pays one VM EXIT (one seccomp evaluation, one IPC
+//! round-trip) per flushed (environment, batch) pair instead of one per
+//! syscall, so at either worker count the per-request tax must drop ≥2×
+//! under LB_VTX and LB_PROC and the evaluation count must strictly
+//! shrink under LB_MPK.
 //!
-//! Six more arms run the server with 8 concurrent worker goroutines —
-//! `batched_c8` (quantum flush) against `async_c8` (the completion-
-//! driven reactor: workers park on submission tokens and the
-//! accumulated batch crosses at the next switch barrier). This is
-//! the *throughput* claim, not just a charged-tax claim: with 8 workers
-//! feeding one batch, the reactor retires the same requests in fewer
-//! simulated ns end-to-end. Everything is simulated time from the
-//! calibrated cost model, so two runs are byte-identical.
+//! The 8-worker arms (`_c8`) carry the *throughput* claim, not just a
+//! charged-tax claim: with 8 workers feeding one batch, the reactor
+//! retires the same requests in fewer simulated ns end-to-end than
+//! the unbatched server on every backend. Everything is simulated time
+//! from the calibrated cost model, so two runs are byte-identical.
 
 use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_hw::CostModel;
@@ -33,11 +34,11 @@ use litterbox::{Backend, Fault, GatewayMode};
 pub struct BatchingArm {
     /// The backend measured.
     pub backend: Backend,
-    /// Arm label: `unbatched`, `batched`, `batched_c8`, or `async_c8`
+    /// Arm label: `unbatched`, `async`, `unbatched_c8`, or `async_c8`
     /// (`_c8` = 8 concurrent enclosed workers).
     pub mode: &'static str,
     /// Whether the app routed deferrable I/O through the batched gateway
-    /// (every mode but `unbatched`).
+    /// (the `async` arms).
     pub batched: bool,
     /// Requests served (identical across arms).
     pub requests: u64,
@@ -53,7 +54,7 @@ pub struct BatchingArm {
     pub batched_syscalls: u64,
     /// Flush attribution: (reason, count) per flush trigger, in fixed
     /// reason order. The counts sum to `batch_flushes`.
-    pub flush_reasons: [(&'static str, u64); 4],
+    pub flush_reasons: [(&'static str, u64); 3],
     /// Ring depth sampled at every enqueue (the `batch_pending_depth`
     /// per-op histogram) — how backed up the ring ran while filling.
     pub pending_depth: Histogram,
@@ -102,25 +103,16 @@ impl BatchingArm {
 pub struct BatchingReport {
     /// Requests served per arm.
     pub requests: u64,
-    /// Arms in (LB_MPK, LB_VTX, LB_PROC) × (unbatched, batched) order,
-    /// then (LB_MPK, LB_VTX, LB_PROC) × (batched_c8, async_c8).
+    /// Arms in (LB_MPK, LB_VTX, LB_PROC) × (unbatched, async) order,
+    /// then (LB_MPK, LB_VTX, LB_PROC) × (unbatched_c8, async_c8).
     pub arms: Vec<BatchingArm>,
 }
 
 impl BatchingReport {
-    /// The sequential arm for `(backend, batched)`; the study always
-    /// produces it. (The `_c8` concurrency arms are batched too — use
-    /// [`BatchingReport::arm_mode`] for those.)
-    #[must_use]
-    pub fn arm(&self, backend: Backend, batched: bool) -> &BatchingArm {
-        let mode = if batched { "batched" } else { "unbatched" };
-        self.arm_mode(backend, mode)
-    }
-
     /// The arm for `(backend, mode)`; the study always produces all
     /// twelve.
     #[must_use]
-    pub fn arm_mode(&self, backend: Backend, mode: &str) -> &BatchingArm {
+    pub fn arm(&self, backend: Backend, mode: &str) -> &BatchingArm {
         self.arms
             .iter()
             .find(|a| a.backend == backend && a.mode == mode)
@@ -200,7 +192,7 @@ fn run_arm(
     Ok(BatchingArm {
         backend,
         mode,
-        batched: gateway.is_queued(),
+        batched: gateway == GatewayMode::Async,
         requests: stats.served,
         vm_exits: hw.vm_exits,
         seccomp_checks: hw.seccomp_checks,
@@ -208,7 +200,6 @@ fn run_arm(
         batch_flushes: c.batch_flushes,
         batched_syscalls: c.batched_syscalls,
         flush_reasons: [
-            ("quantum", c.flush_quantum_triggers),
             ("barrier", c.flush_barrier_triggers),
             ("explicit", c.flush_explicit_triggers),
             ("drain", c.flush_drain_triggers),
@@ -219,10 +210,9 @@ fn run_arm(
     })
 }
 
-/// Runs all twelve arms with `requests` each: the six sequential
-/// (backend × unbatched/batched) arms, then the six 8-worker
-/// concurrency arms pitting the quantum-flushed gateway (`batched_c8`)
-/// against the completion-driven reactor (`async_c8`).
+/// Runs all twelve arms with `requests` each: the six one-worker
+/// (backend × unbatched/async) arms, then the same six with 8
+/// concurrent workers (`unbatched_c8`, `async_c8`).
 ///
 /// # Errors
 ///
@@ -231,10 +221,10 @@ pub fn run(requests: u64) -> Result<BatchingReport, Fault> {
     let mut arms = Vec::new();
     let sequential = [
         ("unbatched", GatewayMode::Direct),
-        ("batched", GatewayMode::Batched),
+        ("async", GatewayMode::Async),
     ];
     let concurrent = [
-        ("batched_c8", GatewayMode::Batched),
+        ("unbatched_c8", GatewayMode::Direct),
         ("async_c8", GatewayMode::Async),
     ];
     for (workers, modes) in [(1, sequential), (8, concurrent)] {
@@ -253,11 +243,12 @@ mod tests {
     use enclosure_support::XorShift;
 
     /// The study's claims at 16 request counts: 15 drawn from
-    /// 10..=200 and `repro batching`'s default of 200. Batching at
-    /// least halves the LB_VTX VM EXIT tax and the LB_PROC IPC tax and
-    /// strictly cuts LB_MPK's seccomp evaluations; under 8 workers the
-    /// reactor retires the same requests, with bigger batches, in no
-    /// more sim ns than the quantum flush, and strictly fewer on LB_VTX.
+    /// 10..=200 and `repro batching`'s default of 200, each against the
+    /// unbatched arm with the same worker count. The reactor at least
+    /// halves the LB_VTX VM EXIT tax and the LB_PROC IPC tax and
+    /// strictly cuts LB_MPK's seccomp evaluations; under 8 workers it
+    /// retires the same requests in strictly fewer sim ns on every
+    /// backend.
     #[test]
     fn batching_claims_hold_at_every_request_count() {
         let mut rng = XorShift::from_label("batching_claims_hold_at_every_request_count");
@@ -266,70 +257,60 @@ mod tests {
             let report = run(requests).unwrap();
             for arm in &report.arms {
                 assert_eq!(arm.requests, requests, "{} {}", arm.backend, arm.mode);
-            }
-
-            let plain = report.arm(Backend::Vtx, false);
-            let fast = report.arm(Backend::Vtx, true);
-            assert!(
-                fast.vm_exit_ns_per_request() * 2.0 <= plain.vm_exit_ns_per_request(),
-                "{requests}: batching must at least halve the VM EXIT tax: {} vs {}",
-                fast.vm_exit_ns_per_request(),
-                plain.vm_exit_ns_per_request()
-            );
-            assert!(fast.batch_flushes > 0 && fast.mean_batch_size() > 1.0);
-            assert_eq!(plain.batch_flushes, 0, "unbatched arm never flushes");
-
-            let plain = report.arm(Backend::Mpk, false);
-            let fast = report.arm(Backend::Mpk, true);
-            assert!(
-                fast.seccomp_per_request() < plain.seccomp_per_request(),
-                "{requests}: batching must evaluate seccomp once per batch: {} vs {}",
-                fast.seccomp_per_request(),
-                plain.seccomp_per_request()
-            );
-
-            let plain = report.arm(Backend::Proc, false);
-            let fast = report.arm(Backend::Proc, true);
-            assert!(plain.ipc_roundtrips > 0, "enclosed syscalls are proxied");
-            assert!(
-                fast.ipc_ns_per_request() * 2.0 <= plain.ipc_ns_per_request(),
-                "{requests}: one round-trip per batch must at least halve the IPC tax: {} vs {}",
-                fast.ipc_ns_per_request(),
-                plain.ipc_ns_per_request()
-            );
-            assert!(fast.batch_flushes > 0 && fast.mean_batch_size() > 1.0);
-
-            for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-                let sync = report.arm_mode(backend, "batched_c8");
-                let reactor = report.arm_mode(backend, "async_c8");
                 assert_eq!(
-                    (sync.latency.count(), reactor.latency.count()),
-                    (requests, requests),
-                    "{requests} {backend:?}: every request left a latency sample"
-                );
-                assert!(
-                    reactor.sim_ns <= sync.sim_ns,
-                    "{requests} {backend:?}: the reactor must not be slower end-to-end: \
-                     {} vs {} ns",
-                    reactor.sim_ns,
-                    sync.sim_ns
-                );
-                assert!(
-                    reactor.mean_batch_size() > sync.mean_batch_size(),
-                    "{requests} {backend:?}: parking accumulates bigger batches: {} vs {}",
-                    reactor.mean_batch_size(),
-                    sync.mean_batch_size()
+                    arm.latency.count(),
+                    requests,
+                    "{} {}: every request left a latency sample",
+                    arm.backend,
+                    arm.mode
                 );
             }
-            // Where a crossing is expensive the win is strict, end-to-end.
-            let sync = report.arm_mode(Backend::Vtx, "batched_c8");
-            let reactor = report.arm_mode(Backend::Vtx, "async_c8");
-            assert!(
-                reactor.sim_ns < sync.sim_ns,
-                "{requests}: LB_VTX: fewer VM EXITs must buy real throughput: {} vs {} ns",
-                reactor.sim_ns,
-                sync.sim_ns
-            );
+            for (plain, fast) in [("unbatched", "async"), ("unbatched_c8", "async_c8")] {
+                let arm = |backend| (report.arm(backend, plain), report.arm(backend, fast));
+
+                let (plain, fast) = arm(Backend::Vtx);
+                assert!(
+                    fast.vm_exit_ns_per_request() * 2.0 <= plain.vm_exit_ns_per_request(),
+                    "{requests} {}: batching must at least halve the VM EXIT tax: {} vs {}",
+                    fast.mode,
+                    fast.vm_exit_ns_per_request(),
+                    plain.vm_exit_ns_per_request()
+                );
+                assert!(fast.batch_flushes > 0 && fast.mean_batch_size() > 1.0);
+                assert_eq!(plain.batch_flushes, 0, "unbatched arm never flushes");
+
+                let (plain, fast) = arm(Backend::Mpk);
+                assert!(
+                    fast.seccomp_per_request() < plain.seccomp_per_request(),
+                    "{requests} {}: batching must evaluate seccomp once per batch: {} vs {}",
+                    fast.mode,
+                    fast.seccomp_per_request(),
+                    plain.seccomp_per_request()
+                );
+
+                let (plain, fast) = arm(Backend::Proc);
+                assert!(plain.ipc_roundtrips > 0, "enclosed syscalls are proxied");
+                assert!(
+                    fast.ipc_ns_per_request() * 2.0 <= plain.ipc_ns_per_request(),
+                    "{requests} {}: one round-trip per batch must at least halve the IPC tax: \
+                     {} vs {}",
+                    fast.mode,
+                    fast.ipc_ns_per_request(),
+                    plain.ipc_ns_per_request()
+                );
+                assert!(fast.batch_flushes > 0 && fast.mean_batch_size() > 1.0);
+            }
+            for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+                let plain = report.arm(backend, "unbatched_c8");
+                let reactor = report.arm(backend, "async_c8");
+                assert!(
+                    reactor.sim_ns < plain.sim_ns,
+                    "{requests} {backend:?}: 8 workers on the reactor must beat the unbatched \
+                     server end-to-end: {} vs {} ns",
+                    reactor.sim_ns,
+                    plain.sim_ns
+                );
+            }
         }
     }
 

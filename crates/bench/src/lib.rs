@@ -9,7 +9,7 @@
 //! * [`chaos_exp`] — the deterministic fault-injection soak (containment
 //!   and graceful degradation under chaos);
 //! * [`batching_exp`] — the batched-gateway study (charged crossing tax
-//!   per request, unbatched vs batched arms);
+//!   per request, unbatched vs async arms at 1 and 8 workers);
 //! * [`fleet_exp`] — fleet-scale serving: N wiki shards behind the
 //!   health-checking load balancer, with failover, retry budgets, and
 //!   fleet-level chaos;

@@ -9,7 +9,7 @@ use enclosure_telemetry::{
     BurnState, Counters, FlightRecording, Histogram, SpanCost, SpanScope, MAIN_TRACK,
 };
 
-use crate::batching_exp::BatchingReport;
+use crate::batching_exp::{BatchingArm, BatchingReport};
 use crate::chaos_exp::ChaosReport;
 use crate::macrobench::{paper_values, BackendProfile, MacroRow, ProfiledRow};
 use crate::micro::{paper_table1, MicroRow};
@@ -396,6 +396,7 @@ pub fn render_chaos(report: &ChaosReport) -> String {
 /// across runs.
 #[must_use]
 pub fn render_batching(report: &BatchingReport) -> String {
+    use litterbox::Backend;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -404,7 +405,7 @@ pub fn render_batching(report: &BatchingReport) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>10} {:>9} {:>14} {:>9} {:>12} {:>8} {:>12} {:>8} {:>8}",
+        "{:<10} {:>12} {:>9} {:>14} {:>9} {:>12} {:>8} {:>12} {:>8} {:>8}",
         "backend",
         "arm",
         "vm_exits",
@@ -419,7 +420,7 @@ pub fn render_batching(report: &BatchingReport) -> String {
     for arm in &report.arms {
         let _ = writeln!(
             out,
-            "{:<10} {:>10} {:>9} {:>14.0} {:>9} {:>12.2} {:>8} {:>12.0} {:>8} {:>8.2}",
+            "{:<10} {:>12} {:>9} {:>14.0} {:>9} {:>12.2} {:>8} {:>12.0} {:>8} {:>8.2}",
             arm.backend.to_string(),
             arm.mode,
             arm.vm_exits,
@@ -432,41 +433,32 @@ pub fn render_batching(report: &BatchingReport) -> String {
             arm.mean_batch_size(),
         );
     }
-    let vtx_gain = report
-        .arm(litterbox::Backend::Vtx, false)
-        .vm_exit_ns_per_request()
-        / report
-            .arm(litterbox::Backend::Vtx, true)
-            .vm_exit_ns_per_request()
-            .max(f64::MIN_POSITIVE);
+    let gain = |backend, tax: fn(&BatchingArm) -> f64| {
+        tax(report.arm(backend, "unbatched"))
+            / tax(report.arm(backend, "async")).max(f64::MIN_POSITIVE)
+    };
     let _ = writeln!(
         out,
-        "  LB_VTX charged VM EXIT tax reduction: {vtx_gain:.2}x"
+        "  LB_VTX charged VM EXIT tax reduction: {:.2}x",
+        gain(Backend::Vtx, BatchingArm::vm_exit_ns_per_request)
     );
-    let proc_gain = report
-        .arm(litterbox::Backend::Proc, false)
-        .ipc_ns_per_request()
-        / report
-            .arm(litterbox::Backend::Proc, true)
-            .ipc_ns_per_request()
-            .max(f64::MIN_POSITIVE);
-    let _ = writeln!(out, "  LB_PROC charged IPC tax reduction: {proc_gain:.2}x");
+    let _ = writeln!(
+        out,
+        "  LB_PROC charged IPC tax reduction: {:.2}x",
+        gain(Backend::Proc, BatchingArm::ipc_ns_per_request)
+    );
     // (the `--profile` flush-reason / ring-depth tables live in
     // `render_batching_profile` so this table stays byte-stable)
-    for backend in [
-        litterbox::Backend::Mpk,
-        litterbox::Backend::Vtx,
-        litterbox::Backend::Proc,
-    ] {
-        let sync = report.arm_mode(backend, "batched_c8");
-        let reactor = report.arm_mode(backend, "async_c8");
+    for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
+        let plain = report.arm(backend, "unbatched_c8");
+        let reactor = report.arm(backend, "async_c8");
         let _ = writeln!(
             out,
-            "  {} x8 workers, end-to-end: async {} ns vs batched {} ns ({:.2}x)",
+            "  {} x8 workers, end-to-end: async {} ns vs unbatched {} ns ({:.2}x)",
             backend,
             reactor.sim_ns,
-            sync.sim_ns,
-            sync.sim_ns as f64 / (reactor.sim_ns as f64).max(f64::MIN_POSITIVE),
+            plain.sim_ns,
+            plain.sim_ns as f64 / (reactor.sim_ns as f64).max(f64::MIN_POSITIVE),
         );
     }
     out
@@ -603,7 +595,6 @@ const MONITOR_DASHBOARD_WINDOWS: usize = 24;
 /// Compact per-window flush attribution: the non-zero trigger reasons.
 fn flush_reason_cells(c: &Counters) -> String {
     let reasons = [
-        ("quantum", c.flush_quantum_triggers),
         ("barrier", c.flush_barrier_triggers),
         ("explicit", c.flush_explicit_triggers),
         ("drain", c.flush_drain_triggers),

@@ -376,8 +376,8 @@ fn batching_json_is_byte_identical_across_runs() {
         );
         for mode in [
             "\"unbatched\"",
-            "\"batched\"",
-            "\"batched_c8\"",
+            "\"async\"",
+            "\"unbatched_c8\"",
             "\"async_c8\"",
         ] {
             assert!(
@@ -493,7 +493,7 @@ fn counters_lists_the_registry() {
 /// that print it. A change that keeps every report byte-identical
 /// leaves these files alone; one that means to move a report
 /// regenerates its file and says why.
-const GOLDEN: [(&str, &[&str]); 17] = [
+const GOLDEN: [(&str, &[&str]); 18] = [
     ("table1.json", &["table1", "--json"]),
     ("table2_quick.json", &["table2", "--quick", "--json"]),
     (
@@ -505,6 +505,10 @@ const GOLDEN: [(&str, &[&str]); 17] = [
         &["attribution", "--quick", "--json"],
     ),
     ("batching_quick.json", &["batching", "--quick", "--json"]),
+    (
+        "batching_quick_profile.txt",
+        &["batching", "--quick", "--profile"],
+    ),
     ("chaos_quick.json", &["chaos", "--quick", "--json"]),
     ("wiki_quick_profile.txt", &["wiki", "--quick", "--profile"]),
     ("fleet_quick.json", &["fleet", "--quick", "--json"]),

@@ -7,7 +7,7 @@ use enclosure_kernel::Kernel;
 use enclosure_support::IdMap;
 use enclosure_telemetry::SpanScope;
 use enclosure_vmem::Addr;
-use litterbox::{Backend, EnvContext, Fault, GatewayMode, LitterBox, TRUSTED_ENV};
+use litterbox::{Backend, EnvContext, Fault, LitterBox, TRUSTED_ENV};
 
 use crate::alloc::SpanAllocator;
 use crate::compile::compile;
@@ -347,16 +347,10 @@ impl GoRuntime {
                 let mut ctx = GoCtx { rt: self };
                 (g.f)(&mut ctx)
             };
-            // Quantum boundary: flush the batched syscall gateway while
-            // the goroutine's environment (and its go.sched span) is
-            // still current, so the whole quantum's syscalls share one
-            // charged crossing attributed to this goroutine.
-            let flushed = self.flush_quantum_batch();
-            let step = step.and_then(|s| flushed.map(|()| s));
             // Park/wake bookkeeping nests inside the quantum's go.sched
             // span: a parking goroutine records its park here, and any
-            // parked peers whose completions this quantum's flush posted
-            // are woken before the span closes.
+            // parked peers whose completions a barrier flush in this
+            // quantum posted are woken before the span closes.
             if let Ok(Step::Park(token)) = step {
                 if !self.lb.batch_is_complete(token) {
                     self.lb
@@ -381,8 +375,8 @@ impl GoRuntime {
                 Step::Park(token) => {
                     self.sched.goroutines[slot] = Some(g);
                     if self.lb.batch_is_complete(token) {
-                        // The flush above already posted this token's
-                        // completion: skip the park, stay runnable.
+                        // A flush in this quantum already posted this
+                        // token's completion: skip the park, stay runnable.
                         self.sched.runq.push_back(slot);
                     } else {
                         self.sched.parked.push((slot, token));
@@ -429,24 +423,6 @@ impl GoRuntime {
         let restore = self.execute(&mut EnvContext::trusted());
         self.switch_to_main_track();
         restore.err().unwrap_or(fault)
-    }
-
-    /// Flushes the batched syscall gateway at the quantum boundary —
-    /// the designated flush point of [`GatewayMode::Batched`]. In
-    /// [`GatewayMode::Async`] the batch instead accumulates across
-    /// quanta: the switch barriers, the idle drain, and explicit
-    /// flushes bound its lifetime. A transient whole-flush fault (an
-    /// injected lost crossing) is retried uninjected
-    /// ([`LitterBox::retry_uninjected`]): the scheduler must drain the
-    /// batch for the rest of the program to make progress, and the
-    /// retry services every queued entry exactly once.
-    fn flush_quantum_batch(&mut self) -> Result<(), Fault> {
-        if self.lb.gateway() == GatewayMode::Async || self.lb.batch_pending() == 0 {
-            return Ok(());
-        }
-        self.lb
-            .retry_uninjected(LitterBox::batch_flush_quantum)
-            .map(drop)
     }
 
     /// Moves every parked goroutine whose completion has been posted
@@ -737,7 +713,7 @@ impl GoCtx<'_> {
 mod tests {
     use super::*;
     use enclosure_vmem::Access;
-    use litterbox::{InjectionPlan, InjectionSite};
+    use litterbox::{GatewayMode, InjectionPlan, InjectionSite};
 
     fn figure1_program() -> GoProgram {
         let mut p = GoProgram::new();
@@ -1157,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn quantum_boundary_flushes_batches_with_one_crossing_per_quantum() {
+    fn async_batches_ride_quanta_until_a_switch_barrier() {
         let mut p = GoProgram::new();
         p.add_source(GoSource::new("libfx").loc(1000));
         p.add_source(GoSource::new("main").imports(&["libfx"]).enclosure(
@@ -1166,15 +1142,15 @@ mod tests {
             "proc",
         ));
         let mut rt = p.build(Backend::Vtx).unwrap();
-        rt.lb_mut().set_gateway(GatewayMode::Batched);
+        rt.lb_mut().set_gateway(GatewayMode::Async);
         let mut rounds = 0u64;
         rt.spawn_enclosed("batcher", "rcl", move |ctx| {
             if rounds == 3 {
                 return Ok(Step::Done);
             }
             rounds += 1;
-            // Three descriptors per quantum; the scheduler flushes them
-            // in one charged crossing at the quantum boundary.
+            // Three descriptors per quantum; a quantum boundary is no
+            // flush point, so they accumulate across all three.
             for _ in 0..3 {
                 ctx.lb_mut().batch_submit(1, litterbox::BatchOp::Getuid)?;
             }
@@ -1183,12 +1159,15 @@ mod tests {
         .unwrap();
         let before = rt.lb().stats().vm_exits;
         rt.run_scheduler().unwrap();
-        assert_eq!(rt.lb_mut().batch_pending(), 0, "no quantum leaves a batch");
+        assert_eq!(rt.lb_mut().batch_pending(), 0, "no batch outlives the run");
         let done = rt.lb_mut().batch_take_completions();
         assert_eq!(done.len(), 9);
         assert!(done.iter().all(|c| c.result.is_ok()));
-        // 9 syscalls, but only one VM EXIT per non-empty quantum (3).
-        assert_eq!(rt.lb().stats().vm_exits - before, 3);
+        // 9 syscalls over 3 quanta, one VM EXIT: the switch back to the
+        // trusted context that ends the run flushes them all.
+        assert_eq!(rt.lb().stats().vm_exits - before, 1);
+        let c = rt.lb().telemetry().counters();
+        assert_eq!((c.batch_flushes, c.flush_barrier_triggers), (1, 1));
     }
 
     #[test]

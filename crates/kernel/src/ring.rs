@@ -2,9 +2,10 @@
 //! submission/completion ring.
 //!
 //! Goroutines *enqueue* typed syscall descriptors instead of crossing
-//! into the kernel one call at a time; at a flush point (the scheduler's
-//! quantum boundary, or an explicit flush) the whole batch is serviced
-//! in submission order against the [`Kernel`]. The ring itself is pure
+//! into the kernel one call at a time; at a flush point (a switch
+//! barrier, the scheduler's idle drain, or an explicit flush) the whole
+//! batch is serviced in submission order against the [`Kernel`], each
+//! entry taken off the queue in place. The ring itself is pure
 //! bookkeeping — it charges nothing and filters nothing. Gating,
 //! crossing amortization, and fault injection live in LitterBox's batch
 //! gateway, which drives [`service`] per entry once the (single) charged
@@ -178,9 +179,10 @@ impl SyscallRing {
         self.cq.len()
     }
 
-    /// Takes the whole submission queue (flush sees submission order).
-    pub fn drain_submissions(&mut self) -> Vec<Submission> {
-        self.sq.drain(..).collect()
+    /// Takes the oldest queued submission: a flush services the queue
+    /// in place, in submission order, one entry at a time.
+    pub fn pop_submission(&mut self) -> Option<Submission> {
+        self.sq.pop_front()
     }
 
     /// Posts a completion.
@@ -272,7 +274,7 @@ mod tests {
         ring.enqueue(1, BatchOp::Getuid);
         ring.enqueue(2, BatchOp::Getpid);
         ring.enqueue(1, BatchOp::Futex);
-        let subs = ring.drain_submissions();
+        let subs: Vec<Submission> = std::iter::from_fn(|| ring.pop_submission()).collect();
         assert_eq!(subs.len(), 3);
         assert_eq!(subs[0].seq, 0);
         assert_eq!(subs[2].seq, 2);
@@ -297,7 +299,7 @@ mod tests {
         let mut ring = SyscallRing::new();
         ring.enqueue(7, BatchOp::Close { fd: 999 }); // EBADF
         ring.enqueue(7, BatchOp::Getpid);
-        for sub in ring.drain_submissions() {
+        while let Some(sub) = ring.pop_submission() {
             let result = service(&mut k, &mut c, &sub.op);
             ring.complete(Completion {
                 seq: sub.seq,
@@ -360,7 +362,7 @@ mod tests {
         let a = ring.enqueue(1, BatchOp::Getuid);
         let b = ring.enqueue(2, BatchOp::Getpid);
         let d = ring.enqueue(1, BatchOp::Futex);
-        for sub in ring.drain_submissions() {
+        while let Some(sub) = ring.pop_submission() {
             let result = service(&mut k, &mut c, &sub.op);
             ring.complete(Completion {
                 seq: sub.seq,
@@ -403,7 +405,7 @@ mod tests {
                 let seq = ring.enqueue(submitter, op);
                 expected.push((submitter, seq));
             }
-            for sub in ring.drain_submissions() {
+            while let Some(sub) = ring.pop_submission() {
                 let result = service(&mut k, &mut c, &sub.op);
                 ring.complete(Completion {
                     seq: sub.seq,
@@ -444,7 +446,7 @@ mod tests {
                 let submitter = rng.range_u64(1, 4);
                 submitted.push((submitter, ring.enqueue(submitter, BatchOp::Getuid)));
             }
-            for sub in ring.drain_submissions() {
+            while let Some(sub) = ring.pop_submission() {
                 ring.complete(Completion {
                     seq: sub.seq,
                     submitter: sub.submitter,

@@ -1,9 +1,9 @@
 //! The **batched syscall gateway** — an io_uring-style submission /
 //! completion ring that amortizes the crossing tax (paper §6.2's
-//! dominant term) over a whole quantum of syscalls.
+//! dominant term) over a whole batch of syscalls.
 //!
 //! The synchronous gateway ([`crate::gateway`]) charges one crossing
-//! per proxied syscall. In a queued gateway mode, goroutines submit
+//! per proxied syscall. In [`GatewayMode::Async`], goroutines submit
 //! [`BatchOp`] descriptors instead and each flush of the ring pays
 //! **one** crossing per (environment, batch) pair, priced by the
 //! backend's enforcer:
@@ -23,13 +23,10 @@
 //! # Gateway modes
 //!
 //! One [`GatewayMode`] per machine, set with [`LitterBox::set_gateway`]
-//! and read back by the apps and the scheduler with
-//! [`LitterBox::gateway`]:
+//! and read back by the apps with [`LitterBox::gateway`]:
 //!
 //! * `Direct` — every proxied syscall pays its own crossing (the
 //!   paper's measured trace). Nothing queues.
-//! * `Batched` — deferrable syscalls queue in the ring and the
-//!   scheduler flushes it at every quantum boundary.
 //! * `Async` — the completion-driven reactor: queued syscalls
 //!   accumulate across quanta while their goroutines park on
 //!   [`CompletionToken`]s. The ring flushes only at the switch
@@ -68,20 +65,9 @@ pub enum GatewayMode {
     /// Every proxied syscall crosses on its own.
     #[default]
     Direct,
-    /// Queued syscalls flush at every scheduler quantum boundary.
-    Batched,
     /// Queued syscalls flush at switch barriers, the scheduler's idle
     /// drain, and explicit flushes; submitters park on their tokens.
     Async,
-}
-
-impl GatewayMode {
-    /// Whether deferrable syscalls queue in the ring (every mode but
-    /// `Direct`).
-    #[must_use]
-    pub fn is_queued(self) -> bool {
-        self != GatewayMode::Direct
-    }
 }
 
 /// A handle to one pending submission in the batched gateway. A
@@ -153,9 +139,9 @@ impl LitterBox {
     /// mixes environments. In [`GatewayMode::Direct`] nothing queues:
     /// the submission is refused with a [`Fault::Init`].
     pub fn batch_submit(&mut self, submitter: u64, op: BatchOp) -> Result<CompletionToken, Fault> {
-        if !self.gateway().is_queued() {
+        if self.gateway() == GatewayMode::Direct {
             return Err(self.trace_fault(Fault::Init(
-                "the gateway is in Direct mode; set_gateway(Batched or Async) first".into(),
+                "the gateway is in Direct mode; set_gateway(Async) first".into(),
             )));
         }
         let env = self.current_env();
@@ -204,13 +190,6 @@ impl LitterBox {
         self.flush_with_reason(FlushReason::Explicit)
     }
 
-    /// The scheduler's per-quantum flush in [`GatewayMode::Batched`]:
-    /// identical to [`LitterBox::batch_flush`] but tagged `quantum` in
-    /// the flush-trigger telemetry.
-    pub fn batch_flush_quantum(&mut self) -> Result<usize, Fault> {
-        self.flush_with_reason(FlushReason::Quantum)
-    }
-
     /// The reactor's idle-drain flush: when every runnable goroutine is
     /// parked, the scheduler forces a flush so no goroutine waits
     /// forever. Tagged `drain` in telemetry.
@@ -253,7 +232,7 @@ impl LitterBox {
         // once here and amortized over all `n` entries.
         self.charge_batch_crossing(env);
 
-        for sub in self.batch.ring.drain_submissions() {
+        while let Some(sub) = self.batch.ring.pop_submission() {
             let record = sub.op.record();
             let allowed = self.batch_entry_allowed(&record);
             if proxied {
@@ -372,7 +351,7 @@ mod tests {
     #[test]
     fn batched_vtx_flush_charges_one_vm_exit_for_the_whole_batch() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().vm_exits;
         for _ in 0..8 {
@@ -394,7 +373,7 @@ mod tests {
     #[test]
     fn batched_mpk_flush_charges_one_seccomp_evaluation() {
         let (mut lb, cs) = lab(Backend::Mpk);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().seccomp_checks;
         for _ in 0..6 {
@@ -416,7 +395,7 @@ mod tests {
             Backend::Mpk,
             SysPolicy::categories(CategorySet::only(SysCategory::Proc)),
         );
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         lb.batch_submit(7, BatchOp::Getpid).unwrap();
         lb.batch_submit(
@@ -440,7 +419,7 @@ mod tests {
     #[test]
     fn batch_flush_fault_keeps_the_batch_queued_for_retry() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         lb.batch_submit(1, BatchOp::Getuid).unwrap();
         lb.batch_submit(1, BatchOp::Getpid).unwrap();
@@ -462,7 +441,7 @@ mod tests {
     #[test]
     fn epilog_barrier_flushes_before_leaving_the_environment() {
         let (mut lb, cs) = lab(Backend::Vtx);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         lb.batch_submit(1, BatchOp::Getuid).unwrap();
         lb.epilog(t).unwrap();
@@ -475,7 +454,7 @@ mod tests {
     #[test]
     fn trusted_batches_emit_no_filter_events_but_still_pay_the_crossing() {
         let (mut lb, _cs) = lab(Backend::Vtx);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         lb.batch_submit(0, BatchOp::Getuid).unwrap();
         let before = lb.stats().vm_exits;
         lb.batch_flush().unwrap();
@@ -498,7 +477,7 @@ mod tests {
             kernel.write(clock, fd, b"hello batched").unwrap();
             kernel.close(clock, fd).unwrap();
         }
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         lb.batch_submit(
             3,
@@ -523,7 +502,7 @@ mod tests {
     #[test]
     fn batched_proc_flush_charges_one_ipc_roundtrip() {
         let (mut lb, cs) = lab(Backend::Proc);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         let t = lb.prolog(EnclosureId(1), cs).unwrap();
         let before = lb.stats().ipc_roundtrips;
         for _ in 0..8 {
@@ -544,7 +523,7 @@ mod tests {
     #[test]
     fn trusted_proc_batches_pay_no_crossing() {
         let (mut lb, _cs) = lab(Backend::Proc);
-        lb.set_gateway(GatewayMode::Batched);
+        lb.set_gateway(GatewayMode::Async);
         lb.batch_submit(0, BatchOp::Getuid).unwrap();
         let before = lb.stats().ipc_roundtrips;
         lb.batch_flush().unwrap();
@@ -567,7 +546,7 @@ mod tests {
             ]);
             let (mut lb, cs) = lab(backend);
             lb.telemetry_mut().enable_trace(4_096);
-            lb.set_gateway(GatewayMode::Batched);
+            lb.set_gateway(GatewayMode::Async);
             // Flush from the trusted environment and from inside the
             // enclosure alike.
             let token = if rng.range_usize(0, 2) == 1 {

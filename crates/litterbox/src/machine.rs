@@ -3,6 +3,7 @@
 //! [`crate::backend`]; this module is what every backend shares.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::mem;
 use std::sync::Arc;
 
@@ -532,7 +533,6 @@ impl LitterBox {
     /// LitterBox prints alongside fault traces.
     #[must_use]
     pub fn describe_environments(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let mut ids: Vec<EnvId> = self.program.envs.keys().copied().collect();
         ids.sort();
@@ -574,7 +574,8 @@ impl LitterBox {
 
     /// Selects the LB_MPK key-mapping mode. On an initialized machine
     /// the environments are rebuilt immediately, so a switch to
-    /// [`MpkKeyMode::Static`] surfaces key exhaustion right here.
+    /// [`MpkKeyMode::Static`] surfaces key exhaustion right here. The
+    /// rebuild is charged and recorded as an incremental `Init`.
     ///
     /// # Errors
     ///
@@ -583,9 +584,10 @@ impl LitterBox {
     pub fn set_mpk_key_mode(&mut self, mode: MpkKeyMode) -> Result<(), Fault> {
         if self.enforcer::<Mpk>().is_some() {
             let rebuilt = self.program.descriptions().derive();
-            if let Err(e) = rebuilt.and_then(|next| self.commit(next, mode)) {
-                return Err(self.trace_fault(e));
-            }
+            let ns = rebuilt
+                .and_then(|next| self.commit(next, mode))
+                .map_err(|e| self.trace_fault(e))?;
+            self.record_init(true, ns);
         }
         self.mpk_key_mode = mode;
         Ok(())
@@ -688,13 +690,19 @@ impl LitterBox {
             self.commit(next, self.mpk_key_mode)
         })();
         let ns = run.map_err(|e| self.trace_fault(e))?;
+        self.record_init(incremental, ns);
+        Ok(())
+    }
+
+    /// Records a committed rebuild that cost `ns` as an `Init` event,
+    /// so the recorder's `init_ns` counts what `init_ns()` counts.
+    fn record_init(&mut self, incremental: bool, ns: u64) {
         self.clock.record(Event::Init {
             packages: self.program.packages.len() as u64,
             enclosures: self.program.enclosures.len() as u64,
             incremental,
             ns,
         });
-        Ok(())
     }
 
     /// Replaces an existing enclosure's memory view and rebuilds the
@@ -1068,7 +1076,8 @@ impl LitterBox {
     /// # Errors
     ///
     /// [`Fault::UnknownPackage`] for unknown packages, [`Fault::Init`]
-    /// for ranges that don't match the recorded owner.
+    /// for ranges that don't match the recorded owner, or that reach
+    /// into an owned section when `from` is `None`.
     pub fn transfer(
         &mut self,
         range: VirtRange,
@@ -1103,20 +1112,26 @@ impl LitterBox {
                     "transfer source '{from}' does not own {range}"
                 ))));
             }
-        } else if let Some(owner) = self.package_at(range.start()) {
-            let owner = owner.to_owned();
-            return Err(self.trace_fault(Fault::Init(format!(
-                "transfer of {range} without `from`, but '{owner}' owns it"
-            ))));
+        } else {
+            // A fresh span must not reach into any owned section.
+            let owned = self
+                .program
+                .sections()
+                .find(|(_, s)| s.range().overlaps(&range))
+                .map(|(owner, s)| format!("'{owner}' owns {}", s.range()));
+            if let Some(owned) = owned {
+                return Err(self.trace_fault(Fault::Init(format!(
+                    "transfer of {range} without `from`, but {owned}"
+                ))));
+            }
         }
 
-        // Attach to the destination.
-        let section = Section::new(
-            format!("{to}.arena@{:#x}", range.start().0),
-            SectionKind::Arena,
-            range,
-        )
-        .map_err(|e| self.trace_fault(Fault::Init(e.to_string())))?;
+        // Attach to the destination, the section named in one
+        // allocation (a `u64` is at most 16 hex digits).
+        let mut name = String::with_capacity(to.len() + ".arena@0x".len() + 16);
+        let _ = write!(name, "{to}.arena@{:#x}", range.start().0);
+        let section = Section::new(name, SectionKind::Arena, range)
+            .map_err(|e| self.trace_fault(Fault::Init(e.to_string())))?;
         self.program
             .packages
             .get_mut(&to)
@@ -1780,6 +1795,49 @@ mod tests {
         // A range already owned by a package needs `from`.
         assert!(lb.transfer(f.main.data(), None, "img").is_err());
         assert!(lb.transfer(span, None, "ghost").is_err());
+    }
+
+    #[test]
+    fn transfer_rejects_a_range_reaching_into_another_package() {
+        const PAGE: u64 = enclosure_vmem::PAGE_SIZE;
+        for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
+            let mut lb = LitterBox::new(backend);
+            let mut prog = ProgramDesc::new();
+            let a = prog.add_package(&mut lb, "a", 1, 1, 1).unwrap();
+            let b = prog.add_package(&mut lb, "b", 1, 1, 1).unwrap();
+            lb.init(prog).unwrap();
+            // Starts in free space, ends on a's text.
+            let text = a.text().start().0;
+            let range = VirtRange::new(Addr(text - PAGE), 2 * PAGE);
+            assert_eq!(lb.package_at(range.start()), None, "{backend}");
+            let pages: Vec<Addr> = (text - PAGE..b.data().end().0)
+                .step_by(PAGE as usize)
+                .map(Addr)
+                .collect();
+            let owners = |lb: &LitterBox| -> Vec<Option<String>> {
+                pages
+                    .iter()
+                    .map(|&p| lb.package_at(p).map(str::to_owned))
+                    .collect()
+            };
+            let before = owners(&lb);
+            let err = lb.transfer(range, None, "b").unwrap_err();
+            assert!(matches!(err, Fault::Init(_)), "{backend}: {err}");
+            assert_eq!(owners(&lb), before, "{backend}: every page keeps its owner");
+        }
+    }
+
+    #[test]
+    fn key_mode_changes_reach_both_init_ledgers() {
+        let mut lb = LitterBox::new(Backend::Mpk);
+        let mut prog = ProgramDesc::new();
+        prog.add_package(&mut lb, "a", 1, 1, 1).unwrap();
+        lb.init(prog).unwrap();
+        let init_ns = lb.init_ns();
+        assert_eq!(lb.telemetry().counters().init_ns, init_ns);
+        lb.set_mpk_key_mode(MpkKeyMode::Static).unwrap();
+        assert!(lb.init_ns() > init_ns, "the rebuild is charged");
+        assert_eq!(lb.telemetry().counters().init_ns, lb.init_ns());
     }
 
     #[test]

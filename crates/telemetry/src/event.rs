@@ -8,8 +8,6 @@ use std::sync::Arc;
 /// show after `flush_trigger reason=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
-    /// The per-quantum flush of the batched gateway.
-    Quantum,
     /// A prolog/epilog/execute switch barrier, or the unwind of a
     /// failed switch back.
     Barrier,
@@ -23,7 +21,6 @@ pub enum FlushReason {
 impl fmt::Display for FlushReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            FlushReason::Quantum => "quantum",
             FlushReason::Barrier => "barrier",
             FlushReason::Drain => "drain",
             FlushReason::Explicit => "explicit",

@@ -121,7 +121,9 @@ pub struct Counters {
     /// on batch age, so this stays 0. Kept so flush-share ledgers keep
     /// their shape.
     pub flush_deadline_triggers: u64,
-    /// Batch flushes triggered at a scheduler quantum boundary.
+    /// Retired quantum-trigger flushes: the gateway no longer flushes
+    /// at scheduler quantum boundaries, so this stays 0. Kept so
+    /// flush-share ledgers keep their shape.
     pub flush_quantum_triggers: u64,
     /// Batch flushes forced by a switch barrier (prolog/epilog/execute).
     pub flush_barrier_triggers: u64,
@@ -193,7 +195,7 @@ const FIELDS: &[Field] = &[
     ("go_wakes", "parked goroutines woken by a posted completion", |c| &mut c.go_wakes),
     ("flush_size_triggers", "retired size-trigger flushes (always 0)", |c| &mut c.flush_size_triggers),
     ("flush_deadline_triggers", "retired deadline-trigger flushes (always 0)", |c| &mut c.flush_deadline_triggers),
-    ("flush_quantum_triggers", "batch flushes at a scheduler quantum boundary", |c| &mut c.flush_quantum_triggers),
+    ("flush_quantum_triggers", "retired quantum-trigger flushes (always 0)", |c| &mut c.flush_quantum_triggers),
     ("flush_barrier_triggers", "batch flushes forced by a switch barrier", |c| &mut c.flush_barrier_triggers),
     ("flush_explicit_triggers", "batch flushes requested by the application", |c| &mut c.flush_explicit_triggers),
     ("flush_drain_triggers", "batch flushes draining for parked goroutines", |c| &mut c.flush_drain_triggers),
@@ -312,7 +314,6 @@ impl Counters {
             Event::BatchFlush { .. } => self.batch_flushes += 1,
             Event::BatchedSyscall { .. } => self.batched_syscalls += 1,
             Event::FlushTrigger { reason } => match reason {
-                FlushReason::Quantum => self.flush_quantum_triggers += 1,
                 FlushReason::Barrier => self.flush_barrier_triggers += 1,
                 FlushReason::Drain => self.flush_drain_triggers += 1,
                 FlushReason::Explicit => self.flush_explicit_triggers += 1,

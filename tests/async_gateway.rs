@@ -1,16 +1,21 @@
 //! Differential harness for the completion-driven gateway.
 //!
-//! The equivalence theorem, checked per seed and per backend: the async
-//! reactor ([`GatewayMode::Async`], [`LitterBox::batch_submit`] tokens
-//! reaped one by one with `batch_poll`) is **observationally
-//! equivalent** to the synchronous ring ([`GatewayMode::Batched`], the
-//! same submissions drained with `batch_take_completions`) —
+//! The reference is the Direct gateway ([`GatewayMode::Direct`], every
+//! syscall crossing on its own: the paper's trace). The equivalence
+//! theorem, checked per seed and per backend: the async reactor
+//! ([`GatewayMode::Async`], [`LitterBox::batch_submit`] tokens reaped
+//! one by one with `batch_poll`) is **observationally equivalent** to
+//! it —
 //!
-//! * identical per-submitter result/errno streams,
-//! * identical charged-crossing ledgers when the flush schedules match,
-//! * schedule-*invariant* results when they do not (flush boundaries
-//!   change where crossings are charged, never what an entry returns),
-//! * mass-conserving latency histograms at the application level,
+//! * identical per-submitter result/errno streams, charged-crossing
+//!   ledgers and simulated clocks when the reactor flushes after every
+//!   entry (Direct's schedule);
+//! * schedule-*invariant* results when it flushes anywhere else (flush
+//!   boundaries change how many crossings are charged, one per flush
+//!   instead of one per entry, never what an entry returns);
+//! * at the application level, under 8 concurrent workers, the same
+//!   requests served with every latency sample recorded, in fewer
+//!   crossings and fewer simulated ns;
 //! * well-nested park/wake (every park has exactly one later wake, and
 //!   the span tree stays balanced).
 //!
@@ -27,7 +32,7 @@ use enclosure_telemetry::Event;
 use enclosure_vmem::{Access, Addr};
 use litterbox::{
     Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, GatewayMode,
-    InjectionPlan, InjectionSite, LitterBox, ProgramDesc,
+    InjectionPlan, InjectionSite, LitterBox, ProgramDesc, SysError,
 };
 
 const BACKENDS: [Backend; 3] = [Backend::Mpk, Backend::Vtx, Backend::Proc];
@@ -65,15 +70,53 @@ fn pure_op(rng: &mut enclosure_support::XorShift) -> BatchOp {
 /// Per-submitter `(sysno, result)` streams, in completion-ring order.
 type Streams = BTreeMap<u64, Vec<(Sysno, Result<BatchReply, Errno>)>>;
 
-fn streams_of(completions: Vec<litterbox::Completion>) -> Streams {
+/// Issues `op` through the Direct gateway: one charged filter crossing,
+/// then the kernel call. `nanosleep` has no `sys_*` wrapper, so its two
+/// steps are spelled out.
+fn direct_call(lb: &mut LitterBox, op: &BatchOp) -> Result<BatchReply, Errno> {
+    let reply = match op {
+        BatchOp::Getuid => lb.sys_getuid().map(|uid| BatchReply::Num(uid.into())),
+        BatchOp::Getpid => lb.sys_getpid().map(|pid| BatchReply::Num(pid.into())),
+        BatchOp::ClockGettime => lb.sys_clock_gettime().map(BatchReply::Num),
+        BatchOp::Futex => lb.sys_futex().map(|()| BatchReply::Unit),
+        BatchOp::Nanosleep(ns) => {
+            lb.filter_syscall(op.record())
+                .expect("the policy allows nanosleep");
+            let (kernel, clock) = lb.kernel_and_clock();
+            kernel.nanosleep(clock, *ns);
+            Ok(BatchReply::Unit)
+        }
+        other => unreachable!("{other:?} is never drawn"),
+    };
+    reply.map_err(|e| match e {
+        SysError::Errno(errno) => errno,
+        SysError::Fault(fault) => panic!("{op:?} faulted: {fault}"),
+    })
+}
+
+/// Runs `ops` on a Direct machine, inside the enclosure, and returns
+/// the machine with its per-submitter streams.
+fn direct_streams(backend: Backend, ops: &[BatchOp], subs: &[u64]) -> (LitterBox, Streams) {
+    let (mut lb, cs) = lab(backend, GatewayMode::Direct);
+    let t = lb.prolog(EnclosureId(1), cs).unwrap();
     let mut streams: Streams = BTreeMap::new();
-    for c in completions {
-        streams
-            .entry(c.submitter)
-            .or_default()
-            .push((c.sysno, c.result));
+    for (op, &sub) in ops.iter().zip(subs) {
+        let result = direct_call(&mut lb, op);
+        streams.entry(sub).or_default().push((op.sysno(), result));
     }
-    streams
+    lb.epilog(t).unwrap();
+    (lb, streams)
+}
+
+/// The backend's charged crossings: VM EXITs, seccomp evaluations or
+/// IPC round-trips.
+fn crossings(lb: &LitterBox) -> u64 {
+    let stats = lb.stats();
+    match lb.backend() {
+        Backend::Vtx => stats.vm_exits,
+        Backend::Mpk => stats.seccomp_checks,
+        _ => stats.ipc_roundtrips,
+    }
 }
 
 /// Reaps every token by poll, checking each posts exactly once.
@@ -94,17 +137,18 @@ fn poll_streams(lb: &mut LitterBox, tokens: &[(u64, CompletionToken)]) -> Stream
 }
 
 enclosure_support::props! {
-    /// **The equivalence theorem, schedule held fixed.** The same ops,
-    /// submitters, and explicit flush points driven through the
-    /// synchronous ring and through reactor tokens produce identical
-    /// per-submitter result streams, identical charged-crossing
-    /// ledgers, and an identical simulated clock. Every token posts
-    /// exactly once: first poll `Some`, second poll `None`.
-    fn async_reactor_equals_synchronous_ring_on_a_shared_schedule(rng, cases = 32) {
+    /// **The equivalence theorem, schedule held fixed.** The same ops
+    /// and submitters, driven through the Direct gateway and through
+    /// reactor tokens flushed one entry at a time (Direct's schedule),
+    /// produce identical per-submitter result streams, identical
+    /// charged-crossing ledgers, and an identical simulated clock.
+    /// Every token posts exactly once: first poll `Some`, second poll
+    /// `None`.
+    fn async_reactor_equals_direct_on_a_per_entry_schedule(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 40);
         let submitters = rng.range_u64(1, 5);
-        // ClockGettime is fine here: both machines flush at the same
+        // ClockGettime is fine here: both machines cross at the same
         // simulated instants, so even clock reads must agree.
         let ops: Vec<BatchOp> = (0..n_ops)
             .map(|_| match rng.range_usize(0, 5) {
@@ -113,44 +157,32 @@ enclosure_support::props! {
             })
             .collect();
         let subs: Vec<u64> = (0..n_ops).map(|_| rng.range_u64(1, submitters + 1)).collect();
-        let flush_after: Vec<bool> = (0..n_ops).map(|_| rng.range_usize(0, 4) == 0).collect();
 
-        // Synchronous arm.
-        let (mut sync, cs) = lab(backend, GatewayMode::Batched);
-        let t = sync.prolog(EnclosureId(1), cs).unwrap();
-        for i in 0..n_ops {
-            sync.batch_submit(subs[i], ops[i].clone()).unwrap();
-            if flush_after[i] {
-                sync.batch_flush().unwrap();
-            }
-        }
-        sync.epilog(t).unwrap(); // barrier flushes the tail
-        let sync_streams = streams_of(sync.batch_take_completions());
+        let (direct, direct_streams) = direct_streams(backend, &ops, &subs);
 
-        // Async arm: same schedule, reaped token by token.
+        // Async arm: each entry submitted and flushed on its own.
         let (mut reactor, cs) = lab(backend, GatewayMode::Async);
         let t = reactor.prolog(EnclosureId(1), cs).unwrap();
         let mut tokens: Vec<(u64, CompletionToken)> = Vec::new();
-        for i in 0..n_ops {
-            let tok = reactor.batch_submit(subs[i], ops[i].clone()).unwrap();
-            tokens.push((subs[i], tok));
-            if flush_after[i] {
-                reactor.batch_flush().unwrap();
-            }
+        for (op, &sub) in ops.iter().zip(&subs) {
+            tokens.push((sub, reactor.batch_submit(sub, op.clone()).unwrap()));
+            assert_eq!(reactor.batch_flush().unwrap(), 1);
         }
         reactor.epilog(t).unwrap();
         let reactor_streams = poll_streams(&mut reactor, &tokens);
 
-        assert_eq!(reactor_streams, sync_streams, "{backend}: result streams");
-        assert_eq!(reactor.stats(), sync.stats(), "{backend}: charged ledgers");
-        assert_eq!(reactor.now_ns(), sync.now_ns(), "{backend}: simulated clocks");
+        assert_eq!(reactor_streams, direct_streams, "{backend}: result streams");
+        assert_eq!(reactor.stats(), direct.stats(), "{backend}: charged ledgers");
+        assert_eq!(reactor.now_ns(), direct.now_ns(), "{backend}: simulated clocks");
     }
 
     /// **Results are invariant under the flush schedule.** The reactor
     /// flushes at random explicit points (at least one before the
-    /// end), the synchronous ring only at the epilog barrier: crossings
-    /// land at different instants, but every entry still completes
-    /// with exactly the result the synchronous ring gave it.
+    /// end) and at the epilog barrier, the Direct gateway at every
+    /// entry: crossings land at different instants, but every entry
+    /// still completes with exactly the result the Direct gateway gave
+    /// it, and the reactor's ledger differs only by charging one
+    /// crossing per flush instead of one per entry.
     fn results_are_invariant_under_the_flush_schedule(rng, cases = 32) {
         let backend = *rng.choose(&BACKENDS);
         let n_ops = rng.range_usize(8, 48);
@@ -162,14 +194,7 @@ enclosure_support::props! {
             .map(|i| i == forced || rng.range_usize(0, 3) == 0)
             .collect();
 
-        // Synchronous arm: one flush at the end (epilog barrier).
-        let (mut sync, cs) = lab(backend, GatewayMode::Batched);
-        let t = sync.prolog(EnclosureId(1), cs).unwrap();
-        for i in 0..n_ops {
-            sync.batch_submit(subs[i], ops[i].clone()).unwrap();
-        }
-        sync.epilog(t).unwrap();
-        let sync_streams = streams_of(sync.batch_take_completions());
+        let (direct, direct_streams) = direct_streams(backend, &ops, &subs);
 
         // Reactor arm: explicit flushes at the drawn points.
         let (mut reactor, cs) = lab(backend, GatewayMode::Async);
@@ -182,20 +207,23 @@ enclosure_support::props! {
                 reactor.batch_flush().unwrap();
             }
         }
-        reactor.epilog(t).unwrap();
+        reactor.epilog(t).unwrap(); // barrier flushes the tail
         let reactor_streams = poll_streams(&mut reactor, &tokens);
 
         assert_eq!(
-            reactor_streams, sync_streams,
+            reactor_streams, direct_streams,
             "{backend}: flush boundaries moved, results must not"
         );
-        // The schedules really differed: the reactor flushed before
-        // the epilog, the synchronous ring only at it.
+        let c = reactor.telemetry().counters();
         assert!(
-            reactor.telemetry().counters().flush_explicit_triggers > 0,
+            c.flush_explicit_triggers > 0,
             "{backend}: reactor flushed mid-batch"
         );
-        assert_eq!(sync.telemetry().counters().batch_flushes, 1, "{backend}");
+        assert_eq!(
+            crossings(&reactor) + n_ops as u64,
+            crossings(&direct) + c.batch_flushes,
+            "{backend}: one charged crossing per flush, not per entry"
+        );
     }
 
     /// **A faulting entry wakes its submitter with its errno without
@@ -271,53 +299,36 @@ fn fasthttp_run(backend: Backend, mode: GatewayMode, n: u64) -> FastHttpApp {
     app
 }
 
-/// The application-level differential: per backend, the async reactor
-/// serves exactly the same requests as the synchronous batched ring
-/// under 8 concurrent workers, conserves latency-histogram mass, and
-/// charges **at most** the synchronous arm's crossings.
+/// The application-level differential: per backend, under 8
+/// concurrent workers, the async reactor serves exactly the requests
+/// the Direct gateway serves, records every latency sample, and
+/// charges **fewer** crossings and simulated ns than Direct.
 #[test]
-fn async_fasthttp_is_equivalent_to_sync_batched_and_cheaper() {
+fn async_fasthttp_is_equivalent_to_direct_and_cheaper() {
     const N: u64 = 40;
     for backend in BACKENDS {
-        let sync = fasthttp_run(backend, GatewayMode::Batched, N);
+        let direct = fasthttp_run(backend, GatewayMode::Direct, N);
         let reactor = fasthttp_run(backend, GatewayMode::Async, N);
 
         // Mass conservation: every request's latency is recorded in
         // both arms — parking never drops or double-counts a request.
-        assert_eq!(sync.latency().count(), N, "{backend}: sync mass");
+        assert_eq!(direct.latency().count(), N, "{backend}: direct mass");
         assert_eq!(reactor.latency().count(), N, "{backend}: async mass");
 
-        // Charged-crossing ledger: the reactor amortizes at least as
-        // well as the per-quantum flush on the backend's charged metric.
-        let ss = sync.runtime().lb().stats();
-        let rs = reactor.runtime().lb().stats();
-        match backend {
-            Backend::Vtx => assert!(
-                rs.vm_exits <= ss.vm_exits,
-                "{backend}: {} > {} VM EXITs",
-                rs.vm_exits,
-                ss.vm_exits
-            ),
-            Backend::Mpk => assert!(
-                rs.seccomp_checks <= ss.seccomp_checks,
-                "{backend}: {} > {} seccomp checks",
-                rs.seccomp_checks,
-                ss.seccomp_checks
-            ),
-            _ => assert!(
-                rs.ipc_roundtrips <= ss.ipc_roundtrips,
-                "{backend}: {} > {} IPC round-trips",
-                rs.ipc_roundtrips,
-                ss.ipc_roundtrips
-            ),
-        }
+        // Charged-crossing ledger: the reactor amortizes what Direct
+        // pays per syscall, on the backend's charged metric.
+        let (rc, dc) = (
+            crossings(reactor.runtime().lb()),
+            crossings(direct.runtime().lb()),
+        );
+        assert!(rc < dc, "{backend}: {rc} >= {dc} charged crossings");
 
-        // End-to-end: completion-driven submission is at least as fast.
-        let sync_ns = sync.runtime().lb().now_ns();
+        // End-to-end: completion-driven submission is faster.
+        let direct_ns = direct.runtime().lb().now_ns();
         let async_ns = reactor.runtime().lb().now_ns();
         assert!(
-            async_ns <= sync_ns,
-            "{backend}: async {async_ns} ns > sync {sync_ns} ns"
+            async_ns < direct_ns,
+            "{backend}: async {async_ns} ns >= direct {direct_ns} ns"
         );
     }
 }

@@ -115,7 +115,7 @@ fn victim_op(lab: &mut Lab, site: InjectionSite) -> bool {
             // A faulted flush keeps the whole batch queued; the epilog's
             // flush barrier then retires it with injection suspended, so
             // both arms end with an empty ring and a Direct gateway.
-            lab.lb.set_gateway(GatewayMode::Batched);
+            lab.lb.set_gateway(GatewayMode::Async);
             let token = lab.lb.prolog(VICTIM, lab.callsite).unwrap();
             lab.lb.batch_submit(7, litterbox::BatchOp::Getuid).unwrap();
             lab.lb.batch_submit(7, litterbox::BatchOp::Getpid).unwrap();

@@ -41,8 +41,8 @@ const WIKI_ALLOCS_PER_REQUEST: f64 = 62.0;
 /// Enclosure calls, and `Execute` round trips, per counted window.
 const SWITCHES: u64 = 1_000;
 /// Allocations one warm `Transfer` makes: its arena section's name,
-/// formatted into a `String` that grows twice.
-const TRANSFER_ALLOCS: u64 = 3;
+/// formatted into a `String` sized up front.
+const TRANSFER_ALLOCS: u64 = 1;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };

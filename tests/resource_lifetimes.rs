@@ -100,11 +100,7 @@ fn sweep_under_faults<W: Served>(rng: &mut XorShift) {
     let seed = rng.next_u64();
     let rate_ppm = rng.range_u64(50_000, 400_000);
     for backend in [Backend::Mpk, Backend::Vtx, Backend::Proc] {
-        let mode = *rng.choose(&[
-            GatewayMode::Direct,
-            GatewayMode::Batched,
-            GatewayMode::Async,
-        ]);
+        let mode = *rng.choose(&[GatewayMode::Direct, GatewayMode::Async]);
         let arm = format!(
             "{} on {backend}, {mode:?}, seed {seed:#x} at {rate_ppm} ppm",
             W::NAME

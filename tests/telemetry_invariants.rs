@@ -384,17 +384,17 @@ fn quick_chrome_trace_is_well_nested_and_monotonic() {
     assert!(tracks.len() >= 2, "want goroutine tracks, got {tracks:?}");
 }
 
-/// In the Batched gateway mode, the scheduler flushes the syscall ring at each
-/// quantum boundary *inside* the goroutine's `go.sched` span, so every
-/// `batch.flush` span nests there — and the attribution table still
-/// equals the span tree's self-times, flush spans included.
+/// In the Async gateway mode, the syscall ring flushes at the switch
+/// barriers a goroutine's quantum runs *inside* its `go.sched` span, so
+/// every `batch.flush` span nests there — and the attribution table
+/// still equals the span tree's self-times, flush spans included.
 #[test]
-fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
+fn async_barrier_flushes_keep_attribution_equal_to_span_tree() {
     for backend in [Backend::Mpk, Backend::Vtx] {
         let mut app = WikiApp::new(backend).unwrap();
         {
             let lb = app.runtime_mut().lb_mut();
-            lb.set_gateway(GatewayMode::Batched);
+            lb.set_gateway(GatewayMode::Async);
             lb.clock_mut().reset();
             lb.telemetry_mut().enable_span_log();
         }
@@ -411,7 +411,7 @@ fn batched_quantum_flushes_keep_attribution_equal_to_span_tree() {
             .iter()
             .filter(|n| &*n.scope.enclosure == "batch.flush")
             .collect();
-        assert!(!flushes.is_empty(), "{backend}: quanta flushed batches");
+        assert!(!flushes.is_empty(), "{backend}: barriers flushed batches");
         for node in &flushes {
             let parent = node.parent.expect("flush spans never run bare");
             assert_eq!(
@@ -761,7 +761,6 @@ fn arbitrary_event(rng: &mut XorShift, kind: u64) -> Event {
         19 => Event::BatchedSyscall { sysno: env },
         20 => Event::FlushTrigger {
             reason: *rng.choose(&[
-                FlushReason::Quantum,
                 FlushReason::Barrier,
                 FlushReason::Drain,
                 FlushReason::Explicit,
