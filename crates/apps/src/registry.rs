@@ -49,17 +49,6 @@ pub fn table2_info() -> Vec<BenchmarkInfo> {
     ]
 }
 
-/// TCB reduction factor: enclosed LOC over app LOC (how much code the
-/// single enclosure declaration removed from the trusted base).
-#[must_use]
-pub fn tcb_reduction(info: &BenchmarkInfo) -> Option<f64> {
-    if info.enclosed_loc == 0 {
-        return None;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    Some(info.enclosed_loc as f64 / info.app_tcb_loc as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,13 +63,5 @@ mod tests {
         let fasthttp = &rows[2];
         assert_eq!(fasthttp.public_deps, 3);
         assert_eq!(fasthttp.enclosed_loc, 374_000);
-    }
-
-    #[test]
-    fn tcb_reduction_is_drastic() {
-        let rows = table2_info();
-        let bild = tcb_reduction(&rows[0]).unwrap();
-        assert!(bild > 5_000.0, "166K enclosed vs 32 trusted");
-        assert!(tcb_reduction(&rows[1]).is_none(), "stdlib row");
     }
 }

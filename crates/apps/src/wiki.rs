@@ -253,7 +253,6 @@ impl WikiApp {
         // ○A: trusted glue.
         let glue_tally = tally.clone();
         self.rt.spawn("wiki-glue", move |ctx| {
-            let mut progressed = false;
             match ctx.chan_recv(parsed_ch)? {
                 Recv::Value(v) => {
                     let mut parts = v.into_tuple()?;
@@ -278,7 +277,6 @@ impl WikiApp {
                             GoValue::Tuple(vec![conn, GoValue::Str(sql), GoValue::Str(title)]),
                         )?;
                     }
-                    progressed = true;
                 }
                 Recv::Empty => {}
                 Recv::Closed => {
@@ -310,12 +308,10 @@ impl WikiApp {
                         reply_ch,
                         GoValue::Tuple(vec![conn, GoValue::Bytes(response)]),
                     )?;
-                    progressed = true;
                 }
                 Recv::Empty => {}
                 Recv::Closed => return Ok(Step::Done),
             }
-            let _ = progressed;
             Ok(Step::Yield)
         });
 

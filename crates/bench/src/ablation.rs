@@ -214,121 +214,6 @@ pub fn eviction_rate_curve(
         .collect()
 }
 
-/// Enclosures forming the hot working set of the skewed trace (and the
-/// `k` handed to the telemetry pinning signal).
-const HOT_SET: usize = 4;
-
-/// Drives the skewed access trace both 2b eviction arms share: each
-/// round is a hot-set burst doing the real work, then a full cold scan
-/// of every enclosure. Past 15 metas the scan touches more keys than
-/// the hardware holds, so under pure LRU it evicts the hot bindings
-/// between bursts and every round rebinds them; pinning keeps them
-/// resident through the scan.
-fn drive_skewed(app: &mut App, enclosures: usize, rounds: usize) -> Result<u64, Fault> {
-    let ids: Vec<EnclosureId> = (1..=enclosures as u32).map(EnclosureId).collect();
-    let call = |app: &mut App, id: EnclosureId, work_ns: u64| -> Result<(), Fault> {
-        let cs = app.info.callsite(id).expect("registered above");
-        let token = app.lb.prolog(id, cs)?;
-        app.lb.clock_mut().advance(work_ns);
-        app.lb.epilog(token)?;
-        Ok(())
-    };
-    let mut calls = 0u64;
-    for _ in 0..rounds {
-        for &id in &ids[..HOT_SET.min(ids.len())] {
-            call(app, id, 400)?; // the hot set does the real work
-            calls += 1;
-        }
-        for &id in &ids {
-            call(app, id, 50)?;
-            calls += 1;
-        }
-    }
-    Ok(calls)
-}
-
-/// Ablation 2b (pinned-hot arm) — the same skewed trace driven twice:
-/// once under pure LRU eviction, once with the top-`HOT_SET` packages by
-/// telemetry span self-time pinned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PinnedEvictionStudy {
-    /// Enclosures hosted.
-    pub enclosures: usize,
-    /// The pure-LRU control arm.
-    pub lru: KeyVirtualizationStudy,
-    /// The telemetry-pinned arm.
-    pub pinned: KeyVirtualizationStudy,
-    /// Packages the self-time signal picked to pin.
-    pub hot: Vec<String>,
-}
-
-/// Runs both arms at `enclosures` with `rounds` measured rounds each.
-/// Both arms share a one-round warmup that accrues the span self-times
-/// the pinning signal reads, so their measured traces are identical.
-///
-/// # Errors
-///
-/// Build or switch faults, and any stale virtual-key binding the pinning
-/// left behind (`stale_binding_violation` must stay silent).
-pub fn pinned_eviction_study(
-    enclosures: usize,
-    rounds: usize,
-) -> Result<PinnedEvictionStudy, Fault> {
-    let run = |pin: bool| -> Result<(KeyVirtualizationStudy, Vec<String>), Fault> {
-        let mut app = build_disjoint_program(enclosures, MpkKeyMode::Virtual)?;
-        drive_skewed(&mut app, enclosures, 1)?;
-        let hot = app.lb.hot_packages_by_self_time(HOT_SET);
-        if pin {
-            let refs: Vec<&str> = hot.iter().map(String::as_str).collect();
-            app.lb.pin_hot_packages(&refs)?;
-        }
-        app.reset_clock();
-        let calls = drive_skewed(&mut app, enclosures, rounds)?;
-        if let Some(violation) = app.lb.stale_binding_violation() {
-            return Err(Fault::Init(format!(
-                "stale binding with pinning={pin}: {violation}"
-            )));
-        }
-        let stats = app.lb.stats();
-        let counters = app.lb.telemetry().counters();
-        Ok((
-            KeyVirtualizationStudy {
-                enclosures,
-                metas: app.lb.clustering().len(),
-                calls,
-                key_binds: stats.key_binds,
-                key_evictions: stats.key_evictions,
-                eviction_ns: counters.key_eviction_ns,
-                total_ns: app.lb.now_ns(),
-            },
-            hot,
-        ))
-    };
-    let (lru, _) = run(false)?;
-    let (pinned, hot) = run(true)?;
-    Ok(PinnedEvictionStudy {
-        enclosures,
-        lru,
-        pinned,
-        hot,
-    })
-}
-
-/// The LRU-vs-pinned eviction curve over `counts` working-set sizes.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn pinned_eviction_curve(
-    counts: &[usize],
-    rounds: usize,
-) -> Result<Vec<PinnedEvictionStudy>, Fault> {
-    counts
-        .iter()
-        .map(|&n| pinned_eviction_study(n, rounds))
-        .collect()
-}
-
 /// Ablation 2b (process arm) — the same disjoint-view program under
 /// LB_PROC, which has no key hardware at all: each enclosure lives in
 /// its own child process, so there is no 15-key wall and nothing to
@@ -577,40 +462,6 @@ mod tests {
             curve[1].eviction_rate() > 0.5,
             "30 round-robin enclosures thrash: {:?}",
             curve[1]
-        );
-    }
-
-    #[test]
-    fn pinned_hot_never_evicts_more_than_lru() {
-        for study in pinned_eviction_curve(&[20, 30, 40], 3).unwrap() {
-            assert_eq!(
-                study.lru.calls, study.pinned.calls,
-                "identical traces at {}",
-                study.enclosures
-            );
-            assert!(
-                study.pinned.key_evictions <= study.lru.key_evictions,
-                "pinning must not add churn at {}: {:?} vs {:?}",
-                study.enclosures,
-                study.pinned,
-                study.lru
-            );
-            assert_eq!(study.hot.len(), HOT_SET, "signal found the hot set");
-        }
-    }
-
-    #[test]
-    fn pinning_the_hot_set_beats_lru_under_skew() {
-        // At 30 enclosures the cold scan thrashes the cache; keeping the
-        // hot working set resident must save real evictions and time.
-        let study = pinned_eviction_study(30, 3).unwrap();
-        assert!(
-            study.pinned.key_evictions < study.lru.key_evictions,
-            "{study:?}"
-        );
-        assert!(
-            study.pinned.eviction_ns <= study.lru.eviction_ns,
-            "{study:?}"
         );
     }
 

@@ -950,20 +950,6 @@ fn ablations(_: &Opts) -> Result<(), AnyError> {
         );
     }
 
-    println!("\nAblation 2b: telemetry-guided pinning vs pure LRU, skewed trace");
-    for s in ablation::pinned_eviction_curve(&[20, 30, 40], 3)? {
-        println!(
-            "  {:>3} enclosures pinned-hot: LRU {:>4} evictions ({:>7} ns) vs pinned {:>4} \
-             evictions ({:>7} ns); hot = {:?}",
-            s.enclosures,
-            s.lru.key_evictions,
-            s.lru.eviction_ns,
-            s.pinned.key_evictions,
-            s.pinned.eviction_ns,
-            s.hot
-        );
-    }
-
     println!("\nAblation 2b: LB_PROC process sandbox, unbounded arm (no key wall)");
     for n in [20usize, 40] {
         let s = ablation::proc_unbounded_study(n)?;

@@ -171,12 +171,6 @@ impl AppInfo {
     pub fn loc(&self, package: &str) -> u64 {
         self.loc.get(package).copied().unwrap_or(0)
     }
-
-    /// Total declared LOC across a set of packages.
-    #[must_use]
-    pub fn total_loc<'a>(&self, packages: impl IntoIterator<Item = &'a str>) -> u64 {
-        packages.into_iter().map(|p| self.loc(p)).sum()
-    }
 }
 
 /// An assembled program: the LitterBox machine plus program metadata.
@@ -267,7 +261,6 @@ mod tests {
             assert!(app.info.layout(pkg).is_some(), "{pkg}");
         }
         assert_eq!(app.info.loc("lib"), 5000);
-        assert_eq!(app.info.total_loc(["main", "lib"]), 5100);
         assert_eq!(app.info.name(), "demo");
     }
 

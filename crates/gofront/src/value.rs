@@ -112,12 +112,6 @@ impl GoValue {
     accessor!(as_str, into_str, Str, str, String);
     accessor!(as_tuple, into_tuple, Tuple, [GoValue], Vec<GoValue>);
 
-    /// True for [`GoValue::Unit`].
-    #[must_use]
-    pub fn is_unit(&self) -> bool {
-        matches!(self, GoValue::Unit)
-    }
-
     /// The error for reading `self` as `wanted`.
     fn mismatch(&self, wanted: &'static str) -> ValueError {
         let (got, len) = match self {
@@ -172,7 +166,6 @@ mod tests {
         assert_eq!(GoValue::Int(7).as_int().unwrap(), 7);
         assert_eq!(GoValue::from("x").as_str().unwrap(), "x");
         assert_eq!(GoValue::from(vec![1u8]).as_bytes().unwrap(), [1]);
-        assert!(GoValue::Unit.is_unit());
         assert_eq!(GoValue::from(Addr(4)).as_ptr().unwrap(), Addr(4));
     }
 

@@ -35,12 +35,6 @@ pub enum Errno {
 }
 
 impl Errno {
-    /// The conventional negative return value for this errno.
-    #[must_use]
-    pub fn as_neg(self) -> i64 {
-        -(self.code())
-    }
-
     /// The positive errno code (Linux values).
     #[must_use]
     pub fn code(self) -> i64 {
@@ -89,7 +83,6 @@ mod tests {
     fn codes_match_linux() {
         assert_eq!(Errno::Enoent.code(), 2);
         assert_eq!(Errno::Econnrefused.code(), 111);
-        assert_eq!(Errno::Enoent.as_neg(), -2);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl SockAddr {
     pub fn local(port: u16) -> SockAddr {
         SockAddr::new(LOCALHOST, port)
     }
-
-    /// True for loopback addresses.
-    #[must_use]
-    pub fn is_local(self) -> bool {
-        self.ip >> 24 == 0x7f
-    }
 }
 
 impl fmt::Display for SockAddr {
@@ -553,7 +547,5 @@ mod tests {
     #[test]
     fn sockaddr_display() {
         assert_eq!(SockAddr::local(8080).to_string(), "127.0.0.1:8080");
-        assert!(SockAddr::local(1).is_local());
-        assert!(!SockAddr::new(ipv4(10, 0, 0, 1), 1).is_local());
     }
 }

@@ -81,12 +81,6 @@ impl Sysno {
         self as u32
     }
 
-    /// Looks a syscall up by number.
-    #[must_use]
-    pub fn from_nr(nr: u32) -> Option<Sysno> {
-        Sysno::ALL.iter().copied().find(|s| s.nr() == nr)
-    }
-
     /// The logical service category the paper groups this call under
     /// (§2.2: "system calls are grouped into categories around logical
     /// services").
@@ -307,14 +301,6 @@ mod tests {
         assert_eq!(Sysno::Connect.nr(), 42);
         assert_eq!(Sysno::Getuid.nr(), 102);
         assert_eq!(Sysno::PkeyMprotect.nr(), 329);
-    }
-
-    #[test]
-    fn from_nr_roundtrips() {
-        for s in Sysno::ALL {
-            assert_eq!(Sysno::from_nr(s.nr()), Some(s));
-        }
-        assert_eq!(Sysno::from_nr(9999), None);
     }
 
     #[test]

@@ -305,14 +305,6 @@ pub(crate) struct Mpk {
     /// Environment whose filter is loaded (the one syscalls are checked
     /// against).
     front: EnvId,
-    /// Telemetry-guided eviction pins: the "hot" packages whose metas
-    /// the LRU should avoid evicting. They are names, not metas, because
-    /// a rebuild may renumber the metas; each eviction resolves them
-    /// against the clustering it runs under. Advisory: when every other
-    /// binding is pinned by the running working set, a hot meta is
-    /// still evicted, so pinning never introduces a failure the pure
-    /// LRU would not have.
-    hot: Vec<String>,
     /// The live PKRU register, written only by [`Mpk::write_pkru`]. A
     /// rebuilt enforcer starts from its predecessor's value, and the
     /// first from allow-all.
@@ -439,7 +431,6 @@ impl Mpk {
             }
         }
 
-        let old = b.old::<Mpk>();
         let mut mpk = Mpk {
             table,
             pkru_of_env: pkru_map(p, &keys),
@@ -448,8 +439,7 @@ impl Mpk {
             filters: IdMap::default(),
             working_sets,
             front: b.current,
-            hot: old.map(|old| old.hot.clone()).unwrap_or_default(),
-            pkru: old.map_or(Pkru::allow_all(), |old| old.pkru),
+            pkru: b.old::<Mpk>().map_or(Pkru::allow_all(), |old| old.pkru),
         };
         mpk.load_filter(p, b.current)?;
         Ok((mpk, b.init_price(INIT_NS_PER_ENV)))
@@ -468,11 +458,6 @@ impl Mpk {
     /// The hardware key backing meta-package `meta`, if bound.
     pub(crate) fn hardware_key_of(&self, meta: usize) -> Option<ProtectionKey> {
         self.keys.key(meta)
-    }
-
-    /// Replaces the hot set with `packages`.
-    pub(crate) fn pin_hot(&mut self, packages: &[&str]) {
-        self.hot = packages.iter().map(|&pkg| pkg.to_owned()).collect();
     }
 
     /// Demand-binds meta-package `meta` from environment `current`
@@ -582,14 +567,13 @@ impl Mpk {
     }
 
     /// Binds `meta` to a hardware key, evicting the least-recently-used
-    /// binding outside `env`'s working set when no hardware key is free
-    /// (sparing the hot pins while any other victim exists). The
-    /// eviction sweep is a `pkey_mprotect` that can be injected to fail;
-    /// the check fires before any mutation, so a failed sweep leaves the
-    /// victim's binding and the live PKRU intact. Before the sweep, any
-    /// live PKRU grant on the recycled key is revoked: the running
-    /// environment must never keep rights on a key about to tag someone
-    /// else's pages.
+    /// binding outside `env`'s working set when no hardware key is free.
+    /// The eviction sweep is a `pkey_mprotect` that can be injected to
+    /// fail; the check fires before any mutation, so a failed sweep
+    /// leaves the victim's binding and the live PKRU intact. Before the
+    /// sweep, any live PKRU grant on the recycled key is revoked: the
+    /// running environment must never keep rights on a key about to tag
+    /// someone else's pages.
     fn bind(
         &mut self,
         p: &Program,
@@ -603,18 +587,9 @@ impl Mpk {
         }
         if self.keys.is_full() {
             let pinned = self.working_sets.get(&env).map_or(&[][..], Vec::as_slice);
-            let hot = self
-                .hot
-                .iter()
-                .filter_map(|pkg| p.clustering.meta_of.get(pkg));
-            let averse: Vec<usize> = pinned.iter().chain(hot).copied().collect();
-            let victim = self
-                .keys
-                .victim(&averse)
-                .or_else(|| self.keys.victim(pinned))
-                .ok_or_else(|| {
-                    Fault::Init("all 15 hardware keys are pinned by the current working set".into())
-                })?;
+            let victim = self.keys.victim(pinned).ok_or_else(|| {
+                Fault::Init("all 15 hardware keys are pinned by the current working set".into())
+            })?;
             if clock.should_inject(InjectionSite::PkeyMprotect) {
                 return Err(Fault::Transient {
                     site: "pkey_mprotect",
@@ -859,7 +834,6 @@ mod tests {
             filters: IdMap::default(),
             working_sets: IdMap::default(),
             front: TRUSTED_ENV,
-            hot: Vec::new(),
             pkru: Pkru::allow_all(),
         }
     }

@@ -573,15 +573,19 @@ impl LitterBox {
     }
 
     /// Selects the LB_MPK key-mapping mode. On an initialized machine
-    /// the environments are rebuilt immediately, so a switch to
-    /// [`MpkKeyMode::Static`] surfaces key exhaustion right here. The
-    /// rebuild is charged and recorded as an incremental `Init`.
+    /// a change of mode rebuilds the environments immediately, so a
+    /// switch to [`MpkKeyMode::Static`] surfaces key exhaustion right
+    /// here. The rebuild is charged and recorded as an incremental
+    /// `Init`; selecting the mode already in force does nothing.
     ///
     /// # Errors
     ///
     /// [`Fault::Init`] if the rebuild fails (e.g. more than 15
     /// meta-packages under [`MpkKeyMode::Static`]).
     pub fn set_mpk_key_mode(&mut self, mode: MpkKeyMode) -> Result<(), Fault> {
+        if mode == self.mpk_key_mode {
+            return Ok(());
+        }
         if self.enforcer::<Mpk>().is_some() {
             let rebuilt = self.program.descriptions().derive();
             let ns = rebuilt
@@ -1177,59 +1181,6 @@ impl LitterBox {
         let meta = self.program.clustering.meta_of[package];
         mpk.bind_package(&self.program, &mut self.clock, self.current, meta)
             .map_err(|e| self.trace_fault(e))
-    }
-
-    // ------------------------------------------------------------------
-    // Telemetry-guided eviction tuning
-    // ------------------------------------------------------------------
-
-    /// Pins `packages`' meta-packages as eviction-averse ("hot"): the
-    /// LRU prefers any other victim while one exists. Advisory — when
-    /// everything else is hard-pinned by the running working set a hot
-    /// meta is still evicted, so pinning can never introduce a failure
-    /// the pure LRU would not have. The pins name packages, so they
-    /// survive a rebuild that renumbers the meta-packages. Replaces any
-    /// previous hot set; a no-op (beyond validation) on non-MPK
-    /// backends.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::UnknownPackage`] for unregistered names.
-    pub fn pin_hot_packages(&mut self, packages: &[&str]) -> Result<(), Fault> {
-        if let Some(pkg) = packages
-            .iter()
-            .find(|pkg| !self.program.packages.contains_key(**pkg))
-        {
-            return Err(self.trace_fault(Fault::UnknownPackage((*pkg).to_owned())));
-        }
-        if let Some(mpk) = backend::downcast_mut::<Mpk>(self.hw.as_deref_mut()) {
-            mpk.pin_hot(packages);
-        }
-        Ok(())
-    }
-
-    /// The top-`k` packages by span self-time in the attribution ledger
-    /// — the telemetry signal behind [`Self::pin_hot_packages`].
-    /// Multi-package scopes (`"a+b"`) credit each member; the trusted
-    /// placeholder scope is skipped, and a package with no self-time is
-    /// not hot. Ties break alphabetically so the pick is deterministic.
-    #[must_use]
-    pub fn hot_packages_by_self_time(&self, k: usize) -> Vec<String> {
-        let mut by_pkg: BTreeMap<&str, u64> = BTreeMap::new();
-        for (scope, cost) in self.telemetry().attribution() {
-            for pkg in scope.package.split('+') {
-                if !pkg.is_empty() && pkg != "-" {
-                    *by_pkg.entry(pkg).or_default() += cost.self_ns;
-                }
-            }
-        }
-        let mut ranked: Vec<(&str, u64)> = by_pkg.into_iter().filter(|(_, ns)| *ns > 0).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        ranked
-            .into_iter()
-            .take(k)
-            .map(|(pkg, _)| pkg.to_owned())
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1838,6 +1789,20 @@ mod tests {
         lb.set_mpk_key_mode(MpkKeyMode::Static).unwrap();
         assert!(lb.init_ns() > init_ns, "the rebuild is charged");
         assert_eq!(lb.telemetry().counters().init_ns, lb.init_ns());
+    }
+
+    #[test]
+    fn selecting_the_key_mode_in_force_rebuilds_nothing() {
+        let mut lb = LitterBox::new(Backend::Mpk);
+        let mut prog = ProgramDesc::new();
+        prog.add_package(&mut lb, "a", 1, 1, 1).unwrap();
+        lb.init(prog).unwrap();
+        let (now_ns, init_ns) = (lb.now_ns(), lb.init_ns());
+        let counters = *lb.telemetry().counters();
+        lb.set_mpk_key_mode(MpkKeyMode::Virtual).unwrap();
+        assert_eq!(lb.now_ns(), now_ns, "no rebuild is charged");
+        assert_eq!(lb.init_ns(), init_ns);
+        assert_eq!(*lb.telemetry().counters(), counters, "no Init is recorded");
     }
 
     #[test]

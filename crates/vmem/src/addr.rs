@@ -32,18 +32,6 @@ impl Addr {
         self.0 & (PAGE_SIZE - 1)
     }
 
-    /// Rounds down to the start of the containing page.
-    #[must_use]
-    pub fn page_align_down(self) -> Addr {
-        Addr(self.0 & !(PAGE_SIZE - 1))
-    }
-
-    /// Rounds up to the next page boundary (identity if already aligned).
-    #[must_use]
-    pub fn page_align_up(self) -> Addr {
-        Addr(self.0.checked_add(PAGE_SIZE - 1).expect("address overflow") & !(PAGE_SIZE - 1))
-    }
-
     /// True if the address is page aligned.
     #[must_use]
     pub fn is_page_aligned(self) -> bool {
@@ -166,15 +154,6 @@ impl VirtRange {
         addr >= self.start && addr < self.end()
     }
 
-    /// True if the whole `[addr, addr + len)` span is inside the range.
-    #[must_use]
-    pub fn contains_span(&self, addr: Addr, len: u64) -> bool {
-        let Some(end) = addr.checked_add(len) else {
-            return false;
-        };
-        addr >= self.start && end <= self.end()
-    }
-
     /// True if the two ranges share at least one byte.
     #[must_use]
     pub fn overlaps(&self, other: &VirtRange) -> bool {
@@ -228,17 +207,8 @@ mod tests {
         let a = Addr(PAGE_SIZE * 3 + 17);
         assert_eq!(a.page(), PageIdx(3));
         assert_eq!(a.page_offset(), 17);
-        assert_eq!(a.page_align_down(), Addr(PAGE_SIZE * 3));
-        assert_eq!(a.page_align_up(), Addr(PAGE_SIZE * 4));
         assert!(!a.is_page_aligned());
-        assert!(a.page_align_down().is_page_aligned());
-    }
-
-    #[test]
-    fn aligned_addr_rounds_to_itself() {
-        let a = Addr(PAGE_SIZE * 5);
-        assert_eq!(a.page_align_up(), a);
-        assert_eq!(a.page_align_down(), a);
+        assert!(a.page().base().is_page_aligned());
     }
 
     #[test]
@@ -262,8 +232,6 @@ mod tests {
         assert!(r.contains(Addr(0x1000)));
         assert!(r.contains(Addr(0x2fff)));
         assert!(!r.contains(Addr(0x3000)));
-        assert!(r.contains_span(Addr(0x1000), 0x2000));
-        assert!(!r.contains_span(Addr(0x1000), 0x2001));
 
         let s = VirtRange::new(Addr(0x2fff), 1);
         assert!(r.overlaps(&s));
@@ -297,11 +265,5 @@ mod tests {
         let all = VirtRange::new(Addr(PAGE_SIZE), u64::MAX);
         assert_eq!(all.page_len(), top.0);
         assert_eq!(all.pages().next(), Some(PageIdx(1)));
-    }
-
-    #[test]
-    fn contains_span_rejects_overflow() {
-        let r = VirtRange::new(Addr(0), u64::MAX);
-        assert!(!r.contains_span(Addr(1), u64::MAX));
     }
 }

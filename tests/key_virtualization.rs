@@ -272,6 +272,39 @@ enclosure_support::props! {
             "arena unreachable after its owner was bound"
         );
     }
+
+    /// Telemetry observes, it never steers: two identical machines
+    /// driven through one call trace bind, evict, charge and switch
+    /// alike, although one of them has its recorder reset and its trace
+    /// ring, span log and window series armed before every call.
+    fn telemetry_never_steers_enforcement(rng, cases = 10) {
+        let n = rng.range_usize(16, 31);
+        let mut plain = build(n);
+        let mut observed = build(n);
+        for step in 0..rng.range_usize(10, 40) {
+            let recorder = observed.lb.telemetry_mut();
+            recorder.reset();
+            recorder.enable_trace(16);
+            recorder.enable_span_log();
+            recorder.enable_series(500, 8);
+            let i = rng.range_usize(0, n);
+            // Both machines draw the same foreign-package probe.
+            call(&mut plain, i, n, &mut rng.clone());
+            call(&mut observed, i, n, rng);
+            let ctx = format!("step {step}, enc{i:02}");
+            assert_eq!(plain.lb.stats(), observed.lb.stats(), "{ctx}");
+            assert_eq!(plain.lb.now_ns(), observed.lb.now_ns(), "{ctx}");
+            assert_eq!(plain.lb.key_ledger(), observed.lb.key_ledger(), "{ctx}");
+            assert_eq!(plain.lb.current_env(), observed.lb.current_env(), "{ctx}");
+            for pkg in (0..n).map(|j| format!("pkg{j:02}")) {
+                assert_eq!(
+                    plain.lb.hardware_key_of(&pkg),
+                    observed.lb.hardware_key_of(&pkg),
+                    "{ctx}: {pkg}"
+                );
+            }
+        }
+    }
 }
 
 /// A rebuild whose closing switch fails after an eviction sweep has
@@ -314,56 +347,4 @@ fn rolled_back_rebuilds_restore_the_live_pkru() {
             lab.lb.epilog(token).unwrap();
         }
     }
-}
-
-/// Keys evicted by five rounds of ablation 2b's skewed trace (a burst of
-/// the four hot enclosures, then a scan of all twenty) after an
-/// incremental `Init` adds a package `a0`. It sorts first, so it takes
-/// meta 0 and every other meta's index shifts by one. `pin` says
-/// whether pkg00–pkg03 are pinned hot before that `Init`, after it, or
-/// not at all.
-fn evictions_after_renumbering(pin: Option<Pin>) -> u64 {
-    const HOT: [&str; 4] = ["pkg00", "pkg01", "pkg02", "pkg03"];
-    let n = 20;
-    let mut lab = build(n);
-    if pin == Some(Pin::BeforeInit) {
-        lab.lb.pin_hot_packages(&HOT).unwrap();
-    }
-    let mut prog = ProgramDesc::new();
-    prog.add_package(&mut lab.lb, "a0", 1, 1, 1).unwrap();
-    lab.lb.init_incremental(prog).unwrap();
-    if pin == Some(Pin::AfterInit) {
-        lab.lb.pin_hot_packages(&HOT).unwrap();
-    }
-    let before = lab.lb.stats().key_evictions;
-    for _ in 0..5 {
-        for i in (0..HOT.len()).chain(0..n) {
-            let token = lab
-                .lb
-                .prolog(EnclosureId(i as u32 + 1), lab.callsite)
-                .unwrap();
-            lab.lb.epilog(token).unwrap();
-        }
-    }
-    assert_invariants(&lab, "after the skewed trace");
-    lab.lb.stats().key_evictions - before
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pin {
-    BeforeInit,
-    AfterInit,
-}
-
-/// Hot pins name packages, so a rebuild that renumbers the metas keeps
-/// pinning the same packages: pinning before the incremental `Init`
-/// evicts exactly as many keys as pinning after it, and fewer than no
-/// pins at all.
-#[test]
-fn hot_pins_survive_a_renumbering_rebuild() {
-    let before = evictions_after_renumbering(Some(Pin::BeforeInit));
-    let after = evictions_after_renumbering(Some(Pin::AfterInit));
-    let unpinned = evictions_after_renumbering(None);
-    assert_eq!(before, after, "pins moved to other packages in the rebuild");
-    assert!(after < unpinned, "pinned {after} vs unpinned {unpinned}");
 }
