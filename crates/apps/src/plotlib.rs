@@ -97,17 +97,18 @@ pub fn build(backend: Backend, mode: MetadataMode, cfg: PlotConfig) -> Result<In
         let mut max = f64::NEG_INFINITY;
         // Pass 1: scale (reads the read-only secret, point by point —
         // each read increfs/decrefs the shared object).
+        let mut word = [0u8; 8];
         for i in 0..n {
-            let bytes = ctx.read(data, i * 8, 8)?;
-            let v = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            ctx.read_into(data, i * 8, &mut word)?;
+            let v = f64::from_le_bytes(word);
             min = min.min(v);
             max = max.max(v);
         }
         let span = if max > min { max - min } else { 1.0 };
         // Pass 2: rasterize.
         for i in 0..n {
-            let bytes = ctx.read(data, i * 8, 8)?;
-            let v = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            ctx.read_into(data, i * 8, &mut word)?;
+            let v = f64::from_le_bytes(word);
             #[allow(
                 clippy::cast_precision_loss,
                 clippy::cast_possible_truncation,

@@ -91,8 +91,24 @@ pub(crate) trait Enforcer: fmt::Debug + Send + Any {
     /// state and charges it.
     fn transfer(&mut self, program: &Program, clock: &mut Clock, range: VirtRange, to: &str);
 
+    /// Whether the running environment admits a data access of `len`
+    /// bytes at `addr` needing `needed`: the backend's whole access rule,
+    /// building nothing.
+    fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool;
+
+    /// Names an access [`Enforcer::permits`] refuses: the fault the
+    /// hardware would raise. Called only on a refusal, so an allowed
+    /// access, or a refusal nobody names, builds no error.
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError;
+
     /// Checks a data access in the running environment.
-    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError>;
+    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
+        if self.permits(addr, len, needed) {
+            Ok(())
+        } else {
+            Err(self.denial(addr, len, needed))
+        }
+    }
 
     /// Appends `env`'s hardware state to the environment listing.
     fn describe(&self, env: EnvId, out: &mut String);
@@ -230,9 +246,16 @@ impl EnvTables {
         &self.tables[self.active].1
     }
 
-    /// Checks a data access against the active table.
-    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        self.active_table().check(addr, len, needed)
+    /// Whether the active table admits a data access.
+    fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        self.active_table().permits(addr, len, needed)
+    }
+
+    /// The active table's fault for an access it refuses.
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError {
+        self.active_table()
+            .check(addr, len, needed)
+            .expect_err("the active table refused the access")
     }
 
     /// Rewrites every environment's table for an arena `range` that now

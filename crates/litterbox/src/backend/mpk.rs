@@ -20,7 +20,9 @@ use enclosure_kernel::seccomp::{SeccompFilter, SeccompRule, SysPolicy};
 use enclosure_kernel::SyscallRecord;
 use enclosure_support::{IdMap, IdSet};
 use enclosure_telemetry::Event;
-use enclosure_vmem::{Access, Addr, PageTable, ProtectionKey, VirtRange, VmemError, NO_KEY};
+use enclosure_vmem::{
+    Access, Addr, PageIdx, PageTable, ProtectionKey, VirtRange, VmemError, NO_KEY,
+};
 
 use super::{Build, Enforcer};
 use crate::cluster::MetaPackage;
@@ -515,6 +517,14 @@ impl Mpk {
         None
     }
 
+    /// The key rule: the live PKRU grants `needed` on the key tagging
+    /// `page`. An unmapped page has no key and is refused.
+    fn key_admits(&self, page: PageIdx, needed: Access) -> bool {
+        self.table
+            .entry(page.base())
+            .is_some_and(|entry| self.pkru.allows(entry.key, needed))
+    }
+
     /// Executes a WRPKRU: installs `pkru` in the live register and
     /// charges it. Only LitterBox may execute WRPKRU (§5.3): `build`
     /// rejects any other package whose text holds one.
@@ -644,10 +654,9 @@ impl Enforcer for Mpk {
         self.refresh(p);
         self.load_filter(p, target)?;
         self.front = target;
-        let pkru = *self
-            .pkru_of_env
-            .get(&target)
-            .ok_or(Fault::UnknownEnclosure(EnclosureId(target.0)))?;
+        let Some(&pkru) = self.pkru_of_env.get(&target) else {
+            return Err(Fault::UnknownEnclosure(EnclosureId(target.0)));
+        };
         // Injection fires before the write: PKRU keeps its old value and
         // nothing is charged, like a faulted WRPKRU.
         if clock.should_inject(InjectionSite::Wrpkru) {
@@ -703,35 +712,42 @@ impl Enforcer for Mpk {
         clock.charge_pkey_mprotect_pages(range.page_len());
     }
 
-    /// Page rights first, then the live PKRU's key rights. A key denial
-    /// is a [`VmemError::PkeyFault`] carrying the key, the PKRU value
-    /// and the table's name: the root-cause trace.
-    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        self.table.check(addr, len, needed)?;
-        // Instruction fetches bypass PKRU entirely.
-        if (needed - Access::X).is_none() {
-            return Ok(());
+    /// Page rights first, then the live PKRU's key rights on every page
+    /// of the span. Instruction fetches bypass PKRU ([`Pkru::allows`]).
+    fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        self.table.permits(addr, len, needed)
+            && VirtRange::new(addr, len.max(1))
+                .pages()
+                .all(|page| self.key_admits(page, needed))
+    }
+
+    /// The page table's fault, else a [`VmemError::PkeyFault`] carrying
+    /// the first refusing page's key, the PKRU value and the table's
+    /// name: the root-cause trace.
+    #[cold]
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError {
+        if let Err(fault) = self.table.check(addr, len, needed) {
+            return fault;
         }
-        for page in VirtRange::new(addr, len.max(1)).pages() {
-            let entry = self
-                .table
-                .entry(page.base())
-                .expect("checked by table.check");
-            if !self.pkru.allows(entry.key, needed) {
-                return Err(VmemError::PkeyFault {
-                    addr: if page == addr.page() {
-                        addr
-                    } else {
-                        page.base()
-                    },
-                    key: entry.key,
-                    needed,
-                    pkru: self.pkru.bits(),
-                    table: self.table.name().clone(),
-                });
-            }
+        let page = VirtRange::new(addr, len.max(1))
+            .pages()
+            .find(|&page| !self.key_admits(page, needed))
+            .expect("PKRU refused a page of the span");
+        let entry = self
+            .table
+            .entry(page.base())
+            .expect("the table admitted every page of the span");
+        VmemError::PkeyFault {
+            addr: if page == addr.page() {
+                addr
+            } else {
+                page.base()
+            },
+            key: entry.key,
+            needed,
+            pkru: self.pkru.bits(),
+            table: self.table.name().clone(),
         }
-        Ok(())
     }
 
     fn describe(&self, env: EnvId, out: &mut String) {

@@ -160,10 +160,9 @@ impl Enforcer for Proc {
         clock: &mut Clock,
         target: EnvId,
     ) -> Result<(), Fault> {
-        let slot = self
-            .images
-            .slot(target)
-            .ok_or(Fault::UnknownEnclosure(EnclosureId(target.0)))?;
+        let Some(slot) = self.images.slot(target) else {
+            return Err(Fault::UnknownEnclosure(EnclosureId(target.0)));
+        };
         if target == self.images.current() {
             return Ok(());
         }
@@ -235,8 +234,13 @@ impl Enforcer for Proc {
         self.images.remap_arena(program, range, to);
     }
 
-    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        self.images.check(addr, len, needed)
+    fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        self.images.permits(addr, len, needed)
+    }
+
+    #[cold]
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError {
+        self.images.denial(addr, len, needed)
     }
 
     fn describe(&self, env: EnvId, out: &mut String) {

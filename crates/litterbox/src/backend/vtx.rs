@@ -41,10 +41,9 @@ impl Enforcer for Vtx {
         clock: &mut Clock,
         target: EnvId,
     ) -> Result<(), Fault> {
-        let slot = self
-            .tables
-            .slot(target)
-            .ok_or(Fault::UnknownEnclosure(EnclosureId(target.0)))?;
+        let Some(slot) = self.tables.slot(target) else {
+            return Err(Fault::UnknownEnclosure(EnclosureId(target.0)));
+        };
         // Injected CR3-rewrite failure: the guest syscall aborts before
         // the root is moved, so the old table stays active and nothing
         // is charged.
@@ -77,8 +76,13 @@ impl Enforcer for Vtx {
         self.tables.remap_arena(program, range, to);
     }
 
-    fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        self.tables.check(addr, len, needed)
+    fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        self.tables.permits(addr, len, needed)
+    }
+
+    #[cold]
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError {
+        self.tables.denial(addr, len, needed)
     }
 
     fn describe(&self, env: EnvId, out: &mut String) {

@@ -208,8 +208,9 @@ impl Program {
     /// # Errors
     ///
     /// [`Fault::Init`] for a duplicate package, an unaligned or
-    /// overlapping section, enclosure id 0, a duplicate id, or a view
-    /// [`Program::derive`] rejects.
+    /// overlapping section or one whose end does not fit in 64 bits,
+    /// enclosure id 0, a duplicate id, or a view [`Program::derive`]
+    /// rejects.
     fn with(&self, desc: ProgramDesc) -> Result<Program, Fault> {
         let mut next = self.descriptions();
         for pkg in desc.packages {
@@ -221,6 +222,13 @@ impl Program {
                 if !range.is_page_aligned() {
                     return Err(Fault::Init(format!(
                         "section {} of '{}' is not page aligned",
+                        section.name(),
+                        pkg.name
+                    )));
+                }
+                if range.start().checked_add(range.len()).is_none() {
+                    return Err(Fault::Init(format!(
+                        "section {} of '{}' ends past the top of the address space",
                         section.name(),
                         pkg.name
                     )));
@@ -1263,6 +1271,18 @@ impl LitterBox {
         }
     }
 
+    /// Whether the current view admits an access of `len` bytes at
+    /// `addr` needing `needed`: the check a checked access makes, without
+    /// naming a refusal, so an expected denial costs the check alone.
+    /// Always true without an enforcer. A permitted access can still
+    /// fault on unbacked memory.
+    #[must_use]
+    pub fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        self.hw
+            .as_deref()
+            .is_none_or(|hw| hw.permits(addr, len, needed))
+    }
+
     /// Checked read of `len` bytes at `addr` under the current view.
     ///
     /// # Errors
@@ -1271,6 +1291,19 @@ impl LitterBox {
     pub fn load(&self, addr: Addr, len: u64) -> Result<Vec<u8>, Fault> {
         self.check_access(addr, len, Access::R)?;
         self.space.read_vec(addr, len).map_err(Fault::Memory)
+    }
+
+    /// Checked read of `buf.len()` bytes at `addr` into the caller's
+    /// buffer, under the current view: [`LitterBox::load`] without the
+    /// fresh buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`Fault::Memory`] on a view violation or unbacked memory, as for
+    /// [`LitterBox::load`].
+    pub fn load_into(&self, addr: Addr, buf: &mut [u8]) -> Result<(), Fault> {
+        self.check_access(addr, buf.len() as u64, Access::R)?;
+        self.space.read(addr, buf).map_err(Fault::Memory)
     }
 
     /// Checked read of a little-endian `u64`.

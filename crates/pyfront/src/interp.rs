@@ -495,23 +495,38 @@ impl Interpreter {
             .ok_or_else(|| Fault::Init(format!("not a Python object: {data}")))
     }
 
-    /// Reads a metadata word, switching to the trusted environment when
-    /// the active view forbids it (co-located prototype, §5.2).
-    fn read_meta(&mut self, addr: Addr) -> Result<u64, Fault> {
-        match self.lb.load_u64(addr) {
-            Ok(v) => Ok(v),
-            Err(Fault::Memory(_)) => self.trusted_detour(|py| py.lb.load_u64(addr)),
-            Err(e) => Err(e),
+    /// `obj`, if `len` bytes at `off` lie inside it.
+    fn readable(&self, obj: Addr, off: u64, len: u64) -> Result<ObjInfo, Fault> {
+        let info = self.obj(obj)?;
+        if off.checked_add(len).is_none_or(|end| end > info.size) {
+            return Err(Fault::Init(format!(
+                "object read out of bounds: {off}+{len} > {}",
+                info.size
+            )));
         }
+        Ok(info)
+    }
+
+    /// Reads a metadata word, switching to the trusted environment when
+    /// the active view forbids it (co-located prototype, §5.2). The view
+    /// is asked first, so the expected denial builds no fault, and the
+    /// word it permits is read without a second check.
+    fn read_meta(&mut self, addr: Addr) -> Result<u64, Fault> {
+        if self.lb.permits(addr, 8, Access::R) {
+            if let Ok(word) = self.lb.space().read_u64(addr) {
+                return Ok(word);
+            }
+        }
+        self.trusted_detour(|py| py.lb.load_u64(addr))
     }
 
     /// Writes a metadata word, with the same trusted-switch fallback.
     fn write_meta(&mut self, addr: Addr, value: u64) -> Result<(), Fault> {
-        match self.lb.store_u64(addr, value) {
-            Ok(()) => Ok(()),
-            Err(Fault::Memory(_)) => self.trusted_detour(|py| py.lb.store_u64(addr, value)),
-            Err(e) => Err(e),
+        let permitted = self.lb.permits(addr, 8, Access::W);
+        if permitted && self.lb.space_mut().write_u64(addr, value).is_ok() {
+            return Ok(());
         }
+        self.trusted_detour(|py| py.lb.store_u64(addr, value))
     }
 
     /// Runs `f` in the trusted environment, where interpreter state
@@ -722,15 +737,23 @@ impl PyCtx<'_> {
     /// `off + len` that overflows included), is [`Fault::Init`] and
     /// touches no refcount.
     pub fn read(&mut self, obj: Addr, off: u64, len: u64) -> Result<Vec<u8>, Fault> {
-        let info = self.py.obj(obj)?;
-        if off.checked_add(len).is_none_or(|end| end > info.size) {
-            return Err(Fault::Init(format!(
-                "object read out of bounds: {off}+{len} > {}",
-                info.size
-            )));
-        }
+        // Bounded by the object before the buffer exists.
+        self.py.readable(obj, off, len)?;
+        let mut buf = vec![0; len as usize];
+        self.read_into(obj, off, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`PyCtx::read`] into the caller's buffer: `buf.len()` bytes at
+    /// `off`, under the same borrow protocol.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PyCtx::read`].
+    pub fn read_into(&mut self, obj: Addr, off: u64, buf: &mut [u8]) -> Result<(), Fault> {
+        let info = self.py.readable(obj, off, buf.len() as u64)?;
         self.py.incref_meta(info.meta)?;
-        let result = self.py.lb.load(info.data + off, len);
+        let result = self.py.lb.load_into(info.data + off, buf);
         self.py.decref_meta(info.meta)?;
         result
     }

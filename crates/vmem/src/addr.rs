@@ -130,10 +130,12 @@ impl VirtRange {
         self.start
     }
 
-    /// One past the last address of the range.
+    /// One past the last address of the range. A range whose end does
+    /// not fit in 64 bits ends at the top address, as `end_page` stops at
+    /// the top page.
     #[must_use]
     pub fn end(&self) -> Addr {
-        Addr(self.start.0 + self.len)
+        Addr(self.start.0.saturating_add(self.len))
     }
 
     /// Length of the range in bytes.
@@ -148,19 +150,26 @@ impl VirtRange {
         self.len == 0
     }
 
-    /// True if `addr` falls inside the range.
+    /// True if `addr` falls inside the range. Measured from the start,
+    /// so a range whose end does not fit in 64 bits still holds every
+    /// address from its start up.
     #[must_use]
     pub fn contains(&self, addr: Addr) -> bool {
-        addr >= self.start && addr < self.end()
+        addr.0
+            .checked_sub(self.start.0)
+            .is_some_and(|off| off < self.len)
     }
 
-    /// True if the two ranges share at least one byte.
+    /// True if the two ranges share at least one byte: the later start
+    /// falls inside the earlier range.
     #[must_use]
     pub fn overlaps(&self, other: &VirtRange) -> bool {
-        !self.is_empty()
-            && !other.is_empty()
-            && self.start < other.end()
-            && other.start < self.end()
+        let (first, second) = if self.start <= other.start {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        !second.is_empty() && first.contains(second.start)
     }
 
     /// True if both endpoints are page aligned.
@@ -194,7 +203,7 @@ impl VirtRange {
 
 impl fmt::Display for VirtRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:#x}, {:#x})", self.start.0, self.start.0 + self.len)
+        write!(f, "[{:#x}, {:#x})", self.start.0, self.end().0)
     }
 }
 
@@ -254,6 +263,22 @@ mod tests {
         let pages: Vec<_> = r.pages().collect();
         assert_eq!(pages, vec![PageIdx(0), PageIdx(1)]);
         assert_eq!(r.page_len(), 2);
+    }
+
+    #[test]
+    fn ranges_past_the_top_saturate() {
+        let top = VirtRange::new(Addr(0xffff_ffff_ffff_f000), 0x2000);
+        assert_eq!(top.end(), Addr(u64::MAX));
+        assert!(top.contains(Addr(u64::MAX)));
+        assert!(!top.contains(Addr(0xffff_ffff_ffff_efff)));
+        assert_eq!(top.to_string(), "[0xfffffffffffff000, 0xffffffffffffffff)");
+        let below = VirtRange::new(Addr(0xffff_ffff_ffff_e000), 0x1000);
+        assert!(!top.overlaps(&below) && !below.overlaps(&top));
+        let last = VirtRange::new(Addr(u64::MAX), 1);
+        assert!(top.overlaps(&last) && last.overlaps(&top));
+        let all = VirtRange::new(Addr(0), u64::MAX);
+        assert!(all.overlaps(&top) && top.overlaps(&all));
+        assert!(!all.overlaps(&VirtRange::new(Addr(u64::MAX), 0)));
     }
 
     #[test]

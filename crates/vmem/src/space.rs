@@ -11,6 +11,9 @@ const ALLOC_BASE: u64 = 0x0000_1000_0000;
 /// address ceiling the paper works around in §5.3).
 const ALLOC_TOP: u64 = 1 << 40;
 
+/// Bytes in the words `read_u64` and `write_u64` move.
+const WORD: usize = 8;
+
 /// The simulated program's virtual address space.
 ///
 /// One `AddressSpace` backs the whole program; execution environments differ
@@ -41,18 +44,27 @@ impl AddressSpace {
         usize::try_from(addr.0.checked_sub(ALLOC_BASE)? >> PAGE_SHIFT).ok()
     }
 
+    /// The page backing `addr`. The error is built only on a miss: an
+    /// eagerly built one would be dropped on every hit.
     fn page(&self, addr: Addr) -> Result<&[u8], VmemError> {
-        Self::slot(addr)
-            .and_then(|i| self.pages.get(i))
-            .map(|page| &**page)
-            .ok_or(VmemError::NotBacked { addr })
+        match Self::slot(addr).and_then(|i| self.pages.get(i)) {
+            Some(page) => Ok(page),
+            None => Err(VmemError::NotBacked { addr }),
+        }
     }
 
     fn page_mut(&mut self, addr: Addr) -> Result<&mut [u8], VmemError> {
-        Self::slot(addr)
-            .and_then(|i| self.pages.get_mut(i))
-            .map(|page| &mut **page)
-            .ok_or(VmemError::NotBacked { addr })
+        match Self::slot(addr).and_then(|i| self.pages.get_mut(i)) {
+            Some(page) => Ok(page),
+            None => Err(VmemError::NotBacked { addr }),
+        }
+    }
+
+    /// `addr`'s offset in its page, if the 8-byte word there lies inside
+    /// that one page.
+    fn word_offset(addr: Addr) -> Option<usize> {
+        let off = addr.page_offset() as usize;
+        (off + WORD <= PAGE_SIZE as usize).then_some(off)
     }
 
     /// Allocates a fresh page-aligned region of at least `len` bytes
@@ -122,15 +134,19 @@ impl AddressSpace {
         Ok(buf)
     }
 
-    /// Reads a little-endian `u64` at `addr`.
+    /// Reads a little-endian `u64` at `addr`: one fixed 8-byte copy when
+    /// the word lies inside one page, [`AddressSpace::read`] otherwise.
     ///
     /// # Errors
     ///
     /// Same as [`AddressSpace::read`].
     pub fn read_u64(&self, addr: Addr) -> Result<u64, VmemError> {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+        let mut word = [0u8; WORD];
+        match Self::word_offset(addr) {
+            Some(off) => word.copy_from_slice(&self.page(addr)?[off..off + WORD]),
+            None => self.read(addr, &mut word)?,
+        }
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Writes `data` starting at `addr`.
@@ -154,13 +170,21 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Writes a little-endian `u64` at `addr`.
+    /// Writes a little-endian `u64` at `addr`, in one copy when the word
+    /// lies inside one page.
     ///
     /// # Errors
     ///
     /// Same as [`AddressSpace::write`].
     pub fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), VmemError> {
-        self.write(addr, &value.to_le_bytes())
+        let word = value.to_le_bytes();
+        match Self::word_offset(addr) {
+            Some(off) => {
+                self.page_mut(addr)?[off..off + WORD].copy_from_slice(&word);
+                Ok(())
+            }
+            None => self.write(addr, &word),
+        }
     }
 
     /// Fills `len` bytes at `addr` with `byte`.
@@ -227,6 +251,42 @@ mod tests {
         let r = s.alloc(PAGE_SIZE).unwrap();
         s.write_u64(r.start() + 8, 0xdead_beef_cafe).unwrap();
         assert_eq!(s.read_u64(r.start() + 8).unwrap(), 0xdead_beef_cafe);
+    }
+
+    #[test]
+    fn words_at_every_page_offset_match_byte_access() {
+        let mut s = AddressSpace::new();
+        let r = s.alloc(2 * PAGE_SIZE).unwrap();
+        for off in [
+            0,
+            8,
+            PAGE_SIZE - 9,
+            PAGE_SIZE - 8,
+            PAGE_SIZE - 7,
+            PAGE_SIZE - 1,
+        ] {
+            let at = r.start() + off;
+            let value = 0x0102_0304_0506_0708 ^ off;
+            s.write_u64(at, value).unwrap();
+            assert_eq!(s.read_vec(at, 8).unwrap(), value.to_le_bytes(), "{off}");
+            assert_eq!(s.read_u64(at).unwrap(), value, "{off}");
+        }
+        // A word crossing into unbacked memory faults at the top, after
+        // its in-page prefix landed; one wholly past the top faults at
+        // its own address.
+        let last = r.start() + (2 * PAGE_SIZE - 4);
+        let top = Addr(last.0 + 4);
+        assert_eq!(
+            s.write_u64(last, u64::MAX),
+            Err(VmemError::NotBacked { addr: top })
+        );
+        assert_eq!(s.read_vec(last, 4).unwrap(), vec![0xff; 4]);
+        assert_eq!(s.read_u64(last), Err(VmemError::NotBacked { addr: top }));
+        assert_eq!(s.read_u64(top), Err(VmemError::NotBacked { addr: top }));
+        assert_eq!(
+            s.write_u64(top + 8, 1),
+            Err(VmemError::NotBacked { addr: top + 8 })
+        );
     }
 
     #[test]

@@ -192,12 +192,34 @@ impl PageTable {
         self.get(addr.page())
     }
 
-    /// Checks that the whole span `[addr, addr+len)` is mapped, present, and
-    /// grants `needed`, page by page from the lowest. A zero-length span
-    /// checks the page at `addr`.
+    /// The span an access of `len` bytes at `addr` touches: at least the
+    /// page at `addr`, or `None` if its end does not fit in 64 bits.
+    fn access_span(addr: Addr, len: u64) -> Option<VirtRange> {
+        let len = len.max(1);
+        addr.checked_add(len).map(|_| VirtRange::new(addr, len))
+    }
+
+    /// The page rule: `page` is mapped, present and grants `needed`.
+    fn admits(&self, page: PageIdx, needed: Access) -> bool {
+        self.get(page)
+            .is_some_and(|entry| entry.present && entry.rights.contains(needed))
+    }
+
+    /// True if every page of the span `[addr, addr+len)` is mapped,
+    /// present and grants `needed`. A zero-length span asks about the
+    /// page at `addr`; a span whose end does not fit in 64 bits is
+    /// refused. Builds nothing: [`PageTable::check`] names a refusal.
     ///
-    /// This is the page-rights half of the access check; the MPK key/PKRU
+    /// This is the page-rights half of the access rule; the MPK key/PKRU
     /// half lives in the MPK enforcer, which holds the register.
+    #[must_use]
+    pub fn permits(&self, addr: Addr, len: u64, needed: Access) -> bool {
+        Self::access_span(addr, len)
+            .is_some_and(|span| span.pages().all(|p| self.admits(p, needed)))
+    }
+
+    /// [`PageTable::permits`], with a refusal named by the first page,
+    /// from the lowest, that refuses.
     ///
     /// # Errors
     ///
@@ -207,34 +229,37 @@ impl PageTable {
     /// * [`VmemError::ProtectionFault`] at `addr` when rights are
     ///   insufficient.
     pub fn check(&self, addr: Addr, len: u64, needed: Access) -> Result<(), VmemError> {
-        let span = VirtRange::new(addr, len.max(1));
-        if addr.checked_add(span.len()).is_none() {
-            return Err(VmemError::Unmapped {
+        if self.permits(addr, len, needed) {
+            Ok(())
+        } else {
+            Err(self.denial(addr, len, needed))
+        }
+    }
+
+    /// Names the refusal of an access [`PageTable::permits`] refused: the
+    /// only place a check builds an error, and shares the table's name.
+    #[cold]
+    fn denial(&self, addr: Addr, len: u64, needed: Access) -> VmemError {
+        let unmapped = |addr| VmemError::Unmapped {
+            addr,
+            table: self.name.clone(),
+        };
+        let Some(span) = Self::access_span(addr, len) else {
+            return unmapped(addr);
+        };
+        let page = span
+            .pages()
+            .find(|&p| !self.admits(p, needed))
+            .expect("a refused span has a page that refuses");
+        match self.get(page) {
+            Some(entry) if entry.present => VmemError::ProtectionFault {
                 addr,
+                needed,
+                granted: entry.rights,
                 table: self.name.clone(),
-            });
+            },
+            _ => unmapped(page.base()),
         }
-        for page in span.pages() {
-            match self.get(page) {
-                Some(entry) if entry.present => {
-                    if !entry.rights.contains(needed) {
-                        return Err(VmemError::ProtectionFault {
-                            addr,
-                            needed,
-                            granted: entry.rights,
-                            table: self.name.clone(),
-                        });
-                    }
-                }
-                _ => {
-                    return Err(VmemError::Unmapped {
-                        addr: page.base(),
-                        table: self.name.clone(),
-                    })
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Number of mapped pages.

@@ -169,7 +169,8 @@ fn random_len(rng: &mut XorShift) -> u64 {
 enclosure_support::props! {
     /// A page table agrees with a map of page entries on every mapping
     /// operation's result, every entry, and every check: `Ok` or `Err`,
-    /// the variant, the address, the rights and the table name.
+    /// the variant, the address, the rights and the table name, and
+    /// `permits` says `Ok` exactly where the check does.
     fn page_table_matches_a_map_of_entries(rng, cases = 64) {
         let name: Arc<str> = "model".into();
         let mut table = PageTable::new(name.clone());
@@ -221,17 +222,24 @@ enclosure_support::props! {
         for _ in 0..32 {
             let (addr, len) = random_span(rng);
             let needed = random_access(rng);
+            let expected = model_check(&model, &name, addr, len, needed);
+            assert_eq!(
+                table.permits(addr, len, needed),
+                expected.is_ok(),
+                "permits({addr}, {len}, {needed})"
+            );
             assert_eq!(
                 table.check(addr, len, needed),
-                model_check(&model, &name, addr, len, needed),
+                expected,
                 "check({addr}, {len}, {needed})"
             );
         }
     }
 
     /// An address space agrees with a byte array on every allocation,
-    /// read, write and fill: the bytes, `Ok` or `Err`, and the faulting
-    /// address. Writes and fills that run past the top land up to it.
+    /// read, write and fill, word-sized ones included: the bytes, `Ok` or
+    /// `Err`, and the faulting address. Writes and fills that run past
+    /// the top land up to it.
     fn address_space_matches_a_byte_array(rng, cases = 64) {
         let mut space = AddressSpace::new();
         let first = space.alloc(rng.range_u64(0, 2 * PAGE_SIZE)).unwrap();
@@ -253,10 +261,23 @@ enclosure_support::props! {
                     assert_eq!(space.read_vec(addr, len), model.read(addr, len), "read({addr}, {len})");
                 }
                 3 => {
-                    let addr = random_addr(rng, &model);
-                    assert_eq!(space.read_u64(addr), model.read(addr, 8).map(|b| {
-                        u64::from_le_bytes(b.try_into().expect("eight bytes"))
-                    }));
+                    // Half the words sit near a page's end, where one
+                    // can straddle two pages.
+                    let mut addr = random_addr(rng, &model);
+                    if rng.next_bool() {
+                        addr = Addr((addr.0 | (PAGE_SIZE - 1)) - rng.range_u64(0, 12));
+                    }
+                    if rng.next_bool() {
+                        let value = rng.next_u64();
+                        let (span, result) = model.reach(addr, 8);
+                        let landed = span.len();
+                        model.bytes[span].copy_from_slice(&value.to_le_bytes()[..landed]);
+                        assert_eq!(space.write_u64(addr, value), result, "write_u64({addr})");
+                    } else {
+                        assert_eq!(space.read_u64(addr), model.read(addr, 8).map(|b| {
+                            u64::from_le_bytes(b.try_into().expect("eight bytes"))
+                        }), "read_u64({addr})");
+                    }
                 }
                 4 | 5 => {
                     let addr = random_addr(rng, &model);

@@ -1,10 +1,11 @@
-//! Host allocations per request on the two fleet workloads, and per
-//! environment switch.
+//! Host allocations per request on the two fleet workloads, per
+//! environment switch, and per point of the §6.4 plot.
 //!
 //! A counting global allocator delegates to [`System`] and counts, per
 //! thread, every allocation and the bytes it asks for (a `realloc`
-//! counts as one allocation of its new size). Only `Fleet::run` is
-//! counted: the fleet is built first, and the fleets run at the default
+//! counts as one allocation of its new size). Only the measured call is
+//! counted (`Fleet::run`, or `plotlib::run_on`): the fleet or the
+//! interpreter is built first, and the fleets run at the default
 //! parallelism of 1, so every request is served on the test's own
 //! thread and the harness's other threads stay out of the count.
 //!
@@ -15,15 +16,19 @@
 //! nothing: an enclosure's span names and LB_MPK's working sets are
 //! built at `Init`. A warm `Transfer` allocates only the name of the
 //! arena section it adds: the packages' sections are the one owner
-//! index, and its event shares the destination's name.
+//! index, and its event shares the destination's name. A plotted point
+//! allocates nothing: `PyCtx::read_into` reads its words into a stack
+//! array.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use enclosure_apps::httpd::PAGE_SIZE_BYTES;
+use enclosure_apps::plotlib::{self, PlotConfig};
 use enclosure_core::{App, Enclosure, Policy};
 use enclosure_fleet::{FastHttpFleet, FleetConfig, WikiFleet};
-use enclosure_vmem::PAGE_SIZE;
+use enclosure_pyfront::MetadataMode;
+use enclosure_vmem::{page_count, PAGE_SIZE};
 use litterbox::{Backend, EnvContext, EnvId};
 
 /// Requests per counted fleet run.
@@ -43,6 +48,13 @@ const SWITCHES: u64 = 1_000;
 /// Allocations one warm `Transfer` makes: its arena section's name,
 /// formatted into a `String` sized up front.
 const TRANSFER_ALLOCS: u64 = 1;
+/// Points in the smaller of the two counted plots; the larger has twice
+/// as many. Both series outgrow one 16-page arena chunk.
+const POINTS: u64 = 8_192;
+/// Vectors indexed by page number, each of which may reallocate once
+/// more to hold the larger series: the address space's page list and,
+/// on LB_VTX, the trusted and the plot enclosure's page tables.
+const PAGE_INDEXES: u64 = 3;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -213,6 +225,47 @@ fn warm_transfers_allocate_only_the_arena_name() {
             allocs,
             2 * SWITCHES * TRANSFER_ALLOCS,
             "{backend}: allocations over {SWITCHES} round trips of a 4-page arena"
+        );
+    }
+}
+
+/// The §6.4 plot reads every point twice through `PyCtx::read_into`,
+/// under a refcount read and write around each read, and writes one
+/// canvas byte per point; on the conservative arm each metadata write
+/// to the read-only secret is denied and taken through the trusted
+/// detour. None of that allocates: `plotlib::run_on` at 2N points makes
+/// more allocations than at N only for the N extra points' backing
+/// pages and the page-indexed vectors that grow to hold them, on each
+/// arm.
+#[test]
+fn plotted_points_allocate_nothing() {
+    let arms = [
+        (Backend::Baseline, MetadataMode::CoLocated),
+        (Backend::Vtx, MetadataMode::CoLocated),
+        (Backend::Vtx, MetadataMode::Decoupled),
+    ];
+    for (backend, mode) in arms {
+        let run = |points: u64| {
+            let cfg = PlotConfig {
+                points,
+                ..PlotConfig::tiny()
+            };
+            let mut py = plotlib::build(backend, mode, cfg).expect("plot builds");
+            allocs_of(|| {
+                plotlib::run_on(&mut py, cfg).expect("plot runs");
+            })
+        };
+        let (small, large) = (run(POINTS), run(2 * POINTS));
+        let pages = page_count(2 * POINTS * 8) - page_count(POINTS * 8);
+        let extra = large.saturating_sub(small);
+        assert!(
+            extra <= pages + PAGE_INDEXES,
+            "{backend} {mode:?}: {small} allocations at {POINTS} points, {large} at {}, \
+             {:.3} per extra point; the series' {pages} extra pages and {PAGE_INDEXES} \
+             page indexes allow {}",
+            2 * POINTS,
+            extra as f64 / POINTS as f64,
+            pages + PAGE_INDEXES
         );
     }
 }

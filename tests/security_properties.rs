@@ -7,7 +7,7 @@ use enclosure_repro::core::{App, Enclosure, Policy};
 use enclosure_repro::kernel::seccomp::SysPolicy;
 use enclosure_repro::kernel::{CategorySet, SysCategory};
 use enclosure_support::XorShift;
-use enclosure_vmem::{Access, Addr, Section, SectionKind};
+use enclosure_vmem::{Access, Addr, Section, SectionKind, VirtRange, PAGE_SIZE};
 use litterbox::{
     scan, Backend, EnclosureDesc, EnclosureId, Fault, LitterBox, PackageDesc, PackageLayout,
     ProgramDesc, ViewMap, LB_SUPER_PKG,
@@ -45,6 +45,8 @@ enum Malformed {
     /// A new package whose text holds a WRPKRU, which only LitterBox may
     /// execute (LB_MPK).
     WrpkruInText,
+    /// A page-aligned section whose end passes `u64::MAX`.
+    SectionPastTop,
 }
 
 fn view(entries: &[(&str, Access)]) -> ViewMap {
@@ -122,6 +124,14 @@ fn malform(lb: &mut LitterBox, prog: &mut ProgramDesc, kind: Malformed, a: Packa
         }
         Malformed::DuplicateId => {
             prog.add_enclosure(enclosure(1, "again", ViewMap::new(), SysPolicy::none()));
+        }
+        Malformed::SectionPastTop => {
+            let top = VirtRange::new(Addr(0xffff_ffff_ffff_f000), 2 * PAGE_SIZE);
+            prog.add_package_desc(PackageDesc {
+                name: "top".into(),
+                sections: vec![Section::new("top.data", SectionKind::Data, top).unwrap()],
+                deps: vec![],
+            });
         }
         Malformed::WrpkruInText => {
             let evil = prog.add_package(lb, "evil", 1, 1, 1).unwrap();
@@ -266,6 +276,7 @@ fn malformations(backend: Backend, op: InitOp) -> Vec<Malformed> {
             Malformed::OverlappingSection,
             Malformed::ReservedId,
             Malformed::DuplicateId,
+            Malformed::SectionPastTop,
         ],
     };
     if backend == Backend::Mpk {
@@ -284,7 +295,7 @@ fn malformations(backend: Backend, op: InitOp) -> Vec<Malformed> {
 /// no more than the current view. The corrected description then
 /// succeeds on the same machine and its enclosure round-trips. The
 /// rejected call may come from inside an enclosure, as a dynamic import
-/// does. Every backend, call, malformation and caller (96 cases).
+/// does. Every backend, call, malformation and caller (108 cases).
 #[test]
 fn rejected_init_leaves_the_machine_reusable() {
     let mut cases = 0;
@@ -304,7 +315,7 @@ fn rejected_init_leaves_the_machine_reusable() {
             }
         }
     }
-    assert_eq!(cases, 96);
+    assert_eq!(cases, 108);
 }
 
 /// One case of [`rejected_init_leaves_the_machine_reusable`]: the
