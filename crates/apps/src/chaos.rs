@@ -166,17 +166,19 @@ pub(crate) fn teardown(rt: &mut GoRuntime, fd_mark: u32, chans: &[ChanId]) -> Re
 /// Spawns the load generator goroutine `name`: outside traffic on a
 /// scratch clock, so it charges nothing to the measured machine. It
 /// waits until a probe connection to `port` succeeds, then sends `n`
-/// requests, each on its own connection. With `probe` set, the probe
-/// connection carries those bytes in place of the last request;
-/// otherwise it carries request 0. It never reads a reply: the serve
-/// call's [`teardown`] closes the client ends.
+/// requests, each on its own connection. `request(i, out)` writes
+/// request `i` into `out`, one buffer the generator empties before each
+/// request and reuses. With `probe` set, the probe connection carries
+/// those bytes in place of the last request; otherwise it carries
+/// request 0. It never reads a reply: the serve call's [`teardown`]
+/// closes the client ends.
 pub(crate) fn spawn_load_generator(
     rt: &mut GoRuntime,
     name: &str,
     port: u16,
     n: u64,
     probe: Option<&'static [u8]>,
-    request: fn(u64) -> String,
+    request: fn(u64, &mut Vec<u8>),
 ) {
     fn send(kernel: &mut Kernel, scratch: &mut Clock, fd: u32, bytes: &[u8]) -> Result<(), Fault> {
         kernel
@@ -184,6 +186,12 @@ pub(crate) fn spawn_load_generator(
             .map(drop)
             .map_err(|e| Fault::Init(format!("client send: {e}")))
     }
+    fn write(request: fn(u64, &mut Vec<u8>), i: u64, out: &mut Vec<u8>) -> &[u8] {
+        out.clear();
+        request(i, out);
+        out
+    }
+    let mut out = Vec::new();
     rt.spawn(name, move |ctx| {
         if n == 0 {
             return Ok(Step::Done);
@@ -205,7 +213,7 @@ pub(crate) fn spawn_load_generator(
                 rest.end -= 1;
             }
             None => {
-                send(kernel, &mut scratch, first, request(0).as_bytes())?;
+                send(kernel, &mut scratch, first, write(request, 0, &mut out))?;
                 rest.start = 1;
             }
         }
@@ -214,7 +222,7 @@ pub(crate) fn spawn_load_generator(
             kernel
                 .connect(&mut scratch, fd, SockAddr::local(port))
                 .map_err(|e| Fault::Init(format!("client connect: {e}")))?;
-            send(kernel, &mut scratch, fd, request(i).as_bytes())?;
+            send(kernel, &mut scratch, fd, write(request, i, &mut out))?;
         }
         Ok(Step::Done)
     });

@@ -20,6 +20,7 @@ use litterbox::{Backend, BatchOp, Fault, SysError};
 
 use crate::chaos::{self, abandon, deferrable, record_reply, retry_transient, ChaosTally};
 use crate::httpd::{ServeStats, PAGE_SIZE_BYTES};
+use crate::mux::push_decimal;
 
 /// Server listen port.
 pub const FASTHTTP_PORT: u16 = 8081;
@@ -315,7 +316,11 @@ impl FastHttpApp {
             FASTHTTP_PORT,
             n,
             Some(b"GET /fast/probe HTTP/1.1\r\n\r\n"),
-            |i| format!("GET /fast/{i} HTTP/1.1\r\n\r\n"),
+            |i, out| {
+                out.extend_from_slice(b"GET /fast/");
+                push_decimal(out, i);
+                out.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+            },
         );
 
         let t0 = self.rt.lb().now_ns();

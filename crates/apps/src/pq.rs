@@ -42,28 +42,39 @@ pub fn install_postgres(
         Some(Box::new(move |request: &[u8]| {
             let text = String::from_utf8_lossy(request);
             let line = text.lines().last().unwrap_or_default();
-            let reply = if let Some(q) = line.strip_prefix("Q ") {
-                if let Some(title) = q.strip_prefix("SELECT ") {
-                    server_store
-                        .borrow()
-                        .get(title.trim())
-                        .map_or_else(|| "E notfound".to_owned(), |b| format!("R {b}"))
-                } else if let Some(rest) = q.strip_prefix("UPSERT ") {
-                    let (title, body) = rest.split_once(' ').unwrap_or((rest, ""));
-                    server_store
-                        .borrow_mut()
-                        .insert(title.to_owned(), body.to_owned());
-                    "R ok".to_owned()
-                } else {
-                    "E protocol".to_owned()
-                }
-            } else {
-                "E protocol".to_owned()
-            };
-            Some(reply.into_bytes())
+            Some(respond(&mut server_store.borrow_mut(), line))
         })),
     );
     store
+}
+
+/// The simulated Postgres' reply to one request line. A row is built
+/// in one buffer, and an UPSERT of a title the store holds overwrites
+/// its body in place.
+fn respond(store: &mut IdMap<String, String>, line: &str) -> Vec<u8> {
+    let Some(query) = line.strip_prefix("Q ") else {
+        return b"E protocol".to_vec();
+    };
+    if let Some(title) = query.strip_prefix("SELECT ") {
+        match store.get(title.trim()) {
+            Some(body) => [b"R ".as_slice(), body.as_bytes()].concat(),
+            None => b"E notfound".to_vec(),
+        }
+    } else if let Some(rest) = query.strip_prefix("UPSERT ") {
+        let (title, body) = rest.split_once(' ').unwrap_or((rest, ""));
+        match store.get_mut(title) {
+            Some(held) => {
+                held.clear();
+                held.push_str(body);
+            }
+            None => {
+                store.insert(title.to_owned(), body.to_owned());
+            }
+        }
+        b"R ok".to_vec()
+    } else {
+        b"E protocol".to_vec()
+    }
 }
 
 /// A driver connection (an fd connected to Postgres).
@@ -94,24 +105,53 @@ pub fn connect(lb: &mut LitterBox) -> Result<PqConn, SysError> {
     Ok(PqConn { fd })
 }
 
-/// Runs one query on an open connection.
+/// Runs one query on an open connection. `frame` is the caller's
+/// buffer for the request's wire frame, reused from query to query.
 ///
 /// # Errors
 ///
 /// Gateway errors, or [`Fault::Init`] for protocol violations.
-pub fn query(lb: &mut LitterBox, conn: PqConn, sql: &str) -> Result<QueryResult, SysError> {
-    lb.sys_send(conn.fd, format!("Q {sql}\n").as_bytes())?;
-    let raw = lb.sys_recv(conn.fd, 64 * 1024)?;
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    if let Some(row) = text.strip_prefix("R ") {
-        Ok(QueryResult::Row(row.to_owned()))
-    } else if let Some(err) = text.strip_prefix("E ") {
-        Ok(QueryResult::ServerError(err.to_owned()))
+pub fn query(
+    lb: &mut LitterBox,
+    conn: PqConn,
+    sql: &str,
+    frame: &mut Vec<u8>,
+) -> Result<QueryResult, SysError> {
+    frame_query(sql, frame);
+    lb.sys_send(conn.fd, frame)?;
+    decode_reply(lb.sys_recv(conn.fd, 64 * 1024)?)
+}
+
+/// Writes the wire frame of `sql`, `Q <sql>\n`, over `frame`'s
+/// contents.
+pub fn frame_query(sql: &str, frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(b"Q ");
+    frame.extend_from_slice(sql.as_bytes());
+    frame.push(b'\n');
+}
+
+/// Decodes a reply where it lies: the received buffer becomes the
+/// result's `String`, decoded lossily only when it is not UTF-8, and
+/// its `R `/`E ` prefix is dropped in place.
+///
+/// # Errors
+///
+/// [`Fault::Init`] for a reply with neither prefix.
+pub fn decode_reply(raw: Vec<u8>) -> Result<QueryResult, SysError> {
+    let mut text =
+        String::from_utf8(raw).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into());
+    let result = if text.starts_with("R ") {
+        QueryResult::Row
+    } else if text.starts_with("E ") {
+        QueryResult::ServerError
     } else {
-        Err(SysError::Fault(Fault::Init(format!(
+        return Err(SysError::Fault(Fault::Init(format!(
             "pq protocol violation: {text}"
-        ))))
-    }
+        ))));
+    };
+    text.replace_range(..2, "");
+    Ok(result(text))
 }
 
 #[cfg(test)]
@@ -132,7 +172,7 @@ mod tests {
     fn select_roundtrip() {
         let (mut lb, _store) = machine_with_db();
         let conn = connect(&mut lb).unwrap();
-        let out = query(&mut lb, conn, "SELECT Home").unwrap();
+        let out = query(&mut lb, conn, "SELECT Home", &mut Vec::new()).unwrap();
         assert_eq!(out, QueryResult::Row("welcome".into()));
     }
 
@@ -140,7 +180,7 @@ mod tests {
     fn select_missing_is_server_error() {
         let (mut lb, _store) = machine_with_db();
         let conn = connect(&mut lb).unwrap();
-        let out = query(&mut lb, conn, "SELECT Nope").unwrap();
+        let out = query(&mut lb, conn, "SELECT Nope", &mut Vec::new()).unwrap();
         assert!(matches!(out, QueryResult::ServerError(_)));
     }
 
@@ -148,10 +188,11 @@ mod tests {
     fn upsert_then_select() {
         let (mut lb, store) = machine_with_db();
         let conn = connect(&mut lb).unwrap();
-        let out = query(&mut lb, conn, "UPSERT Notes hello world").unwrap();
+        let mut frame = Vec::new();
+        let out = query(&mut lb, conn, "UPSERT Notes hello world", &mut frame).unwrap();
         assert_eq!(out, QueryResult::Row("ok".into()));
         assert_eq!(store.borrow()["Notes"], "hello world");
-        let out = query(&mut lb, conn, "SELECT Notes").unwrap();
+        let out = query(&mut lb, conn, "SELECT Notes", &mut frame).unwrap();
         assert_eq!(out, QueryResult::Row("hello world".into()));
     }
 

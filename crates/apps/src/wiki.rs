@@ -24,11 +24,17 @@ use crate::chaos::{
     self, abandon, deferrable, record_reply, render_unavailable, retry_transient, ChaosTally,
 };
 use crate::httpd::ServeStats;
-use crate::mux::{render_not_found, render_page, route, Route};
+use crate::mux::{push_decimal, render_not_found, render_page, route, Route};
 use crate::pq::{self, QueryResult};
 
 /// Wiki listen port.
 pub const WIKI_PORT: u16 = 8090;
+
+// What a routed request asks the glue for, as it crosses the channel
+// from the server.
+const VIEW: u64 = 0;
+const SAVE: u64 = 1;
+const NOT_FOUND: u64 = 2;
 
 /// Consecutive pq failures before the proxy's circuit breaker opens.
 pub const PQ_BREAKER_THRESHOLD: u32 = 3;
@@ -170,15 +176,17 @@ impl WikiApp {
                                     accept_ns.insert(conn, t0);
                                     ctx.compute(8_000); // mux parse + route
                                     let (kind, title, body) = match route(&raw) {
-                                        Route::View { title } => ("view", title, String::new()),
-                                        Route::Save { title, body } => ("save", title, body),
-                                        Route::NotFound => ("404", String::new(), String::new()),
+                                        Route::View { title } => (VIEW, title, String::new()),
+                                        Route::Save { title, body } => (SAVE, title, body),
+                                        Route::NotFound => {
+                                            (NOT_FOUND, String::new(), String::new())
+                                        }
                                     };
                                     if ctx.chan_send(
                                         parsed_ch,
                                         GoValue::Tuple(vec![
                                             GoValue::Int(u64::from(conn)),
-                                            GoValue::Str(kind.to_owned()),
+                                            GoValue::Int(kind),
                                             GoValue::Str(title),
                                             GoValue::Str(body),
                                         ]),
@@ -258,19 +266,19 @@ impl WikiApp {
                     let mut parts = v.into_tuple()?;
                     let title = std::mem::take(&mut parts[2]).into_str()?;
                     let conn = parts[0].clone();
-                    let kind = parts[1].as_str()?;
+                    let kind = parts[1].as_int()?;
                     let body = parts[3].as_str()?;
                     ctx.compute(3_000); // validation
-                    if kind == "404" || title.contains(|c: char| !c.is_alphanumeric()) {
+                    if kind == NOT_FOUND || title.contains(|c: char| !c.is_alphanumeric()) {
                         ctx.chan_send(
                             reply_ch,
                             GoValue::Tuple(vec![conn, GoValue::Bytes(render_not_found())]),
                         )?;
                     } else {
-                        let sql = if kind == "view" {
-                            format!("SELECT {title}")
+                        let sql = if kind == VIEW {
+                            ["SELECT ", title.as_str()].concat()
                         } else {
-                            format!("UPSERT {title} {body}")
+                            ["UPSERT ", title.as_str(), " ", body].concat()
                         };
                         ctx.chan_send(
                             sql_ch,
@@ -322,6 +330,7 @@ impl WikiApp {
         // PQ_BREAKER_COOLDOWN fast-fails it half-opens and probes; a
         // clean query closes it again.
         let mut conn_state: Option<pq::PqConn> = None;
+        let mut frame = Vec::new();
         let mut consecutive_failures = 0u32;
         let mut breaker_open = false;
         let mut fast_fails_since_trip = 0u32;
@@ -357,7 +366,9 @@ impl WikiApp {
                     } else {
                         // Closed — or half-open after the cooldown, in
                         // which case this query is the probe.
-                        match retry_transient(&pq_tally, || pq::query(ctx.lb_mut(), conn, sql)) {
+                        match retry_transient(&pq_tally, || {
+                            pq::query(ctx.lb_mut(), conn, sql, &mut frame)
+                        }) {
                             Ok(QueryResult::Row(r)) => {
                                 breaker_open = false;
                                 consecutive_failures = 0;
@@ -399,11 +410,14 @@ impl WikiApp {
 
         // Load generator (outside traffic): the probe connection
         // carries the first request.
-        chaos::spawn_load_generator(&mut self.rt, "wiki-load", WIKI_PORT, n, None, |i| {
+        chaos::spawn_load_generator(&mut self.rt, "wiki-load", WIKI_PORT, n, None, |i, out| {
             if i % 2 == 0 {
-                "GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n".to_owned()
+                out.extend_from_slice(b"GET /view/Home HTTP/1.1\r\nHost: wiki\r\n\r\n");
             } else {
-                format!("POST /save/Note{i} HTTP/1.1\r\nHost: wiki\r\n\r\nbody{i}")
+                out.extend_from_slice(b"POST /save/Note");
+                push_decimal(out, i);
+                out.extend_from_slice(b" HTTP/1.1\r\nHost: wiki\r\n\r\nbody");
+                push_decimal(out, i);
             }
         });
 

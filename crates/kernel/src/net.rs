@@ -298,7 +298,8 @@ impl Network {
         }
     }
 
-    /// Receives up to `len` bytes.
+    /// Receives up to `len` bytes: the queue's at most two contiguous
+    /// slices are copied out, then dropped from the queue.
     ///
     /// # Errors
     ///
@@ -314,7 +315,13 @@ impl Network {
                     return Err(Errno::Eagain);
                 }
                 let take = len.min(rx.len());
-                Ok(rx.drain(..take).collect())
+                let (front, back) = rx.as_slices();
+                let from_front = take.min(front.len());
+                let mut out = Vec::with_capacity(take);
+                out.extend_from_slice(&front[..from_front]);
+                out.extend_from_slice(&back[..take - from_front]);
+                rx.drain(..take);
+                Ok(out)
             }
             Some(_) => Err(Errno::Enotsock),
             None => Err(Errno::Ebadf),
@@ -540,6 +547,63 @@ mod tests {
                     .iter()
                     .any(|d| d.windows(needle.len()).any(|w| w == needle.as_slice()));
                 assert_eq!(net.exfiltrated_contains(&needle), naive, "{needle:?}");
+            }
+        }
+    }
+
+    enclosure_support::props! {
+        /// One stream against a plain FIFO: random sends, and reads
+        /// shorter than, as long as and longer than what is queued, so
+        /// that reads cross the receive queue's wrap point. Each read
+        /// returns the model's bytes, `Eagain` on an empty open stream
+        /// and EOF once the writer has closed and the queue is drained.
+        fn recv_matches_a_fifo_across_the_wrap_point(rng, cases = 64) {
+            let mut net = Network::new();
+            let (client, server) = connected_pair(&mut net);
+            let mut fifo: Vec<u8> = Vec::new();
+            let mut closed = false;
+            let mut wrapped_reads = 0;
+            for op in 0.. {
+                assert!(op < 4096, "no read crossed the wrap point");
+                if !closed {
+                    if op > 384 && wrapped_reads > 0 && rng.range_u64(0, 32) == 0 {
+                        net.close(client).unwrap();
+                        closed = true;
+                        continue;
+                    }
+                    if rng.next_bool() {
+                        let len = rng.range_usize(1, 48);
+                        let data = rng.bytes(len);
+                        assert_eq!(net.send(client, &data), Ok(len));
+                        fifo.extend_from_slice(&data);
+                        continue;
+                    }
+                }
+                // Mostly shorter reads, which keep the queue non-empty
+                // while its head moves round the buffer.
+                let len = match rng.range_u64(0, 6) {
+                    0..=3 => rng.range_usize(1, fifo.len().max(1) + 1),
+                    4 => fifo.len().max(1),
+                    _ => fifo.len() + rng.range_usize(1, 16),
+                };
+                if let Some(SocketState::Stream { rx, .. }) = net.sockets.get(&server) {
+                    let (front, back) = rx.as_slices();
+                    if !back.is_empty() && len > front.len() {
+                        wrapped_reads += 1;
+                    }
+                }
+                let got = net.recv(server, len);
+                if fifo.is_empty() {
+                    let expected = if closed { Ok(Vec::new()) } else { Err(Errno::Eagain) };
+                    assert_eq!(got, expected, "read of {len} from an empty stream");
+                    if closed {
+                        break;
+                    }
+                } else {
+                    let take = len.min(fifo.len());
+                    assert_eq!(got.as_deref(), Ok(&fifo[..take]), "read of {len}");
+                    fifo.drain(..take);
+                }
             }
         }
     }

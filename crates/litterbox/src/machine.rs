@@ -208,10 +208,9 @@ impl Program {
     /// # Errors
     ///
     /// [`Fault::Init`] for a duplicate package, an unaligned or
-    /// overlapping section or one whose end does not fit in 64 bits,
-    /// enclosure id 0, a duplicate id, or a view [`Program::derive`]
-    /// rejects.
-    fn with(&self, desc: ProgramDesc) -> Result<Program, Fault> {
+    /// overlapping section or one `space` does not back, enclosure id 0,
+    /// a duplicate id, or a view [`Program::derive`] rejects.
+    fn with(&self, desc: ProgramDesc, space: &AddressSpace) -> Result<Program, Fault> {
         let mut next = self.descriptions();
         for pkg in desc.packages {
             if next.packages.contains_key(pkg.name.as_str()) {
@@ -226,9 +225,11 @@ impl Program {
                         pkg.name
                     )));
                 }
-                if range.start().checked_add(range.len()).is_none() {
+                // The page tables keep a slot per page of what they
+                // map: an unbacked span could ask them for any size.
+                if !space.backs(range) {
                     return Err(Fault::Init(format!(
-                        "section {} of '{}' ends past the top of the address space",
+                        "section {} of '{}' ({range}) is not backed by the address space",
                         section.name(),
                         pkg.name
                     )));
@@ -698,7 +699,7 @@ impl LitterBox {
             if !self.initialized() {
                 self.install_internal_packages(&mut desc)?;
             }
-            let next = self.program.with(desc)?;
+            let next = self.program.with(desc, &self.space)?;
             self.commit(next, self.mpk_key_mode)
         })();
         let ns = run.map_err(|e| self.trace_fault(e))?;
@@ -1088,8 +1089,9 @@ impl LitterBox {
     /// # Errors
     ///
     /// [`Fault::UnknownPackage`] for unknown packages, [`Fault::Init`]
-    /// for ranges that don't match the recorded owner, or that reach
-    /// into an owned section when `from` is `None`.
+    /// for ranges that don't match the recorded owner, or, when `from`
+    /// is `None`, that the address space does not back or that reach
+    /// into an owned section.
     pub fn transfer(
         &mut self,
         range: VirtRange,
@@ -1125,7 +1127,13 @@ impl LitterBox {
                 ))));
             }
         } else {
-            // A fresh span must not reach into any owned section.
+            // A fresh span must be backed, and must not reach into any
+            // owned section.
+            if !self.space.backs(range) {
+                return Err(self.trace_fault(Fault::Init(format!(
+                    "transfer of {range} is not backed by the address space"
+                ))));
+            }
             let owned = self
                 .program
                 .sections()

@@ -44,6 +44,19 @@ impl AddressSpace {
         usize::try_from(addr.0.checked_sub(ALLOC_BASE)? >> PAGE_SHIFT).ok()
     }
 
+    /// Whether every byte of `range` is backed: it lies within
+    /// `[ALLOC_BASE, top)`, its end inside 64 bits. An empty range is
+    /// backed where it starts inside that span or at its top.
+    #[must_use]
+    pub fn backs(&self, range: VirtRange) -> bool {
+        range.start().0 >= ALLOC_BASE
+            && range
+                .start()
+                .0
+                .checked_add(range.len())
+                .is_some_and(|end| end <= self.top())
+    }
+
     /// The page backing `addr`. The error is built only on a miss: an
     /// eagerly built one would be dropped on every hit.
     fn page(&self, addr: Addr) -> Result<&[u8], VmemError> {
@@ -317,6 +330,25 @@ mod tests {
             AddressSpace::default().read_vec(Addr::NULL, 1),
             Err(VmemError::NotBacked { addr: Addr::NULL })
         ));
+    }
+
+    #[test]
+    fn backs_exactly_the_allocated_region() {
+        let mut s = AddressSpace::new();
+        let r = s.alloc(2 * PAGE_SIZE).unwrap();
+        assert!(s.backs(r));
+        assert!(s.backs(VirtRange::new(r.start() + PAGE_SIZE, PAGE_SIZE)));
+        assert!(s.backs(VirtRange::new(r.end(), 0)), "empty at the top");
+        for unbacked in [
+            VirtRange::new(r.start(), 3 * PAGE_SIZE),
+            VirtRange::new(r.end(), PAGE_SIZE),
+            VirtRange::new(Addr(ALLOC_BASE - PAGE_SIZE), PAGE_SIZE),
+            VirtRange::new(Addr::NULL, 0),
+            VirtRange::new(Addr(0xffff_ffff_ffff_e000), PAGE_SIZE),
+            VirtRange::new(Addr(0xffff_ffff_ffff_f000), 2 * PAGE_SIZE),
+        ] {
+            assert!(!s.backs(unbacked), "{unbacked}");
+        }
     }
 
     #[test]

@@ -47,6 +47,9 @@ enum Malformed {
     WrpkruInText,
     /// A page-aligned section whose end passes `u64::MAX`.
     SectionPastTop,
+    /// A page-aligned section that ends inside 64 bits, far above the
+    /// backed address space.
+    SectionAboveSpace,
 }
 
 fn view(entries: &[(&str, Access)]) -> ViewMap {
@@ -130,6 +133,14 @@ fn malform(lb: &mut LitterBox, prog: &mut ProgramDesc, kind: Malformed, a: Packa
             prog.add_package_desc(PackageDesc {
                 name: "top".into(),
                 sections: vec![Section::new("top.data", SectionKind::Data, top).unwrap()],
+                deps: vec![],
+            });
+        }
+        Malformed::SectionAboveSpace => {
+            let above = VirtRange::new(Addr(0xffff_ffff_ffff_e000), PAGE_SIZE);
+            prog.add_package_desc(PackageDesc {
+                name: "above".into(),
+                sections: vec![Section::new("above.data", SectionKind::Data, above).unwrap()],
                 deps: vec![],
             });
         }
@@ -277,6 +288,7 @@ fn malformations(backend: Backend, op: InitOp) -> Vec<Malformed> {
             Malformed::ReservedId,
             Malformed::DuplicateId,
             Malformed::SectionPastTop,
+            Malformed::SectionAboveSpace,
         ],
     };
     if backend == Backend::Mpk {
@@ -295,7 +307,7 @@ fn malformations(backend: Backend, op: InitOp) -> Vec<Malformed> {
 /// no more than the current view. The corrected description then
 /// succeeds on the same machine and its enclosure round-trips. The
 /// rejected call may come from inside an enclosure, as a dynamic import
-/// does. Every backend, call, malformation and caller (108 cases).
+/// does. Every backend, call, malformation and caller (120 cases).
 #[test]
 fn rejected_init_leaves_the_machine_reusable() {
     let mut cases = 0;
@@ -315,7 +327,7 @@ fn rejected_init_leaves_the_machine_reusable() {
             }
         }
     }
-    assert_eq!(cases, 108);
+    assert_eq!(cases, 120);
 }
 
 /// One case of [`rejected_init_leaves_the_machine_reusable`]: the
@@ -412,6 +424,56 @@ fn reject_then_correct(backend: Backend, op: InitOp, kind: Malformed, inside: bo
     }
     let token = lb.prolog(target, cs).unwrap();
     lb.epilog(token).unwrap();
+}
+
+/// A `Transfer` of a fresh span the address space does not back returns
+/// a `Fault::Init` and changes nothing but the one fault it records:
+/// same clock, counters, environments and owner. The backed arena then
+/// transfers, and enclosure 1 writes it through its view of `a`. Every
+/// backend, from trusted code and from inside enclosure 1; spans far
+/// above the backed space, across `u64::MAX`, straddling its top, past
+/// it, and below its base.
+#[test]
+fn rejected_transfer_leaves_the_machine_reusable() {
+    for backend in [Backend::Baseline, Backend::Mpk, Backend::Vtx, Backend::Proc] {
+        for inside in [false, true] {
+            let mut lb = LitterBox::new(backend);
+            let cs = Addr(0x2000);
+            let (prog, _) = base_program(&mut lb);
+            lb.init(prog).unwrap();
+            let arena = lb.space_mut().alloc(PAGE_SIZE).unwrap();
+            let token = inside.then(|| lb.prolog(EnclosureId(1), cs).unwrap());
+            let unbacked = [
+                VirtRange::new(Addr(0xffff_ffff_ffff_e000), PAGE_SIZE),
+                VirtRange::new(Addr(0xffff_ffff_ffff_f000), 2 * PAGE_SIZE),
+                VirtRange::new(arena.start(), 2 * PAGE_SIZE),
+                VirtRange::new(arena.end(), PAGE_SIZE),
+                VirtRange::new(Addr(PAGE_SIZE), PAGE_SIZE),
+            ];
+            for span in unbacked {
+                let case = format!("{backend} inside={inside} {span}");
+                let owner = |lb: &LitterBox| lb.package_at(span.start()).map(str::to_owned);
+                let (now, owned, envs) = (lb.now_ns(), owner(&lb), lb.describe_environments());
+                let mut counters = *lb.telemetry().counters();
+                counters.faults += 1;
+                let err = lb.transfer(span, None, "a").unwrap_err();
+                assert!(matches!(err, Fault::Init(_)), "{case}: {err:?}");
+                assert_eq!(lb.now_ns(), now, "{case}: clock");
+                assert_eq!(*lb.telemetry().counters(), counters, "{case}: counters");
+                assert_eq!(lb.describe_environments(), envs, "{case}");
+                assert_eq!(owner(&lb), owned, "{case}: owner");
+                assert_eq!(lb.stale_binding_violation(), None, "{case}");
+            }
+            lb.transfer(arena, None, "a").unwrap();
+            assert_eq!(lb.package_at(arena.start()), Some("a"), "{backend}");
+            if let Some(token) = token {
+                lb.epilog(token).unwrap();
+            }
+            let token = lb.prolog(EnclosureId(1), cs).unwrap();
+            lb.store_u64(arena.start(), 7).unwrap();
+            lb.epilog(token).unwrap();
+        }
+    }
 }
 
 /// An `App` whose enclosure registration LB_MPK rejects (same view as
