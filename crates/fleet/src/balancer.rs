@@ -599,9 +599,7 @@ impl<W: Workload> Fleet<W> {
     /// chaos degrade gracefully and do not surface here).
     pub fn run(mut self) -> Result<FleetReport, Fault> {
         // Streaming admission: sessions are drawn from the PRNG as the
-        // round quota pulls them, never materialized. Identical draw
-        // order to `session::generate`, so swapping the Vec for the
-        // stream changed no run byte-for-byte.
+        // round quota pulls them, never materialized.
         let mut sessions = session::SessionStream::new(self.cfg.seed, self.cfg.requests).peekable();
         let admission_rate = BATCH * self.shards.len() as u64;
         // Generous cap: the workload's round count plus slack for

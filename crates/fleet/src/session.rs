@@ -43,9 +43,7 @@ impl Session {
 /// The stream draws each session from the PRNG only when it is pulled,
 /// so the balancer admits directly off the iterator without ever
 /// materializing the full workload — a billion-request plan costs the
-/// same memory as a ten-request one. [`generate`] is this stream,
-/// collected; the draw order is identical, so the two are byte-for-byte
-/// interchangeable.
+/// same memory as a ten-request one.
 #[derive(Debug, Clone)]
 pub struct SessionStream {
     rng: XorShift,
@@ -86,28 +84,22 @@ impl Iterator for SessionStream {
     }
 }
 
-/// Materializes the whole session stream (see [`SessionStream`]).
-#[must_use]
-pub fn generate(seed: u64, total_requests: u64) -> Vec<Session> {
-    SessionStream::new(seed, total_requests).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn stream_is_deterministic_and_sums_exactly() {
-        let a = generate(7, 10_000);
-        let b = generate(7, 10_000);
-        assert_eq!(a, b);
+        let stream = |seed| SessionStream::new(seed, 10_000).collect::<Vec<_>>();
+        let a = stream(7);
+        assert_eq!(a, stream(7));
         assert_eq!(a.iter().map(|s| s.requests).sum::<u64>(), 10_000);
-        assert_ne!(a, generate(8, 10_000), "seed changes the stream");
+        assert_ne!(a, stream(8), "seed changes the stream");
     }
 
     #[test]
     fn lengths_are_heavy_tailed_and_bounded() {
-        let sessions = generate(3, 50_000);
+        let sessions: Vec<Session> = SessionStream::new(3, 50_000).collect();
         let max = sessions.iter().map(|s| s.requests).max().unwrap();
         let short = sessions.iter().filter(|s| s.requests <= 8).count();
         assert!(max <= MAX_SESSION_LEN);
@@ -122,17 +114,14 @@ mod tests {
     #[test]
     fn streaming_admission_matches_the_materialized_generator() {
         // A plan big enough that the stream holds over a million
-        // sessions — far beyond anything worth materializing — still
-        // produces, lazily, the exact sessions `generate` would.
+        // sessions — far beyond anything worth materializing — is drawn
+        // lazily and still sums to exactly its request count.
         let total = 40_000_000;
-        let materialized = generate(9, total);
+        let sessions = SessionStream::new(9, total).count();
         assert!(
-            materialized.len() >= 1_000_000,
-            "heavy tail still averages short sessions: {}",
-            materialized.len()
+            sessions >= 1_000_000,
+            "heavy tail still averages short sessions: {sessions}"
         );
-        let prefix: Vec<Session> = SessionStream::new(9, total).take(2_000).collect();
-        assert_eq!(prefix.as_slice(), &materialized[..2_000]);
         let stream = SessionStream::new(9, total);
         assert_eq!(stream.map(|s| s.requests).sum::<u64>(), total);
     }

@@ -11,7 +11,7 @@ use crate::{Errno, Sysno};
 
 /// A syscall as seen by the filtering layer: number plus raw argument
 /// words (the shape of `seccomp_data`). The synchronous gateway and the
-/// batched ring's descriptors both build their records through the
+/// batched gateway's descriptors both build their records through the
 /// constructors below, one per argument shape, so one policy governs
 /// both paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

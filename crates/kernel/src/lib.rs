@@ -16,10 +16,9 @@
 //!   exfiltration ledger the security evaluation inspects (§6.5) —
 //!   [`net`];
 //! * the [`Kernel`] itself: typed syscall entry points that charge
-//!   calibrated service costs to the simulated [`enclosure_hw::Clock`];
-//! * the batched gateway's data plane — an io_uring-style
-//!   submission/completion ring ([`ring`]) that LitterBox flushes in a
-//!   single charged crossing per (environment, batch).
+//!   calibrated service costs to the simulated [`enclosure_hw::Clock`].
+//!   LitterBox's batched gateway services its queued descriptors
+//!   through the same entry points, at the same cost.
 //!
 //! Syscall *filtering* is not done here: LitterBox's `FilterSyscall` hook
 //! (in the `litterbox` crate) consults the seccomp program (LB_MPK) or the
@@ -33,11 +32,9 @@ mod errno;
 pub mod fs;
 mod kernel;
 pub mod net;
-pub mod ring;
 pub mod seccomp;
 mod sysno;
 
 pub use errno::Errno;
 pub use kernel::{Kernel, SyscallRecord, TableSizes};
-pub use ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};
 pub use sysno::{CategorySet, SysCategory, Sysno};

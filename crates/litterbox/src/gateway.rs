@@ -15,6 +15,15 @@ use enclosure_kernel::{Errno, SyscallRecord, Sysno};
 use crate::fault::{Fault, SysError};
 use crate::machine::LitterBox;
 
+/// An enclosed call's injected fault (see
+/// [`LitterBox::draw_call_fault`]).
+pub(crate) enum CallFault {
+    /// A transient errno from the kernel.
+    Errno(Errno),
+    /// The backend's crossing was lost at `site`.
+    Crossing(InjectionSite),
+}
+
 impl LitterBox {
     /// One deterministic transient errno, driven by the injection
     /// plan's PRNG: what an injected gateway failure returns, here and
@@ -27,25 +36,35 @@ impl LitterBox {
         Errno::TRANSIENT[pick]
     }
 
+    /// Draws the injected fault of one enclosed call that passed its
+    /// filter, for the synchronous gateway and the batch flush alike: a
+    /// transient errno in the kernel (EAGAIN / EINTR / ENOMEM), else the
+    /// loss of the backend's crossing (LB_VTX's VM EXIT). Trusted calls
+    /// draw nothing. Either way nothing reached the kernel proper, so
+    /// there is no state to undo.
+    pub(crate) fn draw_call_fault(&mut self) -> Option<CallFault> {
+        if self.current_env() == TRUSTED_ENV {
+            return None;
+        }
+        if self.clock_mut().should_inject(InjectionSite::GatewayErrno) {
+            return Some(CallFault::Errno(self.pick_transient_errno()));
+        }
+        let site = self.crossing_site()?;
+        self.clock_mut()
+            .should_inject(site)
+            .then_some(CallFault::Crossing(site))
+    }
+
     fn gate(&mut self, record: SyscallRecord) -> Result<(), SysError> {
         self.filter_syscall(record).map_err(SysError::Fault)?;
-        // Chaos sites, enclosed callers only: a call that passed the
-        // filter can still fail transiently in the kernel (EAGAIN /
-        // EINTR / ENOMEM), or — on the VT-x backend — lose its VM EXIT.
-        // Either way nothing reached the kernel proper, so there is no
-        // state to undo.
-        if self.current_env() != TRUSTED_ENV {
-            if self.clock_mut().should_inject(InjectionSite::GatewayErrno) {
-                return Err(SysError::Errno(self.pick_transient_errno()));
-            }
-            if let Some(site) = self.crossing_site() {
-                if self.clock_mut().should_inject(site) {
-                    let fault = self.trace_fault(Fault::Transient { site: site.name() });
-                    return Err(SysError::Fault(fault));
-                }
+        match self.draw_call_fault() {
+            None => Ok(()),
+            Some(CallFault::Errno(errno)) => Err(SysError::Errno(errno)),
+            Some(CallFault::Crossing(site)) => {
+                let fault = self.trace_fault(Fault::Transient { site: site.name() });
+                Err(SysError::Fault(fault))
             }
         }
-        Ok(())
     }
 
     /// `getuid` through the filter.

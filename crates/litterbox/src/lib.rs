@@ -71,7 +71,7 @@ mod machine;
 pub mod scan;
 
 pub use backend::mpk::KeyLedger;
-pub use batch::{CompletionToken, GatewayMode};
+pub use batch::{BatchOp, BatchReply, Completion, CompletionToken, GatewayMode};
 pub use desc::{EnclosureDesc, EnclosureId, PackageDesc, PackageLayout, ProgramDesc, ViewMap};
 pub use fault::{Fault, SysError};
 pub use machine::{
@@ -79,4 +79,3 @@ pub use machine::{
 };
 
 pub use enclosure_hw::{EnvId, InjectionPlan, InjectionSite, TRUSTED_ENV};
-pub use enclosure_kernel::ring::{BatchOp, BatchReply, Completion, Submission, SyscallRing};

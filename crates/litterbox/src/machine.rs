@@ -375,8 +375,8 @@ pub struct LitterBox {
     seq: u64,
     init_ns: u64,
     mpk_key_mode: MpkKeyMode,
-    /// The syscall gateway's mode and its pending (environment, batch)
-    /// (see `crate::batch`).
+    /// The syscall gateway's mode and its ring, whose queued entries
+    /// belong to `current` (see `crate::batch`).
     pub(crate) batch: crate::batch::BatchState,
 }
 
@@ -1260,11 +1260,11 @@ impl LitterBox {
             .is_none_or(|hw| hw.verdict(&self.program, self.current, record))
     }
 
-    /// Charges one batch flush's crossing out of `env` (nothing when
-    /// nothing is enforced).
-    pub(crate) fn charge_batch_crossing(&mut self, env: EnvId) {
+    /// Charges one batch flush's crossing out of the current
+    /// environment (nothing when nothing is enforced).
+    pub(crate) fn charge_batch_crossing(&mut self) {
         if let Some(hw) = self.hw.as_deref() {
-            hw.charge_crossing(&mut self.clock, env);
+            hw.charge_crossing(&mut self.clock, self.current);
         }
     }
 

@@ -21,9 +21,12 @@
 //!
 //! Plus the containment properties of the reactor's chaos sites: a
 //! faulting entry wakes its submitter with its errno without poisoning
-//! batch-mates, and no completion is ever lost or double-posted.
+//! batch-mates, and no completion is ever lost or double-posted. And
+//! the flush barriers: every switch, faulted or not, leaves nothing
+//! queued, so each flush serves the environment its entries were
+//! submitted in.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use enclosure_apps::fasthttp::FastHttpApp;
 use enclosure_kernel::seccomp::SysPolicy;
@@ -31,14 +34,15 @@ use enclosure_kernel::{Errno, Sysno};
 use enclosure_telemetry::Event;
 use enclosure_vmem::{Access, Addr};
 use litterbox::{
-    Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, GatewayMode,
-    InjectionPlan, InjectionSite, LitterBox, ProgramDesc, SysError,
+    Backend, BatchOp, BatchReply, CompletionToken, EnclosureDesc, EnclosureId, EnvContext, EnvId,
+    GatewayMode, InjectionPlan, InjectionSite, LitterBox, ProgramDesc, SysError,
 };
 
 const BACKENDS: [Backend; 3] = [Backend::Mpk, Backend::Vtx, Backend::Proc];
 
-/// One machine in gateway `mode` with one all-allowing enclosure,
-/// mirroring the gateway's own unit-test fixture.
+/// One machine in gateway `mode` with two all-allowing enclosures: the
+/// gateway's own unit-test fixture `rcl` (1), and `inner` (2), whose
+/// read-only view `rcl` may enter.
 fn lab(backend: Backend, mode: GatewayMode) -> (LitterBox, Addr) {
     let mut lb = LitterBox::new(backend);
     lb.set_gateway(mode);
@@ -51,6 +55,13 @@ fn lab(backend: Backend, mode: GatewayMode) -> (LitterBox, Addr) {
         view: [("libnet".to_string(), Access::RWX)].into_iter().collect(),
         policy: SysPolicy::all(),
         marked: vec!["libnet".into()],
+    });
+    prog.add_enclosure(EnclosureDesc {
+        id: EnclosureId(2),
+        name: "inner".into(),
+        view: [("libnet".to_string(), Access::R)].into_iter().collect(),
+        policy: SysPolicy::all(),
+        marked: vec![],
     });
     lb.init(prog).unwrap();
     (lb, cs)
@@ -282,6 +293,99 @@ enclosure_support::props! {
         assert_eq!(errs, 1, "{backend}: one corrupted completion");
         assert_eq!(results.len(), n_ops, "{backend}: mass conserved");
         lb.epilog(t).unwrap();
+    }
+}
+
+/// Checks the trace events after the first `seen`: each `BatchFlush`
+/// must name the environment that was current at the submission of
+/// every entry it serviced, taken oldest first from `submitted`.
+fn check_new_flushes(lb: &LitterBox, seen: &mut usize, submitted: &mut VecDeque<EnvId>) {
+    let backend = lb.backend();
+    for te in lb.telemetry().recent_events().skip(*seen) {
+        *seen += 1;
+        if let Event::BatchFlush { env, entries } = te.event {
+            for _ in 0..entries {
+                let at_submit = submitted
+                    .pop_front()
+                    .expect("a flushed entry was submitted");
+                assert_eq!(
+                    env, at_submit.0,
+                    "{backend}: a batch flushed in another environment than its submit"
+                );
+            }
+        }
+    }
+}
+
+enclosure_support::props! {
+    /// **A batch belongs to the environment it was submitted in.**
+    /// Random submits, prologs one or two deep, epilogs, `execute`s to
+    /// and from a saved context, and explicit flushes, with switch,
+    /// fork, pipe, whole-flush and gateway faults armed: every prolog,
+    /// epilog and execute, faulted or not, leaves nothing queued, and
+    /// every traced `BatchFlush` names the environment that was current
+    /// at each of its entries' submission.
+    fn every_flush_serves_the_environment_of_its_submits(rng, cases = 32) {
+        const TRACE: usize = 1 << 16;
+        let seed = rng.next_u64();
+        let steps = rng.range_usize(16, 64);
+        for backend in BACKENDS {
+            let (mut lb, cs) = lab(backend, GatewayMode::Async);
+            lb.telemetry_mut().enable_trace(TRACE);
+            lb.clock_mut().arm_injection(InjectionPlan::new(seed, 200_000).with_sites(&[
+                InjectionSite::Wrpkru,
+                InjectionSite::Cr3Write,
+                InjectionSite::ProcFork,
+                InjectionSite::PipeEpipe,
+                InjectionSite::BatchFlush,
+                InjectionSite::GatewayErrno,
+            ]));
+            // The running context's open prologs, and the saved context
+            // with its own.
+            let mut tokens = Vec::new();
+            let mut saved = (EnvContext::in_env(EnvId(2)), Vec::new());
+            let mut submitted = VecDeque::new();
+            let mut seen = 0;
+            for _ in 0..steps {
+                match rng.range_usize(0, 10) {
+                    0..=3 => {
+                        let env = lb.current_env();
+                        lb.batch_submit(rng.range_u64(1, 4), pure_op(rng)).unwrap();
+                        submitted.push_back(env);
+                    }
+                    4 | 5 => {
+                        let target = EnclosureId(rng.range_u64(1, 3) as u32);
+                        if tokens.len() < 2 {
+                            if let Ok(token) = lb.prolog(target, cs) {
+                                tokens.push(token);
+                            }
+                            assert_eq!(lb.batch_pending(), 0, "{backend}: after a prolog");
+                        }
+                    }
+                    6 => {
+                        if let Some(token) = tokens.pop() {
+                            let _ = lb.epilog(token);
+                            assert_eq!(lb.batch_pending(), 0, "{backend}: after an epilog");
+                        }
+                    }
+                    7 => {
+                        if lb.execute(&mut saved.0, cs).is_ok() {
+                            std::mem::swap(&mut tokens, &mut saved.1);
+                        }
+                        assert_eq!(lb.batch_pending(), 0, "{backend}: after an execute");
+                    }
+                    _ => {
+                        let _ = lb.batch_flush();
+                    }
+                }
+                check_new_flushes(&lb, &mut seen, &mut submitted);
+            }
+            lb.clock_mut().disarm_injection();
+            lb.batch_flush().unwrap();
+            check_new_flushes(&lb, &mut seen, &mut submitted);
+            assert!(submitted.is_empty(), "{backend}: every entry flushed");
+            assert!(seen < TRACE, "{backend}: the trace ring never wrapped");
+        }
     }
 }
 
